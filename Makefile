@@ -46,6 +46,10 @@
 #                BENCH_7.json baseline: >15% regression in samples/sec,
 #                ns/lookup, or ns/record (or any allocation on the
 #                verdict serving path) fails the build
+#   make perfbench-test  vet and test the benchmark module (perfbench/,
+#                a nested module, so `go test ./...` never compiles it):
+#                it imports the scan engine's public seams, and a change
+#                to them must not leave the benchmark unbuildable
 #   make soak    the verdict edge's full soak: 32 concurrent clients, a
 #                live snapshot swap mid-run, zero dropped or incorrect
 #                verdicts, p99 service latency and in-process lookup
@@ -54,7 +58,7 @@
 
 GO ?= go
 
-.PHONY: check lint lint-json race cover fuzz bench profile fabric-test perf perf-diff soak
+.PHONY: check lint lint-json race cover fuzz bench profile fabric-test perf perf-diff perfbench-test soak
 
 check:
 	$(GO) build ./...
@@ -119,6 +123,9 @@ perf:
 
 perf-diff:
 	$(GO) run ./scripts/benchdiff.go -base BENCH_7.json -new BENCH_9.json
+
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 soak:
 	GEOBLOCK_SOAK=full $(GO) test ./cmd/worldd -run TestVerdictSoak -v -count=1

@@ -1,6 +1,7 @@
 package applayer
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -109,21 +110,38 @@ func TestOriginVariantsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVariantLengthConsistency holds VariantLength, which the edge
+// serves as Content-Length without rendering, to the rendered length
+// across many sites, sample seeds, both commerce variants and the
+// whole markup range the world draws from (1.1–1.6), plus factors far
+// outside it.
 func TestVariantLengthConsistency(t *testing.T) {
-	site := blockpage.NewOriginSite("len.example.com", stats.NewRNG(3))
-	for _, v := range []blockpage.PageVariant{
-		{}, {Restricted: true}, {PriceFactor: 1.5}, {Restricted: true, PriceFactor: 1.2},
-	} {
-		body := site.RenderVariant(5, v)
-		if len(body) != site.VariantLength(5, v) {
-			t.Fatalf("variant %+v: len %d != VariantLength %d", v, len(body), site.VariantLength(5, v))
-		}
+	factors := []float64{0, 1, 1.6, 2.5, 250, 5000, -0.5}
+	for f := 1.1; f <= 1.6; f += 0.01 {
+		factors = append(factors, f)
 	}
-	// Price factor must not change page length (fixed-width price).
-	a := site.VariantLength(5, blockpage.PageVariant{})
-	b := site.VariantLength(5, blockpage.PageVariant{PriceFactor: 1.6})
-	if a != b {
-		t.Fatal("price discrimination changed page length; the length heuristic would see it")
+	rng := stats.NewRNG(3)
+	for i := 0; i < 60; i++ {
+		site := blockpage.NewOriginSite(fmt.Sprintf("len%d.example.com", i), rng.Fork(fmt.Sprint(i)))
+		for seed := uint64(0); seed < 4; seed++ {
+			plain := site.VariantLength(seed, blockpage.PageVariant{})
+			if plain != site.Length(seed) {
+				t.Fatalf("site %d seed %d: VariantLength %d != Length %d", i, seed, plain, site.Length(seed))
+			}
+			for _, restricted := range []bool{false, true} {
+				for _, f := range factors {
+					v := blockpage.PageVariant{Restricted: restricted, PriceFactor: f}
+					if got, want := site.VariantLength(seed, v), len(site.RenderVariant(seed, v)); got != want {
+						t.Fatalf("site %d seed %d variant %+v: VariantLength %d, rendered %d", i, seed, v, got, want)
+					}
+					// Inside the world's markup range the fixed-width
+					// price keeps discrimination invisible to length.
+					if f >= 1.1 && f <= 1.6 && !restricted && site.VariantLength(seed, v) != plain {
+						t.Fatalf("site %d: markup %.2f changed page length; the length heuristic would see it", i, f)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -118,19 +118,33 @@ func (s *OriginSite) basePrice() float64 {
 	return 20 + float64(s.wordSeed%38000)/100
 }
 
-// Price returns the displayed price for a variant (fixed width).
-func (s *OriginSite) Price(v PageVariant) string {
-	f := v.PriceFactor
-	if f == 0 {
-		f = 1
+// factor is the variant's price multiplier.
+func (v PageVariant) factor() float64 {
+	if v.PriceFactor == 0 {
+		return 1
 	}
-	return fmt.Sprintf("%09.2f", s.basePrice()*f)
+	return v.PriceFactor
 }
 
+// priceWidth is the rendered width of a price (%09.2f).
+const priceWidth = 9
+
+// Price returns the displayed price for a variant (fixed width).
+func (s *OriginSite) Price(v PageVariant) string {
+	return fmt.Sprintf("%09.2f", s.basePrice()*v.factor())
+}
+
+// The head's commerce slot: the checkout link, or in the restricted
+// variant the region notice that replaces it.
+const (
+	checkoutLink = `<a href="/checkout">Checkout</a>`
+	regionNotice = `<span class="region-notice">Checkout is not available in your region.</span>`
+)
+
 func (s *OriginSite) headVariant(v PageVariant) string {
-	commerce := `<a href="/checkout">Checkout</a>`
+	commerce := checkoutLink
 	if v.Restricted {
-		commerce = `<span class="region-notice">Checkout is not available in your region.</span>`
+		commerce = regionNotice
 	}
 	return fmt.Sprintf(`<!DOCTYPE html>
 <html lang="en">
@@ -178,9 +192,19 @@ func (s *OriginSite) Length(sampleSeed uint64) int {
 	return s.headLen + s.fillerLen + s.footLen + s.dynamicLen(sampleSeed)
 }
 
-// VariantLength is Length for an application-layer variant.
+// VariantLength is Length for an application-layer variant, and just
+// as cheap: a variant's head differs from the plain head only by the
+// restricted notice and by the two prices, whose fixed width holds
+// for any price below a million.
 func (s *OriginSite) VariantLength(sampleSeed uint64, v PageVariant) int {
-	return len(s.headVariant(v)) + s.fillerLen + s.footLen + s.dynamicLen(sampleSeed)
+	n := s.Length(sampleSeed)
+	if v.Restricted {
+		n += len(regionNotice) - len(checkoutLink)
+	}
+	if p := s.basePrice() * v.factor(); !(p > -99999 && p < 999999) {
+		n += 2 * (len(s.Price(v)) - priceWidth)
+	}
+	return n
 }
 
 // Render produces the page for one request. The same (site, sampleSeed)
@@ -219,22 +243,28 @@ func (s *OriginSite) RenderVariant(sampleSeed uint64, v PageVariant) string {
 func writeExact(b *strings.Builder, rng *stats.RNG, budget int) {
 	const wrapper = 9 // len("<p>") + len(".</p>\n")
 	written := 0
+	var words [32]string
 	for budget-written > 240 {
-		start := b.Len()
-		b.WriteString("<p>")
 		n := 8 + rng.Intn(25)
+		size := wrapper + n - 1
 		for i := 0; i < n; i++ {
+			words[i] = wordBank[rng.Intn(len(wordBank))]
+			size += len(words[i])
+		}
+		if written+size > budget {
+			break // a whole paragraph would overrun the budget: pad instead
+		}
+		b.WriteString("<p>")
+		for i, w := range words[:n] {
 			if i > 0 {
 				b.WriteByte(' ')
-			}
-			w := wordBank[rng.Intn(len(wordBank))]
-			if i == 0 {
+			} else {
 				w = titleCase(w)
 			}
 			b.WriteString(w)
 		}
 		b.WriteString(".</p>\n")
-		written += b.Len() - start
+		written += size
 	}
 	// Pad the remainder exactly.
 	rem := budget - written

@@ -17,6 +17,7 @@ package cdn
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"geoblock/internal/blockpage"
 	"geoblock/internal/geo"
@@ -32,21 +33,63 @@ type Request struct {
 	Method     string
 	Scheme     string // "http" or "https"
 	ClientIP   geo.IP
-	Header     http.Header
+	Header     http.Header // read, never written; Response.Header consults it again
 	Clock      int64
 	SampleSeed uint64 // drives per-request randomness, deterministic per sample
 }
 
-// Response is the edge's answer. Body is lazy: it is only rendered if
-// called, so length-only consumers stay cheap. Page records the ground
-// truth of what was served (never exposed on the wire).
+// Response is the edge's answer. Page records the ground truth of what
+// was served (never exposed on the wire).
+//
+// Rendering is lazy. The origin page is built only when Body is
+// called, and the response headers (provider signatures, Content-Type,
+// Content-Length, Location) only when Header is, so status- and
+// length-only consumers pay for neither. Block pages are rendered
+// eagerly, because their length is the body's length.
 type Response struct {
 	Status   int
-	Header   http.Header
 	BodyLen  int
-	Body     func() string
 	Page     blockpage.Kind
 	Redirect string // non-empty for 3xx, the Location value
+
+	body    string                // the rendered body, unless origin is set
+	origin  *blockpage.OriginSite // the origin page, rendered on demand
+	variant blockpage.PageVariant
+	seed    uint64
+
+	// The inputs of the provider headers.
+	domain    *worldgen.Domain
+	reqHeader http.Header
+	ray       uint64
+	nonce     uint32
+}
+
+// Body renders the response body.
+func (r Response) Body() string {
+	if r.origin != nil {
+		return r.origin.RenderVariant(r.seed, r.variant)
+	}
+	return r.body
+}
+
+// Header builds the response headers: the fronting providers'
+// identifying headers, Content-Type, Content-Length, and Location on a
+// redirect. Each call returns a fresh map.
+func (r Response) Header() http.Header {
+	h := make(http.Header)
+	if r.domain == nil {
+		return h
+	}
+	vars := blockpage.Vars{Domain: r.domain.Name, RayID: rayID(r.ray), Nonce: nonceHex(r.nonce)}
+	for _, p := range r.domain.Providers {
+		addProviderHeaders(h, p, r.reqHeader, vars)
+	}
+	h.Set("Content-Type", "text/html; charset=utf-8")
+	if r.Redirect != "" {
+		h.Set("Location", r.Redirect)
+	}
+	h.Set("Content-Length", strconv.Itoa(r.BodyLen))
+	return h
 }
 
 // edgeGeoIPErrorPermille is the per-address probability (in 1/1000)
@@ -57,6 +100,54 @@ type Response struct {
 // appears only when consecutive samples ride different exits.
 const edgeGeoIPErrorPermille = 10
 
+// exchange is one request on its way through the serving chain. The
+// RayID and nonce are drawn up front but formatted only when a page or
+// header shows them.
+type exchange struct {
+	w     *worldgen.World
+	req   Request
+	loc   geo.Location
+	ray   uint64
+	nonce uint32
+}
+
+// vars formats the template variables block pages substitute.
+func (x *exchange) vars() blockpage.Vars {
+	return blockpage.Vars{
+		Domain:      x.req.Domain.Name,
+		Path:        x.req.Path,
+		ClientIP:    x.req.ClientIP.String(),
+		CountryName: x.w.Geo.Name(x.loc.Country),
+		RayID:       rayID(x.ray),
+		Nonce:       nonceHex(x.nonce),
+	}
+}
+
+// page builds a response whose body is already rendered.
+func (x *exchange) page(status int, kind blockpage.Kind, body, redirect string) Response {
+	return Response{
+		Status:    status,
+		BodyLen:   len(body),
+		Page:      kind,
+		Redirect:  redirect,
+		body:      body,
+		domain:    x.req.Domain,
+		reqHeader: x.req.Header,
+		ray:       x.ray,
+		nonce:     x.nonce,
+	}
+}
+
+// block renders kind's block page.
+func (x *exchange) block(kind blockpage.Kind) Response {
+	return x.page(kind.Status(), kind, blockpage.Render(kind, x.vars()), "")
+}
+
+func rayID(ray uint64) string      { return fmt.Sprintf("%016x", ray) }
+func nonceHex(nonce uint32) string { return fmt.Sprintf("%08x", nonce) }
+
+const movedBody = "<html><head><title>301 Moved Permanently</title></head><body>moved</body></html>\n"
+
 // Serve answers req according to the domain's serving chain.
 func Serve(w *worldgen.World, req Request) Response {
 	d := req.Domain
@@ -66,37 +157,21 @@ func Serve(w *worldgen.World, req Request) Response {
 	if !ok {
 		loc = geo.Location{}
 	}
-	loc = maybeMisgeolocate(w, loc, req.ClientIP)
-	countryName := w.Geo.Name(loc.Country)
-
-	vars := blockpage.Vars{
-		Domain:      d.Name,
-		Path:        req.Path,
-		ClientIP:    req.ClientIP.String(),
-		CountryName: countryName,
-		RayID:       fmt.Sprintf("%016x", rng.Uint64()),
-		Nonce:       fmt.Sprintf("%08x", uint32(rng.Uint64())),
-	}
-
-	header := make(http.Header)
-	for _, p := range d.Providers {
-		addProviderHeaders(header, p, req, vars)
-	}
-	header.Set("Content-Type", "text/html; charset=utf-8")
+	x := exchange{w: w, req: req, loc: maybeMisgeolocate(w, loc, req.ClientIP)}
+	// Both draws come first, whatever is served, so the access-control
+	// draws below always see the same stream position.
+	x.ray = rng.Uint64()
+	x.nonce = uint32(rng.Uint64())
 
 	// Access control runs at first contact, before any redirect: a
 	// blocked client never sees the redirect chain.
-	if resp, denied := applyAccessControl(w, d, req, loc, vars, header, rng); denied {
+	if resp, denied := applyAccessControl(&x, rng); denied {
 		return resp
 	}
 
 	// Same-site redirect hops: http→https, then apex→www.
 	if next := redirectLocation(d, req); next != "" {
-		header.Set("Location", next)
-		const movedBody = "<html><head><title>301 Moved Permanently</title></head><body>moved</body></html>\n"
-		return page(301, header, blockpage.KindNone, func() string {
-			return movedBody
-		}, len(movedBody), next)
+		return x.page(301, blockpage.KindNone, movedBody, next)
 	}
 
 	// Flaky backends intermittently serve a shared junk page
@@ -105,49 +180,31 @@ func Serve(w *worldgen.World, req Request) Response {
 	if d.JunkRate > 0 && rng.Bool(d.JunkRate) {
 		kinds := blockpage.JunkKinds()
 		k := kinds[hashName(d.Name)%uint64(len(kinds))]
-		junk := blockpage.RenderJunk(k, d.Name, vars.Nonce[:6])
-		return page(200, header, blockpage.KindNone, func() string { return junk }, len(junk), "")
+		return x.page(200, blockpage.KindNone, blockpage.RenderJunk(k, d.Name, nonceHex(x.nonce)[:6]), "")
 	}
 
 	// Origin content — possibly an application-layer variant: the page
 	// loads with a 200 everywhere, but some countries lose features or
 	// see marked-up prices (§7.3).
-	body := d.Origin
 	variant := blockpage.PageVariant{}
 	if d.AppLayer != nil {
-		if d.AppLayer.RestrictedIn[loc.Country] {
+		if d.AppLayer.RestrictedIn[x.loc.Country] {
 			variant.Restricted = true
 		}
-		if f, ok := d.AppLayer.PriceMarkup[loc.Country]; ok {
+		if f, ok := d.AppLayer.PriceMarkup[x.loc.Country]; ok {
 			variant.PriceFactor = f
 		}
 	}
-	n := body.VariantLength(req.SampleSeed, variant)
-	return page(200, header, blockpage.KindNone, func() string {
-		return body.RenderVariant(req.SampleSeed, variant)
-	}, n, "")
-}
-
-func page(status int, h http.Header, kind blockpage.Kind, body func() string, n int, redirect string) Response {
-	h.Set("Content-Length", fmt.Sprintf("%d", n))
-	return Response{
-		Status:   status,
-		Header:   h,
-		BodyLen:  n,
-		Body:     body,
-		Page:     kind,
-		Redirect: redirect,
-	}
-}
-
-func blockResponse(kind blockpage.Kind, vars blockpage.Vars, h http.Header) Response {
-	body := blockpage.Render(kind, vars)
-	return page(kind.Status(), h, kind, func() string { return body }, len(body), "")
+	resp := x.page(200, blockpage.KindNone, "", "")
+	resp.BodyLen = d.Origin.VariantLength(req.SampleSeed, variant)
+	resp.origin, resp.variant, resp.seed = d.Origin, variant, req.SampleSeed
+	return resp
 }
 
 // applyAccessControl walks the serving chain and returns the denial
 // response if any layer refuses the request.
-func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc geo.Location, vars blockpage.Vars, header http.Header, rng *stats.RNG) (Response, bool) {
+func applyAccessControl(x *exchange, rng *stats.RNG) (Response, bool) {
+	w, d, req, loc := x.w, x.req.Domain, x.req, x.loc
 	crawler := crawlerLike(req.Header)
 
 	// Proxy-blacklist blocking fires before anything else: these
@@ -157,17 +214,17 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 	// consistency analysis must exclude (§5.2.2).
 	if d.BlocksProxies && w.Geo.IsProxyExit(req.ClientIP) {
 		if d.DistilProtected {
-			return blockResponse(blockpage.DistilCaptcha, vars, header), true
+			return x.block(blockpage.DistilCaptcha), true
 		}
 		switch {
 		case d.FrontedBy(worldgen.Akamai):
-			return blockResponse(blockpage.Akamai, vars, header), true
+			return x.block(blockpage.Akamai), true
 		case d.FrontedBy(worldgen.Incapsula):
-			return blockResponse(blockpage.Incapsula, vars, header), true
+			return x.block(blockpage.Incapsula), true
 		case d.Hosting() == worldgen.OriginVarnish:
-			return blockResponse(blockpage.Varnish, vars, header), true
+			return x.block(blockpage.Varnish), true
 		default:
-			return blockResponse(blockpage.Nginx, vars, header), true
+			return x.block(blockpage.Nginx), true
 		}
 	}
 
@@ -175,7 +232,7 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 		// Platform-level App Engine block (§4.2.1): Google itself, not
 		// the customer, denies sanctioned locations.
 		if p == worldgen.AppEngine && d.GAEHosted && gaeBlocked(loc) {
-			return blockResponse(blockpage.AppEngine, vars, header), true
+			return x.block(blockpage.AppEngine), true
 		}
 
 		if rule, ok := d.GeoRules[p]; ok && rule.Applies(loc, req.Clock) {
@@ -183,13 +240,13 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 			case worldgen.ActionBlock:
 				if d.Legal451 {
 					// RFC 7725: the operator states the legal basis.
-					return blockResponse(blockpage.Legal451, vars, header), true
+					return x.block(blockpage.Legal451), true
 				}
-				return blockResponse(blockKind(p), vars, header), true
+				return x.block(blockKind(p)), true
 			case worldgen.ActionCaptcha:
-				return blockResponse(captchaKind(d, p), vars, header), true
+				return x.block(captchaKind(d, p)), true
 			case worldgen.ActionJS:
-				return blockResponse(blockpage.CloudflareJS, vars, header), true
+				return x.block(blockpage.CloudflareJS), true
 			}
 		}
 
@@ -199,11 +256,11 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 		if crawler && d.BotSensitivity > 0 && rng.Bool(d.BotSensitivity) {
 			switch p {
 			case worldgen.Akamai:
-				return blockResponse(blockpage.Akamai, vars, header), true
+				return x.block(blockpage.Akamai), true
 			case worldgen.Incapsula:
-				return blockResponse(blockpage.Incapsula, vars, header), true
+				return x.block(blockpage.Incapsula), true
 			case worldgen.Cloudflare:
-				return blockResponse(blockpage.CloudflareCaptcha, vars, header), true
+				return x.block(blockpage.CloudflareCaptcha), true
 			}
 		}
 
@@ -215,7 +272,7 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 		if p == worldgen.Cloudflare && w.Geo.IsAnonymizer(req.ClientIP) {
 			draw := float64(stats.Mix64(hashName(d.Name)^uint64(req.ClientIP)^0x7042)>>11) / (1 << 53)
 			if draw < 0.80 {
-				return blockResponse(blockpage.CloudflareCaptcha, vars, header), true
+				return x.block(blockpage.CloudflareCaptcha), true
 			}
 		}
 
@@ -237,28 +294,28 @@ func applyAccessControl(w *worldgen.World, d *worldgen.Domain, req Request, loc 
 			draw := float64(stats.Mix64(hashName(d.Name)^uint64(req.ClientIP)^0x5ca1ab1e)>>11) / (1 << 53)
 			if draw < d.ReputationSensitivity*risk {
 				if p == worldgen.Akamai {
-					return blockResponse(blockpage.Akamai, vars, header), true
+					return x.block(blockpage.Akamai), true
 				}
-				return blockResponse(blockpage.Incapsula, vars, header), true
+				return x.block(blockpage.Incapsula), true
 			}
 		}
 	}
 
 	// Airbnb's custom application-level restriction page.
 	if d.AirbnbStyle && airbnbBlocked(loc) {
-		return blockResponse(blockpage.Airbnb, vars, header), true
+		return x.block(blockpage.Airbnb), true
 	}
 
 	// IP-reputation noise: heavily defended sites challenge even
 	// browser-like residential clients at a low per-request rate.
 	if d.ResidentialChallengeRate > 0 && rng.Bool(d.ResidentialChallengeRate) {
 		if d.DistilProtected {
-			return blockResponse(blockpage.DistilCaptcha, vars, header), true
+			return x.block(blockpage.DistilCaptcha), true
 		}
 		if d.FrontedBy(worldgen.Cloudflare) {
-			return blockResponse(blockpage.CloudflareCaptcha, vars, header), true
+			return x.block(blockpage.CloudflareCaptcha), true
 		}
-		return blockResponse(blockpage.DistilCaptcha, vars, header), true
+		return x.block(blockpage.DistilCaptcha), true
 	}
 
 	return Response{}, false
@@ -335,17 +392,16 @@ func countryRiskFactor(w *worldgen.World, loc geo.Location, datacenter bool) flo
 // browser-like request carries Accept, Accept-Language and a Mozilla
 // UA.
 func crawlerLike(h http.Header) bool {
-	if h == nil {
-		return true
+	return first(h, "User-Agent") == "" || first(h, "Accept") == "" || first(h, "Accept-Language") == ""
+}
+
+// first is h.Get for a key already in canonical form: it indexes the
+// map directly instead of re-canonicalizing the key on every request.
+func first(h http.Header, canonicalKey string) string {
+	if v := h[canonicalKey]; len(v) > 0 {
+		return v[0]
 	}
-	ua := h.Get("User-Agent")
-	if ua == "" {
-		return true
-	}
-	if h.Get("Accept") == "" || h.Get("Accept-Language") == "" {
-		return true
-	}
-	return false
+	return ""
 }
 
 // redirectLocation computes the next hop of the domain's same-site
@@ -370,7 +426,7 @@ func redirectLocation(d *worldgen.Domain, req Request) string {
 
 // addProviderHeaders attaches each provider's identifying headers: the
 // discovery signals of §5.1.1.
-func addProviderHeaders(h http.Header, p worldgen.Provider, req Request, vars blockpage.Vars) {
+func addProviderHeaders(h http.Header, p worldgen.Provider, reqHeader http.Header, vars blockpage.Vars) {
 	switch p {
 	case worldgen.Cloudflare:
 		h.Set("Server", "cloudflare")
@@ -385,7 +441,7 @@ func addProviderHeaders(h http.Header, p worldgen.Provider, req Request, vars bl
 	case worldgen.Akamai:
 		// Akamai identifies itself only when poked with the Pragma
 		// debug header (§5.1.1).
-		if wantsAkamaiDebug(req.Header) {
+		if wantsAkamaiDebug(reqHeader) {
 			h.Set("X-Cache", "TCP_MISS from a23-"+vars.Nonce[:4]+".deploy.akamaitechnologies.com (AkamaiGHost/9.5.0)")
 			h.Set("X-Check-Cacheable", "YES")
 			h.Set("X-Cache-Key", "/L/1234/567890/1d/origin."+vars.Domain+"/")

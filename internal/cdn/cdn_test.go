@@ -135,7 +135,7 @@ func TestCloudflareGeoblock(t *testing.T) {
 	if !strings.Contains(body, testWorld.Geo.Name(geo.CountryCode(cc))) {
 		t.Fatalf("Cloudflare page should name the blocked country %s", cc)
 	}
-	if r.Header.Get("CF-RAY") == "" || r.Header.Get("Server") != "cloudflare" {
+	if r.Header().Get("CF-RAY") == "" || r.Header().Get("Server") != "cloudflare" {
 		t.Fatal("Cloudflare headers missing on block page")
 	}
 }
@@ -197,12 +197,12 @@ func TestAkamaiPragmaDebugHeaders(t *testing.T) {
 	}
 	h := browserHeaders()
 	r := Serve(testWorld, reqFor(t, d.Name, "US", h, 1))
-	if r.Header.Get("X-Check-Cacheable") != "" {
+	if r.Header().Get("X-Check-Cacheable") != "" {
 		t.Fatal("Akamai debug headers must not appear without Pragma")
 	}
 	h.Set("Pragma", "akamai-x-cache-on, akamai-x-get-cache-key")
 	r = Serve(testWorld, reqFor(t, d.Name, "US", h, 1))
-	if r.Header.Get("X-Check-Cacheable") != "YES" || !strings.Contains(r.Header.Get("X-Cache"), "akamaitechnologies.com") {
+	if r.Header().Get("X-Check-Cacheable") != "YES" || !strings.Contains(r.Header().Get("X-Cache"), "akamaitechnologies.com") {
 		t.Fatal("Akamai debug headers missing with Pragma")
 	}
 }
@@ -221,7 +221,7 @@ func TestProviderHeaderSignatures(t *testing.T) {
 		for _, d := range testWorld.Top10K() {
 			if len(d.Providers) == 1 && d.Providers[0] == tc.prov {
 				r := Serve(testWorld, reqFor(t, d.Name, "CH", browserHeaders(), 3))
-				if r.Header.Get(tc.header) == "" {
+				if r.Header().Get(tc.header) == "" {
 					t.Errorf("%s response missing %s", tc.prov, tc.header)
 				}
 				found = true

@@ -227,10 +227,10 @@ func TestJunkPageServed(t *testing.T) {
 func TestHeadersOnDualChain(t *testing.T) {
 	d := synthetic("dual.example", []worldgen.Provider{worldgen.Incapsula, worldgen.Akamai}, nil)
 	r := serveSyn(t, d, "CH", map[string]string{"Pragma": "akamai-x-cache-on"})
-	if r.Header.Get("X-Iinfo") == "" {
+	if r.Header().Get("X-Iinfo") == "" {
 		t.Fatal("Incapsula header missing on dual chain")
 	}
-	if r.Header.Get("X-Check-Cacheable") != "YES" {
+	if r.Header().Get("X-Check-Cacheable") != "YES" {
 		t.Fatal("Akamai debug headers missing on dual chain")
 	}
 }

@@ -2,8 +2,8 @@
 // scan path: a seeded Injector that implements proxy.FaultHook (exit
 // churn mid-session, dark-exit streaks, superproxy brownouts,
 // slowloris stalls, truncated transfers, per-country failure-rate
-// profiles) and a transport wrapper for vantage points that have no
-// proxy mesh in front of them (the VPS fleet).
+// profiles). It acts on the residential mesh only; the VPS fleet has
+// no proxy in front of it and scans fault-free.
 //
 // The paper's Lumscan exists because the Luminati mesh is unreliable —
 // dark exits, flaky superproxies, and mid-run churn are the normal
@@ -25,15 +25,12 @@
 package faults
 
 import (
-	"io"
-	"net/http"
 	"sort"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
-	"geoblock/internal/vnet"
 )
 
 // Profile is one country's (or the default) failure-rate profile. The
@@ -258,80 +255,6 @@ func (in *Injector) Request(cc geo.CountryCode, exit geo.IP, host string, seed u
 	}
 	return proxy.FaultNone
 }
-
-// WrapTransport wraps rt with the injector's default profile's
-// per-request faults (ExitFailure/Stall/Truncate), keyed by the
-// per-sample seed in the request context. It is the fault seam for
-// scan paths with no proxy mesh — the VPS fleet, or any consumer of
-// scanner.Config.WrapTransport — and is country-agnostic by
-// construction.
-func (in *Injector) WrapTransport(rt http.RoundTripper) http.RoundTripper {
-	return &faultTransport{in: in, next: rt}
-}
-
-type faultTransport struct {
-	in   *Injector
-	next http.RoundTripper
-}
-
-func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	host := req.URL.Hostname()
-	seed, _ := vnet.SampleSeed(req.Context())
-	p := t.in.def
-	u := t.in.draw("transport", hashString(host), seed)
-	switch {
-	case u < p.ExitFailure:
-		t.in.count("exitdown", "vps")
-		return nil, &vnet.OpError{Op: "proxy", Host: host, Msg: "injected: connection failed"}
-	case u < p.ExitFailure+p.Stall:
-		t.in.count("stall", "vps")
-		return nil, vnet.TimeoutError("read", host)
-	case u < p.ExitFailure+p.Stall+p.Truncate:
-		resp, err := t.next.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		t.in.count("truncate", "vps")
-		truncate(resp, seed)
-		return resp, nil
-	}
-	return t.next.RoundTrip(req)
-}
-
-// truncate mirrors the proxy-level truncation fault for the transport
-// seam: the advertised length disappears and reads die after a
-// seed-determined prefix.
-func truncate(resp *http.Response, seed uint64) {
-	keep := int(stats.Mix64(seed^0x7c1) % 512)
-	if resp.Header != nil {
-		resp.Header = resp.Header.Clone()
-		resp.Header.Del("Content-Length")
-	}
-	resp.ContentLength = -1
-	resp.Body = &truncatedBody{inner: resp.Body, remaining: keep}
-}
-
-type truncatedBody struct {
-	inner     io.ReadCloser
-	remaining int
-}
-
-func (b *truncatedBody) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, &vnet.OpError{Op: "read", Msg: "connection reset mid-transfer"}
-	}
-	if len(p) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.inner.Read(p)
-	b.remaining -= n
-	if err == io.EOF {
-		return n, &vnet.OpError{Op: "read", Msg: "connection reset mid-transfer"}
-	}
-	return n, err
-}
-
-func (b *truncatedBody) Close() error { return b.inner.Close() }
 
 // namedProfiles are the standing chaos scenarios shared by the CLIs
 // (-faults) and the scanner's chaos test matrix.

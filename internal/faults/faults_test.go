@@ -1,16 +1,12 @@
 package faults
 
 import (
-	"context"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/telemetry"
-	"geoblock/internal/vnet"
 )
 
 func TestDeterministicVerdicts(t *testing.T) {
@@ -142,65 +138,6 @@ func TestNamedProfiles(t *testing.T) {
 	}
 	if _, ok := Named("nope"); ok {
 		t.Fatal("Named accepted an unknown profile")
-	}
-}
-
-// flatTripper serves a fixed body, standing in for a vnet stack.
-type flatTripper struct{ body string }
-
-func (f flatTripper) RoundTrip(*http.Request) (*http.Response, error) {
-	h := http.Header{}
-	h.Set("Content-Length", "1000")
-	return &http.Response{
-		StatusCode:    200,
-		Header:        h,
-		ContentLength: int64(len(f.body)),
-		Body:          io.NopCloser(strings.NewReader(f.body)),
-	}, nil
-}
-
-func TestWrapTransport(t *testing.T) {
-	body := strings.Repeat("x", 1000)
-	in := New(2).Default(Profile{Truncate: 1})
-	rt := in.WrapTransport(flatTripper{body: body})
-
-	ctx := vnet.WithSampleSeed(context.Background(), 77)
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://site.com/", nil)
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ContentLength != -1 || resp.Header.Get("Content-Length") != "" {
-		t.Fatal("truncated response still advertises a length")
-	}
-	read, err := io.ReadAll(resp.Body)
-	if err == nil {
-		t.Fatal("truncated body read to completion")
-	}
-	if len(read) >= len(body) {
-		t.Fatalf("read %d bytes of %d despite truncation", len(read), len(body))
-	}
-
-	// Stall and exit-failure verdicts surface as typed transport errors.
-	stall := New(2).Default(Profile{Stall: 1}).WrapTransport(flatTripper{body: body})
-	if _, err := stall.RoundTrip(req); err == nil {
-		t.Fatal("stall produced no error")
-	} else if op, ok := err.(*vnet.OpError); !ok || !op.Timeout() {
-		t.Fatalf("stall error = %v, want timeout OpError", err)
-	}
-	down := New(2).Default(Profile{ExitFailure: 1}).WrapTransport(flatTripper{body: body})
-	if _, err := down.RoundTrip(req); err == nil {
-		t.Fatal("exit failure produced no error")
-	}
-
-	// A clean profile passes the response through untouched.
-	clean := New(2).WrapTransport(flatTripper{body: body})
-	resp, err = clean.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := io.ReadAll(resp.Body); len(got) != len(body) {
-		t.Fatalf("clean transport altered the body: %d bytes of %d", len(got), len(body))
 	}
 }
 

@@ -58,6 +58,8 @@ type DB struct {
 	countries []Country
 	byCode    map[CountryCode]*Country
 	ranges    []Range // sorted by Lo, non-overlapping
+	primary   map[CountryCode]Range
+	crimea    Range
 }
 
 // allocation constants: the usable space is carved between allocBase
@@ -109,6 +111,14 @@ func NewDB() *DB {
 		panic("geo: address space exhausted")
 	}
 	sort.Slice(db.ranges, func(i, j int) bool { return db.ranges[i].Lo < db.ranges[j].Lo })
+	db.primary = make(map[CountryCode]Range, len(db.countries))
+	for _, r := range db.ranges {
+		if r.Region == "" {
+			db.primary[r.Country] = r
+		} else if r.Region == RegionCrimea {
+			db.crimea = r
+		}
+	}
 	return db
 }
 
@@ -178,23 +188,12 @@ func (db *DB) Locate(ip IP) (Location, bool) {
 
 // RangeOf returns the primary (non-Crimea) allocated range for code.
 func (db *DB) RangeOf(code CountryCode) (Range, bool) {
-	for _, r := range db.ranges {
-		if r.Country == code && r.Region == "" {
-			return r, true
-		}
-	}
-	return Range{}, false
+	r, ok := db.primary[code]
+	return r, ok
 }
 
 // CrimeaRange returns the Crimea sub-range of Ukraine's allocation.
-func (db *DB) CrimeaRange() Range {
-	for _, r := range db.ranges {
-		if r.Region == RegionCrimea {
-			return r
-		}
-	}
-	panic("geo: Crimea range missing")
-}
+func (db *DB) CrimeaRange() Range { return db.crimea }
 
 // HostIP returns the n-th host address inside code's primary range,
 // wrapping within the range, so callers can mint as many distinct

@@ -22,15 +22,10 @@ package lumscan
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"net/http"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/scanner"
-	"geoblock/internal/vnet"
-	"geoblock/internal/worldgen"
 )
 
 // The scan-engine vocabulary, re-exported from internal/scanner.
@@ -147,25 +142,4 @@ func ScanStream(ctx context.Context, net *proxy.Network, domains []string, count
 // Replay re-fetches the exact body of a previously collected sample:
 // the response is a pure function of (domain, exit address, seed), so
 // the pipeline can cluster outlier bodies without having stored them.
-func Replay(w *worldgen.World, domain string, exit geo.IP, seed uint64, headers map[string]string, maxRedirects int) (string, int, error) {
-	stack := vnet.NewStack(w, exit)
-	client := stack.Client(maxRedirects)
-	ctx := vnet.WithSampleSeed(context.Background(), seed)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+domain+"/", nil)
-	if err != nil {
-		return "", 0, err
-	}
-	for k, v := range headers {
-		req.Header.Set(k, v)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return "", 0, fmt.Errorf("lumscan: replay %s: %w", domain, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	return string(body), resp.StatusCode, nil
-}
+var Replay = scanner.Replay

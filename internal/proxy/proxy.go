@@ -13,7 +13,6 @@ package proxy
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 
 	"geoblock/internal/geo"
@@ -304,18 +303,29 @@ func (s *Session) Verify(seed uint64) (geo.IP, geo.CountryCode, error) {
 	return e.IP, e.Claimed, nil
 }
 
-// RoundTrip sends req through the session's current exit. It applies,
-// in order: the platform's own domain policy (X-Luminati-Error), the
-// exit's reliability, the exit's local firewall, and then the real
-// network path from the exit's address.
+// RoundTrip implements http.RoundTripper as an adapter over Probe, for
+// callers that want an *http.Client on the mesh.
 func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
+	r, err := s.Probe(vnet.ProbeOf(req, s.Exit().IP))
+	if err != nil {
+		return nil, err
+	}
+	return r.Response(req), nil
+}
+
+// Probe sends one GET hop through the session's current exit, charging
+// it one request of the exit's budget. It applies, in order: injected
+// faults, the platform's own domain policy (X-Luminati-Error), the
+// path from the exit's country, the exit's reliability, the exit's
+// local firewall, and then the real network path from the exit's
+// address.
+func (s *Session) Probe(p vnet.Probe) (vnet.Reply, error) {
 	e := s.Exit()
 	served := s.used
 	s.used++
 
-	host := trimHost(req.URL.Hostname())
-	seed, _ := vnet.SampleSeed(req.Context())
-	rng := stats.NewRNG(stats.Mix64(seed) ^ uint64(e.IP) ^ hash(host))
+	host := trimHost(p.Host)
+	rng := stats.NewRNG(stats.Mix64(p.Seed) ^ uint64(e.IP) ^ hash(host))
 
 	// Injected faults sit in front of the mesh's organic error
 	// structure, so a chaos run layers on top of (never replaces) the
@@ -323,28 +333,22 @@ func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
 	truncate := false
 	if f := s.net.faults; f != nil {
 		if f.ExitDark(s.cc, e.IP) || f.Churned(s.cc, e.IP, served) {
-			return nil, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+			return vnet.Reply{}, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
 		}
-		switch f.Request(s.cc, e.IP, host, seed) {
+		switch f.Request(s.cc, e.IP, host, p.Seed) {
 		case FaultExitDown:
-			return nil, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+			return vnet.Reply{}, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
 		case FaultStall:
-			return nil, vnet.TimeoutError("read", host)
+			return vnet.Reply{}, vnet.TimeoutError("read", host)
 		case FaultReset:
-			return nil, &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by peer"}
+			return vnet.Reply{}, &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by peer"}
 		case FaultTruncate:
 			truncate = true
 		}
 	}
 
 	if d, ok := s.net.World.Lookup(host); ok && d.LuminatiRestricted {
-		h := make(http.Header)
-		h.Set("X-Luminati-Error", "403 Forbidden: target site requests to not be crawled")
-		return &http.Response{
-			Status: "502 Bad Gateway", StatusCode: 502,
-			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header: h, Body: http.NoBody, Request: req,
-		}, nil
+		return vnet.Refusal(), nil
 	}
 
 	// Path-level unreachability: some (country, destination) pairs
@@ -354,64 +358,29 @@ func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
 	// countries at the paper's 89–94% per-domain response rates, and
 	// what buries Comoros at ~76% (§4.1.1).
 	if pathUnreachable(s.cc, host, s.net.World.Geo) {
-		return nil, vnet.TimeoutError("dial", host)
+		return vnet.Reply{}, vnet.TimeoutError("dial", host)
 	}
 
 	if !rng.Bool(e.Reliability) {
-		return nil, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+		return vnet.Reply{}, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
 	}
 
 	// Corporate firewalls block a stable slice of domains for the
 	// machines behind them (the paper's suspected source of local
 	// interference, §4.2).
 	if e.CorporateFirewall && stats.Mix64(hash(host)^uint64(e.IP))%100 < 4 {
-		return nil, &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by local filter"}
+		return vnet.Reply{}, &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by local filter"}
 	}
 
-	stack := vnet.NewStack(s.net.World, e.IP)
-	resp, err := stack.RoundTrip(req)
+	stack := vnet.Stack{World: s.net.World, IP: e.IP}
+	r, err := stack.Probe(p)
 	if err == nil && truncate {
-		truncateResponse(resp, seed)
+		// The transfer dies after a seed-determined prefix, the way a
+		// dropped residential uplink looks to the client.
+		r.Truncate(int(stats.Mix64(p.Seed^0x7c1) % 512))
 	}
-	return resp, err
+	return r, err
 }
-
-// truncateResponse rewrites resp so the transfer dies mid-body: the
-// advertised length disappears and reads fail after a seed-determined
-// prefix, the way a dropped residential uplink looks to the client.
-func truncateResponse(resp *http.Response, seed uint64) {
-	keep := int(stats.Mix64(seed^0x7c1) % 512)
-	resp.Header = resp.Header.Clone()
-	if resp.Header != nil {
-		resp.Header.Del("Content-Length")
-	}
-	resp.ContentLength = -1
-	resp.Body = &truncatedBody{inner: resp.Body, remaining: keep}
-}
-
-// truncatedBody yields at most `remaining` bytes, then fails the read.
-type truncatedBody struct {
-	inner     io.ReadCloser
-	remaining int
-}
-
-func (b *truncatedBody) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, &vnet.OpError{Op: "read", Host: "", Msg: "connection reset mid-transfer"}
-	}
-	if len(p) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.inner.Read(p)
-	b.remaining -= n
-	if err == io.EOF {
-		// The origin finished first: the fault still eats the FIN.
-		return n, &vnet.OpError{Op: "read", Host: "", Msg: "connection reset mid-transfer"}
-	}
-	return n, err
-}
-
-func (b *truncatedBody) Close() error { return b.inner.Close() }
 
 // pathUnreachable draws the stable per-(country, destination) transit
 // verdict.

@@ -16,7 +16,7 @@ type VPS struct {
 	stack   *vnet.Stack
 }
 
-// Stack returns the VPS's network stack (an http.RoundTripper).
+// Stack returns the VPS's network stack.
 func (v *VPS) Stack() *vnet.Stack { return v.stack }
 
 // VPSCountries is the paper's 16-country fleet: 9 spanning the GDP

@@ -1,0 +1,300 @@
+package scanner
+
+import (
+	"context"
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+
+	"geoblock/internal/censor"
+	"geoblock/internal/faults"
+	"geoblock/internal/geo"
+	"geoblock/internal/proxy"
+	"geoblock/internal/vnet"
+	"geoblock/internal/worldgen"
+)
+
+// refFetch is the fetcher as it was built on net/http, kept as the
+// reference implementation: one http.Client.Do per attempt over the
+// transport's RoundTrip adapter, http.Client's own redirect handling
+// bounded by a CheckRedirect policy, the header map copied into every
+// request, and the seed carried in the request context.
+func refFetch(rt http.RoundTripper, cfg Config, domain string, seed uint64, t Task, attempt uint8, exit geo.IP) Sample {
+	client := &http.Client{
+		Transport: rt,
+		CheckRedirect: func(req *http.Request, via []*http.Request) error {
+			if len(via) >= cfg.MaxRedirects {
+				return errRedirectLimit
+			}
+			return nil
+		},
+	}
+	s := Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Seed: seed, ExitIP: exit}
+	ctx := vnet.WithSampleSeed(context.Background(), seed)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+domain+"/", nil)
+	if err != nil {
+		s.Err = ErrDNS
+		return s
+	}
+	for k, v := range cfg.Headers {
+		req.Header.Set(k, v)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		s.Err = classifyError(err)
+		return s
+	}
+	defer resp.Body.Close()
+	if resp.Header.Get("X-Luminati-Error") != "" {
+		s.Err = ErrLuminati
+		return s
+	}
+	s.Status = int16(resp.StatusCode)
+	var body []byte
+	bodyLen := resp.ContentLength
+	if bodyLen < 0 {
+		if body, err = io.ReadAll(resp.Body); err != nil {
+			s.Err = ErrReset
+			return s
+		}
+		bodyLen = int64(len(body))
+	}
+	s.BodyLen = int32(bodyLen)
+	if cfg.KeepBody(resp.StatusCode, int(bodyLen)) {
+		if body == nil {
+			if body, err = io.ReadAll(resp.Body); err != nil {
+				s.Err = ErrReset
+				return s
+			}
+		}
+		s.Body = string(body)
+		s.BodyLen = int32(len(body))
+	}
+	return s
+}
+
+// refWorld is a small world with redirect loops and proxy-refused
+// domains common enough to test: the benchmark-scale worlds hold few
+// or none of either.
+var refWorld = func() *worldgen.World {
+	cfg := worldgen.TestConfig()
+	cfg.Scale = 0.05
+	cfg.LuminatiRestrictedRate = 0.03
+	cfg.RedirectLoopRate = 0.03
+	return worldgen.Generate(cfg)
+}()
+
+// refDomains picks up to n domains of each kind the redirect loop and
+// the mesh treat specially.
+func refDomains(t *testing.T, w *worldgen.World, n int) []string {
+	t.Helper()
+	kinds := map[string]func(*worldgen.Domain) bool{
+		"loop":       func(d *worldgen.Domain) bool { return d.RedirectLoop },
+		"1-hop":      func(d *worldgen.Domain) bool { return d.RedirectHops == 1 },
+		"2-hop":      func(d *worldgen.Domain) bool { return d.RedirectHops == 2 },
+		"restricted": func(d *worldgen.Domain) bool { return d.LuminatiRestricted },
+		"censored": func(d *worldgen.Domain) bool {
+			return censor.Check(d, geo.Location{Country: "IR"}) == censor.BlockPage
+		},
+		"direct": func(d *worldgen.Domain) bool {
+			return d.RedirectHops == 0 && !d.RedirectLoop && !d.LuminatiRestricted
+		},
+	}
+	var out []string
+	for _, name := range []string{"loop", "1-hop", "2-hop", "restricted", "censored", "direct"} {
+		got := 0
+		for _, d := range w.Top10K() {
+			if got < n && kinds[name](d) {
+				out = append(out, d.Name)
+				got++
+			}
+		}
+		if got == 0 {
+			t.Fatalf("the reference world holds no %s domain", name)
+		}
+	}
+	return out
+}
+
+// TestFetchMatchesNetHTTP runs the direct probe loop and the net/http
+// reference side by side on twin sessions — same country, same slot,
+// same rotation schedule — and requires every Sample field and every
+// attempt's exit-budget spend to agree, plain and under the truncate,
+// churn and mixed chaos profiles. A third twin sends its hops through
+// Config.WrapTransport, the per-hop HTTP adapter path, and must agree
+// too. Nothing else pins the redirect bound: the benchmark worlds
+// hold no redirect-loop or proxy-refused domains.
+func TestFetchMatchesNetHTTP(t *testing.T) {
+	domains := refDomains(t, refWorld, 3)
+	// Names that are not plain host names take the net/url path: one
+	// net/url rejects, and a real domain with a port to strip.
+	domains = append(domains, "bad host.example", domains[len(domains)-1]+":80")
+	countries := []geo.CountryCode{"US", "IR", "CN", "DE"}
+	seen := map[ErrCode]int{}
+	statuses := map[int16]int{}
+	for _, profile := range []string{"", "truncate", "churn", "mixed"} {
+		t.Run("profile="+profile, func(t *testing.T) {
+			net := proxy.NewNetwork(refWorld)
+			if profile != "" {
+				p, _ := faults.Named(profile)
+				net.SetFaults(faults.New(7).Default(p))
+			}
+			cfg := testConfig()
+			cfg.KeepBody = BodyAll.keep() // exercise the body path on every hop kind
+			cfg = cfg.withDefaults()
+			wrapped := cfg
+			wrapped.WrapTransport = func(rt http.RoundTripper) http.RoundTripper { return rt }
+			for ci, cc := range countries {
+				open := func() *proxy.Session {
+					s, err := net.NewSession(cc, uint64(ci)+11)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				ref, direct, viaHTTP := open(), open(), open()
+				fd := newFetcher(context.Background(), direct, cfg)
+				fw := newFetcher(context.Background(), viaHTTP, wrapped)
+				for di, domain := range domains {
+					task := Task{Domain: int32(di), Country: int16(ci)}
+					for a := uint8(0); a < 3; a++ {
+						seed := sampleSeed(domain, string(cc), "net/http-ref", int(a))
+						exit := ref.Exit().IP
+						before := ref.Used()
+						want := refFetch(ref, cfg, domain, seed, task, a, exit)
+						got := fd.fetch(domain, seed, task, a, direct.Exit().IP)
+						viaGot := fw.fetch(domain, seed, task, a, viaHTTP.Exit().IP)
+						if got != want {
+							t.Fatalf("%s from %s attempt %d: direct %+v, net/http %+v", domain, cc, a, brief(got), brief(want))
+						}
+						if viaGot != want {
+							t.Fatalf("%s from %s attempt %d: wrapped transport %+v, net/http %+v", domain, cc, a, brief(viaGot), brief(want))
+						}
+						if ref.Used() != direct.Used() || ref.Used() != viaHTTP.Used() {
+							t.Fatalf("%s from %s attempt %d: exit budget spent net/http %d, direct %d, wrapped %d",
+								domain, cc, a, ref.Used()-before, direct.Used()-before, viaHTTP.Used()-before)
+						}
+						seen[want.Err]++
+						statuses[want.Status]++
+						if ref.Used() >= cfg.RequestsPerExit {
+							ref.Rotate()
+							direct.Rotate()
+							viaHTTP.Rotate()
+						}
+					}
+				}
+			}
+		})
+	}
+	// The comparison is only as good as what it exercised.
+	for _, code := range []ErrCode{ErrNone, ErrRedirects, ErrLuminati, ErrReset, ErrProxy, ErrTimeout} {
+		if seen[code] == 0 {
+			t.Errorf("no attempt ended in %v; outcomes %v", code, seen)
+		}
+	}
+	if statuses[403] == 0 {
+		t.Errorf("no attempt saw a block page; statuses %v", statuses)
+	}
+}
+
+// brief elides a sample's body for failure messages.
+func brief(s Sample) Sample {
+	if len(s.Body) > 40 {
+		s.Body = s.Body[:40] + "…"
+	}
+	return s
+}
+
+// TestFetchAllocs pins the fetcher's steady-state cost: the direct
+// probe path stays under ten allocations per sample.
+func TestFetchAllocs(t *testing.T) {
+	domains, _ := smallInputs(64)
+	s, err := testNet.NewSession("DE", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig().withDefaults()
+	f := newFetcher(context.Background(), s, cfg)
+	fetchAll := func() {
+		for i, domain := range domains {
+			if s.Used() >= cfg.RequestsPerExit {
+				s.Rotate()
+			}
+			f.fetch(domain, uint64(i), Task{Domain: int32(i)}, 0, s.Exit().IP)
+		}
+	}
+	fetchAll() // warm the world's lazy caches
+	perSample := testing.AllocsPerRun(20, fetchAll) / float64(len(domains))
+	t.Logf("%.2f allocs/sample", perSample)
+	if perSample >= 10 {
+		t.Fatalf("fetcher allocates %.2f times per sample; the direct probe path must stay under 10", perSample)
+	}
+}
+
+// TestNextHop pins how a redirect's Location becomes the next hop:
+// plain absolute URLs split as is, everything else resolves the way
+// http.Client resolves it.
+func TestNextHop(t *testing.T) {
+	from := vnet.Probe{Scheme: "http", Host: "a.example", Path: "/a", Seed: 9}
+	for _, tc := range []struct{ loc, scheme, host, path string }{
+		{"https://a.example/", "https", "a.example", "/"},
+		{"https://www.a.example/b", "https", "www.a.example", "/b"},
+		{"https://a.example", "https", "a.example", ""},
+		{"/b", "http", "a.example", "/b"},
+		{"b", "http", "a.example", "/b"},
+		{"https://a.example:8443/x?y=1#z", "https", "a.example", "/x"},
+		{"HTTPS://A.example/%7Ex", "https", "A.example", "/~x"},
+		{"//b.example/c", "http", "b.example", "/c"},
+	} {
+		p, err := nextHop(from, tc.loc)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.loc, err)
+		}
+		if p.Scheme != tc.scheme || p.Host != tc.host || p.Path != tc.path || p.Seed != from.Seed {
+			t.Errorf("%q -> %s://%s%s (seed %d), want %s://%s%s", tc.loc, p.Scheme, p.Host, p.Path, p.Seed, tc.scheme, tc.host, tc.path)
+		}
+	}
+	if _, err := nextHop(from, "http://[::1"); err == nil {
+		t.Error("an unparseable Location must fail the attempt")
+	}
+}
+
+// TestReplayReproducesSample re-fetches scanned samples from their
+// exits and seeds: the body and status must be the ones the scan saw,
+// and a redirect loop must still fail.
+func TestReplayReproducesSample(t *testing.T) {
+	domains := refDomains(t, refWorld, 2)
+	countries := []geo.CountryCode{"IR", "US"}
+	cfg := testConfig()
+	cfg.Bodies = BodyAll
+	res, err := Scan(context.Background(), proxy.NewNetwork(refWorld), domains, countries, CrossProduct(len(domains), len(countries)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for _, s := range res.Samples {
+		if !s.OK() {
+			continue
+		}
+		body, status, err := Replay(refWorld, domains[s.Domain], s.ExitIP, s.Seed, BrowserHeaders(), cfg.MaxRedirects)
+		if err != nil {
+			t.Fatalf("replay %s: %v", domains[s.Domain], err)
+		}
+		if body != s.Body || status != int(s.Status) {
+			t.Fatalf("replay %s: %d/%d bytes, scanned %d/%d bytes", domains[s.Domain], status, len(body), s.Status, len(s.Body))
+		}
+		replayed++
+	}
+	if replayed == 0 {
+		t.Fatal("nothing to replay")
+	}
+	for _, d := range refWorld.Top10K() {
+		if d.RedirectLoop {
+			if _, _, err := Replay(refWorld, d.Name, res.Samples[0].ExitIP, 1, BrowserHeaders(), 10); err == nil || !strings.Contains(err.Error(), d.Name) {
+				t.Fatalf("replaying redirect loop %s: err = %v", d.Name, err)
+			}
+			break
+		}
+	}
+}

@@ -9,7 +9,9 @@
 //   - Session (session.go): sticky proxy-session acquisition, the
 //     connectivity pre-check loop, and per-exit budget rotation under
 //     an explicit RetryPolicy.
-//   - Fetcher (fetch.go): one HTTP attempt plus error classification.
+//   - Fetcher (fetch.go): one attempt as direct probe hops of the
+//     session, redirects followed under http.Client's bound, plus
+//     error classification.
 //   - Sink (sink.go): streaming delivery of samples. Collect rebuilds
 //     the classic in-memory Result; folding sinks let consumers drop
 //     bodies immediately, bounding peak memory on Top-1M-scale runs.
@@ -255,10 +257,14 @@ type Config struct {
 	// VerifyConnectivity runs the platform echo check when picking up a
 	// new exit, rotating away from dead machines.
 	VerifyConnectivity bool
-	// WrapTransport, when non-nil, wraps every transport the fetcher
-	// layer builds — the middleware seam for instrumentation, latency
-	// injection in benchmarks, or request logging. It must not change
-	// response contents, or the determinism contract breaks.
+	// WrapTransport, when non-nil, wraps the RoundTrip adapter of each
+	// shard's session (or VPS stack) — the middleware seam for
+	// instrumentation, latency injection in benchmarks, or request
+	// logging. Each hop of the fetcher's redirect loop then goes
+	// through the wrapped transport as an *http.Request, instead of as
+	// a direct probe; response bodies stay unrendered until read. It
+	// must not change response contents, or the determinism contract
+	// breaks.
 	WrapTransport func(http.RoundTripper) http.RoundTripper
 	// Metrics, when non-nil, receives counters, histograms, and phase
 	// spans from every engine layer (see metrics.go for the names).

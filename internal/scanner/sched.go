@@ -114,6 +114,10 @@ type emitter struct {
 	tr      *trace.Tracer
 	scanCtx trace.SpanCtx
 	phase   string
+	// ctx, when set, stops delivery at the first shard boundary after
+	// it is cancelled. schedule sets it; Assembly leaves it nil, since
+	// the fabric cancels through Abort.
+	ctx context.Context
 }
 
 // newEmitter builds the canonical-order emitter both compositions
@@ -135,6 +139,9 @@ func (e *emitter) complete(sh *shard) {
 	defer e.mu.Unlock()
 	e.done[sh.seq] = true
 	for e.next < len(e.shards) && e.done[e.next] {
+		if e.ctx != nil && e.ctx.Err() != nil {
+			return
+		}
 		ready := e.shards[e.next]
 		for i := range ready.out {
 			e.sink.Emit(ready.out[i])
@@ -199,12 +206,14 @@ func (e *emitter) complete(sh *shard) {
 // sh.out. The first skip shards are a resumed prefix: already
 // persisted by an earlier run, they are never distributed — the
 // emitter's frontier starts past them. On context cancellation workers
-// stop picking up shards and schedule returns ctx.Err();
-// already-emitted samples are not retracted.
+// stop picking up shards, delivery stops at the next shard boundary,
+// and schedule returns ctx.Err(); already-emitted samples are not
+// retracted.
 func schedule(ctx context.Context, shards []*shard, skip int, workers int, run func(context.Context, *shard), em *emitter) error {
 	if len(shards) == 0 {
 		return ctx.Err()
 	}
+	em.ctx = ctx
 	reg := em.reg
 	reg.Counter(MetShardsScheduled).Add(int64(len(shards)))
 	live := shards[skip:]

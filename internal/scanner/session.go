@@ -155,7 +155,7 @@ func (se *session) dark() bool { return se.h.dead }
 // exitIP is the address of the exit the next attempt will use.
 func (se *session) exitIP() geo.IP { return se.s.Exit().IP }
 
-// transport exposes the raw session as the fetcher's RoundTripper.
+// transport exposes the raw session for the fetcher to probe through.
 func (se *session) transport() *proxy.Session { return se.s }
 
 // fetchReliable performs one logical sample under the policy: up to

@@ -51,7 +51,7 @@ func Handler(w *worldgen.World) http.Handler {
 			Clock:      w.Clock(),
 			SampleSeed: stats.Mix64(uint64(ip) ^ hash(host)),
 		})
-		for k, vs := range resp.Header {
+		for k, vs := range resp.Header() {
 			for _, v := range vs {
 				rw.Header().Add(k, v)
 			}
