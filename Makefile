@@ -1,6 +1,9 @@
 # Development gate for the geoblock reproduction.
 #
-#   make check   the tier-1 gate, in order: build → vet → geolint → test.
+#   make check   the tier-1 gate, in order: gofmt → build → vet → geolint
+#                → test. The gofmt step (make fmt-check) fails when any
+#                tracked .go file — perfbench and the lint testdata
+#                included — is not gofmt-clean.
 #                geolint (cmd/geolint, built from internal/lint) machine-
 #                checks the engine's invariants — determinism (including
 #                the cross-package clockflow reachability pass), context
@@ -11,7 +14,9 @@
 #                surface with the compiler's messages first, and before
 #                the test suite so an invariant violation fails in
 #                seconds, not after a full chaos run.
-#   make lint    vet plus the geolint pass, against the baseline.
+#   make lint    gofmt, vet, and the geolint pass, against the baseline.
+#   make fmt-check  list tracked .go files that gofmt would change; fail
+#                if there are any.
 #   make lint-json  the same pass emitting machine-readable JSON to
 #                lint.json (the CI artifact), baselined findings included
 #                with "baselined": true.
@@ -58,15 +63,19 @@
 
 GO ?= go
 
-.PHONY: check lint lint-json race cover fuzz bench profile fabric-test perf perf-diff perfbench-test soak
+.PHONY: check fmt-check lint lint-json race cover fuzz bench profile fabric-test perf perf-diff perfbench-test soak
 
-check:
+check: fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/geolint -baseline lint.baseline ./...
 	$(GO) test ./...
 
-lint:
+fmt-check:
+	@out=$$(git ls-files -z '*.go' | xargs -0 -r "$$($(GO) env GOROOT)/bin/gofmt" -l) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt: these files are not gofmt-clean:"; echo "$$out"; exit 1; fi
+
+lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/geolint -baseline lint.baseline ./...
 

@@ -54,8 +54,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Studies driven from the CLI report real elapsed time in their
-	// phase spans, and the registry backs the live endpoints below.
+	// Studies driven from the CLI report real latencies in their
+	// histograms, and the registry backs the live endpoints below.
 	reg := telemetry.NewWithClock(telemetry.Wall{})
 
 	if *resume && *storeDir == "" {

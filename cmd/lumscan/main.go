@@ -67,8 +67,8 @@ func main() {
 	net := proxy.NewNetwork(sys.World)
 	cls := fingerprint.NewClassifier()
 
-	// An interactive scan runs on the wall clock so span durations and
-	// the fetch-latency histogram mean something.
+	// An interactive scan runs on the wall clock so the fetch-latency
+	// histogram means something.
 	reg := telemetry.NewWithClock(telemetry.Wall{})
 
 	// -trace arms the tracer for the whole run: wall stamps for the

@@ -79,7 +79,7 @@ func TestVerdictSoak(t *testing.T) {
 		{"swap.example", "CN"},
 		{"clear.example", "US"},
 		{"blocked.example", "US"},
-		{"nope.example", "CN"},   // outside universe: always 404
+		{"nope.example", "CN"},    // outside universe: always 404
 		{"blocked.example", "ZZ"}, // outside universe: always 404
 	}
 

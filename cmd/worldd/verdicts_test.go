@@ -260,7 +260,7 @@ func TestVerdictBulk(t *testing.T) {
 	for name, bad := range map[string]string{
 		"not json":      "{",
 		"empty queries": `{"queries":[]}`,
-		"over cap": `{"queries":[` + strings.Repeat(`{"domain":"a","cc":"US"},`, maxBulkQueries) + `{"domain":"a","cc":"US"}]}`,
+		"over cap":      `{"queries":[` + strings.Repeat(`{"domain":"a","cc":"US"},`, maxBulkQueries) + `{"domain":"a","cc":"US"}]}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/verdicts", "application/json", strings.NewReader(bad))
 		if err != nil {

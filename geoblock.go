@@ -167,13 +167,13 @@ type Options struct {
 	// cancelled study returns partial results. Nil means never cancel.
 	Ctx context.Context
 	// Metrics, when non-nil, replaces the study's default virtual-clock
-	// telemetry registry. CLIs that want wall-clock span durations and a
+	// telemetry registry. CLIs that want wall-clock latencies and a
 	// live /debug/metrics view inject telemetry.NewWithClock(telemetry.Wall{})
 	// here; leaving it nil keeps snapshots deterministic.
 	Metrics *telemetry.Registry
-	// Trace, when non-nil, turns on wide-event tracing: every scan
-	// phase, scheduler shard, session open, fetch, and verdict-edge
-	// slow lookup records into it, and Tracer.Snapshot() exports the
+	// Trace, when non-nil, turns on wide-event tracing: every study
+	// and analysis stage, scan phase, scheduler shard, session open,
+	// fetch, and verdict-edge slow lookup records into it, and Tracer.Snapshot() exports the
 	// run as Chrome trace-event JSON (the CLIs' -trace flag). Tracing
 	// never influences results; deterministic-class events are
 	// byte-identical at any concurrency or worker count.
@@ -277,7 +277,8 @@ func DecodeVerdicts(b []byte) (*VerdictSnapshot, error) {
 func (s *System) Err() error { return s.study.Err() }
 
 // Metrics exposes the system's telemetry registry: scan counters, error
-// tallies, and the phase-span tree accumulate here as studies run.
+// tallies, and latency histograms accumulate here as studies run.
+// Per-stage and per-unit timing lives in the trace (Options.Trace).
 func (s *System) Metrics() *telemetry.Registry {
 	return s.study.Metrics
 }

@@ -50,7 +50,7 @@ type StudySpec struct {
 
 // ConfigWire is the serializable subset of scanner.Config — the knobs
 // that shape a scan's output, minus the process-local seams (funcs,
-// registries, spans, resume state).
+// registries, tracers, resume state).
 type ConfigWire struct {
 	Samples            int                `json:"samples"`
 	Retries            int                `json:"retries"`

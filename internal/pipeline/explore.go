@@ -43,9 +43,9 @@ type ExploreResult struct {
 // populations.
 func (s *Study) RunExploration() *ExploreResult {
 	r := &ExploreResult{PerProviderPairs: map[blockpage.Kind]int{}}
-	sp := s.phase("explore")
+	endStage := s.stage("explore")
 	defer func() {
-		sp.End()
+		endStage()
 		r.Telemetry = s.snapshot()
 	}()
 
@@ -88,8 +88,9 @@ func (s *Study) RunExploration() *ExploreResult {
 		len(domains), r.NSCloudflare, r.NSAkamai)
 
 	fleet := proxy.VPSFleet(s.World, proxy.VPSCountries())
-	cfg := lumscan.Config{Samples: 1, Headers: lumscan.ZGrabHeaders(), Phase: "explore", MaxRedirects: 10,
-		Metrics: s.Metrics, Span: sp}
+	cfg := s.scanConfig("explore")
+	cfg.Samples = 1
+	cfg.Headers = lumscan.ZGrabHeaders()
 
 	countryIdx := map[geo.CountryCode]int16{}
 	for i, v := range fleet {
@@ -140,8 +141,8 @@ func (s *Study) RunExploration() *ExploreResult {
 		}
 		return keys[i].domain < keys[j].domain
 	})
-	verifyCfg := lumscan.Config{Samples: 1, Headers: lumscan.BrowserHeaders(), Phase: "explore-verify", MaxRedirects: 10,
-		Metrics: s.Metrics, Span: sp}
+	verifyCfg := s.scanConfig("explore-verify")
+	verifyCfg.Samples = 1
 	for _, key := range keys {
 		kind := blockPairs[key]
 		r.PerProviderPairs[kind]++

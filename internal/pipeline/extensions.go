@@ -56,8 +56,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 		resamples = 10
 	}
 	out := &TimeoutResult{}
-	sp := s.phase("timeouts")
-	defer sp.End()
+	defer s.stage("timeouts")()
 
 	// Pass 1: per (domain, country) timeout and response tallies.
 	type tally struct{ timeouts, responses, other int }
@@ -120,7 +119,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 	out.CrossCheckedPairs = len(tasks)
 
 	// Pass 3: confirmation resample of the surviving pairs.
-	scanCfg := s.scanConfig("timeout-confirm", sp)
+	scanCfg := s.scanConfig("timeout-confirm")
 	scanCfg.Samples = resamples
 	scanCfg.Retries = 0
 	confirm := map[pairKey]*tally{}

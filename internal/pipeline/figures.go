@@ -79,9 +79,8 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 		return tasks[i].Domain < tasks[j].Domain
 	})
 
-	scanCfg := lumscan.DefaultConfig()
+	scanCfg := s.scanConfig("consistency-100")
 	scanCfg.Samples = population
-	scanCfg.Phase = "consistency-100"
 	// The experiment measures "the rate of other failures, for example
 	// proxy errors, transient network failures, and local filtering"
 	// (§4.1.5) — raw per-sample outcomes, so retries are off.

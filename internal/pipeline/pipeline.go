@@ -40,7 +40,7 @@ type Study struct {
 	// Ctx, when non-nil, cancels the study's scans (a cancelled study
 	// returns partial results). Nil means context.Background().
 	Ctx context.Context
-	// Metrics receives counters and phase spans from every scan the
+	// Metrics receives counters and histograms from every scan the
 	// study runs. New installs a virtual-clock registry (deterministic
 	// snapshots); replace it with telemetry.NewWithClock(telemetry.Wall{})
 	// before running to time a real study. Never nil after New.
@@ -48,8 +48,9 @@ type Study struct {
 	// Trace, when non-nil, receives wide events from every phase the
 	// study runs: each scan invocation gets its own span context
 	// (derived from the tracer's root and the journal key, so repeated
-	// phases stay distinct) and a closing "pipeline/scan" event. Nil
-	// means tracing off — zero overhead on the scan hot path.
+	// phases stay distinct) and a closing "pipeline/scan" event, and
+	// each study and analysis stage a "pipeline/stage" event. Nil means
+	// tracing off — zero overhead on the scan hot path.
 	Trace *trace.Tracer
 	// Store, when non-nil, journals every scan phase the study runs and
 	// resumes interrupted phases from their checkpoints: completed
@@ -97,20 +98,12 @@ func New(w *worldgen.World) *Study {
 	}
 }
 
-// phase opens a pipeline-level span; scan configs built inside the
-// phase set Config.Span to it so the trace nests pipeline phase →
-// scan phase → country.
-func (s *Study) phase(name string) *telemetry.Span {
-	return s.Metrics.StartSpan("pipeline/" + name)
-}
-
-// scanConfig is DefaultConfig wired to the study's registry, tracer,
-// and the enclosing phase span.
-func (s *Study) scanConfig(phase string, span *telemetry.Span) lumscan.Config {
+// scanConfig is DefaultConfig wired to the study's registry and
+// tracer.
+func (s *Study) scanConfig(phase string) lumscan.Config {
 	cfg := lumscan.DefaultConfig()
 	cfg.Phase = phase
 	cfg.Metrics = s.Metrics
-	cfg.Span = span
 	cfg.Trace = s.Trace
 	cfg.TraceWall = s.Trace.WallClock()
 	return cfg
@@ -299,7 +292,7 @@ func (s *Study) collectPairRates(res *lumscan.Result, kinds map[pairKey]blockpag
 // safe set from every country and rank countries by how many 403s come
 // back. The top of that ranking selects the reference countries for
 // representative page lengths.
-func (s *Study) rankCountriesByBlocking(safeDomains []string, safeRanks []int, countries []geo.CountryCode, samples int, span *telemetry.Span) []geo.CountryCode {
+func (s *Study) rankCountriesByBlocking(safeDomains []string, safeRanks []int, countries []geo.CountryCode, samples int) []geo.CountryCode {
 	var auxDomains []string
 	for i, rank := range safeRanks {
 		d := s.World.DomainAt(rank)
@@ -319,7 +312,7 @@ func (s *Study) rankCountriesByBlocking(safeDomains []string, safeRanks []int, c
 		auxDomains = safeDomains[:n]
 	}
 
-	cfg := s.scanConfig("country-rank", span)
+	cfg := s.scanConfig("country-rank")
 	cfg.Samples = samples
 	cfg.Bodies = lumscan.BodyNone
 	counts := make([]int, len(countries))
@@ -395,20 +388,40 @@ func fnv(s string) uint64 {
 // traceScan pins the invocation's scan context onto cfg — the root →
 // pipeline-phase → scan-phase derivation that keys every event the
 // scan records, unique per invocation because key is — and returns the
-// closer that records the phase's "pipeline/scan" event. A no-op
-// closure when the study is not tracing.
+// closer that records the phase's "pipeline/scan" event.
 func (s *Study) traceScan(key string, cfg *lumscan.Config) func(error) {
+	pctx := s.Trace.Root().Child("pipeline/"+key, 0)
+	cfg.TraceCtx = pctx.Child("scan/"+cfg.Phase, 0)
+	return s.traceStep(pctx, "pipeline/scan", key)
+}
+
+// stage opens one study or analysis stage (top10k, outliers, ...) and
+// returns the closer that records its "pipeline/stage" event. The
+// outcome is "aborted" when the study has lost a phase by then (Err),
+// since the stage then worked on a prefix of the data. The stage's
+// span derives from its name on its own "stage/" edge — never from a
+// journal key — so a stage named like a scan (the explore study and
+// its first VPS scan) neither renumbers the scan's journal key nor
+// shares its span ID.
+func (s *Study) stage(name string) func() {
+	done := s.traceStep(s.Trace.Root().Child("stage/"+name, 0), "pipeline/stage", name)
+	return func() { done(s.Err()) }
+}
+
+// traceStep returns the closer that records one pipeline step's event
+// (name) at ctx under the root span: phase, outcome, and the step's
+// virtual and wall extent. A no-op closure when the study is not
+// tracing.
+func (s *Study) traceStep(ctx trace.SpanCtx, name, phase string) func(error) {
 	if s.Trace == nil {
 		return func(error) {}
 	}
-	pctx := s.Trace.Root().Child("pipeline/"+key, 0)
-	cfg.TraceCtx = pctx.Child("scan/"+cfg.Phase, 0)
 	virt0, wall0 := s.Trace.Now()
 	return func(err error) {
 		virt, wall := s.Trace.Now()
-		ev := trace.NewEvent(pctx, "pipeline/scan")
+		ev := trace.NewEvent(ctx, name)
 		ev.Parent = s.Trace.Root().Span
-		ev.Phase = key
+		ev.Phase = phase
 		if err == nil {
 			ev.Outcome = "ok"
 		} else {

@@ -103,10 +103,9 @@ type Top10KResult struct {
 	Recall map[blockpage.Kind]RecallRow
 
 	// Telemetry is the study's engine-health snapshot at the end of the
-	// run, in its deterministic view (runtime-class metrics stripped,
-	// span durations zeroed) so the result stays a pure function of the
-	// study inputs. The live registry — runtime metrics included — is
-	// Study.Metrics.
+	// run, in its deterministic view (runtime-class metrics stripped)
+	// so the result stays a pure function of the study inputs. The live
+	// registry — runtime metrics included — is Study.Metrics.
 	Telemetry *telemetry.Snapshot
 
 	// Resampling and confirmation (§4.1.4, §4.2).
@@ -124,9 +123,9 @@ type Top10KResult struct {
 func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 	cfg.fill()
 	r := &Top10KResult{Config: cfg}
-	sp := s.phase("top10k")
+	endStage := s.stage("top10k")
 	defer func() {
-		sp.End()
+		endStage()
 		r.Telemetry = s.snapshot()
 	}()
 
@@ -137,7 +136,7 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 	r.Countries = s.measurableCountries()
 
 	// Initial snapshot: 3 samples per pair.
-	scanCfg := s.scanConfig("top10k-initial", sp)
+	scanCfg := s.scanConfig("top10k-initial")
 	scanCfg.Samples = cfg.InitialSamples
 	scanCfg.Concurrency = cfg.Concurrency
 	var col lumscan.Collect
@@ -153,26 +152,26 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 	s.populationDiagnostics(r)
 
 	// Reference countries for representative lengths.
-	ranked := s.rankCountriesByBlocking(r.SafeDomains, r.SafeRanks, r.Countries, 3, sp)
+	ranked := s.rankCountriesByBlocking(r.SafeDomains, r.SafeRanks, r.Countries, 3)
 	k := cfg.RepCountryCount
 	if k > len(ranked) {
 		k = len(ranked)
 	}
 	r.RepCountries = ranked[:k]
 
-	osp := sp.StartSpan("outliers")
+	endOutliers := s.stage("outliers")
 	s.extractOutliers(r)
-	osp.End()
+	endOutliers()
 	s.logf("top10k: %d outliers from %d reference samples", len(r.Outliers), r.RepSampleCount)
 
-	csp := sp.StartSpan("cluster")
+	endCluster := s.stage("cluster")
 	s.clusterAndLabel(r)
-	csp.End()
+	endCluster()
 	s.logf("top10k: %d clusters, %d block-page kinds discovered", len(r.Clusters), len(r.DiscoveredKinds))
 
 	s.evaluateRecall(r)
 
-	s.resampleAndConfirm(r, sp)
+	s.resampleAndConfirm(r)
 	s.logf("top10k: %d candidate pairs, %d confirmed, %d eliminated",
 		r.CandidatePairs, len(r.Findings), r.Eliminated)
 
@@ -422,7 +421,7 @@ func (s *Study) evaluateRecall(r *Top10KResult) {
 // geoblock page, sample it 20 more times (after the world moves on — a
 // policy can change under the study), and confirm at the agreement
 // threshold over all samples.
-func (s *Study) resampleAndConfirm(r *Top10KResult, sp *telemetry.Span) {
+func (s *Study) resampleAndConfirm(r *Top10KResult) {
 	kinds := make(map[pairKey]blockpage.Kind)
 	for i := range r.Initial.Samples {
 		sm := &r.Initial.Samples[i]
@@ -463,7 +462,7 @@ func (s *Study) resampleAndConfirm(r *Top10KResult, sp *telemetry.Span) {
 		return tasks[i].Domain < tasks[j].Domain
 	})
 
-	scanCfg := s.scanConfig("top10k-resample", sp)
+	scanCfg := s.scanConfig("top10k-resample")
 	scanCfg.Samples = r.Config.ResampleCount
 	scanCfg.Concurrency = r.Config.Concurrency
 

@@ -100,15 +100,15 @@ type Top1MResult struct {
 func (s *Study) RunTop1M(cfg Top1MConfig) *Top1MResult {
 	cfg.fill()
 	r := &Top1MResult{Config: cfg, TestedPerProvider: map[worldgen.Provider]int{}}
-	sp := s.phase("top1m")
+	endStage := s.stage("top1m")
 	defer func() {
-		sp.End()
+		endStage()
 		r.Telemetry = s.snapshot()
 	}()
 
-	dsp := sp.StartSpan("discover")
+	endDiscover := s.stage("discover")
 	s.discover(r)
-	dsp.End()
+	endDiscover()
 	s.logf("top1m: discovered %d customers (%d dual)", r.Discovered.Total(), r.DualCount)
 
 	s.sampleTestList(r)
@@ -116,7 +116,7 @@ func (s *Study) RunTop1M(cfg Top1MConfig) *Top1MResult {
 		r.EligibleCount, len(r.TestDomains), cfg.SampleFraction*100)
 
 	r.Countries = s.measurableCountries()
-	scanCfg := s.scanConfig("top1m-initial", sp)
+	scanCfg := s.scanConfig("top1m-initial")
 	scanCfg.Samples = cfg.InitialSamples
 	scanCfg.Concurrency = cfg.Concurrency
 	var col lumscan.Collect
@@ -129,11 +129,11 @@ func (s *Study) RunTop1M(cfg Top1MConfig) *Top1MResult {
 	s.logCoverage("top1m", r.Outages, r.Coverage)
 	s.diagnostics1M(r)
 
-	s.confirmExplicit1M(r, sp)
+	s.confirmExplicit1M(r)
 	s.logf("top1m: %d explicit findings (%d pairs eliminated)",
 		len(r.ExplicitFindings), r.EliminatedPairs)
 
-	s.analyzeNonExplicit(r, sp)
+	s.analyzeNonExplicit(r)
 	s.logf("top1m: %d non-explicit findings", len(r.NonExplicitFindings))
 	return r
 }
@@ -224,7 +224,7 @@ func (s *Study) diagnostics1M(r *Top1MResult) {
 // App Engine-hosted domains whose platform block in a sanctioned
 // country could not be measured because the national filter got there
 // first.
-func (s *Study) confirmExplicit1M(r *Top1MResult, sp *telemetry.Span) {
+func (s *Study) confirmExplicit1M(r *Top1MResult) {
 	kinds := make(map[pairKey]blockpage.Kind)
 	for i := range r.Initial.Samples {
 		sm := &r.Initial.Samples[i]
@@ -247,7 +247,7 @@ func (s *Study) confirmExplicit1M(r *Top1MResult, sp *telemetry.Span) {
 		}
 		return tasks[i].Domain < tasks[j].Domain
 	})
-	scanCfg := s.scanConfig("top1m-resample", sp)
+	scanCfg := s.scanConfig("top1m-resample")
 	scanCfg.Samples = r.Config.ResampleCount
 	scanCfg.Concurrency = r.Config.Concurrency
 
@@ -302,7 +302,7 @@ func (s *Study) confirmExplicit1M(r *Top1MResult, sp *telemetry.Span) {
 // Akamai or Incapsula page anywhere, sample it again in *every* country
 // and apply the consistency metric; report domains with a perfect
 // consistency score that are not blocked everywhere.
-func (s *Study) analyzeNonExplicit(r *Top1MResult, sp *telemetry.Span) {
+func (s *Study) analyzeNonExplicit(r *Top1MResult) {
 	ambiguous := map[int32]blockpage.Kind{}
 	for i := range r.Initial.Samples {
 		sm := &r.Initial.Samples[i]
@@ -331,7 +331,7 @@ func (s *Study) analyzeNonExplicit(r *Top1MResult, sp *telemetry.Span) {
 			tasks = append(tasks, lumscan.Task{Domain: d, Country: int16(ci)})
 		}
 	}
-	scanCfg := s.scanConfig("top1m-nonexplicit", sp)
+	scanCfg := s.scanConfig("top1m-nonexplicit")
 	scanCfg.Samples = r.Config.ResampleCount
 	scanCfg.Concurrency = r.Config.Concurrency
 

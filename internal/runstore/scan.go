@@ -5,8 +5,7 @@
 // persisted samples into the caller's sink and restores the journaled
 // per-shard metric snapshots BEFORE the engine runs, then hands the
 // engine a scanner.Resume marking those shards done. The engine
-// credits the skipped shards' spans, counters, and outage accounting
-// itself (see scanner.Config.Resume), so a resumed run's deterministic
+// credits the skipped shards' counters and outage accounting itself (see scanner.Config.Resume), so a resumed run's deterministic
 // telemetry, paper tables, and sample stream are byte-identical to an
 // uninterrupted run's. For a phase the journal already saw complete,
 // the store still calls Run — with every shard skipped and the inner,
@@ -78,8 +77,8 @@ func (s *Store) Scan(sc Scan) error {
 	cfg.Resume = &scanner.Resume{Shards: len(lost), Lost: lost}
 	if ph.done {
 		// Nothing left to fetch: run the engine with every shard
-		// skipped and the inner sink, purely to recompute spans,
-		// counters, and the outage/coverage records.
+		// skipped and the inner sink, purely to recompute the
+		// counters and the outage/coverage records.
 		return sc.Run(cfg, sc.Sink)
 	}
 	return s.runJournaled(sc, cfg, ph)

@@ -222,28 +222,7 @@ func (s *Store) writeManifestLocked() error {
 		b.WriteString(name)
 		b.WriteByte('\n')
 	}
-	path := filepath.Join(s.dir, manifestName)
-	tmp, err := os.CreateTemp(s.dir, ".manifest.tmp*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.WriteString(b.String())
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp.Name(), 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return telemetry.WriteFileAtomic(filepath.Join(s.dir, manifestName), []byte(b.String()))
 }
 
 // recoverFrom rebuilds the index from the listed segments and

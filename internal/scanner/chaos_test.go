@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/telemetry"
+	"geoblock/internal/trace"
 )
 
 // chaosNet builds a fresh mesh with the given fault hook installed, so
@@ -208,12 +210,13 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 // TestChaosTelemetryDeterminism extends the chaos matrix to the
-// telemetry layer: under every standing fault profile, the
+// telemetry and trace layers: under every standing fault profile, the
 // deterministic view of the scan's metrics snapshot — counters, error
-// tallies, fault counters, span counts — must be byte-identical at
-// Concurrency 1, 4, and 32. Only the explicitly runtime-class series
-// (steals, worker gauge, latency histogram) may vary with the schedule,
-// and Deterministic() strips exactly those.
+// tallies, fault counters — and of its trace — every unit's country
+// and fate, every outage — must be byte-identical at Concurrency 1, 4,
+// and 32. Only the explicitly runtime-class series and events (steals,
+// worker gauge, latency histogram) may vary with the schedule, and
+// Deterministic() strips exactly those.
 func TestChaosTelemetryDeterminism(t *testing.T) {
 	domains, countries := smallInputs(48)
 	tasks := skewedTasks(len(domains), len(countries))
@@ -222,25 +225,39 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			profile, _ := faults.Named(name)
 			var base string
+			var baseTrace []byte
 			for _, conc := range []int{1, 4, 32} {
 				reg := telemetry.New()
+				tr := trace.New(trace.Root(42))
 				inj := faults.New(42).Default(profile).Instrument(reg)
 				cfg := testConfig()
 				cfg.Concurrency = conc
 				cfg.Metrics = reg
+				cfg.Trace = tr
 				cfg.Phase = "chaos"
 				if _, err := Scan(context.Background(), chaosNet(inj), domains, countries, tasks, cfg); err != nil {
 					t.Fatalf("concurrency %d: %v", conc, err)
 				}
 				text := reg.Snapshot().Deterministic().Text()
+				traceJSON, err := tr.Snapshot().Deterministic().JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
 				if base == "" {
-					base = text
+					base, baseTrace = text, traceJSON
 					continue
 				}
 				if text != base {
 					t.Fatalf("concurrency %d: deterministic snapshot differs from concurrency 1:\n--- base ---\n%s\n--- got ---\n%s",
 						conc, base, text)
 				}
+				if !bytes.Equal(traceJSON, baseTrace) {
+					t.Fatalf("concurrency %d: deterministic trace differs from concurrency 1 (%d vs %d bytes)",
+						conc, len(traceJSON), len(baseTrace))
+				}
+			}
+			if !bytes.Contains(baseTrace, []byte(`"name": "unit"`)) {
+				t.Fatalf("profile %s traced no unit events", name)
 			}
 			if !strings.Contains(base, "faults.injected") {
 				t.Fatalf("profile %s fired no faults; snapshot:\n%s", name, base)

@@ -193,7 +193,7 @@ func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (Un
 
 // Assembly reassembles unit completions — arriving in any order, from
 // any number of executors — into the engine's canonical-order sink
-// stream, with the identical span, counter, and outage accounting an
+// stream, with the identical counter, trace, and outage accounting an
 // in-process Run produces. Completions are accepted under an internal
 // lock; the sink itself still sees strictly sequential canonical-order
 // delivery, exactly as the engine's determinism contract promises.
@@ -202,28 +202,24 @@ type Assembly struct {
 	plan     *Plan
 	sink     Sink
 	em       *emitter
-	sp       *telemetry.Span
 	skip     int
 	finished bool
 }
 
 // NewAssembly prepares the reassembly for one scan: it validates and
-// credits the resumed prefix (cfg.Resume), opens the scan span, and
-// parks the reorder frontier past the skipped units.
+// credits the resumed prefix (cfg.Resume) and parks the reorder
+// frontier past the skipped units.
 func NewAssembly(p *Plan, sink Sink) (*Assembly, error) {
 	skip, err := resumePrefix(p.cfg, p.shards)
 	if err != nil {
 		return nil, err
 	}
-	sp := startScanSpan(p.cfg)
-	creditSkipped(p.cfg, sp, p.shards[:skip], func(sh *shard) string {
-		return string(p.countries[sh.group])
-	})
+	creditSkipped(p.cfg, skip)
 	if len(p.shards) > 0 {
 		p.cfg.Metrics.Counter(MetShardsScheduled).Add(int64(len(p.shards)))
 	}
 	em := newEmitter(sink, p.shards, skip, p.cfg.Metrics, p.cfg.Trace, ScanTraceCtx(p.cfg), p.cfg.Phase)
-	return &Assembly{plan: p, sink: sink, em: em, sp: sp, skip: skip}, nil
+	return &Assembly{plan: p, sink: sink, em: em, skip: skip}, nil
 }
 
 // Pending lists the unit sequence numbers still to execute, in
@@ -264,13 +260,6 @@ func (a *Assembly) Complete(seq int, res UnitResult) error {
 		st.Merge(res.Metrics)
 		sh.staging = st
 	}
-	csp := a.sp.StartSpan(sh.country)
-	if sh.lost == OutageNone {
-		csp.Outcome("ok")
-	} else {
-		csp.Outcome(sh.lost.String())
-	}
-	csp.End()
 	a.plan.cfg.Metrics.Counter(MetShardsDone).Add(1)
 	a.em.complete(sh)
 	return nil
@@ -283,9 +272,8 @@ func (a *Assembly) Done() bool {
 	return a.em.frontier() == len(a.plan.shards)
 }
 
-// Finish closes the scan span and runs the end-of-run outage and
-// coverage accounting, mirroring Run's tail exactly. It errors if units
-// are still outstanding.
+// Finish runs the end-of-run outage and coverage accounting, mirroring
+// Run's tail exactly. It errors if units are still outstanding.
 func (a *Assembly) Finish() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -296,7 +284,6 @@ func (a *Assembly) Finish() error {
 		return fmt.Errorf("scanner: assembly finished with %d of %d units outstanding", len(a.plan.shards)-n, len(a.plan.shards))
 	}
 	a.finished = true
-	a.sp.End()
 	cfg := a.plan.cfg
 	os, isOutageSink := a.sink.(OutageSink)
 	if isOutageSink || cfg.Metrics != nil || cfg.Trace != nil {
@@ -313,17 +300,13 @@ func (a *Assembly) Finish() error {
 	return nil
 }
 
-// Abort closes the scan span without the end-of-run accounting — the
+// Abort finishes the assembly without the end-of-run accounting — the
 // cancellation path, mirroring Run's early return after a cancelled
 // schedule.
 func (a *Assembly) Abort() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.finished {
-		return
-	}
 	a.finished = true
-	a.sp.End()
 }
 
 // completed reports whether seq has already been completed.

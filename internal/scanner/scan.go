@@ -35,15 +35,9 @@ func Run(ctx context.Context, net *proxy.Network, domains []string, countries []
 	}
 	_, journaling := sink.(ShardSink)
 
-	sp := startScanSpan(cfg)
 	scanCtx := ScanTraceCtx(cfg)
-	nameOf := func(sh *shard) string { return string(countries[sh.group]) }
 	run := func(ctx context.Context, sh *shard) {
-		// One country-span activation per shard: activations merge by
-		// name, so the node's count reads "shards run" and its outcome
-		// tally aggregates per-shard fates.
-		sh.country = nameOf(sh)
-		csp := sp.StartSpan(sh.country)
+		sh.country = string(countries[sh.group])
 		scfg := cfg
 		if journaling && cfg.Metrics != nil {
 			// Stage this shard's session and fetch metrics in a
@@ -55,18 +49,10 @@ func Run(ctx context.Context, net *proxy.Network, domains []string, countries []
 		tb := unitBuffer(scanCtx, sh.seq, cfg)
 		sh.out = scanShard(ctx, net, domains, countries, sh, scfg, pol, tb)
 		sh.events = tb.Events()
-		if sh.lost == OutageNone {
-			csp.Outcome("ok")
-		} else {
-			csp.Outcome(sh.lost.String())
-		}
-		csp.End()
 	}
-	creditSkipped(cfg, sp, shards[:skip], nameOf)
+	creditSkipped(cfg, skip)
 	em := newEmitter(sink, shards, skip, cfg.Metrics, cfg.Trace, scanCtx, cfg.Phase)
-	err = schedule(ctx, shards, skip, cfg.Concurrency, run, em)
-	sp.End()
-	if err != nil {
+	if err := schedule(ctx, shards, skip, cfg.Concurrency, run, em); err != nil {
 		return err
 	}
 	os, isOutageSink := sink.(OutageSink)
@@ -82,16 +68,6 @@ func Run(ctx context.Context, net *proxy.Network, domains []string, countries []
 		}
 	}
 	return nil
-}
-
-// startScanSpan opens the engine's "scan/<phase>" span, nesting under
-// cfg.Span when the pipeline provided its phase span as parent.
-func startScanSpan(cfg Config) *telemetry.Span {
-	name := "scan/" + cfg.Phase
-	if cfg.Span != nil {
-		return cfg.Span.StartSpan(name)
-	}
-	return cfg.Metrics.StartSpan(name)
 }
 
 // countOutages mirrors the outage accounting into the registry.
@@ -129,24 +105,15 @@ func resumePrefix(cfg Config, shards []*shard) (int, error) {
 	return r.Shards, nil
 }
 
-// creditSkipped restores the per-shard accounting a live run of the
-// skipped prefix would have produced: one country-span activation with
-// its outcome per shard, plus the shards-done counter. The prefix's
-// samples and session/fetch metrics are restored separately by the
-// journal's replay (see internal/runstore), keeping the deterministic
-// telemetry view identical to an uninterrupted run.
-func creditSkipped(cfg Config, sp *telemetry.Span, skipped []*shard, name func(*shard) string) {
-	for _, sh := range skipped {
-		csp := sp.StartSpan(name(sh))
-		if sh.lost == OutageNone {
-			csp.Outcome("ok")
-		} else {
-			csp.Outcome(sh.lost.String())
-		}
-		csp.End()
-	}
-	if len(skipped) > 0 {
-		cfg.Metrics.Counter(MetShardsDone).Add(int64(len(skipped)))
+// creditSkipped restores the shards-done credit a live run of the
+// skipped prefix would have produced. The prefix's samples and
+// session/fetch metrics are restored separately by the journal's replay
+// (see internal/runstore), and its loss records by resumePrefix,
+// keeping the deterministic telemetry view identical to an
+// uninterrupted run.
+func creditSkipped(cfg Config, skipped int) {
+	if skipped > 0 {
+		cfg.Metrics.Counter(MetShardsDone).Add(int64(skipped))
 	}
 }
 

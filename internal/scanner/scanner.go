@@ -266,16 +266,11 @@ type Config struct {
 	// must not change response contents, or the determinism contract
 	// breaks.
 	WrapTransport func(http.RoundTripper) http.RoundTripper
-	// Metrics, when non-nil, receives counters, histograms, and phase
-	// spans from every engine layer (see metrics.go for the names).
+	// Metrics, when non-nil, receives counters and histograms from
+	// every engine layer (see metrics.go for the names).
 	// Instrumentation never influences scan behavior: samples are
 	// byte-identical with or without it.
 	Metrics *telemetry.Registry
-	// Span, when non-nil, is the parent the engine's own scan span
-	// nests under — the pipeline passes its phase span here so the
-	// trace reads pipeline phase → scan phase → country. Nil roots the
-	// scan span at the registry.
-	Span *telemetry.Span
 	// Trace, when non-nil, receives wide events from every engine layer
 	// (see internal/trace). Like Metrics, tracing never influences scan
 	// behavior: samples are byte-identical with or without it.
@@ -295,9 +290,11 @@ type Config struct {
 	// scan's shards as already measured by an earlier run. The engine
 	// skips their work entirely — the journal layer replays their
 	// persisted samples into the sink beforehand — while still
-	// crediting their spans, counters, and outage accounting from the
-	// recorded loss reasons, so a resumed run's deterministic telemetry
-	// and coverage math match an uninterrupted run's exactly.
+	// crediting their counters and outage accounting from the recorded
+	// loss reasons, so a resumed run's deterministic telemetry and
+	// coverage math match an uninterrupted run's exactly. Skipped
+	// shards record no trace events: a resumed run's trace covers
+	// only the shards it executes.
 	Resume *Resume
 }
 

@@ -71,7 +71,7 @@ func closeUnit(tb *trace.Buffer, sh *shard, cfg Config, country string, samples 
 // recordFetch records one sample's "fetch" event. k is the sample's
 // ordinal within the unit (task-major), which keys the span ID.
 func recordFetch(tb *trace.Buffer, sh *shard, cfg Config, country, domain string, k int, s Sample, wallStart int64) {
-	ev := trace.NewEvent(tb.Ctx().Child("fetch", k), "fetch")
+	ev := trace.NewEvent(tb.Ctx().Child(trace.EventFetch, k), trace.EventFetch)
 	ev.Unit = sh.seq
 	ev.Country = country
 	ev.Phase = cfg.Phase

@@ -67,6 +67,73 @@ func TestTraceDeterminismAcrossConcurrency(t *testing.T) {
 	}
 }
 
+// TestTraceLimitKeepsStructure: with the tracer's limit below the
+// scan's fetch count, the capped trace is still a complete,
+// schedule-independent record. Its deterministic view — including
+// which fetch events survive and the drop tally — is byte-identical at
+// Concurrency 1 and 4, where runtime steal events interleave with the
+// stream, and every unit, outage, and scan event is kept.
+func TestTraceLimitKeepsStructure(t *testing.T) {
+	domains, countries := smallInputs(48)
+	tasks := skewedTasks(len(domains), len(countries))
+	mixed, _ := faults.Named("mixed")
+	dark, _ := faults.Named("dark")
+	run := func(conc, limit int) (*trace.Trace, *Result) {
+		t.Helper()
+		tr := trace.New(trace.Root(7)).WithLimit(limit)
+		cfg := testConfig()
+		cfg.Concurrency = conc
+		cfg.Trace = tr
+		inj := faults.New(42).Default(mixed).Country("IR", dark)
+		res, err := Scan(context.Background(), chaosNet(inj), domains, countries, tasks, cfg)
+		if err != nil {
+			t.Fatalf("concurrency %d: %v", conc, err)
+		}
+		return tr.Snapshot().Deterministic(), res
+	}
+	tally := func(tt *trace.Trace) map[string]int {
+		n := map[string]int{}
+		for _, ev := range tt.Events {
+			n[ev.Name]++
+		}
+		return n
+	}
+
+	full, res := run(1, 0) // 0 keeps DefaultLimit: nothing dropped
+	want := tally(full)
+	fetches := want[trace.EventFetch]
+	if full.Dropped != 0 || fetches == 0 || len(res.Outages) == 0 {
+		t.Fatalf("uncapped reference: dropped %d, %d fetch events, %d outages", full.Dropped, fetches, len(res.Outages))
+	}
+	for _, limit := range []int{fetches - 5, fetches - 50, fetches / 2} {
+		ref, _ := run(1, limit)
+		if ref.Dropped != int64(fetches-limit) {
+			t.Fatalf("limit %d: dropped %d, want %d", limit, ref.Dropped, fetches-limit)
+		}
+		got := tally(ref)
+		for _, name := range []string{"unit", "outage", "scan", "session.open", "sink.emit"} {
+			if got[name] != want[name] {
+				t.Fatalf("limit %d: kept %d %q events, want all %d", limit, got[name], name, want[name])
+			}
+		}
+		refJSON, err := ref.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 3; rep++ {
+			capped, _ := run(4, limit)
+			b, err := capped.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, refJSON) {
+				t.Fatalf("limit %d, rep %d: capped trace at concurrency 4 diverges from concurrency 1 (%d vs %d bytes)",
+					limit, rep, len(b), len(refJSON))
+			}
+		}
+	}
+}
+
 // TestTraceRuntimeEventsStripped: the raw stream contains runtime-class
 // steal events at high concurrency, and the deterministic view does
 // not — the same split the telemetry layer enforces.

@@ -38,12 +38,9 @@ func RunVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, tasks []T
 	}
 	_, journaling := sink.(ShardSink)
 
-	sp := startScanSpan(cfg)
 	scanCtx := ScanTraceCtx(cfg)
-	nameOf := func(sh *shard) string { return string(fleet[sh.group].Country) }
 	run := func(ctx context.Context, sh *shard) {
-		sh.country = nameOf(sh)
-		csp := sp.StartSpan(sh.country)
+		sh.country = string(fleet[sh.group].Country)
 		scfg := cfg
 		if journaling && cfg.Metrics != nil {
 			sh.staging = telemetry.NewWithClock(cfg.Metrics.Clock())
@@ -52,14 +49,10 @@ func RunVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, tasks []T
 		tb := unitBuffer(scanCtx, sh.seq, cfg)
 		sh.out = scanVPSShard(ctx, fleet[sh.group], domains, sh, scfg, tb)
 		sh.events = tb.Events()
-		csp.Outcome("ok") // no session layer: a VPS shard cannot be lost
-		csp.End()
 	}
-	creditSkipped(cfg, sp, shards[:skip], nameOf)
+	creditSkipped(cfg, skip)
 	em := newEmitter(sink, shards, skip, cfg.Metrics, cfg.Trace, scanCtx, cfg.Phase)
-	err = schedule(ctx, shards, skip, cfg.Concurrency, run, em)
-	sp.End()
-	if err != nil {
+	if err := schedule(ctx, shards, skip, cfg.Concurrency, run, em); err != nil {
 		return err
 	}
 	recordScanTail(cfg.Trace, scanCtx, cfg.Phase, nil, len(shards))

@@ -35,9 +35,9 @@ func wallTicker(every time.Duration) *time.Ticker {
 }
 
 // Virtual is a manually advanced clock pinned at the Unix epoch. It
-// only moves when Advance is called, so spans measured against it
-// record zero (or exactly the advanced) durations — the foundation of
-// byte-identical snapshots.
+// only moves when Advance is called, so durations measured against it
+// are zero (or exactly the advanced amount) — the foundation of
+// byte-identical snapshots and traces.
 type Virtual struct {
 	ns atomic.Int64 // nanoseconds since the epoch
 }

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestMergeReconstructsCounters is the resume-layer contract for the
@@ -36,53 +35,6 @@ func TestMergeReconstructsCounters(t *testing.T) {
 
 	if got, want := a.Snapshot().Text(), live.Snapshot().Text(); got != want {
 		t.Fatalf("merged registry differs from live recording:\n--- merged ---\n%s\n--- live ---\n%s", got, want)
-	}
-}
-
-// TestMergeAccumulatesSpans: span nodes fold by adding activation
-// counts, durations, and outcome tallies, recursing into children.
-func TestMergeAccumulatesSpans(t *testing.T) {
-	clk := NewVirtual()
-	r := NewWithClock(clk)
-	sp := r.StartSpan("scan")
-	c := sp.StartSpan("US")
-	clk.Advance(2 * time.Millisecond)
-	c.Outcome("ok")
-	c.End()
-	sp.End()
-
-	oclk := NewVirtual()
-	o := NewWithClock(oclk)
-	osp := o.StartSpan("scan")
-	oc := osp.StartSpan("US")
-	oclk.Advance(3 * time.Millisecond)
-	oc.Outcome("lost")
-	oc.End()
-	osp.End()
-
-	r.Merge(o.Snapshot())
-	snap := r.Snapshot()
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "scan" {
-		t.Fatalf("spans = %+v", snap.Spans)
-	}
-	scan := snap.Spans[0]
-	if scan.Count != 2 {
-		t.Fatalf("scan count = %d, want 2", scan.Count)
-	}
-	if len(scan.Children) != 1 {
-		t.Fatalf("children = %+v", scan.Children)
-	}
-	us := scan.Children[0]
-	if us.Count != 2 || us.TotalMicros != 5000 {
-		t.Fatalf("US child = %+v, want count 2 / 5000µs", us)
-	}
-	if len(us.Outcomes) != 2 {
-		t.Fatalf("outcomes = %+v, want ok and lost", us.Outcomes)
-	}
-	for _, oc := range us.Outcomes {
-		if oc.Count != 1 {
-			t.Fatalf("outcome %s count = %d, want 1", oc.Key, oc.Count)
-		}
 	}
 }
 
@@ -135,9 +87,6 @@ func TestMergeIsCommutative(t *testing.T) {
 		r := New()
 		r.Counter("c").Add(n)
 		r.Histogram("h", 0, 10, 5).Observe(float64(n % 10))
-		sp := r.StartSpan("root")
-		sp.Outcome("ok")
-		sp.End()
 		return r
 	}
 	ab, ba := mk(3), mk(7)

@@ -2,8 +2,7 @@
 // Prometheus-compatible collector speaks. The snapshot's flat metric
 // model maps directly — counters and gauges become series, labeled
 // names ("a.b{k=v}") become real label sets, histograms become the
-// cumulative _bucket/_sum/_count triple, and the span tree flattens
-// into two series keyed by a span path label.
+// cumulative _bucket/_sum/_count triple.
 package telemetry
 
 import (
@@ -40,12 +39,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "%s_sum%s %d\n", base, promLabels(labels), h.Sum)
 		fmt.Fprintf(&b, "%s_count%s %d\n", base, promLabels(labels), h.Total)
 	}
-	if len(s.Spans) > 0 {
-		b.WriteString("# TYPE geoblock_span_count counter\n")
-		writePromSpans(&b, s.Spans, "", "geoblock_span_count", func(sp SpanStats) int64 { return sp.Count })
-		b.WriteString("# TYPE geoblock_span_micros_total counter\n")
-		writePromSpans(&b, s.Spans, "", "geoblock_span_micros_total", func(sp SpanStats) int64 { return sp.TotalMicros })
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -72,17 +65,6 @@ func writePromFamilies(b *strings.Builder, ms []Metric, typ string) {
 		for _, s := range families[base] {
 			fmt.Fprintf(b, "%s%s %d\n", base, promLabels(s.labels), s.value)
 		}
-	}
-}
-
-func writePromSpans(b *strings.Builder, spans []SpanStats, prefix, metric string, val func(SpanStats) int64) {
-	for _, sp := range spans {
-		path := sp.Name
-		if prefix != "" {
-			path = prefix + "/" + sp.Name
-		}
-		fmt.Fprintf(b, "%s{span=%q} %d\n", metric, path, val(sp))
-		writePromSpans(b, sp.Children, path, metric, val)
 	}
 }
 

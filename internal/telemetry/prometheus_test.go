@@ -7,8 +7,8 @@ import (
 )
 
 // promRegistry builds a registry with one of everything the exposition
-// must render: a plain counter, a labeled counter family, a gauge, a
-// histogram, and a span with a child.
+// must render: a plain counter, a labeled counter family, a gauge, and
+// a histogram.
 func promRegistry() *Registry {
 	r := New()
 	r.Counter("scanner.fetch.attempts").Add(7)
@@ -19,9 +19,6 @@ func promRegistry() *Registry {
 	h.Observe(10)
 	h.Observe(60)
 	h.Observe(250) // out of range: lands only in +Inf
-	sp := r.StartSpan("study")
-	sp.StartSpan("scan").End()
-	sp.End()
 	return r
 }
 
@@ -44,8 +41,6 @@ func TestWritePrometheus(t *testing.T) {
 		`scanner_fetch_bytes_bucket{le="100"} 2`,
 		`scanner_fetch_bytes_bucket{le="+Inf"} 3`,
 		"scanner_fetch_bytes_count 3",
-		`geoblock_span_count{span="study"} 1`,
-		`geoblock_span_count{span="study/scan"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q;\n%s", want, out)

@@ -1,9 +1,9 @@
 // Snapshot export. A Snapshot is a point-in-time copy of a Registry
 // flattened into sorted slices — no maps survive into the export, so
 // both the text and JSON encodings are deterministic byte for byte.
-// Deterministic() further strips runtime-class metrics and zeroes span
-// durations, producing the view that must be identical across
-// Concurrency levels under the engine's determinism contract.
+// Deterministic() further strips runtime-class metrics, producing the
+// view that must be identical across Concurrency levels under the
+// engine's determinism contract.
 package telemetry
 
 import (
@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Metric is one exported counter or gauge value.
@@ -39,23 +38,6 @@ type HistogramStats struct {
 	Runtime    bool    `json:"runtime,omitempty"`
 }
 
-// SpanStats exports one span-tree node: activation count, total
-// duration in microseconds, outcome tallies, and children — all sorted
-// by name.
-type SpanStats struct {
-	Name        string        `json:"name"`
-	Count       int64         `json:"count"`
-	TotalMicros int64         `json:"total_micros"`
-	Outcomes    []OutcomeStat `json:"outcomes,omitempty"`
-	Children    []SpanStats   `json:"children,omitempty"`
-}
-
-// OutcomeStat is one outcome-key tally on a span node.
-type OutcomeStat struct {
-	Key   string `json:"key"`
-	Count int64  `json:"count"`
-}
-
 // Snapshot is a registry export. All slices are sorted by name, so two
 // snapshots of registries that recorded the same events encode to the
 // same bytes.
@@ -63,7 +45,6 @@ type Snapshot struct {
 	Counters   []Metric         `json:"counters"`
 	Gauges     []Metric         `json:"gauges"`
 	Histograms []HistogramStats `json:"histograms"`
-	Spans      []SpanStats      `json:"spans"`
 }
 
 // Snapshot exports the registry's current state. Safe to call while a
@@ -105,8 +86,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for _, name := range names {
 		snap.Histograms = append(snap.Histograms, r.hists[name].export(name))
 	}
-
-	snap.Spans = exportChildren(r.root)
 	return snap
 }
 
@@ -131,46 +110,10 @@ func (h *Histogram) export(name string) HistogramStats {
 	}
 }
 
-// exportChildren flattens a node's children, sorted by name.
-func exportChildren(n *node) []SpanStats {
-	type kid struct {
-		name string
-		n    *node
-	}
-	n.mu.Lock()
-	kids := make([]kid, 0, len(n.children))
-	for name, c := range n.children {
-		kids = append(kids, kid{name, c})
-	}
-	n.mu.Unlock()
-	sort.Slice(kids, func(i, j int) bool { return kids[i].name < kids[j].name })
-	var out []SpanStats
-	for _, k := range kids {
-		out = append(out, exportNode(k.name, k.n))
-	}
-	return out
-}
-
-func exportNode(name string, n *node) SpanStats {
-	n.mu.Lock()
-	s := SpanStats{Name: name, Count: n.count, TotalMicros: n.total.Microseconds()}
-	outs := make([]OutcomeStat, 0, len(n.outcomes))
-	for k, v := range n.outcomes {
-		outs = append(outs, OutcomeStat{Key: k, Count: v})
-	}
-	n.mu.Unlock()
-	sort.Slice(outs, func(i, j int) bool { return outs[i].Key < outs[j].Key })
-	if len(outs) > 0 {
-		s.Outcomes = outs
-	}
-	s.Children = exportChildren(n)
-	return s
-}
-
-// Deterministic returns a copy with runtime-class metrics removed and
-// all span durations zeroed: exactly the content that the determinism
-// contract promises is identical at any Concurrency. The chaos matrix
-// byte-compares this view across schedules.
+// Deterministic returns a copy with runtime-class metrics removed:
+// exactly the content that the determinism contract promises is
+// identical at any Concurrency. The chaos matrix byte-compares this
+// view across schedules.
 func (s *Snapshot) Deterministic() *Snapshot {
 	out := &Snapshot{}
 	for _, m := range s.Counters {
@@ -191,23 +134,11 @@ func (s *Snapshot) Deterministic() *Snapshot {
 		hc.Counts = append([]int(nil), h.Counts...)
 		out.Histograms = append(out.Histograms, hc)
 	}
-	out.Spans = zeroDurations(s.Spans)
-	return out
-}
-
-func zeroDurations(spans []SpanStats) []SpanStats {
-	out := make([]SpanStats, len(spans))
-	for i, s := range spans {
-		s.TotalMicros = 0
-		s.Outcomes = append([]OutcomeStat(nil), s.Outcomes...)
-		s.Children = zeroDurations(s.Children)
-		out[i] = s
-	}
 	return out
 }
 
 // WriteText writes the snapshot in its plain-text form: one metric per
-// line grouped into sections, spans as an indented tree.
+// line grouped into sections.
 func (s *Snapshot) WriteText(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("# counters\n")
@@ -229,8 +160,6 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 		}
 		b.WriteByte('\n')
 	}
-	b.WriteString("\n# spans\n")
-	writeSpans(&b, s.Spans, 0)
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -252,10 +181,7 @@ func (s *Snapshot) JSON() ([]byte, error) {
 }
 
 // WriteFile writes the snapshot to path: JSON when the name ends in
-// ".json", text otherwise. The write is atomic — the data lands in a
-// temp file in the same directory and renames over path — so a crash
-// mid-write (or a concurrent reader) never sees a half-written
-// snapshot, only the old file or the new one.
+// ".json", text otherwise. The write is atomic (see WriteFileAtomic).
 func (s *Snapshot) WriteFile(path string) error {
 	var data []byte
 	if strings.HasSuffix(path, ".json") {
@@ -267,6 +193,16 @@ func (s *Snapshot) WriteFile(path string) error {
 	} else {
 		data = []byte(s.Text())
 	}
+	return WriteFileAtomic(path, data)
+}
+
+// WriteFileAtomic replaces path with data, mode 0644. The data lands in
+// a temp file in the same directory, is synced, and renames over path,
+// so a crash mid-write (or a concurrent reader) never sees a
+// half-written file, only the old one or the new one. On error the temp
+// file is removed and path is untouched. Snapshots, traces, and the
+// journal's manifest all write through here.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
@@ -286,9 +222,8 @@ func (s *Snapshot) WriteFile(path string) error {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
-		return err
 	}
-	return nil
+	return err
 }
 
 func writeMetrics(b *strings.Builder, ms []Metric) {
@@ -300,29 +235,6 @@ func writeMetrics(b *strings.Builder, ms []Metric) {
 			b.WriteString(" (runtime)")
 		}
 		b.WriteByte('\n')
-	}
-}
-
-func writeSpans(b *strings.Builder, spans []SpanStats, depth int) {
-	for _, s := range spans {
-		for i := 0; i < depth; i++ {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(b, "%s n=%d total=%s", s.Name, s.Count,
-			(time.Duration(s.TotalMicros) * time.Microsecond).String())
-		for i, o := range s.Outcomes {
-			if i == 0 {
-				b.WriteString(" [")
-			} else {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(b, "%s=%d", o.Key, o.Count)
-			if i == len(s.Outcomes)-1 {
-				b.WriteByte(']')
-			}
-		}
-		b.WriteByte('\n')
-		writeSpans(b, s.Children, depth+1)
 	}
 }
 

@@ -6,17 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the snapshot golden files")
 
-// populate records a fixed set of events against a virtual clock, the
-// same way the engine would during a small scan. Everything here is
-// deterministic, so the snapshot must be byte-identical on every run.
+// populate records a fixed set of events the same way the engine
+// would during a small scan. Everything here is deterministic, so the
+// snapshot must be byte-identical on every run.
 func populate() *Registry {
-	clk := NewVirtual()
-	r := NewWithClock(clk)
+	r := New()
 
 	r.Counter("scanner.sched.shards_done").Add(6)
 	r.Counter(Label("scanner.fetch.results", "code", "ok")).Add(40)
@@ -31,21 +29,6 @@ func populate() *Registry {
 	h.Observe(612)
 	h.Observe(9000) // out of range
 	r.RuntimeHistogram("scanner.fetch.latency_ms", 0, 1000, 20).Observe(3.5)
-
-	study := r.StartSpan("pipeline/top10k")
-	scan := study.StartSpan("scan/top10k-initial")
-	for i := 0; i < 3; i++ {
-		c := scan.StartSpan("US")
-		clk.Advance(2 * time.Millisecond)
-		c.Outcome("ok")
-		c.End()
-	}
-	c := scan.StartSpan("IR")
-	clk.Advance(5 * time.Millisecond)
-	c.Outcome("dark-country")
-	c.End()
-	scan.End()
-	study.End()
 	return r
 }
 
@@ -112,18 +95,6 @@ func TestDeterministicStripsRuntime(t *testing.T) {
 			t.Fatalf("runtime histogram %s survived Deterministic", h.Name)
 		}
 	}
-	var walk func(spans []SpanStats)
-	walk = func(spans []SpanStats) {
-		for _, s := range spans {
-			if s.TotalMicros != 0 {
-				t.Fatalf("span %s kept a nonzero duration", s.Name)
-			}
-			walk(s.Children)
-		}
-	}
-	walk(det.Spans)
-	// The deterministic view of a wall-clocked registry equals the
-	// deterministic view of a virtual one recording the same events.
 	if len(det.Counters) == 0 || len(det.Histograms) == 0 {
 		t.Fatal("deterministic view lost deterministic-class metrics")
 	}
@@ -138,7 +109,7 @@ func TestJSONRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(b, &s); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
 	}
-	if len(s.Counters) == 0 || len(s.Spans) == 0 {
+	if len(s.Counters) == 0 || len(s.Histograms) == 0 {
 		t.Fatal("round-tripped snapshot lost content")
 	}
 }

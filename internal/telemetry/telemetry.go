@@ -1,7 +1,8 @@
-// Package telemetry is the engine's dependency-free observability
-// layer: a Registry of counters, gauges, and histograms plus span-style
-// phase tracing, threaded through every scanner layer, the fault
-// injector, and the pipeline phases.
+// Package telemetry is the engine's dependency-free metrics layer: a
+// Registry of counters, gauges, and histograms threaded through every
+// scanner layer, the fault injector, and the pipeline phases. Per-phase
+// and per-unit timing and outcomes live in the wide-event trace
+// (internal/trace), not here.
 //
 // Two metric classes coexist. Deterministic metrics are pure functions
 // of the scan inputs — retry tallies, ErrCode counts, injected-fault
@@ -33,16 +34,14 @@ import (
 	"geoblock/internal/stats"
 )
 
-// Registry holds a process's metrics and span tree. The zero value is
-// not usable; build one with New or NewWithClock. A nil *Registry is a
-// valid no-op receiver for every method.
+// Registry holds a process's metrics. The zero value is not usable;
+// build one with New or NewWithClock. A nil *Registry is a valid no-op
+// receiver for every method.
 type Registry struct {
-	// clock and root are set at construction and never reassigned:
-	// they sit above mu, outside the guarded set, because StartSpan
-	// and Merge follow the root pointer without the registry lock
-	// (node has its own).
+	// clock is set at construction and never reassigned: it sits above
+	// mu, outside the guarded set, because Now reads it without the
+	// registry lock.
 	clock Clock
-	root  *node
 
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -66,7 +65,6 @@ func NewWithClock(c Clock) *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		root:     &node{},
 	}
 }
 
@@ -90,8 +88,7 @@ func (r *Registry) Clock() Clock {
 }
 
 // Merge folds an exported snapshot back into the registry: counters and
-// histogram bins add, gauges take the snapshot's value, and span nodes
-// accumulate activation counts, durations, and outcome tallies. Metric
+// histogram bins add, and gauges take the snapshot's value. Metric
 // classes and histogram geometry apply on first registration, exactly
 // as with the live constructors; a histogram whose bin layout disagrees
 // with an already-registered one is folded into the out-of-range tally
@@ -114,25 +111,6 @@ func (r *Registry) Merge(s *Snapshot) {
 	}
 	for _, hs := range s.Histograms {
 		r.histogram(hs.Name, hs.Min, hs.Max, len(hs.Counts), hs.Runtime).merge(hs)
-	}
-	for _, sp := range s.Spans {
-		mergeSpan(r.root.child(sp.Name), sp)
-	}
-}
-
-func mergeSpan(n *node, s SpanStats) {
-	n.mu.Lock()
-	n.count += s.Count
-	n.total += time.Duration(s.TotalMicros) * time.Microsecond
-	if len(s.Outcomes) > 0 && n.outcomes == nil {
-		n.outcomes = map[string]int64{}
-	}
-	for _, o := range s.Outcomes {
-		n.outcomes[o.Key] += o.Count
-	}
-	n.mu.Unlock()
-	for _, c := range s.Children {
-		mergeSpan(n.child(c.Name), c)
 	}
 }
 

@@ -58,11 +58,9 @@ func TestNilReceiversNoOp(t *testing.T) {
 	if !r.Now().IsZero() {
 		t.Fatal("nil registry Now should be the zero time")
 	}
-	sp := r.StartSpan("a")
-	sp.Outcome("ok")
-	child := sp.StartSpan("b")
-	child.End()
-	sp.End()
+	if r.Clock() != nil {
+		t.Fatal("nil registry Clock should be nil")
+	}
 	if got := r.Snapshot().Text(); !strings.Contains(got, "# counters") {
 		t.Fatalf("nil registry snapshot should still render sections:\n%s", got)
 	}
@@ -71,48 +69,27 @@ func TestNilReceiversNoOp(t *testing.T) {
 	}
 }
 
-func TestVirtualClockAndSpanDurations(t *testing.T) {
+// TestRegistryClock: a registry reads time from the clock it was built
+// on — a Virtual clock moves only when advanced, starting at the epoch
+// — and hands that same clock to derived registries.
+func TestRegistryClock(t *testing.T) {
 	clk := NewVirtual()
 	r := NewWithClock(clk)
-	sp := r.StartSpan("phase")
+	if got := r.Now(); !got.Equal(time.Unix(0, 0)) {
+		t.Fatalf("virtual registry starts at %v, want the epoch", got)
+	}
 	clk.Advance(1500 * time.Microsecond)
-	sp.Outcome("ok")
-	sp.End()
-	snap := r.Snapshot()
-	if len(snap.Spans) != 1 {
-		t.Fatalf("want one span, got %+v", snap.Spans)
+	if got := r.Now().Sub(time.Unix(0, 0)); got != 1500*time.Microsecond {
+		t.Fatalf("after Advance the registry reads %v past the epoch, want 1.5ms", got)
 	}
-	if got := snap.Spans[0].TotalMicros; got != 1500 {
-		t.Fatalf("span duration = %dµs, want 1500", got)
+	if r.Clock() != Clock(clk) {
+		t.Fatal("Clock does not return the registry's clock")
 	}
-	det := snap.Deterministic()
-	if det.Spans[0].TotalMicros != 0 {
-		t.Fatal("Deterministic must zero span durations")
+	if d := NewWithClock(r.Clock()); !d.Now().Equal(r.Now()) {
+		t.Fatal("a registry derived from Clock reads a different time")
 	}
-	if len(det.Spans[0].Outcomes) != 1 || det.Spans[0].Outcomes[0].Key != "ok" {
-		t.Fatalf("Deterministic must keep outcomes: %+v", det.Spans[0].Outcomes)
-	}
-}
-
-func TestSpanTreeMerges(t *testing.T) {
-	r := New()
-	for i := 0; i < 3; i++ {
-		sp := r.StartSpan("scan")
-		c := sp.StartSpan("IR")
-		c.Outcome("dark")
-		c.End()
-		sp.End()
-	}
-	snap := r.Snapshot()
-	if len(snap.Spans) != 1 || snap.Spans[0].Count != 3 {
-		t.Fatalf("same-named spans must merge: %+v", snap.Spans)
-	}
-	kids := snap.Spans[0].Children
-	if len(kids) != 1 || kids[0].Name != "IR" || kids[0].Count != 3 {
-		t.Fatalf("child activations must merge too: %+v", kids)
-	}
-	if kids[0].Outcomes[0] != (OutcomeStat{Key: "dark", Count: 3}) {
-		t.Fatalf("outcome tally = %+v", kids[0].Outcomes)
+	if !New().Now().Equal(time.Unix(0, 0)) {
+		t.Fatal("New must default to a virtual clock at the epoch")
 	}
 }
 
@@ -126,9 +103,6 @@ func TestConcurrentUseIsRaceFree(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				r.Counter("c").Add(1)
 				r.Histogram("h", 0, 100, 10).Observe(float64(i))
-				sp := r.StartSpan("s")
-				sp.Outcome("ok")
-				sp.End()
 			}
 		}()
 	}
@@ -139,8 +113,8 @@ func TestConcurrentUseIsRaceFree(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 800 {
 		t.Fatalf("counter = %d, want 800", got)
 	}
-	if got := r.Snapshot().Spans[0].Count; got != 800 {
-		t.Fatalf("span count = %d, want 800", got)
+	if got := r.Snapshot().Histograms[0].Total; got != 800 {
+		t.Fatalf("histogram total = %d, want 800", got)
 	}
 }
 

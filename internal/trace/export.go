@@ -4,29 +4,34 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
+
+	"geoblock/internal/telemetry"
 )
 
 // Trace is a point-in-time export of a Tracer: the event stream in
-// recorded (canonical) order plus the drop tally.
+// recorded (canonical) order plus the tallies of events dropped past
+// the limit (see DefaultLimit). Dropped counts fetch events and is
+// deterministic, like the stream; RuntimeDropped counts runtime events
+// and, like them, depends on the schedule.
 type Trace struct {
-	Root    SpanCtx `json:"root"`
-	Events  []Event `json:"events"`
-	Dropped int64   `json:"dropped,omitempty"`
+	Root           SpanCtx `json:"root"`
+	Events         []Event `json:"events"`
+	Dropped        int64   `json:"dropped,omitempty"`
+	RuntimeDropped int64   `json:"runtime_dropped,omitempty"`
 }
 
 // Deterministic returns the view the engine's determinism contract
-// covers: runtime-class events removed, wall stamps zeroed. Everything
-// left — IDs, names, coordinates, outcomes, attrs, virtual stamps, and
-// the order itself — is a pure function of the scan inputs, so two
-// runs of the same scan produce byte-identical deterministic traces at
-// any Concurrency and any worker count.
+// covers: runtime-class events and their drop tally removed, wall
+// stamps zeroed. Everything left — IDs, names, coordinates, outcomes,
+// attrs, virtual stamps, and the order itself — is a pure function of
+// the scan inputs, so two runs of the same scan produce byte-identical
+// deterministic traces at any Concurrency and any worker count.
 func (t *Trace) Deterministic() *Trace {
 	out := &Trace{Root: t.Root, Dropped: t.Dropped}
 	for _, ev := range t.Events {
@@ -123,10 +128,13 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		ce.Args = args
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}
-	if t.Dropped > 0 {
+	if t.Dropped > 0 || t.RuntimeDropped > 0 {
+		args := map[string]string{"dropped": strconv.FormatInt(t.Dropped, 10)}
+		if t.RuntimeDropped > 0 {
+			args["runtime_dropped"] = strconv.FormatInt(t.RuntimeDropped, 10)
+		}
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "trace_dropped_events", Ph: "M", PID: 1,
-			Args: map[string]string{"dropped": strconv.FormatInt(t.Dropped, 10)},
+			Name: "trace_dropped_events", Ph: "M", PID: 1, Args: args,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -135,39 +143,22 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 
 // WriteFile writes the trace to path — Chrome JSON for ".json" paths
 // (the -trace flag's format), indented raw JSON otherwise. The write
-// is atomic: temp file in the same directory, then rename.
+// is atomic (telemetry.WriteFileAtomic).
 func (t *Trace) WriteFile(path string) error {
-	var b strings.Builder
+	var data []byte
 	if strings.HasSuffix(path, ".json") {
+		var b bytes.Buffer
 		if err := t.WriteChrome(&b); err != nil {
 			return err
 		}
+		data = b.Bytes()
 	} else {
-		data, err := t.JSON()
-		if err != nil {
+		var err error
+		if data, err = t.JSON(); err != nil {
 			return err
 		}
-		b.Write(data)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(tmp, b.String())
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp.Name(), 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	if err := telemetry.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("trace: writing %s: %w", path, err)
 	}
 	return nil

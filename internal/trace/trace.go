@@ -1,10 +1,11 @@
-// Package trace is the engine's wide-event tracing layer: the
-// per-event companion to internal/telemetry's aggregates. Where the
-// telemetry span tree answers "how long did phase X take in total",
-// a trace answers "what happened to unit 17" — each record is one
-// wide event carrying the trace/span identity, the phase, unit,
-// country, and outcome it describes, and dual virtual + wall
-// timestamps read through the telemetry Clock seam.
+// Package trace is the engine's wide-event tracing layer: the run's
+// one event record, next to internal/telemetry's counters and
+// histograms. It answers both "how long did stage X take" (the
+// pipeline/stage and pipeline/scan events) and "what happened to
+// unit 17" — each record is one wide event carrying the trace/span
+// identity, the phase, unit, country, and outcome it describes, and
+// dual virtual + wall timestamps read through the telemetry Clock
+// seam.
 //
 // Determinism is inherited from the engine's contract, not bolted on.
 // Trace and span IDs are pure functions of the scan inputs (world
@@ -97,7 +98,8 @@ type Event struct {
 	Span   ID `json:"span"`
 	Parent ID `json:"parent,omitempty"`
 	// Name is the event class: "fetch", "session.open", "unit",
-	// "sink.emit", "scan", "outage", "pipeline/scan", ...
+	// "sink.emit", "scan", "outage", "pipeline/scan",
+	// "pipeline/stage", ...
 	Name string `json:"name"`
 	// Phase is the scan phase (or journal key) the event belongs to.
 	Phase string `json:"phase,omitempty"`
@@ -119,6 +121,10 @@ type Event struct {
 	WallDurNS int64  `json:"wall_dur_ns,omitempty"`
 	Attrs     []Attr `json:"attrs,omitempty"`
 }
+
+// EventFetch names the per-sample event class: the one deterministic
+// class the Tracer's limit caps (see DefaultLimit).
+const EventFetch = "fetch"
 
 // NewEvent starts an event under ctx with the unit field parked at -1.
 // The caller fills coordinates and outcome, then hands it to a Buffer

@@ -73,21 +73,47 @@ func TestTracerRecordAppendAndLimit(t *testing.T) {
 		t.Fatalf("nil tracer not a no-op")
 	}
 
-	tr := New(Root(11)).WithLimit(3)
+	// The limit caps fetch events and, separately, runtime events;
+	// every other event is kept however many there are.
+	tr := New(Root(11)).WithLimit(2)
 	tr.Record(NewEvent(tr.Root(), "a"))
-	tr.Append([]Event{{Name: "b", Unit: 0}, {Name: "c", Unit: 1}, {Name: "d", Unit: 2}})
+	for i := 0; i < 3; i++ {
+		tr.Record(Event{Name: "steal", Unit: i, Runtime: true})
+	}
+	tr.Append([]Event{
+		{Name: EventFetch, Unit: 0}, {Name: EventFetch, Unit: 0}, {Name: EventFetch, Unit: 0},
+		{Name: "unit", Unit: 0}, {Name: "unit", Unit: 1}, {Name: "unit", Unit: 2},
+	})
 	snap := tr.Snapshot()
-	if len(snap.Events) != 3 {
-		t.Fatalf("limit not applied: %d events", len(snap.Events))
+	var names []string
+	for _, ev := range snap.Events {
+		names = append(names, ev.Name)
 	}
-	if snap.Dropped != 1 || tr.Dropped() != 1 {
-		t.Fatalf("dropped = %d / %d, want 1", snap.Dropped, tr.Dropped())
+	if got, want := strings.Join(names, " "), "a steal steal fetch fetch unit unit unit"; got != want {
+		t.Fatalf("kept %q, want %q", got, want)
 	}
-	if snap.Events[0].Name != "a" || snap.Events[2].Name != "c" {
-		t.Fatalf("order not preserved: %+v", snap.Events)
+	if snap.Dropped != 1 || tr.Dropped() != 1 || snap.RuntimeDropped != 1 {
+		t.Fatalf("dropped = %d / %d, runtime %d; want the 1 fetch and 1 steal event past the limit",
+			snap.Dropped, tr.Dropped(), snap.RuntimeDropped)
+	}
+	if det := snap.Deterministic(); det.Dropped != 1 || det.RuntimeDropped != 0 || len(det.Events) != 6 {
+		t.Fatalf("deterministic view: %d events, dropped %d, runtime %d; want 6, 1, 0",
+			len(det.Events), det.Dropped, det.RuntimeDropped)
+	}
+	var chrome bytes.Buffer
+	if err := snap.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(chrome.String(), `"args":{"dropped":"1","runtime_dropped":"1"}`) {
+		t.Fatalf("chrome export does not report both drop tallies:\n%s", chrome.String())
 	}
 	if snap.Events[0].Trace != tr.Root().Trace {
 		t.Fatalf("Record did not fill the trace ID")
+	}
+	var dump bytes.Buffer
+	tr.DumpFlight(&dump, "limits")
+	if !strings.Contains(dump.String(), "dropped=1 runtime_dropped=1") {
+		t.Fatalf("flight dump does not report both drop tallies:\n%s", dump.String())
 	}
 }
 

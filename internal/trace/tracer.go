@@ -11,10 +11,20 @@ import (
 	"geoblock/internal/telemetry"
 )
 
-// DefaultLimit bounds how many events a Tracer retains. Appends past
-// the limit are counted (Dropped) rather than kept, and the cap is
-// applied at the canonical merge point, so which events survive is as
-// deterministic as the stream itself.
+// DefaultLimit bounds the two unbounded event classes a Tracer
+// retains: per-sample "fetch" events, and runtime-class events. Every
+// other deterministic event — unit, session.open, sink.emit, outage,
+// scan, pipeline/* — is always kept, so a capped trace is still a
+// complete record of what each phase, stage, and unit did.
+//
+// Fetch events past the cap are counted (Trace.Dropped) rather than
+// kept. They arrive only through Append at the canonical merge point,
+// and runtime events draw on their own budget, so which fetch events
+// survive — and how many are dropped — is a pure function of the scan
+// inputs, like the rest of the deterministic view. Runtime events past
+// their budget (a long-lived worldd's slow-lookup exemplars) are
+// counted separately (Trace.RuntimeDropped) and never displace a
+// deterministic event.
 const DefaultLimit = 1 << 18
 
 // DefaultFlightSize is the flight recorder's ring capacity.
@@ -35,13 +45,18 @@ type Tracer struct {
 
 	mu      sync.Mutex
 	events  []Event
-	dropped int64
 	limit   int
 	ring    []Event // flight recorder: last DefaultFlightSize events
 	ringPos int
 	ringLen int
 	flight  io.Writer
 	dumps   int
+
+	// Per-class tallies against limit (see DefaultLimit).
+	fetches        int   // fetch events kept
+	dropped        int64 // fetch events past limit
+	runtimes       int   // runtime events kept
+	runtimeDropped int64 // runtime events past limit
 }
 
 // New builds a tracer rooted at ctx, on a virtual clock, with no wall
@@ -83,7 +98,7 @@ func (t *Tracer) WithFlightSink(w io.Writer) *Tracer {
 	return t
 }
 
-// WithLimit overrides the retained-event cap (tests shrink it).
+// WithLimit overrides DefaultLimit (tests shrink it).
 func (t *Tracer) WithLimit(n int) *Tracer {
 	if t == nil || n <= 0 {
 		return t
@@ -153,13 +168,23 @@ func (t *Tracer) Append(evs []Event) {
 	t.mu.Unlock()
 }
 
-// addLocked stores one event under mu: into the main buffer up to the
-// limit, and into the flight ring always.
+// addLocked stores one event under mu: into the main buffer unless
+// its class is over the limit (see DefaultLimit), and into the flight
+// ring always.
 func (t *Tracer) addLocked(ev Event) {
-	if len(t.events) < t.limit {
+	switch {
+	case ev.Runtime && t.runtimes >= t.limit:
+		t.runtimeDropped++
+	case ev.Runtime:
+		t.runtimes++
 		t.events = append(t.events, ev)
-	} else {
+	case ev.Name == EventFetch && t.fetches >= t.limit:
 		t.dropped++
+	case ev.Name == EventFetch:
+		t.fetches++
+		t.events = append(t.events, ev)
+	default:
+		t.events = append(t.events, ev)
 	}
 	t.ring[t.ringPos] = ev
 	t.ringPos = (t.ringPos + 1) % len(t.ring)
@@ -168,7 +193,7 @@ func (t *Tracer) addLocked(ev Event) {
 	}
 }
 
-// Dropped reports how many events fell past the limit.
+// Dropped reports how many fetch events fell past the limit.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
@@ -218,7 +243,7 @@ func (t *Tracer) DumpFlight(w io.Writer, reason string) {
 func (t *Tracer) dumpLocked(w io.Writer, reason string) {
 	t.dumps++
 	fmt.Fprintf(w, "== trace flight recorder: %s ==\n", reason)
-	fmt.Fprintf(w, "trace=%s events=%d dropped=%d\n", t.root.Trace, len(t.events), t.dropped)
+	fmt.Fprintf(w, "trace=%s events=%d dropped=%d runtime_dropped=%d\n", t.root.Trace, len(t.events), t.dropped, t.runtimeDropped)
 	// Oldest first: with a full ring the write position is the oldest
 	// entry.
 	start := 0
@@ -266,7 +291,7 @@ func (t *Tracer) Snapshot() *Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := &Trace{Root: t.root, Dropped: t.dropped}
+	out := &Trace{Root: t.root, Dropped: t.dropped, RuntimeDropped: t.runtimeDropped}
 	out.Events = append([]Event(nil), t.events...)
 	return out
 }

@@ -10,9 +10,9 @@ import (
 
 func testSource() Source {
 	return Source{
-		Version: 7,
-		Seed:    11,
-		Domains: []string{"news.example", "video.example", "shop.example", "mail.example"},
+		Version:   7,
+		Seed:      11,
+		Domains:   []string{"news.example", "video.example", "shop.example", "mail.example"},
 		Countries: []geo.CountryCode{"CN", "IR", "US", "DE"},
 		Entries: []Entry{
 			{Domain: "news.example", Country: "CN", Kind: blockpage.Censorship},
@@ -99,9 +99,11 @@ func TestCompileDedupsAndCollapsesDuplicates(t *testing.T) {
 
 func TestCompileRejectsBadEntries(t *testing.T) {
 	for name, mut := range map[string]func(*Source){
-		"unknown domain":   func(s *Source) { s.Entries[0].Domain = "absent.example" },
-		"unknown country":  func(s *Source) { s.Entries[0].Country = "ZZ" },
-		"conflicting kind": func(s *Source) { s.Entries = append(s.Entries, Entry{Domain: "news.example", Country: "CN", Kind: blockpage.Akamai}) },
+		"unknown domain":  func(s *Source) { s.Entries[0].Domain = "absent.example" },
+		"unknown country": func(s *Source) { s.Entries[0].Country = "ZZ" },
+		"conflicting kind": func(s *Source) {
+			s.Entries = append(s.Entries, Entry{Domain: "news.example", Country: "CN", Kind: blockpage.Akamai})
+		},
 		"kind out of wire range": func(s *Source) { s.Entries[0].Kind = blockpage.Kind(300) },
 	} {
 		src := testSource()

@@ -28,16 +28,16 @@ func tracedStudy(t *testing.T, conc int) []byte {
 
 // TestTraceMatrix is the tracing acceptance gate at study scope: the
 // deterministic trace of a full Top-10K study — every phase's unit,
-// fetch, session, emission, and pipeline event, in stream order — is
-// byte-identical at scan concurrency 1, 4, and 32, and identical again
-// when the study's residential phases are distributed over {1, 2, 4}
-// fabric workers, including runs where a worker is chaos-killed
-// mid-shard and its lease re-issued. One timeline, no matter how many
-// goroutines or processes produced it.
+// fetch, session, emission, and pipeline scan and stage event, in
+// stream order — is byte-identical at scan concurrency 1, 4, and 32,
+// and identical again when the study's residential phases are
+// distributed over {1, 2, 4} fabric workers, including runs where a
+// worker is chaos-killed mid-shard and its lease re-issued. One
+// timeline, no matter how many goroutines or processes produced it.
 func TestTraceMatrix(t *testing.T) {
 	ref := tracedStudy(t, 1)
 	for _, want := range []string{
-		`"name": "pipeline/scan"`, `"name": "scan"`, `"name": "unit"`,
+		`"name": "pipeline/stage"`, `"name": "pipeline/scan"`, `"name": "scan"`, `"name": "unit"`,
 		`"name": "fetch"`, `"name": "session.open"`, `"name": "sink.emit"`,
 	} {
 		if !bytes.Contains(ref, []byte(want)) {
