@@ -41,16 +41,6 @@
 #                coordinator plus three scanworker processes (one
 #                chaos-killed mid-shard) must journal byte-identically
 #                to a single-process run of the same scan
-#   make perf    regenerate the recorded perf trajectory (BENCH_9.json,
-#                schema geobench/3): samples/sec single-process vs
-#                1/2/4 fabric workers, allocs/sample, per-worker lease
-#                wait, resume replay speedup, ns/record wire encoding,
-#                and ns/lookup + allocs/lookup against the verdict
-#                snapshot
-#   make perf-diff  gate the fresh trajectory against the committed
-#                BENCH_7.json baseline: >15% regression in samples/sec,
-#                ns/lookup, or ns/record (or any allocation on the
-#                verdict serving path) fails the build
 #   make perfbench-test  vet and test the benchmark module (perfbench/,
 #                a nested module, so `go test ./...` never compiles it):
 #                it imports the scan engine's public seams, and a change
@@ -63,7 +53,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check lint lint-json race cover fuzz bench profile fabric-test perf perf-diff perfbench-test soak
+.PHONY: check fmt-check lint lint-json race cover fuzz bench profile fabric-test perfbench-test soak
 
 check: fmt-check
 	$(GO) build ./...
@@ -126,12 +116,6 @@ profile:
 
 fabric-test:
 	sh scripts/fabric_integration.sh
-
-perf:
-	$(GO) run ./cmd/geobench -out BENCH_9.json
-
-perf-diff:
-	$(GO) run ./scripts/benchdiff.go -base BENCH_7.json -new BENCH_9.json
 
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...

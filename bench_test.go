@@ -690,13 +690,6 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BenchmarkAblationDendrogram builds the full single-link hierarchy
 // over the outlier corpus and sweeps cut thresholds — the exploration
 // the paper's analysts did before settling on a cut.

@@ -58,6 +58,20 @@ func main() {
 	// histograms, and the registry backs the live endpoints below.
 	reg := telemetry.NewWithClock(telemetry.Wall{})
 
+	// One fault spec drives the in-process injector (instrumented) and,
+	// under -fabric, every worker's.
+	var faultSpec *geoblock.FabricFaultSpec
+	var inj *faults.Injector
+	if *faultsFlag != "" {
+		faultSpec = &geoblock.FabricFaultSpec{Seed: *faultSeed, Profile: *faultsFlag, Country: strings.ToUpper(*faultCountry)}
+		var err error
+		if inj, err = faultSpec.Injector(); err != nil {
+			fmt.Fprintf(os.Stderr, "geoscan: %v\n", err)
+			os.Exit(2)
+		}
+		inj.Instrument(reg)
+	}
+
 	if *resume && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "geoscan: -resume requires -store")
 		os.Exit(2)
@@ -97,14 +111,7 @@ func main() {
 		wcfg := geoblock.DefaultWorldConfig()
 		wcfg.Seed = *seed
 		wcfg.Scale = *scale
-		spec := geoblock.FabricStudySpec{World: wcfg}
-		if *faultsFlag != "" {
-			spec.Faults = &geoblock.FabricFaultSpec{
-				Seed:    *faultSeed,
-				Profile: *faultsFlag,
-				Country: strings.ToUpper(*faultCountry),
-			}
-		}
+		spec := geoblock.FabricStudySpec{World: wcfg, Faults: faultSpec}
 		coord = geoblock.NewFabric(geoblock.FabricOptions{Study: spec, Metrics: reg, Trace: tracer})
 		ln, lerr := stdnet.Listen("tcp", *fabricAddr)
 		if lerr != nil {
@@ -146,52 +153,16 @@ func main() {
 	})
 	defer stopProgress()
 
-	if *faultsFlag != "" {
-		profile, ok := faults.Named(*faultsFlag)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "geoscan: unknown fault profile %q (have: %s)\n",
-				*faultsFlag, strings.Join(faults.Names(), ", "))
-			os.Exit(2)
-		}
-		inj := faults.New(*faultSeed).Instrument(reg)
-		if *faultCountry != "" {
-			inj.Country(geoblock.CountryCode(strings.ToUpper(*faultCountry)), profile)
-		} else {
-			inj.Default(profile)
-		}
+	if inj != nil {
 		sys.Net().SetFaults(inj)
 		fmt.Fprintf(os.Stderr, "geoscan: chaos profile %q (seed %d) active\n", *faultsFlag, *faultSeed)
 	}
 
 	runTop10K := func() {
-		r := sys.RunTop10K(geoblock.Top10KConfig{})
-		papertables.PrintCoverage(out, "top10k initial snapshot", r.Outages, r.Coverage)
-		papertables.FindingsSummary(out, r)
-		papertables.PrintTable1(out, analysis.BuildTable1(r))
-		rows, total := analysis.BuildTable2(r)
-		papertables.PrintTable2(out, rows, total)
-		papertables.PrintTable3(out, analysis.BuildTable3(sys.World, r.Findings))
-		papertables.PrintCategoryRates(out, "Table 4: Geoblocked sites by category (Top 10K)",
-			analysis.BuildCategoryRates(sys.World, analysis.RespondingDomains(r.Initial), r.Findings))
-		papertables.PrintTable5(out, sys.World.Geo, analysis.BuildTable5(sys.World, r.Findings))
-		papertables.PrintCountryCDN(out, "Table 6: Geoblocking among Top 10K sites, by country",
-			sys.World.Geo, analysis.BuildCountryCDNTable(r.Findings), 10)
-		papertables.PrintProviderRates(out, "Per-provider geoblock rates (§4.2.1)",
-			analysis.BuildProviderRates(papertables.ProviderCountsFromWorld(sys.World), r.Findings))
+		papertables.PrintTop10K(out, sys.World, sys.RunTop10K(geoblock.Top10KConfig{}))
 	}
-
 	runTop1M := func() {
-		r := sys.RunTop1M(geoblock.Top1MConfig{})
-		papertables.PrintCoverage(out, "top1m snapshot", r.Outages, r.Coverage)
-		fmt.Fprintf(out, "Top 1M: %d customers discovered, %d eligible, %d sampled, %d explicit findings\n\n",
-			r.Discovered.Total(), r.EligibleCount, len(r.TestDomains), len(r.ExplicitFindings))
-		papertables.PrintCountryCDN(out, "Table 7: Geoblocking among Top 1M sites, by country",
-			sys.World.Geo, analysis.BuildCountryCDNTable(r.ExplicitFindings), 10)
-		papertables.PrintCategoryRates(out, "Table 8: Geoblocked sites by top category (Top 1M)",
-			analysis.BuildCategoryRates(sys.World, analysis.RespondingDomains(r.Initial), r.ExplicitFindings))
-		papertables.PrintProviderRates(out, "Per-provider geoblock rates (§5.2.1)",
-			analysis.BuildProviderRates(r.TestedPerProvider, r.ExplicitFindings))
-		papertables.PrintNonExplicit(out, r)
+		papertables.PrintTop1M(out, sys.World, sys.RunTop1M(geoblock.Top1MConfig{}))
 	}
 
 	runExtensions := func() {

@@ -90,20 +90,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lumscan: metrics on http://%s/debug/metrics\n", *metricsAddr)
 	}
 
+	// One fault spec drives the in-process injector (instrumented) and,
+	// under -serve-fabric, every worker's.
+	var faultSpec *geoblock.FabricFaultSpec
 	if *faultsFlag != "" {
-		profile, ok := faults.Named(*faultsFlag)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "lumscan: unknown fault profile %q (have: %s)\n",
-				*faultsFlag, strings.Join(faults.Names(), ", "))
+		faultSpec = &geoblock.FabricFaultSpec{Seed: *faultSeed, Profile: *faultsFlag, Country: strings.ToUpper(*faultCountry)}
+		inj, ferr := faultSpec.Injector()
+		if ferr != nil {
+			fmt.Fprintf(os.Stderr, "lumscan: %v\n", ferr)
 			os.Exit(2)
 		}
-		inj := faults.New(*faultSeed).Instrument(reg)
-		if *faultCountry != "" {
-			inj.Country(geo.CountryCode(strings.ToUpper(*faultCountry)), profile)
-		} else {
-			inj.Default(profile)
-		}
-		net.SetFaults(inj)
+		net.SetFaults(inj.Instrument(reg))
 		fmt.Fprintf(os.Stderr, "lumscan: chaos profile %q (seed %d) active\n", *faultsFlag, *faultSeed)
 	}
 
@@ -112,11 +109,7 @@ func main() {
 	// byte-identical; only the fetching moves.
 	var coord *geoblock.FabricCoordinator
 	if *serveFabric != "" {
-		spec := geoblock.FabricStudySpec{World: wcfg}
-		if *faultsFlag != "" {
-			profile := geoblock.FabricFaultSpec{Seed: *faultSeed, Profile: *faultsFlag, Country: strings.ToUpper(*faultCountry)}
-			spec.Faults = &profile
-		}
+		spec := geoblock.FabricStudySpec{World: wcfg, Faults: faultSpec}
 		coord = geoblock.NewFabric(geoblock.FabricOptions{Study: spec, Metrics: reg, Trace: tracer})
 		coord.BindWorld(sys.World)
 		ln, lerr := stdnet.Listen("tcp", *serveFabric)
@@ -302,27 +295,18 @@ func (c *cliSink) EmitCoverage(cov lumscan.Coverage) {
 // -store directory reused with different inputs errors instead of
 // splicing two different scans. Concurrency is deliberately absent.
 func scanFingerprint(seed uint64, scale float64, domains []string, countries []geo.CountryCode, samples int, zgrab bool) uint64 {
-	h := fnv("lumscan-cli")
+	h := stats.Hash("lumscan-cli")
 	h = stats.Mix64(h ^ seed)
 	h = stats.Mix64(h ^ math.Float64bits(scale))
 	for _, d := range domains {
-		h = stats.Mix64(h ^ fnv(d))
+		h = stats.Mix64(h ^ stats.Hash(d))
 	}
 	for _, c := range countries {
-		h = stats.Mix64(h ^ fnv(string(c)))
+		h = stats.Mix64(h ^ stats.Hash(string(c)))
 	}
 	h = stats.Mix64(h ^ uint64(samples))
 	if zgrab {
 		h = stats.Mix64(h ^ 1)
-	}
-	return h
-}
-
-func fnv(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
 	}
 	return h
 }

@@ -13,9 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"geoblock/internal/analysis"
 	"geoblock/internal/faults"
-	"geoblock/internal/papertables"
 	"geoblock/internal/telemetry"
 )
 
@@ -109,13 +107,7 @@ func fabricRun(t *testing.T, store *RunStore, reg *telemetry.Registry, tr *Trace
 		}
 	}
 
-	var tables bytes.Buffer
-	papertables.PrintCoverage(&tables, "top10k initial snapshot", r.Outages, r.Coverage)
-	papertables.PrintTable1(&tables, analysis.BuildTable1(r))
-	rows, total := analysis.BuildTable2(r)
-	papertables.PrintTable2(&tables, rows, total)
-	papertables.PrintTable5(&tables, s.World.Geo, analysis.BuildTable5(s.World, r.Findings))
-	return r, tables.String(), reg.Snapshot().Deterministic().Text()
+	return r, paperTables(s, r), reg.Snapshot().Deterministic().Text()
 }
 
 // journalFiles reads every file of a run journal directory into a map
@@ -156,13 +148,7 @@ func TestFabricMatrix(t *testing.T) {
 		reg := telemetry.New()
 		s := New(Options{World: &wcfg, Metrics: reg})
 		r := s.RunTop10K(Top10KConfig{Concurrency: conc})
-		var tables bytes.Buffer
-		papertables.PrintCoverage(&tables, "top10k initial snapshot", r.Outages, r.Coverage)
-		papertables.PrintTable1(&tables, analysis.BuildTable1(r))
-		rows, total := analysis.BuildTable2(r)
-		papertables.PrintTable2(&tables, rows, total)
-		papertables.PrintTable5(&tables, s.World.Geo, analysis.BuildTable5(s.World, r.Findings))
-		if tables.String() != refTables {
+		if paperTables(s, r) != refTables {
 			t.Fatalf("in-process study at concurrency %d diverges from default", conc)
 		}
 		if snap := reg.Snapshot().Deterministic().Text(); snap != refSnap {

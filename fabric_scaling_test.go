@@ -63,9 +63,9 @@ func timedFabricStudy(t *testing.T, nWorkers int) time.Duration {
 	return elapsed
 }
 
-// TestFabricScalesWithWorkers is the regression gate for the BENCH_6
-// finding: per-unit leasing made every fabric configuration slower than
-// a single worker (4 workers ran ~43% behind), because each tiny unit
+// TestFabricScalesWithWorkers guards against the per-unit leasing
+// regression, which made every fabric configuration slower than a
+// single worker (4 workers ran ~43% behind), because each tiny unit
 // cost a full coordinator round trip. With batched lease grants, adding
 // a worker must actually help: 2 workers have to beat 1 on the same
 // bench workload (the matrixWorld Top-10K study). Best-of-N absorbs

@@ -15,9 +15,11 @@
 //	    fmt.Printf("%s blocked in %s by %v\n", f.DomainName, f.Country, f.Kind)
 //	}
 //
-// The heavy lifting lives in the internal packages (see DESIGN.md for
-// the map); this package is the stable entry point that the example
-// programs, the command-line tools and the benchmark harness share.
+// The Example functions (ExampleSystem_RunTop10K and the rest) show
+// the facade with output that go test checks. The heavy lifting lives
+// in the internal packages (see DESIGN.md for the map); this package
+// is the stable entry point that the command-line tools and the
+// benchmark share.
 package geoblock
 
 import (

@@ -171,7 +171,7 @@ func (id *Identifier) classifyDomain(stack *vnet.Stack, res *vnet.Resolver, d *w
 	// Header probe over the redirect chain (manual chain walk so every
 	// hop's headers are inspected, per §5.1.1).
 	url := "http://" + d.Name + "/"
-	seed := stats.Mix64(hashStr(d.Name) ^ 0x1d3)
+	seed := stats.Mix64(stats.Hash(d.Name) ^ 0x1d3)
 	for hop := 0; hop < 10; hop++ {
 		req, err := http.NewRequestWithContext(
 			vnet.WithSampleSeed(context.Background(), seed), http.MethodHead, url, nil)
@@ -252,13 +252,4 @@ func (id *Identifier) NSPopulations(lo, hi int) map[worldgen.Provider][]int {
 func inRanges(ip geo.IP, rs []geo.Range) bool {
 	i := sort.Search(len(rs), func(i int) bool { return rs[i].Hi > ip })
 	return i < len(rs) && ip >= rs[i].Lo
-}
-
-func hashStr(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -78,7 +78,7 @@ func Check(d *worldgen.Domain, loc geo.Location) Mechanism {
 		return BlockPage
 	}
 	// Stable draw per (country, domain).
-	h := stats.Mix64(hash(string(loc.Country)) ^ hash(d.Name))
+	h := stats.Mix64(stats.Hash(string(loc.Country)) ^ stats.Hash(d.Name))
 	x := float64(h>>11) / (1 << 53)
 	switch {
 	case x < mix[0]:
@@ -96,13 +96,4 @@ func Check(d *worldgen.Domain, loc geo.Location) Mechanism {
 func CensorsAnything(cc geo.CountryCode) bool {
 	_, ok := mechanismMix[cc]
 	return ok
-}
-
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -11,7 +11,9 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 
+	"geoblock/internal/faults"
 	"geoblock/internal/geo"
 	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
@@ -39,6 +41,20 @@ type FaultSpec struct {
 	// Country scopes the profile to one country; empty applies it as
 	// the default for all.
 	Country string `json:"country,omitempty"`
+}
+
+// Injector builds the uninstrumented fault injector the spec names, or
+// errors when this binary does not know the profile.
+func (f FaultSpec) Injector() (*faults.Injector, error) {
+	prof, ok := faults.Named(f.Profile)
+	if !ok {
+		return nil, fmt.Errorf("unknown fault profile %q (have: %s)", f.Profile, strings.Join(faults.Names(), ", "))
+	}
+	inj := faults.New(f.Seed)
+	if f.Country != "" {
+		return inj.Country(geo.CountryCode(f.Country), prof), nil
+	}
+	return inj.Default(prof), nil
 }
 
 // StudySpec is everything a worker needs to rebuild the coordinator's
@@ -145,8 +161,8 @@ const (
 // round trip. Units are small (a shard of ~32 tasks executes in
 // milliseconds on the simulated net), so per-unit leasing makes the
 // coordinator round trip the dominant cost and workers spend their
-// time waiting on HTTP instead of scanning — the BENCH_6 regression.
-// Batching amortizes one round trip over K units.
+// time waiting on HTTP instead of scanning. Batching amortizes one
+// round trip over K units.
 const DefaultLeaseBatch = 16
 
 // MaxLeaseBatch caps what a single request may ask for, so one greedy

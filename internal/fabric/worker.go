@@ -14,8 +14,6 @@ import (
 	"strconv"
 	"time"
 
-	"geoblock/internal/faults"
-	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/runstore"
 	"geoblock/internal/scanner"
@@ -100,21 +98,15 @@ func NewWorker(ctx context.Context, opts WorkerOptions) (*Worker, error) {
 	}
 	w.world = worldgen.Generate(spec.World)
 	w.net = proxy.NewNetwork(w.world)
-	if f := spec.Faults; f != nil {
-		prof, ok := faults.Named(f.Profile)
-		if !ok {
-			return nil, fmt.Errorf("fabric: study names unknown fault profile %q", f.Profile)
-		}
+	if spec.Faults != nil {
 		// The injector stays uninstrumented on workers: fault verdicts are
 		// pure functions of (seed, arguments) so every process draws the
 		// same faults, but instrumenting them here would stage fault
 		// counters into unit snapshots that an in-process run records only
 		// once, globally — and the journal bytes would diverge.
-		inj := faults.New(f.Seed)
-		if f.Country != "" {
-			inj.Country(geo.CountryCode(f.Country), prof)
-		} else {
-			inj.Default(prof)
+		inj, err := spec.Faults.Injector()
+		if err != nil {
+			return nil, fmt.Errorf("fabric: study names %w", err)
 		}
 		w.net.SetFaults(inj)
 	}

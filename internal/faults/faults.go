@@ -135,7 +135,7 @@ func (in *Injector) profile(cc geo.CountryCode) Profile {
 // injector seed, a label, and the keys — the only randomness source in
 // the package.
 func (in *Injector) draw(label string, keys ...uint64) float64 {
-	h := in.seed ^ hashString(label)
+	h := in.seed ^ stats.Hash(label)
 	for _, k := range keys {
 		h = stats.Mix64(h ^ k)
 	}
@@ -148,7 +148,7 @@ func (in *Injector) Brownout(cc geo.CountryCode, slot uint64, attempt int) bool 
 	if p.Brownout <= 0 {
 		return false
 	}
-	if in.draw("brownout", hashString(string(cc)), slot) >= p.Brownout {
+	if in.draw("brownout", stats.Hash(string(cc)), slot) >= p.Brownout {
 		return false
 	}
 	length := p.BrownoutLen
@@ -168,7 +168,7 @@ func (in *Injector) ExitDark(cc geo.CountryCode, exit geo.IP) bool {
 	if p.DarkExits <= 0 {
 		return false
 	}
-	fired := in.draw("dark", hashString(string(cc)), uint64(exit)) < p.DarkExits
+	fired := in.draw("dark", stats.Hash(string(cc)), uint64(exit)) < p.DarkExits
 	if fired {
 		in.count("dark", string(cc))
 	}
@@ -181,7 +181,7 @@ func (in *Injector) Churned(cc geo.CountryCode, exit geo.IP, served int) bool {
 	if p.Churn <= 0 {
 		return false
 	}
-	if in.draw("churn", hashString(string(cc)), uint64(exit)) >= p.Churn {
+	if in.draw("churn", stats.Hash(string(cc)), uint64(exit)) >= p.Churn {
 		return false
 	}
 	deathAt := 1 + int(stats.Mix64(in.seed^0xc4a12b^uint64(exit))%churnSpan)
@@ -203,7 +203,7 @@ func (in *Injector) StoreCrash(span int64) func(written int64) bool {
 	if span < 1 {
 		span = 1
 	}
-	at := 1 + int64(stats.Mix64(in.seed^hashString("kill-mid-write"))%uint64(span))
+	at := 1 + int64(stats.Mix64(in.seed^stats.Hash("kill-mid-write"))%uint64(span))
 	return func(written int64) bool {
 		fired := written >= at
 		if fired {
@@ -224,7 +224,7 @@ func (in *Injector) WorkerDeath(span int64) func(executed int64) bool {
 	if span < 1 {
 		span = 1
 	}
-	at := 1 + int64(stats.Mix64(in.seed^hashString("worker-death"))%uint64(span))
+	at := 1 + int64(stats.Mix64(in.seed^stats.Hash("worker-death"))%uint64(span))
 	return func(executed int64) bool {
 		fired := executed >= at
 		if fired {
@@ -241,7 +241,7 @@ func (in *Injector) Request(cc geo.CountryCode, exit geo.IP, host string, seed u
 	if p.ExitFailure <= 0 && p.Stall <= 0 && p.Truncate <= 0 {
 		return proxy.FaultNone
 	}
-	u := in.draw("request", uint64(exit), hashString(host), seed)
+	u := in.draw("request", uint64(exit), stats.Hash(host), seed)
 	switch {
 	case u < p.ExitFailure:
 		in.count("exitdown", string(cc))
@@ -294,13 +294,4 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func hashString(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

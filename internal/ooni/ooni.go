@@ -127,7 +127,7 @@ func Synthesize(w *worldgen.World, cfg Config) *Corpus {
 }
 
 func measureCountry(w *worldgen.World, cls *fingerprint.Classifier, torStack *vnet.Stack, cc geo.CountryCode, domains []string, perPair int) []Measurement {
-	ip, err := w.Geo.HostIP(cc, stats.Mix64(hash(string(cc)))%100000)
+	ip, err := w.Geo.HostIP(cc, stats.Mix64(stats.Hash(string(cc)))%100000)
 	if err != nil {
 		return nil
 	}
@@ -136,7 +136,7 @@ func measureCountry(w *worldgen.World, cls *fingerprint.Classifier, torStack *vn
 	for _, domain := range domains {
 		for k := 0; k < perPair; k++ {
 			m := Measurement{Domain: domain, Country: cc}
-			seed := stats.Mix64(hash(domain) ^ hash(string(cc)) ^ uint64(k+1))
+			seed := stats.Mix64(stats.Hash(domain) ^ stats.Hash(string(cc)) ^ uint64(k+1))
 
 			status, kind, lerr := fetch(local, cls, domain, seed, false)
 			m.LocalErr = lerr
@@ -271,13 +271,4 @@ func Analyze(w *worldgen.World, corpus *Corpus) *Analysis {
 	a.GeoblockDomains = len(geoDomains)
 	a.CensorCountriesWithCases = len(censorCountriesWith)
 	return a
-}
-
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

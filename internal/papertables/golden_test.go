@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"geoblock/internal/analysis"
 	"geoblock/internal/cfrules"
 	"geoblock/internal/geo"
 	"geoblock/internal/lumscan"
@@ -17,9 +16,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// TestPaperTablesGolden regenerates every paper table from a fixed
-// world and diffs the rendered output against the canonical copy under
-// testdata/. Table-math regressions — a changed denominator, a
+// TestPaperTablesGolden renders the top10k, top1m and cfrules studies
+// through the same Print functions geoscan calls, from a fixed world,
+// and diffs the output against the canonical copy under testdata/.
+// Table-math regressions — a changed denominator, a
 // reordered row, a broken percentage — fail loudly here instead of
 // drifting silently. Refresh intentionally with:
 //
@@ -29,25 +29,8 @@ func TestPaperTablesGolden(t *testing.T) {
 	s := pipeline.New(w)
 
 	var buf bytes.Buffer
-	r := s.RunTop10K(pipeline.Top10KConfig{})
-	PrintCoverage(&buf, "top10k initial snapshot", r.Outages, r.Coverage)
-	FindingsSummary(&buf, r)
-	PrintTable1(&buf, analysis.BuildTable1(r))
-	rows, total := analysis.BuildTable2(r)
-	PrintTable2(&buf, rows, total)
-	PrintTable3(&buf, analysis.BuildTable3(w, r.Findings))
-	PrintCategoryRates(&buf, "Table 4: Geoblocked sites by category (Top 10K)",
-		analysis.BuildCategoryRates(w, analysis.RespondingDomains(r.Initial), r.Findings))
-	PrintTable5(&buf, w.Geo, analysis.BuildTable5(w, r.Findings))
-	PrintCountryCDN(&buf, "Table 6: Geoblocking among Top 10K sites, by country",
-		w.Geo, analysis.BuildCountryCDNTable(r.Findings), 10)
-
-	r1m := s.RunTop1M(pipeline.Top1MConfig{})
-	PrintCountryCDN(&buf, "Table 7: Geoblocking among Top 1M sites, by country",
-		w.Geo, analysis.BuildCountryCDNTable(r1m.ExplicitFindings), 10)
-	PrintCategoryRates(&buf, "Table 8: Geoblocked sites by top category (Top 1M)",
-		analysis.BuildCategoryRates(w, analysis.RespondingDomains(r1m.Initial), r1m.ExplicitFindings))
-
+	PrintTop10K(&buf, w, s.RunTop10K(pipeline.Top10KConfig{}))
+	PrintTop1M(&buf, w, s.RunTop1M(pipeline.Top1MConfig{}))
 	PrintCloudflareTable9(&buf, w.Geo, cfrules.Synthesize(w.Cfg.Seed, w.Cfg.Scale))
 
 	compareGolden(t, "tables.golden", buf.Bytes())

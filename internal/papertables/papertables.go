@@ -1,7 +1,7 @@
 // Package papertables renders the analysis package's structured tables
 // and figures in the paper's layout: one Print function per table and
-// figure, shared by the command-line tools, the examples, and the
-// benchmark harness.
+// figure, shared by geoscan and mktables. PrintTop10K and PrintTop1M
+// are geoscan's output for those studies, which the tables golden pins.
 package papertables
 
 import (
@@ -267,6 +267,41 @@ func FindingsSummary(w io.Writer, r *pipeline.Top10KResult) {
 		len(r.Findings), unique, len(countries), r.Eliminated, 100*r.Config.Threshold)
 }
 
+// PrintTop10K renders a Top-10K run as geoscan prints it: the
+// snapshot's coverage, the headline numbers, Tables 1–6, and the
+// §4.2.1 per-provider rates.
+func PrintTop10K(w io.Writer, world *worldgen.World, r *pipeline.Top10KResult) {
+	PrintCoverage(w, "top10k initial snapshot", r.Outages, r.Coverage)
+	FindingsSummary(w, r)
+	PrintTable1(w, analysis.BuildTable1(r))
+	rows, total := analysis.BuildTable2(r)
+	PrintTable2(w, rows, total)
+	PrintTable3(w, analysis.BuildTable3(world, r.Findings))
+	PrintCategoryRates(w, "Table 4: Geoblocked sites by category (Top 10K)",
+		analysis.BuildCategoryRates(world, analysis.RespondingDomains(r.Initial), r.Findings))
+	PrintTable5(w, world.Geo, analysis.BuildTable5(world, r.Findings))
+	PrintCountryCDN(w, "Table 6: Geoblocking among Top 10K sites, by country",
+		world.Geo, analysis.BuildCountryCDNTable(r.Findings), 10)
+	PrintProviderRates(w, "Per-provider geoblock rates (§4.2.1)",
+		analysis.BuildProviderRates(ProviderCountsFromWorld(world), r.Findings))
+}
+
+// PrintTop1M renders a Top-1M run as geoscan prints it: the snapshot's
+// coverage, the discovery summary, Tables 7 and 8, the §5.2.1
+// per-provider rates, and the §5.2.2 non-explicit table.
+func PrintTop1M(w io.Writer, world *worldgen.World, r *pipeline.Top1MResult) {
+	PrintCoverage(w, "top1m snapshot", r.Outages, r.Coverage)
+	fmt.Fprintf(w, "Top 1M: %d customers discovered, %d eligible, %d sampled, %d explicit findings\n\n",
+		r.Discovered.Total(), r.EligibleCount, len(r.TestDomains), len(r.ExplicitFindings))
+	PrintCountryCDN(w, "Table 7: Geoblocking among Top 1M sites, by country",
+		world.Geo, analysis.BuildCountryCDNTable(r.ExplicitFindings), 10)
+	PrintCategoryRates(w, "Table 8: Geoblocked sites by top category (Top 1M)",
+		analysis.BuildCategoryRates(world, analysis.RespondingDomains(r.Initial), r.ExplicitFindings))
+	PrintProviderRates(w, "Per-provider geoblock rates (§5.2.1)",
+		analysis.BuildProviderRates(r.TestedPerProvider, r.ExplicitFindings))
+	PrintNonExplicit(w, r)
+}
+
 // ProviderCountsFromWorld tallies each CDN's Top-10K customer counts —
 // the denominators of §4.2.1.
 func ProviderCountsFromWorld(w *worldgen.World) map[worldgen.Provider]int {
@@ -279,13 +314,6 @@ func ProviderCountsFromWorld(w *worldgen.World) map[worldgen.Provider]int {
 		}
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PrintClusterSummaries renders the manual-examination view of the
@@ -307,13 +335,6 @@ func PrintClusterSummaries(w io.Writer, summaries []pipeline.ClusterSummary, top
 	}
 	report.Table(w, fmt.Sprintf("Cluster examination (§4.1.3): top %d of %d clusters", min(topN, len(summaries)), len(summaries)),
 		[]string{"#", "Pages", "Label", "Example domain", "Bytes"}, rows)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // PrintTimeouts renders the timeout-geoblocking extension results.

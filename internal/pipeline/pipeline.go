@@ -365,23 +365,14 @@ func (s *Study) phaseKey(name string) string {
 // to change. A journal directory reused across different study
 // configurations fails this check instead of splicing foreign samples.
 func (s *Study) scanFingerprint(key string, cfg lumscan.Config, domains, groups, tasks int) uint64 {
-	h := fnv("geoblock-scan")
+	h := stats.Hash("geoblock-scan")
 	h = stats.Mix64(h ^ s.World.Cfg.Seed)
-	h = stats.Mix64(h ^ fnv(key))
-	h = stats.Mix64(h ^ fnv(cfg.Phase))
+	h = stats.Mix64(h ^ stats.Hash(key))
+	h = stats.Mix64(h ^ stats.Hash(cfg.Phase))
 	h = stats.Mix64(h ^ uint64(domains))
 	h = stats.Mix64(h ^ uint64(groups)<<16)
 	h = stats.Mix64(h ^ uint64(tasks)<<32)
 	h = stats.Mix64(h ^ uint64(cfg.Samples)<<48)
-	return h
-}
-
-func fnv(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
 	return h
 }
 

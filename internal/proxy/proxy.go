@@ -325,7 +325,7 @@ func (s *Session) Probe(p vnet.Probe) (vnet.Reply, error) {
 	s.used++
 
 	host := trimHost(p.Host)
-	rng := stats.NewRNG(stats.Mix64(p.Seed) ^ uint64(e.IP) ^ hash(host))
+	rng := stats.NewRNG(stats.Mix64(p.Seed) ^ uint64(e.IP) ^ stats.Hash(host))
 
 	// Injected faults sit in front of the mesh's organic error
 	// structure, so a chaos run layers on top of (never replaces) the
@@ -368,7 +368,7 @@ func (s *Session) Probe(p vnet.Probe) (vnet.Reply, error) {
 	// Corporate firewalls block a stable slice of domains for the
 	// machines behind them (the paper's suspected source of local
 	// interference, §4.2).
-	if e.CorporateFirewall && stats.Mix64(hash(host)^uint64(e.IP))%100 < 4 {
+	if e.CorporateFirewall && stats.Mix64(stats.Hash(host)^uint64(e.IP))%100 < 4 {
 		return vnet.Reply{}, &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by local filter"}
 	}
 
@@ -396,22 +396,13 @@ func pathUnreachable(cc geo.CountryCode, host string, db *geo.DB) bool {
 			rate = 80
 		}
 	}
-	h := stats.Mix64(hash(string(cc)) ^ hash(host) ^ 0x9a7)
+	h := stats.Mix64(stats.Hash(string(cc)) ^ stats.Hash(host) ^ 0x9a7)
 	return h%1000 < rate
 }
 
 func trimHost(h string) string {
 	if len(h) > 4 && h[:4] == "www." {
 		return h[4:]
-	}
-	return h
-}
-
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
 	}
 	return h
 }

@@ -153,10 +153,3 @@ func Itoa(n int) string { return fmt.Sprintf("%d", n) }
 
 // PctStr formats a fraction as a percentage with one decimal.
 func PctStr(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

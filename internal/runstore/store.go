@@ -138,6 +138,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts.withDefaults(), phases: map[string]*phaseState{}}
+	// Nothing else holds s yet, so the lock is uncontended; taking it
+	// keeps recovery inside the mu discipline every other method obeys.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	segs, err := s.listSegments()
 	if err != nil {
 		return nil, err
@@ -148,7 +152,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		return s, nil
 	}
-	if err := s.recoverFrom(segs); err != nil {
+	if err := s.recoverFromLocked(segs); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -192,8 +196,7 @@ func (s *Store) listSegments() ([]string, error) {
 func segName(i int) string { return fmt.Sprintf("seg-%08d.log", i) }
 
 // createSegmentLocked starts segment index i as the new tail and
-// rewrites the manifest to match. Callers hold s.mu (or, during Open,
-// own the store exclusively before it is published).
+// rewrites the manifest to match. Callers hold s.mu.
 func (s *Store) createSegmentLocked(i int) error {
 	name := segName(i)
 	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -225,9 +228,9 @@ func (s *Store) writeManifestLocked() error {
 	return telemetry.WriteFileAtomic(filepath.Join(s.dir, manifestName), []byte(b.String()))
 }
 
-// recoverFrom rebuilds the index from the listed segments and
-// truncates the journal to its commit point.
-func (s *Store) recoverFrom(segs []string) error {
+// recoverFromLocked rebuilds the index from the listed segments and
+// truncates the journal to its commit point. Callers hold s.mu.
+func (s *Store) recoverFromLocked(segs []string) error {
 	// Commit point: segment index + byte offset just past the last
 	// non-sample record (those are the fsync'd ones).
 	commitSeg, commitOff := 0, int64(len(segMagic))
@@ -240,7 +243,7 @@ func (s *Store) recoverFrom(segs []string) error {
 				orphans++
 				return nil
 			}
-			if err := s.applyRecord(rec); err != nil {
+			if err := s.applyRecordLocked(rec); err != nil {
 				return err
 			}
 			commitSeg, commitOff = i, end
@@ -346,8 +349,9 @@ func (s *Store) scanSegment(name string, apply func(rec Record, end int64) error
 	}
 }
 
-// applyRecord folds one committed record into the in-memory index.
-func (s *Store) applyRecord(rec Record) error {
+// applyRecordLocked folds one committed record into the in-memory
+// index. Callers hold s.mu.
+func (s *Store) applyRecordLocked(rec Record) error {
 	switch rec.Type {
 	case recPhaseBegin:
 		if s.phases[rec.Key] != nil {
@@ -357,7 +361,7 @@ func (s *Store) applyRecord(rec Record) error {
 		s.phases[rec.Key] = ph
 		s.byID = append(s.byID, ph)
 	case recCheckpoint:
-		ph, err := s.phaseByID(rec.Phase)
+		ph, err := s.phaseByIDLocked(rec.Phase)
 		if err != nil {
 			return err
 		}
@@ -367,7 +371,7 @@ func (s *Store) applyRecord(rec Record) error {
 		}
 		ph.checkpoints = append(ph.checkpoints, rec.Checkpoint)
 	case recPhaseDone:
-		ph, err := s.phaseByID(rec.Phase)
+		ph, err := s.phaseByIDLocked(rec.Phase)
 		if err != nil {
 			return err
 		}
@@ -376,7 +380,7 @@ func (s *Store) applyRecord(rec Record) error {
 		// Accounting records are audit data: resume recomputes outages
 		// and coverage from the checkpoints' loss reasons, so recovery
 		// only validates the phase reference.
-		if _, err := s.phaseByID(rec.Phase); err != nil {
+		if _, err := s.phaseByIDLocked(rec.Phase); err != nil {
 			return err
 		}
 	default:
@@ -385,7 +389,7 @@ func (s *Store) applyRecord(rec Record) error {
 	return nil
 }
 
-func (s *Store) phaseByID(id int) (*phaseState, error) {
+func (s *Store) phaseByIDLocked(id int) (*phaseState, error) {
 	if id < 0 || id >= len(s.byID) {
 		return nil, fmt.Errorf("runstore: record references unknown phase %d", id)
 	}

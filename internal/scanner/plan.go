@@ -131,13 +131,13 @@ func (p *Plan) Units() []WorkUnit {
 // contents (domain strings and country indices) and the sampling
 // parameters that shape its output.
 func (p *Plan) unitFingerprint(sh *shard) uint64 {
-	h := hash("geoblock-unit")
-	h = stats.Mix64(h ^ hash(string(p.countries[sh.group])))
-	h = stats.Mix64(h ^ hash(p.cfg.Phase))
+	h := stats.Hash("geoblock-unit")
+	h = stats.Mix64(h ^ stats.Hash(string(p.countries[sh.group])))
+	h = stats.Mix64(h ^ stats.Hash(p.cfg.Phase))
 	h = stats.Mix64(h ^ uint64(sh.index)<<1 ^ sh.slot)
 	h = stats.Mix64(h ^ uint64(p.cfg.Samples)<<8 ^ uint64(p.cfg.Retries)<<16)
 	for _, t := range sh.tasks {
-		h = stats.Mix64(h ^ hash(p.domains[t.Domain]) ^ uint64(uint16(t.Country))<<32)
+		h = stats.Mix64(h ^ stats.Hash(p.domains[t.Domain]) ^ uint64(uint16(t.Country))<<32)
 	}
 	return h
 }
@@ -147,7 +147,7 @@ func (p *Plan) unitFingerprint(sh *shard) uint64 {
 // A coordinator and a worker whose plan fingerprints agree will agree
 // on every unit.
 func (p *Plan) Fingerprint() uint64 {
-	h := hash("geoblock-plan")
+	h := stats.Hash("geoblock-plan")
 	h = stats.Mix64(h ^ uint64(len(p.domains)) ^ uint64(len(p.countries))<<20)
 	h = stats.Mix64(h ^ uint64(p.cfg.ShardSize) ^ uint64(p.cfg.RequestsPerExit)<<16 ^ uint64(p.cfg.MaxRedirects)<<32)
 	h = stats.Mix64(h ^ uint64(p.cfg.Bodies)<<4)
@@ -160,7 +160,7 @@ func (p *Plan) Fingerprint() uint64 {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		h = stats.Mix64(h ^ hash(k) ^ hash(p.cfg.Headers[k])<<1)
+		h = stats.Mix64(h ^ stats.Hash(k) ^ stats.Hash(p.cfg.Headers[k])<<1)
 	}
 	for _, sh := range p.shards {
 		h = stats.Mix64(h ^ p.unitFingerprint(sh))

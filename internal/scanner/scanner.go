@@ -424,14 +424,5 @@ func CrossProduct(nDomains, nCountries int) []Task {
 
 // sampleSeed derives the deterministic per-sample seed.
 func sampleSeed(domain, country, phase string, attempt int) uint64 {
-	return stats.Mix64(hash(domain) ^ hash(country)<<1 ^ hash(phase)<<2 ^ uint64(attempt+1)*0x100000001b3)
-}
-
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	return stats.Mix64(stats.Hash(domain) ^ stats.Hash(country)<<1 ^ stats.Hash(phase)<<2 ^ uint64(attempt+1)*0x100000001b3)
 }

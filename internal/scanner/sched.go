@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 
+	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
@@ -62,7 +63,7 @@ func buildShards(byGroup [][]Task, shardSize int, slotFor func(group int16, inde
 // shard index) — the determinism anchor: a shard lands on the same
 // exits no matter which worker runs it, or when.
 func shardSlot(country, phase string, index int) uint64 {
-	return hash(country + "/" + phase + "/" + strconv.Itoa(index))
+	return stats.Hash(country + "/" + phase + "/" + strconv.Itoa(index))
 }
 
 // deque is one worker's shard queue. The owner pops from the front

@@ -37,6 +37,18 @@ func (r *RNG) Fork(label string) *RNG {
 // bit mixer for deriving per-item seeds from counters.
 func Mix64(z uint64) uint64 { return mix(z) }
 
+// Hash is the 64-bit FNV-1a hash of s: the one string hash behind every
+// deterministic seed and draw keyed by a name. It is small enough to
+// inline, so per-sample callers pay no call or interface dispatch.
+func Hash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 func mix(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -59,7 +59,7 @@ func (c SpanCtx) Child(name string, k int) SpanCtx {
 	if !c.Valid() {
 		return SpanCtx{}
 	}
-	h := stats.Mix64(uint64(c.Span) ^ fnv(name))
+	h := stats.Mix64(uint64(c.Span) ^ stats.Hash(name))
 	h = stats.Mix64(h ^ (uint64(k)+1)*0x9e3779b97f4a7c15)
 	return SpanCtx{Trace: c.Trace, Span: ID(h)}
 }
@@ -67,7 +67,7 @@ func (c SpanCtx) Child(name string, k int) SpanCtx {
 // Root derives a run's root context from the world seed. Trace and
 // span start out equal: the root span is the trace.
 func Root(seed uint64) SpanCtx {
-	id := ID(stats.Mix64(seed ^ fnv("geoblock-trace")))
+	id := ID(stats.Mix64(seed ^ stats.Hash("geoblock-trace")))
 	if id == 0 {
 		id = 1 // the zero ID is the off switch; never hand it out
 	}
@@ -204,13 +204,4 @@ func (b *Buffer) Events() []Event {
 		return nil
 	}
 	return b.events
-}
-
-func fnv(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

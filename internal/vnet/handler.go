@@ -49,7 +49,7 @@ func Handler(w *worldgen.World) http.Handler {
 			ClientIP:   ip,
 			Header:     req.Header,
 			Clock:      w.Clock(),
-			SampleSeed: stats.Mix64(uint64(ip) ^ hash(host)),
+			SampleSeed: stats.Mix64(uint64(ip) ^ stats.Hash(host)),
 		})
 		for k, vs := range resp.Header() {
 			for _, v := range vs {

@@ -237,7 +237,7 @@ func ProbeOf(req *http.Request, src geo.IP) Probe {
 	host := req.URL.Hostname()
 	seed, ok := SampleSeed(req.Context())
 	if !ok {
-		seed = stats.Mix64(hash(strings.ToLower(host)) ^ uint64(src))
+		seed = stats.Mix64(stats.Hash(strings.ToLower(host)) ^ uint64(src))
 	}
 	return Probe{Scheme: req.URL.Scheme, Host: host, Path: req.URL.Path, Seed: seed, Header: req.Header}
 }
@@ -351,12 +351,3 @@ func (b *lazyBody) Read(p []byte) (int, error) {
 }
 
 func (b *lazyBody) Close() error { return nil }
-
-func hash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"geoblock/internal/analysis"
 	"geoblock/internal/faults"
 	"geoblock/internal/papertables"
 	"geoblock/internal/runstore"
@@ -19,13 +18,15 @@ func resumeRun(t *testing.T, store *RunStore, reg *telemetry.Registry) (*Top10KR
 	t.Helper()
 	s := New(Options{Scale: 0.02, Seed: 11, Metrics: reg, Store: store})
 	r := s.RunTop10K(Top10KConfig{})
-	var tables bytes.Buffer
-	papertables.PrintCoverage(&tables, "top10k initial snapshot", r.Outages, r.Coverage)
-	papertables.PrintTable1(&tables, analysis.BuildTable1(r))
-	rows, total := analysis.BuildTable2(r)
-	papertables.PrintTable2(&tables, rows, total)
-	papertables.PrintTable5(&tables, s.World.Geo, analysis.BuildTable5(s.World, r.Findings))
-	return r, tables.String(), reg.Snapshot().Deterministic().Text()
+	return r, paperTables(s, r), reg.Snapshot().Deterministic().Text()
+}
+
+// paperTables renders a Top-10K run's tables exactly as geoscan prints
+// them.
+func paperTables(s *System, r *Top10KResult) string {
+	var b bytes.Buffer
+	papertables.PrintTop10K(&b, s.World, r)
+	return b.String()
 }
 
 // TestStudyResumeAfterCrash is the end-to-end resume contract: kill the
