@@ -29,9 +29,10 @@
 #                fault-injection layer, the telemetry layer, the journal
 #                (runstore), the verdict edge, and the lint suite
 #   make fuzz    short-budget fuzz pass over the hostile-input decoders:
-#                the journal's record decoder, the blockpage signature
+#                the journal's record decoder, the fabric's shard-frame
+#                decoder and completion handler, the blockpage signature
 #                matcher, and the verdict snapshot codec (one
-#                `go test -fuzz` invocation per package; the corpus
+#                `go test -fuzz` invocation per target; the corpus
 #                seeds still run under plain `make check`)
 #   make bench   the scan engine benchmarks (collect vs streaming,
 #                sharded vs one-worker-per-country, instrumented vs bare)
@@ -103,6 +104,8 @@ FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test ./internal/runstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/runstore -run FuzzDecodeShardFrames -fuzz FuzzDecodeShardFrames -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric -run FuzzCompleteHandler -fuzz FuzzCompleteHandler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/blockpage -run FuzzMatchSignature -fuzz FuzzMatchSignature -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verdict -run FuzzDecodeSnapshot -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 

@@ -164,10 +164,7 @@ func main() {
 	cfg.Samples = *samples
 	cfg.Phase = "cli"
 	cfg.Metrics = reg
-	if tracer != nil {
-		cfg.Trace = tracer
-		cfg.TraceWall = tracer.WallClock()
-	}
+	cfg.Trace = tracer
 	if *zgrab {
 		cfg.Headers = lumscan.ZGrabHeaders()
 	}

@@ -21,14 +21,16 @@
 //	   └──── TTL expiry ──┘  (re-issue; late completes still accepted)
 //
 // Completions are validated (CRC-framed records, unit fingerprint,
-// checkpoint shape) and accepted from expired leases too — the work is
-// deterministic, so whoever finishes first wins and everyone else is a
-// duplicate.
+// checkpoint shape, and through scanner.Assembly the payload against
+// its unit's canonical task order) and accepted from expired leases
+// too — the work is deterministic, so whoever finishes first wins and
+// everyone else is a duplicate.
 package fabric
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,6 +56,10 @@ const (
 	MetCompletes  = "fabric.units_completed"
 	MetDuplicates = "fabric.duplicate_completes"
 	MetStale      = "fabric.stale_lease_completes"
+	// MetRejected counts every completion answered 400: a malformed
+	// request, a payload that fails to decode, or a result that is not
+	// its unit's output (scanner.ErrBadCompletion).
+	MetRejected = "fabric.rejected_completes"
 )
 
 // DefaultLeaseTTL bounds how long a worker may sit on a unit before
@@ -193,7 +199,6 @@ func (c *Coordinator) RunPhase(ctx context.Context, domains []string, countries 
 		// `lumscan -serve-fabric -trace` captures the whole study without
 		// the caller threading a tracer through every phase config.
 		cfg.Trace = c.opts.Trace
-		cfg.TraceWall = c.opts.Trace.WallClock()
 	}
 	plan := scanner.NewPlan(domains, countries, tasks, cfg)
 	asm, err := scanner.NewAssembly(plan, sink)
@@ -447,29 +452,36 @@ func (c *Coordinator) handleExtend(w http.ResponseWriter, r *http.Request) {
 // handleComplete accepts one executed unit: CRC-framed sample and
 // checkpoint records in the body, identity in the query string. The
 // unit folds through the Assembly under the coordinator lock, so sink
-// delivery (and journaling) stays strictly serialized.
+// delivery (and journaling) stays strictly serialized. The Assembly
+// checks the payload against its unit before anything else — before
+// the duplicate check too — so no completion that is not its unit's
+// output is ever answered 200 as accepted or duplicate.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
+	reject := func(msg string) {
+		c.count(MetRejected)
+		http.Error(w, msg, http.StatusBadRequest)
+	}
 	q := r.URL.Query()
 	phaseID, err1 := strconv.Atoi(q.Get("phase"))
 	seq, err2 := strconv.Atoi(q.Get("seq"))
 	lease, err3 := strconv.ParseUint(q.Get("lease"), 10, 64)
 	fp, err4 := strconv.ParseUint(q.Get("fp"), 10, 64)
 	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-		http.Error(w, "fabric: bad complete parameters", http.StatusBadRequest)
+		reject("fabric: bad complete parameters")
 		return
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		http.Error(w, "fabric: reading completion: "+err.Error(), http.StatusBadRequest)
+		reject("fabric: reading completion: " + err.Error())
 		return
 	}
 	samples, cp, err := runstore.DecodeShardFrames(body)
 	if err != nil {
-		http.Error(w, "fabric: rejecting completion: "+err.Error(), http.StatusBadRequest)
+		reject("fabric: rejecting completion: " + err.Error())
 		return
 	}
 	if cp.Seq != seq {
-		http.Error(w, fmt.Sprintf("fabric: checkpoint seq %d does not match completion seq %d", cp.Seq, seq), http.StatusBadRequest)
+		reject(fmt.Sprintf("fabric: checkpoint seq %d does not match completion seq %d", cp.Seq, seq))
 		return
 	}
 	res := scanner.UnitResult{Samples: samples, Lost: cp.Lost}
@@ -478,7 +490,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// events (see unitPayload) — transport only, never journaled.
 		var pl unitPayload
 		if err := json.Unmarshal(cp.Metrics, &pl); err != nil {
-			http.Error(w, "fabric: bad completion metrics: "+err.Error(), http.StatusBadRequest)
+			reject("fabric: bad completion metrics: " + err.Error())
 			return
 		}
 		res.Metrics = &pl.Snapshot
@@ -494,11 +506,16 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	u := ph.units[seq]
 	if u == nil {
-		http.Error(w, fmt.Sprintf("fabric: unit %d is not pending in phase %d", seq, phaseID), http.StatusBadRequest)
+		reject(fmt.Sprintf("fabric: unit %d is not pending in phase %d", seq, phaseID))
 		return
 	}
 	if want := ph.plan.Unit(seq).Fingerprint; want != fp {
 		http.Error(w, fmt.Sprintf("fabric: unit %d fingerprint %x does not match plan's %x — worker built a different world", seq, fp, want), http.StatusConflict)
+		return
+	}
+	err = ph.asm.Complete(seq, res)
+	if errors.Is(err, scanner.ErrBadCompletion) {
+		reject("fabric: " + err.Error())
 		return
 	}
 	var wallNS int64
@@ -514,18 +531,18 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, Ack{OK: true, Status: "duplicate"})
 		return
 	}
+	if err != nil {
+		http.Error(w, "fabric: "+err.Error(), http.StatusConflict)
+		return
+	}
+	outcome := "ok"
 	if !u.leased || u.lease != lease {
 		// The lease expired and was re-issued, but this worker finished
 		// anyway. The result is just as valid — first completion wins.
 		c.count(MetStale)
-		ph.leaseEvent("unit.complete", seq, worker, "stale-lease", wallNS)
-	} else {
-		ph.leaseEvent("unit.complete", seq, worker, "ok", wallNS)
+		outcome = "stale-lease"
 	}
-	if err := ph.asm.Complete(seq, res); err != nil {
-		http.Error(w, "fabric: "+err.Error(), http.StatusConflict)
-		return
-	}
+	ph.leaseEvent("unit.complete", seq, worker, outcome, wallNS)
 	u.completed = true
 	ph.remaining--
 	c.count(MetCompletes)

@@ -361,6 +361,126 @@ func TestCompleteIdempotency(t *testing.T) {
 	}
 }
 
+// badCompletions encodes the four completions a faulty worker could
+// send for a unit whose genuine result is res: the first sample naming
+// domain index 2^30, the first sample naming country index 999, one of
+// the unit's samples alone, and loss reason 200. Each is well framed
+// and goes out under the unit's own fingerprint, so only the
+// coordinator's unit check can tell it from the real thing.
+func badCompletions(t testing.TB, unit scanner.WorkUnit, res scanner.UnitResult) [][]byte {
+	t.Helper()
+	variant := func(edit func(*scanner.UnitResult)) []byte {
+		bad := res
+		bad.Samples = append([]scanner.Sample(nil), res.Samples...)
+		edit(&bad)
+		b, err := completionBody(unit, bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	return [][]byte{
+		variant(func(r *scanner.UnitResult) { r.Samples[0].Domain = 1 << 30 }),
+		variant(func(r *scanner.UnitResult) { r.Samples[0].Country = 999 }),
+		variant(func(r *scanner.UnitResult) { r.Samples = r.Samples[:1] }),
+		variant(func(r *scanner.UnitResult) { r.Lost = 200 }),
+	}
+}
+
+// TestCompleteRejectsForeignPayloads: completions that carry the
+// unit's fingerprint but not its output are answered 400 and counted,
+// and leave the unit pending — the genuine completion that follows is
+// accepted, and the phase output equals the in-process reference.
+func TestCompleteRejectsForeignPayloads(t *testing.T) {
+	domains, countries, tasks, cfg := fabricInputs()
+	reg := telemetry.New()
+	cfg.Metrics = reg
+	coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}, LeaseTTL: -1, Metrics: reg})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	ctx := context.Background()
+	col := &scanner.Collect{}
+	var wg sync.WaitGroup
+	phaseErr := make(chan error, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		phaseErr <- coord.RunPhase(ctx, domains, countries, tasks, cfg, col)
+	}()
+
+	w := &Worker{opts: WorkerOptions{Coordinator: srv.URL, Name: "probe"}, client: http.DefaultClient, world: testWorld, net: testNet}
+	var g LeaseGrant
+	for g.Status != StatusUnit {
+		if err := w.postJSON(ctx, PathLease, LeaseRequest{Worker: "probe"}, &g); err != nil {
+			t.Fatalf("lease: %v", err)
+		}
+		runtime.Gosched()
+	}
+	if _, err := w.ensurePhase(ctx, g.Phase); err != nil {
+		t.Fatalf("ensurePhase: %v", err)
+	}
+	post := func(seq int, body []byte) (int, string) {
+		t.Helper()
+		url := fmt.Sprintf("%s%s?phase=%d&seq=%d&lease=0&fp=%d&worker=probe", srv.URL, PathComplete, g.Phase, seq, w.plan.Unit(seq).Fingerprint)
+		resp, err := http.Post(url, "application/octet-stream", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatalf("post complete: %v", err)
+		}
+		defer resp.Body.Close()
+		var ack Ack
+		if resp.StatusCode == http.StatusOK {
+			_ = readJSON(resp, &ack)
+		}
+		return resp.StatusCode, ack.Status
+	}
+	execute := func(seq int) (scanner.WorkUnit, scanner.UnitResult) {
+		t.Helper()
+		res, err := w.plan.ExecuteUnit(ctx, testNet, seq)
+		if err != nil {
+			t.Fatalf("ExecuteUnit(%d): %v", seq, err)
+		}
+		return w.plan.Unit(seq), res
+	}
+
+	seq := g.Units[0].Seq
+	unit, res := execute(seq)
+	if len(res.Samples) != 16 {
+		t.Fatalf("unit %d carries %d samples; the bad completions model a 16-sample unit", seq, len(res.Samples))
+	}
+	for i, body := range badCompletions(t, unit, res) {
+		if code, status := post(seq, body); code != http.StatusBadRequest {
+			t.Fatalf("bad completion %d answered %d/%q, want 400", i, code, status)
+		}
+	}
+	if n := reg.RuntimeCounter(MetRejected).Value(); n != 4 {
+		t.Fatalf("%s = %d after 4 rejections", MetRejected, n)
+	}
+	for s := 0; s < w.plan.NumUnits(); s++ {
+		unit, res := execute(s)
+		body, err := completionBody(unit, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, status := post(s, body); code != http.StatusOK || status != "" {
+			t.Fatalf("genuine completion of unit %d answered %d/%q", s, code, status)
+		}
+	}
+	if err := <-phaseErr; err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	coord.FinishStudy()
+	wg.Wait()
+
+	ref, refSnap := runReference(t, 4)
+	if !reflect.DeepEqual(col, ref) {
+		t.Fatal("phase output diverges from the in-process reference")
+	}
+	if snap := reg.Snapshot().Deterministic().Text(); snap != refSnap {
+		t.Fatalf("deterministic snapshots diverge:\n%s\n---\n%s", snap, refSnap)
+	}
+}
+
 func readJSON(resp *http.Response, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -368,11 +488,7 @@ func readJSON(resp *http.Response, out any) error {
 // TestConfigWireRejections: process-local seams must not silently drop
 // on the wire.
 func TestConfigWireRejections(t *testing.T) {
-	cfg := scanner.Config{KeepBody: func(int, int) bool { return true }}
-	if _, err := NewConfigWire(cfg); err == nil {
-		t.Fatal("ConfigWire accepted a KeepBody func")
-	}
-	cfg = scanner.Config{WrapTransport: func(rt http.RoundTripper) http.RoundTripper { return rt }}
+	cfg := scanner.Config{WrapTransport: func(rt http.RoundTripper) http.RoundTripper { return rt }}
 	if _, err := NewConfigWire(cfg); err == nil {
 		t.Fatal("ConfigWire accepted a WrapTransport middleware")
 	}

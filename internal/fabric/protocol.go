@@ -80,12 +80,8 @@ type ConfigWire struct {
 }
 
 // NewConfigWire extracts the serializable subset of cfg, erroring on
-// configs the fabric cannot ship: a custom KeepBody func (use
-// Config.Bodies) or a WrapTransport middleware.
+// a config the fabric cannot ship: one with a WrapTransport middleware.
 func NewConfigWire(cfg scanner.Config) (ConfigWire, error) {
-	if cfg.KeepBody != nil {
-		return ConfigWire{}, fmt.Errorf("fabric: Config.KeepBody is a func and cannot cross the wire; set Config.Bodies instead")
-	}
 	if cfg.WrapTransport != nil {
 		return ConfigWire{}, fmt.Errorf("fabric: Config.WrapTransport cannot cross the wire")
 	}
@@ -195,8 +191,8 @@ type UnitLease struct {
 // completion: the unit's full staged metrics snapshot (embedded, so an
 // untraced payload's JSON is exactly the bare snapshot) plus its trace
 // events. Transport only — the coordinator journal re-derives its
-// deterministic checkpoint view from the rehydrated staging registry,
-// so these bytes never land in a segment file.
+// deterministic checkpoint view from the snapshot, so these bytes
+// never land in a segment file.
 type unitPayload struct {
 	telemetry.Snapshot
 	Trace []trace.Event `json:"trace,omitempty"`

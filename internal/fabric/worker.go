@@ -243,27 +243,10 @@ func (w *Worker) runUnit(ctx context.Context, phase int, lease UnitLease) error 
 		return ErrKilled
 	}
 
-	// The full staged snapshot and the unit's trace events cross the
-	// wire so the coordinator's live registry merge and merged timeline
-	// match an in-process run; the journal keeps only its deterministic
-	// view.
-	pl := unitPayload{Trace: res.Trace}
-	if res.Metrics != nil {
-		pl.Snapshot = *res.Metrics
-	}
-	mb, err := json.Marshal(pl)
+	payload, err := completionBody(unit, res)
 	if err != nil {
-		return fmt.Errorf("fabric: encoding unit metrics: %w", err)
+		return err
 	}
-	cp := runstore.Checkpoint{
-		Seq:     lease.Seq,
-		Country: unit.Country,
-		Tasks:   unit.Tasks,
-		Samples: len(res.Samples),
-		Lost:    res.Lost,
-		Metrics: mb,
-	}
-	payload := runstore.EncodeShardFrames(res.Samples, cp)
 	q := "?phase=" + strconv.Itoa(phase) +
 		"&seq=" + strconv.Itoa(lease.Seq) +
 		"&lease=" + strconv.FormatUint(lease.Lease, 10) +
@@ -284,6 +267,32 @@ func (w *Worker) runUnit(ctx context.Context, phase int, lease UnitLease) error 
 		return fmt.Errorf("fabric: coordinator rejected unit %d: %s: %s", lease.Seq, resp.Status, bytes.TrimSpace(body))
 	}
 	return nil
+}
+
+// completionBody encodes one executed unit as a completion payload:
+// its samples and checkpoint as runstore frames. The full staged
+// snapshot and the unit's trace events ride the checkpoint's metrics
+// field, so the coordinator's live registry merge and merged timeline
+// match an in-process run; the journal keeps only its deterministic
+// view.
+func completionBody(unit scanner.WorkUnit, res scanner.UnitResult) ([]byte, error) {
+	pl := unitPayload{Trace: res.Trace}
+	if res.Metrics != nil {
+		pl.Snapshot = *res.Metrics
+	}
+	mb, err := json.Marshal(pl)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: encoding unit metrics: %w", err)
+	}
+	cp := runstore.Checkpoint{
+		Seq:     unit.Seq,
+		Country: unit.Country,
+		Tasks:   unit.Tasks,
+		Samples: len(res.Samples),
+		Lost:    res.Lost,
+		Metrics: mb,
+	}
+	return runstore.EncodeShardFrames(res.Samples, cp), nil
 }
 
 // ensurePhase rebuilds and caches the plan for phase id, verifying the
@@ -320,7 +329,7 @@ func (w *Worker) ensurePhase(ctx context.Context, id int) (bool, error) {
 		// trace fields never enter the plan fingerprint — tracing is
 		// output-invariant, like Concurrency.
 		cfg.TraceCtx = spec.Trace
-		cfg.TraceWall = w.opts.Trace.WallClock()
+		cfg.Trace = w.opts.Trace
 	}
 	plan := scanner.NewPlan(spec.Domains, spec.Countries, spec.Tasks, cfg)
 	if got := plan.Fingerprint(); got != spec.Fingerprint {

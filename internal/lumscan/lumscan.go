@@ -14,10 +14,10 @@
 // The engine itself lives in internal/scanner, layered as scheduler /
 // session / fetcher / sink; this package re-exports it and adds the
 // paper-shaped conveniences (DefaultConfig, Replay). Scan and ScanVPS
-// materialize full results; the Ctx and Stream forms thread a
-// context.Context for cancellation, and Stream delivers samples to a
-// Sink as shards finish — in canonical country-major, task order, at
-// any concurrency — so folding consumers never hold a full result.
+// materialize full results; ScanStream and ScanVPSStream take a
+// context.Context for cancellation and deliver samples to a Sink as
+// shards finish — in canonical country-major, task order, at any
+// concurrency — so folding consumers never hold a full result.
 package lumscan
 
 import (
@@ -42,8 +42,6 @@ type (
 	Result = scanner.Result
 	// ExitLoad is the per-exit load accounting of Result.LoadReport.
 	ExitLoad = scanner.ExitLoad
-	// RetryPolicy is the session layer's retry/rotation contract.
-	RetryPolicy = scanner.RetryPolicy
 	// Sink receives samples as they stream out of a scan.
 	Sink = scanner.Sink
 	// SinkFunc adapts a function to the Sink interface.
@@ -124,12 +122,6 @@ func Scan(net *proxy.Network, domains []string, countries []geo.CountryCode, tas
 		panic("lumscan: uncancellable scan failed: " + err.Error())
 	}
 	return res
-}
-
-// ScanCtx is Scan with cancellation: a cancelled scan returns the
-// samples emitted so far alongside ctx.Err().
-func ScanCtx(ctx context.Context, net *proxy.Network, domains []string, countries []geo.CountryCode, tasks []Task, cfg Config) (*Result, error) {
-	return scanner.Scan(ctx, net, domains, countries, tasks, cfg)
 }
 
 // ScanStream runs the scan against a streaming sink instead of

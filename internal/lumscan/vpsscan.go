@@ -23,11 +23,6 @@ func ScanVPS(fleet []*proxy.VPS, domains []string, cfg Config) *Result {
 	return res
 }
 
-// ScanVPSCtx is ScanVPS with cancellation.
-func ScanVPSCtx(ctx context.Context, fleet []*proxy.VPS, domains []string, cfg Config) (*Result, error) {
-	return scanner.ScanVPS(ctx, fleet, domains, cfg)
-}
-
 // ScanVPSStream streams a VPS scan into sink; a nil task list scans
 // the full domain × fleet cross product.
 func ScanVPSStream(ctx context.Context, fleet []*proxy.VPS, domains []string, tasks []Task, cfg Config, sink Sink) error {

@@ -105,7 +105,6 @@ func (s *Study) scanConfig(phase string) lumscan.Config {
 	cfg.Phase = phase
 	cfg.Metrics = s.Metrics
 	cfg.Trace = s.Trace
-	cfg.TraceWall = s.Trace.WallClock()
 	return cfg
 }
 
@@ -426,51 +425,43 @@ func (s *Study) traceStep(ctx trace.SpanCtx, name, phase string) func(error) {
 	}
 }
 
-// scanStream is the study's one residential-scan entry point: it runs
-// the phase directly when no journal is attached, and through
-// Store.Scan — journaling live work, replaying committed work —
+// scanStream is the study's one residential-scan entry point: the
+// fabric's runner when one is attached, the in-process engine
 // otherwise. name keys the journal; it is usually cfg.Phase.
 func (s *Study) scanStream(name string, cfg lumscan.Config, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, sink lumscan.Sink) error {
-	key := s.phaseKey(name)
-	traceDone := s.traceScan(key, &cfg)
-	run := func(cfg lumscan.Config, sink lumscan.Sink) error {
+	return s.runScan(name, cfg, len(domains), len(countries), len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
 		if s.Runner != nil {
 			return s.Runner(s.ctx(), domains, countries, tasks, cfg, sink)
 		}
 		return lumscan.ScanStream(s.ctx(), s.Net, domains, countries, tasks, cfg, sink)
-	}
+	})
+}
+
+// scanVPSStream is scanStream for the datacenter engine.
+func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VPS, domains []string, tasks []lumscan.Task, sink lumscan.Sink) error {
+	return s.runScan(name, cfg, len(domains), len(fleet), len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
+		return lumscan.ScanVPSStream(s.ctx(), fleet, domains, tasks, cfg, sink)
+	})
+}
+
+// runScan wraps one engine invocation in the study's tracing and
+// journaling: it runs the engine directly when no journal is attached,
+// and through Store.Scan — journaling live work, replaying committed
+// work — otherwise. groups counts the countries or VPSes the tasks
+// index.
+func (s *Study) runScan(name string, cfg lumscan.Config, domains, groups, tasks int, sink lumscan.Sink, run func(lumscan.Config, lumscan.Sink) error) error {
+	key := s.phaseKey(name)
+	traceDone := s.traceScan(key, &cfg)
 	var err error
 	if s.Store == nil {
 		err = run(cfg, sink)
 	} else {
 		err = s.Store.Scan(runstore.Scan{
 			Key:         key,
-			Fingerprint: s.scanFingerprint(key, cfg, len(domains), len(countries), len(tasks)),
+			Fingerprint: s.scanFingerprint(key, cfg, domains, groups, tasks),
 			Cfg:         cfg,
 			Sink:        sink,
 			Run:         run,
-		})
-	}
-	traceDone(err)
-	return err
-}
-
-// scanVPSStream is scanStream for the datacenter engine.
-func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VPS, domains []string, tasks []lumscan.Task, sink lumscan.Sink) error {
-	key := s.phaseKey(name)
-	traceDone := s.traceScan(key, &cfg)
-	var err error
-	if s.Store == nil {
-		err = lumscan.ScanVPSStream(s.ctx(), fleet, domains, tasks, cfg, sink)
-	} else {
-		err = s.Store.Scan(runstore.Scan{
-			Key:         key,
-			Fingerprint: s.scanFingerprint(key, cfg, len(domains), len(fleet), len(tasks)),
-			Cfg:         cfg,
-			Sink:        sink,
-			Run: func(cfg lumscan.Config, sink lumscan.Sink) error {
-				return lumscan.ScanVPSStream(s.ctx(), fleet, domains, tasks, cfg, sink)
-			},
 		})
 	}
 	traceDone(err)

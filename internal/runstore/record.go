@@ -235,6 +235,9 @@ func DecodeRecord(payload []byte) (Record, error) {
 		if err == nil {
 			var v byte
 			v, err = d.uvarint8()
+			if err == nil && scanner.OutageReason(v) > scanner.OutageDark {
+				err = fmt.Errorf("runstore: checkpoint loss reason %d out of range", v)
+			}
 			cp.Lost = scanner.OutageReason(v)
 		}
 		if err == nil {

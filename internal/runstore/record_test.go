@@ -76,6 +76,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeRecord(append(append([]byte(nil), valid...), 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
+	// A checkpoint loss reason outside OutageReason must not reach the
+	// outage accounting on resume.
+	lost := encodeRecord(Record{Type: recCheckpoint, Checkpoint: Checkpoint{Lost: scanner.OutageDark + 1}})
+	if _, err := DecodeRecord(lost); err == nil {
+		t.Error("checkpoint loss reason past OutageDark decoded")
+	}
 	// A status outside int16 must not wrap into a real-looking one.
 	big := encodeRecord(Record{Type: recSample, Sample: scanner.Sample{Status: 32767}})
 	ok := encodeRecord(Record{Type: recSample, Sample: scanner.Sample{Status: 1}})

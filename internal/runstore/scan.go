@@ -98,11 +98,11 @@ func (s *Store) runJournaled(sc Scan, cfg scanner.Config, ph *phaseState) error 
 }
 
 // replayPhase streams ph's committed samples from disk into sink in
-// journal order — which is canonical order, because the emitter
-// journals shards at their canonical emission point — crediting the
-// sink-layer counters and merging each checkpoint's staged metric
-// snapshot, then returns the per-shard loss reasons for the engine's
-// Resume. The store stays open for appends throughout; replay reads
+// journal order — which is canonical order, because the engine's
+// Assembly journals shards at their canonical emission point —
+// crediting the sink-layer counters and merging each checkpoint's
+// staged metric snapshot, then returns the per-shard loss reasons for
+// the engine's Resume. The store stays open for appends throughout; replay reads
 // independent handles.
 func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Registry) ([]scanner.OutageReason, error) {
 	s.mu.Lock()

@@ -352,7 +352,7 @@ func TestBreakerSparesFlakyCountries(t *testing.T) {
 
 // TestBrownoutBackoff exercises the session-open path directly: a
 // transient brownout clears within the open-retry budget (with
-// decorrelated-jitter waits recorded through the Sleep hook), while a
+// decorrelated-jitter waits recorded in the backoff histogram), while a
 // permanent one surfaces as *proxy.ErrBrownout.
 func TestBrownoutBackoff(t *testing.T) {
 	transient, _ := faults.Named("brownout") // clears after 1 failed open
@@ -371,33 +371,36 @@ func TestBrownoutBackoff(t *testing.T) {
 		t.Fatal("no browned-out slot found in 1000 tries")
 	}
 
-	var waits []time.Duration
-	pol := RetryPolicy{Sleep: func(d time.Duration) { waits = append(waits, d) }}
+	// waits counts the backoff waits a session open recorded.
+	waits := func(reg *telemetry.Registry) int {
+		for _, h := range reg.Snapshot().Histograms {
+			if h.Name == MetBackoff {
+				return h.Total
+			}
+		}
+		return 0
+	}
+	reg := telemetry.New()
 	net := chaosNet(inj)
-	if _, err := openSession(net, cc, slot, pol, nil); err != nil {
+	if _, err := openSession(net, cc, slot, Config{Metrics: reg}); err != nil {
 		t.Fatalf("transient brownout did not clear: %v", err)
 	}
-	if len(waits) == 0 {
+	if waits(reg) == 0 {
 		t.Fatal("no backoff waits recorded")
-	}
-	for _, d := range waits {
-		if d < backoffBase || d > backoffCap {
-			t.Fatalf("wait %v outside [%v, %v]", d, backoffBase, backoffCap)
-		}
 	}
 
 	// Permanent blackout: bounded attempts, then a typed error.
-	waits = nil
+	reg = telemetry.New()
 	net2 := chaosNet(faults.New(5).Default(permanent))
-	_, err := openSession(net2, cc, slot, pol, nil)
+	_, err := openSession(net2, cc, slot, Config{Metrics: reg})
 	if err == nil {
 		t.Fatal("blackout session open succeeded")
 	}
 	if _, ok := err.(*proxy.ErrBrownout); !ok {
 		t.Fatalf("err = %T (%v), want *proxy.ErrBrownout", err, err)
 	}
-	if len(waits) != DefaultOpenRetries {
-		t.Fatalf("%d backoff waits, want %d", len(waits), DefaultOpenRetries)
+	if n := waits(reg); n != DefaultOpenRetries {
+		t.Fatalf("%d backoff waits, want %d", n, DefaultOpenRetries)
 	}
 }
 
@@ -405,7 +408,7 @@ func TestBrownoutBackoff(t *testing.T) {
 // deterministic for a slot, varied across draws, always within
 // [base, cap].
 func TestBackoffDecorrelatedJitter(t *testing.T) {
-	a, b := newBackoff(99, nil), newBackoff(99, nil)
+	a, b := newBackoff(99), newBackoff(99)
 	var prev time.Duration
 	varied := false
 	for i := 0; i < 50; i++ {
@@ -424,7 +427,7 @@ func TestBackoffDecorrelatedJitter(t *testing.T) {
 	if !varied {
 		t.Fatal("backoff produced a constant sequence; jitter is broken")
 	}
-	if c := newBackoff(100, nil).wait(); c == newBackoff(99, nil).wait() {
+	if c := newBackoff(100).wait(); c == newBackoff(99).wait() {
 		t.Log("adjacent slots drew equal first waits (possible but unlikely)")
 	}
 }

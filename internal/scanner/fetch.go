@@ -32,25 +32,25 @@ type prober interface {
 // fetcher performs single attempts through one prober. It carries the
 // shard's context so wrapped transports see a cancellable request.
 type fetcher struct {
-	ctx      context.Context
-	probe    prober
-	rt       http.RoundTripper // Config.WrapTransport around probe; nil sends hops direct
-	header   http.Header       // built once per shard, shared read-only by every hop
-	maxHops  int
-	keepBody func(status, bodyLen int) bool
-	met      *fetchMetrics
+	ctx     context.Context
+	probe   prober
+	rt      http.RoundTripper // Config.WrapTransport around probe; nil sends hops direct
+	header  http.Header       // built once per shard, shared read-only by every hop
+	maxHops int
+	bodies  BodyPolicy
+	met     *fetchMetrics
 }
 
 // newFetcher builds a fetcher over p with the config's header set,
 // redirect bound, and body-retention policy.
 func newFetcher(ctx context.Context, p prober, cfg Config) *fetcher {
 	f := &fetcher{
-		ctx:      ctx,
-		probe:    p,
-		header:   headerSet(cfg.Headers),
-		maxHops:  cfg.MaxRedirects,
-		keepBody: cfg.KeepBody,
-		met:      newFetchMetrics(cfg.Metrics),
+		ctx:     ctx,
+		probe:   p,
+		header:  headerSet(cfg.Headers),
+		maxHops: cfg.MaxRedirects,
+		bodies:  cfg.Bodies,
+		met:     newFetchMetrics(cfg.Metrics),
 	}
 	if cfg.WrapTransport != nil {
 		f.rt = cfg.WrapTransport(p)
@@ -105,7 +105,7 @@ func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit 
 		bodyLen, read = len(body), true
 	}
 	s.BodyLen = int32(bodyLen)
-	if f.keepBody(r.Status, bodyLen) {
+	if f.bodies.keeps(r.Status) {
 		if !read {
 			if body, err = r.Body(); err != nil {
 				s.Err = ErrReset

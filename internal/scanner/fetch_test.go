@@ -61,7 +61,7 @@ func refFetch(rt http.RoundTripper, cfg Config, domain string, seed uint64, t Ta
 		bodyLen = int64(len(body))
 	}
 	s.BodyLen = int32(bodyLen)
-	if cfg.KeepBody(resp.StatusCode, int(bodyLen)) {
+	if cfg.Bodies.keeps(resp.StatusCode) {
 		if body == nil {
 			if body, err = io.ReadAll(resp.Body); err != nil {
 				s.Err = ErrReset
@@ -141,7 +141,7 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 				net.SetFaults(faults.New(7).Default(p))
 			}
 			cfg := testConfig()
-			cfg.KeepBody = BodyAll.keep() // exercise the body path on every hop kind
+			cfg.Bodies = BodyAll // exercise the body path on every hop kind
 			cfg = cfg.withDefaults()
 			wrapped := cfg
 			wrapped.WrapTransport = func(rt http.RoundTripper) http.RoundTripper { return rt }

@@ -57,25 +57,22 @@ const (
 )
 
 // backoff paces session-open retries. Waits are drawn from a
-// deterministic per-shard stream, and time is virtual by default: with
-// a nil sleep the schedule is computed (and observable in tests) but
-// the simulated mesh never actually blocks.
+// deterministic per-shard stream, and time is virtual: the schedule is
+// computed and recorded (MetBackoff), but the simulated mesh never
+// actually blocks.
 type backoff struct {
-	rng   *stats.RNG
-	prev  time.Duration
-	sleep func(time.Duration)
+	rng  *stats.RNG
+	prev time.Duration
 }
 
-func newBackoff(slot uint64, sleep func(time.Duration)) *backoff {
+func newBackoff(slot uint64) *backoff {
 	return &backoff{
-		rng:   stats.NewRNG(stats.Mix64(slot ^ 0xb0ff)).Fork("backoff"),
-		prev:  backoffBase,
-		sleep: sleep,
+		rng:  stats.NewRNG(stats.Mix64(slot ^ 0xb0ff)).Fork("backoff"),
+		prev: backoffBase,
 	}
 }
 
-// wait draws the next decorrelated-jitter delay, sleeps it when a
-// sleeper is installed, and returns it.
+// wait draws the next decorrelated-jitter delay.
 func (b *backoff) wait() time.Duration {
 	lo, hi := float64(backoffBase), float64(b.prev)*3
 	d := time.Duration(lo + b.rng.Float64()*(hi-lo))
@@ -83,8 +80,5 @@ func (b *backoff) wait() time.Duration {
 		d = backoffCap
 	}
 	b.prev = d
-	if b.sleep != nil {
-		b.sleep(d)
-	}
 	return d
 }

@@ -3,18 +3,22 @@
 // out-of-order unit completions back into the engine's canonical-order
 // output stream.
 //
-// scanner.Run is the single-process composition of these pieces; the
-// distributed fabric (internal/fabric) is the multi-process one. Both
-// produce byte-identical output because they share the shard
-// boundaries, the sticky-session slots, the reorder frontier, and the
-// outage accounting — a unit executes identically no matter which
-// process runs it, or how many times.
+// This is the engine's one composition. Run and RunVPS build a Plan
+// and execute its units on the in-process pool (sched.go); the
+// distributed fabric (internal/fabric) leases the same units to worker
+// processes. Either way every completion goes through an Assembly, so
+// both produce byte-identical output: they share the shard boundaries,
+// the sticky-session slots, the reorder frontier, and the outage
+// accounting — a unit executes identically no matter which process
+// runs it, or how many times.
 package scanner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"geoblock/internal/geo"
@@ -47,9 +51,8 @@ type WorkUnit struct {
 }
 
 // UnitResult is one executed unit: the shard's samples in task order,
-// its loss reason, and the full snapshot of the metrics its session
-// and fetch work staged (nil when the plan carries no registry and the
-// executor was asked not to stage).
+// its loss reason, and the snapshot of the metrics its session and
+// fetch work staged (nil when the unit ran unstaged).
 type UnitResult struct {
 	Samples []Sample
 	Lost    OutageReason
@@ -60,6 +63,12 @@ type UnitResult struct {
 	Trace []trace.Event
 }
 
+// ErrBadCompletion marks a unit completion that is not its unit's
+// output: a loss reason outside OutageReason, a sample count other than
+// tasks × Samples, or a sample out of the unit's canonical (domain,
+// country, attempt) order.
+var ErrBadCompletion = errors.New("scanner: completion is not its unit's output")
+
 // Plan is the deterministic decomposition of one scan into work units.
 // Two plans built from the same (domains, countries, tasks, cfg) are
 // identical — same shard boundaries, same slots, same fingerprints —
@@ -68,37 +77,47 @@ type UnitResult struct {
 type Plan struct {
 	domains   []string
 	countries []geo.CountryCode
-	cfg       Config
-	pol       RetryPolicy
-	shards    []*shard
+	// fleet is set for a VPS-fleet plan: groups are fleet positions,
+	// units run without a session, and the scan has no outage
+	// accounting.
+	fleet   []*proxy.VPS
+	cfg     Config
+	scanCtx trace.SpanCtx
+	shards  []*shard
 }
 
-// buildCountryShards is the shared shard construction: country-major
-// grouping, deterministic chunking, and per-chunk session slots. Run
-// and NewPlan must stay on this one code path — the shard set is the
-// determinism anchor.
-func buildCountryShards(countries []geo.CountryCode, tasks []Task, cfg Config) []*shard {
-	byCountry := make([][]Task, len(countries))
-	for _, t := range tasks {
-		byCountry[t.Country] = append(byCountry[t.Country], t)
-	}
-	return buildShards(byCountry, cfg.ShardSize, func(group int16, index int) uint64 {
-		return shardSlot(string(countries[group]), cfg.Phase, index)
-	})
-}
-
-// NewPlan decomposes one scan into its canonical work units. cfg is
-// normalized exactly as Run normalizes it, so a Plan built from a wire
-// config and one built in-process agree.
+// NewPlan decomposes one residential scan into its canonical work
+// units, with cfg normalized to the §4.1.1 defaults.
 func NewPlan(domains []string, countries []geo.CountryCode, tasks []Task, cfg Config) *Plan {
+	return newPlan(domains, countries, nil, tasks, cfg)
+}
+
+// newPlan is the one shard construction: country-major grouping,
+// deterministic chunking, and per-chunk session slots (slot 0 for a
+// fleet, whose vantage points have no session to pin). Boundaries
+// depend only on the task lists and ShardSize — never on Concurrency —
+// so the shard set, the determinism anchor, is stable across any
+// worker count.
+func newPlan(domains []string, countries []geo.CountryCode, fleet []*proxy.VPS, tasks []Task, cfg Config) *Plan {
 	cfg = cfg.withDefaults()
-	return &Plan{
-		domains:   domains,
-		countries: countries,
-		cfg:       cfg,
-		pol:       cfg.retryPolicy(),
-		shards:    buildCountryShards(countries, tasks, cfg),
+	p := &Plan{domains: domains, countries: countries, fleet: fleet, cfg: cfg, scanCtx: ScanTraceCtx(cfg)}
+	byGroup := make([][]Task, len(countries))
+	for _, t := range tasks {
+		byGroup[t.Country] = append(byGroup[t.Country], t)
 	}
+	for g, tasks := range byGroup {
+		cc := string(countries[g])
+		for i := 0; len(tasks) > 0; i++ {
+			n := min(cfg.ShardSize, len(tasks))
+			sh := &shard{seq: len(p.shards), group: int16(g), index: i, country: cc, tasks: tasks[:n]}
+			if fleet == nil {
+				sh.slot = shardSlot(cc, cfg.Phase, i)
+			}
+			p.shards = append(p.shards, sh)
+			tasks = tasks[n:]
+		}
+	}
+	return p
 }
 
 // NumUnits returns the number of work units in the plan.
@@ -109,7 +128,7 @@ func (p *Plan) Unit(seq int) WorkUnit {
 	sh := p.shards[seq]
 	return WorkUnit{
 		Seq:         sh.seq,
-		Country:     string(p.countries[sh.group]),
+		Country:     sh.country,
 		Phase:       p.cfg.Phase,
 		Index:       sh.index,
 		Slot:        sh.slot,
@@ -132,7 +151,7 @@ func (p *Plan) Units() []WorkUnit {
 // parameters that shape its output.
 func (p *Plan) unitFingerprint(sh *shard) uint64 {
 	h := stats.Hash("geoblock-unit")
-	h = stats.Mix64(h ^ stats.Hash(string(p.countries[sh.group])))
+	h = stats.Mix64(h ^ stats.Hash(sh.country))
 	h = stats.Mix64(h ^ stats.Hash(p.cfg.Phase))
 	h = stats.Mix64(h ^ uint64(sh.index)<<1 ^ sh.slot)
 	h = stats.Mix64(h ^ uint64(p.cfg.Samples)<<8 ^ uint64(p.cfg.Retries)<<16)
@@ -169,7 +188,7 @@ func (p *Plan) Fingerprint() uint64 {
 }
 
 // ExecuteUnit runs one unit through the session and fetcher layers
-// against net, staging its metrics in a fresh shard-local registry.
+// against net, staging its metrics in a fresh unit-local registry.
 // Execution never mutates the plan, so a unit can run any number of
 // times (a re-issued lease after a worker death, say) with identical
 // results. A cancelled context returns ctx.Err() and no result — a
@@ -178,32 +197,109 @@ func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (Un
 	if seq < 0 || seq >= len(p.shards) {
 		return UnitResult{}, fmt.Errorf("scanner: unit %d outside plan of %d units", seq, len(p.shards))
 	}
-	src := p.shards[seq]
-	sh := &shard{seq: src.seq, group: src.group, index: src.index, slot: src.slot, tasks: src.tasks}
-	staging := telemetry.NewWithClock(p.cfg.Metrics.Clock())
-	scfg := p.cfg
-	scfg.Metrics = staging
-	tb := unitBuffer(ScanTraceCtx(p.cfg), seq, p.cfg)
-	out := scanShard(ctx, net, p.domains, p.countries, sh, scfg, p.pol, tb)
+	res := p.execute(ctx, net, p.shards[seq], true)
 	if err := ctx.Err(); err != nil {
 		return UnitResult{}, err
 	}
-	return UnitResult{Samples: out, Lost: sh.lost, Metrics: staging.Snapshot(), Trace: tb.Events()}, nil
+	return res, nil
 }
 
-// Assembly reassembles unit completions — arriving in any order, from
-// any number of executors — into the engine's canonical-order sink
-// stream, with the identical counter, trace, and outage accounting an
-// in-process Run produces. Completions are accepted under an internal
-// lock; the sink itself still sees strictly sequential canonical-order
-// delivery, exactly as the engine's determinism contract promises.
+// execute runs one unit. With stage set, its session and fetch metrics
+// go to a fresh unit-local registry whose snapshot rides the result;
+// otherwise they go straight to Config.Metrics.
+func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard, stage bool) UnitResult {
+	cfg := p.cfg
+	var staging *telemetry.Registry
+	if stage {
+		staging = telemetry.NewWithClock(cfg.Metrics.Clock())
+		cfg.Metrics = staging
+	}
+	tb := unitBuffer(p.scanCtx, sh.seq, cfg)
+	var res UnitResult
+	if p.fleet != nil {
+		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, cfg, tb)
+	} else {
+		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, cfg, tb)
+	}
+	res.Trace = tb.Events()
+	if staging != nil {
+		res.Metrics = staging.Snapshot()
+	}
+	return res
+}
+
+// run is the in-process executor: the work-stealing pool executes
+// every pending unit and completes it through an Assembly into sink.
+// Units stage their metrics only for a ShardSink (the journal), which
+// needs each unit's own contribution; otherwise they record straight
+// into Config.Metrics. A cancelled scan returns ctx.Err() with a
+// prefix of the stream delivered, ending at the first unit boundary
+// after the cancel.
+func (p *Plan) run(ctx context.Context, net *proxy.Network, sink Sink) error {
+	a, err := NewAssembly(p, sink)
+	if err != nil {
+		return err
+	}
+	a.ctx = ctx
+	stage := a.shardSink != nil && p.cfg.Metrics != nil
+	err = p.schedule(ctx, p.shards[a.skip:], func(ctx context.Context, sh *shard) error {
+		res := p.execute(ctx, net, sh, stage)
+		if ctx.Err() != nil {
+			return nil // a cancelled unit is never completed
+		}
+		return a.Complete(sh.seq, res)
+	})
+	if err != nil {
+		a.Abort()
+		return err
+	}
+	return a.Finish()
+}
+
+// check verifies that res has the shape only sh's execution produces:
+// every executed unit emits one sample per task and attempt, in task
+// order — a lost unit's samples carry ErrNoExits — so anything else is
+// a foreign or corrupted payload.
+func (p *Plan) check(sh *shard, res UnitResult) error {
+	if res.Lost > OutageDark {
+		return fmt.Errorf("%w: unit %d has loss reason %d", ErrBadCompletion, sh.seq, res.Lost)
+	}
+	n := p.cfg.Samples
+	if len(res.Samples) != len(sh.tasks)*n {
+		return fmt.Errorf("%w: unit %d carries %d samples, want %d", ErrBadCompletion, sh.seq, len(res.Samples), len(sh.tasks)*n)
+	}
+	for i, t := range sh.tasks {
+		for a := 0; a < n; a++ {
+			s := &res.Samples[i*n+a]
+			if s.Domain != t.Domain || s.Country != t.Country || s.Attempt != uint8(a) {
+				return fmt.Errorf("%w: unit %d sample %d is (domain %d, country %d, attempt %d), want (%d, %d, %d)",
+					ErrBadCompletion, sh.seq, i*n+a, s.Domain, s.Country, s.Attempt, t.Domain, t.Country, uint8(a))
+			}
+		}
+	}
+	return nil
+}
+
+// Assembly is the reorder buffer behind every scan: it takes unit
+// completions — in any order, from any number of executors — and emits
+// them into the sink in canonical order, with the counter, trace, and
+// outage accounting attached, then runs the end-of-scan accounting.
+// Completions are accepted under an internal lock, so the sink still
+// sees strictly sequential canonical-order delivery, exactly as the
+// engine's determinism contract promises.
 type Assembly struct {
-	mu       sync.Mutex
-	plan     *Plan
-	sink     Sink
-	em       *emitter
-	skip     int
-	finished bool
+	mu        sync.Mutex
+	plan      *Plan
+	sink      Sink
+	shardSink ShardSink // sink's ShardSink side, when it has one
+	done      []bool
+	next      int // the reorder frontier: units before it are emitted
+	skip      int
+	finished  bool
+	// ctx, when set, stops delivery at the first unit boundary after it
+	// is cancelled. The in-process executor sets it; the fabric cancels
+	// through Abort.
+	ctx context.Context
 }
 
 // NewAssembly prepares the reassembly for one scan: it validates and
@@ -214,12 +310,41 @@ func NewAssembly(p *Plan, sink Sink) (*Assembly, error) {
 	if err != nil {
 		return nil, err
 	}
-	creditSkipped(p.cfg, skip)
+	reg := p.cfg.Metrics
 	if len(p.shards) > 0 {
-		p.cfg.Metrics.Counter(MetShardsScheduled).Add(int64(len(p.shards)))
+		reg.Counter(MetShardsScheduled).Add(int64(len(p.shards)))
 	}
-	em := newEmitter(sink, p.shards, skip, p.cfg.Metrics, p.cfg.Trace, ScanTraceCtx(p.cfg), p.cfg.Phase)
-	return &Assembly{plan: p, sink: sink, em: em, skip: skip}, nil
+	if skip > 0 {
+		// The shards-done credit a live run of the skipped prefix would
+		// have produced. The prefix's samples and session/fetch metrics
+		// come back through the journal's replay (see internal/runstore),
+		// and its loss records through resumePrefix.
+		reg.Counter(MetShardsDone).Add(int64(skip))
+	}
+	a := &Assembly{plan: p, sink: sink, done: make([]bool, len(p.shards)), next: skip, skip: skip}
+	a.shardSink, _ = sink.(ShardSink)
+	return a, nil
+}
+
+// resumePrefix validates cfg.Resume against the freshly built shard
+// set and stamps the restored loss records onto the skipped prefix, so
+// the end-of-run outage and coverage accounting — which walks all
+// shards — reproduces the uninterrupted run's records exactly.
+func resumePrefix(cfg Config, shards []*shard) (int, error) {
+	r := cfg.Resume
+	if r == nil {
+		return 0, nil
+	}
+	if r.Shards < 0 || r.Shards > len(shards) {
+		return 0, fmt.Errorf("scanner: resume prefix of %d shards outside 0..%d", r.Shards, len(shards))
+	}
+	if len(r.Lost) != r.Shards {
+		return 0, fmt.Errorf("scanner: resume carries %d loss records for %d shards", len(r.Lost), r.Shards)
+	}
+	for i := 0; i < r.Shards; i++ {
+		shards[i].res.Lost = r.Lost[i]
+	}
+	return r.Shards, nil
 }
 
 // Pending lists the unit sequence numbers still to execute, in
@@ -233,93 +358,144 @@ func (a *Assembly) Pending() []int {
 }
 
 // Complete folds one executed unit into the assembly. Safe to call from
-// any goroutine; duplicate and out-of-range completions error without
-// disturbing the stream.
+// any goroutine. A result that is not the unit's output errors with
+// ErrBadCompletion; duplicate and out-of-range completions error too,
+// and none of them disturb the stream.
 func (a *Assembly) Complete(seq int, res UnitResult) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	p := a.plan
 	if a.finished {
 		return fmt.Errorf("scanner: completion of unit %d after assembly finished", seq)
 	}
-	if seq < a.skip || seq >= len(a.plan.shards) {
-		return fmt.Errorf("scanner: completion of unit %d outside pending range %d..%d", seq, a.skip, len(a.plan.shards)-1)
+	if seq < a.skip || seq >= len(p.shards) {
+		return fmt.Errorf("scanner: completion of unit %d outside pending range %d..%d", seq, a.skip, len(p.shards)-1)
 	}
-	if a.em.completed(seq) {
+	sh := p.shards[seq]
+	if err := p.check(sh, res); err != nil {
+		return err
+	}
+	if a.done[seq] {
 		return fmt.Errorf("scanner: duplicate completion of unit %d", seq)
 	}
-	sh := a.plan.shards[seq]
-	sh.country = string(a.plan.countries[sh.group])
-	sh.out = res.Samples
-	sh.lost = res.Lost
-	sh.events = res.Trace
-	if res.Metrics != nil && a.plan.cfg.Metrics != nil {
-		// Rehydrate the unit's staged metrics into a shard-local registry
-		// so the emitter's merge-at-emission and ShardDone.Metrics bytes
-		// match an in-process run exactly.
-		st := telemetry.NewWithClock(a.plan.cfg.Metrics.Clock())
-		st.Merge(res.Metrics)
-		sh.staging = st
+	if p.cfg.Metrics == nil {
+		res.Metrics = nil // nothing to merge into, nothing to journal
 	}
-	a.plan.cfg.Metrics.Counter(MetShardsDone).Add(1)
-	a.em.complete(sh)
+	sh.res = res
+	a.done[seq] = true
+	p.cfg.Metrics.Counter(MetShardsDone).Add(1)
+	a.emit()
 	return nil
+}
+
+// emit delivers every completed unit at the reorder frontier: samples
+// to the sink, staged metrics into the registry, a ShardDone to a
+// journaling sink, and the unit's events to the tracer. All of it
+// happens at this one canonical point, which is what makes the merged
+// metrics, journal, and trace identical regardless of scheduling or
+// process count.
+func (a *Assembly) emit() {
+	p := a.plan
+	reg, tr := p.cfg.Metrics, p.cfg.Trace
+	for a.next < len(p.shards) && a.done[a.next] {
+		if a.ctx != nil && a.ctx.Err() != nil {
+			return
+		}
+		sh := p.shards[a.next]
+		res := sh.res
+		for i := range res.Samples {
+			a.sink.Emit(res.Samples[i])
+		}
+		if reg != nil {
+			var bytes int64
+			for i := range res.Samples {
+				bytes += int64(res.Samples[i].BodyLen)
+			}
+			reg.Counter(MetSinkSamples).Add(int64(len(res.Samples)))
+			reg.Counter(MetSinkBytes).Add(bytes)
+			// Merging is commutative, so the totals equal a run that
+			// recorded the staged metrics live.
+			reg.Merge(res.Metrics)
+		}
+		if a.shardSink != nil {
+			var det *telemetry.Snapshot
+			if res.Metrics != nil {
+				det = res.Metrics.Deterministic()
+			}
+			a.shardSink.EmitShardDone(ShardDone{
+				Seq:     sh.seq,
+				Country: sh.country,
+				Tasks:   len(sh.tasks),
+				Samples: len(res.Samples),
+				Lost:    res.Lost,
+				Metrics: det,
+			})
+		}
+		if tr != nil {
+			// Unit events land in frontier order, then the emission
+			// itself is recorded.
+			tr.Append(res.Trace)
+			virt, wall := tr.Now()
+			ev := trace.NewEvent(p.scanCtx.Child("sink.emit", sh.seq), "sink.emit")
+			ev.Parent = p.scanCtx.Span
+			ev.Unit = sh.seq
+			ev.Country = sh.country
+			ev.Phase = p.cfg.Phase
+			ev.Outcome = outcome(res.Lost)
+			ev.VirtNS = virt
+			ev.WallNS = wall
+			ev.Attrs = []trace.Attr{{K: "samples", V: strconv.Itoa(len(res.Samples))}}
+			tr.Record(ev)
+		}
+		// Release bodies as soon as the sink has seen them.
+		sh.res = UnitResult{Lost: res.Lost}
+		a.next++
+	}
 }
 
 // Done reports whether every unit has been emitted.
 func (a *Assembly) Done() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.em.frontier() == len(a.plan.shards)
+	return a.next == len(a.plan.shards)
 }
 
-// Finish runs the end-of-run outage and coverage accounting, mirroring
-// Run's tail exactly. It errors if units are still outstanding.
+// Finish runs the end-of-scan accounting: the per-country outages and
+// coverage (to an OutageSink, the registry, and the trace) and the
+// closing "scan" event. A fleet plan has no sessions to lose, so its
+// tail is the "scan" event alone. Finish errors if units are still
+// outstanding.
 func (a *Assembly) Finish() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	p := a.plan
 	if a.finished {
 		return fmt.Errorf("scanner: assembly finished twice")
 	}
-	if n := a.em.frontier(); n != len(a.plan.shards) {
-		return fmt.Errorf("scanner: assembly finished with %d of %d units outstanding", len(a.plan.shards)-n, len(a.plan.shards))
+	if a.next != len(p.shards) {
+		return fmt.Errorf("scanner: assembly finished with %d of %d units outstanding", len(p.shards)-a.next, len(p.shards))
 	}
 	a.finished = true
-	cfg := a.plan.cfg
-	os, isOutageSink := a.sink.(OutageSink)
-	if isOutageSink || cfg.Metrics != nil || cfg.Trace != nil {
-		outages, cov := accountOutages(a.plan.shards, a.plan.countries)
-		countOutages(cfg.Metrics, outages, cov)
-		recordScanTail(cfg.Trace, ScanTraceCtx(cfg), cfg.Phase, outages, len(a.plan.shards))
-		if isOutageSink {
-			for _, o := range outages {
-				os.EmitOutage(o)
-			}
-			os.EmitCoverage(cov)
+	if p.fleet != nil {
+		recordScanTail(p.cfg.Trace, p.scanCtx, p.cfg.Phase, nil, len(p.shards))
+		return nil
+	}
+	outages, cov := accountOutages(p.shards, p.countries)
+	countOutages(p.cfg.Metrics, outages, cov)
+	recordScanTail(p.cfg.Trace, p.scanCtx, p.cfg.Phase, outages, len(p.shards))
+	if os, ok := a.sink.(OutageSink); ok {
+		for _, o := range outages {
+			os.EmitOutage(o)
 		}
+		os.EmitCoverage(cov)
 	}
 	return nil
 }
 
-// Abort finishes the assembly without the end-of-run accounting — the
-// cancellation path, mirroring Run's early return after a cancelled
-// schedule.
+// Abort finishes the assembly without the end-of-scan accounting — the
+// cancellation path.
 func (a *Assembly) Abort() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.finished = true
-}
-
-// completed reports whether seq has already been completed.
-func (e *emitter) completed(seq int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.done[seq]
-}
-
-// frontier reports how many shards have been emitted in canonical
-// order.
-func (e *emitter) frontier() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.next
 }

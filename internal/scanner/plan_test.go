@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -170,11 +171,31 @@ func TestAssemblyRejections(t *testing.T) {
 	if err := asm.Complete(p.NumUnits(), res); err == nil {
 		t.Fatal("out-of-range completion accepted")
 	}
+	// Results that are not unit 0's output — a short payload, a sample
+	// of a foreign domain, an unknown loss reason — are rejected, and
+	// checked before the duplicate test, so no bad payload ever passes
+	// for a duplicate.
+	short, foreign, unknown := res, res, res
+	short.Samples = res.Samples[:1]
+	foreign.Samples = append([]Sample(nil), res.Samples...)
+	foreign.Samples[0].Domain = 1 << 30
+	unknown.Lost = OutageDark + 1
+	bad := []UnitResult{short, foreign, unknown}
+	for i, r := range bad {
+		if err := asm.Complete(0, r); !errors.Is(err, ErrBadCompletion) {
+			t.Fatalf("bad completion %d: err = %v, want ErrBadCompletion", i, err)
+		}
+	}
 	if err := asm.Complete(0, res); err != nil {
 		t.Fatal(err)
 	}
 	if err := asm.Complete(0, res); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate completion: err = %v", err)
+	}
+	for i, r := range bad {
+		if err := asm.Complete(0, r); !errors.Is(err, ErrBadCompletion) {
+			t.Fatalf("bad completion %d of a completed unit: err = %v, want ErrBadCompletion", i, err)
+		}
 	}
 
 	for _, seq := range asm.Pending()[1:] {
@@ -215,5 +236,24 @@ func TestAssemblyAbort(t *testing.T) {
 	}
 	if len(col.Outages) != 0 || col.Coverage.Requested != 0 {
 		t.Fatal("abort ran the end-of-run accounting")
+	}
+}
+
+// TestScheduleReturnsUnitErrors: an error from one unit — an engine
+// bug, such as a result failing the unit check — stops the in-process
+// pool and is returned, never dropped.
+func TestScheduleReturnsUnitErrors(t *testing.T) {
+	domains, tasks, cfg := planInputs()
+	_, countries := smallInputs(24)
+	p := NewPlan(domains, countries, tasks, cfg)
+	boom := errors.New("boom")
+	err := p.schedule(context.Background(), p.shards, func(_ context.Context, sh *shard) error {
+		if sh.seq == 1 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("schedule returned %v, want the unit's error", err)
 	}
 }

@@ -1,11 +1,11 @@
-// The engine: wires scheduler, session, fetcher, and sink together
-// for residential-mesh scans.
+// The residential-mesh engine: Run, the per-shard session and fetch
+// loop its units execute, and the outage accounting at the end of a
+// scan.
 package scanner
 
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
@@ -25,49 +25,7 @@ import (
 // receives one typed Outage per affected country followed by the
 // run's Coverage summary.
 func Run(ctx context.Context, net *proxy.Network, domains []string, countries []geo.CountryCode, tasks []Task, cfg Config, sink Sink) error {
-	cfg = cfg.withDefaults()
-	pol := cfg.retryPolicy()
-
-	shards := buildCountryShards(countries, tasks, cfg)
-	skip, err := resumePrefix(cfg, shards)
-	if err != nil {
-		return err
-	}
-	_, journaling := sink.(ShardSink)
-
-	scanCtx := ScanTraceCtx(cfg)
-	run := func(ctx context.Context, sh *shard) {
-		sh.country = string(countries[sh.group])
-		scfg := cfg
-		if journaling && cfg.Metrics != nil {
-			// Stage this shard's session and fetch metrics in a
-			// shard-local registry so ShardDone can carry exactly this
-			// shard's contribution; the emitter merges it back.
-			sh.staging = telemetry.NewWithClock(cfg.Metrics.Clock())
-			scfg.Metrics = sh.staging
-		}
-		tb := unitBuffer(scanCtx, sh.seq, cfg)
-		sh.out = scanShard(ctx, net, domains, countries, sh, scfg, pol, tb)
-		sh.events = tb.Events()
-	}
-	creditSkipped(cfg, skip)
-	em := newEmitter(sink, shards, skip, cfg.Metrics, cfg.Trace, scanCtx, cfg.Phase)
-	if err := schedule(ctx, shards, skip, cfg.Concurrency, run, em); err != nil {
-		return err
-	}
-	os, isOutageSink := sink.(OutageSink)
-	if isOutageSink || cfg.Metrics != nil || cfg.Trace != nil {
-		outages, cov := accountOutages(shards, countries)
-		countOutages(cfg.Metrics, outages, cov)
-		recordScanTail(cfg.Trace, scanCtx, cfg.Phase, outages, len(shards))
-		if isOutageSink {
-			for _, o := range outages {
-				os.EmitOutage(o)
-			}
-			os.EmitCoverage(cov)
-		}
-	}
-	return nil
+	return NewPlan(domains, countries, tasks, cfg).run(ctx, net, sink)
 }
 
 // countOutages mirrors the outage accounting into the registry.
@@ -84,39 +42,6 @@ func countOutages(reg *telemetry.Registry, outages []Outage, cov Coverage) {
 	reg.Counter(MetCovTasksLost).Add(int64(cov.TasksLost))
 }
 
-// resumePrefix validates cfg.Resume against the freshly built shard
-// set and stamps the restored loss records onto the skipped prefix, so
-// the end-of-run outage and coverage accounting — which walks all
-// shards — reproduces the uninterrupted run's records exactly.
-func resumePrefix(cfg Config, shards []*shard) (int, error) {
-	r := cfg.Resume
-	if r == nil {
-		return 0, nil
-	}
-	if r.Shards < 0 || r.Shards > len(shards) {
-		return 0, fmt.Errorf("scanner: resume prefix of %d shards outside 0..%d", r.Shards, len(shards))
-	}
-	if len(r.Lost) != r.Shards {
-		return 0, fmt.Errorf("scanner: resume carries %d loss records for %d shards", len(r.Lost), r.Shards)
-	}
-	for i := 0; i < r.Shards; i++ {
-		shards[i].lost = r.Lost[i]
-	}
-	return r.Shards, nil
-}
-
-// creditSkipped restores the shards-done credit a live run of the
-// skipped prefix would have produced. The prefix's samples and
-// session/fetch metrics are restored separately by the journal's replay
-// (see internal/runstore), and its loss records by resumePrefix,
-// keeping the deterministic telemetry view identical to an
-// uninterrupted run.
-func creditSkipped(cfg Config, skipped int) {
-	if skipped > 0 {
-		cfg.Metrics.Counter(MetShardsDone).Add(int64(skipped))
-	}
-}
-
 // Scan is the collecting form of Run: it materializes the full Result.
 // A cancelled scan returns the samples emitted so far alongside
 // ctx.Err().
@@ -126,20 +51,19 @@ func Scan(ctx context.Context, net *proxy.Network, domains []string, countries [
 	return &Result{Domains: domains, Countries: countries, Samples: c.Samples, Outages: c.Outages, Coverage: c.Coverage}, err
 }
 
-// scanShard runs one shard's tasks through its own sticky session,
-// recording on the shard why (if at all) its tasks were lost. tb,
-// when non-nil, stages the shard's trace events — session open, one
-// wide record per fetch, and the closing unit event.
-func scanShard(ctx context.Context, net *proxy.Network, domains []string, countries []geo.CountryCode, sh *shard, cfg Config, pol RetryPolicy, tb *trace.Buffer) []Sample {
+// scanShard runs one shard's tasks through its own sticky session and
+// reports why (if at all) its tasks were lost. tb, when non-nil,
+// stages the shard's trace events — session open, one wide record per
+// fetch, and the closing unit event.
+func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *shard, cfg Config, tb *trace.Buffer) ([]Sample, OutageReason) {
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
-	cc := countries[sh.group]
 	unitStart := tb.Wall()
 
-	se, err := openSession(net, cc, sh.slot, pol, cfg.Metrics)
+	se, err := openSession(net, geo.CountryCode(sh.country), sh.slot, cfg)
 	if tb != nil {
 		ev := trace.NewEvent(tb.Ctx().Child("session.open", 0), "session.open")
 		ev.Unit = sh.seq
-		ev.Country = string(cc)
+		ev.Country = sh.country
 		ev.Phase = cfg.Phase
 		if err == nil {
 			ev.Outcome = "ok"
@@ -151,29 +75,28 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, countr
 		tb.Record(ev)
 	}
 	if err != nil {
+		lost := OutageNoExits
 		var brown *proxy.ErrBrownout
 		if errors.As(err, &brown) {
-			sh.lost = OutageBrownout
-		} else {
-			sh.lost = OutageNoExits
+			lost = OutageBrownout
 		}
 		for _, t := range sh.tasks {
 			for a := 0; a < cfg.Samples; a++ {
 				out = append(out, Sample{Domain: t.Domain, Country: t.Country, Attempt: uint8(a), Err: ErrNoExits})
 			}
 		}
-		closeUnit(tb, sh, cfg, string(cc), len(out), unitStart)
-		return out
+		closeUnit(tb, sh, cfg, len(out), unitStart, lost)
+		return out, lost
 	}
 
 	f := newFetcher(ctx, se.transport(), cfg)
 	for ti, t := range sh.tasks {
 		if ctx.Err() != nil {
-			return out
+			return out, OutageNone
 		}
 		domain := domains[t.Domain]
 		for a := 0; a < cfg.Samples; a++ {
-			seed := sampleSeed(domain, string(cc), cfg.Phase, a)
+			seed := sampleSeed(domain, sh.country, cfg.Phase, a)
 			if tb == nil {
 				out = append(out, fetchReliable(f, se, domain, seed, t, uint8(a)))
 				continue
@@ -181,19 +104,20 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, countr
 			fetchStart := tb.Wall()
 			s := fetchReliable(f, se, domain, seed, t, uint8(a))
 			out = append(out, s)
-			recordFetch(tb, sh, cfg, string(cc), domain, ti*cfg.Samples+a, s, fetchStart)
+			recordFetch(tb, sh, cfg, domain, ti*cfg.Samples+a, s, fetchStart)
 		}
 	}
+	lost := OutageNone
 	if se.dark() {
-		sh.lost = OutageDark
+		lost = OutageDark
 	}
-	closeUnit(tb, sh, cfg, string(cc), len(out), unitStart)
-	return out
+	closeUnit(tb, sh, cfg, len(out), unitStart, lost)
+	return out, lost
 }
 
 // accountOutages folds per-shard loss records into per-country Outage
-// entries (scan order) and the run's Coverage summary. It runs after
-// the pool drains, on the caller's goroutine, so the sink's
+// entries (scan order) and the run's Coverage summary. It runs in
+// Assembly.Finish, after the last unit is emitted, so the sink's
 // no-locking contract is untouched.
 func accountOutages(shards []*shard, countries []geo.CountryCode) ([]Outage, Coverage) {
 	type tally struct {
@@ -206,10 +130,10 @@ func accountOutages(shards []*shard, countries []geo.CountryCode) ([]Outage, Cov
 		t := &tallies[sh.group]
 		t.total++
 		requested[sh.group] = true
-		if sh.lost != OutageNone {
+		if lost := sh.res.Lost; lost != OutageNone {
 			t.lost++
 			t.tasks += len(sh.tasks)
-			t.byReason[sh.lost]++
+			t.byReason[lost]++
 		}
 	}
 

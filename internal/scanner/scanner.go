@@ -2,13 +2,17 @@
 // It splits the hot path every study phase funnels through into four
 // composable layers:
 //
-//   - Scheduler (sched.go): shards each country's task list into
-//     deterministic chunks and work-steals across shards, so one large
-//     country no longer serializes a run and parallelism scales with
-//     cores rather than country count.
+//   - Plan and scheduler (plan.go, sched.go): a Plan shards each
+//     country's task list into deterministic work units, an in-process
+//     work-stealing pool executes them — so one large country no
+//     longer serializes a run and parallelism scales with cores rather
+//     than country count — and an Assembly emits completed units in
+//     canonical order and runs the end-of-scan accounting. Run, RunVPS
+//     and the distributed fabric (internal/fabric) all compose these
+//     same pieces.
 //   - Session (session.go): sticky proxy-session acquisition, the
-//     connectivity pre-check loop, and per-exit budget rotation under
-//     an explicit RetryPolicy.
+//     connectivity pre-check loop, per-exit budget rotation, and the
+//     circuit breaker, driven by Config's retry knobs.
 //   - Fetcher (fetch.go): one attempt as direct probe hops of the
 //     session, redirects followed under http.Client's bound, plus
 //     error classification.
@@ -95,7 +99,7 @@ type Sample struct {
 	BodyLen int32
 	ExitIP  geo.IP
 	Seed    uint64 // replay key
-	Body    string // retained only when Config.KeepBody said so
+	Body    string // retained only when Config.Bodies said so
 }
 
 // OK reports whether the sample carries an HTTP response.
@@ -177,15 +181,14 @@ type Task struct {
 	Country int16 `json:"c"`
 }
 
-// BodyPolicy is the serializable form of the body-retention decision.
-// Config.KeepBody is a func and cannot cross a process boundary; a
-// distributed work unit ships the policy instead and every worker
-// derives the identical func from it.
+// BodyPolicy decides which bodies a sample retains. It is a plain
+// value, so a distributed work unit ships it and every worker applies
+// the same policy.
 type BodyPolicy uint8
 
 const (
 	// BodyDefault keeps non-200/301/302 bodies — every block page is
-	// non-200. This is what a nil KeepBody has always meant.
+	// non-200.
 	BodyDefault BodyPolicy = iota
 	// BodyNone drops every body (status/length-only passes).
 	BodyNone
@@ -205,15 +208,15 @@ func (p BodyPolicy) String() string {
 	return "unknown"
 }
 
-// keep derives the KeepBody func the policy stands for.
-func (p BodyPolicy) keep() func(status, bodyLen int) bool {
+// keeps reports whether the policy retains a body served with status.
+func (p BodyPolicy) keeps(status int) bool {
 	switch p {
 	case BodyNone:
-		return func(int, int) bool { return false }
+		return false
 	case BodyAll:
-		return func(int, int) bool { return true }
+		return true
 	}
-	return func(status, _ int) bool { return status != 200 && status != 301 && status != 302 }
+	return status != 200 && status != 301 && status != 302
 }
 
 // DefaultShardSize is the task count per scheduler shard. Small enough
@@ -242,14 +245,8 @@ type Config struct {
 	// Headers are sent on every request. Use BrowserHeaders for the
 	// full browser set; a bare UA reproduces the ZGrab false positives.
 	Headers map[string]string
-	// KeepBody decides whether a sample retains its body. Nil derives
-	// the func from Bodies (whose zero value keeps non-200 bodies —
-	// every block page is non-200). Prefer Bodies: a func cannot be
-	// serialized into a distributed work unit, so a scan with a custom
-	// KeepBody cannot run on the fabric.
-	KeepBody func(status, bodyLen int) bool
-	// Bodies is the serializable body-retention policy, consulted only
-	// when KeepBody is nil.
+	// Bodies is the body-retention policy; its zero value keeps
+	// non-200 bodies.
 	Bodies BodyPolicy
 	// Phase salts the per-sample seeds so that repeated passes over the
 	// same pairs draw fresh samples.
@@ -273,7 +270,9 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, receives wide events from every engine layer
 	// (see internal/trace). Like Metrics, tracing never influences scan
-	// behavior: samples are byte-identical with or without it.
+	// behavior: samples are byte-identical with or without it. Unit
+	// events take their wall stamps from the tracer's wall clock, if it
+	// has one.
 	Trace *trace.Tracer
 	// TraceCtx pins the scan-level trace context explicitly — the
 	// fabric worker path, where the coordinator issued the context in
@@ -281,11 +280,6 @@ type Config struct {
 	// (see ScanTraceCtx). Either way every party derives identical
 	// per-unit contexts.
 	TraceCtx trace.SpanCtx
-	// TraceWall, when non-nil, stamps unit events with wall time —
-	// runtime-class information, stripped from the deterministic trace
-	// view. The CLIs pass the tracer's wall clock; deterministic tests
-	// leave it nil and wall stamps stay zero.
-	TraceWall telemetry.Clock
 	// Resume, when non-nil, marks a canonical-order prefix of the
 	// scan's shards as already measured by an earlier run. The engine
 	// skips their work entirely — the journal layer replays their
@@ -328,20 +322,7 @@ func (c Config) withDefaults() Config {
 	if c.Headers == nil {
 		c.Headers = BrowserHeaders()
 	}
-	if c.KeepBody == nil {
-		c.KeepBody = c.Bodies.keep()
-	}
 	return c
-}
-
-// retryPolicy extracts the session layer's knobs.
-func (c Config) retryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Retries:            c.Retries,
-		RequestsPerExit:    c.RequestsPerExit,
-		VerifyProbes:       DefaultVerifyProbes,
-		VerifyConnectivity: c.VerifyConnectivity,
-	}
 }
 
 // BrowserHeaders is the full header set that suppresses bot detection

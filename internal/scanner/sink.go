@@ -85,31 +85,3 @@ func (c *Collect) EmitOutage(o Outage) { c.Outages = append(c.Outages, o) }
 
 // EmitCoverage records the run's coverage summary.
 func (c *Collect) EmitCoverage(cov Coverage) { c.Coverage = cov }
-
-// DropBodies wraps a sink, clearing each sample's body before
-// delivery — for consumers that only fold statuses and lengths but
-// want to keep a Config whose KeepBody drives classification
-// elsewhere. Outage and coverage records pass through when the wrapped
-// sink accepts them.
-func DropBodies(next Sink) Sink {
-	return dropBodies{next: next}
-}
-
-type dropBodies struct{ next Sink }
-
-func (d dropBodies) Emit(s Sample) {
-	s.Body = ""
-	d.next.Emit(s)
-}
-
-func (d dropBodies) EmitOutage(o Outage) {
-	if os, ok := d.next.(OutageSink); ok {
-		os.EmitOutage(o)
-	}
-}
-
-func (d dropBodies) EmitCoverage(c Coverage) {
-	if os, ok := d.next.(OutageSink); ok {
-		os.EmitCoverage(c)
-	}
-}

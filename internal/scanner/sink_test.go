@@ -34,26 +34,6 @@ func TestStreamingMatchesCollect(t *testing.T) {
 	}
 }
 
-func TestDropBodies(t *testing.T) {
-	domains, _ := smallInputs(40)
-	countries := []geo.CountryCode{"IR", "SY"}
-	tasks := CrossProduct(len(domains), len(countries))
-	cfg := testConfig()
-
-	var c Collect
-	if err := Run(context.Background(), testNet, domains, countries, tasks, cfg, DropBodies(&c)); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Samples) == 0 {
-		t.Fatal("no samples")
-	}
-	for i := range c.Samples {
-		if c.Samples[i].Body != "" {
-			t.Fatal("DropBodies leaked a body")
-		}
-	}
-}
-
 // TestRedirectLoopClassified drives the typed redirect-limit
 // classification end to end: a redirect-loop domain must come back as
 // ErrRedirects through the *url.Error wrapping of http.Client.Do.

@@ -1,6 +1,6 @@
 // Trace wiring for the engine: deterministic span-context derivation
-// shared by the in-process scheduler and the fabric, plus the common
-// end-of-scan event tail.
+// shared by the in-process scheduler and the fabric, plus the unit and
+// end-of-scan events.
 //
 // The derivations here are the distributed half of the determinism
 // story: a coordinator resolves the scan context once (ScanTraceCtx),
@@ -39,25 +39,21 @@ func unitBuffer(scanCtx trace.SpanCtx, seq int, cfg Config) *trace.Buffer {
 	if !scanCtx.Valid() {
 		return nil
 	}
-	return trace.NewBuffer(UnitTraceCtx(scanCtx, seq), scanCtx.Span, cfg.TraceWall)
+	return trace.NewBuffer(UnitTraceCtx(scanCtx, seq), scanCtx.Span, cfg.Trace.WallClock())
 }
 
 // closeUnit records the shard's closing "unit" event: one wide record
 // carrying the unit's coordinates, fate, and wall duration.
-func closeUnit(tb *trace.Buffer, sh *shard, cfg Config, country string, samples int, wallStart int64) {
+func closeUnit(tb *trace.Buffer, sh *shard, cfg Config, samples int, wallStart int64, lost OutageReason) {
 	if tb == nil {
 		return
 	}
 	ev := trace.NewEvent(tb.Ctx(), "unit")
 	ev.Parent = tb.Parent()
 	ev.Unit = sh.seq
-	ev.Country = country
+	ev.Country = sh.country
 	ev.Phase = cfg.Phase
-	if sh.lost == OutageNone {
-		ev.Outcome = "ok"
-	} else {
-		ev.Outcome = sh.lost.String()
-	}
+	ev.Outcome = outcome(lost)
 	ev.WallNS = wallStart
 	ev.WallDurNS = tb.Wall() - wallStart
 	ev.Attrs = []trace.Attr{
@@ -68,12 +64,20 @@ func closeUnit(tb *trace.Buffer, sh *shard, cfg Config, country string, samples 
 	tb.Record(ev)
 }
 
+// outcome labels a unit's fate in its events: "ok", or the loss reason.
+func outcome(lost OutageReason) string {
+	if lost == OutageNone {
+		return "ok"
+	}
+	return lost.String()
+}
+
 // recordFetch records one sample's "fetch" event. k is the sample's
 // ordinal within the unit (task-major), which keys the span ID.
-func recordFetch(tb *trace.Buffer, sh *shard, cfg Config, country, domain string, k int, s Sample, wallStart int64) {
+func recordFetch(tb *trace.Buffer, sh *shard, cfg Config, domain string, k int, s Sample, wallStart int64) {
 	ev := trace.NewEvent(tb.Ctx().Child(trace.EventFetch, k), trace.EventFetch)
 	ev.Unit = sh.seq
-	ev.Country = country
+	ev.Country = sh.country
 	ev.Phase = cfg.Phase
 	ev.Outcome = s.Err.String()
 	ev.WallNS = wallStart
@@ -86,11 +90,9 @@ func recordFetch(tb *trace.Buffer, sh *shard, cfg Config, country, domain string
 	tb.Record(ev)
 }
 
-// recordScanTail emits the end-of-scan events every composition shares
-// — Run's tail and Assembly.Finish both land here so the merged
-// streams agree byte-for-byte. One "outage" event per degraded
-// country (each also firing the flight recorder), then the closing
-// "scan" event.
+// recordScanTail emits the end-of-scan events Assembly.Finish records:
+// one "outage" event per degraded country (each also firing the flight
+// recorder), then the closing "scan" event.
 func recordScanTail(tr *trace.Tracer, scanCtx trace.SpanCtx, phase string, outages []Outage, shards int) {
 	if tr == nil || !scanCtx.Valid() {
 		return

@@ -243,7 +243,7 @@ func TestTracingDisabledOverhead(t *testing.T) {
 					sinkB = !sinkB
 				}
 			}
-			closeUnit(tb, &shard{seq: i}, off, "US", 0, 0)
+			closeUnit(tb, &shard{seq: i, country: "US"}, off, 0, 0, OutageNone)
 			sink = tb
 		}
 	})

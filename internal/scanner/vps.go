@@ -1,7 +1,7 @@
-// The VPS engine: the §3.1 datacenter exploration, ported onto the
-// same scheduler/fetcher/sink layers. There is no session layer — VPS
-// vantage points are stable addresses with no proxy failures and no
-// rotation budget — so each shard is a bare fetch loop.
+// The VPS engine: the §3.1 datacenter exploration, run as a fleet
+// Plan on the same scheduler/fetcher/sink layers. There is no session
+// layer — VPS vantage points are stable addresses with no proxy
+// failures and no rotation budget — so each shard is a bare fetch loop.
 package scanner
 
 import (
@@ -9,7 +9,6 @@ import (
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
-	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
 
@@ -22,53 +21,27 @@ func RunVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, tasks []T
 	if cfg.Headers == nil {
 		cfg.Headers = ZGrabHeaders()
 	}
-	cfg = cfg.withDefaults()
 	if tasks == nil {
 		tasks = CrossProduct(len(domains), len(fleet))
 	}
-
-	byVPS := make([][]Task, len(fleet))
-	for _, t := range tasks {
-		byVPS[t.Country] = append(byVPS[t.Country], t)
-	}
-	shards := buildShards(byVPS, cfg.ShardSize, func(int16, int) uint64 { return 0 })
-	skip, err := resumePrefix(cfg, shards)
-	if err != nil {
-		return err
-	}
-	_, journaling := sink.(ShardSink)
-
-	scanCtx := ScanTraceCtx(cfg)
-	run := func(ctx context.Context, sh *shard) {
-		sh.country = string(fleet[sh.group].Country)
-		scfg := cfg
-		if journaling && cfg.Metrics != nil {
-			sh.staging = telemetry.NewWithClock(cfg.Metrics.Clock())
-			scfg.Metrics = sh.staging
-		}
-		tb := unitBuffer(scanCtx, sh.seq, cfg)
-		sh.out = scanVPSShard(ctx, fleet[sh.group], domains, sh, scfg, tb)
-		sh.events = tb.Events()
-	}
-	creditSkipped(cfg, skip)
-	em := newEmitter(sink, shards, skip, cfg.Metrics, cfg.Trace, scanCtx, cfg.Phase)
-	if err := schedule(ctx, shards, skip, cfg.Concurrency, run, em); err != nil {
-		return err
-	}
-	recordScanTail(cfg.Trace, scanCtx, cfg.Phase, nil, len(shards))
-	return nil
+	return newPlan(domains, fleetCountries(fleet), fleet, tasks, cfg).run(ctx, nil, sink)
 }
 
 // ScanVPS is the collecting form of RunVPS over the full cross
 // product, with one Result country entry per fleet position.
 func ScanVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, cfg Config) (*Result, error) {
+	var c Collect
+	err := RunVPS(ctx, fleet, domains, nil, cfg, &c)
+	return &Result{Domains: domains, Countries: fleetCountries(fleet), Samples: c.Samples}, err
+}
+
+// fleetCountries lists each fleet position's country.
+func fleetCountries(fleet []*proxy.VPS) []geo.CountryCode {
 	countries := make([]geo.CountryCode, len(fleet))
 	for i, v := range fleet {
 		countries[i] = v.Country
 	}
-	var c Collect
-	err := RunVPS(ctx, fleet, domains, nil, cfg, &c)
-	return &Result{Domains: domains, Countries: countries, Samples: c.Samples}, err
+	return countries
 }
 
 func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, tb *trace.Buffer) []Sample {
@@ -81,7 +54,7 @@ func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard
 		}
 		domain := domains[t.Domain]
 		for a := 0; a < cfg.Samples; a++ {
-			seed := sampleSeed(domain, string(v.Country), cfg.Phase+"/vps", a)
+			seed := sampleSeed(domain, sh.country, cfg.Phase+"/vps", a)
 			if tb == nil {
 				out = append(out, f.fetch(domain, seed, t, uint8(a), v.IP))
 				continue
@@ -89,9 +62,9 @@ func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard
 			fetchStart := tb.Wall()
 			s := f.fetch(domain, seed, t, uint8(a), v.IP)
 			out = append(out, s)
-			recordFetch(tb, sh, cfg, string(v.Country), domain, ti*cfg.Samples+a, s, fetchStart)
+			recordFetch(tb, sh, cfg, domain, ti*cfg.Samples+a, s, fetchStart)
 		}
 	}
-	closeUnit(tb, sh, cfg, string(v.Country), len(out), unitStart)
+	closeUnit(tb, sh, cfg, len(out), unitStart, OutageNone)
 	return out
 }

@@ -136,10 +136,9 @@ func NewEvent(ctx SpanCtx, name string) Event {
 // Buffer stages one unit's events without any locking: each scheduler
 // shard (or fabric work unit) owns exactly one Buffer for its
 // lifetime, so recording is plain appends — the lock-cheap
-// per-goroutine path. The scheduler's emitter (or the fabric's
-// Assembly) hands the finished buffer to the Tracer at the canonical
-// emission point, which is what keeps the merged stream's order
-// independent of scheduling.
+// per-goroutine path. The engine's Assembly hands the finished buffer
+// to the Tracer at the canonical emission point, which is what keeps
+// the merged stream's order independent of scheduling.
 //
 // A nil *Buffer is a valid no-op receiver, so instrumentation sites
 // stay straight-line.

@@ -33,7 +33,7 @@ const DefaultFlightSize = 256
 // Tracer collects a run's events. Driver-side code records into it
 // directly (those call sites are single-goroutine or canonically
 // serialized); unit-scoped events arrive in batches via Append from
-// the scheduler's emitter. A nil *Tracer no-ops everywhere, so the
+// the engine's Assembly. A nil *Tracer no-ops everywhere, so the
 // engine's hot path pays one pointer test when tracing is off.
 type Tracer struct {
 	// root, clock, and wall are fixed before the tracer is shared (the
@@ -119,7 +119,7 @@ func (t *Tracer) Root() SpanCtx {
 }
 
 // WallClock returns the injected wall clock, nil when absent — the
-// engine threads it to unit buffers via Config.TraceWall.
+// engine stamps unit buffers with it.
 func (t *Tracer) WallClock() telemetry.Clock {
 	if t == nil {
 		return nil
