@@ -8,17 +8,15 @@
 // snapshot state). It is a tier-1 gate: `make check` runs it between
 // `go vet` and the tests.
 //
-//	geolint ./...                      # everything (the default)
-//	geolint -list                      # describe the analyzers
-//	geolint -baseline lint.baseline ./...   # apply the committed ratchet
-//	geolint -json ./...                # machine-readable diagnostics
-//	geolint -write-baseline lint.baseline ./...  # accept current findings
+//	geolint ./...          # everything (the default)
+//	geolint -list          # describe the analyzers
+//	geolint -json ./...    # machine-readable diagnostics
 //
-// With -baseline, a diagnostic the baseline covers is reported but
-// does not fail the run; a new diagnostic fails it; a stale baseline
-// entry is flagged on stderr so the ratchet only tightens. Exact-line
-// escapes use `//geolint:allow <analyzer> <reason>` and block escapes
-// `//geolint:allow-block <analyzer> <reason>`; see internal/lint.
+// Any diagnostic fails the run. The one sanctioned escape is a
+// directive that documents why a finding is correct to keep:
+// `//geolint:allow <analyzer> <reason>` for one line and
+// `//geolint:allow-block <analyzer> <reason>` for a block; see
+// internal/lint.
 package main
 
 import (
@@ -32,19 +30,16 @@ import (
 
 // jsonDiag is the machine-readable diagnostic shape for CI annotation.
 type jsonDiag struct {
-	Analyzer  string `json:"analyzer"`
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Column    int    `json:"column"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Message  string `json:"message"`
 }
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON on stdout")
-	baselinePath := flag.String("baseline", "", "baseline file: covered diagnostics do not fail the run")
-	writeBaseline := flag.String("write-baseline", "", "write current diagnostics to this baseline file and exit")
 	flag.Parse()
 
 	analyzers := lint.All()
@@ -65,54 +60,26 @@ func main() {
 	}
 	diags := lint.Check(pkgs, analyzers)
 
-	if *writeBaseline != "" {
-		if err := os.WriteFile(*writeBaseline, []byte(lint.FormatBaseline(dir, diags)), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "geolint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-
-	covered, surviving := []lint.Diagnostic(nil), diags
-	var stale []string
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fail(err)
-		}
-		covered, surviving, stale = base.Apply(dir, diags)
-	}
-
 	if *jsonOut {
 		out := make([]jsonDiag, 0, len(diags))
-		emit := func(ds []lint.Diagnostic, baselined bool) {
-			for _, d := range ds {
-				out = append(out, jsonDiag{
-					Analyzer: d.Analyzer, File: d.Pos.Filename, Line: d.Pos.Line,
-					Column: d.Pos.Column, Message: d.Message, Baselined: baselined,
-				})
-			}
+		for _, d := range diags {
+			out = append(out, jsonDiag{
+				Analyzer: d.Analyzer, File: d.Pos.Filename, Line: d.Pos.Line,
+				Column: d.Pos.Column, Message: d.Message,
+			})
 		}
-		emit(surviving, false)
-		emit(covered, true)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "\t")
 		if err := enc.Encode(out); err != nil {
 			fail(err)
 		}
 	} else {
-		for _, d := range surviving {
+		for _, d := range diags {
 			fmt.Println(d)
 		}
-		for _, d := range covered {
-			fmt.Printf("%s [baselined]\n", d)
-		}
 	}
-	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "geolint: stale baseline entry (fixed? shrink the baseline): %s\n", s)
-	}
-	if len(surviving) > 0 {
-		fmt.Fprintf(os.Stderr, "geolint: %d invariant violation(s)\n", len(surviving))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "geolint: %d invariant violation(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"geoblock/internal/faults"
 	"geoblock/internal/lumscan"
 	"geoblock/internal/papertables"
+	"geoblock/internal/pipeline"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
@@ -168,17 +169,8 @@ func main() {
 	runExtensions := func() {
 		r := sys.RunTop10K(geoblock.Top10KConfig{})
 		papertables.PrintTimeouts(out, sys.AnalyzeTimeouts(r, 10))
-		targets := []geoblock.CountryCode{"IR", "SY", "SD", "CU", "CN", "RU", "BR", "IN", "NG", "UA"}
-		papertables.PrintAppLayer(out, sys.RunAppLayerStudy(analysis.RespondingDomains(r.Initial), "US", targets))
-		seen := map[string]bool{}
-		var regDomains []string
-		for _, f := range r.Candidates {
-			if !seen[f.DomainName] {
-				seen[f.DomainName] = true
-				regDomains = append(regDomains, f.DomainName)
-			}
-		}
-		papertables.PrintRegional(out, sys.RunRegionalAnalysis(regDomains, 12))
+		papertables.PrintAppLayer(out, sys.RunAppLayerStudy(analysis.RespondingDomains(r.Initial), "US", pipeline.AppLayerTargets()))
+		papertables.PrintRegional(out, sys.RunRegionalAnalysis(r.RegionalCandidates(), 12))
 	}
 
 	switch *study {

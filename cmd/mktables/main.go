@@ -20,6 +20,7 @@ import (
 	"geoblock"
 	"geoblock/internal/analysis"
 	"geoblock/internal/papertables"
+	"geoblock/internal/pipeline"
 	"geoblock/internal/report"
 	"geoblock/internal/stats"
 )
@@ -119,17 +120,8 @@ func main() {
 	// §7.3 extensions over the §4 snapshot: timeout geoblocking,
 	// application-layer discrimination, region granularity.
 	papertables.PrintTimeouts(out, sys.AnalyzeTimeouts(r10, 10))
-	appTargets := []geoblock.CountryCode{"IR", "SY", "SD", "CU", "CN", "RU", "BR", "IN", "NG", "UA"}
-	papertables.PrintAppLayer(out, sys.RunAppLayerStudy(analysis.RespondingDomains(r10.Initial), "US", appTargets))
-	regCandidates := map[string]bool{}
-	var regDomains []string
-	for _, f := range r10.Candidates {
-		if !regCandidates[f.DomainName] {
-			regCandidates[f.DomainName] = true
-			regDomains = append(regDomains, f.DomainName)
-		}
-	}
-	papertables.PrintRegional(out, sys.RunRegionalAnalysis(regDomains, 12))
+	papertables.PrintAppLayer(out, sys.RunAppLayerStudy(analysis.RespondingDomains(r10.Initial), "US", pipeline.AppLayerTargets()))
+	papertables.PrintRegional(out, sys.RunRegionalAnalysis(r10.RegionalCandidates(), 12))
 
 	// §5: the Top-1M study → Tables 7, 8 and the non-explicit analysis.
 	r1m := sys.RunTop1M(geoblock.Top1MConfig{})

@@ -274,8 +274,8 @@ func DecodeVerdicts(b []byte) (*VerdictSnapshot, error) {
 }
 
 // Err reports the first scan abort the system's study observed — nil
-// after a complete run, a pipeline.PhaseError naming the truncated
-// phase otherwise.
+// after a complete run, otherwise a pipeline.PhaseError naming the
+// aborted scan by its journal key.
 func (s *System) Err() error { return s.study.Err() }
 
 // Metrics exposes the system's telemetry registry: scan counters, error

@@ -489,7 +489,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// The wire payload is the staged snapshot plus the unit's trace
 		// events (see unitPayload) — transport only, never journaled.
 		var pl unitPayload
-		if err := json.Unmarshal(cp.Metrics, &pl); err != nil {
+		err = json.Unmarshal(cp.Metrics, &pl)
+		if err == nil {
+			err = pl.Snapshot.Validate()
+		}
+		if err != nil {
 			reject("fabric: bad completion metrics: " + err.Error())
 			return
 		}

@@ -361,12 +361,13 @@ func TestCompleteIdempotency(t *testing.T) {
 	}
 }
 
-// badCompletions encodes the four completions a faulty worker could
+// badCompletions encodes the five completions a faulty worker could
 // send for a unit whose genuine result is res: the first sample naming
 // domain index 2^30, the first sample naming country index 999, one of
-// the unit's samples alone, and loss reason 200. Each is well framed
-// and goes out under the unit's own fingerprint, so only the
-// coordinator's unit check can tell it from the real thing.
+// the unit's samples alone, loss reason 200, and the genuine samples
+// with a staged snapshot holding a histogram whose min equals its max.
+// Each is well framed and goes out under the unit's own fingerprint, so
+// only the coordinator's checks can tell it from the real thing.
 func badCompletions(t testing.TB, unit scanner.WorkUnit, res scanner.UnitResult) [][]byte {
 	t.Helper()
 	variant := func(edit func(*scanner.UnitResult)) []byte {
@@ -384,6 +385,11 @@ func badCompletions(t testing.TB, unit scanner.WorkUnit, res scanner.UnitResult)
 		variant(func(r *scanner.UnitResult) { r.Samples[0].Country = 999 }),
 		variant(func(r *scanner.UnitResult) { r.Samples = r.Samples[:1] }),
 		variant(func(r *scanner.UnitResult) { r.Lost = 200 }),
+		variant(func(r *scanner.UnitResult) {
+			r.Metrics = &telemetry.Snapshot{Histograms: []telemetry.HistogramStats{
+				{Name: "scanner.flat", Min: 1, Max: 1, Counts: []int{1}, Total: 1},
+			}}
+		}),
 	}
 }
 
@@ -448,13 +454,14 @@ func TestCompleteRejectsForeignPayloads(t *testing.T) {
 	if len(res.Samples) != 16 {
 		t.Fatalf("unit %d carries %d samples; the bad completions model a 16-sample unit", seq, len(res.Samples))
 	}
-	for i, body := range badCompletions(t, unit, res) {
+	bad := badCompletions(t, unit, res)
+	for i, body := range bad {
 		if code, status := post(seq, body); code != http.StatusBadRequest {
 			t.Fatalf("bad completion %d answered %d/%q, want 400", i, code, status)
 		}
 	}
-	if n := reg.RuntimeCounter(MetRejected).Value(); n != 4 {
-		t.Fatalf("%s = %d after 4 rejections", MetRejected, n)
+	if n := reg.RuntimeCounter(MetRejected).Value(); n != int64(len(bad)) {
+		t.Fatalf("%s = %d after %d rejections", MetRejected, n, len(bad))
 	}
 	for s := 0; s < w.plan.NumUnits(); s++ {
 		unit, res := execute(s)

@@ -16,12 +16,16 @@ import (
 
 	"geoblock/internal/runstore"
 	"geoblock/internal/scanner"
+	"geoblock/internal/telemetry"
 	"geoblock/internal/worldgen"
 )
 
 // FuzzCompleteHandler drives the completion handler end to end — query
 // string and body — against a fresh coordinator running one fixed
-// phase. The handler must never panic, and it must never answer 200
+// phase into a fresh registry, so an accepted completion's staged
+// snapshot reaches Registry.Merge. The seeds include the genuine unit-0
+// completion carrying a histogram no registry can hold (see
+// badCompletions). The handler must never panic, and it must never answer 200
 // with an accepted or duplicate ack for a payload that is not the named
 // unit's output. (A stale-phase ack is 200 too, but only for a query
 // that names another phase.)
@@ -51,6 +55,8 @@ func FuzzCompleteHandler(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, rawQuery string, body []byte) {
 		coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}, LeaseTTL: -1})
+		cfg := cfg
+		cfg.Metrics = telemetry.New()
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		wg.Add(1)

@@ -18,8 +18,8 @@
 // Facts are JSON-serializable through a small type registry. Nothing
 // persists them today — one Check call owns one store — but the
 // round-trip keeps every fact a plain value (no closures, no AST
-// pointers), which is what lets the baseline and any future cached
-// mode treat them as data.
+// pointers), which is what lets any future cached mode treat them as
+// data.
 package lint
 
 import (

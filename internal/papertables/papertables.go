@@ -271,7 +271,7 @@ func FindingsSummary(w io.Writer, r *pipeline.Top10KResult) {
 // snapshot's coverage, the headline numbers, Tables 1–6, and the
 // §4.2.1 per-provider rates.
 func PrintTop10K(w io.Writer, world *worldgen.World, r *pipeline.Top10KResult) {
-	PrintCoverage(w, "top10k initial snapshot", r.Outages, r.Coverage)
+	PrintCoverage(w, "top10k initial snapshot", r.Initial.Outages, r.Initial.Coverage)
 	FindingsSummary(w, r)
 	PrintTable1(w, analysis.BuildTable1(r))
 	rows, total := analysis.BuildTable2(r)
@@ -290,7 +290,7 @@ func PrintTop10K(w io.Writer, world *worldgen.World, r *pipeline.Top10KResult) {
 // coverage, the discovery summary, Tables 7 and 8, the §5.2.1
 // per-provider rates, and the §5.2.2 non-explicit table.
 func PrintTop1M(w io.Writer, world *worldgen.World, r *pipeline.Top1MResult) {
-	PrintCoverage(w, "top1m snapshot", r.Outages, r.Coverage)
+	PrintCoverage(w, "top1m snapshot", r.Initial.Outages, r.Initial.Coverage)
 	fmt.Fprintf(w, "Top 1M: %d customers discovered, %d eligible, %d sampled, %d explicit findings\n\n",
 		r.Discovered.Total(), r.EligibleCount, len(r.TestDomains), len(r.ExplicitFindings))
 	PrintCountryCDN(w, "Table 7: Geoblocking among Top 1M sites, by country",

@@ -50,12 +50,6 @@ func (s *Study) RunExploration() *ExploreResult {
 	}()
 
 	id := cdnid.NewIdentifier(s.World)
-	ranks := make([]int, 0, len(s.World.CustomerRanks())+len(s.World.Top10K()))
-	for rank := 1; rank <= len(s.World.Top10K()); rank++ {
-		ranks = append(ranks, rank)
-	}
-	ranks = append(ranks, s.World.CustomerRanks()...)
-
 	nsPops := map[worldgen.Provider][]int{}
 	res := id.NSPopulations(1, len(s.World.Top10K()))
 	for p, rs := range res {
@@ -97,13 +91,9 @@ func (s *Study) RunExploration() *ExploreResult {
 		countryIdx[v.Country] = int16(i)
 	}
 
-	type pair struct {
-		domain  int32
-		country int16
-	}
-	blockPairs := map[pair]blockpage.Kind{}
+	blockPairs := map[pairKey]blockpage.Kind{}
 	uniqueDomains := map[int32]bool{}
-	s.noteScanErr("explore", s.scanVPSStream("explore", cfg, fleet, domains, nil,
+	s.scanVPSStream("explore", cfg, fleet, domains, nil,
 		lumscan.SinkFunc(func(sm lumscan.Sample) {
 			if !sm.OK() {
 				return
@@ -121,34 +111,26 @@ func (s *Study) RunExploration() *ExploreResult {
 			}
 			k := s.Classifier.Classify(sm.Body)
 			if k == blockpage.Akamai || k == blockpage.Cloudflare {
-				blockPairs[pair{sm.Domain, sm.Country}] = k
+				blockPairs[pairKey{sm.Domain, sm.Country}] = k
 				uniqueDomains[sm.Domain] = true
 			}
-		})))
+		}))
 	r.PairsBlockpage = len(blockPairs)
 	r.UniqueDomains = len(uniqueDomains)
 
 	// Manual verification: load each flagged pair in "a real web
 	// browser tunneled through the VPS" — full browser headers. Bot
-	// false positives load fine; genuine geoblocks stay blocked.
-	keys := make([]pair, 0, len(blockPairs))
-	for k := range blockPairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].country != keys[j].country {
-			return keys[i].country < keys[j].country
-		}
-		return keys[i].domain < keys[j].domain
-	})
+	// false positives load fine; genuine geoblocks stay blocked. Pairs
+	// go in the engine's country-major order, which fixes each one's
+	// explore-verify#k journal key.
 	verifyCfg := s.scanConfig("explore-verify")
 	verifyCfg.Samples = 1
-	for _, key := range keys {
-		kind := blockPairs[key]
+	for _, t := range taskList(blockPairs) {
+		kind := blockPairs[pairKey{t.Domain, t.Country}]
 		r.PerProviderPairs[kind]++
 		var sub lumscan.Collect
-		s.noteScanErr("explore-verify", s.scanVPSStream("explore-verify", verifyCfg,
-			fleet[key.country:key.country+1], []string{domains[key.domain]}, nil, &sub))
+		s.scanVPSStream("explore-verify", verifyCfg,
+			fleet[t.Country:t.Country+1], []string{domains[t.Domain]}, nil, &sub)
 		genuine := false
 		for i := range sub.Samples {
 			sm := &sub.Samples[i]

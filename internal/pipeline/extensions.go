@@ -123,7 +123,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 	scanCfg.Samples = resamples
 	scanCfg.Retries = 0
 	confirm := map[pairKey]*tally{}
-	s.noteScanErr("timeout-confirm", s.scanStream("timeout-confirm", scanCfg, r.SafeDomains, r.Countries, tasks,
+	s.scanStream("timeout-confirm", scanCfg, r.SafeDomains, r.Countries, tasks,
 		lumscan.SinkFunc(func(sm lumscan.Sample) {
 			key := pairKey{sm.Domain, sm.Country}
 			t := confirm[key]
@@ -139,7 +139,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 			default:
 				t.other++
 			}
-		})))
+		}))
 
 	for _, dIdx := range domains {
 		f := TimeoutFinding{DomainName: r.SafeDomains[dIdx]}
@@ -215,6 +215,13 @@ type AppLayerFinding struct {
 	MissingLinks []string
 	NoticeAdded  bool
 	PriceRatio   float64 // 0 when no price comparison was possible
+}
+
+// AppLayerTargets are the countries the application-layer study
+// compares against its reference: the sanctioned and filtering
+// countries, and large markets where prices might differ.
+func AppLayerTargets() []geo.CountryCode {
+	return []geo.CountryCode{"IR", "SY", "SD", "CU", "CN", "RU", "BR", "IN", "NG", "UA"}
 }
 
 // AppLayerResult is the application-layer study output.
@@ -311,6 +318,21 @@ type RegionalFinding struct {
 	Kind         blockpage.Kind
 	RegionRate   float64
 	MainlandRate float64
+}
+
+// RegionalCandidates lists each domain of the study's explicit
+// candidate pairs once, in candidate order: the domains the
+// region-granular analysis probes.
+func (r *Top10KResult) RegionalCandidates() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, f := range r.Candidates {
+		if !seen[f.DomainName] {
+			seen[f.DomainName] = true
+			out = append(out, f.DomainName)
+		}
+	}
+	return out
 }
 
 // RunRegionalAnalysis probes domains through Crimean exits and through

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"sort"
-
 	"geoblock/internal/blockpage"
 	"geoblock/internal/consistency"
 	"geoblock/internal/lumscan"
@@ -62,22 +60,10 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 		countryIdx[string(cc)] = int16(i)
 	}
 
-	tasks := make([]lumscan.Task, 0, len(r.Candidates))
 	kinds := make(map[pairKey]struct{}, len(r.Candidates))
 	for _, f := range r.Candidates {
-		key := pairKey{domainIdx[f.DomainName], countryIdx[string(f.Country)]}
-		if _, dup := kinds[key]; dup {
-			continue
-		}
-		kinds[key] = struct{}{}
-		tasks = append(tasks, lumscan.Task{Domain: key.domain, Country: key.country})
+		kinds[pairKey{domainIdx[f.DomainName], countryIdx[string(f.Country)]}] = struct{}{}
 	}
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].Country != tasks[j].Country {
-			return tasks[i].Country < tasks[j].Country
-		}
-		return tasks[i].Domain < tasks[j].Domain
-	})
 
 	scanCfg := s.scanConfig("consistency-100")
 	scanCfg.Samples = population
@@ -91,7 +77,7 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 	// samples per pair this is the deepest scan in the repo, so each
 	// sample streams into its bit and the body is gone immediately.
 	perPair := map[pairKey][]bool{}
-	s.noteScanErr("figure1", s.scanStream("figure1", scanCfg, r.SafeDomains, r.Countries, tasks,
+	s.scanStream("figure1", scanCfg, r.SafeDomains, r.Countries, taskList(kinds),
 		lumscan.SinkFunc(func(sm lumscan.Sample) {
 			key := pairKey{sm.Domain, sm.Country}
 			if _, tracked := kinds[key]; !tracked {
@@ -99,7 +85,7 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 			}
 			hit := sm.OK() && sm.Body != "" && s.explicitKind(sm.Body) != blockpage.KindNone
 			perPair[key] = append(perPair[key], hit)
-		})))
+		}))
 
 	// Figure 1 draws from every candidate pair; Figure 3 ("known
 	// geoblockers") only from the pairs the threshold confirmed.
@@ -109,17 +95,7 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 	}
 
 	rng := s.studyRNG("consistency-subsample")
-	keys := make([]pairKey, 0, len(perPair))
-	for key := range perPair {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].domain != keys[j].domain {
-			return keys[i].domain < keys[j].domain
-		}
-		return keys[i].country < keys[j].country
-	})
-	for _, key := range keys {
+	for _, key := range sortedPairs(perPair) {
 		blocks := perPair[key]
 		for _, k := range sizes {
 			rates := consistency.SubsampleBlockRates(blocks, k, draws, rng)

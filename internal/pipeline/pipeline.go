@@ -5,6 +5,14 @@
 // pairs, targeted resampling, and the 80%-agreement confirmation step —
 // for both the Alexa Top-10K study (§4) and the Top-1M CDN-customer
 // study (§5), plus the §3.1 VPS exploration.
+//
+// The two studies share one flow: one snapshot scan (initialScan), one
+// reachability count, and one confirmation pass (confirm) that
+// resamples every pair that served an explicit block page and keeps it
+// when enough of its samples agree. Every scan runs through runScan,
+// which journals and traces it under its journal key (top10k-initial,
+// explore-verify#3) and records an abort under that same key, so
+// Study.Err, the journal and the trace name a phase alike.
 package pipeline
 
 import (
@@ -128,25 +136,26 @@ func (s *Study) ctx() context.Context {
 	return context.Background()
 }
 
-// noteScanErr records a scan phase that returned an error — today that
-// means the study's context was cancelled mid-phase. The phase's
-// partial output is kept (the streaming sinks have already folded it),
-// but the abort is logged and retained so callers can distinguish a
-// truncated study from a complete one.
-func (s *Study) noteScanErr(phase string, err error) {
+// noteScanErr records a scan invocation that returned an error — a
+// cancelled context, a severed journal, a failed fabric phase — under
+// its journal key. The phase's partial output is kept (the streaming
+// sinks have already folded it), but the abort is logged and retained
+// so callers can distinguish a truncated study from a complete one.
+func (s *Study) noteScanErr(key string, err error) {
 	if err == nil {
 		return
 	}
 	if s.scanErr == nil {
-		s.scanErr = &PhaseError{Phase: phase, Err: err}
+		s.scanErr = &PhaseError{Phase: key, Err: err}
 	}
-	s.logf("%s: scan aborted: %v", phase, err)
+	s.logf("%s: scan aborted: %v", key, err)
 }
 
 // PhaseError is the error Study.Err reports: the underlying scan abort
-// tagged with the pipeline phase it struck, so operators see which
-// phase truncated the study. Unwrap preserves errors.Is matching on
-// the cause (runstore.ErrSevered, context.Canceled, ...).
+// tagged with the journal key of the scan it struck (top10k-resample,
+// explore-verify#3), the same name the journal and the trace give that
+// scan. Unwrap preserves errors.Is matching on the cause
+// (runstore.ErrSevered, context.Canceled, ...).
 type PhaseError struct {
 	Phase string
 	Err   error
@@ -286,6 +295,136 @@ func (s *Study) collectPairRates(res *lumscan.Result, kinds map[pairKey]blockpag
 	}
 }
 
+// initialScan runs a study's <study>-initial snapshot: samples per
+// pair over every (domain, country), collected in full because every
+// later stage reads it.
+func (s *Study) initialScan(study string, domains []string, countries []geo.CountryCode, samples, concurrency int) *lumscan.Result {
+	phase := study + "-initial"
+	cfg := s.scanConfig(phase)
+	cfg.Samples = samples
+	cfg.Concurrency = concurrency
+	var col lumscan.Collect
+	s.scanStream(phase, cfg, domains, countries, lumscan.CrossProduct(len(domains), len(countries)), &col)
+	res := &lumscan.Result{Domains: domains, Countries: countries,
+		Samples: col.Samples, Outages: col.Outages, Coverage: col.Coverage}
+	s.logf("%s: initial snapshot %d samples", study, len(res.Samples))
+	s.logCoverage(study, res.Outages, res.Coverage)
+	return res
+}
+
+// reachability computes the §4.1.1 reachability numbers of a snapshot:
+// domains that never produced a response, and the subset the proxy
+// platform itself refused (X-Luminati-Error).
+func reachability(res *lumscan.Result) (never, luminati int) {
+	ok := make([]bool, len(res.Domains))
+	lum := make([]bool, len(res.Domains))
+	for i := range res.Samples {
+		sm := &res.Samples[i]
+		if sm.OK() {
+			ok[sm.Domain] = true
+		}
+		if sm.Err == lumscan.ErrLuminati {
+			lum[sm.Domain] = true
+		}
+	}
+	for d := range ok {
+		if ok[d] {
+			continue
+		}
+		never++
+		if lum[d] {
+			luminati++
+		}
+	}
+	return never, luminati
+}
+
+// explicitPairs maps every pair that served an explicit geoblock page
+// in the snapshot to that page's kind: the candidates the confirmation
+// pass resamples.
+func (s *Study) explicitPairs(res *lumscan.Result) map[pairKey]blockpage.Kind {
+	kinds := make(map[pairKey]blockpage.Kind)
+	for i := range res.Samples {
+		sm := &res.Samples[i]
+		if !sm.OK() {
+			continue
+		}
+		if k := s.explicitKind(sm.Body); k != blockpage.KindNone {
+			kinds[pairKey{sm.Domain, sm.Country}] = k
+		}
+	}
+	return kinds
+}
+
+// confirm is the step both studies end in (§4.1.4, §5.2.1): sample
+// every candidate pair again in the <study>-resample scan, and keep it
+// when its explicit page shows in at least threshold of the snapshot's
+// and the resample's responses together. It returns the confirmed
+// findings and every candidate's agreement rate, both in pair order,
+// and the number of candidates the threshold eliminated.
+func (s *Study) confirm(study string, res *lumscan.Result, ranks []int, kinds map[pairKey]blockpage.Kind, samples int, threshold float64, concurrency int) (findings []Finding, rates []float64, eliminated int) {
+	phase := study + "-resample"
+	cfg := s.scanConfig(phase)
+	cfg.Samples = samples
+	cfg.Concurrency = concurrency
+
+	// The pass streams straight into the rate fold: each pair is
+	// digested as its shard completes and its bodies dropped, so the
+	// pass never holds a materialized Result.
+	cands := make(map[pairKey]*candidate, len(kinds))
+	s.collectPairRates(res, kinds, cands)
+	s.scanStream(phase, cfg, res.Domains, res.Countries, taskList(kinds), s.pairRateSink(kinds, cands))
+
+	for _, key := range sortedPairs(cands) {
+		c := cands[key]
+		rates = append(rates, c.rate.Frac())
+		if !c.rate.Confirmed(threshold) {
+			eliminated++
+			continue
+		}
+		findings = append(findings, Finding{
+			DomainName: res.Domains[key.domain],
+			Rank:       ranks[key.domain],
+			Country:    res.Countries[key.country],
+			Kind:       c.kind,
+			Rate:       c.rate,
+		})
+	}
+	return findings, rates, eliminated
+}
+
+// sortedPairs returns m's pairs in domain-major order, the order every
+// per-pair output lists them in.
+func sortedPairs[V any](m map[pairKey]V) []pairKey {
+	keys := make([]pairKey, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].domain != keys[j].domain {
+			return keys[i].domain < keys[j].domain
+		}
+		return keys[i].country < keys[j].country
+	})
+	return keys
+}
+
+// taskList returns m's pairs as scan tasks in the engine's
+// country-major order.
+func taskList[V any](m map[pairKey]V) []lumscan.Task {
+	tasks := make([]lumscan.Task, 0, len(m))
+	for key := range m {
+		tasks = append(tasks, lumscan.Task{Domain: key.domain, Country: key.country})
+	}
+	sort.Slice(tasks, func(i, j int) bool {
+		if tasks[i].Country != tasks[j].Country {
+			return tasks[i].Country < tasks[j].Country
+		}
+		return tasks[i].Domain < tasks[j].Domain
+	})
+	return tasks
+}
+
 // rankCountriesByBlocking runs the auxiliary pre-experiment of §4.1.2:
 // sample the NS-detectable Cloudflare and Akamai customers within the
 // safe set from every country and rank countries by how many 403s come
@@ -315,13 +454,13 @@ func (s *Study) rankCountriesByBlocking(safeDomains []string, safeRanks []int, c
 	cfg.Samples = samples
 	cfg.Bodies = lumscan.BodyNone
 	counts := make([]int, len(countries))
-	s.noteScanErr("country-rank", s.scanStream("country-rank", cfg, auxDomains, countries,
+	s.scanStream("country-rank", cfg, auxDomains, countries,
 		lumscan.CrossProduct(len(auxDomains), len(countries)),
 		lumscan.SinkFunc(func(sm lumscan.Sample) {
 			if sm.OK() && sm.Status == 403 {
 				counts[sm.Country]++
 			}
-		})))
+		}))
 	idx := make([]int, len(countries))
 	for i := range idx {
 		idx[i] = i
@@ -428,8 +567,8 @@ func (s *Study) traceStep(ctx trace.SpanCtx, name, phase string) func(error) {
 // scanStream is the study's one residential-scan entry point: the
 // fabric's runner when one is attached, the in-process engine
 // otherwise. name keys the journal; it is usually cfg.Phase.
-func (s *Study) scanStream(name string, cfg lumscan.Config, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, sink lumscan.Sink) error {
-	return s.runScan(name, cfg, len(domains), len(countries), len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
+func (s *Study) scanStream(name string, cfg lumscan.Config, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, sink lumscan.Sink) {
+	s.runScan(name, cfg, len(domains), len(countries), len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
 		if s.Runner != nil {
 			return s.Runner(s.ctx(), domains, countries, tasks, cfg, sink)
 		}
@@ -438,8 +577,8 @@ func (s *Study) scanStream(name string, cfg lumscan.Config, domains []string, co
 }
 
 // scanVPSStream is scanStream for the datacenter engine.
-func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VPS, domains []string, tasks []lumscan.Task, sink lumscan.Sink) error {
-	return s.runScan(name, cfg, len(domains), len(fleet), len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
+func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VPS, domains []string, tasks []lumscan.Task, sink lumscan.Sink) {
+	s.runScan(name, cfg, len(domains), len(fleet), len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
 		return lumscan.ScanVPSStream(s.ctx(), fleet, domains, tasks, cfg, sink)
 	})
 }
@@ -448,8 +587,9 @@ func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VP
 // journaling: it runs the engine directly when no journal is attached,
 // and through Store.Scan — journaling live work, replaying committed
 // work — otherwise. groups counts the countries or VPSes the tasks
-// index.
-func (s *Study) runScan(name string, cfg lumscan.Config, domains, groups, tasks int, sink lumscan.Sink, run func(lumscan.Config, lumscan.Sink) error) error {
+// index. An abort is recorded under the invocation's journal key, so
+// Err, the journal and the trace all name the phase the same way.
+func (s *Study) runScan(name string, cfg lumscan.Config, domains, groups, tasks int, sink lumscan.Sink, run func(lumscan.Config, lumscan.Sink) error) {
 	key := s.phaseKey(name)
 	traceDone := s.traceScan(key, &cfg)
 	var err error
@@ -465,5 +605,5 @@ func (s *Study) runScan(name string, cfg lumscan.Config, domains, groups, tasks 
 		})
 	}
 	traceDone(err)
-	return err
+	s.noteScanErr(key, err)
 }

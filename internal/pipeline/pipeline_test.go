@@ -1,11 +1,15 @@
 package pipeline
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
 	"geoblock/internal/blockpage"
 	"geoblock/internal/geo"
+	"geoblock/internal/lumscan"
+	"geoblock/internal/trace"
 	"geoblock/internal/worldgen"
 )
 
@@ -273,5 +277,40 @@ func TestComorosIsTheResponseRateOutlier(t *testing.T) {
 	}
 	if better < 150 {
 		t.Fatalf("only %d countries above 85%% response rate", better)
+	}
+}
+
+// TestAbortNamesJournalKey: a scan abort is reported under the scan's
+// journal key, so Err, the trace and the journal name the phase the
+// same way. Only the Top-10K confirmation pass fails here.
+func TestAbortNamesJournalKey(t *testing.T) {
+	cfg := worldgen.TestConfig()
+	cfg.Scale = 0.02
+	s := New(worldgen.Generate(cfg))
+	s.Trace = trace.New(trace.Root(cfg.Seed))
+	injected := errors.New("injected resample failure")
+	s.Runner = func(ctx context.Context, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, cfg lumscan.Config, sink lumscan.Sink) error {
+		if cfg.Phase == "top10k-resample" {
+			return injected
+		}
+		return lumscan.ScanStream(ctx, s.Net, domains, countries, tasks, cfg, sink)
+	}
+	s.RunTop10K(Top10KConfig{})
+
+	var pe *PhaseError
+	if !errors.As(s.Err(), &pe) || pe.Phase != "top10k-resample" {
+		t.Fatalf("Err() = %v, want a PhaseError for top10k-resample", s.Err())
+	}
+	if !errors.Is(s.Err(), injected) {
+		t.Fatalf("Err() = %v does not wrap the injected error", s.Err())
+	}
+	var outcomes []string
+	for _, ev := range s.Trace.Snapshot().Events {
+		if ev.Name == "pipeline/scan" && ev.Phase == "top10k-resample" {
+			outcomes = append(outcomes, ev.Outcome)
+		}
+	}
+	if len(outcomes) != 1 || outcomes[0] != "aborted" {
+		t.Fatalf("top10k-resample pipeline/scan outcomes = %v, want [aborted]", outcomes)
 	}
 }

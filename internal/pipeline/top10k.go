@@ -78,14 +78,6 @@ type Top10KResult struct {
 	NeverResponded  int
 	LuminatiBlocked int
 
-	// Degradation accounting for the initial snapshot: countries that
-	// lost shards to dead or browned-out infrastructure, and the
-	// coverage attained vs requested. A degraded run keeps its typed
-	// outage records here instead of leaking sentinel values into the
-	// table math.
-	Outages  []lumscan.Outage
-	Coverage lumscan.Coverage
-
 	// Outlier extraction (§4.1.2).
 	RepCountries   []geo.CountryCode
 	Rep            *outlier.Representative
@@ -134,22 +126,8 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 		r.InitialCount, len(r.SafeDomains), r.RemovedRisky, r.RemovedCitizenLab)
 
 	r.Countries = s.measurableCountries()
-
-	// Initial snapshot: 3 samples per pair.
-	scanCfg := s.scanConfig("top10k-initial")
-	scanCfg.Samples = cfg.InitialSamples
-	scanCfg.Concurrency = cfg.Concurrency
-	var col lumscan.Collect
-	initErr := s.scanStream("top10k-initial", scanCfg, r.SafeDomains, r.Countries,
-		lumscan.CrossProduct(len(r.SafeDomains), len(r.Countries)), &col)
-	r.Initial = &lumscan.Result{Domains: r.SafeDomains, Countries: r.Countries,
-		Samples: col.Samples, Outages: col.Outages, Coverage: col.Coverage}
-	s.noteScanErr("top10k-initial", initErr)
-	r.Outages, r.Coverage = r.Initial.Outages, r.Initial.Coverage
-	s.logf("top10k: initial snapshot %d samples", len(r.Initial.Samples))
-	s.logCoverage("top10k", r.Outages, r.Coverage)
-
-	s.populationDiagnostics(r)
+	r.Initial = s.initialScan("top10k", r.SafeDomains, r.Countries, cfg.InitialSamples, cfg.Concurrency)
+	r.NeverResponded, r.LuminatiBlocked = reachability(r.Initial)
 
 	// Reference countries for representative lengths.
 	ranked := s.rankCountriesByBlocking(r.SafeDomains, r.SafeRanks, r.Countries, 3)
@@ -158,9 +136,10 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 		k = len(ranked)
 	}
 	r.RepCountries = ranked[:k]
+	rep := repIndex(r)
 
 	endOutliers := s.stage("outliers")
-	s.extractOutliers(r)
+	s.extractOutliers(r, rep)
 	endOutliers()
 	s.logf("top10k: %d outliers from %d reference samples", len(r.Outliers), r.RepSampleCount)
 
@@ -169,9 +148,30 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 	endCluster()
 	s.logf("top10k: %d clusters, %d block-page kinds discovered", len(r.Clusters), len(r.DiscoveredKinds))
 
-	s.evaluateRecall(r)
+	s.evaluateRecall(r, rep)
 
-	s.resampleAndConfirm(r)
+	// §4.1.4: every pair that served an explicit geoblock page is a
+	// candidate, and the confirmation pass resamples it after the
+	// world moves on — a policy can change under the study.
+	kinds := s.explicitPairs(r.Initial)
+	r.CandidatePairs = len(kinds)
+	for key, kind := range kinds {
+		r.Candidates = append(r.Candidates, Finding{
+			DomainName: r.SafeDomains[key.domain],
+			Rank:       r.SafeRanks[key.domain],
+			Country:    r.Countries[key.country],
+			Kind:       kind,
+		})
+	}
+	sort.Slice(r.Candidates, func(i, j int) bool {
+		if r.Candidates[i].DomainName != r.Candidates[j].DomainName {
+			return r.Candidates[i].DomainName < r.Candidates[j].DomainName
+		}
+		return r.Candidates[i].Country < r.Candidates[j].Country
+	})
+	s.World.AdvanceClock(1)
+	r.Findings, r.AgreementRates, r.Eliminated = s.confirm("top10k", r.Initial, r.SafeRanks, kinds,
+		cfg.ResampleCount, cfg.Threshold, cfg.Concurrency)
 	s.logf("top10k: %d candidate pairs, %d confirmed, %d eliminated",
 		r.CandidatePairs, len(r.Findings), r.Eliminated)
 
@@ -196,49 +196,28 @@ func (s *Study) filterSafe(r *Top10KResult) {
 	}
 }
 
-// populationDiagnostics computes the §4.1.1 reachability numbers:
-// domains that never produced a response, and the subset the proxy
-// platform itself refused (X-Luminati-Error).
-func (s *Study) populationDiagnostics(r *Top10KResult) {
-	okByDomain := make([]bool, len(r.SafeDomains))
-	lumByDomain := make([]bool, len(r.SafeDomains))
-	for i := range r.Initial.Samples {
-		sm := &r.Initial.Samples[i]
-		if sm.OK() {
-			okByDomain[sm.Domain] = true
-		}
-		if sm.Err == lumscan.ErrLuminati {
-			lumByDomain[sm.Domain] = true
+// repIndex marks the snapshot's reference countries (§4.1.2) by
+// country index.
+func repIndex(r *Top10KResult) []bool {
+	rep := make([]bool, len(r.Countries))
+	for i, cc := range r.Countries {
+		for _, rc := range r.RepCountries {
+			if cc == rc {
+				rep[i] = true
+			}
 		}
 	}
-	for i := range okByDomain {
-		if okByDomain[i] {
-			continue
-		}
-		r.NeverResponded++
-		if lumByDomain[i] {
-			r.LuminatiBlocked++
-		}
-	}
+	return rep
 }
 
 // extractOutliers runs the §4.1.2 length heuristic over the reference
 // countries and materializes candidate bodies (replaying samples whose
 // bodies were not retained).
-func (s *Study) extractOutliers(r *Top10KResult) {
-	repSet := make(map[int16]bool, len(r.RepCountries))
-	for i, cc := range r.Countries {
-		for _, rc := range r.RepCountries {
-			if cc == rc {
-				repSet[int16(i)] = true
-			}
-		}
-	}
-
+func (s *Study) extractOutliers(r *Top10KResult, rep []bool) {
 	r.Rep = outlier.NewRepresentative()
 	for i := range r.Initial.Samples {
 		sm := &r.Initial.Samples[i]
-		if !repSet[sm.Country] || !sm.OK() || sm.BodyLen <= 0 {
+		if !rep[sm.Country] || !sm.OK() || sm.BodyLen <= 0 {
 			continue
 		}
 		r.Rep.Observe(sm.Domain, int(sm.BodyLen))
@@ -246,7 +225,7 @@ func (s *Study) extractOutliers(r *Top10KResult) {
 
 	for i := range r.Initial.Samples {
 		sm := &r.Initial.Samples[i]
-		if !repSet[sm.Country] || !sm.OK() || sm.BodyLen <= 0 {
+		if !rep[sm.Country] || !sm.OK() || sm.BodyLen <= 0 {
 			continue
 		}
 		r.RepSampleCount++
@@ -389,19 +368,11 @@ func (r *Top10KResult) ClusterSummaries() []ClusterSummary {
 // evaluateRecall computes Table 2: among reference-country samples that
 // are actually block pages (ground truth via retained bodies), how many
 // did the length heuristic extract?
-func (s *Study) evaluateRecall(r *Top10KResult) {
-	repSet := make(map[int16]bool)
-	for i, cc := range r.Countries {
-		for _, rc := range r.RepCountries {
-			if cc == rc {
-				repSet[int16(i)] = true
-			}
-		}
-	}
+func (s *Study) evaluateRecall(r *Top10KResult, rep []bool) {
 	r.Recall = make(map[blockpage.Kind]RecallRow)
 	for i := range r.Initial.Samples {
 		sm := &r.Initial.Samples[i]
-		if !repSet[sm.Country] || !sm.OK() || sm.Body == "" {
+		if !rep[sm.Country] || !sm.OK() || sm.Body == "" {
 			continue
 		}
 		kind := s.Classifier.Classify(sm.Body)
@@ -414,90 +385,6 @@ func (s *Study) evaluateRecall(r *Top10KResult) {
 			row.Recalled++
 		}
 		r.Recall[kind] = row
-	}
-}
-
-// resampleAndConfirm is §4.1.4: find every pair that served an explicit
-// geoblock page, sample it 20 more times (after the world moves on — a
-// policy can change under the study), and confirm at the agreement
-// threshold over all samples.
-func (s *Study) resampleAndConfirm(r *Top10KResult) {
-	kinds := make(map[pairKey]blockpage.Kind)
-	for i := range r.Initial.Samples {
-		sm := &r.Initial.Samples[i]
-		if !sm.OK() || sm.Body == "" {
-			continue
-		}
-		if k := s.explicitKind(sm.Body); k != blockpage.KindNone {
-			kinds[pairKey{sm.Domain, sm.Country}] = k
-		}
-	}
-	r.CandidatePairs = len(kinds)
-	for key, kind := range kinds {
-		r.Candidates = append(r.Candidates, Finding{
-			DomainName: r.SafeDomains[key.domain],
-			Rank:       r.SafeRanks[key.domain],
-			Country:    r.Countries[key.country],
-			Kind:       kind,
-		})
-	}
-	sort.Slice(r.Candidates, func(i, j int) bool {
-		if r.Candidates[i].DomainName != r.Candidates[j].DomainName {
-			return r.Candidates[i].DomainName < r.Candidates[j].DomainName
-		}
-		return r.Candidates[i].Country < r.Candidates[j].Country
-	})
-
-	// Time passes between the snapshot and the confirmation pass.
-	s.World.AdvanceClock(1)
-
-	tasks := make([]lumscan.Task, 0, len(kinds))
-	for key := range kinds {
-		tasks = append(tasks, lumscan.Task{Domain: key.domain, Country: key.country})
-	}
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].Country != tasks[j].Country {
-			return tasks[i].Country < tasks[j].Country
-		}
-		return tasks[i].Domain < tasks[j].Domain
-	})
-
-	scanCfg := s.scanConfig("top10k-resample")
-	scanCfg.Samples = r.Config.ResampleCount
-	scanCfg.Concurrency = r.Config.Concurrency
-
-	// The confirmation pass streams straight into the rate fold: each
-	// 20-sample pair is digested as its shard completes and its bodies
-	// dropped, so the pass never holds a materialized Result.
-	cands := make(map[pairKey]*candidate, len(kinds))
-	s.collectPairRates(r.Initial, kinds, cands)
-	s.noteScanErr("top10k-confirm", s.scanStream("top10k-resample", scanCfg, r.SafeDomains, r.Countries, tasks,
-		s.pairRateSink(kinds, cands)))
-
-	keys := make([]pairKey, 0, len(cands))
-	for key := range cands {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].domain != keys[j].domain {
-			return keys[i].domain < keys[j].domain
-		}
-		return keys[i].country < keys[j].country
-	})
-	for _, key := range keys {
-		c := cands[key]
-		r.AgreementRates = append(r.AgreementRates, c.rate.Frac())
-		if !c.rate.Confirmed(r.Config.Threshold) {
-			r.Eliminated++
-			continue
-		}
-		r.Findings = append(r.Findings, Finding{
-			DomainName: r.SafeDomains[key.domain],
-			Rank:       r.SafeRanks[key.domain],
-			Country:    r.Countries[key.country],
-			Kind:       c.kind,
-			Rate:       c.rate,
-		})
 	}
 }
 

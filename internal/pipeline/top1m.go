@@ -21,11 +21,6 @@ type Top1MConfig struct {
 	ResampleCount  int     // 20
 	Threshold      float64 // 0.80
 	Concurrency    int
-	// FullDiscovery scans the entire rank space for CDN customers (the
-	// paper's method, ~1M probes). When false, the scan covers only the
-	// ranks known to be customers plus the Top 10K — identical results
-	// by construction, since non-customers carry no provider evidence.
-	FullDiscovery bool
 }
 
 func (c *Top1MConfig) fill() {
@@ -75,10 +70,6 @@ type Top1MResult struct {
 	NeverResponded  int
 	LuminatiBlocked int
 
-	// Degradation accounting for the snapshot (see Top10KResult).
-	Outages  []lumscan.Outage
-	Coverage lumscan.Coverage
-
 	// Explicit geoblockers (§5.2.1).
 	CandidatePairs    int
 	ExplicitFindings  []Finding
@@ -116,20 +107,16 @@ func (s *Study) RunTop1M(cfg Top1MConfig) *Top1MResult {
 		r.EligibleCount, len(r.TestDomains), cfg.SampleFraction*100)
 
 	r.Countries = s.measurableCountries()
-	scanCfg := s.scanConfig("top1m-initial")
-	scanCfg.Samples = cfg.InitialSamples
-	scanCfg.Concurrency = cfg.Concurrency
-	var col lumscan.Collect
-	initErr := s.scanStream("top1m-initial", scanCfg, r.TestDomains, r.Countries,
-		lumscan.CrossProduct(len(r.TestDomains), len(r.Countries)), &col)
-	r.Initial = &lumscan.Result{Domains: r.TestDomains, Countries: r.Countries,
-		Samples: col.Samples, Outages: col.Outages, Coverage: col.Coverage}
-	s.noteScanErr("top1m-initial", initErr)
-	r.Outages, r.Coverage = r.Initial.Outages, r.Initial.Coverage
-	s.logCoverage("top1m", r.Outages, r.Coverage)
-	s.diagnostics1M(r)
+	r.Initial = s.initialScan("top1m", r.TestDomains, r.Countries, cfg.InitialSamples, cfg.Concurrency)
+	r.NeverResponded, r.LuminatiBlocked = reachability(r.Initial)
 
-	s.confirmExplicit1M(r)
+	// §5.2.1 confirms explicit pages exactly as §4.1.4 does, but the
+	// world does not move between the snapshot and the resample.
+	kinds := s.explicitPairs(r.Initial)
+	r.CandidatePairs = len(kinds)
+	r.ExplicitFindings, _, r.EliminatedPairs = s.confirm("top1m", r.Initial, r.TestRanks, kinds,
+		cfg.ResampleCount, cfg.Threshold, cfg.Concurrency)
+	r.CensoredGAEPairs = s.censoredGAEPairs(r.TestRanks)
 	s.logf("top1m: %d explicit findings (%d pairs eliminated)",
 		len(r.ExplicitFindings), r.EliminatedPairs)
 
@@ -138,19 +125,19 @@ func (s *Study) RunTop1M(cfg Top1MConfig) *Top1MResult {
 	return r
 }
 
+// discover is §5.1.1: identify the CDN customers. The paper probes
+// the whole rank space (cdnid.ScanRanks); the study probes the Top 10K
+// and the ranks that are customers, which finds the same populations
+// because a non-customer carries no provider evidence.
 func (s *Study) discover(r *Top1MResult) {
 	id := cdnid.NewIdentifier(s.World)
 	id.Concurrency = r.Config.Concurrency
-	if r.Config.FullDiscovery {
-		r.Discovered = id.ScanRanks(1, s.World.Cfg.Top1MRanks)
-	} else {
-		ranks := make([]int, 0, len(s.World.CustomerRanks())+len(s.World.Top10K()))
-		for rank := 1; rank <= len(s.World.Top10K()); rank++ {
-			ranks = append(ranks, rank)
-		}
-		ranks = append(ranks, s.World.CustomerRanks()...)
-		r.Discovered = id.ScanRankList(ranks)
+	ranks := make([]int, 0, len(s.World.CustomerRanks())+len(s.World.Top10K()))
+	for rank := 1; rank <= len(s.World.Top10K()); rank++ {
+		ranks = append(ranks, rank)
 	}
+	ranks = append(ranks, s.World.CustomerRanks()...)
+	r.Discovered = id.ScanRankList(ranks)
 	r.DualCount = len(r.Discovered.Dual)
 }
 
@@ -196,106 +183,25 @@ func (s *Study) sampleTestList(r *Top1MResult) {
 	}
 }
 
-func (s *Study) diagnostics1M(r *Top1MResult) {
-	okByDomain := make([]bool, len(r.TestDomains))
-	lumByDomain := make([]bool, len(r.TestDomains))
-	for i := range r.Initial.Samples {
-		sm := &r.Initial.Samples[i]
-		if sm.OK() {
-			okByDomain[sm.Domain] = true
-		}
-		if sm.Err == lumscan.ErrLuminati {
-			lumByDomain[sm.Domain] = true
-		}
-	}
-	for i := range okByDomain {
-		if okByDomain[i] {
-			continue
-		}
-		r.NeverResponded++
-		if lumByDomain[i] {
-			r.LuminatiBlocked++
-		}
-	}
-}
-
-// confirmExplicit1M mirrors the Top-10K confirmation flow on the 1M
-// sample, and additionally counts the §5.2.1 censorship interference:
-// App Engine-hosted domains whose platform block in a sanctioned
-// country could not be measured because the national filter got there
-// first.
-func (s *Study) confirmExplicit1M(r *Top1MResult) {
-	kinds := make(map[pairKey]blockpage.Kind)
-	for i := range r.Initial.Samples {
-		sm := &r.Initial.Samples[i]
-		if !sm.OK() || sm.Body == "" {
-			continue
-		}
-		if k := s.explicitKind(sm.Body); k != blockpage.KindNone {
-			kinds[pairKey{sm.Domain, sm.Country}] = k
-		}
-	}
-	r.CandidatePairs = len(kinds)
-
-	tasks := make([]lumscan.Task, 0, len(kinds))
-	for key := range kinds {
-		tasks = append(tasks, lumscan.Task{Domain: key.domain, Country: key.country})
-	}
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].Country != tasks[j].Country {
-			return tasks[i].Country < tasks[j].Country
-		}
-		return tasks[i].Domain < tasks[j].Domain
-	})
-	scanCfg := s.scanConfig("top1m-resample")
-	scanCfg.Samples = r.Config.ResampleCount
-	scanCfg.Concurrency = r.Config.Concurrency
-
-	cands := make(map[pairKey]*candidate, len(kinds))
-	s.collectPairRates(r.Initial, kinds, cands)
-	s.noteScanErr("top1m-resample", s.scanStream("top1m-resample", scanCfg, r.TestDomains, r.Countries, tasks,
-		s.pairRateSink(kinds, cands)))
-
-	keys := make([]pairKey, 0, len(cands))
-	for key := range cands {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].domain != keys[j].domain {
-			return keys[i].domain < keys[j].domain
-		}
-		return keys[i].country < keys[j].country
-	})
-	for _, key := range keys {
-		c := cands[key]
-		if !c.rate.Confirmed(r.Config.Threshold) {
-			r.EliminatedPairs++
-			continue
-		}
-		r.ExplicitFindings = append(r.ExplicitFindings, Finding{
-			DomainName: r.TestDomains[key.domain],
-			Rank:       r.TestRanks[key.domain],
-			Country:    r.Countries[key.country],
-			Kind:       c.kind,
-			Rate:       c.rate,
-		})
-	}
-
-	// Censorship interference: GAE-hosted sample domains censored in a
-	// sanctioned country (the 5-in-Iran / 2-in-Syria effect).
-	for i, rank := range r.TestRanks {
+// censoredGAEPairs counts the §5.2.1 censorship interference: pairs of
+// an App Engine-hosted sample domain and a sanctioned country whose
+// national filter censors it, so the platform's own block there could
+// not be measured (the 5-in-Iran / 2-in-Syria effect).
+func (s *Study) censoredGAEPairs(ranks []int) int {
+	n := 0
+	for _, rank := range ranks {
 		d := s.World.DomainAt(rank)
 		if d == nil || !d.GAEHosted {
 			continue
 		}
-		_ = i
 		for cc := range d.CensoredIn {
 			switch cc {
 			case "IR", "SY", "SD", "CU":
-				r.CensoredGAEPairs++
+				n++
 			}
 		}
 	}
+	return n
 }
 
 // analyzeNonExplicit is §5.2.2: for every sampled domain that served an
@@ -339,7 +245,7 @@ func (s *Study) analyzeNonExplicit(r *Top1MResult) {
 	// every country, 20 samples each — so it streams into per-domain,
 	// per-country rates and drops each body the moment it classifies.
 	perDomain := map[int32]map[string]consistency.Rate{}
-	s.noteScanErr("top1m-nonexplicit", s.scanStream("top1m-nonexplicit", scanCfg, r.TestDomains, r.Countries, tasks,
+	s.scanStream("top1m-nonexplicit", scanCfg, r.TestDomains, r.Countries, tasks,
 		lumscan.SinkFunc(func(sm lumscan.Sample) {
 			kind, tracked := ambiguous[sm.Domain]
 			if !tracked || !sm.OK() {
@@ -357,7 +263,7 @@ func (s *Study) analyzeNonExplicit(r *Top1MResult) {
 				rate.Blocks++
 			}
 			m[cc] = rate
-		})))
+		}))
 
 	r.ConsistencyScores = map[blockpage.Kind][]float64{}
 	for _, dIdx := range domains {

@@ -145,7 +145,11 @@ func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Re
 				continue
 			}
 			var snap telemetry.Snapshot
-			if err := json.Unmarshal(cp.Metrics, &snap); err != nil {
+			err := json.Unmarshal(cp.Metrics, &snap)
+			if err == nil {
+				err = snap.Validate()
+			}
+			if err != nil {
 				return nil, fmt.Errorf("runstore: phase %q checkpoint %d metrics: %w", ph.key, cp.Seq, err)
 			}
 			reg.Merge(&snap)

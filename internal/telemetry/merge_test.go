@@ -80,6 +80,30 @@ func TestMergeNilAndEmpty(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnholdableGeometry: Validate passes every snapshot
+// a registry exports and flags each histogram geometry Merge could not
+// register (no bins, an empty or inverted range), naming the histogram.
+func TestValidateRejectsUnholdableGeometry(t *testing.T) {
+	if err := populate().Snapshot().Validate(); err != nil {
+		t.Fatalf("a registry's own snapshot fails Validate: %v", err)
+	}
+	if err := (&Snapshot{}).Validate(); err != nil {
+		t.Fatalf("the empty snapshot fails Validate: %v", err)
+	}
+	for _, h := range []HistogramStats{
+		{Name: "flat", Min: 5, Max: 5, Counts: []int{1}},
+		{Name: "inverted", Min: 10, Max: 0, Counts: []int{1, 2}},
+		{Name: "binless", Min: 0, Max: 10},
+	} {
+		snap := populate().Snapshot()
+		snap.Histograms = append(snap.Histograms, h)
+		err := snap.Validate()
+		if err == nil || !strings.Contains(err.Error(), h.Name) {
+			t.Fatalf("histogram %+v: Validate = %v, want an error naming it", h, err)
+		}
+	}
+}
+
 // TestMergeIsCommutative: the journal replays checkpoints in order, but
 // the algebra must not care — fold A into B and B into A, same bytes.
 func TestMergeIsCommutative(t *testing.T) {
