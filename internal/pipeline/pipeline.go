@@ -303,7 +303,7 @@ func (s *Study) initialScan(study string, domains []string, countries []geo.Coun
 	cfg := s.scanConfig(phase)
 	cfg.Samples = samples
 	cfg.Concurrency = concurrency
-	var col lumscan.Collect
+	col := lumscan.Collect{Samples: make([]lumscan.Sample, 0, len(domains)*len(countries)*max(samples, 1))}
 	s.scanStream(phase, cfg, domains, countries, lumscan.CrossProduct(len(domains), len(countries)), &col)
 	res := &lumscan.Result{Domains: domains, Countries: countries,
 		Samples: col.Samples, Outages: col.Outages, Coverage: col.Coverage}

@@ -306,8 +306,8 @@ func (s *Session) Verify(seed uint64) (geo.IP, geo.CountryCode, error) {
 // RoundTrip implements http.RoundTripper as an adapter over Probe, for
 // callers that want an *http.Client on the mesh.
 func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
-	r, err := s.Probe(vnet.ProbeOf(req, s.Exit().IP))
-	if err != nil {
+	var r vnet.Reply
+	if err := s.Probe(vnet.ProbeOf(req, s.Exit().IP), &r); err != nil {
 		return nil, err
 	}
 	return r.Response(req), nil
@@ -318,8 +318,9 @@ func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
 // faults, the platform's own domain policy (X-Luminati-Error), the
 // path from the exit's country, the exit's reliability, the exit's
 // local firewall, and then the real network path from the exit's
-// address.
-func (s *Session) Probe(p vnet.Probe) (vnet.Reply, error) {
+// address. The answer is written into r, as vnet.Stack.Probe writes
+// it.
+func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	e := s.Exit()
 	served := s.used
 	s.used++
@@ -333,22 +334,23 @@ func (s *Session) Probe(p vnet.Probe) (vnet.Reply, error) {
 	truncate := false
 	if f := s.net.faults; f != nil {
 		if f.ExitDark(s.cc, e.IP) || f.Churned(s.cc, e.IP, served) {
-			return vnet.Reply{}, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+			return &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
 		}
 		switch f.Request(s.cc, e.IP, host, p.Seed) {
 		case FaultExitDown:
-			return vnet.Reply{}, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+			return &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
 		case FaultStall:
-			return vnet.Reply{}, vnet.TimeoutError("read", host)
+			return vnet.TimeoutError("read", host)
 		case FaultReset:
-			return vnet.Reply{}, &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by peer"}
+			return &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by peer"}
 		case FaultTruncate:
 			truncate = true
 		}
 	}
 
 	if d, ok := s.net.World.Lookup(host); ok && d.LuminatiRestricted {
-		return vnet.Refusal(), nil
+		r.Refuse()
+		return nil
 	}
 
 	// Path-level unreachability: some (country, destination) pairs
@@ -358,28 +360,28 @@ func (s *Session) Probe(p vnet.Probe) (vnet.Reply, error) {
 	// countries at the paper's 89–94% per-domain response rates, and
 	// what buries Comoros at ~76% (§4.1.1).
 	if pathUnreachable(s.cc, host, s.net.World.Geo) {
-		return vnet.Reply{}, vnet.TimeoutError("dial", host)
+		return vnet.TimeoutError("dial", host)
 	}
 
 	if !rng.Bool(e.Reliability) {
-		return vnet.Reply{}, &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+		return &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
 	}
 
 	// Corporate firewalls block a stable slice of domains for the
 	// machines behind them (the paper's suspected source of local
 	// interference, §4.2).
 	if e.CorporateFirewall && stats.Mix64(stats.Hash(host)^uint64(e.IP))%100 < 4 {
-		return vnet.Reply{}, &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by local filter"}
+		return &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by local filter"}
 	}
 
 	stack := vnet.Stack{World: s.net.World, IP: e.IP}
-	r, err := stack.Probe(p)
+	err := stack.Probe(p, r)
 	if err == nil && truncate {
 		// The transfer dies after a seed-determined prefix, the way a
 		// dropped residential uplink looks to the client.
 		r.Truncate(int(stats.Mix64(p.Seed^0x7c1) % 512))
 	}
-	return r, err
+	return err
 }
 
 // pathUnreachable draws the stable per-(country, destination) transit

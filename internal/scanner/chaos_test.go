@@ -372,19 +372,14 @@ func TestBrownoutBackoff(t *testing.T) {
 	}
 
 	// waits counts the backoff waits a session open recorded.
-	waits := func(reg *telemetry.Registry) int {
-		for _, h := range reg.Snapshot().Histograms {
-			if h.Name == MetBackoff {
-				return h.Total
-			}
-		}
-		return 0
-	}
+	waits := func(reg *telemetry.Registry) int { return histogramTotal(reg.Snapshot(), MetBackoff) }
 	reg := telemetry.New()
 	net := chaosNet(inj)
-	if _, err := openSession(net, cc, slot, Config{Metrics: reg}); err != nil {
+	tl := newTally(nil)
+	if _, err := openSession(net, cc, slot, Config{}, tl); err != nil {
 		t.Fatalf("transient brownout did not clear: %v", err)
 	}
+	tl.flush(reg)
 	if waits(reg) == 0 {
 		t.Fatal("no backoff waits recorded")
 	}
@@ -392,7 +387,9 @@ func TestBrownoutBackoff(t *testing.T) {
 	// Permanent blackout: bounded attempts, then a typed error.
 	reg = telemetry.New()
 	net2 := chaosNet(faults.New(5).Default(permanent))
-	_, err := openSession(net2, cc, slot, Config{Metrics: reg})
+	tl = newTally(nil)
+	_, err := openSession(net2, cc, slot, Config{}, tl)
+	tl.flush(reg)
 	if err == nil {
 		t.Fatal("blackout session open succeeded")
 	}

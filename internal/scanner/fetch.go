@@ -1,9 +1,11 @@
 // The fetcher layer: one attempt, its redirect chain, and its error
 // classification. Each hop is a direct probe (vnet.Probe) of the
-// shard's session or stack: no *http.Request, no header copies, and no
-// body rendered unless the sample keeps it. Redirects are followed here
-// with http.Client's bound, so an attempt sends at most MaxRedirects
-// requests and each one spends a unit of the exit's budget.
+// shard's session or stack: no *http.Request, no header copies, no
+// body rendered unless the sample keeps it, and one vnet.Reply, owned
+// by the fetcher, that every hop and attempt writes into. Redirects are
+// followed here with http.Client's bound, so an attempt sends at most
+// MaxRedirects requests and each one spends a unit of the exit's
+// budget.
 package scanner
 
 import (
@@ -25,7 +27,7 @@ var errRedirectLimit = errors.New("scanner: redirect limit reached")
 // *vnet.Stack. Probe is the direct path; the RoundTrip adapter is what
 // Config.WrapTransport wraps.
 type prober interface {
-	Probe(vnet.Probe) (vnet.Reply, error)
+	Probe(vnet.Probe, *vnet.Reply) error
 	http.RoundTripper
 }
 
@@ -38,19 +40,23 @@ type fetcher struct {
 	header  http.Header       // built once per shard, shared read-only by every hop
 	maxHops int
 	bodies  BodyPolicy
-	met     *fetchMetrics
+	reply   vnet.Reply // every hop's answer, reused from hop to hop
+	tally   *tally     // nil when the scan records no metrics
 }
 
 // newFetcher builds a fetcher over p with the config's header set,
-// redirect bound, and body-retention policy.
-func newFetcher(ctx context.Context, p prober, cfg Config) *fetcher {
+// redirect bound, and body-retention policy. It records its attempts
+// into t when t has a clock, that is when the scan has a registry.
+func newFetcher(ctx context.Context, p prober, cfg Config, t *tally) *fetcher {
 	f := &fetcher{
 		ctx:     ctx,
 		probe:   p,
 		header:  headerSet(cfg.Headers),
 		maxHops: cfg.MaxRedirects,
 		bodies:  cfg.Bodies,
-		met:     newFetchMetrics(cfg.Metrics),
+	}
+	if t != nil && t.clock != nil {
+		f.tally, t.fetcher = t, true
 	}
 	if cfg.WrapTransport != nil {
 		f.rt = cfg.WrapTransport(p)
@@ -70,21 +76,22 @@ func headerSet(m map[string]string) http.Header {
 
 // fetch performs one attempt and classifies the outcome. exit is the
 // address serving the attempt (recorded even on failure, for the load
-// accounting and for replay). The return value is named so the metrics
-// defer observes the final sample whichever path produced it.
+// accounting and for replay). The return value is named so the tally's
+// defer records the final sample whichever path produced it.
 func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit geo.IP) (s Sample) {
-	if f.met != nil {
-		start := f.met.reg.Now()
-		defer func() { f.met.observe(&s, f.met.reg.Now().Sub(start)) }()
+	if tl := f.tally; tl != nil {
+		start := tl.clock.Now()
+		defer func() { tl.fetched(&s, tl.clock.Now().Sub(start)) }()
 	}
 	s = Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Seed: seed, ExitIP: exit}
 
-	r, err := follow(f.hop, f.header, domain, seed, f.maxHops)
-	defer r.Close()
+	r := &f.reply
+	err := follow(f.hop, r, f.header, domain, seed, f.maxHops)
 	if err != nil {
 		s.Err = classifyError(err)
 		return s
 	}
+	defer r.Close()
 	if r.Refused {
 		s.Err = ErrLuminati
 		return s
@@ -118,49 +125,51 @@ func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit 
 	return s
 }
 
-// hop sends one hop: straight to the prober, or, when the config wraps
-// the transport, as an HTTP request through the wrapped RoundTrip
-// adapter, whose bodies stay unrendered until read.
-func (f *fetcher) hop(p vnet.Probe) (vnet.Reply, error) {
+// hop sends one hop into r: straight to the prober, or, when the
+// config wraps the transport, as an HTTP request through the wrapped
+// RoundTrip adapter, whose bodies stay unrendered until read.
+func (f *fetcher) hop(p vnet.Probe, r *vnet.Reply) error {
 	if f.rt == nil {
-		return f.probe.Probe(p)
+		return f.probe.Probe(p, r)
 	}
 	u := url.URL{Scheme: p.Scheme, Host: p.Host, Path: p.Path}
 	req, err := http.NewRequestWithContext(vnet.WithSampleSeed(f.ctx, p.Seed), http.MethodGet, u.String(), nil)
 	if err != nil {
-		return vnet.Reply{}, err
+		return err
 	}
 	req.Header = p.Header
 	resp, err := f.rt.RoundTrip(req)
 	if err != nil {
-		return vnet.Reply{}, err
+		return err
 	}
-	return vnet.ReplyOf(resp), nil
+	r.SetResponse(resp)
+	return nil
 }
 
 // follow fetches http://domain/ and follows its redirect chain the way
 // http.Client does: every hop carries the same headers and seed, and
 // the attempt fails with errRedirectLimit when the maxHops-th request
-// still answers with a redirect. It returns the final hop's reply.
-func follow(hop func(vnet.Probe) (vnet.Reply, error), header http.Header, domain string, seed uint64, maxHops int) (vnet.Reply, error) {
+// still answers with a redirect. Every hop writes into r, which holds
+// the final hop's reply when follow returns nil.
+func follow(hop func(vnet.Probe, *vnet.Reply) error, r *vnet.Reply, header http.Header, domain string, seed uint64, maxHops int) error {
 	p := vnet.Probe{Scheme: "http", Host: domain, Path: "/", Seed: seed, Header: header}
 	if !plain(domain, false) {
 		var err error
 		if p, err = resolve(p, "http://"+domain+"/"); err != nil {
-			return vnet.Reply{}, &vnet.OpError{Op: "dns", Host: domain, Msg: err.Error()}
+			return &vnet.OpError{Op: "dns", Host: domain, Msg: err.Error()}
 		}
 	}
 	for sent := 1; ; sent++ {
-		r, err := hop(p)
-		if err != nil || r.Redirect == "" {
-			return r, err
+		if err := hop(p, r); err != nil || r.Redirect == "" {
+			return err
 		}
 		r.Close()
 		if sent >= maxHops {
-			return vnet.Reply{}, errRedirectLimit
+			return errRedirectLimit
 		}
+		var err error
 		if p, err = nextHop(p, r.Redirect); err != nil {
-			return vnet.Reply{}, err
+			return err
 		}
 	}
 }
@@ -217,8 +226,8 @@ func plain(s string, slash bool) bool {
 // the exit's address, and returns the final body and status.
 func Replay(w *worldgen.World, domain string, exit geo.IP, seed uint64, headers map[string]string, maxRedirects int) (string, int, error) {
 	st := vnet.Stack{World: w, IP: exit}
-	r, err := follow(st.Probe, headerSet(headers), domain, seed, maxRedirects)
-	if err != nil {
+	var r vnet.Reply
+	if err := follow(st.Probe, &r, headerSet(headers), domain, seed, maxRedirects); err != nil {
 		return "", 0, fmt.Errorf("scanner: replay %s: %w", domain, err)
 	}
 	body, err := r.Body()

@@ -11,6 +11,7 @@ import (
 	"geoblock/internal/faults"
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
+	"geoblock/internal/telemetry"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
 )
@@ -154,8 +155,8 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 					return s
 				}
 				ref, direct, viaHTTP := open(), open(), open()
-				fd := newFetcher(context.Background(), direct, cfg)
-				fw := newFetcher(context.Background(), viaHTTP, wrapped)
+				fd := newFetcher(context.Background(), direct, cfg, nil)
+				fw := newFetcher(context.Background(), viaHTTP, wrapped, nil)
 				for di, domain := range domains {
 					task := Task{Domain: int32(di), Country: int16(ci)}
 					for a := uint8(0); a < 3; a++ {
@@ -207,28 +208,43 @@ func brief(s Sample) Sample {
 }
 
 // TestFetchAllocs pins the fetcher's steady-state cost: the direct
-// probe path stays under ten allocations per sample.
+// probe path stays under ten allocations per sample, and recording the
+// attempt into a tally allocates nothing, so an attempt allocates the
+// same with a tally as without one. Twin sessions (same country and
+// slot) take the same exits, so both fetchers do identical work apart
+// from the tally.
 func TestFetchAllocs(t *testing.T) {
 	domains, _ := smallInputs(64)
-	s, err := testNet.NewSession("DE", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := testConfig().withDefaults()
-	f := newFetcher(context.Background(), s, cfg)
-	fetchAll := func() {
-		for i, domain := range domains {
-			if s.Used() >= cfg.RequestsPerExit {
-				s.Rotate()
-			}
-			f.fetch(domain, uint64(i), Task{Domain: int32(i)}, 0, s.Exit().IP)
+	perSample := func(tl *tally) float64 {
+		s, err := testNet.NewSession("DE", 5)
+		if err != nil {
+			t.Fatal(err)
 		}
+		f := newFetcher(context.Background(), s, cfg, tl)
+		fetchAll := func() {
+			for i, domain := range domains {
+				if s.Used() >= cfg.RequestsPerExit {
+					s.Rotate()
+				}
+				f.fetch(domain, uint64(i), Task{Domain: int32(i)}, 0, s.Exit().IP)
+			}
+		}
+		fetchAll() // warm the world's lazy caches
+		return testing.AllocsPerRun(20, fetchAll) / float64(len(domains))
 	}
-	fetchAll() // warm the world's lazy caches
-	perSample := testing.AllocsPerRun(20, fetchAll) / float64(len(domains))
-	t.Logf("%.2f allocs/sample", perSample)
-	if perSample >= 10 {
-		t.Fatalf("fetcher allocates %.2f times per sample; the direct probe path must stay under 10", perSample)
+	bare := perSample(nil)
+	tl := newTally(telemetry.Wall{})
+	tallied := perSample(tl)
+	t.Logf("%.2f allocs/sample, %.2f with a tally", bare, tallied)
+	if bare >= 10 {
+		t.Fatalf("fetcher allocates %.2f times per sample; the direct probe path must stay under 10", bare)
+	}
+	if tl.attempts == 0 {
+		t.Fatal("the tally recorded no attempts")
+	}
+	if tallied != bare {
+		t.Fatalf("a fetch attempt allocates %.3f times with a tally and %.3f without", tallied, bare)
 	}
 }
 

@@ -204,26 +204,28 @@ func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (Un
 	return res, nil
 }
 
-// execute runs one unit. With stage set, its session and fetch metrics
-// go to a fresh unit-local registry whose snapshot rides the result;
-// otherwise they go straight to Config.Metrics.
+// execute runs one unit. Its session and fetch metrics accumulate in a
+// tally that is flushed once, when the unit ends — a cancelled unit's
+// too. With stage set the flush goes to a fresh unit-local registry
+// whose snapshot rides the result; otherwise straight to
+// Config.Metrics.
 func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard, stage bool) UnitResult {
-	cfg := p.cfg
-	var staging *telemetry.Registry
+	reg := p.cfg.Metrics
 	if stage {
-		staging = telemetry.NewWithClock(cfg.Metrics.Clock())
-		cfg.Metrics = staging
+		reg = telemetry.NewWithClock(reg.Clock())
 	}
-	tb := unitBuffer(p.scanCtx, sh.seq, cfg)
+	t := newTally(reg.Clock())
+	tb := unitBuffer(p.scanCtx, sh.seq, p.cfg)
 	var res UnitResult
 	if p.fleet != nil {
-		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, cfg, tb)
+		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, p.cfg, tb, t)
 	} else {
-		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, cfg, tb)
+		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, p.cfg, tb, t)
 	}
 	res.Trace = tb.Events()
-	if staging != nil {
-		res.Metrics = staging.Snapshot()
+	t.flush(reg)
+	if stage {
+		res.Metrics = reg.Snapshot()
 	}
 	return res
 }
@@ -231,10 +233,10 @@ func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard, stage
 // run is the in-process executor: the work-stealing pool executes
 // every pending unit and completes it through an Assembly into sink.
 // Units stage their metrics only for a ShardSink (the journal), which
-// needs each unit's own contribution; otherwise they record straight
-// into Config.Metrics. A cancelled scan returns ctx.Err() with a
-// prefix of the stream delivered, ending at the first unit boundary
-// after the cancel.
+// needs each unit's own contribution; otherwise they flush their
+// tallies straight into Config.Metrics. A cancelled scan returns
+// ctx.Err() with a prefix of the stream delivered, ending at the first
+// unit boundary after the cancel.
 func (p *Plan) run(ctx context.Context, net *proxy.Network, sink Sink) error {
 	a, err := NewAssembly(p, sink)
 	if err != nil {

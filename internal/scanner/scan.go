@@ -46,20 +46,21 @@ func countOutages(reg *telemetry.Registry, outages []Outage, cov Coverage) {
 // A cancelled scan returns the samples emitted so far alongside
 // ctx.Err().
 func Scan(ctx context.Context, net *proxy.Network, domains []string, countries []geo.CountryCode, tasks []Task, cfg Config) (*Result, error) {
-	var c Collect
+	c := Collect{Samples: make([]Sample, 0, len(tasks)*cfg.withDefaults().Samples)}
 	err := Run(ctx, net, domains, countries, tasks, cfg, &c)
 	return &Result{Domains: domains, Countries: countries, Samples: c.Samples, Outages: c.Outages, Coverage: c.Coverage}, err
 }
 
 // scanShard runs one shard's tasks through its own sticky session and
-// reports why (if at all) its tasks were lost. tb, when non-nil,
-// stages the shard's trace events — session open, one wide record per
-// fetch, and the closing unit event.
-func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *shard, cfg Config, tb *trace.Buffer) ([]Sample, OutageReason) {
+// reports why (if at all) its tasks were lost. Its session and fetch
+// metrics go into tl. tb, when non-nil, stages the shard's trace events
+// — session open, one wide record per fetch, and the closing unit
+// event.
+func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *shard, cfg Config, tb *trace.Buffer, tl *tally) ([]Sample, OutageReason) {
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
 	unitStart := tb.Wall()
 
-	se, err := openSession(net, geo.CountryCode(sh.country), sh.slot, cfg)
+	se, err := openSession(net, geo.CountryCode(sh.country), sh.slot, cfg, tl)
 	if tb != nil {
 		ev := trace.NewEvent(tb.Ctx().Child("session.open", 0), "session.open")
 		ev.Unit = sh.seq
@@ -89,7 +90,7 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *sh
 		return out, lost
 	}
 
-	f := newFetcher(ctx, se.transport(), cfg)
+	f := newFetcher(ctx, se.transport(), cfg, tl)
 	for ti, t := range sh.tasks {
 		if ctx.Err() != nil {
 			return out, OutageNone

@@ -10,7 +10,6 @@ import (
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
-	"geoblock/internal/telemetry"
 )
 
 // DefaultVerifyProbes bounds the connectivity pre-check loop on a
@@ -27,38 +26,32 @@ type session struct {
 	perExit int  // Config.RequestsPerExit: per-exit budget before rotation
 	verify  bool // Config.VerifyConnectivity: run the pre-check
 	h       health
-	reg     *telemetry.Registry
+	t       *tally
 }
 
 // openSession acquires a sticky session for cc starting at the
 // deterministic slot. Superproxy brownouts are retried up to
 // DefaultOpenRetries times under decorrelated-jitter backoff (they
-// clear); every other failure — ErrNoExits above all — is final.
-// cfg.Metrics (nil-safe) tallies attempts, brownouts, and the computed
-// backoff waits.
-func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config) (*session, error) {
-	reg := cfg.Metrics
+// clear); every other failure — ErrNoExits above all — is final. t
+// tallies attempts, brownouts, and the computed backoff waits, and the
+// session keeps tallying into it.
+func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config, t *tally) (*session, error) {
 	bo := newBackoff(slot)
 	var lastErr error
 	for attempt := 0; attempt <= DefaultOpenRetries; attempt++ {
-		reg.Counter(MetOpenAttempts).Add(1)
+		t.openAttempts++
 		s, err := net.NewSessionAttempt(cc, slot, attempt)
 		if err == nil {
-			return &session{s: s, retries: cfg.Retries, perExit: cfg.RequestsPerExit, verify: cfg.VerifyConnectivity, reg: reg}, nil
+			return &session{s: s, retries: cfg.Retries, perExit: cfg.RequestsPerExit, verify: cfg.VerifyConnectivity, t: t}, nil
 		}
 		lastErr = err
 		var brown *proxy.ErrBrownout
 		if !errors.As(err, &brown) {
 			return nil, err
 		}
-		reg.Counter(MetBrownouts).Add(1)
+		t.brownouts++
 		if attempt < DefaultOpenRetries {
-			d := bo.wait()
-			// The schedule is a pure function of the slot, so the
-			// histogram is deterministic-class even though it records
-			// durations.
-			reg.Histogram(MetBackoff, 0, float64(backoffCap/time.Millisecond), 16).
-				Observe(float64(d) / float64(time.Millisecond))
+			t.backoff.observe(float64(bo.wait()) / float64(time.Millisecond))
 		}
 	}
 	return nil, lastErr
@@ -76,7 +69,7 @@ func (se *session) ready(seed uint64) bool {
 	}
 	if se.s.Used() >= se.perExit {
 		se.s.Rotate()
-		se.reg.Counter(MetRotations).Add(1)
+		se.t.rotations++
 	}
 	if se.verify && se.s.Used() == 0 {
 		probes := DefaultVerifyProbes
@@ -85,7 +78,7 @@ func (se *session) ready(seed uint64) bool {
 		}
 		found := false
 		for probe := 0; probe < probes; probe++ {
-			se.reg.Counter(MetProbes).Add(1)
+			se.t.probes++
 			if _, _, err := se.s.Verify(seed + uint64(probe)); err == nil {
 				found = true
 				break
@@ -95,10 +88,10 @@ func (se *session) ready(seed uint64) bool {
 		if found {
 			se.h.success()
 		} else {
-			se.reg.Counter(MetFailedSweeps).Add(1)
+			se.t.failedSweeps++
 			if se.h.failedSweep(DefaultBreakerSweeps) {
 				if se.h.dead {
-					se.reg.Counter(MetBreakerTrips).Add(1)
+					se.t.breakerTrips++
 				}
 				return false
 			}
@@ -110,7 +103,7 @@ func (se *session) ready(seed uint64) bool {
 // rotate abandons the current exit (after a failed attempt).
 func (se *session) rotate() {
 	se.s.Rotate()
-	se.reg.Counter(MetRotations).Add(1)
+	se.t.rotations++
 }
 
 // dark reports whether the circuit breaker wrote the country off.
@@ -131,7 +124,7 @@ func fetchReliable(f *fetcher, se *session, domain string, seed uint64, t Task, 
 	var last Sample
 	for try := 0; try <= se.retries; try++ {
 		if try > 0 {
-			se.reg.Counter(MetRetries).Add(1)
+			se.t.retries++
 		}
 		if !se.ready(seed) {
 			return Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Err: ErrNoExits}

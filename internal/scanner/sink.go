@@ -57,7 +57,7 @@ type ShardDone struct {
 // point — everything before it belongs to fully delivered shards.
 //
 // Presence of a ShardSink switches the engine into metric staging: each
-// shard's session and fetch metrics accumulate in a shard-local
+// shard's session and fetch tally is flushed into a shard-local
 // registry that is merged into Config.Metrics at emission time (the
 // merged totals are identical either way, since every engine metric is
 // per-shard and commutative), and ShardDone.Metrics carries exactly

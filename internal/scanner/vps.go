@@ -30,7 +30,7 @@ func RunVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, tasks []T
 // ScanVPS is the collecting form of RunVPS over the full cross
 // product, with one Result country entry per fleet position.
 func ScanVPS(ctx context.Context, fleet []*proxy.VPS, domains []string, cfg Config) (*Result, error) {
-	var c Collect
+	c := Collect{Samples: make([]Sample, 0, len(domains)*len(fleet)*cfg.withDefaults().Samples)}
 	err := RunVPS(ctx, fleet, domains, nil, cfg, &c)
 	return &Result{Domains: domains, Countries: fleetCountries(fleet), Samples: c.Samples}, err
 }
@@ -44,8 +44,8 @@ func fleetCountries(fleet []*proxy.VPS) []geo.CountryCode {
 	return countries
 }
 
-func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, tb *trace.Buffer) []Sample {
-	f := newFetcher(ctx, v.Stack(), cfg)
+func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, tb *trace.Buffer, tl *tally) []Sample {
+	f := newFetcher(ctx, v.Stack(), cfg, tl)
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
 	unitStart := tb.Wall()
 	for ti, t := range sh.tasks {

@@ -262,6 +262,28 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
+// AddBatch folds in a batch of observations binned elsewhere on this
+// histogram's geometry (by stats.Histogram.Add): counts adds bin-wise,
+// outOfRange joins the out-of-range tally, and sum the truncated sum,
+// all under one lock. It is Observe in bulk, for a caller that bins
+// its own observations and adds them once. A batch with another bin
+// count lands out of range whole, as a mismatched merge does.
+func (h *Histogram) AddBatch(counts []int, outOfRange int, sum int64) {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.sum += sum
+	if len(counts) != len(h.h.Counts) {
+		for _, c := range counts {
+			outOfRange += c
+		}
+		counts = nil
+	}
+	h.h.MergeCounts(counts, outOfRange)
+}
+
 // merge folds an exported histogram into this one. Matching bin layouts
 // add bin-wise; a mismatched layout (the registry already held the name
 // with different geometry) folds every observation into the overflow

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"geoblock/internal/stats"
 )
 
 func TestCountersGaugesHistograms(t *testing.T) {
@@ -35,6 +37,36 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	}
 }
 
+// TestAddBatchMatchesObserve: a batch binned by stats.Histogram.Add
+// and added in one call snapshots exactly as the same observations
+// made one by one, out-of-range values and truncated sum included. A
+// batch with another bin count lands out of range whole.
+func TestAddBatchMatchesObserve(t *testing.T) {
+	obs := []float64{-3, 0, 1.5, 2, 9.99, 10, 10.5, 42}
+	live, batched := New(), New()
+	local := stats.NewHistogram(0, 10, 5)
+	var sum int64
+	for _, v := range obs {
+		live.Histogram("h", 0, 10, 5).Observe(v)
+		local.Add(v)
+		sum += int64(v)
+	}
+	in := 0
+	for _, c := range local.Counts {
+		in += c
+	}
+	batched.Histogram("h", 0, 10, 5).AddBatch(local.Counts, local.Total()-in, sum)
+	if got, want := batched.Snapshot().Text(), live.Snapshot().Text(); got != want {
+		t.Fatalf("batched snapshot:\n%s\nlive snapshot:\n%s", got, want)
+	}
+
+	h := New().Histogram("m", 0, 10, 4)
+	h.AddBatch([]int{1, 2}, 3, 7)
+	if st := h.export("m"); st.Total != 6 || st.OutOfRange != 6 || st.Sum != 7 {
+		t.Fatalf("mismatched batch: total=%d oor=%d sum=%d, want 6/6/7", st.Total, st.OutOfRange, st.Sum)
+	}
+}
+
 func TestRegistrationClassIsSticky(t *testing.T) {
 	r := New()
 	r.RuntimeCounter("steals").Add(1)
@@ -55,6 +87,7 @@ func TestNilReceiversNoOp(t *testing.T) {
 	r.Gauge("x").Set(1)
 	r.Histogram("x", 0, 1, 1).Observe(1)
 	r.RuntimeHistogram("x", 0, 1, 1).Observe(1)
+	r.Histogram("x", 0, 1, 1).AddBatch([]int{1}, 0, 1)
 	if !r.Now().IsZero() {
 		t.Fatal("nil registry Now should be the zero time")
 	}

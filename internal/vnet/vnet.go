@@ -1,10 +1,11 @@
 // Package vnet is the virtual network layer: it connects a client
 // address to the simulated web. Its primary seam is Probe: one GET hop
 // in (scheme, host, path, the deterministic sample seed, and a shared
-// read-only header set), and out the status, advertised body length,
-// redirect target, and a lazily rendered body. The scanner follows
-// redirect chains over that seam itself, so the scan path pays for no
-// HTTP plumbing it does not read.
+// read-only header set), and out, written into a Reply the caller owns,
+// the status, advertised body length, redirect target, and a lazily
+// rendered body. The scanner follows redirect chains over that seam
+// itself, reusing one Reply for every hop of every attempt, so the scan
+// path pays for no HTTP plumbing it does not read and copies no reply.
 //
 // A Stack is also an http.RoundTripper, a thin adapter over Probe, for
 // the tooling that wants real HTTP semantics (provider discovery, the
@@ -79,7 +80,8 @@ func (s *Stack) Client(maxRedirects int) *http.Client {
 	}
 }
 
-// Probe is one GET hop.
+// Probe is one GET hop. It is passed by value; the answer comes back
+// in a Reply the caller owns.
 type Probe struct {
 	Scheme string // "http" or "https"
 	Host   string
@@ -94,8 +96,11 @@ type Probe struct {
 	Header http.Header
 }
 
-// Reply is the answer to one probe hop. Rendering is lazy: Body builds
-// the page and Header the response headers only when called.
+// Reply is the answer to one probe hop. The caller owns it: Probe
+// writes into a Reply the caller passes, so one Reply can serve every
+// hop of a redirect chain and every attempt after it. Rendering is
+// lazy: Body builds the page and Header the response headers only when
+// called.
 type Reply struct {
 	Status int
 	// BodyLen is the advertised Content-Length, -1 when the response
@@ -122,9 +127,9 @@ const refusal = "403 Forbidden: target site requests to not be crawled"
 // errMidTransfer is the read error of a truncated transfer.
 var errMidTransfer = &OpError{Op: "read", Msg: "connection reset mid-transfer"}
 
-// Refusal is the proxy platform's answer for a destination it will not
-// fetch.
-func Refusal() Reply { return Reply{Status: http.StatusBadGateway, Refused: true} }
+// Refuse makes r the proxy platform's answer for a destination it will
+// not fetch.
+func (r *Reply) Refuse() { *r = Reply{Status: http.StatusBadGateway, Refused: true} }
 
 // Truncate cuts the transfer after keep bytes of body: the advertised
 // length disappears and reading the body fails.
@@ -187,18 +192,17 @@ func (r *Reply) Close() {
 	}
 }
 
-// ReplyOf reads resp back into a Reply, for callers that send a hop
+// SetResponse reads resp back into r, for callers that send a hop
 // through an http.RoundTripper. Body reads resp.Body, and Close closes
 // it.
-func ReplyOf(resp *http.Response) Reply {
-	r := Reply{Status: resp.StatusCode, BodyLen: int(resp.ContentLength), resp: resp}
+func (r *Reply) SetResponse(resp *http.Response) {
+	*r = Reply{Status: resp.StatusCode, BodyLen: int(resp.ContentLength), resp: resp}
 	switch resp.StatusCode {
 	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
 		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
 		r.Redirect = resp.Header.Get("Location")
 	}
 	r.Refused = resp.Header.Get("X-Luminati-Error") != ""
-	return r
 }
 
 // Response renders r as the *http.Response a RoundTripper returns for
@@ -258,15 +262,16 @@ func SampleSeed(ctx context.Context) (uint64, bool) {
 
 // RoundTrip implements http.RoundTripper as an adapter over Probe.
 func (s *Stack) RoundTrip(req *http.Request) (*http.Response, error) {
-	r, err := s.Probe(ProbeOf(req, s.IP))
-	if err != nil {
+	var r Reply
+	if err := s.Probe(ProbeOf(req, s.IP), &r); err != nil {
 		return nil, err
 	}
 	return r.Response(req), nil
 }
 
-// Probe sends one GET hop from the stack's address.
-func (s *Stack) Probe(p Probe) (Reply, error) {
+// Probe sends one GET hop from the stack's address and writes the
+// answer into r. After an error r holds nothing the caller may read.
+func (s *Stack) Probe(p Probe, r *Reply) error {
 	host := strings.ToLower(p.Host)
 	lookupHost := strings.TrimPrefix(host, "www.")
 
@@ -279,21 +284,22 @@ func (s *Stack) Probe(p Probe) (Reply, error) {
 	if found {
 		switch censor.Check(d, loc) {
 		case censor.RST:
-			return Reply{}, &OpError{Op: "read", Host: host, Msg: "connection reset by peer"}
+			return &OpError{Op: "read", Host: host, Msg: "connection reset by peer"}
 		case censor.DNSPoison:
-			return Reply{}, &OpError{Op: "dns", Host: host, Msg: "poisoned answer: connection refused"}
+			return &OpError{Op: "dns", Host: host, Msg: "poisoned answer: connection refused"}
 		case censor.Timeout:
-			return Reply{}, &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
+			return &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
 		case censor.BlockPage:
-			return s.censorPage(d, p.Seed), nil
+			s.censorPage(d, p.Seed, r)
+			return nil
 		}
 	}
 
 	if !found {
-		return Reply{}, &OpError{Op: "dns", Host: host, Msg: "no such host"}
+		return &OpError{Op: "dns", Host: host, Msg: "no such host"}
 	}
 	if d.Unreachable {
-		return Reply{}, &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
+		return &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
 	}
 
 	// Timeout geoblocking (§7.3): the origin silently drops connections
@@ -301,10 +307,10 @@ func (s *Stack) Probe(p Probe) (Reply, error) {
 	// outage or censorship, which is exactly what makes it hard to
 	// attribute.
 	if d.TimeoutBlockedIn(loc) {
-		return Reply{}, &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
+		return &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
 	}
 
-	resp := cdn.Serve(s.World, cdn.Request{
+	*r = Reply{edge: cdn.Serve(s.World, cdn.Request{
 		Domain:     d,
 		Host:       host,
 		Path:       p.Path,
@@ -314,19 +320,20 @@ func (s *Stack) Probe(p Probe) (Reply, error) {
 		Header:     p.Header,
 		Clock:      s.World.Clock(),
 		SampleSeed: p.Seed,
-	})
-	return Reply{Status: resp.Status, BodyLen: resp.BodyLen, Redirect: resp.Redirect, edge: resp}, nil
+	})}
+	r.Status, r.BodyLen, r.Redirect = r.edge.Status, r.edge.BodyLen, r.edge.Redirect
+	return nil
 }
 
-// censorPage injects the national filter's block page.
-func (s *Stack) censorPage(d *worldgen.Domain, seed uint64) Reply {
+// censorPage injects the national filter's block page into r.
+func (s *Stack) censorPage(d *worldgen.Domain, seed uint64, r *Reply) {
 	rng := stats.NewRNG(seed)
 	body := blockpage.Render(blockpage.Censorship, blockpage.Vars{
 		Domain:   d.Name,
 		ClientIP: s.IP.String(),
 		Nonce:    fmt.Sprintf("%06x", uint32(rng.Uint64())),
 	})
-	return Reply{Status: http.StatusForbidden, BodyLen: len(body), censored: body}
+	*r = Reply{Status: http.StatusForbidden, BodyLen: len(body), censored: body}
 }
 
 // lazyBody renders the page on first Read; responses whose bodies are
