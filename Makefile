@@ -35,7 +35,9 @@
 #                `go test -fuzz` invocation per target; the corpus
 #                seeds still run under plain `make check`)
 #   make bench   the scan engine benchmarks (collect vs streaming,
-#                sharded vs one-worker-per-country, instrumented vs bare)
+#                sharded vs one-worker-per-country, instrumented vs bare),
+#                BENCHTIME iterations each (default 3x; CI runs 1x so the
+#                benchmarks the docs quote cannot break unnoticed)
 #   make profile the streaming scan benchmark under the CPU and memory
 #                profilers; inspect with `go tool pprof geoblock.test cpu.prof`
 #   make fabric-test  the multi-process fabric integration: a lumscan
@@ -112,8 +114,10 @@ fuzz:
 	$(GO) test ./internal/blockpage -run FuzzMatchSignature -fuzz FuzzMatchSignature -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verdict -run FuzzDecodeSnapshot -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 
+BENCHTIME ?= 3x
+
 bench:
-	$(GO) test . -run xxx -bench 'BenchmarkScan(Collect|Streaming|SkewedSharded|Instrumented|ColdVsResume)' -benchtime 3x
+	$(GO) test . -run xxx -bench 'BenchmarkScan(Collect|Streaming|SkewedSharded|Instrumented|ColdVsResume)' -benchtime $(BENCHTIME)
 
 profile:
 	$(GO) test . -run xxx -bench 'BenchmarkScanStreaming' -benchtime 10x \

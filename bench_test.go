@@ -804,6 +804,10 @@ func BenchmarkScanStreaming(b *testing.B) {
 // and 1.04–1.12 with the per-unit tally that is flushed once per unit;
 // fewer iterations swing too widely to compare. The remaining cost is
 // two clock reads per attempt and the flush's per-unit label building.
+// Resolving each hop's invariants once per task and per exit then cut
+// the bare scan from 0.94–1.18 ms to 0.48–0.63 ms (six alternating runs
+// each), so the same fixed cost reads 1.09–1.23, where the code before
+// it read 1.07–1.14 in the same runs.
 func BenchmarkScanInstrumented(b *testing.B) {
 	net, domains, countries, tasks := scanBenchWorld(b)
 	sink := lumscan.SinkFunc(func(lumscan.Sample) {})

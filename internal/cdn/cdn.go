@@ -36,32 +36,92 @@ type Request struct {
 	Header     http.Header // read, never written; Response.Header consults it again
 	Clock      int64
 	SampleSeed uint64 // drives per-request randomness, deterministic per sample
+
+	// Callers that send many requests from one address, or with one
+	// header set, resolve these once and set them; Serve computes what
+	// is left unset.
+
+	// Loc is the edge's GeoIP view of ClientIP, as Locate computes it,
+	// when Located is set.
+	Loc     geo.Location
+	Located bool
+	// Fingerprint is the edge's bot verdict on Header, as Classify
+	// computes it.
+	Fingerprint Fingerprint
+	// NameHash is stats.Hash(Domain.Name). A hash that is 0 in truth
+	// reads as unset and is recomputed, to the same 0.
+	NameHash uint64
+}
+
+// Fingerprint is the edge's bot verdict on a request's header set.
+type Fingerprint uint8
+
+const (
+	// Unclassified leaves the verdict to Serve.
+	Unclassified Fingerprint = iota
+	// Browser is a browser-like set: a User-Agent, Accept and
+	// Accept-Language.
+	Browser
+	// Crawler is any other set; bot defenses may deny it (§3.2).
+	Crawler
+)
+
+// Classify is the edge's bot verdict on the header set h.
+func Classify(h http.Header) Fingerprint {
+	if crawlerLike(h) {
+		return Crawler
+	}
+	return Browser
+}
+
+// Hop is a same-site redirect's target, relative to the request:
+// Scheme://Host+Path, where Host is the request's host, with "www." in
+// front when WWW is set. Its zero value is no redirect.
+type Hop struct {
+	Scheme string
+	WWW    bool
+	Path   string
 }
 
 // Response is the edge's answer. Page records the ground truth of what
 // was served (never exposed on the wire).
 //
 // Rendering is lazy. The origin page is built only when Body is
-// called, and the response headers (provider signatures, Content-Type,
-// Content-Length, Location) only when Header is, so status- and
-// length-only consumers pay for neither. Block pages are rendered
-// eagerly, because their length is the body's length.
+// called, the redirect's Location only when Location is, and the
+// response headers (provider signatures, Content-Type, Content-Length,
+// Location) only when Header is, so status- and length-only consumers
+// pay for none of them. Block pages are rendered eagerly, because
+// their length is the body's length.
 type Response struct {
-	Status   int
-	BodyLen  int
-	Page     blockpage.Kind
-	Redirect string // non-empty for 3xx, the Location value
+	Status  int
+	BodyLen int
+	Page    blockpage.Kind
+	// Next is a redirect's target; its zero value means no redirect.
+	Next Hop
 
 	body    string                // the rendered body, unless origin is set
 	origin  *blockpage.OriginSite // the origin page, rendered on demand
 	variant blockpage.PageVariant
 	seed    uint64
+	host    string // the request's host, which Next is relative to
 
 	// The inputs of the provider headers.
 	domain    *worldgen.Domain
 	reqHeader http.Header
 	ray       uint64
 	nonce     uint32
+}
+
+// Location renders a redirect's Location value, "" when the response
+// is not a redirect.
+func (r Response) Location() string {
+	switch {
+	case r.Next.Scheme == "":
+		return ""
+	case r.Next.WWW:
+		return r.Next.Scheme + "://www." + r.host + r.Next.Path
+	}
+	return r.Next.Scheme + "://" + r.host + r.Next.Path
 }
 
 // Body renders the response body.
@@ -85,8 +145,8 @@ func (r Response) Header() http.Header {
 		addProviderHeaders(h, p, r.reqHeader, vars)
 	}
 	h.Set("Content-Type", "text/html; charset=utf-8")
-	if r.Redirect != "" {
-		h.Set("Location", r.Redirect)
+	if loc := r.Location(); loc != "" {
+		h.Set("Location", loc)
 	}
 	h.Set("Content-Length", strconv.Itoa(r.BodyLen))
 	return h
@@ -100,47 +160,28 @@ func (r Response) Header() http.Header {
 // appears only when consecutive samples ride different exits.
 const edgeGeoIPErrorPermille = 10
 
-// exchange is one request on its way through the serving chain. The
+// exchange is what the serving chain works out about one request. The
 // RayID and nonce are drawn up front but formatted only when a page or
-// header shows them.
+// header shows them. It holds no pointer to the request or the
+// response, so neither has to live on the heap.
 type exchange struct {
 	w     *worldgen.World
-	req   Request
 	loc   geo.Location
+	name  uint64 // stats.Hash of the domain's name
 	ray   uint64
 	nonce uint32
 }
 
 // vars formats the template variables block pages substitute.
-func (x *exchange) vars() blockpage.Vars {
+func (x *exchange) vars(req *Request) blockpage.Vars {
 	return blockpage.Vars{
-		Domain:      x.req.Domain.Name,
-		Path:        x.req.Path,
-		ClientIP:    x.req.ClientIP.String(),
+		Domain:      req.Domain.Name,
+		Path:        req.Path,
+		ClientIP:    req.ClientIP.String(),
 		CountryName: x.w.Geo.Name(x.loc.Country),
 		RayID:       rayID(x.ray),
 		Nonce:       nonceHex(x.nonce),
 	}
-}
-
-// page builds a response whose body is already rendered.
-func (x *exchange) page(status int, kind blockpage.Kind, body, redirect string) Response {
-	return Response{
-		Status:    status,
-		BodyLen:   len(body),
-		Page:      kind,
-		Redirect:  redirect,
-		body:      body,
-		domain:    x.req.Domain,
-		reqHeader: x.req.Header,
-		ray:       x.ray,
-		nonce:     x.nonce,
-	}
-}
-
-// block renders kind's block page.
-func (x *exchange) block(kind blockpage.Kind) Response {
-	return x.page(kind.Status(), kind, blockpage.Render(kind, x.vars()), "")
 }
 
 func rayID(ray uint64) string      { return fmt.Sprintf("%016x", ray) }
@@ -150,28 +191,42 @@ const movedBody = "<html><head><title>301 Moved Permanently</title></head><body>
 
 // Serve answers req according to the domain's serving chain.
 func Serve(w *worldgen.World, req Request) Response {
-	d := req.Domain
-	rng := stats.NewRNG(stats.Mix64(req.SampleSeed) ^ stats.Hash(d.Name))
+	var resp Response
+	ServeTo(w, &req, &resp)
+	return resp
+}
 
-	loc, ok := w.Geo.Locate(req.ClientIP)
-	if !ok {
-		loc = geo.Location{}
+// ServeTo is Serve writing its answer into resp, for callers that keep
+// one Response for many requests. It neither retains nor modifies req.
+func ServeTo(w *worldgen.World, req *Request, resp *Response) {
+	d := req.Domain
+	x := exchange{w: w, loc: req.Loc, name: req.NameHash}
+	if !req.Located {
+		x.loc = Locate(w, req.ClientIP)
 	}
-	x := exchange{w: w, req: req, loc: maybeMisgeolocate(w, loc, req.ClientIP)}
+	if x.name == 0 {
+		x.name = stats.Hash(d.Name)
+	}
+	rng := stats.NewRNG(stats.Mix64(req.SampleSeed) ^ x.name)
 	// Both draws come first, whatever is served, so the access-control
 	// draws below always see the same stream position.
 	x.ray = rng.Uint64()
 	x.nonce = uint32(rng.Uint64())
+	*resp = Response{Status: 200, host: req.Host, domain: d, reqHeader: req.Header, ray: x.ray, nonce: x.nonce}
 
 	// Access control runs at first contact, before any redirect: a
 	// blocked client never sees the redirect chain.
-	if resp, denied := applyAccessControl(&x, rng); denied {
-		return resp
+	if kind := accessControl(&x, req, rng); kind != blockpage.KindNone {
+		resp.Status, resp.Page = kind.Status(), kind
+		resp.setBody(blockpage.Render(kind, x.vars(req)))
+		return
 	}
 
 	// Same-site redirect hops: http→https, then apex→www.
-	if next := redirectLocation(d, req); next != "" {
-		return x.page(301, blockpage.KindNone, movedBody, next)
+	if resp.Next = redirect(d, req); resp.Next.Scheme != "" {
+		resp.Status = 301
+		resp.setBody(movedBody)
+		return
 	}
 
 	// Flaky backends intermittently serve a shared junk page
@@ -179,8 +234,9 @@ func Serve(w *worldgen.World, req Request) Response {
 	// short-page noise for the outlier pipeline.
 	if d.JunkRate > 0 && rng.Bool(d.JunkRate) {
 		kinds := blockpage.JunkKinds()
-		k := kinds[stats.Hash(d.Name)%uint64(len(kinds))]
-		return x.page(200, blockpage.KindNone, blockpage.RenderJunk(k, d.Name, nonceHex(x.nonce)[:6]), "")
+		k := kinds[x.name%uint64(len(kinds))]
+		resp.setBody(blockpage.RenderJunk(k, d.Name, nonceHex(x.nonce)[:6]))
+		return
 	}
 
 	// Origin content — possibly an application-layer variant: the page
@@ -195,17 +251,30 @@ func Serve(w *worldgen.World, req Request) Response {
 			variant.PriceFactor = f
 		}
 	}
-	resp := x.page(200, blockpage.KindNone, "", "")
 	resp.BodyLen = d.Origin.VariantLength(req.SampleSeed, variant)
 	resp.origin, resp.variant, resp.seed = d.Origin, variant, req.SampleSeed
-	return resp
 }
 
-// applyAccessControl walks the serving chain and returns the denial
-// response if any layer refuses the request.
-func applyAccessControl(x *exchange, rng *stats.RNG) (Response, bool) {
-	w, d, req, loc := x.w, x.req.Domain, x.req, x.loc
-	crawler := crawlerLike(req.Header)
+// setBody sets an already rendered body.
+func (r *Response) setBody(body string) { r.body, r.BodyLen = body, len(body) }
+
+// Locate is the edge's GeoIP view of a client at ip: the database's
+// location, moved for the sticky fraction of addresses the edge's
+// database has wrong.
+func Locate(w *worldgen.World, ip geo.IP) geo.Location {
+	loc, _ := w.Geo.Locate(ip)
+	return maybeMisgeolocate(w, loc, ip)
+}
+
+// accessControl walks the serving chain and returns the block page of
+// the first layer that refuses the request, KindNone when none does.
+func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
+	w, d, loc := x.w, req.Domain, x.loc
+	fp := req.Fingerprint
+	if fp == Unclassified {
+		fp = Classify(req.Header)
+	}
+	crawler := fp == Crawler
 
 	// Proxy-blacklist blocking fires before anything else: these
 	// deployments deny the residential-proxy address lists wholesale,
@@ -214,17 +283,17 @@ func applyAccessControl(x *exchange, rng *stats.RNG) (Response, bool) {
 	// consistency analysis must exclude (§5.2.2).
 	if d.BlocksProxies && w.Geo.IsProxyExit(req.ClientIP) {
 		if d.DistilProtected {
-			return x.block(blockpage.DistilCaptcha), true
+			return blockpage.DistilCaptcha
 		}
 		switch {
 		case d.FrontedBy(worldgen.Akamai):
-			return x.block(blockpage.Akamai), true
+			return blockpage.Akamai
 		case d.FrontedBy(worldgen.Incapsula):
-			return x.block(blockpage.Incapsula), true
+			return blockpage.Incapsula
 		case d.Hosting() == worldgen.OriginVarnish:
-			return x.block(blockpage.Varnish), true
+			return blockpage.Varnish
 		default:
-			return x.block(blockpage.Nginx), true
+			return blockpage.Nginx
 		}
 	}
 
@@ -232,7 +301,7 @@ func applyAccessControl(x *exchange, rng *stats.RNG) (Response, bool) {
 		// Platform-level App Engine block (§4.2.1): Google itself, not
 		// the customer, denies sanctioned locations.
 		if p == worldgen.AppEngine && d.GAEHosted && gaeBlocked(loc) {
-			return x.block(blockpage.AppEngine), true
+			return blockpage.AppEngine
 		}
 
 		if rule, ok := d.GeoRules[p]; ok && rule.Applies(loc, req.Clock) {
@@ -240,13 +309,13 @@ func applyAccessControl(x *exchange, rng *stats.RNG) (Response, bool) {
 			case worldgen.ActionBlock:
 				if d.Legal451 {
 					// RFC 7725: the operator states the legal basis.
-					return x.block(blockpage.Legal451), true
+					return blockpage.Legal451
 				}
-				return x.block(blockKind(p)), true
+				return blockKind(p)
 			case worldgen.ActionCaptcha:
-				return x.block(captchaKind(d, p)), true
+				return captchaKind(d, p)
 			case worldgen.ActionJS:
-				return x.block(blockpage.CloudflareJS), true
+				return blockpage.CloudflareJS
 			}
 		}
 
@@ -256,11 +325,11 @@ func applyAccessControl(x *exchange, rng *stats.RNG) (Response, bool) {
 		if crawler && d.BotSensitivity > 0 && rng.Bool(d.BotSensitivity) {
 			switch p {
 			case worldgen.Akamai:
-				return x.block(blockpage.Akamai), true
+				return blockpage.Akamai
 			case worldgen.Incapsula:
-				return x.block(blockpage.Incapsula), true
+				return blockpage.Incapsula
 			case worldgen.Cloudflare:
-				return x.block(blockpage.CloudflareCaptcha), true
+				return blockpage.CloudflareCaptcha
 			}
 		}
 
@@ -270,9 +339,9 @@ func applyAccessControl(x *exchange, rng *stats.RNG) (Response, bool) {
 		// address). The challenge page carries a 403, which is why OONI
 		// controls made over Tor so often look "blocked" (§7.1).
 		if p == worldgen.Cloudflare && w.Geo.IsAnonymizer(req.ClientIP) {
-			draw := float64(stats.Mix64(stats.Hash(d.Name)^uint64(req.ClientIP)^0x7042)>>11) / (1 << 53)
+			draw := float64(stats.Mix64(x.name^uint64(req.ClientIP)^0x7042)>>11) / (1 << 53)
 			if draw < 0.80 {
-				return x.block(blockpage.CloudflareCaptcha), true
+				return blockpage.CloudflareCaptcha
 			}
 		}
 
@@ -291,34 +360,34 @@ func applyAccessControl(x *exchange, rng *stats.RNG) (Response, bool) {
 			if w.Geo.IsAnonymizer(req.ClientIP) {
 				risk = 0.88
 			}
-			draw := float64(stats.Mix64(stats.Hash(d.Name)^uint64(req.ClientIP)^0x5ca1ab1e)>>11) / (1 << 53)
+			draw := float64(stats.Mix64(x.name^uint64(req.ClientIP)^0x5ca1ab1e)>>11) / (1 << 53)
 			if draw < d.ReputationSensitivity*risk {
 				if p == worldgen.Akamai {
-					return x.block(blockpage.Akamai), true
+					return blockpage.Akamai
 				}
-				return x.block(blockpage.Incapsula), true
+				return blockpage.Incapsula
 			}
 		}
 	}
 
 	// Airbnb's custom application-level restriction page.
 	if d.AirbnbStyle && airbnbBlocked(loc) {
-		return x.block(blockpage.Airbnb), true
+		return blockpage.Airbnb
 	}
 
 	// IP-reputation noise: heavily defended sites challenge even
 	// browser-like residential clients at a low per-request rate.
 	if d.ResidentialChallengeRate > 0 && rng.Bool(d.ResidentialChallengeRate) {
 		if d.DistilProtected {
-			return x.block(blockpage.DistilCaptcha), true
+			return blockpage.DistilCaptcha
 		}
 		if d.FrontedBy(worldgen.Cloudflare) {
-			return x.block(blockpage.CloudflareCaptcha), true
+			return blockpage.CloudflareCaptcha
 		}
-		return x.block(blockpage.DistilCaptcha), true
+		return blockpage.DistilCaptcha
 	}
 
-	return Response{}, false
+	return blockpage.KindNone
 }
 
 // blockKind maps a provider to its hard-block page.
@@ -404,24 +473,24 @@ func first(h http.Header, canonicalKey string) string {
 	return ""
 }
 
-// redirectLocation computes the next hop of the domain's same-site
-// redirect chain, or "" when content should be served.
-func redirectLocation(d *worldgen.Domain, req Request) string {
+// redirect computes the next hop of the domain's same-site redirect
+// chain; its zero value means content should be served.
+func redirect(d *worldgen.Domain, req *Request) Hop {
 	if d.RedirectLoop {
 		// Pathological: bounce between two paths forever.
 		if req.Path == "/a" {
-			return fmt.Sprintf("%s://%s/b", req.Scheme, req.Host)
+			return Hop{Scheme: req.Scheme, Path: "/b"}
 		}
-		return fmt.Sprintf("%s://%s/a", req.Scheme, req.Host)
+		return Hop{Scheme: req.Scheme, Path: "/a"}
 	}
 	www := len(req.Host) > 4 && req.Host[:4] == "www."
 	switch {
 	case d.RedirectHops >= 1 && req.Scheme == "http":
-		return "https://" + req.Host + req.Path
+		return Hop{Scheme: "https", Path: req.Path}
 	case d.RedirectHops >= 2 && !www:
-		return "https://www." + req.Host + req.Path
+		return Hop{Scheme: "https", WWW: true, Path: req.Path}
 	}
-	return ""
+	return Hop{}
 }
 
 // addProviderHeaders attaches each provider's identifying headers: the

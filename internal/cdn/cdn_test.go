@@ -298,13 +298,13 @@ func TestRedirectChain(t *testing.T) {
 	req := Request{Domain: d, Host: d.Name, Path: "/", Method: "GET", Scheme: "http",
 		ClientIP: ip, Header: browserHeaders(), SampleSeed: 4}
 	r := Serve(testWorld, req)
-	if r.Status != 301 || r.Redirect != "https://"+d.Name+"/" {
-		t.Fatalf("hop 1: %d -> %q", r.Status, r.Redirect)
+	if r.Status != 301 || r.Location() != "https://"+d.Name+"/" {
+		t.Fatalf("hop 1: %d -> %q", r.Status, r.Location())
 	}
 	req.Scheme = "https"
 	r = Serve(testWorld, req)
-	if r.Status != 301 || r.Redirect != "https://www."+d.Name+"/" {
-		t.Fatalf("hop 2: %d -> %q", r.Status, r.Redirect)
+	if r.Status != 301 || r.Location() != "https://www."+d.Name+"/" {
+		t.Fatalf("hop 2: %d -> %q", r.Status, r.Location())
 	}
 	req.Host = "www." + d.Name
 	r = Serve(testWorld, req)
@@ -328,8 +328,8 @@ func TestRedirectLoop(t *testing.T) {
 	req := Request{Domain: d, Host: d.Name, Path: "/a", Method: "GET", Scheme: "https",
 		ClientIP: ip, Header: browserHeaders(), SampleSeed: 4}
 	r := Serve(testWorld, req)
-	if r.Status != 301 || !strings.HasSuffix(r.Redirect, "/b") {
-		t.Fatalf("loop hop: %d -> %q", r.Status, r.Redirect)
+	if r.Status != 301 || !strings.HasSuffix(r.Location(), "/b") {
+		t.Fatalf("loop hop: %d -> %q", r.Status, r.Location())
 	}
 }
 

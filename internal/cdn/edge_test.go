@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"reflect"
 	"testing"
 
 	"geoblock/internal/blockpage"
@@ -273,5 +274,83 @@ func TestLegal451Served(t *testing.T) {
 		Scheme: "https", ClientIP: ua, Header: browserHeaders(), SampleSeed: 1})
 	if r.Status == 451 {
 		t.Fatal("mainland Ukraine must not see the 451")
+	}
+}
+
+// TestLocatedServesLikeUnlocated pins that a request with its client
+// located once (Loc from Locate), its header set classified once
+// (Fingerprint from Classify) and its domain's name hashed once is
+// served exactly like one the edge works out itself: same status,
+// length, page, redirect, body and headers. The clients are a residential and a proxy-exit address in
+// every country's range, a Crimean address, and addresses the edge
+// misgeolocates; the domains are Top-10K sites with a
+// location-dependent policy, plus plain ones, over both schemes and
+// both header sets.
+func TestLocatedServesLikeUnlocated(t *testing.T) {
+	db := testWorld.Geo
+	var ips []geo.IP
+	for _, c := range db.Countries() {
+		for _, mint := range []func(geo.CountryCode, uint64) (geo.IP, error){db.HostIP, db.ProxyExitIP} {
+			if ip, err := mint(c.Code, 7); err == nil {
+				ips = append(ips, ip)
+			}
+		}
+	}
+	ips = append(ips, db.CrimeaHostIP(7))
+	misplaced := 0
+	for n := uint64(0); misplaced < 16 && n < 1<<16; n++ {
+		cs := db.Countries()
+		ip, err := db.ProxyExitIP(cs[n%uint64(len(cs))].Code, n)
+		if err != nil {
+			continue
+		}
+		if loc, _ := db.Locate(ip); Locate(testWorld, ip) != loc {
+			ips = append(ips, ip)
+			misplaced++
+		}
+	}
+	if misplaced < 16 {
+		t.Fatalf("found %d misgeolocated addresses", misplaced)
+	}
+
+	var domains []*worldgen.Domain
+	located, plain := 0, 0
+	for _, d := range testWorld.Top10K() {
+		switch {
+		case len(d.GeoRules) > 0 || d.GAEHosted || d.AirbnbStyle || d.AppLayer != nil:
+			if located < 24 {
+				domains = append(domains, d)
+				located++
+			}
+		case plain < 4 && d.RedirectHops > 0:
+			domains = append(domains, d)
+			plain++
+		}
+	}
+
+	served := map[blockpage.Kind]int{}
+	for i, ip := range ips {
+		for j, d := range domains {
+			h := browserHeaders()
+			if (i+j)%3 == 0 {
+				h = crawlerHeaders()
+			}
+			req := Request{Domain: d, Host: d.Name, Path: "/", Method: "GET", Scheme: []string{"http", "https"}[(i+j)%2],
+				ClientIP: ip, Header: h, SampleSeed: uint64(i*len(domains) + j)}
+			want := Serve(testWorld, req)
+			req.Loc, req.Located, req.Fingerprint, req.NameHash = Locate(testWorld, ip), true, Classify(h), stats.Hash(d.Name)
+			got := Serve(testWorld, req)
+			if got.Status != want.Status || got.BodyLen != want.BodyLen || got.Page != want.Page ||
+				got.Location() != want.Location() || got.Body() != want.Body() ||
+				!reflect.DeepEqual(got.Header(), want.Header()) {
+				t.Fatalf("%s from %s: located %d/%d bytes/%v -> %q, unlocated %d/%d bytes/%v -> %q",
+					d.Name, ip, got.Status, got.BodyLen, got.Page, got.Location(), want.Status, want.BodyLen, want.Page, want.Location())
+			}
+			served[want.Page]++
+		}
+	}
+	t.Logf("%d addresses x %d domains: %v", len(ips), len(domains), served)
+	if len(served) < 5 {
+		t.Errorf("the comparison saw only %d page kinds: %v", len(served), served)
 	}
 }

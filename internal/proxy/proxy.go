@@ -221,7 +221,13 @@ type Session struct {
 	exits []*Exit
 	cur   int
 	used  int
+
+	stack vnet.Stack // the current exit's stack, located when the session lands on it
+	path  transit    // the country's transit draw
 }
+
+// land locates the stack of the exit the session now stands on.
+func (s *Session) land() { s.stack = vnet.At(s.net.World, s.Exit().IP) }
 
 // NewSession opens a session exiting in cc, starting at a
 // deterministic position derived from slot (workers pass distinct
@@ -242,12 +248,20 @@ func (n *Network) NewSessionAttempt(cc geo.CountryCode, slot uint64, attempt int
 	if n.faults != nil && n.faults.Brownout(cc, slot, attempt) {
 		return nil, &ErrBrownout{Country: cc, Attempt: attempt}
 	}
-	return &Session{
+	return n.open(cc, exits, slot), nil
+}
+
+// open opens a session over exits, starting at the position slot picks.
+func (n *Network) open(cc geo.CountryCode, exits []*Exit, slot uint64) *Session {
+	s := &Session{
 		net:   n,
 		cc:    cc,
 		exits: exits,
 		cur:   int(stats.Mix64(slot) % uint64(len(exits))),
-	}, nil
+		path:  transitOf(cc, n.World.Geo),
+	}
+	s.land()
+	return s
 }
 
 // NewRegionSession opens a session restricted to cc's exits inside (or
@@ -263,12 +277,7 @@ func (n *Network) NewRegionSession(cc geo.CountryCode, crimea bool, slot uint64)
 	if len(filtered) == 0 {
 		return nil, &ErrNoExits{Country: cc}
 	}
-	return &Session{
-		net:   n,
-		cc:    cc,
-		exits: filtered,
-		cur:   int(stats.Mix64(slot) % uint64(len(filtered))),
-	}, nil
+	return n.open(cc, filtered, slot), nil
 }
 
 // Exit returns the session's current exit.
@@ -282,6 +291,7 @@ func (s *Session) InventorySize() int { return len(s.exits) }
 func (s *Session) Rotate() {
 	s.cur = (s.cur + 1) % len(s.exits)
 	s.used = 0
+	s.land()
 }
 
 // Used returns how many requests the current exit has served.
@@ -294,14 +304,20 @@ func (s *Session) Used() int { return s.used }
 func (s *Session) Verify(seed uint64) (geo.IP, geo.CountryCode, error) {
 	e := s.Exit()
 	if s.net.faults != nil && s.net.faults.ExitDark(s.cc, e.IP) {
-		return 0, "", &vnet.OpError{Op: "proxy", Host: "lumtest.example", Msg: "exit dark"}
+		return 0, "", errExitDark
 	}
 	rng := stats.NewRNG(stats.Mix64(seed) ^ uint64(e.IP) ^ 0xc0ffee)
 	if !rng.Bool(e.Reliability) {
-		return 0, "", &vnet.OpError{Op: "proxy", Host: "lumtest.example", Msg: "exit unavailable"}
+		return 0, "", errExitUnavailable
 	}
 	return e.IP, e.Claimed, nil
 }
+
+// The connectivity pre-check's failures.
+var (
+	errExitDark        = &vnet.OpError{Op: "proxy", Host: "lumtest.example", Msg: "exit dark"}
+	errExitUnavailable = &vnet.OpError{Op: "proxy", Host: "lumtest.example", Msg: "exit unavailable"}
+)
 
 // RoundTrip implements http.RoundTripper as an adapter over Probe, for
 // callers that want an *http.Client on the mesh.
@@ -313,20 +329,34 @@ func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
 	return r.Response(req), nil
 }
 
+// Resolve resolves host into d for the probes the session sends,
+// together with the transit verdict from the session's country.
+func (s *Session) Resolve(host string, d *vnet.Dest) {
+	s.stack.Resolve(host, d)
+	d.PathDown = s.path.down(d.Hash)
+}
+
 // Probe sends one GET hop through the session's current exit, charging
 // it one request of the exit's budget. It applies, in order: injected
 // faults, the platform's own domain policy (X-Luminati-Error), the
 // path from the exit's country, the exit's reliability, the exit's
 // local firewall, and then the real network path from the exit's
 // address. The answer is written into r, as vnet.Stack.Probe writes
-// it.
+// it. Every check keys on the destination's site name, whatever the
+// spelling of p.Host.
 func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	e := s.Exit()
 	served := s.used
 	s.used++
 
-	host := trimHost(p.Host)
-	rng := stats.NewRNG(stats.Mix64(p.Seed) ^ uint64(e.IP) ^ stats.Hash(host))
+	d := p.Dest
+	if d == nil {
+		d = new(vnet.Dest)
+		s.Resolve(p.Host, d)
+		p.Dest = d
+	}
+	host := d.Name
+	rng := stats.NewRNG(stats.Mix64(p.Seed) ^ uint64(e.IP) ^ d.Hash)
 
 	// Injected faults sit in front of the mesh's organic error
 	// structure, so a chaos run layers on top of (never replaces) the
@@ -334,21 +364,21 @@ func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	truncate := false
 	if f := s.net.faults; f != nil {
 		if f.ExitDark(s.cc, e.IP) || f.Churned(s.cc, e.IP, served) {
-			return &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+			return d.Fail("proxy", host, "superproxy: exit connection failed", false)
 		}
 		switch f.Request(s.cc, e.IP, host, p.Seed) {
 		case FaultExitDown:
-			return &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+			return d.Fail("proxy", host, "superproxy: exit connection failed", false)
 		case FaultStall:
-			return vnet.TimeoutError("read", host)
+			return d.Fail("read", host, "i/o timeout", true)
 		case FaultReset:
-			return &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by peer"}
+			return d.Fail("read", host, "connection reset by peer", false)
 		case FaultTruncate:
 			truncate = true
 		}
 	}
 
-	if d, ok := s.net.World.Lookup(host); ok && d.LuminatiRestricted {
+	if d.Domain != nil && d.Domain.LuminatiRestricted {
 		r.Refuse()
 		return nil
 	}
@@ -359,23 +389,22 @@ func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	// rotation cannot fix it: this is what keeps even well-connected
 	// countries at the paper's 89–94% per-domain response rates, and
 	// what buries Comoros at ~76% (§4.1.1).
-	if pathUnreachable(s.cc, host, s.net.World.Geo) {
-		return vnet.TimeoutError("dial", host)
+	if d.PathDown {
+		return d.Fail("dial", host, "i/o timeout", true)
 	}
 
 	if !rng.Bool(e.Reliability) {
-		return &vnet.OpError{Op: "proxy", Host: host, Msg: "superproxy: exit connection failed"}
+		return d.Fail("proxy", host, "superproxy: exit connection failed", false)
 	}
 
 	// Corporate firewalls block a stable slice of domains for the
 	// machines behind them (the paper's suspected source of local
 	// interference, §4.2).
-	if e.CorporateFirewall && stats.Mix64(stats.Hash(host)^uint64(e.IP))%100 < 4 {
-		return &vnet.OpError{Op: "read", Host: host, Msg: "connection reset by local filter"}
+	if e.CorporateFirewall && stats.Mix64(d.Hash^uint64(e.IP))%100 < 4 {
+		return d.Fail("read", host, "connection reset by local filter", false)
 	}
 
-	stack := vnet.Stack{World: s.net.World, IP: e.IP}
-	err := stack.Probe(p, r)
+	err := s.stack.Probe(p, r)
 	if err == nil && truncate {
 		// The transfer dies after a seed-determined prefix, the way a
 		// dropped residential uplink looks to the client.
@@ -384,10 +413,16 @@ func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	return err
 }
 
-// pathUnreachable draws the stable per-(country, destination) transit
-// verdict.
-func pathUnreachable(cc geo.CountryCode, host string, db *geo.DB) bool {
-	rate := uint64(50) // 5.0% baseline, in 1/1000
+// transit is a country's share of unreachable destinations and the
+// hash the per-destination draw mixes in: the inputs of the stable
+// per-(country, destination) transit verdict.
+type transit struct {
+	rate uint64 // unreachable destinations, in 1/1000
+	cc   uint64 // stats.Hash of the country code
+}
+
+func transitOf(cc geo.CountryCode, db *geo.DB) transit {
+	rate := uint64(50) // 5.0% baseline
 	if c, ok := db.Country(cc); ok {
 		switch {
 		case c.Flaky:
@@ -398,13 +433,10 @@ func pathUnreachable(cc geo.CountryCode, host string, db *geo.DB) bool {
 			rate = 80
 		}
 	}
-	h := stats.Mix64(stats.Hash(string(cc)) ^ stats.Hash(host) ^ 0x9a7)
-	return h%1000 < rate
+	return transit{rate: rate, cc: stats.Hash(string(cc))}
 }
 
-func trimHost(h string) string {
-	if len(h) > 4 && h[:4] == "www." {
-		return h[4:]
-	}
-	return h
+// down draws the verdict for the destination whose name hashes to name.
+func (t transit) down(name uint64) bool {
+	return stats.Mix64(t.cc^name^0x9a7)%1000 < t.rate
 }

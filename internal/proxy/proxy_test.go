@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"geoblock/internal/geo"
@@ -176,16 +177,19 @@ func TestLuminatiRestrictedDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := doThrough(t, s, "https://"+d.Name+"/", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.Header.Get("X-Luminati-Error") == "" {
-		t.Fatal("expected X-Luminati-Error header")
-	}
-	if resp.StatusCode != 502 {
-		t.Fatalf("status %d", resp.StatusCode)
+	// The platform refuses the site, whatever the spelling of its host.
+	for _, host := range []string{d.Name, "WWW." + d.Name, strings.ToUpper(d.Name)} {
+		resp, err := doThrough(t, s, "https://"+host+"/", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.Header.Get("X-Luminati-Error") == "" {
+			t.Fatalf("%s: expected X-Luminati-Error header", host)
+		}
+		if resp.StatusCode != 502 {
+			t.Fatalf("%s: status %d", host, resp.StatusCode)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@
 // classification. Each hop is a direct probe (vnet.Probe) of the
 // shard's session or stack: no *http.Request, no header copies, no
 // body rendered unless the sample keeps it, and one vnet.Reply, owned
-// by the fetcher, that every hop and attempt writes into. Redirects are
-// followed here with http.Client's bound, so an attempt sends at most
-// MaxRedirects requests and each one spends a unit of the exit's
-// budget.
+// by the fetcher, that every hop and attempt writes into. What stays
+// fixed for a task is resolved once, into a vnet.Dest the fetcher owns
+// and every hop carries: the site name, its domain record and hash, and
+// the mesh's transit verdict. Redirects are followed here with
+// http.Client's bound, so an attempt sends at most MaxRedirects
+// requests and each one spends a unit of the exit's budget.
 package scanner
 
 import (
@@ -16,6 +18,7 @@ import (
 	"net/url"
 	"strings"
 
+	"geoblock/internal/cdn"
 	"geoblock/internal/geo"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
@@ -24,11 +27,29 @@ import (
 var errRedirectLimit = errors.New("scanner: redirect limit reached")
 
 // prober is what a fetcher sends hops through: *proxy.Session and
-// *vnet.Stack. Probe is the direct path; the RoundTrip adapter is what
-// Config.WrapTransport wraps.
+// *vnet.Stack. Resolve resolves a task's destination once, Probe is the
+// direct path, and the RoundTrip adapter is what Config.WrapTransport
+// wraps.
 type prober interface {
+	Resolve(host string, d *vnet.Dest)
 	Probe(vnet.Probe, *vnet.Reply) error
 	http.RoundTripper
+}
+
+// headerSet is a scan's request headers, canonicalized once per plan
+// and shared read-only by every hop, with the edge's bot verdict on
+// them.
+type headerSet struct {
+	header      http.Header
+	fingerprint cdn.Fingerprint
+}
+
+func newHeaderSet(m map[string]string) headerSet {
+	h := make(http.Header, len(m))
+	for k, v := range m {
+		h.Set(k, v)
+	}
+	return headerSet{header: h, fingerprint: cdn.Classify(h)}
 }
 
 // fetcher performs single attempts through one prober. It carries the
@@ -37,21 +58,26 @@ type fetcher struct {
 	ctx     context.Context
 	probe   prober
 	rt      http.RoundTripper // Config.WrapTransport around probe; nil sends hops direct
-	header  http.Header       // built once per shard, shared read-only by every hop
+	headers headerSet
 	maxHops int
 	bodies  BodyPolicy
 	reply   vnet.Reply // every hop's answer, reused from hop to hop
 	tally   *tally     // nil when the scan records no metrics
+
+	dest     vnet.Dest // the current task's destination
+	host     string    // the host dest was resolved from
+	resolved bool
 }
 
-// newFetcher builds a fetcher over p with the config's header set,
-// redirect bound, and body-retention policy. It records its attempts
-// into t when t has a clock, that is when the scan has a registry.
-func newFetcher(ctx context.Context, p prober, cfg Config, t *tally) *fetcher {
+// newFetcher builds a fetcher over p with the plan's header set and
+// the config's redirect bound and body-retention policy. It records its
+// attempts into t when t has a clock, that is when the scan has a
+// registry.
+func newFetcher(ctx context.Context, p prober, cfg Config, hs headerSet, t *tally) *fetcher {
 	f := &fetcher{
 		ctx:     ctx,
 		probe:   p,
-		header:  headerSet(cfg.Headers),
+		headers: hs,
 		maxHops: cfg.MaxRedirects,
 		bodies:  cfg.Bodies,
 	}
@@ -62,16 +88,6 @@ func newFetcher(ctx context.Context, p prober, cfg Config, t *tally) *fetcher {
 		f.rt = cfg.WrapTransport(p)
 	}
 	return f
-}
-
-// headerSet canonicalizes a header map into the read-only set every hop
-// shares.
-func headerSet(m map[string]string) http.Header {
-	h := make(http.Header, len(m))
-	for k, v := range m {
-		h.Set(k, v)
-	}
-	return h
 }
 
 // fetch performs one attempt and classifies the outcome. exit is the
@@ -86,7 +102,7 @@ func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit 
 	s = Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Seed: seed, ExitIP: exit}
 
 	r := &f.reply
-	err := follow(f.hop, r, f.header, domain, seed, f.maxHops)
+	err := f.follow(domain, seed)
 	if err != nil {
 		s.Err = classifyError(err)
 		return s
@@ -125,6 +141,16 @@ func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit 
 	return s
 }
 
+// resolve returns host's destination, resolved once per task: the
+// attempts and same-site hops of a task all reuse it.
+func (f *fetcher) resolve(host string) *vnet.Dest {
+	if !f.resolved || host != f.host {
+		f.probe.Resolve(host, &f.dest)
+		f.host, f.resolved = host, true
+	}
+	return &f.dest
+}
+
 // hop sends one hop into r: straight to the prober, or, when the
 // config wraps the transport, as an HTTP request through the wrapped
 // RoundTrip adapter, whose bodies stay unrendered until read.
@@ -146,30 +172,41 @@ func (f *fetcher) hop(p vnet.Probe, r *vnet.Reply) error {
 	return nil
 }
 
-// follow fetches http://domain/ and follows its redirect chain the way
-// http.Client does: every hop carries the same headers and seed, and
-// the attempt fails with errRedirectLimit when the maxHops-th request
-// still answers with a redirect. Every hop writes into r, which holds
-// the final hop's reply when follow returns nil.
-func follow(hop func(vnet.Probe, *vnet.Reply) error, r *vnet.Reply, header http.Header, domain string, seed uint64, maxHops int) error {
-	p := vnet.Probe{Scheme: "http", Host: domain, Path: "/", Seed: seed, Header: header}
+// follow fetches http://domain/ into f.reply and follows its redirect
+// chain the way http.Client does: every hop carries the same headers
+// and seed, and the attempt fails with errRedirectLimit when the
+// maxHops-th request still answers with a redirect. An edge's
+// same-site redirect keeps the task's destination; a Location that
+// leaves the site is resolved again by whatever probes it.
+func (f *fetcher) follow(domain string, seed uint64) error {
+	p := vnet.Probe{Scheme: "http", Host: domain, Path: "/", Seed: seed,
+		Header: f.headers.header, Fingerprint: f.headers.fingerprint}
 	if !plain(domain, false) {
 		var err error
 		if p, err = resolve(p, "http://"+domain+"/"); err != nil {
 			return &vnet.OpError{Op: "dns", Host: domain, Msg: err.Error()}
 		}
 	}
+	p.Dest = f.resolve(p.Host)
+	r := &f.reply
 	for sent := 1; ; sent++ {
-		if err := hop(p, r); err != nil || r.Redirect == "" {
+		if err := f.hop(p, r); err != nil || !r.Redirect {
 			return err
 		}
 		r.Close()
-		if sent >= maxHops {
+		if sent >= f.maxHops {
 			return errRedirectLimit
 		}
+		if next, ok := r.Next(p); ok {
+			p = next
+			continue
+		}
 		var err error
-		if p, err = nextHop(p, r.Redirect); err != nil {
+		if p, err = nextHop(p, r.Location()); err != nil {
 			return err
+		}
+		if p.Dest != nil && vnet.SiteName(p.Host) != p.Dest.Name {
+			p.Dest = nil
 		}
 	}
 }
@@ -222,25 +259,33 @@ func plain(s string, slash bool) bool {
 // Replay re-fetches the exact body of a previously collected sample:
 // the response is a pure function of (domain, exit address, seed), so
 // the pipeline can cluster outlier bodies without having stored them.
-// It follows the redirect chain on the fetcher's loop, straight from
-// the exit's address, and returns the final body and status.
+// It follows the redirect chain on a fetcher straight from the exit's
+// address, and returns the final body and status.
 func Replay(w *worldgen.World, domain string, exit geo.IP, seed uint64, headers map[string]string, maxRedirects int) (string, int, error) {
-	st := vnet.Stack{World: w, IP: exit}
-	var r vnet.Reply
-	if err := follow(st.Probe, &r, headerSet(headers), domain, seed, maxRedirects); err != nil {
+	st := vnet.At(w, exit)
+	f := fetcher{probe: &st, headers: newHeaderSet(headers), maxHops: maxRedirects}
+	if err := f.follow(domain, seed); err != nil {
 		return "", 0, fmt.Errorf("scanner: replay %s: %w", domain, err)
 	}
-	body, err := r.Body()
+	body, err := f.reply.Body()
 	if err != nil {
 		return "", 0, err
 	}
-	return body, r.Status, nil
+	return body, f.reply.Status, nil
 }
 
-// classifyError maps transport errors onto the sample taxonomy.
+// classifyError maps transport errors onto the sample taxonomy. The
+// probe path returns a bare *vnet.OpError, which the type assertion
+// takes without the allocation errors.As costs.
 func classifyError(err error) ErrCode {
-	var op *vnet.OpError
-	if errors.As(err, &op) {
+	op, ok := err.(*vnet.OpError)
+	if !ok {
+		var wrapped *vnet.OpError
+		if errors.As(err, &wrapped) {
+			op, ok = wrapped, true
+		}
+	}
+	if ok {
 		switch {
 		case op.Timeout():
 			return ErrTimeout

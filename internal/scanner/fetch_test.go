@@ -155,8 +155,8 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 					return s
 				}
 				ref, direct, viaHTTP := open(), open(), open()
-				fd := newFetcher(context.Background(), direct, cfg, nil)
-				fw := newFetcher(context.Background(), viaHTTP, wrapped, nil)
+				fd := newFetcher(context.Background(), direct, cfg, newHeaderSet(cfg.Headers), nil)
+				fw := newFetcher(context.Background(), viaHTTP, wrapped, newHeaderSet(wrapped.Headers), nil)
 				for di, domain := range domains {
 					task := Task{Domain: int32(di), Country: int16(ci)}
 					for a := uint8(0); a < 3; a++ {
@@ -221,7 +221,7 @@ func TestFetchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := newFetcher(context.Background(), s, cfg, tl)
+		f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), tl)
 		fetchAll := func() {
 			for i, domain := range domains {
 				if s.Used() >= cfg.RequestsPerExit {
@@ -245,6 +245,65 @@ func TestFetchAllocs(t *testing.T) {
 	}
 	if tallied != bare {
 		t.Fatalf("a fetch attempt allocates %.3f times with a tally and %.3f without", tallied, bare)
+	}
+}
+
+// TestHopAllocs pins that a resolved task's hops allocate nothing:
+// repeated direct-path samples of one task through a proxy session read
+// zero allocations per attempt, whether the attempt follows a
+// two-redirect chain to a 200 or fails on an unreachable path, an
+// unreachable domain or the exit. Each case takes the first domain of
+// its kind and the first seed that ends the way the case names, and
+// AllocsPerRun's warm-up run resolves the task.
+func TestHopAllocs(t *testing.T) {
+	cfg := testConfig().withDefaults()
+	s, err := testNet.NewSession("DE", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), nil)
+	pathDown := func(d *worldgen.Domain) bool {
+		var dest vnet.Dest
+		s.Resolve(d.Name, &dest)
+		return dest.PathDown
+	}
+	for _, tc := range []struct {
+		name   string
+		domain func(*worldgen.Domain) bool
+		want   Sample // the Err and Status the attempt must end with
+	}{
+		{"two-redirect chain", func(d *worldgen.Domain) bool {
+			return d.RedirectHops == 2 && len(d.GeoRules) == 0 && d.JunkRate == 0 && !d.BlocksProxies && !pathDown(d)
+		}, Sample{Status: 200}},
+		{"path unreachable", pathDown, Sample{Err: ErrTimeout}},
+		{"unreachable domain", func(d *worldgen.Domain) bool { return d.Unreachable && !pathDown(d) }, Sample{Err: ErrTimeout}},
+		{"exit failure", func(d *worldgen.Domain) bool { return !pathDown(d) }, Sample{Err: ErrProxy}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var domain string
+			for _, d := range testWorld.Top10K() {
+				if tc.domain(d) {
+					domain = d.Name
+					break
+				}
+			}
+			if domain == "" {
+				t.Fatal("the test world holds no such domain")
+			}
+			task, exit := Task{}, s.Exit().IP
+			seed := uint64(0)
+			for ; seed < 1000; seed++ {
+				if got := f.fetch(domain, seed, task, 0, exit); got.Err == tc.want.Err && got.Status == tc.want.Status {
+					break
+				}
+			}
+			if seed == 1000 {
+				t.Fatalf("no seed ends %s with %v, status %d", domain, tc.want.Err, tc.want.Status)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { f.fetch(domain, seed, task, 0, exit) }); allocs != 0 {
+				t.Errorf("%s, seed %d: %.2f allocations per attempt", domain, seed, allocs)
+			}
+		})
 	}
 }
 

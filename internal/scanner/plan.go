@@ -82,6 +82,7 @@ type Plan struct {
 	// accounting.
 	fleet   []*proxy.VPS
 	cfg     Config
+	headers headerSet // cfg.Headers, built once for every unit
 	scanCtx trace.SpanCtx
 	shards  []*shard
 }
@@ -100,7 +101,7 @@ func NewPlan(domains []string, countries []geo.CountryCode, tasks []Task, cfg Co
 // worker count.
 func newPlan(domains []string, countries []geo.CountryCode, fleet []*proxy.VPS, tasks []Task, cfg Config) *Plan {
 	cfg = cfg.withDefaults()
-	p := &Plan{domains: domains, countries: countries, fleet: fleet, cfg: cfg, scanCtx: ScanTraceCtx(cfg)}
+	p := &Plan{domains: domains, countries: countries, fleet: fleet, cfg: cfg, headers: newHeaderSet(cfg.Headers), scanCtx: ScanTraceCtx(cfg)}
 	byGroup := make([][]Task, len(countries))
 	for _, t := range tasks {
 		byGroup[t.Country] = append(byGroup[t.Country], t)
@@ -218,9 +219,9 @@ func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard, stage
 	tb := unitBuffer(p.scanCtx, sh.seq, p.cfg)
 	var res UnitResult
 	if p.fleet != nil {
-		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, p.cfg, tb, t)
+		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, p.cfg, p.headers, tb, t)
 	} else {
-		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, p.cfg, tb, t)
+		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, p.cfg, p.headers, tb, t)
 	}
 	res.Trace = tb.Events()
 	t.flush(reg)

@@ -9,6 +9,7 @@ import (
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
+	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
@@ -56,7 +57,7 @@ func Scan(ctx context.Context, net *proxy.Network, domains []string, countries [
 // metrics go into tl. tb, when non-nil, stages the shard's trace events
 // — session open, one wide record per fetch, and the closing unit
 // event.
-func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *shard, cfg Config, tb *trace.Buffer, tl *tally) ([]Sample, OutageReason) {
+func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *shard, cfg Config, hs headerSet, tb *trace.Buffer, tl *tally) ([]Sample, OutageReason) {
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
 	unitStart := tb.Wall()
 
@@ -90,14 +91,16 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *sh
 		return out, lost
 	}
 
-	f := newFetcher(ctx, se.transport(), cfg, tl)
+	f := newFetcher(ctx, se.transport(), cfg, hs, tl)
+	salt := seedSalt(sh.country, cfg.Phase)
 	for ti, t := range sh.tasks {
 		if ctx.Err() != nil {
 			return out, OutageNone
 		}
 		domain := domains[t.Domain]
+		name := stats.Hash(domain)
 		for a := 0; a < cfg.Samples; a++ {
-			seed := sampleSeed(domain, sh.country, cfg.Phase, a)
+			seed := saltedSeed(name, salt, a)
 			if tb == nil {
 				out = append(out, fetchReliable(f, se, domain, seed, t, uint8(a)))
 				continue

@@ -404,7 +404,18 @@ func CrossProduct(nDomains, nCountries int) []Task {
 	return tasks
 }
 
-// sampleSeed derives the deterministic per-sample seed.
-func sampleSeed(domain, country, phase string, attempt int) uint64 {
-	return stats.Mix64(stats.Hash(domain) ^ stats.Hash(country)<<1 ^ stats.Hash(phase)<<2 ^ uint64(attempt+1)*0x100000001b3)
+// The deterministic per-sample seed is a pure function of (domain,
+// country, phase, attempt), derived in two steps so the scan loops hash
+// each name once: seedSalt once per shard, stats.Hash(domain) once per
+// task, and saltedSeed per sample.
+
+// seedSalt is the shard-invariant part of a sample seed.
+func seedSalt(country, phase string) uint64 {
+	return stats.Hash(country)<<1 ^ stats.Hash(phase)<<2
+}
+
+// saltedSeed derives a sample seed from the domain's hash and the
+// shard's salt.
+func saltedSeed(domain, salt uint64, attempt int) uint64 {
+	return stats.Mix64(domain ^ salt ^ uint64(attempt+1)*0x100000001b3)
 }

@@ -7,6 +7,7 @@ import (
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
+	"geoblock/internal/stats"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
 )
@@ -269,6 +270,11 @@ type wrappedErr struct{ inner error }
 
 func (w *wrappedErr) Error() string { return "Get \"http://x/\": " + w.inner.Error() }
 func (w *wrappedErr) Unwrap() error { return w.inner }
+
+// sampleSeed is the seed the scan loops derive for one sample.
+func sampleSeed(domain, country, phase string, attempt int) uint64 {
+	return saltedSeed(stats.Hash(domain), seedSalt(country, phase), attempt)
+}
 
 func TestSampleSeedDistinct(t *testing.T) {
 	a := sampleSeed("a.com", "IR", "initial", 0)

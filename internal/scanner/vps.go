@@ -9,6 +9,7 @@ import (
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
+	"geoblock/internal/stats"
 	"geoblock/internal/trace"
 )
 
@@ -44,17 +45,19 @@ func fleetCountries(fleet []*proxy.VPS) []geo.CountryCode {
 	return countries
 }
 
-func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, tb *trace.Buffer, tl *tally) []Sample {
-	f := newFetcher(ctx, v.Stack(), cfg, tl)
+func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, hs headerSet, tb *trace.Buffer, tl *tally) []Sample {
+	f := newFetcher(ctx, v.Stack(), cfg, hs, tl)
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
 	unitStart := tb.Wall()
+	salt := seedSalt(sh.country, cfg.Phase+"/vps")
 	for ti, t := range sh.tasks {
 		if ctx.Err() != nil {
 			return out
 		}
 		domain := domains[t.Domain]
+		name := stats.Hash(domain)
 		for a := 0; a < cfg.Samples; a++ {
-			seed := sampleSeed(domain, sh.country, cfg.Phase+"/vps", a)
+			seed := saltedSeed(name, salt, a)
 			if tb == nil {
 				out = append(out, f.fetch(domain, seed, t, uint8(a), v.IP))
 				continue

@@ -22,12 +22,12 @@ const GoogleNetblockRoot = "_cloud-netblocks.googleusercontent.example"
 
 // LookupA resolves name to its IPv4 address; ok is false for NXDOMAIN.
 func (r *Resolver) LookupA(name string) (geo.IP, bool) {
-	return r.World.ResolveA(strings.TrimPrefix(strings.ToLower(name), "www."))
+	return r.World.ResolveA(SiteName(name))
 }
 
 // LookupNS returns the authoritative nameservers for name.
 func (r *Resolver) LookupNS(name string) []string {
-	return r.World.NS(strings.TrimPrefix(strings.ToLower(name), "www."))
+	return r.World.NS(SiteName(name))
 }
 
 // LookupTXT returns TXT records. Only the Google netblock tree is

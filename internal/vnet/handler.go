@@ -26,7 +26,7 @@ func Handler(w *worldgen.World) http.Handler {
 				host = host[:i]
 			}
 		}
-		host = strings.TrimPrefix(strings.ToLower(host), "www.")
+		host = SiteName(host)
 
 		d, ok := w.Lookup(host)
 		if !ok {

@@ -7,6 +7,15 @@
 // itself, reusing one Reply for every hop of every attempt, so the scan
 // path pays for no HTTP plumbing it does not read and copies no reply.
 //
+// What stays fixed across hops is worked out once, by the scope that
+// owns it. A Dest resolves a task's destination (site name, domain
+// record, name hash, the proxy mesh's transit verdict) and holds the
+// error value its failed hops reuse. At locates a client address once
+// for every probe its Stack sends, and the header set's bot verdict
+// rides in the Probe. An edge's same-site redirect comes back as the
+// next hop (Reply.Next), its Location rendered only when read, so a hop
+// that only reports a length allocates nothing.
+//
 // A Stack is also an http.RoundTripper, a thin adapter over Probe, for
 // the tooling that wants real HTTP semantics (provider discovery, the
 // OONI comparison, the pipeline's extension studies): an ordinary
@@ -44,12 +53,6 @@ type OpError struct {
 	timeout bool
 }
 
-// TimeoutError builds an OpError that reports Timeout() == true — for
-// layers outside this package that simulate dropped connections.
-func TimeoutError(op, host string) *OpError {
-	return &OpError{Op: op, Host: host, Msg: "i/o timeout", timeout: true}
-}
-
 func (e *OpError) Error() string   { return fmt.Sprintf("%s %s: %s", e.Op, e.Host, e.Msg) }
 func (e *OpError) Timeout() bool   { return e.timeout }
 func (e *OpError) Temporary() bool { return true }
@@ -59,11 +62,26 @@ func (e *OpError) Temporary() bool { return true }
 type Stack struct {
 	World *worldgen.World
 	IP    geo.IP
+
+	// The GeoIP answers for IP, which At looks up once for every probe
+	// the stack sends; a Stack built without At looks them up per probe.
+	// A located stack's IP must not change.
+	located bool
+	loc     geo.Location // the database's location of IP
+	edge    geo.Location // the edge's view of IP (cdn.Locate)
 }
 
 // NewStack returns a stack sourcing traffic from ip.
 func NewStack(w *worldgen.World, ip geo.IP) *Stack {
-	return &Stack{World: w, IP: ip}
+	s := At(w, ip)
+	return &s
+}
+
+// At returns the stack sourcing traffic from ip, located once: the
+// GeoIP lookups every probe needs are made here, not per probe.
+func At(w *worldgen.World, ip geo.IP) Stack {
+	loc, _ := w.Geo.Locate(ip)
+	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Locate(w, ip)}
 }
 
 // Client returns an *http.Client that routes through the stack,
@@ -94,6 +112,64 @@ type Probe struct {
 	// Header is the request header set. It is shared across hops and
 	// samples and must not be modified.
 	Header http.Header
+	// Fingerprint is the edge's bot verdict on Header (cdn.Classify),
+	// for callers that send one header set many times; the zero value
+	// leaves it to the edge.
+	Fingerprint cdn.Fingerprint
+	// Dest is Host resolved against the world, for callers that send
+	// many hops to one site. Nil resolves Host on each hop.
+	Dest *Dest
+}
+
+// Dest is a destination resolved once for every hop and attempt of a
+// task: the site every layer keys on and what it resolves to. The
+// scanner owns one per task and points each hop's Probe.Dest at it; a
+// same-site redirect keeps it, and a redirect that leaves the site
+// needs another.
+type Dest struct {
+	// Name is the host as every layer keys on it (SiteName).
+	Name string
+	// Domain is the site Name resolves to, nil when it resolves to none.
+	Domain *worldgen.Domain
+	// Hash is stats.Hash(Name).
+	Hash uint64
+	// PathDown is the proxy mesh's stable transit verdict for the
+	// resolving session's country and Name (proxy.Session.Resolve sets
+	// it). A Stack resolves no transit verdict.
+	PathDown bool
+
+	www string  // "www." + Name, built when a redirect first needs it
+	err OpError // the failure of the last failed hop, reused by the next
+}
+
+// SiteName is host as every layer keys on it: lower-cased, without a
+// www. prefix.
+func SiteName(host string) string {
+	return strings.TrimPrefix(strings.ToLower(host), "www.")
+}
+
+// Resolve resolves host against the stack's world into d.
+func (s *Stack) Resolve(host string, d *Dest) {
+	name := SiteName(host)
+	dom, _ := s.World.Lookup(name)
+	*d = Dest{Name: name, Domain: dom, Hash: stats.Hash(name)}
+}
+
+// Fail returns the failure of a hop to host. The error is d's own and
+// stays valid until the next hop through d fails, so a failed hop
+// allocates nothing.
+func (d *Dest) Fail(op, host, msg string, timeout bool) error {
+	d.err = OpError{Op: op, Host: host, Msg: msg, timeout: timeout}
+	return &d.err
+}
+
+// host is the hop host lower-cased, without rebuilding the spellings
+// the destination already holds.
+func (d *Dest) host(hop string) string {
+	if hop == d.Name || hop == d.www {
+		return hop
+	}
+	return strings.ToLower(hop)
 }
 
 // Reply is the answer to one probe hop. The caller owns it: Probe
@@ -106,8 +182,9 @@ type Reply struct {
 	// BodyLen is the advertised Content-Length, -1 when the response
 	// carries none (a truncated transfer).
 	BodyLen int
-	// Redirect is the Location of a redirect response.
-	Redirect string
+	// Redirect marks a redirect response: Next points a probe at its
+	// target, and Location renders it.
+	Redirect bool
 	// Refused marks the proxy platform's refusal to fetch the
 	// destination (an X-Luminati-Error response).
 	Refused bool
@@ -184,6 +261,33 @@ func (r *Reply) Header() http.Header {
 	return h
 }
 
+// Location is a redirect's Location value, rendered on each call.
+func (r *Reply) Location() string {
+	if r.resp != nil {
+		return r.resp.Header.Get("Location")
+	}
+	return r.edge.Location()
+}
+
+// Next points p, the probe r answers, at the target of an edge's
+// same-site redirect without rendering its Location. It reports false
+// for a probe without a Dest and for any other redirect, whose
+// Location the caller parses.
+func (r *Reply) Next(p Probe) (Probe, bool) {
+	hop := r.edge.Next
+	if r.resp != nil || hop.Scheme == "" || p.Dest == nil {
+		return p, false
+	}
+	p.Scheme, p.Path = hop.Scheme, hop.Path
+	if hop.WWW {
+		if p.Dest.www == "" {
+			p.Dest.www = "www." + p.Dest.Name
+		}
+		p.Host = p.Dest.www
+	}
+	return p, true
+}
+
 // Close releases the body of a reply read back from an HTTP response.
 // Other replies hold nothing to release.
 func (r *Reply) Close() {
@@ -200,7 +304,7 @@ func (r *Reply) SetResponse(resp *http.Response) {
 	switch resp.StatusCode {
 	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
 		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
-		r.Redirect = resp.Header.Get("Location")
+		r.Redirect = resp.Header.Get("Location") != ""
 	}
 	r.Refused = resp.Header.Get("X-Luminati-Error") != ""
 }
@@ -272,56 +376,66 @@ func (s *Stack) RoundTrip(req *http.Request) (*http.Response, error) {
 // Probe sends one GET hop from the stack's address and writes the
 // answer into r. After an error r holds nothing the caller may read.
 func (s *Stack) Probe(p Probe, r *Reply) error {
-	host := strings.ToLower(p.Host)
-	lookupHost := strings.TrimPrefix(host, "www.")
-
-	loc, _ := s.World.Geo.Locate(s.IP)
-
-	d, found := s.World.Lookup(lookupHost)
+	if !s.located {
+		st := At(s.World, s.IP)
+		return st.Probe(p, r)
+	}
+	d := p.Dest
+	if d == nil {
+		d = new(Dest)
+		s.Resolve(p.Host, d)
+	}
+	host := d.host(p.Host)
 
 	// National censorship sits between the client and everything else;
 	// DNS poisoning fires even for domains that would not resolve.
-	if found {
-		switch censor.Check(d, loc) {
+	dom := d.Domain
+	if dom != nil {
+		switch censor.Check(dom, s.loc) {
 		case censor.RST:
-			return &OpError{Op: "read", Host: host, Msg: "connection reset by peer"}
+			return d.Fail("read", host, "connection reset by peer", false)
 		case censor.DNSPoison:
-			return &OpError{Op: "dns", Host: host, Msg: "poisoned answer: connection refused"}
+			return d.Fail("dns", host, "poisoned answer: connection refused", false)
 		case censor.Timeout:
-			return &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
+			return d.Fail("dial", host, "i/o timeout", true)
 		case censor.BlockPage:
-			s.censorPage(d, p.Seed, r)
+			s.censorPage(dom, p.Seed, r)
 			return nil
 		}
 	}
 
-	if !found {
-		return &OpError{Op: "dns", Host: host, Msg: "no such host"}
+	if dom == nil {
+		return d.Fail("dns", host, "no such host", false)
 	}
-	if d.Unreachable {
-		return &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
+	if dom.Unreachable {
+		return d.Fail("dial", host, "i/o timeout", true)
 	}
 
 	// Timeout geoblocking (§7.3): the origin silently drops connections
 	// from blocked countries — indistinguishable on the wire from an
 	// outage or censorship, which is exactly what makes it hard to
 	// attribute.
-	if d.TimeoutBlockedIn(loc) {
-		return &OpError{Op: "dial", Host: host, Msg: "i/o timeout", timeout: true}
+	if dom.TimeoutBlockedIn(s.loc) {
+		return d.Fail("dial", host, "i/o timeout", true)
 	}
 
-	*r = Reply{edge: cdn.Serve(s.World, cdn.Request{
-		Domain:     d,
-		Host:       host,
-		Path:       p.Path,
-		Method:     http.MethodGet,
-		Scheme:     p.Scheme,
-		ClientIP:   s.IP,
-		Header:     p.Header,
-		Clock:      s.World.Clock(),
-		SampleSeed: p.Seed,
-	})}
-	r.Status, r.BodyLen, r.Redirect = r.edge.Status, r.edge.BodyLen, r.edge.Redirect
+	*r = Reply{}
+	cdn.ServeTo(s.World, &cdn.Request{
+		Domain:      dom,
+		Host:        host,
+		Path:        p.Path,
+		Method:      http.MethodGet,
+		Scheme:      p.Scheme,
+		ClientIP:    s.IP,
+		Header:      p.Header,
+		Clock:       s.World.Clock(),
+		SampleSeed:  p.Seed,
+		Loc:         s.edge,
+		Located:     true,
+		Fingerprint: p.Fingerprint,
+		NameHash:    d.Hash,
+	}, &r.edge)
+	r.Status, r.BodyLen, r.Redirect = r.edge.Status, r.edge.BodyLen, r.edge.Next.Scheme != ""
 	return nil
 }
 
