@@ -31,8 +31,9 @@
 #   make fuzz    short-budget fuzz pass over the hostile-input decoders:
 #                the journal's record decoder, the fabric's shard-frame
 #                decoder and completion handler, the blockpage signature
-#                matcher, and the verdict snapshot codec (one
-#                `go test -fuzz` invocation per target; the corpus
+#                matcher, the fingerprint classifier (against a
+#                strings.Fields oracle), and the verdict snapshot codec
+#                (one `go test -fuzz` invocation per target; the corpus
 #                seeds still run under plain `make check`)
 #   make bench   the scan engine benchmarks (collect vs streaming,
 #                sharded vs one-worker-per-country, instrumented vs bare),
@@ -112,6 +113,7 @@ fuzz:
 	$(GO) test ./internal/runstore -run FuzzDecodeShardFrames -fuzz FuzzDecodeShardFrames -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric -run FuzzCompleteHandler -fuzz FuzzCompleteHandler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/blockpage -run FuzzMatchSignature -fuzz FuzzMatchSignature -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fingerprint -run FuzzClassify -fuzz FuzzClassify -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verdict -run FuzzDecodeSnapshot -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 
 BENCHTIME ?= 3x

@@ -16,6 +16,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"geoblock"
 	"geoblock/internal/analysis"
@@ -88,9 +89,15 @@ func main() {
 		analysis.MedianBlockedPerCountry(r10.Findings, r10.Countries))
 
 	es := analysis.BuildErrorStats(r10.Initial)
+	// The lowest response rate; of tied countries, the first by code.
+	codes := make([]geoblock.CountryCode, 0, len(es.CountryResponseRates))
+	for cc := range es.CountryResponseRates {
+		codes = append(codes, cc)
+	}
+	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
 	worst, worstRate := geoblock.CountryCode(""), 1.0
-	for cc, rate := range es.CountryResponseRates {
-		if rate < worstRate {
+	for _, cc := range codes {
+		if rate := es.CountryResponseRates[cc]; rate < worstRate {
 			worst, worstRate = cc, rate
 		}
 	}

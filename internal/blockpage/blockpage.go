@@ -14,8 +14,11 @@
 package blockpage
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Kind identifies one block-page class.
@@ -625,25 +628,114 @@ func DisambiguatingTokens(k Kind) []string {
 	}
 }
 
-// normalizeWhitespace collapses runs of whitespace so signature checks
-// tolerate harmless reformatting.
-func normalizeWhitespace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
+// plain marks the bytes a field scan steps over without a look: ASCII
+// other than the whitespace strings.Fields splits on.
+var plain = func() (t [256]bool) {
+	for c := range utf8.RuneSelf {
+		t[c] = strings.IndexByte("\t\n\v\f\r ", byte(c)) < 0
+	}
+	return t
+}()
+
+// AppendNormalized appends s to dst with leading and trailing
+// whitespace dropped and every inner whitespace run collapsed to one
+// space: the bytes of strings.Join(strings.Fields(s), " "), copied a
+// field at a time, with nothing allocated beyond dst's growth.
+// Whitespace is exactly Fields': the ASCII bytes plain leaves out,
+// unicode.IsSpace above utf8.RuneSelf, and an invalid UTF-8 byte (which
+// decodes to utf8.RuneError) is not space. It is the one normalizer of
+// signature matching: Tokens normalizes signatures and Match bodies
+// through it, for the ground truth (Label, Matches) and the fingerprint
+// classifier alike, so signature checks tolerate harmless reformatting.
+func AppendNormalized(dst []byte, s string) []byte {
+	start := len(dst)
+	for i := 0; i < len(s); {
+		// The field at i runs to the next whitespace rune, of width w;
+		// it is empty when i is itself at one.
+		j, w := i, 0
+		for j < len(s) {
+			c := s[j]
+			if plain[c] {
+				j++
+				continue
+			}
+			if c < utf8.RuneSelf {
+				w = 1
+				break
+			}
+			r, rw := utf8.DecodeRuneInString(s[j:])
+			if unicode.IsSpace(r) {
+				w = rw
+				break
+			}
+			j += rw
+		}
+		if j > i {
+			if len(dst) > start {
+				dst = append(dst, ' ')
+			}
+			dst = append(dst, s[i:j]...)
+		}
+		i = j + w
+	}
+	return dst
 }
 
-// Matches reports whether body is an instance of kind's template. It is
-// the ground-truth matcher used by tests and by the simulated "manual
-// verification" step; the production classifier lives in the
-// fingerprint package and is evaluated against this.
-func Matches(k Kind, body string) bool {
-	nb := normalizeWhitespace(body)
-	if !strings.Contains(nb, normalizeWhitespace(Signature(k))) {
-		return false
+// Tokens returns kind's Signature followed by its DisambiguatingTokens,
+// each normalized: the substrings that must all appear in a normalized
+// body for the body to be kind's page.
+func Tokens(k Kind) [][]byte {
+	toks := [][]byte{AppendNormalized(nil, Signature(k))}
+	for _, t := range DisambiguatingTokens(k) {
+		toks = append(toks, AppendNormalized(nil, t))
 	}
-	for _, tok := range DisambiguatingTokens(k) {
-		if !strings.Contains(nb, normalizeWhitespace(tok)) {
-			return false
+	return toks
+}
+
+// stackBody is the normalized-body size Match keeps on its stack: every
+// template normalizes to well under it, so matching a block page
+// allocates nothing, and a longer body falls back to the heap.
+const stackBody = 4 << 10
+
+// Match normalizes body once and returns the index of the first of sigs
+// whose tokens (normalized, as Tokens returns them) all appear in it,
+// or -1.
+func Match(body string, sigs [][][]byte) int {
+	var buf [stackBody]byte
+	nb := AppendNormalized(buf[:0], body)
+next:
+	for i, toks := range sigs {
+		for _, t := range toks {
+			if !bytes.Contains(nb, t) {
+				continue next
+			}
 		}
+		return i
 	}
-	return true
+	return -1
+}
+
+// groundTruth holds Tokens of every class in label order, which is Kind
+// order (Kinds, then Censorship and Legal451), built once from the
+// constant templates.
+var groundTruth = func() [][][]byte {
+	var t [][][]byte
+	for _, k := range append(Kinds(), Censorship, Legal451) {
+		t = append(t, Tokens(k))
+	}
+	return t
+}()
+
+// Label returns the first class, in label order, whose template body is
+// an instance of, or KindNone: the ground truth used by tests and by
+// the simulated "manual verification" step. The production classifier
+// lives in the fingerprint package and is evaluated against this.
+func Label(body string) Kind {
+	return Kind(Match(body, groundTruth) + 1)
+}
+
+// Matches reports whether body is an instance of kind's template:
+// Label's single-kind case.
+func Matches(k Kind, body string) bool {
+	return Match(body, groundTruth[k-1:k]) == 0
 }

@@ -15,7 +15,7 @@ func allKinds() []Kind {
 // bodies, seeded with every page-class fingerprint and its rendered
 // template. Matching must never panic, must reject an empty body for
 // every class, must survive megabyte-scale junk, and must be invariant
-// under whitespace reformatting (the property normalizeWhitespace
+// under whitespace reformatting (the property AppendNormalized
 // promises).
 func FuzzMatchSignature(f *testing.F) {
 	v := Vars{

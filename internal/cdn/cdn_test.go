@@ -55,9 +55,10 @@ func serveStable(t *testing.T, name string, cc geo.CountryCode, h http.Header) R
 		responses[r.Page] = r
 		last = r
 	}
+	// The most frequent page; of tied pages, the lower kind.
 	best, n := last.Page, 0
-	for k, c := range counts {
-		if c > n {
+	for k := blockpage.KindNone; k <= blockpage.Legal451; k++ {
+		if c := counts[k]; c > n {
 			best, n = k, c
 		}
 	}

@@ -9,8 +9,6 @@
 package fingerprint
 
 import (
-	"strings"
-
 	"geoblock/internal/blockpage"
 )
 
@@ -21,39 +19,41 @@ type Signature struct {
 	Tokens []string
 }
 
-// Classifier matches bodies against an ordered signature set.
+// Classifier matches bodies against an ordered signature set. It holds
+// no scratch space, so one Classifier is safe for concurrent use.
 type Classifier struct {
 	sigs []Signature
+	toks [][][]byte // each signature's Tokens, compiled for blockpage.Match
 }
 
 // NewClassifier compiles the default signature set: one signature per
 // fingerprinted class of Table 2, plus the censorship page (which the
-// pipeline must recognize to *exclude*, not to report).
+// pipeline must recognize to *exclude*, not to report). Each class's
+// tokens are normalized once, here.
 func NewClassifier() *Classifier {
 	kinds := append(blockpage.Kinds(), blockpage.Censorship, blockpage.Legal451)
-	sigs := make([]Signature, 0, len(kinds))
+	c := &Classifier{}
 	for _, k := range kinds {
-		tokens := []string{normalize(blockpage.Signature(k))}
-		for _, t := range blockpage.DisambiguatingTokens(k) {
-			tokens = append(tokens, normalize(t))
+		toks := blockpage.Tokens(k)
+		s := Signature{Kind: k}
+		for _, t := range toks {
+			s.Tokens = append(s.Tokens, string(t))
 		}
-		sigs = append(sigs, Signature{Kind: k, Tokens: tokens})
+		c.sigs, c.toks = append(c.sigs, s), append(c.toks, toks)
 	}
-	return &Classifier{sigs: sigs}
+	return c
 }
 
 // Signatures exposes the compiled set (for documentation tooling).
 func (c *Classifier) Signatures() []Signature { return c.sigs }
 
 // Classify labels body, returning KindNone when nothing matches.
-// Bodies are matched in signature order; signatures are mutually
-// exclusive by construction (verified by tests against every template).
+// The body is normalized once and matched in signature order, with no
+// allocation for a block page; signatures are mutually exclusive by
+// construction (verified by tests against every template).
 func (c *Classifier) Classify(body string) blockpage.Kind {
-	nb := normalize(body)
-	for _, s := range c.sigs {
-		if matchAll(nb, s.Tokens) {
-			return s.Kind
-		}
+	if i := blockpage.Match(body, c.toks); i >= 0 {
+		return c.sigs[i].Kind
 	}
 	return blockpage.KindNone
 }
@@ -69,17 +69,4 @@ func (c *Classifier) IsBlockPage(body string) bool {
 func (c *Classifier) IsExplicitGeoblock(body string) (blockpage.Kind, bool) {
 	k := c.Classify(body)
 	return k, k.Explicit()
-}
-
-func matchAll(normalized string, tokens []string) bool {
-	for _, t := range tokens {
-		if !strings.Contains(normalized, t) {
-			return false
-		}
-	}
-	return true
-}
-
-func normalize(s string) string {
-	return strings.Join(strings.Fields(s), " ")
 }

@@ -6,11 +6,15 @@
 // chaos assertions exist to catch, surfaced here at compile time rather
 // than as a flaky diff. Order-independent folds (summing into another
 // map, taking a min) stay legal; the collect-keys-then-sort idiom is
-// recognized as the fix.
+// recognized as the fix. Keeping a key is not such a fold: an argmin,
+// an argmax or a pick-any loop that copies the key to a variable
+// declared before the loop keeps whichever tied key map order visits
+// first (or last), so it is flagged too.
 package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -71,6 +75,14 @@ func checkMapRanges(p *Pass, body *ast.BlockStmt) {
 }
 
 func checkMapRangeBody(p *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
+	key, _ := rng.Key.(*ast.Ident)
+	var keyObj types.Object
+	if key != nil {
+		keyObj = p.Info.ObjectOf(key)
+	}
+	if keyObj != nil && rng.Tok == token.ASSIGN {
+		p.Reportf(key.Pos(), keptKeyMsg, key.Name)
+	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -78,6 +90,9 @@ func checkMapRangeBody(p *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
 				p.Reportf(n.Pos(), "%s inside range over a map emits in map iteration order; collect and sort the keys first", name)
 			}
 		case *ast.AssignStmt:
+			if obj := keptKey(p.Info, n, rng, keyObj); obj != nil {
+				p.Reportf(n.Pos(), keptKeyMsg, obj.Name())
+			}
 			// x = append(x, ...) where x outlives the loop: the map's
 			// iteration order becomes the slice's element order.
 			obj, appendCall := outerAppend(p.Info, n, rng)
@@ -90,6 +105,29 @@ func checkMapRangeBody(p *Pass, funcBody *ast.BlockStmt, rng *ast.RangeStmt) {
 		}
 		return true
 	})
+}
+
+const keptKeyMsg = "range over a map assigns its key to %s, declared before the loop, so which key it keeps can depend on map iteration order; range over the sorted keys instead"
+
+// keptKey returns the variable declared before rng that the plain
+// assignment as copies rng's key (key) into, or nil.
+func keptKey(info *types.Info, as *ast.AssignStmt, rng *ast.RangeStmt, key types.Object) types.Object {
+	if key == nil || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+		return nil
+	}
+	for i, rhs := range as.Rhs {
+		if id, ok := ast.Unparen(rhs).(*ast.Ident); !ok || info.Uses[id] != key {
+			continue
+		}
+		lhs, ok := as.Lhs[i].(*ast.Ident)
+		if !ok {
+			continue
+		}
+		if obj := info.Uses[lhs]; obj != nil && obj.Pos() < rng.Pos() {
+			return obj
+		}
+	}
+	return nil
 }
 
 // sinkWrite reports whether call delivers output whose order matters:

@@ -1,6 +1,6 @@
 // Fixture: the mapsort analyzer. Map iteration order must not escape
-// into writers, sinks, or output slices; order-independent folds and
-// the collect-then-sort idiom stay legal.
+// into writers, sinks, output slices, or a key kept past the loop;
+// order-independent folds and the collect-then-sort idiom stay legal.
 package msfix
 
 import (
@@ -80,4 +80,51 @@ func widest(m map[string][]int) int {
 		}
 	}
 	return widest
+}
+
+// An argmin that keeps the key picks among tied values by map order.
+func worst(rates map[string]float64) string {
+	w, wr := "", 1.0
+	for cc, r := range rates {
+		if r < wr {
+			w, wr = cc, r // want "assigns its key to w, declared before the loop"
+		}
+	}
+	return w
+}
+
+// A range with an outer key variable keeps whichever key came last.
+func anyKey(m map[string]int) string {
+	var k string
+	for k = range m { // want "assigns its key to k, declared before the loop"
+		break
+	}
+	return k
+}
+
+// The same argmin over the sorted keys keeps the lowest tied key.
+func worstSorted(rates map[string]float64) string {
+	codes := make([]string, 0, len(rates))
+	for cc := range rates {
+		codes = append(codes, cc)
+	}
+	sort.Strings(codes)
+	w, wr := "", 1.0
+	for _, cc := range codes {
+		if r := rates[cc]; r < wr {
+			w, wr = cc, r
+		}
+	}
+	return w
+}
+
+// A key kept in a loop-local variable dies with the iteration.
+func longestKey(m map[string]int) int {
+	n := 0
+	for k := range m {
+		kk := k
+		kk = k
+		n = max(n, len(kk))
+	}
+	return n
 }

@@ -6,13 +6,14 @@
 // for both the Alexa Top-10K study (§4) and the Top-1M CDN-customer
 // study (§5), plus the §3.1 VPS exploration.
 //
-// The two studies share one flow: one snapshot scan (initialScan), one
-// reachability count, and one confirmation pass (confirm) that
-// resamples every pair that served an explicit block page and keeps it
-// when enough of its samples agree. Every scan runs through runScan,
-// which journals and traces it under its journal key (top10k-initial,
-// explore-verify#3) and records an abort under that same key, so
-// Study.Err, the journal and the trace name a phase alike.
+// The two studies share one flow: one snapshot scan (initialScan),
+// whose bodies are classified once, one reachability count, and one
+// confirmation pass (confirm) that resamples every pair that served an
+// explicit block page and keeps it when enough of its samples agree.
+// Every scan runs through runScan, which journals and traces it under
+// its journal key (top10k-initial, explore-verify#3) and records an
+// abort under that same key, so Study.Err, the journal and the trace
+// name a phase alike.
 package pipeline
 
 import (
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"geoblock/internal/blockpage"
 	"geoblock/internal/consistency"
@@ -270,11 +272,7 @@ func (s *Study) pairRateSink(kinds map[pairKey]blockpage.Kind, into map[pairKey]
 		if !tracked {
 			return
 		}
-		c := into[key]
-		if c == nil {
-			c = &candidate{kind: kind}
-			into[key] = c
-		}
+		c := candidateFor(into, key, kind)
 		if !sm.OK() {
 			return
 		}
@@ -285,20 +283,83 @@ func (s *Study) pairRateSink(kinds map[pairKey]blockpage.Kind, into map[pairKey]
 	}
 }
 
-// collectPairRates folds an already-materialized scan result through
-// pairRateSink (for the initial snapshot, which later stages also
-// need in full).
-func (s *Study) collectPairRates(res *lumscan.Result, kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) {
-	sink := s.pairRateSink(kinds, into)
-	for i := range res.Samples {
-		sink(res.Samples[i])
+// candidateFor returns key's candidate in into, creating it for kind
+// at the pair's first sample.
+func candidateFor(into map[pairKey]*candidate, key pairKey, kind blockpage.Kind) *candidate {
+	c := into[key]
+	if c == nil {
+		c = &candidate{kind: kind}
+		into[key] = c
 	}
+	return c
+}
+
+// collectPairRates folds the initial snapshot into per-pair rates the
+// way pairRateSink folds a stream, reading each body's class from the
+// snapshot's classification pass. A dense domain × country table skips
+// the untracked samples, so only a tracked pair's samples reach a map.
+func collectPairRates(res *lumscan.Result, classes bodyKinds, kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) {
+	nc := len(res.Countries)
+	tracked := make([]bool, len(res.Domains)*nc)
+	for key := range kinds {
+		tracked[int(key.domain)*nc+int(key.country)] = true
+	}
+	for i := range res.Samples {
+		sm := &res.Samples[i]
+		if !tracked[int(sm.Domain)*nc+int(sm.Country)] {
+			continue
+		}
+		key := pairKey{sm.Domain, sm.Country}
+		c := candidateFor(into, key, kinds[key])
+		if !sm.OK() {
+			continue
+		}
+		c.rate.Responses++
+		if classes.at(i) == c.kind {
+			c.rate.Blocks++
+		}
+	}
+}
+
+// bodyKinds is a snapshot's classification pass: the page class of
+// each sample's body, one byte per sample, KindNone where the sample is
+// not OK or kept no body. Every stage that asks what a snapshot body is
+// reads it here instead of classifying the body again.
+type bodyKinds []uint8
+
+func (b bodyKinds) at(i int) blockpage.Kind { return blockpage.Kind(b[i]) }
+
+// classifyBodies runs the classification pass over res, its bodies
+// split evenly across up to workers goroutines.
+func (s *Study) classifyBodies(res *lumscan.Result, workers int) bodyKinds {
+	classes := make(bodyKinds, len(res.Samples))
+	var bodies []int32
+	for i := range res.Samples {
+		if sm := &res.Samples[i]; sm.OK() && sm.Body != "" {
+			bodies = append(bodies, int32(i))
+		}
+	}
+	workers = max(1, min(workers, len(bodies)))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		part := bodies[w*len(bodies)/workers : (w+1)*len(bodies)/workers]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range part {
+				classes[i] = uint8(s.Classifier.Classify(res.Samples[i].Body))
+			}
+		}()
+	}
+	wg.Wait()
+	return classes
 }
 
 // initialScan runs a study's <study>-initial snapshot: samples per
 // pair over every (domain, country), collected in full because every
-// later stage reads it.
-func (s *Study) initialScan(study string, domains []string, countries []geo.CountryCode, samples, concurrency int) *lumscan.Result {
+// later stage reads it, with its bodies classified once by
+// concurrency workers.
+func (s *Study) initialScan(study string, domains []string, countries []geo.CountryCode, samples, concurrency int) (*lumscan.Result, bodyKinds) {
 	phase := study + "-initial"
 	cfg := s.scanConfig(phase)
 	cfg.Samples = samples
@@ -309,7 +370,7 @@ func (s *Study) initialScan(study string, domains []string, countries []geo.Coun
 		Samples: col.Samples, Outages: col.Outages, Coverage: col.Coverage}
 	s.logf("%s: initial snapshot %d samples", study, len(res.Samples))
 	s.logCoverage(study, res.Outages, res.Coverage)
-	return res
+	return res, s.classifyBodies(res, concurrency)
 }
 
 // reachability computes the §4.1.1 reachability numbers of a snapshot:
@@ -342,14 +403,11 @@ func reachability(res *lumscan.Result) (never, luminati int) {
 // explicitPairs maps every pair that served an explicit geoblock page
 // in the snapshot to that page's kind: the candidates the confirmation
 // pass resamples.
-func (s *Study) explicitPairs(res *lumscan.Result) map[pairKey]blockpage.Kind {
+func explicitPairs(res *lumscan.Result, classes bodyKinds) map[pairKey]blockpage.Kind {
 	kinds := make(map[pairKey]blockpage.Kind)
 	for i := range res.Samples {
-		sm := &res.Samples[i]
-		if !sm.OK() {
-			continue
-		}
-		if k := s.explicitKind(sm.Body); k != blockpage.KindNone {
+		if k := classes.at(i); k.Explicit() {
+			sm := &res.Samples[i]
 			kinds[pairKey{sm.Domain, sm.Country}] = k
 		}
 	}
@@ -362,7 +420,7 @@ func (s *Study) explicitPairs(res *lumscan.Result) map[pairKey]blockpage.Kind {
 // and the resample's responses together. It returns the confirmed
 // findings and every candidate's agreement rate, both in pair order,
 // and the number of candidates the threshold eliminated.
-func (s *Study) confirm(study string, res *lumscan.Result, ranks []int, kinds map[pairKey]blockpage.Kind, samples int, threshold float64, concurrency int) (findings []Finding, rates []float64, eliminated int) {
+func (s *Study) confirm(study string, res *lumscan.Result, classes bodyKinds, ranks []int, kinds map[pairKey]blockpage.Kind, samples int, threshold float64, concurrency int) (findings []Finding, rates []float64, eliminated int) {
 	phase := study + "-resample"
 	cfg := s.scanConfig(phase)
 	cfg.Samples = samples
@@ -372,7 +430,7 @@ func (s *Study) confirm(study string, res *lumscan.Result, ranks []int, kinds ma
 	// digested as its shard completes and its bodies dropped, so the
 	// pass never holds a materialized Result.
 	cands := make(map[pairKey]*candidate, len(kinds))
-	s.collectPairRates(res, kinds, cands)
+	collectPairRates(res, classes, kinds, cands)
 	s.scanStream(phase, cfg, res.Domains, res.Countries, taskList(kinds), s.pairRateSink(kinds, cands))
 
 	for _, key := range sortedPairs(cands) {

@@ -35,7 +35,7 @@ func TestCollectPairRates(t *testing.T) {
 	}
 	kinds := map[pairKey]blockpage.Kind{{0, 0}: blockpage.Cloudflare}
 	cands := map[pairKey]*candidate{}
-	s.collectPairRates(res, kinds, cands)
+	collectPairRates(res, s.classifyBodies(res, 2), kinds, cands)
 
 	c := cands[pairKey{0, 0}]
 	if c == nil {
@@ -59,7 +59,7 @@ func TestCollectPairRatesIgnoresUntracked(t *testing.T) {
 		},
 	}
 	cands := map[pairKey]*candidate{}
-	s.collectPairRates(res, map[pairKey]blockpage.Kind{{0, 0}: blockpage.Cloudflare}, cands)
+	collectPairRates(res, s.classifyBodies(res, 2), map[pairKey]blockpage.Kind{{0, 0}: blockpage.Cloudflare}, cands)
 	if len(cands) != 0 {
 		t.Fatalf("untracked pair collected: %v", cands)
 	}

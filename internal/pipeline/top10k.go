@@ -126,7 +126,8 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 		r.InitialCount, len(r.SafeDomains), r.RemovedRisky, r.RemovedCitizenLab)
 
 	r.Countries = s.measurableCountries()
-	r.Initial = s.initialScan("top10k", r.SafeDomains, r.Countries, cfg.InitialSamples, cfg.Concurrency)
+	var classes bodyKinds
+	r.Initial, classes = s.initialScan("top10k", r.SafeDomains, r.Countries, cfg.InitialSamples, cfg.Concurrency)
 	r.NeverResponded, r.LuminatiBlocked = reachability(r.Initial)
 
 	// Reference countries for representative lengths.
@@ -139,7 +140,7 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 	rep := repIndex(r)
 
 	endOutliers := s.stage("outliers")
-	s.extractOutliers(r, rep)
+	s.extractOutliers(r, rep, classes)
 	endOutliers()
 	s.logf("top10k: %d outliers from %d reference samples", len(r.Outliers), r.RepSampleCount)
 
@@ -148,12 +149,12 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 	endCluster()
 	s.logf("top10k: %d clusters, %d block-page kinds discovered", len(r.Clusters), len(r.DiscoveredKinds))
 
-	s.evaluateRecall(r, rep)
+	evaluateRecall(r, rep, classes)
 
 	// §4.1.4: every pair that served an explicit geoblock page is a
 	// candidate, and the confirmation pass resamples it after the
 	// world moves on — a policy can change under the study.
-	kinds := s.explicitPairs(r.Initial)
+	kinds := explicitPairs(r.Initial, classes)
 	r.CandidatePairs = len(kinds)
 	for key, kind := range kinds {
 		r.Candidates = append(r.Candidates, Finding{
@@ -170,7 +171,7 @@ func (s *Study) RunTop10K(cfg Top10KConfig) *Top10KResult {
 		return r.Candidates[i].Country < r.Candidates[j].Country
 	})
 	s.World.AdvanceClock(1)
-	r.Findings, r.AgreementRates, r.Eliminated = s.confirm("top10k", r.Initial, r.SafeRanks, kinds,
+	r.Findings, r.AgreementRates, r.Eliminated = s.confirm("top10k", r.Initial, classes, r.SafeRanks, kinds,
 		cfg.ResampleCount, cfg.Threshold, cfg.Concurrency)
 	s.logf("top10k: %d candidate pairs, %d confirmed, %d eliminated",
 		r.CandidatePairs, len(r.Findings), r.Eliminated)
@@ -213,7 +214,7 @@ func repIndex(r *Top10KResult) []bool {
 // extractOutliers runs the §4.1.2 length heuristic over the reference
 // countries and materializes candidate bodies (replaying samples whose
 // bodies were not retained).
-func (s *Study) extractOutliers(r *Top10KResult, rep []bool) {
+func (s *Study) extractOutliers(r *Top10KResult, rep []bool, classes bodyKinds) {
 	r.Rep = outlier.NewRepresentative()
 	for i := range r.Initial.Samples {
 		sm := &r.Initial.Samples[i]
@@ -234,7 +235,7 @@ func (s *Study) extractOutliers(r *Top10KResult, rep []bool) {
 			continue
 		}
 		r.DiffsAll = append(r.DiffsAll, diff)
-		if sm.Body != "" && s.Classifier.IsBlockPage(sm.Body) {
+		if classes.at(i) != blockpage.KindNone {
 			r.DiffsBlocked = append(r.DiffsBlocked, diff)
 		}
 		if !r.Rep.IsOutlier(sm.Domain, int(sm.BodyLen), r.Config.LengthCutoff) {
@@ -273,29 +274,9 @@ func (s *Study) clusterAndLabel(r *Top10KResult) {
 	opts.Workers = r.Config.Concurrency
 	r.Clusters = cluster.SingleLink(docs, vecs, opts)
 
-	// Label clusters by majority template match.
-	kinds := append(blockpage.Kinds(), blockpage.Censorship, blockpage.Legal451)
 	seen := map[blockpage.Kind]bool{}
 	for _, c := range r.Clusters {
-		counts := map[blockpage.Kind]int{}
-		for _, m := range c.Members {
-			body := r.Outliers[m].Body
-			for _, k := range kinds {
-				if blockpage.Matches(k, body) {
-					counts[k]++
-					break
-				}
-			}
-		}
-		best, bestN := blockpage.KindNone, 0
-		for k, n := range counts {
-			if n > bestN {
-				best, bestN = k, n
-			}
-		}
-		if bestN*2 < len(c.Members) {
-			best = blockpage.KindNone
-		}
+		best := clusterKind(c.Members, r.Outliers)
 		r.ClusterKinds = append(r.ClusterKinds, best)
 		if best != blockpage.KindNone && best != blockpage.Censorship && !seen[best] {
 			seen[best] = true
@@ -303,6 +284,27 @@ func (s *Study) clusterAndLabel(r *Top10KResult) {
 		}
 	}
 	sort.Slice(r.DiscoveredKinds, func(i, j int) bool { return r.DiscoveredKinds[i] < r.DiscoveredKinds[j] })
+}
+
+// clusterKind labels one cluster by majority template match: each
+// member's body counts for its ground-truth label, and the cluster
+// takes the kind with the most members — the lower kind on a tie — or
+// KindNone when that kind holds fewer than half of them.
+func clusterKind(members []int, outliers []OutlierDoc) blockpage.Kind {
+	var counts [blockpage.Legal451 + 1]int
+	for _, m := range members {
+		counts[blockpage.Label(outliers[m].Body)]++
+	}
+	best, bestN := blockpage.KindNone, 0
+	for k := blockpage.KindNone + 1; int(k) < len(counts); k++ {
+		if counts[k] > bestN {
+			best, bestN = k, counts[k]
+		}
+	}
+	if bestN*2 < len(members) {
+		return blockpage.KindNone
+	}
+	return best
 }
 
 // DiscoveredProviders maps the discovered page kinds to the CDN and
@@ -368,15 +370,12 @@ func (r *Top10KResult) ClusterSummaries() []ClusterSummary {
 // evaluateRecall computes Table 2: among reference-country samples that
 // are actually block pages (ground truth via retained bodies), how many
 // did the length heuristic extract?
-func (s *Study) evaluateRecall(r *Top10KResult, rep []bool) {
+func evaluateRecall(r *Top10KResult, rep []bool, classes bodyKinds) {
 	r.Recall = make(map[blockpage.Kind]RecallRow)
 	for i := range r.Initial.Samples {
 		sm := &r.Initial.Samples[i]
-		if !rep[sm.Country] || !sm.OK() || sm.Body == "" {
-			continue
-		}
-		kind := s.Classifier.Classify(sm.Body)
-		if kind == blockpage.KindNone || kind == blockpage.Censorship {
+		kind := classes.at(i)
+		if !rep[sm.Country] || kind == blockpage.KindNone || kind == blockpage.Censorship {
 			continue
 		}
 		row := r.Recall[kind]

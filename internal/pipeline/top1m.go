@@ -107,20 +107,21 @@ func (s *Study) RunTop1M(cfg Top1MConfig) *Top1MResult {
 		r.EligibleCount, len(r.TestDomains), cfg.SampleFraction*100)
 
 	r.Countries = s.measurableCountries()
-	r.Initial = s.initialScan("top1m", r.TestDomains, r.Countries, cfg.InitialSamples, cfg.Concurrency)
+	var classes bodyKinds
+	r.Initial, classes = s.initialScan("top1m", r.TestDomains, r.Countries, cfg.InitialSamples, cfg.Concurrency)
 	r.NeverResponded, r.LuminatiBlocked = reachability(r.Initial)
 
 	// §5.2.1 confirms explicit pages exactly as §4.1.4 does, but the
 	// world does not move between the snapshot and the resample.
-	kinds := s.explicitPairs(r.Initial)
+	kinds := explicitPairs(r.Initial, classes)
 	r.CandidatePairs = len(kinds)
-	r.ExplicitFindings, _, r.EliminatedPairs = s.confirm("top1m", r.Initial, r.TestRanks, kinds,
+	r.ExplicitFindings, _, r.EliminatedPairs = s.confirm("top1m", r.Initial, classes, r.TestRanks, kinds,
 		cfg.ResampleCount, cfg.Threshold, cfg.Concurrency)
 	r.CensoredGAEPairs = s.censoredGAEPairs(r.TestRanks)
 	s.logf("top1m: %d explicit findings (%d pairs eliminated)",
 		len(r.ExplicitFindings), r.EliminatedPairs)
 
-	s.analyzeNonExplicit(r)
+	s.analyzeNonExplicit(r, classes)
 	s.logf("top1m: %d non-explicit findings", len(r.NonExplicitFindings))
 	return r
 }
@@ -208,16 +209,11 @@ func (s *Study) censoredGAEPairs(ranks []int) int {
 // Akamai or Incapsula page anywhere, sample it again in *every* country
 // and apply the consistency metric; report domains with a perfect
 // consistency score that are not blocked everywhere.
-func (s *Study) analyzeNonExplicit(r *Top1MResult) {
+func (s *Study) analyzeNonExplicit(r *Top1MResult, classes bodyKinds) {
 	ambiguous := map[int32]blockpage.Kind{}
 	for i := range r.Initial.Samples {
-		sm := &r.Initial.Samples[i]
-		if !sm.OK() || sm.Body == "" {
-			continue
-		}
-		k := s.Classifier.Classify(sm.Body)
-		if k == blockpage.Akamai || k == blockpage.Incapsula {
-			ambiguous[sm.Domain] = k
+		if k := classes.at(i); k == blockpage.Akamai || k == blockpage.Incapsula {
+			ambiguous[r.Initial.Samples[i].Domain] = k
 		}
 	}
 	r.NonExplicitSeen = map[blockpage.Kind]int{}

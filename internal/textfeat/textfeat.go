@@ -6,8 +6,7 @@ package textfeat
 
 import (
 	"math"
-	"sort"
-	"strings"
+	"slices"
 )
 
 // Vector is a sparse, L2-normalized feature vector. Indices are sorted
@@ -55,45 +54,46 @@ func Cosine(a, b Vector) float64 {
 // fingerprinting does the equivalent masking.)
 func Tokenize(doc string) []string {
 	var tokens []string
-	var cur strings.Builder
-	hasDigit := false
-	flush := func() {
-		switch {
-		case cur.Len() < 2: // sklearn's default drops 1-char tokens
-		case hasDigit:
-			tokens = append(tokens, "0")
-		default:
-			tokens = append(tokens, cur.String())
-		}
-		cur.Reset()
-		hasDigit = false
+	sc := tokenScanner{doc: doc}
+	for tok, ok := sc.next(); ok; tok, ok = sc.next() {
+		tokens = append(tokens, string(tok))
 	}
-	for i := 0; i < len(doc); i++ {
-		c := doc[i]
-		switch {
-		case c >= 'a' && c <= 'z':
-			cur.WriteByte(c)
-		case c >= '0' && c <= '9':
-			cur.WriteByte(c)
-			hasDigit = true
-		case c >= 'A' && c <= 'Z':
-			cur.WriteByte(c - 'A' + 'a')
-		default:
-			flush()
-		}
-	}
-	flush()
 	return tokens
 }
 
-// NGrams expands tokens into 1-grams and 2-grams.
-func NGrams(tokens []string) []string {
-	out := make([]string, 0, 2*len(tokens))
-	out = append(out, tokens...)
-	for i := 0; i+1 < len(tokens); i++ {
-		out = append(out, tokens[i]+" "+tokens[i+1])
+// tokenScanner is the one tokenizer behind Tokenize, Fit and Transform:
+// next returns a document's next token, lower-cased into a buffer the
+// following call reuses, or false at the end of the document.
+type tokenScanner struct {
+	doc string
+	i   int
+	buf []byte
+}
+
+func (sc *tokenScanner) next() ([]byte, bool) {
+	for sc.i < len(sc.doc) {
+		tok, digit := sc.buf[:0], false
+		for ; sc.i < len(sc.doc); sc.i++ {
+			c := sc.doc[sc.i]
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			} else if c >= '0' && c <= '9' {
+				digit = true
+			} else if c < 'a' || c > 'z' {
+				break
+			}
+			tok = append(tok, c)
+		}
+		sc.i++ // step over the separator
+		sc.buf = tok
+		if len(tok) >= 2 { // sklearn's default drops 1-char tokens
+			if digit {
+				sc.buf = append(tok[:0], '0')
+			}
+			return sc.buf, true
+		}
 	}
-	return out
+	return nil, false
 }
 
 // maxDocTokens caps the tokens considered per document: block pages are
@@ -103,89 +103,163 @@ const maxDocTokens = 4000
 
 // Vectorizer fits a vocabulary with document frequencies over a corpus
 // and transforms documents into TF-IDF vectors (smooth IDF, L2 norm —
-// sklearn's TfidfVectorizer defaults).
+// sklearn's TfidfVectorizer defaults). A document's terms are the
+// 1-grams of its first maxDocTokens tokens, then their 2-grams; term
+// ids count up in the order terms first appear in the corpus.
 type Vectorizer struct {
-	vocab map[string]int32
-	idf   []float64
-	nDocs int
+	vocab map[string]int32 // term → id
+	terms []string         // id → term
+	// bigrams interns each 2-gram under its two 1-gram ids, so a
+	// document's 2-grams are looked up without building their strings.
+	bigrams map[uint64]int32
+	idf     []float64
 }
 
-// Fit learns the vocabulary and document frequencies from docs.
-func Fit(docs []string) *Vectorizer {
-	v := &Vectorizer{vocab: make(map[string]int32)}
-	df := []int32{}
-	seen := make(map[int32]bool)
-	for _, doc := range docs {
-		v.nDocs++
-		clear(seen)
-		for _, g := range docGrams(doc) {
-			id, ok := v.vocab[g]
-			if !ok {
-				id = int32(len(df))
-				v.vocab[g] = id
-				df = append(df, 0)
+// grams appends the ids of doc's terms to ids. With grow set an unseen
+// term joins the vocabulary; otherwise it is left out (a -1 holds an
+// unseen 1-gram's place until its 2-grams are formed).
+func (v *Vectorizer) grams(doc string, grow bool, ids []int32) []int32 {
+	sc := tokenScanner{doc: doc}
+	for n := 0; n < maxDocTokens; n++ {
+		tok, ok := sc.next()
+		if !ok {
+			break
+		}
+		id, seen := v.vocab[string(tok)]
+		if !seen {
+			id = -1
+			if grow {
+				id = v.add(string(tok))
 			}
-			if !seen[id] {
-				seen[id] = true
-				df[id]++
+		}
+		ids = append(ids, id)
+	}
+	for i, n := 0, len(ids); i+1 < n; i++ {
+		a, b := ids[i], ids[i+1]
+		if a < 0 || b < 0 {
+			continue
+		}
+		key := uint64(a)<<32 | uint64(b)
+		id, seen := v.bigrams[key]
+		if !seen {
+			if !grow {
+				continue
 			}
+			id = v.add(v.terms[a] + " " + v.terms[b])
+			v.bigrams[key] = id
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+func (v *Vectorizer) add(term string) int32 {
+	id := int32(len(v.terms))
+	v.vocab[term] = id
+	v.terms = append(v.terms, term)
+	return id
+}
+
+// tally counts a document's term ids into a vector whose Val holds each
+// term's count. It reuses ids as scratch space; counts is zeroed
+// scratch space indexed by term id, and is left zeroed.
+func tally(ids, counts []int32) Vector {
+	distinct := ids[:0]
+	for _, id := range ids {
+		if id >= 0 {
+			if counts[id] == 0 {
+				distinct = append(distinct, id)
+			}
+			counts[id]++
+		}
+	}
+	idx := slices.Clone(distinct)
+	slices.Sort(idx)
+	val := make([]float32, len(idx))
+	for i, id := range idx {
+		val[i], counts[id] = float32(counts[id]), 0
+	}
+	return Vector{Idx: idx, Val: val}
+}
+
+// fit learns the vocabulary and document frequencies from docs. It
+// returns each document's tally and the index of its first
+// byte-identical copy: each distinct document is tokenized once, and a
+// repeat shares its first copy's tally.
+func fit(docs []string) (v *Vectorizer, tallies []Vector, first []int) {
+	v = &Vectorizer{vocab: make(map[string]int32), bigrams: make(map[uint64]int32)}
+	tallies, first = make([]Vector, len(docs)), make([]int, len(docs))
+	seen := make(map[string]int, len(docs))
+	var ids, counts []int32
+	for d, doc := range docs {
+		f, dup := seen[doc]
+		if !dup {
+			f, seen[doc] = d, d
+			ids = v.grams(doc, true, ids[:0])
+			counts = append(counts, make([]int32, len(v.terms)-len(counts))...)
+			tallies[d] = tally(ids, counts)
+		}
+		tallies[d], first[d] = tallies[f], f
+	}
+	df := make([]int32, len(v.terms))
+	for _, t := range tallies {
+		for _, id := range t.Idx {
+			df[id]++
 		}
 	}
 	v.idf = make([]float64, len(df))
 	for i, d := range df {
 		// Smooth IDF: ln((1+n)/(1+df)) + 1.
-		v.idf[i] = math.Log(float64(1+v.nDocs)/float64(1+d)) + 1
+		v.idf[i] = math.Log(float64(1+len(docs))/float64(1+d)) + 1
 	}
+	return v, tallies, first
+}
+
+// Fit learns the vocabulary and document frequencies from docs.
+func Fit(docs []string) *Vectorizer {
+	v, _, _ := fit(docs)
 	return v
 }
 
-func docGrams(doc string) []string {
-	toks := Tokenize(doc)
-	if len(toks) > maxDocTokens {
-		toks = toks[:maxDocTokens]
-	}
-	return NGrams(toks)
-}
-
 // VocabSize returns the number of fitted terms.
-func (v *Vectorizer) VocabSize() int { return len(v.vocab) }
+func (v *Vectorizer) VocabSize() int { return len(v.terms) }
 
-// Transform converts one document into a TF-IDF vector using the fitted
-// vocabulary; unseen terms are ignored (sklearn behaviour).
-func (v *Vectorizer) Transform(doc string) Vector {
-	counts := make(map[int32]int)
-	for _, g := range docGrams(doc) {
-		if id, ok := v.vocab[g]; ok {
-			counts[id]++
-		}
-	}
-	idx := make([]int32, 0, len(counts))
-	for id := range counts {
-		idx = append(idx, id)
-	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	val := make([]float32, len(idx))
+// weigh turns a tally's counts into L2-normalized TF-IDF weights, in
+// place.
+func (v *Vectorizer) weigh(t Vector) Vector {
 	var norm float64
-	for i, id := range idx {
-		w := float64(counts[id]) * v.idf[id]
-		val[i] = float32(w)
+	for i, id := range t.Idx {
+		w := float64(t.Val[i]) * v.idf[id]
+		t.Val[i] = float32(w)
 		norm += w * w
 	}
 	if norm > 0 {
 		inv := float32(1 / math.Sqrt(norm))
-		for i := range val {
-			val[i] *= inv
+		for i := range t.Val {
+			t.Val[i] *= inv
 		}
 	}
-	return Vector{Idx: idx, Val: val}
+	return t
 }
 
-// FitTransform fits on docs and returns their vectors.
+// Transform converts one document into a TF-IDF vector using the fitted
+// vocabulary; unseen terms are ignored (sklearn behaviour).
+func (v *Vectorizer) Transform(doc string) Vector {
+	return v.weigh(tally(v.grams(doc, false, nil), make([]int32, len(v.terms))))
+}
+
+// FitTransform fits on docs and returns their vectors, equal to Fit
+// followed by Transform of each document. Each distinct document is
+// tokenized and weighed once: byte-identical documents share one
+// Vector.
 func FitTransform(docs []string) (*Vectorizer, []Vector) {
-	v := Fit(docs)
-	out := make([]Vector, len(docs))
-	for i, d := range docs {
-		out[i] = v.Transform(d)
+	v, vecs, first := fit(docs)
+	for d, f := range first {
+		if f == d {
+			vecs[d] = v.weigh(vecs[d])
+		} else {
+			vecs[d] = vecs[f]
+		}
 	}
-	return v, out
+	return v, vecs
 }

@@ -25,11 +25,18 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	got := NGrams([]string{"a1", "b2", "c3"})
-	want := []string{"a1", "b2", "c3", "a1 b2", "b2 c3"}
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Fatalf("ngrams = %v", got)
+func TestGramOrder(t *testing.T) {
+	// A document's terms are its 1-grams in token order, then its
+	// 2-grams; ids count up in the order terms first appear.
+	v := Fit([]string{"a1 bb cc bb", "dd bb"})
+	want := []string{"0", "bb", "cc", "0 bb", "bb cc", "cc bb", "dd", "dd bb"}
+	if v.VocabSize() != len(want) {
+		t.Fatalf("vocab size = %d, want %d", v.VocabSize(), len(want))
+	}
+	for id, term := range want {
+		if got, ok := v.vocab[term]; !ok || got != int32(id) {
+			t.Errorf("term %q has id %d (present %v), want %d", term, got, ok, id)
+		}
 	}
 }
 

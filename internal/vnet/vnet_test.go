@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 
@@ -152,7 +153,12 @@ func TestCensorshipBlockPage(t *testing.T) {
 	var d *worldgen.Domain
 	var cc geo.CountryCode
 	for _, cand := range testWorld.Top10K() {
+		codes := make([]geo.CountryCode, 0, len(cand.CensoredIn))
 		for c := range cand.CensoredIn {
+			codes = append(codes, c)
+		}
+		sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
+		for _, c := range codes {
 			dd := cand
 			if mech := checkMech(dd, c); mech == "blockpage" && !cand.Unreachable {
 				d, cc = cand, c

@@ -96,12 +96,7 @@ func TestMakroPolicyFlip(t *testing.T) {
 	if rule == nil {
 		t.Fatal("makro has no CloudFront rule")
 	}
-	var blockedAt0 geo.CountryCode
-	for cc := range rule.Countries {
-		blockedAt0 = cc
-		break
-	}
-	loc := geo.Location{Country: blockedAt0}
+	loc := geo.Location{Country: rule.CountryList()[0]}
 	if _, ok := d.GeoBlockedIn(loc, 0); !ok {
 		t.Fatal("makro should block at clock 0")
 	}
