@@ -41,13 +41,13 @@
 #                benchmarks the docs quote cannot break unnoticed)
 #   make profile the streaming scan benchmark under the CPU and memory
 #                profilers; inspect with `go tool pprof geoblock.test cpu.prof`
-#   make fabric-test  the multi-process fabric integration: a lumscan
-#                coordinator plus three scanworker processes (one
-#                chaos-killed mid-shard) must journal byte-identically
-#                to a single-process run of the same scan; then the
-#                fabric's wall-clock scaling check (2 in-process
-#                workers must beat 1, best of 3), which needs the CPUs
-#                to itself and so stays out of `go test ./...`
+#   make fabric-test  the multi-process fabric integration: a `geoscan
+#                -study lumscan` coordinator plus three scanworker
+#                processes (one chaos-killed mid-shard) must journal
+#                byte-identically to a single-process run of the same
+#                scan; then the fabric's wall-clock scaling check (2
+#                in-process workers must beat 1, best of 3), which needs
+#                the CPUs to itself and so stays out of `go test ./...`
 #   make perfbench-test  vet and test the benchmark module (perfbench/,
 #                a nested module, so `go test ./...` never compiles it):
 #                it imports the scan engine's public seams, and a change

@@ -3,11 +3,21 @@
 //
 // Usage:
 //
-//	geoscan [-scale 0.1] [-seed 403] [-study top10k|top1m|explore|ooni|cfrules|all] [-v]
+//	geoscan [-scale 0.1] [-seed 403] [-study top10k|top1m|explore|ooni|cfrules|extensions|lumscan|all] [-v]
 //
 // At -scale 1.0 the world is paper scale (10,000 popular domains,
 // ~152k Top-1M CDN customers, 177 countries); the default 0.1 runs in
 // seconds on a laptop.
+//
+// -study lumscan is the interactive face of the scanning engine: probe
+// chosen domains from chosen countries through the simulated
+// residential proxy mesh and print per-sample results — the workflow
+// the paper's operators used when manually verifying block pages.
+//
+//	geoscan -study lumscan -domains airbnb.fr,fasttech.com -countries IR,CN,US -samples 5
+//
+// Pass -domains all to scan the whole (safe) Top-10K population, or
+// -zgrab to use the bare ZGrab header set and watch bot defenses fire.
 package main
 
 import (
@@ -26,6 +36,7 @@ import (
 	"geoblock"
 	"geoblock/internal/analysis"
 	"geoblock/internal/faults"
+	"geoblock/internal/fingerprint"
 	"geoblock/internal/lumscan"
 	"geoblock/internal/papertables"
 	"geoblock/internal/pipeline"
@@ -36,7 +47,7 @@ import (
 func main() {
 	scale := flag.Float64("scale", 0.1, "population scale in (0,1]; 1.0 = paper scale")
 	seed := flag.Uint64("seed", 403, "world seed")
-	study := flag.String("study", "top10k", "study to run: top10k, top1m, explore, ooni, cfrules, extensions, all")
+	study := flag.String("study", "top10k", "study to run: top10k, top1m, explore, ooni, cfrules, extensions, lumscan, all")
 	verbose := flag.Bool("v", false, "log progress")
 	faultsFlag := flag.String("faults", "", "chaos profile to inject into the proxy mesh: "+strings.Join(faults.Names(), ", "))
 	faultSeed := flag.Uint64("faultseed", 1, "fault-injection seed (reproducible chaos)")
@@ -48,6 +59,11 @@ func main() {
 	resume := flag.Bool("resume", false, "resume an interrupted run from the -store journal instead of refusing it")
 	fabricAddr := flag.String("fabric", "", "serve a distributed-scan coordinator on this address; residential scan phases then run on scanworker processes instead of in-process")
 	fabricReady := flag.String("fabric-ready-file", "", "write the coordinator's resolved listen address to this file (for scripts that spawn workers)")
+	domainsFlag := flag.String("domains", "airbnb.fr,fasttech.com,geniusdisplay.com", "comma-separated domains, or 'all'")
+	countriesFlag := flag.String("countries", "US,IR,SY,CN,RU", "comma-separated country codes")
+	samples := flag.Int("samples", 3, "samples per (domain, country) pair")
+	zgrab := flag.Bool("zgrab", false, "use the bare ZGrab header set instead of browser headers")
+	showErrors := flag.Bool("errors", false, "print failed samples too")
 	flag.Parse()
 
 	// Ctrl-C cancels in-flight scans; studies then return partial
@@ -97,21 +113,26 @@ func main() {
 		defer trace.CrashDump(tracer, os.Stderr)
 	}
 
-	opts := geoblock.Options{Seed: *seed, Scale: *scale, Ctx: ctx, Metrics: reg, Store: store, Trace: tracer}
+	// The world calibration is pinned explicitly, because -fabric ships
+	// it to workers verbatim and they regenerate the exact same world
+	// from it.
+	wcfg := geoblock.DefaultWorldConfig()
+	if *seed != 0 {
+		wcfg.Seed = *seed
+	}
+	if *scale != 0 {
+		wcfg.Scale = *scale
+	}
+	opts := geoblock.Options{World: &wcfg, Ctx: ctx, Metrics: reg, Store: store, Trace: tracer}
 	if *verbose {
 		opts.Log = func(format string, args ...any) {
 			log.Printf(format, args...)
 		}
 	}
 
-	// -fabric: become the coordinator of a distributed study. The world
-	// calibration is pinned explicitly so workers regenerate the exact
-	// same world from the study spec.
+	// -fabric: become the coordinator of a distributed study.
 	var coord *geoblock.FabricCoordinator
 	if *fabricAddr != "" {
-		wcfg := geoblock.DefaultWorldConfig()
-		wcfg.Seed = *seed
-		wcfg.Scale = *scale
 		spec := geoblock.FabricStudySpec{World: wcfg, Faults: faultSpec}
 		coord = geoblock.NewFabric(geoblock.FabricOptions{Study: spec, Metrics: reg, Trace: tracer})
 		ln, lerr := stdnet.Listen("tcp", *fabricAddr)
@@ -133,7 +154,6 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "geoscan: fabric coordinator on http://%s (start workers: scanworker -coordinator http://%s)\n", ln.Addr(), ln.Addr())
-		opts.World = &wcfg
 		opts.Fabric = coord
 	}
 	sys := geoblock.New(opts)
@@ -187,6 +207,24 @@ func main() {
 		papertables.PrintCloudflareTable9(out, sys.World.Geo, sys.CloudflareRulesSnapshot())
 	case "extensions":
 		runExtensions()
+	case "lumscan":
+		domains, err := probeDomains(sys, *domainsFlag)
+		if err != nil {
+			if store != nil {
+				store.Close()
+			}
+			fmt.Fprintf(os.Stderr, "geoscan: %v (seed %d, scale %.2f)\n", err, *seed, *scale)
+			os.Exit(2)
+		}
+		var headers map[string]string
+		if *zgrab {
+			headers = lumscan.ZGrabHeaders()
+		}
+		countries := probeCountries(*countriesFlag)
+		fmt.Printf("%-28s %-4s %-3s %-8s %-6s %-16s %s\n",
+			"DOMAIN", "CC", "N", "STATUS", "BYTES", "EXIT", "PAGE")
+		sys.Probe(domains, countries, *samples, headers,
+			&probeSink{domains: domains, countries: countries, cls: fingerprint.NewClassifier(), showErrors: *showErrors})
 	case "all":
 		papertables.PrintExploration(out, sys.RunExploration())
 		runTop10K()
@@ -255,4 +293,92 @@ func openStore(dir string, resume bool, reg *telemetry.Registry) (*geoblock.RunS
 			dir, len(st.Phases()), done, shards)
 	}
 	return st, nil
+}
+
+// probeDomains resolves -domains against the world: "all" is the whole
+// Top-10K population, anything else a comma-separated list whose every
+// name must exist.
+func probeDomains(sys *geoblock.System, list string) ([]string, error) {
+	var domains []string
+	if list == "all" {
+		for _, d := range sys.World.Top10K() {
+			domains = append(domains, d.Name)
+		}
+		return domains, nil
+	}
+	for _, d := range strings.Split(list, ",") {
+		d = strings.TrimSpace(d)
+		if d == "" {
+			continue
+		}
+		if _, ok := sys.World.Lookup(d); !ok {
+			return nil, fmt.Errorf("%s does not exist in this world", d)
+		}
+		domains = append(domains, d)
+	}
+	return domains, nil
+}
+
+// probeCountries parses -countries: comma-separated codes, upper-cased.
+func probeCountries(list string) []geoblock.CountryCode {
+	var countries []geoblock.CountryCode
+	for _, c := range strings.Split(list, ",") {
+		c = strings.TrimSpace(strings.ToUpper(c))
+		if c != "" {
+			countries = append(countries, geoblock.CountryCode(c))
+		}
+	}
+	return countries
+}
+
+// probeSink prints the Lumscan probe's output: one line per sample to
+// stdout (failed samples only under -errors), and the degradation
+// accounting — per-country outages and the attained-vs-requested
+// coverage line — to stderr, where it survives piping the sample stream
+// elsewhere.
+type probeSink struct {
+	domains    []string
+	countries  []geoblock.CountryCode
+	cls        *fingerprint.Classifier
+	showErrors bool
+}
+
+func (p *probeSink) Emit(s lumscan.Sample) {
+	domain, cc := p.domains[s.Domain], p.countries[s.Country]
+	if !s.OK() {
+		if p.showErrors {
+			fmt.Printf("%-28s %-4s %-3d %-8s %-6s %-16s -\n",
+				domain, cc, s.Attempt, "ERR", "-", s.Err)
+		}
+		return
+	}
+	page := "-"
+	if s.Body != "" {
+		if k := p.cls.Classify(s.Body); k != 0 {
+			page = k.String()
+		}
+	}
+	fmt.Printf("%-28s %-4s %-3d %-8d %-6d %-16s %s\n",
+		domain, cc, s.Attempt, s.Status, s.BodyLen, s.ExitIP, page)
+}
+
+func (p *probeSink) EmitOutage(o lumscan.Outage) {
+	fmt.Fprintf(os.Stderr, "geoscan: outage %s (%s): %d/%d shards, %d tasks lost\n",
+		o.Country, o.Reason, o.Shards, o.ShardsTotal, o.Tasks)
+}
+
+func (p *probeSink) EmitCoverage(cov lumscan.Coverage) {
+	if cov.Full() {
+		return
+	}
+	lost := "none fully"
+	if len(cov.Lost) > 0 {
+		codes := make([]string, len(cov.Lost))
+		for i, cc := range cov.Lost {
+			codes[i] = string(cc)
+		}
+		lost = strings.Join(codes, ",")
+	}
+	fmt.Fprintf(os.Stderr, "geoscan: coverage %d/%d countries attained (%d tasks lost; lost: %s)\n",
+		cov.Attained, cov.Requested, cov.TasksLost, lost)
 }

@@ -1,7 +1,8 @@
 // Command scanworker is the worker side of the distributed scan
-// fabric: it dials a coordinator (lumscan -serve-fabric, or geoscan
-// -fabric), regenerates the coordinator's deterministic world from the
-// study spec, and executes leased scan shards until the study is done.
+// fabric: it dials a coordinator (geoscan -fabric, for any study
+// including -study lumscan), regenerates the coordinator's
+// deterministic world from the study spec, and executes leased scan
+// shards until the study is done.
 //
 //	scanworker -coordinator http://127.0.0.1:7403
 //

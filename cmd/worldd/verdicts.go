@@ -100,7 +100,7 @@ func (e *verdictEdge) observeLatency(endpoint string, ns float64) {
 	ev.Parent = e.traceCtx.Span
 	ev.Runtime = true
 	ev.Outcome = "slow"
-	_, ev.WallNS = e.tracer.Now()
+	ev.WallNS = e.tracer.Now()
 	ev.WallDurNS = int64(ns)
 	ev.Attrs = []trace.Attr{
 		{K: "endpoint", V: endpoint},

@@ -24,11 +24,11 @@ package geoblock
 
 import (
 	"context"
-	"sync/atomic"
 
 	"geoblock/internal/cfrules"
 	"geoblock/internal/fabric"
 	"geoblock/internal/geo"
+	"geoblock/internal/lumscan"
 	"geoblock/internal/ooni"
 	"geoblock/internal/pipeline"
 	"geoblock/internal/proxy"
@@ -204,10 +204,9 @@ type System struct {
 	World *worldgen.World
 	study *pipeline.Study
 
-	// verdicts holds the latest compiled verdict snapshot; swapped
-	// atomically when a study completes so concurrent readers always see
-	// one consistent matrix.
-	verdicts atomic.Pointer[verdict.Snapshot]
+	// verdicts holds the latest compiled verdict snapshot, swapped when
+	// a study completes.
+	verdicts verdict.Holder
 }
 
 // New builds the world and the measurement infrastructure.
@@ -239,18 +238,12 @@ func New(opts Options) *System {
 	}
 	sys := &System{World: w, study: s}
 	s.VerdictOut = func(snap *verdict.Snapshot) {
-		sys.setVerdicts(snap)
+		sys.verdicts.Swap(snap)
 		if opts.VerdictOut != nil {
 			opts.VerdictOut(snap)
 		}
 	}
 	return sys
-}
-
-// setVerdicts publishes a freshly compiled snapshot. The atomic swap
-// lives here, with Verdicts, so the pointer discipline has one home.
-func (s *System) setVerdicts(snap *verdict.Snapshot) {
-	s.verdicts.Store(snap)
 }
 
 // Verdicts returns the verdict snapshot compiled by the most recently
@@ -296,6 +289,15 @@ func (s *System) Trace() *Tracer {
 // run.
 func (s *System) Net() *proxy.Network {
 	return s.study.Net
+}
+
+// Probe runs the Lumscan probe (§3.2): samples per pair of every
+// domain from every country, sent with headers (nil keeps the browser
+// set), streamed to sink in canonical order. Like every study phase it
+// journals to Options.Store under the key "cli", runs on Options.Fabric
+// when set, traces into Options.Trace, and reports an abort through Err.
+func (s *System) Probe(domains []string, countries []CountryCode, samples int, headers map[string]string, sink lumscan.Sink) {
+	s.study.Probe(domains, countries, samples, headers, sink)
 }
 
 // RunTop10K executes the Alexa Top-10K study of §4: safe-list

@@ -196,7 +196,7 @@ func (c *Coordinator) RunPhase(ctx context.Context, domains []string, countries 
 	}
 	if cfg.Trace == nil && c.opts.Trace != nil {
 		// The coordinator's tracer backs phases that arrived untraced, so
-		// `lumscan -serve-fabric -trace` captures the whole study without
+		// `geoscan -fabric -trace` captures the whole study without
 		// the caller threading a tracer through every phase config.
 		cfg.Trace = c.opts.Trace
 	}
@@ -394,10 +394,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	units := make([]UnitLease, 0, len(picks))
-	var wallNS int64
-	if ph.tr != nil {
-		_, wallNS = ph.tr.Now()
-	}
+	wallNS := ph.tr.Now()
 	for i, seq := range picks {
 		u := ph.units[seq]
 		outcome := "granted"
@@ -522,10 +519,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		reject("fabric: " + err.Error())
 		return
 	}
-	var wallNS int64
-	if ph.tr != nil {
-		_, wallNS = ph.tr.Now()
-	}
+	wallNS := ph.tr.Now()
 	worker := q.Get("worker")
 	if u.completed {
 		// Deterministic work: a re-issued unit's second completion is

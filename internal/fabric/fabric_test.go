@@ -42,14 +42,11 @@ func fabricInputs() ([]string, []geo.CountryCode, []scanner.Task, scanner.Config
 	countries := []geo.CountryCode{"US", "DE", "IR", "SY", "BR"}
 	tasks := scanner.CrossProduct(len(domains), len(countries))
 	cfg := scanner.Config{
-		Samples:            2,
-		Retries:            2,
-		RequestsPerExit:    10,
-		MaxRedirects:       10,
-		ShardSize:          8,
-		Headers:            scanner.BrowserHeaders(),
-		Phase:              "initial",
-		VerifyConnectivity: true,
+		Samples:   2,
+		Retries:   2,
+		ShardSize: 8,
+		Headers:   scanner.BrowserHeaders(),
+		Phase:     "initial",
 	}
 	return domains, countries, tasks, cfg
 }

@@ -68,15 +68,12 @@ type StudySpec struct {
 // that shape a scan's output, minus the process-local seams (funcs,
 // registries, tracers, resume state).
 type ConfigWire struct {
-	Samples            int                `json:"samples"`
-	Retries            int                `json:"retries"`
-	RequestsPerExit    int                `json:"requests_per_exit"`
-	MaxRedirects       int                `json:"max_redirects"`
-	ShardSize          int                `json:"shard_size"`
-	Headers            map[string]string  `json:"headers"`
-	Bodies             scanner.BodyPolicy `json:"bodies"`
-	Phase              string             `json:"phase"`
-	VerifyConnectivity bool               `json:"verify_connectivity"`
+	Samples   int                `json:"samples"`
+	Retries   int                `json:"retries"`
+	ShardSize int                `json:"shard_size"`
+	Headers   map[string]string  `json:"headers"`
+	Bodies    scanner.BodyPolicy `json:"bodies"`
+	Phase     string             `json:"phase"`
 }
 
 // NewConfigWire extracts the serializable subset of cfg, erroring on
@@ -86,15 +83,12 @@ func NewConfigWire(cfg scanner.Config) (ConfigWire, error) {
 		return ConfigWire{}, fmt.Errorf("fabric: Config.WrapTransport cannot cross the wire")
 	}
 	return ConfigWire{
-		Samples:            cfg.Samples,
-		Retries:            cfg.Retries,
-		RequestsPerExit:    cfg.RequestsPerExit,
-		MaxRedirects:       cfg.MaxRedirects,
-		ShardSize:          cfg.ShardSize,
-		Headers:            cfg.Headers,
-		Bodies:             cfg.Bodies,
-		Phase:              cfg.Phase,
-		VerifyConnectivity: cfg.VerifyConnectivity,
+		Samples:   cfg.Samples,
+		Retries:   cfg.Retries,
+		ShardSize: cfg.ShardSize,
+		Headers:   cfg.Headers,
+		Bodies:    cfg.Bodies,
+		Phase:     cfg.Phase,
 	}, nil
 }
 
@@ -103,15 +97,12 @@ func NewConfigWire(cfg scanner.Config) (ConfigWire, error) {
 // determinism contract makes the knob output-invariant anyway.
 func (w ConfigWire) Config() scanner.Config {
 	return scanner.Config{
-		Samples:            w.Samples,
-		Retries:            w.Retries,
-		RequestsPerExit:    w.RequestsPerExit,
-		MaxRedirects:       w.MaxRedirects,
-		ShardSize:          w.ShardSize,
-		Headers:            w.Headers,
-		Bodies:             w.Bodies,
-		Phase:              w.Phase,
-		VerifyConnectivity: w.VerifyConnectivity,
+		Samples:   w.Samples,
+		Retries:   w.Retries,
+		ShardSize: w.ShardSize,
+		Headers:   w.Headers,
+		Bodies:    w.Bodies,
+		Phase:     w.Phase,
 	}
 }
 

@@ -139,7 +139,7 @@ func (w *Worker) unitEvent(name string, seq int, outcome string) {
 	ev.Unit = seq
 	ev.Outcome = outcome
 	ev.Runtime = true
-	_, ev.WallNS = w.opts.Trace.Now()
+	ev.WallNS = w.opts.Trace.Now()
 	ev.Attrs = []trace.Attr{{K: "worker", V: w.opts.Name}}
 	w.opts.Trace.Record(ev)
 }

@@ -23,17 +23,11 @@ import (
 	"go/types"
 )
 
-func init() {
-	RegisterFact("clockflow.reaches", func() Fact { return new(clockFact) })
-}
-
 // clockFact marks a function that transitively reaches the wall clock
 // or global RNG. Via records the chain, for diagnostics.
 type clockFact struct {
-	Via string `json:"via"`
+	Via string
 }
-
-func (*clockFact) FactName() string { return "clockflow.reaches" }
 
 // Clockflow flags scan-path calls into out-of-scope functions that
 // transitively reach the wall clock or global RNG.

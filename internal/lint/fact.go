@@ -13,43 +13,20 @@
 // Facts are keyed by the variant-stripped package path, so a fact
 // exported while analyzing the test-augmented variant of a package
 // ("p [p.test]") is found by importers that link against the plain
-// package.
-//
-// Facts are JSON-serializable through a small type registry. Nothing
-// persists them today — one Check call owns one store — but the
-// round-trip keeps every fact a plain value (no closures, no AST
-// pointers), which is what lets any future cached mode treat them as
-// data.
+// package. One Check call owns one store; nothing persists facts.
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"sort"
 	"strings"
 )
 
-// A Fact is one serializable conclusion attached to an object or a
-// package. Implementations must be JSON-marshalable pointers whose
-// FactName is registered with RegisterFact.
-type Fact interface {
-	// FactName returns the fact type's registered name, e.g.
-	// "clockflow.reaches".
-	FactName() string
-}
-
-// factTypes is the registry of fact constructors, keyed by FactName.
-var factTypes = map[string]func() Fact{}
-
-// RegisterFact registers a fact type for deserialization. Call from
-// the defining analyzer's init.
-func RegisterFact(name string, new func() Fact) {
-	if _, dup := factTypes[name]; dup {
-		panic(fmt.Sprintf("lint: fact type %q registered twice", name))
-	}
-	factTypes[name] = new
-}
+// A Fact is one conclusion attached to an object or a package: a
+// plain value (no closures, no AST pointers) that the analyzer that
+// exported it type-asserts back to its own fact type.
+type Fact any
 
 // factKey addresses one fact: which analyzer concluded it, about which
 // package, and about which object within it ("" for package facts).
@@ -124,13 +101,6 @@ func (p *Pass) ExportPackageFact(f Fact) {
 	p.facts.m[factKey{p.Analyzer.Name, stripVariant(p.Pkg.Path()), ""}] = f
 }
 
-// PackageFact returns the current analyzer's fact about the package
-// with the given (variant-stripped) path.
-func (p *Pass) PackageFact(pkgPath string) (Fact, bool) {
-	f, ok := p.facts.m[factKey{p.Analyzer.Name, pkgPath, ""}]
-	return f, ok
-}
-
 // A FinishPass is handed to an analyzer's Finish hook after every
 // package has been analyzed, for module-wide reconciliation over the
 // facts it exported (e.g. telemetrycheck's cross-package metric-class
@@ -169,59 +139,4 @@ func (p *FinishPass) Reportf(file string, line int, format string, args ...any) 
 		Pos:      tokenPosition(file, line),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// factRecord is the serialized form of one fact.
-type factRecord struct {
-	Analyzer string          `json:"analyzer"`
-	Pkg      string          `json:"pkg"`
-	Object   string          `json:"object,omitempty"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// EncodeFacts serializes a store's facts as deterministic JSON (sorted
-// by key). Exposed for the round-trip test and future cached runs.
-func (s *factStore) encode() ([]byte, error) {
-	recs := make([]factRecord, 0, len(s.m))
-	for k, f := range s.m {
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("lint: encoding fact %s/%s/%s: %w", k.analyzer, k.pkg, k.object, err)
-		}
-		recs = append(recs, factRecord{Analyzer: k.analyzer, Pkg: k.pkg, Object: k.object, Type: f.FactName(), Data: data})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		return a.Object < b.Object
-	})
-	return json.MarshalIndent(recs, "", "\t")
-}
-
-// decodeFacts rebuilds a store from encode's output, constructing each
-// fact through the type registry.
-func decodeFacts(b []byte) (*factStore, error) {
-	var recs []factRecord
-	if err := json.Unmarshal(b, &recs); err != nil {
-		return nil, err
-	}
-	s := newFactStore()
-	for _, r := range recs {
-		mk, ok := factTypes[r.Type]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown fact type %q", r.Type)
-		}
-		f := mk()
-		if err := json.Unmarshal(r.Data, f); err != nil {
-			return nil, fmt.Errorf("lint: decoding fact %s for %s.%s: %w", r.Type, r.Pkg, r.Object, err)
-		}
-		s.m[factKey{r.Analyzer, r.Pkg, r.Object}] = f
-	}
-	return s, nil
 }

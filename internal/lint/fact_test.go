@@ -1,52 +1,6 @@
 package lint
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
-
-// TestFactRoundTrip pins the fact serialization: encode is
-// deterministic, decode rebuilds an identical store through the type
-// registry, and an unregistered fact type is an error, not a silent
-// drop.
-func TestFactRoundTrip(t *testing.T) {
-	s := newFactStore()
-	s.m[factKey{"clockflow", "geoblock/internal/timeutil", "Timestamp"}] =
-		&clockFact{Via: "calls clockwrap.Stamp, which calls time.Now"}
-	s.m[factKey{"clockflow", "geoblock/internal/clockwrap", "(Ticker).Next"}] =
-		&clockFact{Via: "calls time.Now"}
-	s.m[factKey{"swapcheck", "geoblock/internal/netwrap", "Ping"}] =
-		&netFact{Via: "calls net.Dial"}
-	s.m[factKey{"telemetrycheck", "geoblock/internal/pipeline/tcfix", ""}] =
-		&telemetryFact{Regs: []metricReg{
-			{Name: "tcfix.samples", Kind: "counter", File: "tcfix.go", Line: 21},
-			{Name: "tcfix.wall", Kind: "gauge", Runtime: true, File: "tcfix.go", Line: 30},
-		}}
-
-	b1, err := s.encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := decodeFacts(b1)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(s.m, got.m) {
-		t.Fatalf("round trip changed the store:\n%v\n!=\n%v", got.m, s.m)
-	}
-	b2, err := got.encode()
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("encode is not deterministic across a round trip:\n%s\n!=\n%s", b1, b2)
-	}
-
-	if _, err := decodeFacts([]byte(`[{"analyzer":"x","pkg":"p","type":"no.such.fact","data":{}}]`)); err == nil {
-		t.Fatal("decoding an unregistered fact type succeeded")
-	}
-}
+import "testing"
 
 // TestStripVariant pins the test-variant normalization facts and
 // package ordering both key on.

@@ -35,16 +35,10 @@ import (
 	"strings"
 )
 
-func init() {
-	RegisterFact("swapcheck.netio", func() Fact { return new(netFact) })
-}
-
 // netFact marks a function that transitively performs network I/O.
 type netFact struct {
-	Via string `json:"via"`
+	Via string
 }
-
-func (*netFact) FactName() string { return "swapcheck.netio" }
 
 // swapScope is where shared snapshot state lives: packages whose
 // structs are read by many goroutines while one swaps or mutates.

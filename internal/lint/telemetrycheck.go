@@ -41,27 +41,21 @@ import (
 	"strings"
 )
 
-func init() {
-	RegisterFact("telemetrycheck.regs", func() Fact { return new(telemetryFact) })
-}
-
 // metricReg is one metric registration: resolved name, kind, class,
 // and where.
 type metricReg struct {
-	Name    string `json:"name"`
-	Kind    string `json:"kind"` // counter | gauge | histogram
-	Runtime bool   `json:"runtime"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
+	Name    string
+	Kind    string // counter | gauge | histogram
+	Runtime bool
+	File    string
+	Line    int
 }
 
 // telemetryFact is a package's metric registrations, for the
 // module-wide class audit.
 type telemetryFact struct {
-	Regs []metricReg `json:"regs"`
+	Regs []metricReg
 }
-
-func (*telemetryFact) FactName() string { return "telemetrycheck.regs" }
 
 const telemetryPkg = "geoblock/internal/telemetry"
 

@@ -24,9 +24,6 @@ func TestDefaultConfigValues(t *testing.T) {
 	if cfg.Samples != 3 || cfg.Phase != "initial" {
 		t.Fatalf("default samples = %d phase = %q", cfg.Samples, cfg.Phase)
 	}
-	if cfg.RequestsPerExit != 10 || cfg.MaxRedirects != 10 {
-		t.Fatal("paper parameters wrong")
-	}
 	if cfg.Headers["Accept-Language"] == "" {
 		t.Fatal("browser header set incomplete")
 	}

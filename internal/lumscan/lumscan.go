@@ -97,17 +97,17 @@ var ZGrabHeaders = scanner.ZGrabHeaders
 // telemetry registry the scan was pointed at (Config.Metrics).
 var ProgressLine = scanner.ProgressLine
 
+// MixHeaders folds a header set into a digest in sorted key order.
+var MixHeaders = scanner.MixHeaders
+
 // DefaultConfig is the initial-snapshot configuration of §4.1.1.
 func DefaultConfig() Config {
 	return Config{
-		Samples:            3,
-		Retries:            2,
-		RequestsPerExit:    10,
-		MaxRedirects:       10,
-		Concurrency:        8,
-		Headers:            BrowserHeaders(),
-		Phase:              "initial",
-		VerifyConnectivity: true,
+		Samples:     3,
+		Retries:     2,
+		Concurrency: 8,
+		Headers:     BrowserHeaders(),
+		Phase:       "initial",
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"geoblock/internal/blockpage"
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
+	"geoblock/internal/scanner"
 	"geoblock/internal/worldgen"
 )
 
@@ -300,9 +301,9 @@ func TestLoadBalancingBoundsExitUse(t *testing.T) {
 	}
 	// A sample consumes up to 1+Retries requests plus redirect hops,
 	// so a stretch of samples can exceed 10 slightly — but not by much.
-	if load.MaxStretch > cfg.RequestsPerExit+6 {
+	if load.MaxStretch > scanner.RequestsPerExit+6 {
 		t.Fatalf("an exit served %d consecutive samples; the budget is %d",
-			load.MaxStretch, cfg.RequestsPerExit)
+			load.MaxStretch, scanner.RequestsPerExit)
 	}
 	if len(load.PerExit) < len(countries) {
 		t.Fatalf("only %d exits used for %d countries", len(load.PerExit), len(countries))

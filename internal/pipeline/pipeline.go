@@ -4,7 +4,8 @@
 // manual cluster labeling, signature-driven identification of candidate
 // pairs, targeted resampling, and the 80%-agreement confirmation step —
 // for both the Alexa Top-10K study (§4) and the Top-1M CDN-customer
-// study (§5), plus the §3.1 VPS exploration.
+// study (§5), plus the §3.1 VPS exploration and the interactive
+// Lumscan probe (Probe).
 //
 // The two studies share one flow: one snapshot scan (initialScan),
 // whose bodies are classified once, one reachability count, and one
@@ -19,6 +20,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -556,20 +558,31 @@ func (s *Study) phaseKey(name string) string {
 }
 
 // scanFingerprint digests a scan invocation's identity for the
-// journal: world seed, journal key, phase name, input sizes, and the
-// sampling parameter — never Concurrency, which a resumed run is free
-// to change. A journal directory reused across different study
-// configurations fails this check instead of splicing foreign samples.
-func (s *Study) scanFingerprint(key string, cfg lumscan.Config, domains, groups, tasks int) uint64 {
+// journal: the world (seed and scale), the journal key and phase, every
+// domain name and country (or VPS) code in order, the task count, and
+// the knobs that shape samples — Samples, Retries, Bodies and the
+// header set — but never Concurrency, which a resumed run is free to
+// change. A journal directory reused with any other input, a same-size
+// domain or country list included, fails this check instead of
+// splicing foreign samples.
+func (s *Study) scanFingerprint(key string, cfg lumscan.Config, domains []string, groups []geo.CountryCode, tasks int) uint64 {
 	h := stats.Hash("geoblock-scan")
 	h = stats.Mix64(h ^ s.World.Cfg.Seed)
+	h = stats.Mix64(h ^ math.Float64bits(s.World.Cfg.Scale))
 	h = stats.Mix64(h ^ stats.Hash(key))
 	h = stats.Mix64(h ^ stats.Hash(cfg.Phase))
-	h = stats.Mix64(h ^ uint64(domains))
-	h = stats.Mix64(h ^ uint64(groups)<<16)
+	for _, d := range domains {
+		h = stats.Mix64(h ^ stats.Hash(d))
+	}
+	h = stats.Mix64(h ^ uint64(len(domains)))
+	for _, c := range groups {
+		h = stats.Mix64(h ^ stats.Hash(string(c)))
+	}
+	h = stats.Mix64(h ^ uint64(len(groups))<<16)
 	h = stats.Mix64(h ^ uint64(tasks)<<32)
 	h = stats.Mix64(h ^ uint64(cfg.Samples)<<48)
-	return h
+	h = stats.Mix64(h ^ uint64(cfg.Retries) ^ uint64(cfg.Bodies)<<8)
+	return lumscan.MixHeaders(h, cfg.Headers)
 }
 
 // traceScan pins the invocation's scan context onto cfg — the root →
@@ -597,15 +610,14 @@ func (s *Study) stage(name string) func() {
 
 // traceStep returns the closer that records one pipeline step's event
 // (name) at ctx under the root span: phase, outcome, and the step's
-// virtual and wall extent. A no-op closure when the study is not
-// tracing.
+// wall extent. A no-op closure when the study is not tracing.
 func (s *Study) traceStep(ctx trace.SpanCtx, name, phase string) func(error) {
 	if s.Trace == nil {
 		return func(error) {}
 	}
-	virt0, wall0 := s.Trace.Now()
+	wall0 := s.Trace.Now()
 	return func(err error) {
-		virt, wall := s.Trace.Now()
+		wall := s.Trace.Now()
 		ev := trace.NewEvent(ctx, name)
 		ev.Parent = s.Trace.Root().Span
 		ev.Phase = phase
@@ -614,8 +626,6 @@ func (s *Study) traceStep(ctx trace.SpanCtx, name, phase string) func(error) {
 		} else {
 			ev.Outcome = "aborted"
 		}
-		ev.VirtNS = virt0
-		ev.VirtDurNS = virt - virt0
 		ev.WallNS = wall0
 		ev.WallDurNS = wall - wall0
 		s.Trace.Record(ev)
@@ -626,7 +636,7 @@ func (s *Study) traceStep(ctx trace.SpanCtx, name, phase string) func(error) {
 // fabric's runner when one is attached, the in-process engine
 // otherwise. name keys the journal; it is usually cfg.Phase.
 func (s *Study) scanStream(name string, cfg lumscan.Config, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, sink lumscan.Sink) {
-	s.runScan(name, cfg, len(domains), len(countries), len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
+	s.runScan(name, cfg, domains, countries, len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
 		if s.Runner != nil {
 			return s.Runner(s.ctx(), domains, countries, tasks, cfg, sink)
 		}
@@ -636,7 +646,11 @@ func (s *Study) scanStream(name string, cfg lumscan.Config, domains []string, co
 
 // scanVPSStream is scanStream for the datacenter engine.
 func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VPS, domains []string, tasks []lumscan.Task, sink lumscan.Sink) {
-	s.runScan(name, cfg, len(domains), len(fleet), len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
+	codes := make([]geo.CountryCode, len(fleet))
+	for i, v := range fleet {
+		codes[i] = v.Country
+	}
+	s.runScan(name, cfg, domains, codes, len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
 		return lumscan.ScanVPSStream(s.ctx(), fleet, domains, tasks, cfg, sink)
 	})
 }
@@ -644,10 +658,10 @@ func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VP
 // runScan wraps one engine invocation in the study's tracing and
 // journaling: it runs the engine directly when no journal is attached,
 // and through Store.Scan — journaling live work, replaying committed
-// work — otherwise. groups counts the countries or VPSes the tasks
-// index. An abort is recorded under the invocation's journal key, so
-// Err, the journal and the trace all name the phase the same way.
-func (s *Study) runScan(name string, cfg lumscan.Config, domains, groups, tasks int, sink lumscan.Sink, run func(lumscan.Config, lumscan.Sink) error) {
+// work — otherwise. groups lists the countries or VPS countries the
+// tasks index. An abort is recorded under the invocation's journal key,
+// so Err, the journal and the trace all name the phase the same way.
+func (s *Study) runScan(name string, cfg lumscan.Config, domains []string, groups []geo.CountryCode, tasks int, sink lumscan.Sink, run func(lumscan.Config, lumscan.Sink) error) {
 	key := s.phaseKey(name)
 	traceDone := s.traceScan(key, &cfg)
 	var err error
@@ -664,4 +678,18 @@ func (s *Study) runScan(name string, cfg lumscan.Config, domains, groups, tasks 
 	}
 	traceDone(err)
 	s.noteScanErr(key, err)
+}
+
+// Probe is the Lumscan probe (§3.2) as a study: samples per pair of
+// every domain from every country, sent with headers (nil keeps the
+// browser set) and streamed to sink in canonical order. It runs as
+// every study phase does — journaled, fabric-routed and traced — under
+// the journal key and phase "cli".
+func (s *Study) Probe(domains []string, countries []geo.CountryCode, samples int, headers map[string]string, sink lumscan.Sink) {
+	cfg := s.scanConfig("cli")
+	cfg.Samples = samples
+	if headers != nil {
+		cfg.Headers = headers
+	}
+	s.scanStream("cli", cfg, domains, countries, lumscan.CrossProduct(len(domains), len(countries)), sink)
 }

@@ -29,15 +29,12 @@ func crashInputs() ([]string, []geo.CountryCode, []scanner.Task) {
 
 func crashConfig(conc int, reg *telemetry.Registry) scanner.Config {
 	return scanner.Config{
-		Samples:            2,
-		Retries:            2,
-		RequestsPerExit:    10,
-		MaxRedirects:       10,
-		Headers:            scanner.BrowserHeaders(),
-		Phase:              "crash-test",
-		VerifyConnectivity: true,
-		Concurrency:        conc,
-		Metrics:            reg,
+		Samples:     2,
+		Retries:     2,
+		Headers:     scanner.BrowserHeaders(),
+		Phase:       "crash-test",
+		Concurrency: conc,
+		Metrics:     reg,
 	}
 }
 

@@ -444,8 +444,8 @@ func TestChurnForcesRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := res.LoadReport()
-	if load.MaxStretch > cfg.RequestsPerExit {
-		t.Fatalf("stretch %d exceeds budget %d under churn", load.MaxStretch, cfg.RequestsPerExit)
+	if load.MaxStretch > RequestsPerExit {
+		t.Fatalf("stretch %d exceeds budget %d under churn", load.MaxStretch, RequestsPerExit)
 	}
 	responses := 0
 	for i := range res.Samples {

@@ -78,7 +78,7 @@ func newFetcher(ctx context.Context, p prober, cfg Config, hs headerSet, t *tall
 		ctx:     ctx,
 		probe:   p,
 		headers: hs,
-		maxHops: cfg.MaxRedirects,
+		maxHops: MaxRedirects,
 		bodies:  cfg.Bodies,
 	}
 	if t != nil && t.clock != nil {

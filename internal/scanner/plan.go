@@ -169,21 +169,25 @@ func (p *Plan) unitFingerprint(sh *shard) uint64 {
 func (p *Plan) Fingerprint() uint64 {
 	h := stats.Hash("geoblock-plan")
 	h = stats.Mix64(h ^ uint64(len(p.domains)) ^ uint64(len(p.countries))<<20)
-	h = stats.Mix64(h ^ uint64(p.cfg.ShardSize) ^ uint64(p.cfg.RequestsPerExit)<<16 ^ uint64(p.cfg.MaxRedirects)<<32)
+	h = stats.Mix64(h ^ uint64(p.cfg.ShardSize))
 	h = stats.Mix64(h ^ uint64(p.cfg.Bodies)<<4)
-	if p.cfg.VerifyConnectivity {
-		h = stats.Mix64(h ^ 1)
+	h = MixHeaders(h, p.cfg.Headers)
+	for _, sh := range p.shards {
+		h = stats.Mix64(h ^ p.unitFingerprint(sh))
 	}
-	keys := make([]string, 0, len(p.cfg.Headers))
-	for k := range p.cfg.Headers {
+	return h
+}
+
+// MixHeaders folds a header set into the digest h in sorted key order,
+// so equal sets digest alike whatever their map order.
+func MixHeaders(h uint64, headers map[string]string) uint64 {
+	keys := make([]string, 0, len(headers))
+	for k := range headers {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		h = stats.Mix64(h ^ stats.Hash(k) ^ stats.Hash(p.cfg.Headers[k])<<1)
-	}
-	for _, sh := range p.shards {
-		h = stats.Mix64(h ^ p.unitFingerprint(sh))
+		h = stats.Mix64(h ^ stats.Hash(k) ^ stats.Hash(headers[k])<<1)
 	}
 	return h
 }
@@ -438,15 +442,13 @@ func (a *Assembly) emit() {
 			// Unit events land in frontier order, then the emission
 			// itself is recorded.
 			tr.Append(res.Trace)
-			virt, wall := tr.Now()
 			ev := trace.NewEvent(p.scanCtx.Child("sink.emit", sh.seq), "sink.emit")
 			ev.Parent = p.scanCtx.Span
 			ev.Unit = sh.seq
 			ev.Country = sh.country
 			ev.Phase = p.cfg.Phase
 			ev.Outcome = outcome(res.Lost)
-			ev.VirtNS = virt
-			ev.WallNS = wall
+			ev.WallNS = tr.Now()
 			ev.Attrs = []trace.Attr{{K: "samples", V: strconv.Itoa(len(res.Samples))}}
 			tr.Record(ev)
 		}

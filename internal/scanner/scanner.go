@@ -224,16 +224,20 @@ func (p BodyPolicy) keeps(status int) bool {
 // sticky session amortizes its connectivity pre-check.
 const DefaultShardSize = 32
 
+// The paper's per-exit load bound and redirect bound (§3.2, §4.1.1):
+// a session rotates its exit after RequestsPerExit requests, and an
+// attempt follows at most MaxRedirects redirects.
+const (
+	RequestsPerExit = 10
+	MaxRedirects    = 10
+)
+
 // Config tunes a scan.
 type Config struct {
 	// Samples per (domain, country) pair.
 	Samples int
 	// Retries per failed sample (the Lumscan reliability feature).
 	Retries int
-	// RequestsPerExit bounds per-exit load before rotation (paper: 10).
-	RequestsPerExit int
-	// MaxRedirects bounds the redirect chain (paper: 10).
-	MaxRedirects int
 	// Concurrency bounds the number of scheduler workers. Output is
 	// bit-identical at any value (see the package determinism contract).
 	Concurrency int
@@ -251,9 +255,6 @@ type Config struct {
 	// Phase salts the per-sample seeds so that repeated passes over the
 	// same pairs draw fresh samples.
 	Phase string
-	// VerifyConnectivity runs the platform echo check when picking up a
-	// new exit, rotating away from dead machines.
-	VerifyConnectivity bool
 	// WrapTransport, when non-nil, wraps the RoundTrip adapter of each
 	// shard's session (or VPS stack) — the middleware seam for
 	// instrumentation, latency injection in benchmarks, or request
@@ -307,12 +308,6 @@ type Resume struct {
 func (c Config) withDefaults() Config {
 	if c.Samples <= 0 {
 		c.Samples = 1
-	}
-	if c.MaxRedirects <= 0 {
-		c.MaxRedirects = 10
-	}
-	if c.RequestsPerExit <= 0 {
-		c.RequestsPerExit = 10
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8

@@ -141,7 +141,7 @@ func (p *Plan) recordSteal(seq, worker int) {
 	ev.Unit = seq
 	ev.Phase = p.cfg.Phase
 	ev.Runtime = true
-	_, ev.WallNS = tr.Now()
+	ev.WallNS = tr.Now()
 	ev.Attrs = []trace.Attr{{K: "worker", V: strconv.Itoa(worker)}}
 	tr.Record(ev)
 }

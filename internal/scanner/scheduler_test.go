@@ -19,13 +19,10 @@ var (
 
 func testConfig() Config {
 	return Config{
-		Samples:            3,
-		Retries:            2,
-		RequestsPerExit:    10,
-		MaxRedirects:       10,
-		Headers:            BrowserHeaders(),
-		Phase:              "scanner-test",
-		VerifyConnectivity: true,
+		Samples: 3,
+		Retries: 2,
+		Headers: BrowserHeaders(),
+		Phase:   "scanner-test",
 	}
 }
 
@@ -127,9 +124,9 @@ func TestLoadBoundUnderStealing(t *testing.T) {
 	if load.MaxStretch == 0 {
 		t.Fatal("no load recorded")
 	}
-	if load.MaxStretch > cfg.RequestsPerExit {
+	if load.MaxStretch > RequestsPerExit {
 		t.Fatalf("an exit served %d consecutive samples; the budget is %d",
-			load.MaxStretch, cfg.RequestsPerExit)
+			load.MaxStretch, RequestsPerExit)
 	}
 	// Sharding must spread load across the inventory at least as well
 	// as one session per country did.

@@ -22,9 +22,7 @@ const DefaultVerifyProbes = 5
 // owned by a single shard and is not safe for concurrent use.
 type session struct {
 	s       *proxy.Session
-	retries int  // Config.Retries: attempts per sample = 1 + retries
-	perExit int  // Config.RequestsPerExit: per-exit budget before rotation
-	verify  bool // Config.VerifyConnectivity: run the pre-check
+	retries int // Config.Retries: attempts per sample = 1 + retries
 	h       health
 	t       *tally
 }
@@ -42,7 +40,7 @@ func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config
 		t.openAttempts++
 		s, err := net.NewSessionAttempt(cc, slot, attempt)
 		if err == nil {
-			return &session{s: s, retries: cfg.Retries, perExit: cfg.RequestsPerExit, verify: cfg.VerifyConnectivity, t: t}, nil
+			return &session{s: s, retries: cfg.Retries, t: t}, nil
 		}
 		lastErr = err
 		var brown *proxy.ErrBrownout
@@ -67,11 +65,11 @@ func (se *session) ready(seed uint64) bool {
 	if se.h.dead {
 		return false
 	}
-	if se.s.Used() >= se.perExit {
+	if se.s.Used() >= RequestsPerExit {
 		se.s.Rotate()
 		se.t.rotations++
 	}
-	if se.verify && se.s.Used() == 0 {
+	if se.s.Used() == 0 {
 		probes := DefaultVerifyProbes
 		if n := se.s.InventorySize(); n < probes {
 			probes = n // extra probes would only revisit exits already seen

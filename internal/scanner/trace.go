@@ -97,14 +97,13 @@ func recordScanTail(tr *trace.Tracer, scanCtx trace.SpanCtx, phase string, outag
 	if tr == nil || !scanCtx.Valid() {
 		return
 	}
-	virt, wall := tr.Now()
+	wall := tr.Now()
 	for i, o := range outages {
 		ev := trace.NewEvent(scanCtx.Child("outage", i), "outage")
 		ev.Parent = scanCtx.Span
 		ev.Phase = phase
 		ev.Country = string(o.Country)
 		ev.Outcome = o.Reason.String()
-		ev.VirtNS = virt
 		ev.WallNS = wall
 		ev.Attrs = []trace.Attr{
 			{K: "shards_lost", V: strconv.Itoa(o.Shards)},
@@ -121,7 +120,6 @@ func recordScanTail(tr *trace.Tracer, scanCtx trace.SpanCtx, phase string, outag
 	} else {
 		ev.Outcome = "degraded"
 	}
-	ev.VirtNS = virt
 	ev.WallNS = wall
 	ev.Attrs = []trace.Attr{
 		{K: "shards", V: strconv.Itoa(shards)},

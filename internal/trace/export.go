@@ -29,7 +29,7 @@ type Trace struct {
 // Deterministic returns the view the engine's determinism contract
 // covers: runtime-class events and their drop tally removed, wall
 // stamps zeroed. Everything left — IDs, names, coordinates, outcomes,
-// attrs, virtual stamps, and the order itself — is a pure function of
+// attrs, and the order itself — is a pure function of
 // the scan inputs, so two runs of the same scan produce byte-identical
 // deterministic traces at any Concurrency and any worker count.
 func (t *Trace) Deterministic() *Trace {
@@ -75,9 +75,9 @@ type chromeTrace struct {
 }
 
 // WriteChrome writes the trace in Chrome trace-event JSON. Events land
-// as complete ("X") slices: timestamps prefer the wall stamps when a
-// wall clock was injected and fall back to virtual time; unit-scoped
-// events get one timeline row (tid) per unit, driver events row 0.
+// as complete ("X") slices at their wall stamps (zero when no wall
+// clock was injected); unit-scoped events get one timeline row (tid)
+// per unit, driver events row 0.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	out := chromeTrace{DisplayTimeUnit: "ms"}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
@@ -85,16 +85,12 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		Args: map[string]string{"name": "geoblock " + t.Root.Trace.String()},
 	})
 	for _, ev := range t.Events {
-		ts, dur := ev.WallNS, ev.WallDurNS
-		if ts == 0 && dur == 0 {
-			ts, dur = ev.VirtNS, ev.VirtDurNS
-		}
 		ce := chromeEvent{
 			Name: ev.Name,
 			Cat:  "det",
 			Ph:   "X",
-			TS:   float64(ts) / 1e3,
-			Dur:  float64(dur) / 1e3,
+			TS:   float64(ev.WallNS) / 1e3,
+			Dur:  float64(ev.WallDurNS) / 1e3,
 			PID:  1,
 		}
 		if ev.Runtime {

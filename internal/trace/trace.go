@@ -4,8 +4,7 @@
 // pipeline/stage and pipeline/scan events) and "what happened to
 // unit 17" — each record is one wide event carrying the trace/span
 // identity, the phase, unit, country, and outcome it describes, and
-// dual virtual + wall timestamps read through the telemetry Clock
-// seam.
+// one wall timestamp pair read through the telemetry Clock seam.
 //
 // Determinism is inherited from the engine's contract, not bolted on.
 // Trace and span IDs are pure functions of the scan inputs (world
@@ -85,14 +84,10 @@ type Attr struct {
 // Event is one wide record. Events are complete-span style: recorded
 // once, at the end of the thing they describe, carrying its outcome.
 //
-// Two timestamp pairs coexist, both read through the Clock seam.
-// VirtNS/VirtDurNS come from the injected (usually virtual) clock and
-// belong to the deterministic view; unit-scoped events read a fresh
-// epoch-pinned virtual clock so their stamps cannot depend on which
-// process or worker ran the unit. WallNS/WallDurNS are real time when
-// a wall clock was injected — runtime-class information, zeroed by
-// Trace.Deterministic, used by the Chrome export to lay out the
-// timeline.
+// WallNS/WallDurNS are real time when a wall clock was injected (read
+// through the Clock seam, zero otherwise) — runtime-class information,
+// zeroed by Trace.Deterministic, used by the Chrome export to lay out
+// the timeline.
 type Event struct {
 	Trace  ID `json:"trace"`
 	Span   ID `json:"span"`
@@ -115,8 +110,6 @@ type Event struct {
 	// are stripped from the deterministic view exactly like
 	// runtime-class metrics.
 	Runtime   bool   `json:"runtime,omitempty"`
-	VirtNS    int64  `json:"virt_ns,omitempty"`
-	VirtDurNS int64  `json:"virt_dur_ns,omitempty"`
 	WallNS    int64  `json:"wall_ns,omitempty"`
 	WallDurNS int64  `json:"wall_dur_ns,omitempty"`
 	Attrs     []Attr `json:"attrs,omitempty"`

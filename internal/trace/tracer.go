@@ -36,12 +36,11 @@ const DefaultFlightSize = 256
 // the engine's Assembly. A nil *Tracer no-ops everywhere, so the
 // engine's hot path pays one pointer test when tracing is off.
 type Tracer struct {
-	// root, clock, and wall are fixed before the tracer is shared (the
-	// With* builders run at construction sites); they sit above mu,
-	// outside the guarded set.
-	root  SpanCtx
-	clock telemetry.Clock
-	wall  telemetry.Clock
+	// root and wall are fixed before the tracer is shared (the With*
+	// builders run at construction sites); they sit above mu, outside
+	// the guarded set.
+	root SpanCtx
+	wall telemetry.Clock
 
 	mu      sync.Mutex
 	events  []Event
@@ -59,23 +58,14 @@ type Tracer struct {
 	runtimeDropped int64 // runtime events past limit
 }
 
-// New builds a tracer rooted at ctx, on a virtual clock, with no wall
-// clock and no flight sink. Chain With* to configure before sharing.
+// New builds a tracer rooted at ctx, with no wall clock and no flight
+// sink. Chain With* to configure before sharing.
 func New(root SpanCtx) *Tracer {
 	return &Tracer{
 		root:  root,
-		clock: telemetry.NewVirtual(),
 		limit: DefaultLimit,
 		ring:  make([]Event, DefaultFlightSize),
 	}
-}
-
-// WithClock sets the tracer's primary (virtual-time) clock.
-func (t *Tracer) WithClock(c telemetry.Clock) *Tracer {
-	if t != nil && c != nil {
-		t.clock = c
-	}
-	return t
 }
 
 // WithWall sets the wall clock for WallNS stamps (the CLIs pass
@@ -127,17 +117,12 @@ func (t *Tracer) WallClock() telemetry.Clock {
 	return t.wall
 }
 
-// Now reads both clocks: virtual nanoseconds from the primary clock
-// and wall nanoseconds from the wall clock (0 without one).
-func (t *Tracer) Now() (virtNS, wallNS int64) {
-	if t == nil {
-		return 0, 0
+// Now reads the wall clock in nanoseconds, 0 without one.
+func (t *Tracer) Now() int64 {
+	if t == nil || t.wall == nil {
+		return 0
 	}
-	virtNS = t.clock.Now().UnixNano()
-	if t.wall != nil {
-		wallNS = t.wall.Now().UnixNano()
-	}
-	return virtNS, wallNS
+	return t.wall.Now().UnixNano()
 }
 
 // Record appends one event, filling its trace ID from the root when

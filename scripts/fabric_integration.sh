@@ -1,10 +1,10 @@
 #!/bin/sh
 # Multi-process fabric integration: the distributed-identity contract
-# checked across real OS processes, not goroutines. One lumscan
-# coordinator and three scanworker processes — one of which is killed
-# by chaos injection mid-shard so its lease expires and the shard is
-# re-executed — must journal byte-identical segment files to a
-# single-process run of the same scan.
+# checked across real OS processes, not goroutines. One `geoscan
+# -study lumscan` coordinator and three scanworker processes — one of
+# which is killed by chaos injection mid-shard so its lease expires and
+# the shard is re-executed — must journal byte-identical segment files
+# to a single-process run of the same scan.
 #
 # Run via `make fabric-test`. Needs only the go toolchain and a POSIX
 # shell; everything happens under a temp directory that is cleaned up
@@ -24,8 +24,8 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "fabric-integration: building lumscan + scanworker"
-go build -o "$work/lumscan" ./cmd/lumscan
+echo "fabric-integration: building geoscan + scanworker"
+go build -o "$work/geoscan" ./cmd/geoscan
 go build -o "$work/scanworker" ./cmd/scanworker
 
 # The scan: the full safe population at a small scale, multi-country,
@@ -34,7 +34,7 @@ go build -o "$work/scanworker" ./cmd/scanworker
 scan_flags="-domains all -countries US,DE,IR,SY,BR -samples 2 -seed 11 -scale 0.02 -faults flaky50 -faultseed 3"
 
 echo "fabric-integration: single-process reference run"
-"$work/lumscan" $scan_flags -store "$work/ref" >"$work/ref.out" 2>"$work/ref.err" \
+"$work/geoscan" -study lumscan $scan_flags -store "$work/ref" >"$work/ref.out" 2>"$work/ref.err" \
     || { echo "single-process run failed:"; cat "$work/ref.err"; exit 1; }
 
 echo "fabric-integration: coordinator + 3 workers (one chaos-killed)"
@@ -43,8 +43,8 @@ echo "fabric-integration: coordinator + 3 workers (one chaos-killed)"
 # shard completions and merged in canonical order. The file survives
 # the temp-dir cleanup as the run's artifact (CI uploads it).
 trace_artifact="${FABRIC_TRACE_ARTIFACT:-$here/fabric-trace.json}"
-"$work/lumscan" $scan_flags -store "$work/fab" -trace "$trace_artifact" \
-    -serve-fabric 127.0.0.1:0 -fabric-ready-file "$work/ready" \
+"$work/geoscan" -study lumscan $scan_flags -store "$work/fab" -trace "$trace_artifact" \
+    -fabric 127.0.0.1:0 -fabric-ready-file "$work/ready" \
     >"$work/fab.out" 2>"$work/fab.err" &
 coord=$!
 pids="$coord"
