@@ -52,6 +52,11 @@
 #                a nested module, so `go test ./...` never compiles it):
 #                it imports the scan engine's public seams, and a change
 #                to them must not leave the benchmark unbuildable
+#   make experiments  rerun the paper-scale reproduction (mktables
+#                -scale 1.0, about a minute and 2 GB) into a temporary
+#                directory and diff it against the committed record in
+#                out/, which EXPERIMENTS.md quotes: a change that moves
+#                any paper-scale number fails until both are regenerated
 #   make soak    the verdict edge's full soak: 32 concurrent clients, a
 #                live snapshot swap mid-run, zero dropped or incorrect
 #                verdicts, p99 service latency and in-process lookup
@@ -60,7 +65,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check lint lint-json race cover fuzz bench profile fabric-test perfbench-test soak
+.PHONY: check fmt-check lint lint-json race cover fuzz bench profile fabric-test perfbench-test experiments soak
 
 check: fmt-check
 	$(GO) build ./...
@@ -132,6 +137,11 @@ fabric-test:
 
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+experiments:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/mktables -scale 1.0 -out "$$tmp" > /dev/null && \
+	diff -r out "$$tmp" && echo "experiments: out/ reproduces at paper scale"
 
 soak:
 	GEOBLOCK_SOAK=full $(GO) test ./cmd/worldd -run TestVerdictSoak -v -count=1

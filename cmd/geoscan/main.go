@@ -37,9 +37,9 @@ import (
 	"geoblock/internal/analysis"
 	"geoblock/internal/faults"
 	"geoblock/internal/fingerprint"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/papertables"
 	"geoblock/internal/pipeline"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
@@ -170,7 +170,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "geoscan: metrics on http://%s/debug/metrics\n", *metricsAddr)
 	}
 	stopProgress := telemetry.StartProgress(os.Stderr, 2*time.Second, func() string {
-		return "geoscan: " + lumscan.ProgressLine(reg)
+		return "geoscan: " + scanner.ProgressLine(reg)
 	})
 	defer stopProgress()
 
@@ -218,7 +218,7 @@ func main() {
 		}
 		var headers map[string]string
 		if *zgrab {
-			headers = lumscan.ZGrabHeaders()
+			headers = scanner.ZGrabHeaders()
 		}
 		countries := probeCountries(*countriesFlag)
 		fmt.Printf("%-28s %-4s %-3s %-8s %-6s %-16s %s\n",
@@ -343,7 +343,7 @@ type probeSink struct {
 	showErrors bool
 }
 
-func (p *probeSink) Emit(s lumscan.Sample) {
+func (p *probeSink) Emit(s scanner.Sample) {
 	domain, cc := p.domains[s.Domain], p.countries[s.Country]
 	if !s.OK() {
 		if p.showErrors {
@@ -362,12 +362,12 @@ func (p *probeSink) Emit(s lumscan.Sample) {
 		domain, cc, s.Attempt, s.Status, s.BodyLen, s.ExitIP, page)
 }
 
-func (p *probeSink) EmitOutage(o lumscan.Outage) {
+func (p *probeSink) EmitOutage(o scanner.Outage) {
 	fmt.Fprintf(os.Stderr, "geoscan: outage %s (%s): %d/%d shards, %d tasks lost\n",
 		o.Country, o.Reason, o.Shards, o.ShardsTotal, o.Tasks)
 }
 
-func (p *probeSink) EmitCoverage(cov lumscan.Coverage) {
+func (p *probeSink) EmitCoverage(cov scanner.Coverage) {
 	if cov.Full() {
 		return
 	}

@@ -6,7 +6,7 @@
 //	mktables -scale 1.0 -out out/
 //
 // At -scale 1.0 the run performs the full paper-scale studies (several
-// million simulated HTTP requests) and takes a few minutes.
+// million simulated HTTP requests) and takes about a minute.
 package main
 
 import (

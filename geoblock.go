@@ -28,11 +28,11 @@ import (
 	"geoblock/internal/cfrules"
 	"geoblock/internal/fabric"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/ooni"
 	"geoblock/internal/pipeline"
 	"geoblock/internal/proxy"
 	"geoblock/internal/runstore"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 	"geoblock/internal/verdict"
@@ -296,7 +296,7 @@ func (s *System) Net() *proxy.Network {
 // set), streamed to sink in canonical order. Like every study phase it
 // journals to Options.Store under the key "cli", runs on Options.Fabric
 // when set, traces into Options.Trace, and reports an abort through Err.
-func (s *System) Probe(domains []string, countries []CountryCode, samples int, headers map[string]string, sink lumscan.Sink) {
+func (s *System) Probe(domains []string, countries []CountryCode, samples int, headers map[string]string, sink scanner.Sink) {
 	s.study.Probe(domains, countries, samples, headers, sink)
 }
 

@@ -17,8 +17,8 @@
 package cdnid
 
 import (
-	"context"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -168,32 +168,28 @@ func (id *Identifier) classifyDomain(stack *vnet.Stack, res *vnet.Resolver, d *w
 		set[worldgen.AppEngine] = true
 	}
 
-	// Header probe over the redirect chain (manual chain walk so every
-	// hop's headers are inspected, per §5.1.1).
-	url := "http://" + d.Name + "/"
-	seed := stats.Mix64(stats.Hash(d.Name) ^ 0x1d3)
+	// Header probe over the redirect chain, walked hop by hop so every
+	// hop's headers are inspected (§5.1.1).
+	p := vnet.Probe{Scheme: "http", Host: d.Name, Path: "/",
+		Seed: stats.Mix64(stats.Hash(d.Name) ^ 0x1d3), Header: pragmaProbe}
+	var r vnet.Reply
 	for hop := 0; hop < 10; hop++ {
-		req, err := http.NewRequestWithContext(
-			vnet.WithSampleSeed(context.Background(), seed), http.MethodHead, url, nil)
+		if stack.Probe(p, &r) != nil {
+			break
+		}
+		collectHeaderEvidence(r.Header(), set)
+		if r.Status < 300 || r.Status >= 400 {
+			break
+		}
+		loc := r.Location()
+		if loc == "" {
+			break
+		}
+		next, err := url.Parse(loc)
 		if err != nil {
 			break
 		}
-		req.Header.Set("User-Agent", "Mozilla/5.0 (Macintosh; Intel Mac OS X 10.13; rv:61.0) Gecko/20100101 Firefox/61.0")
-		req.Header.Set("Pragma", "akamai-x-cache-on, akamai-x-cache-remote-on, akamai-x-get-cache-key")
-		resp, err := stack.RoundTrip(req)
-		if err != nil {
-			break
-		}
-		resp.Body.Close()
-		collectHeaderEvidence(resp.Header, set)
-		if resp.StatusCode < 300 || resp.StatusCode >= 400 {
-			break
-		}
-		next := resp.Header.Get("Location")
-		if next == "" {
-			break
-		}
-		url = next
+		p.Scheme, p.Host, p.Path = next.Scheme, next.Hostname(), next.Path
 	}
 
 	out := make([]worldgen.Provider, 0, len(set))
@@ -206,6 +202,14 @@ func (id *Identifier) classifyDomain(stack *vnet.Stack, res *vnet.Resolver, d *w
 		}
 	}
 	return out
+}
+
+// pragmaProbe is the discovery probe's header set: a browser
+// User-Agent and the Akamai debug Pragma directives. Probes share it
+// read-only.
+var pragmaProbe = http.Header{
+	"User-Agent": {"Mozilla/5.0 (Macintosh; Intel Mac OS X 10.13; rv:61.0) Gecko/20100101 Firefox/61.0"},
+	"Pragma":     {"akamai-x-cache-on, akamai-x-cache-remote-on, akamai-x-get-cache-key"},
 }
 
 func collectHeaderEvidence(h http.Header, set map[worldgen.Provider]bool) {

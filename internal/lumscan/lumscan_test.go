@@ -1,6 +1,7 @@
 package lumscan
 
 import (
+	"context"
 	"testing"
 
 	"geoblock/internal/blockpage"
@@ -9,6 +10,10 @@ import (
 	"geoblock/internal/scanner"
 	"geoblock/internal/worldgen"
 )
+
+// These tests drive the engine through the aliases the benchmark
+// imports (ScanStream, Collect, DefaultConfig, Replay), so a change to
+// the surface perfbench depends on fails here first.
 
 var (
 	testWorld = worldgen.Generate(worldgen.TestConfig())
@@ -24,11 +29,31 @@ func smallScanInputs(t *testing.T) ([]string, []geo.CountryCode) {
 	return domains, []geo.CountryCode{"US", "DE", "IR", "SY", "BR"}
 }
 
+// scan streams the full domain × country cross product into a Collect.
+func scan(t *testing.T, domains []string, countries []geo.CountryCode, cfg Config) *scanner.Result {
+	t.Helper()
+	var c Collect
+	if err := ScanStream(context.Background(), testNet, domains, countries, CrossProduct(len(domains), len(countries)), cfg, &c); err != nil {
+		t.Fatal(err)
+	}
+	return &scanner.Result{Domains: domains, Countries: countries, Samples: c.Samples}
+}
+
+// scanVPS streams the full domain × fleet cross product into a Collect.
+func scanVPS(t *testing.T, fleet []*proxy.VPS, domains []string, cfg Config) []Sample {
+	t.Helper()
+	var c Collect
+	if err := scanner.RunVPS(context.Background(), fleet, domains, nil, cfg, &c); err != nil {
+		t.Fatal(err)
+	}
+	return c.Samples
+}
+
 func TestScanProducesAllSamples(t *testing.T) {
 	domains, countries := smallScanInputs(t)
 	cfg := DefaultConfig()
 	cfg.Concurrency = 4
-	res := Scan(testNet, domains, countries, CrossProduct(len(domains), len(countries)), cfg)
+	res := scan(t, domains, countries, cfg)
 	want := len(domains) * len(countries) * cfg.Samples
 	if len(res.Samples) != want {
 		t.Fatalf("samples = %d, want %d", len(res.Samples), want)
@@ -55,8 +80,8 @@ func TestScanProducesAllSamples(t *testing.T) {
 func TestScanDeterministic(t *testing.T) {
 	domains, countries := smallScanInputs(t)
 	cfg := DefaultConfig()
-	a := Scan(testNet, domains, countries, CrossProduct(len(domains), len(countries)), cfg)
-	b := Scan(testNet, domains, countries, CrossProduct(len(domains), len(countries)), cfg)
+	a := scan(t, domains, countries, cfg)
+	b := scan(t, domains, countries, cfg)
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatal("sample counts differ")
 	}
@@ -72,9 +97,9 @@ func TestPhaseChangesSamples(t *testing.T) {
 	domains, countries := smallScanInputs(t)
 	cfg := DefaultConfig()
 	cfg.Samples = 1
-	a := Scan(testNet, domains, countries, CrossProduct(len(domains), len(countries)), cfg)
+	a := scan(t, domains, countries, cfg)
 	cfg.Phase = "resample"
-	b := Scan(testNet, domains, countries, CrossProduct(len(domains), len(countries)), cfg)
+	b := scan(t, domains, countries, cfg)
 	diff := 0
 	for i := range a.Samples {
 		if a.Samples[i].Seed != b.Samples[i].Seed {
@@ -99,8 +124,7 @@ func TestBlockPageBodiesKept(t *testing.T) {
 	if gae == nil {
 		t.Skip("no GAE domain at this scale")
 	}
-	res := Scan(testNet, []string{gae.Name}, []geo.CountryCode{"IR"},
-		CrossProduct(1, 1), DefaultConfig())
+	res := scan(t, []string{gae.Name}, []geo.CountryCode{"IR"}, DefaultConfig())
 	found := false
 	for _, s := range res.Samples {
 		if s.OK() && s.Status == 403 {
@@ -123,7 +147,7 @@ func TestBlockPageBodiesKept(t *testing.T) {
 
 func TestSuccessBodiesDropped(t *testing.T) {
 	domains, countries := smallScanInputs(t)
-	res := Scan(testNet, domains, countries[:1], CrossProduct(len(domains), 1), DefaultConfig())
+	res := scan(t, domains, countries[:1], DefaultConfig())
 	for _, s := range res.Samples {
 		if s.Status == 200 && s.Body != "" {
 			t.Fatal("200 bodies must not be retained by default")
@@ -145,12 +169,12 @@ func TestReplayReproducesBody(t *testing.T) {
 	if gae == nil {
 		t.Skip("no GAE domain at this scale")
 	}
-	res := Scan(testNet, []string{gae.Name}, []geo.CountryCode{"SY"}, CrossProduct(1, 1), DefaultConfig())
+	res := scan(t, []string{gae.Name}, []geo.CountryCode{"SY"}, DefaultConfig())
 	for _, s := range res.Samples {
 		if !s.OK() || s.Body == "" {
 			continue
 		}
-		body, status, err := Replay(testWorld, gae.Name, s.ExitIP, s.Seed, BrowserHeaders(), 10)
+		body, status, err := Replay(testWorld, gae.Name, s.ExitIP, s.Seed, BrowserHeaders(), scanner.MaxRedirects)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,13 +187,12 @@ func TestReplayReproducesBody(t *testing.T) {
 }
 
 func TestNoExitsCountry(t *testing.T) {
-	res := Scan(testNet, []string{testWorld.Top10K()[0].Name}, []geo.CountryCode{"KP"},
-		CrossProduct(1, 1), DefaultConfig())
+	res := scan(t, []string{testWorld.Top10K()[0].Name}, []geo.CountryCode{"KP"}, DefaultConfig())
 	if len(res.Samples) != 3 {
 		t.Fatalf("samples = %d", len(res.Samples))
 	}
 	for _, s := range res.Samples {
-		if s.Err != ErrNoExits {
+		if s.Err != scanner.ErrNoExits {
 			t.Fatalf("North Korea sample err = %v", s.Err)
 		}
 	}
@@ -186,9 +209,9 @@ func TestLuminatiRestricted(t *testing.T) {
 	if d == nil {
 		t.Skip("no restricted domain at this scale")
 	}
-	res := Scan(testNet, []string{d.Name}, []geo.CountryCode{"US"}, CrossProduct(1, 1), DefaultConfig())
+	res := scan(t, []string{d.Name}, []geo.CountryCode{"US"}, DefaultConfig())
 	for _, s := range res.Samples {
-		if s.Err != ErrLuminati {
+		if s.Err != scanner.ErrLuminati {
 			t.Fatalf("restricted domain err = %v", s.Err)
 		}
 	}
@@ -205,9 +228,9 @@ func TestUnreachableTimesOutAfterRetries(t *testing.T) {
 	if d == nil {
 		t.Skip("no unreachable domain")
 	}
-	res := Scan(testNet, []string{d.Name}, []geo.CountryCode{"US"}, CrossProduct(1, 1), DefaultConfig())
+	res := scan(t, []string{d.Name}, []geo.CountryCode{"US"}, DefaultConfig())
 	for _, s := range res.Samples {
-		if s.Err != ErrTimeout {
+		if s.Err != scanner.ErrTimeout {
 			t.Fatalf("unreachable domain err = %v", s.Err)
 		}
 	}
@@ -221,13 +244,13 @@ func TestScanVPS(t *testing.T) {
 			domains = append(domains, d.Name)
 		}
 	}
-	cfg := Config{Samples: 1, Headers: ZGrabHeaders(), Phase: "explore"}
-	res := ScanVPS(fleet, domains, cfg)
-	if len(res.Samples) != len(domains)*2 {
-		t.Fatalf("samples = %d", len(res.Samples))
+	cfg := Config{Samples: 1, Headers: scanner.ZGrabHeaders(), Phase: "explore"}
+	samples := scanVPS(t, fleet, domains, cfg)
+	if len(samples) != len(domains)*2 {
+		t.Fatalf("samples = %d", len(samples))
 	}
-	for _, s := range res.Samples {
-		if s.Err == ErrProxy {
+	for _, s := range samples {
+		if s.Err == scanner.ErrProxy {
 			t.Fatal("VPS scans have no proxy failures")
 		}
 	}
@@ -253,9 +276,9 @@ func TestCrawlerHeadersTriggerBotDefense(t *testing.T) {
 	}
 	fleet := proxy.VPSFleet(botWorld, []geo.CountryCode{"US"})
 
-	crawler := ScanVPS(fleet, []string{d.Name}, Config{Samples: 3, Headers: ZGrabHeaders(), Phase: "a"})
+	crawler := scanVPS(t, fleet, []string{d.Name}, Config{Samples: 3, Headers: scanner.ZGrabHeaders(), Phase: "a"})
 	got403 := false
-	for _, s := range crawler.Samples {
+	for _, s := range crawler {
 		if s.Status == 403 {
 			got403 = true
 		}
@@ -264,9 +287,9 @@ func TestCrawlerHeadersTriggerBotDefense(t *testing.T) {
 		t.Fatal("crawler fingerprint should trip bot defense")
 	}
 
-	browser := ScanVPS(fleet, []string{d.Name}, Config{Samples: 3, Headers: BrowserHeaders(), Phase: "a"})
+	browser := scanVPS(t, fleet, []string{d.Name}, Config{Samples: 3, Headers: BrowserHeaders(), Phase: "a"})
 	got200 := false
-	for _, s := range browser.Samples {
+	for _, s := range browser {
 		if s.Status == 200 {
 			got200 = true
 		}
@@ -277,7 +300,7 @@ func TestCrawlerHeadersTriggerBotDefense(t *testing.T) {
 }
 
 func TestErrCodeStrings(t *testing.T) {
-	codes := []ErrCode{ErrNone, ErrProxy, ErrTimeout, ErrDNS, ErrReset, ErrRedirects, ErrLuminati, ErrNoExits}
+	codes := []scanner.ErrCode{scanner.ErrNone, scanner.ErrProxy, scanner.ErrTimeout, scanner.ErrDNS, scanner.ErrReset, scanner.ErrRedirects, scanner.ErrLuminati, scanner.ErrNoExits}
 	seen := map[string]bool{}
 	for _, c := range codes {
 		s := c.String()
@@ -294,7 +317,7 @@ func TestLoadBalancingBoundsExitUse(t *testing.T) {
 	// bounded overshoot on top of the per-sample budget check.
 	domains, countries := smallScanInputs(t)
 	cfg := DefaultConfig()
-	res := Scan(testNet, domains, countries, CrossProduct(len(domains), len(countries)), cfg)
+	res := scan(t, domains, countries, cfg)
 	load := res.LoadReport()
 	if load.MaxStretch == 0 {
 		t.Fatal("no load recorded")
@@ -307,5 +330,51 @@ func TestLoadBalancingBoundsExitUse(t *testing.T) {
 	}
 	if len(load.PerExit) < len(countries) {
 		t.Fatalf("only %d exits used for %d countries", len(load.PerExit), len(countries))
+	}
+}
+
+func TestCrossProductShape(t *testing.T) {
+	tasks := CrossProduct(3, 2)
+	if len(tasks) != 6 {
+		t.Fatalf("len = %d", len(tasks))
+	}
+	// Grouped by country so one worker keeps one session.
+	if tasks[0].Country != 0 || tasks[3].Country != 1 {
+		t.Fatalf("ordering wrong: %+v", tasks)
+	}
+	if CrossProduct(0, 5) == nil {
+		// Empty is fine, but must not panic.
+		t.Log("empty cross product")
+	}
+}
+
+func TestDefaultConfigValues(t *testing.T) {
+	cfg := DefaultConfig()
+	if cfg.Samples != 3 || cfg.Phase != "initial" {
+		t.Fatalf("default samples = %d phase = %q", cfg.Samples, cfg.Phase)
+	}
+	if cfg.Headers["Accept-Language"] == "" {
+		t.Fatal("browser header set incomplete")
+	}
+}
+
+func TestZGrabHeadersAreCrawlerLike(t *testing.T) {
+	h := scanner.ZGrabHeaders()
+	if h["Accept"] != "" || h["Accept-Language"] != "" {
+		t.Fatal("ZGrab set must be bare")
+	}
+	if h["User-Agent"] == "" {
+		t.Fatal("ZGrab still sets a UA (§3.1)")
+	}
+}
+
+func TestSampleOKSemantics(t *testing.T) {
+	s := Sample{Err: scanner.ErrNone, Status: 200}
+	if !s.OK() {
+		t.Fatal("ok sample misreported")
+	}
+	s.Err = scanner.ErrTimeout
+	if s.OK() {
+		t.Fatal("failed sample misreported")
 	}
 }

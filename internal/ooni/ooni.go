@@ -11,15 +11,13 @@
 package ooni
 
 import (
-	"context"
-	"io"
-	"net/http"
 	"sort"
 
 	"geoblock/internal/blockpage"
 	"geoblock/internal/censor"
 	"geoblock/internal/fingerprint"
 	"geoblock/internal/geo"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
@@ -157,31 +155,22 @@ func measureCountry(w *worldgen.World, cls *fingerprint.Classifier, torStack *vn
 // fetch performs one measurement fetch. Control fetches use OONI's
 // bare client fingerprint; local fetches use a browser-like set.
 func fetch(stack *vnet.Stack, cls *fingerprint.Classifier, domain string, seed uint64, control bool) (int16, blockpage.Kind, bool) {
-	client := stack.Client(10)
-	req, err := http.NewRequestWithContext(
-		vnet.WithSampleSeed(context.Background(), seed),
-		http.MethodGet, "http://"+domain+"/", nil)
-	if err != nil {
-		return 0, blockpage.KindNone, true
-	}
-	req.Header.Set("User-Agent", "Mozilla/5.0 (Windows NT 6.1; rv:45.0) Gecko/20100101 Firefox/45.0")
+	headers := map[string]string{"User-Agent": "Mozilla/5.0 (Windows NT 6.1; rv:45.0) Gecko/20100101 Firefox/45.0"}
 	if !control {
-		req.Header.Set("Accept", "text/html,application/xhtml+xml")
-		req.Header.Set("Accept-Language", "en-US,en;q=0.5")
+		headers["Accept"] = "text/html,application/xhtml+xml"
+		headers["Accept-Language"] = "en-US,en;q=0.5"
 	}
-	resp, err := client.Do(req)
-	if err != nil {
+	var r vnet.Reply
+	if scanner.Fetch(stack, domain, seed, headers, &r) != scanner.ErrNone {
 		return 0, blockpage.KindNone, true
 	}
-	defer resp.Body.Close()
 	kind := blockpage.KindNone
-	if resp.StatusCode != 200 {
-		body, rerr := io.ReadAll(resp.Body)
-		if rerr == nil {
-			kind = cls.Classify(string(body))
+	if r.Status != 200 {
+		if body, err := r.Body(); err == nil {
+			kind = cls.Classify(body)
 		}
 	}
-	return int16(resp.StatusCode), kind, false
+	return int16(r.Status), kind, false
 }
 
 // anomaly reproduces OONI's comparison: a measurement is anomalous when

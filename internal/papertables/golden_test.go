@@ -5,12 +5,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"geoblock/internal/analysis"
 	"geoblock/internal/cfrules"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/ooni"
 	"geoblock/internal/pipeline"
+	"geoblock/internal/scanner"
 	"geoblock/internal/worldgen"
 )
 
@@ -25,27 +28,56 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 //
 //	go test ./internal/papertables/ -run Golden -update
 func TestPaperTablesGolden(t *testing.T) {
-	w := worldgen.Generate(worldgen.TestConfig())
-	s := pipeline.New(w)
+	s, r := goldenTop10K()
+	w := s.World
 
 	var buf bytes.Buffer
-	PrintTop10K(&buf, w, s.RunTop10K(pipeline.Top10KConfig{}))
+	PrintTop10K(&buf, w, r)
 	PrintTop1M(&buf, w, s.RunTop1M(pipeline.Top1MConfig{}))
 	PrintCloudflareTable9(&buf, w.Geo, cfrules.Synthesize(w.Cfg.Seed, w.Cfg.Scale))
 
 	compareGolden(t, "tables.golden", buf.Bytes())
 }
 
+// TestStudyTablesGolden pins the studies that probe the simulated web
+// outside the Top-10K and Top-1M scans, from the same fixed world: the
+// §3.1 exploration, the three §7.3 extensions over the golden's
+// Top-10K result (with geoscan -study extensions' arguments), and the
+// §7.1 OONI comparison (geoscan -study ooni's two reports per pair).
+// Refresh intentionally with:
+//
+//	go test ./internal/papertables/ -run Golden -update
+func TestStudyTablesGolden(t *testing.T) {
+	s, r := goldenTop10K()
+	w := s.World
+
+	var buf bytes.Buffer
+	PrintExploration(&buf, s.RunExploration())
+	PrintTimeouts(&buf, s.AnalyzeTimeouts(r, 10))
+	PrintAppLayer(&buf, s.RunAppLayerStudy(analysis.RespondingDomains(r.Initial), "US", pipeline.AppLayerTargets()))
+	PrintRegional(&buf, s.RunRegionalAnalysis(r.RegionalCandidates(), 12))
+	PrintOONI(&buf, ooni.Analyze(w, ooni.Synthesize(w, ooni.Config{MeasurementsPerPair: 2})))
+
+	compareGolden(t, "studies.golden", buf.Bytes())
+}
+
+// goldenTop10K is the fixed world's study and its Top-10K result,
+// computed once for every golden that renders them.
+var goldenTop10K = sync.OnceValues(func() (*pipeline.Study, *pipeline.Top10KResult) {
+	s := pipeline.New(worldgen.Generate(worldgen.TestConfig()))
+	return s, s.RunTop10K(pipeline.Top10KConfig{})
+})
+
 // TestCoverageTableGolden pins the degraded-run rendering: outage rows
 // and the attained-vs-requested header, plus the quiet full-coverage
 // form.
 func TestCoverageTableGolden(t *testing.T) {
 	var buf bytes.Buffer
-	PrintCoverage(&buf, "chaos scan", []lumscan.Outage{
-		{Country: "IR", Reason: lumscan.OutageDark, Shards: 13, ShardsTotal: 13, Tasks: 391},
-		{Country: "SY", Reason: lumscan.OutageBrownout, Shards: 2, ShardsTotal: 9, Tasks: 64},
-	}, lumscan.Coverage{Requested: 177, Attained: 176, Lost: []geo.CountryCode{"IR"}, TasksLost: 455})
-	PrintCoverage(&buf, "clean scan", nil, lumscan.Coverage{Requested: 177, Attained: 177})
+	PrintCoverage(&buf, "chaos scan", []scanner.Outage{
+		{Country: "IR", Reason: scanner.OutageDark, Shards: 13, ShardsTotal: 13, Tasks: 391},
+		{Country: "SY", Reason: scanner.OutageBrownout, Shards: 2, ShardsTotal: 9, Tasks: 64},
+	}, scanner.Coverage{Requested: 177, Attained: 176, Lost: []geo.CountryCode{"IR"}, TasksLost: 455})
+	PrintCoverage(&buf, "clean scan", nil, scanner.Coverage{Requested: 177, Attained: 177})
 	compareGolden(t, "coverage.golden", buf.Bytes())
 }
 

@@ -6,8 +6,8 @@ import (
 	"geoblock/internal/blockpage"
 	"geoblock/internal/cdnid"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/proxy"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/worldgen"
 )
@@ -84,7 +84,7 @@ func (s *Study) RunExploration() *ExploreResult {
 	fleet := proxy.VPSFleet(s.World, proxy.VPSCountries())
 	cfg := s.scanConfig("explore")
 	cfg.Samples = 1
-	cfg.Headers = lumscan.ZGrabHeaders()
+	cfg.Headers = scanner.ZGrabHeaders()
 
 	countryIdx := map[geo.CountryCode]int16{}
 	for i, v := range fleet {
@@ -94,7 +94,7 @@ func (s *Study) RunExploration() *ExploreResult {
 	blockPairs := map[pairKey]blockpage.Kind{}
 	uniqueDomains := map[int32]bool{}
 	s.scanVPSStream("explore", cfg, fleet, domains, nil,
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			if !sm.OK() {
 				return
 			}
@@ -120,31 +120,28 @@ func (s *Study) RunExploration() *ExploreResult {
 
 	// Manual verification: load each flagged pair in "a real web
 	// browser tunneled through the VPS" — full browser headers. Bot
-	// false positives load fine; genuine geoblocks stay blocked. Pairs
-	// go in the engine's country-major order, which fixes each one's
-	// explore-verify#k journal key.
+	// false positives load fine; genuine geoblocks stay blocked. A VPS
+	// sample depends only on (domain, VPS, phase, attempt), so one scan
+	// of every flagged pair verifies each as its own fetch would.
+	genuine := map[pairKey]bool{}
 	verifyCfg := s.scanConfig("explore-verify")
 	verifyCfg.Samples = 1
-	for _, t := range taskList(blockPairs) {
-		kind := blockPairs[pairKey{t.Domain, t.Country}]
+	s.scanVPSStream("explore-verify", verifyCfg, fleet, domains, taskList(blockPairs),
+		scanner.SinkFunc(func(sm scanner.Sample) {
+			key := pairKey{sm.Domain, sm.Country}
+			if sm.OK() && sm.Body != "" && s.Classifier.Classify(sm.Body) == blockPairs[key] {
+				genuine[key] = true
+			}
+		}))
+	for key, kind := range blockPairs {
 		r.PerProviderPairs[kind]++
-		var sub lumscan.Collect
-		s.scanVPSStream("explore-verify", verifyCfg,
-			fleet[t.Country:t.Country+1], []string{domains[t.Domain]}, nil, &sub)
-		genuine := false
-		for i := range sub.Samples {
-			sm := &sub.Samples[i]
-			if sm.OK() && sm.Body != "" && s.Classifier.Classify(sm.Body) == kind {
-				genuine = true
-			}
-		}
-		if genuine {
+		if genuine[key] {
 			r.GenuinePairs++
-		} else {
-			r.FalsePositives++
-			if kind == blockpage.Akamai {
-				r.FalsePositivesAkamai++
-			}
+			continue
+		}
+		r.FalsePositives++
+		if kind == blockpage.Akamai {
+			r.FalsePositivesAkamai++
 		}
 	}
 	return r

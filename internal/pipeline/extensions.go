@@ -1,15 +1,13 @@
 package pipeline
 
 import (
-	"io"
-	"net/http"
 	"sort"
 
 	"geoblock/internal/applayer"
 	"geoblock/internal/blockpage"
 	"geoblock/internal/censor"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/vnet"
 )
@@ -75,7 +73,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 		case sm.OK():
 			t.responses++
 			domainOK[sm.Domain]++
-		case sm.Err == lumscan.ErrTimeout:
+		case sm.Err == scanner.ErrTimeout:
 			t.timeouts++
 		default:
 			t.other++
@@ -106,13 +104,13 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 		domains = append(domains, d)
 	}
 	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
-	var tasks []lumscan.Task
+	var tasks []scanner.Task
 	for _, d := range domains {
 		cs := candCountries[d]
 		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 		for _, c := range cs {
 			if s.timesOutFromDatacenter(r.SafeDomains[d], r.Countries[c]) {
-				tasks = append(tasks, lumscan.Task{Domain: d, Country: c})
+				tasks = append(tasks, scanner.Task{Domain: d, Country: c})
 			}
 		}
 	}
@@ -124,7 +122,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 	scanCfg.Retries = 0
 	confirm := map[pairKey]*tally{}
 	s.scanStream("timeout-confirm", scanCfg, r.SafeDomains, r.Countries, tasks,
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			key := pairKey{sm.Domain, sm.Country}
 			t := confirm[key]
 			if t == nil {
@@ -134,7 +132,7 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 			switch {
 			case sm.OK():
 				t.responses++
-			case sm.Err == lumscan.ErrTimeout:
+			case sm.Err == scanner.ErrTimeout:
 				t.timeouts++
 			default:
 				t.other++
@@ -170,38 +168,10 @@ func (s *Study) timesOutFromDatacenter(domain string, cc geo.CountryCode) bool {
 	if err != nil {
 		return false
 	}
-	stack := vnet.NewStack(s.World, ip)
-	client := stack.Client(10)
+	stack := vnet.At(s.World, ip)
 	seed := stats.Mix64(stats.Hash(domain) ^ stats.Hash(string(cc)) ^ 0x7a11)
-	req, err := http.NewRequestWithContext(
-		vnet.WithSampleSeed(s.ctx(), seed),
-		http.MethodGet, "http://"+domain+"/", nil)
-	if err != nil {
-		return false
-	}
-	for k, v := range lumscan.BrowserHeaders() {
-		req.Header.Set(k, v)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return isTimeout(err)
-	}
-	resp.Body.Close()
-	return false
-}
-
-func isTimeout(err error) bool {
-	for err != nil {
-		if ne, ok := err.(interface{ Timeout() bool }); ok {
-			return ne.Timeout()
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	var r vnet.Reply
+	return scanner.Fetch(&stack, domain, seed, scanner.BrowserHeaders(), &r) == scanner.ErrTimeout
 }
 
 // ---------------------------------------------------------------------
@@ -242,31 +212,17 @@ func (s *Study) RunAppLayerStudy(domains []string, ref geo.CountryCode, targets 
 		if err != nil {
 			return applayer.Observation{}, false
 		}
-		stack := vnet.NewStack(s.World, ip)
-		client := stack.Client(10)
+		stack := vnet.At(s.World, ip)
 		seed := stats.Mix64(stats.Hash(domain) ^ stats.Hash(string(cc)) ^ uint64(attempt+1)*0x9e37)
-		req, err := http.NewRequestWithContext(
-			vnet.WithSampleSeed(s.ctx(), seed),
-			http.MethodGet, "http://"+domain+"/", nil)
+		var r vnet.Reply
+		if scanner.Fetch(&stack, domain, seed, scanner.BrowserHeaders(), &r) != scanner.ErrNone || r.Status != 200 {
+			return applayer.Observation{}, false
+		}
+		body, err := r.Body()
 		if err != nil {
 			return applayer.Observation{}, false
 		}
-		for k, v := range lumscan.BrowserHeaders() {
-			req.Header.Set(k, v)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return applayer.Observation{}, false
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			return applayer.Observation{}, false
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return applayer.Observation{}, false
-		}
-		return applayer.Extract(string(body)), true
+		return applayer.Extract(body), true
 	}
 
 	for _, domain := range domains {
@@ -363,32 +319,22 @@ func (s *Study) regionBlockRate(domain string, crimea bool, samples int) (float6
 	if err != nil {
 		return 0, blockpage.KindNone
 	}
-	client := &http.Client{Transport: sess}
+	headers := scanner.BrowserHeaders()
 	blocks, responses := 0, 0
 	kind := blockpage.KindNone
+	var r vnet.Reply
 	for i := 0; i < samples; i++ {
 		seed := stats.Mix64(stats.Hash(domain) ^ uint64(i+1)*0x517cc1b7 ^ uint64(boolToInt(crimea)))
-		req, err := http.NewRequestWithContext(
-			vnet.WithSampleSeed(s.ctx(), seed),
-			http.MethodGet, "http://"+domain+"/", nil)
-		if err != nil {
-			continue
-		}
-		for k, v := range lumscan.BrowserHeaders() {
-			req.Header.Set(k, v)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
+		if scanner.Fetch(sess, domain, seed, headers, &r) != scanner.ErrNone {
 			sess.Rotate()
 			continue
 		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
+		body, err := r.Body()
+		if err != nil {
 			continue
 		}
 		responses++
-		if k := s.explicitKind(string(body)); k != blockpage.KindNone {
+		if k := s.explicitKind(body); k != blockpage.KindNone {
 			blocks++
 			kind = k
 		}

@@ -3,7 +3,7 @@ package pipeline
 import (
 	"geoblock/internal/blockpage"
 	"geoblock/internal/consistency"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 )
 
@@ -78,7 +78,7 @@ func (s *Study) RunConsistencyExperiment(r *Top10KResult, population, draws int,
 	// sample streams into its bit and the body is gone immediately.
 	perPair := map[pairKey][]bool{}
 	s.scanStream("figure1", scanCfg, r.SafeDomains, r.Countries, taskList(kinds),
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			key := pairKey{sm.Domain, sm.Country}
 			if _, tracked := kinds[key]; !tracked {
 				return

@@ -12,7 +12,7 @@
 // confirmation pass (confirm) that resamples every pair that served an
 // explicit block page and keeps it when enough of its samples agree.
 // Every scan runs through runScan, which journals and traces it under
-// its journal key (top10k-initial, explore-verify#3) and records an
+// its journal key (top10k-initial, explore-verify) and records an
 // abort under that same key, so Study.Err, the journal and the trace
 // name a phase alike.
 package pipeline
@@ -29,9 +29,9 @@ import (
 	"geoblock/internal/consistency"
 	"geoblock/internal/fingerprint"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/proxy"
 	"geoblock/internal/runstore"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
@@ -74,7 +74,7 @@ type Study struct {
 	// residential scan phase — the distributed fabric's coordinator
 	// plugs in here. VPS phases always run in-process (the datacenter
 	// fleet is cheap and local). The runner composes with Store: it runs
-	// under the journal exactly where lumscan.ScanStream would.
+	// under the journal exactly where scanner.Run would.
 	Runner ScanRunner
 	// VerdictOut, when non-nil, receives the verdict snapshot compiled
 	// from each completed study's confirmed findings — the serving
@@ -82,8 +82,9 @@ type Study struct {
 	// the findings tables are final.
 	VerdictOut func(*verdict.Snapshot)
 
-	// phaseSeq counts scan invocations per phase name, so repeated
-	// invocations (the explore verify loop) get distinct journal keys.
+	// phaseSeq counts scan invocations per phase name, so a phase run
+	// again in one study (a study method called twice) gets a distinct
+	// journal key.
 	// Study execution order is deterministic, so the keys are stable
 	// across runs — which is what lets a resumed study find its work.
 	phaseSeq map[string]int
@@ -97,8 +98,8 @@ type Study struct {
 
 // ScanRunner executes one residential scan phase. Its contract is the
 // engine's: deliver samples to sink in canonical order, byte-identical
-// to lumscan.ScanStream over the same inputs.
-type ScanRunner func(ctx context.Context, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, cfg lumscan.Config, sink lumscan.Sink) error
+// to scanner.Run over the same inputs.
+type ScanRunner func(ctx context.Context, domains []string, countries []geo.CountryCode, tasks []scanner.Task, cfg scanner.Config, sink scanner.Sink) error
 
 // New assembles a study over w with a fresh proxy mesh.
 func New(w *worldgen.World) *Study {
@@ -112,8 +113,8 @@ func New(w *worldgen.World) *Study {
 
 // scanConfig is DefaultConfig wired to the study's registry and
 // tracer.
-func (s *Study) scanConfig(phase string) lumscan.Config {
-	cfg := lumscan.DefaultConfig()
+func (s *Study) scanConfig(phase string) scanner.Config {
+	cfg := scanner.DefaultConfig()
 	cfg.Phase = phase
 	cfg.Metrics = s.Metrics
 	cfg.Trace = s.Trace
@@ -157,7 +158,7 @@ func (s *Study) noteScanErr(key string, err error) {
 
 // PhaseError is the error Study.Err reports: the underlying scan abort
 // tagged with the journal key of the scan it struck (top10k-resample,
-// explore-verify#3), the same name the journal and the trace give that
+// explore-verify), the same name the journal and the trace give that
 // scan. Unwrap preserves errors.Is matching on the cause
 // (runstore.ErrSevered, context.Canceled, ...).
 type PhaseError struct {
@@ -207,7 +208,7 @@ func (s *Study) emitVerdicts(domains []string, countries []geo.CountryCode, find
 // logCoverage reports a degraded scan phase: which countries were lost
 // and how far short of the requested coverage the run fell. A full run
 // stays quiet.
-func (s *Study) logCoverage(phase string, outages []lumscan.Outage, cov lumscan.Coverage) {
+func (s *Study) logCoverage(phase string, outages []scanner.Outage, cov scanner.Coverage) {
 	if len(outages) == 0 {
 		return
 	}
@@ -267,8 +268,8 @@ func (s *Study) measurableCountries() []geo.CountryCode {
 // its body classifies to the pair's kind. Each sample is digested and
 // dropped — bodies included — so a resample pass streamed through this
 // sink never materializes a Result.
-func (s *Study) pairRateSink(kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) lumscan.SinkFunc {
-	return func(sm lumscan.Sample) {
+func (s *Study) pairRateSink(kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) scanner.SinkFunc {
+	return func(sm scanner.Sample) {
 		key := pairKey{sm.Domain, sm.Country}
 		kind, tracked := kinds[key]
 		if !tracked {
@@ -300,7 +301,7 @@ func candidateFor(into map[pairKey]*candidate, key pairKey, kind blockpage.Kind)
 // way pairRateSink folds a stream, reading each body's class from the
 // snapshot's classification pass. A dense domain × country table skips
 // the untracked samples, so only a tracked pair's samples reach a map.
-func collectPairRates(res *lumscan.Result, classes bodyKinds, kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) {
+func collectPairRates(res *scanner.Result, classes bodyKinds, kinds map[pairKey]blockpage.Kind, into map[pairKey]*candidate) {
 	nc := len(res.Countries)
 	tracked := make([]bool, len(res.Domains)*nc)
 	for key := range kinds {
@@ -333,7 +334,7 @@ func (b bodyKinds) at(i int) blockpage.Kind { return blockpage.Kind(b[i]) }
 
 // classifyBodies runs the classification pass over res, its bodies
 // split evenly across up to workers goroutines.
-func (s *Study) classifyBodies(res *lumscan.Result, workers int) bodyKinds {
+func (s *Study) classifyBodies(res *scanner.Result, workers int) bodyKinds {
 	classes := make(bodyKinds, len(res.Samples))
 	var bodies []int32
 	for i := range res.Samples {
@@ -361,14 +362,14 @@ func (s *Study) classifyBodies(res *lumscan.Result, workers int) bodyKinds {
 // pair over every (domain, country), collected in full because every
 // later stage reads it, with its bodies classified once by
 // concurrency workers.
-func (s *Study) initialScan(study string, domains []string, countries []geo.CountryCode, samples, concurrency int) (*lumscan.Result, bodyKinds) {
+func (s *Study) initialScan(study string, domains []string, countries []geo.CountryCode, samples, concurrency int) (*scanner.Result, bodyKinds) {
 	phase := study + "-initial"
 	cfg := s.scanConfig(phase)
 	cfg.Samples = samples
 	cfg.Concurrency = concurrency
-	col := lumscan.Collect{Samples: make([]lumscan.Sample, 0, len(domains)*len(countries)*max(samples, 1))}
-	s.scanStream(phase, cfg, domains, countries, lumscan.CrossProduct(len(domains), len(countries)), &col)
-	res := &lumscan.Result{Domains: domains, Countries: countries,
+	col := scanner.Collect{Samples: make([]scanner.Sample, 0, len(domains)*len(countries)*max(samples, 1))}
+	s.scanStream(phase, cfg, domains, countries, scanner.CrossProduct(len(domains), len(countries)), &col)
+	res := &scanner.Result{Domains: domains, Countries: countries,
 		Samples: col.Samples, Outages: col.Outages, Coverage: col.Coverage}
 	s.logf("%s: initial snapshot %d samples", study, len(res.Samples))
 	s.logCoverage(study, res.Outages, res.Coverage)
@@ -378,7 +379,7 @@ func (s *Study) initialScan(study string, domains []string, countries []geo.Coun
 // reachability computes the §4.1.1 reachability numbers of a snapshot:
 // domains that never produced a response, and the subset the proxy
 // platform itself refused (X-Luminati-Error).
-func reachability(res *lumscan.Result) (never, luminati int) {
+func reachability(res *scanner.Result) (never, luminati int) {
 	ok := make([]bool, len(res.Domains))
 	lum := make([]bool, len(res.Domains))
 	for i := range res.Samples {
@@ -386,7 +387,7 @@ func reachability(res *lumscan.Result) (never, luminati int) {
 		if sm.OK() {
 			ok[sm.Domain] = true
 		}
-		if sm.Err == lumscan.ErrLuminati {
+		if sm.Err == scanner.ErrLuminati {
 			lum[sm.Domain] = true
 		}
 	}
@@ -405,7 +406,7 @@ func reachability(res *lumscan.Result) (never, luminati int) {
 // explicitPairs maps every pair that served an explicit geoblock page
 // in the snapshot to that page's kind: the candidates the confirmation
 // pass resamples.
-func explicitPairs(res *lumscan.Result, classes bodyKinds) map[pairKey]blockpage.Kind {
+func explicitPairs(res *scanner.Result, classes bodyKinds) map[pairKey]blockpage.Kind {
 	kinds := make(map[pairKey]blockpage.Kind)
 	for i := range res.Samples {
 		if k := classes.at(i); k.Explicit() {
@@ -422,7 +423,7 @@ func explicitPairs(res *lumscan.Result, classes bodyKinds) map[pairKey]blockpage
 // and the resample's responses together. It returns the confirmed
 // findings and every candidate's agreement rate, both in pair order,
 // and the number of candidates the threshold eliminated.
-func (s *Study) confirm(study string, res *lumscan.Result, classes bodyKinds, ranks []int, kinds map[pairKey]blockpage.Kind, samples int, threshold float64, concurrency int) (findings []Finding, rates []float64, eliminated int) {
+func (s *Study) confirm(study string, res *scanner.Result, classes bodyKinds, ranks []int, kinds map[pairKey]blockpage.Kind, samples int, threshold float64, concurrency int) (findings []Finding, rates []float64, eliminated int) {
 	phase := study + "-resample"
 	cfg := s.scanConfig(phase)
 	cfg.Samples = samples
@@ -471,10 +472,10 @@ func sortedPairs[V any](m map[pairKey]V) []pairKey {
 
 // taskList returns m's pairs as scan tasks in the engine's
 // country-major order.
-func taskList[V any](m map[pairKey]V) []lumscan.Task {
-	tasks := make([]lumscan.Task, 0, len(m))
+func taskList[V any](m map[pairKey]V) []scanner.Task {
+	tasks := make([]scanner.Task, 0, len(m))
 	for key := range m {
-		tasks = append(tasks, lumscan.Task{Domain: key.domain, Country: key.country})
+		tasks = append(tasks, scanner.Task{Domain: key.domain, Country: key.country})
 	}
 	sort.Slice(tasks, func(i, j int) bool {
 		if tasks[i].Country != tasks[j].Country {
@@ -512,11 +513,11 @@ func (s *Study) rankCountriesByBlocking(safeDomains []string, safeRanks []int, c
 
 	cfg := s.scanConfig("country-rank")
 	cfg.Samples = samples
-	cfg.Bodies = lumscan.BodyNone
+	cfg.Bodies = scanner.BodyNone
 	counts := make([]int, len(countries))
 	s.scanStream("country-rank", cfg, auxDomains, countries,
-		lumscan.CrossProduct(len(auxDomains), len(countries)),
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.CrossProduct(len(auxDomains), len(countries)),
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			if sm.OK() && sm.Status == 403 {
 				counts[sm.Country]++
 			}
@@ -565,7 +566,7 @@ func (s *Study) phaseKey(name string) string {
 // change. A journal directory reused with any other input, a same-size
 // domain or country list included, fails this check instead of
 // splicing foreign samples.
-func (s *Study) scanFingerprint(key string, cfg lumscan.Config, domains []string, groups []geo.CountryCode, tasks int) uint64 {
+func (s *Study) scanFingerprint(key string, cfg scanner.Config, domains []string, groups []geo.CountryCode, tasks int) uint64 {
 	h := stats.Hash("geoblock-scan")
 	h = stats.Mix64(h ^ s.World.Cfg.Seed)
 	h = stats.Mix64(h ^ math.Float64bits(s.World.Cfg.Scale))
@@ -582,14 +583,14 @@ func (s *Study) scanFingerprint(key string, cfg lumscan.Config, domains []string
 	h = stats.Mix64(h ^ uint64(tasks)<<32)
 	h = stats.Mix64(h ^ uint64(cfg.Samples)<<48)
 	h = stats.Mix64(h ^ uint64(cfg.Retries) ^ uint64(cfg.Bodies)<<8)
-	return lumscan.MixHeaders(h, cfg.Headers)
+	return scanner.MixHeaders(h, cfg.Headers)
 }
 
 // traceScan pins the invocation's scan context onto cfg — the root →
 // pipeline-phase → scan-phase derivation that keys every event the
 // scan records, unique per invocation because key is — and returns the
 // closer that records the phase's "pipeline/scan" event.
-func (s *Study) traceScan(key string, cfg *lumscan.Config) func(error) {
+func (s *Study) traceScan(key string, cfg *scanner.Config) func(error) {
 	pctx := s.Trace.Root().Child("pipeline/"+key, 0)
 	cfg.TraceCtx = pctx.Child("scan/"+cfg.Phase, 0)
 	return s.traceStep(pctx, "pipeline/scan", key)
@@ -635,23 +636,23 @@ func (s *Study) traceStep(ctx trace.SpanCtx, name, phase string) func(error) {
 // scanStream is the study's one residential-scan entry point: the
 // fabric's runner when one is attached, the in-process engine
 // otherwise. name keys the journal; it is usually cfg.Phase.
-func (s *Study) scanStream(name string, cfg lumscan.Config, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, sink lumscan.Sink) {
-	s.runScan(name, cfg, domains, countries, len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
+func (s *Study) scanStream(name string, cfg scanner.Config, domains []string, countries []geo.CountryCode, tasks []scanner.Task, sink scanner.Sink) {
+	s.runScan(name, cfg, domains, countries, len(tasks), sink, func(cfg scanner.Config, sink scanner.Sink) error {
 		if s.Runner != nil {
 			return s.Runner(s.ctx(), domains, countries, tasks, cfg, sink)
 		}
-		return lumscan.ScanStream(s.ctx(), s.Net, domains, countries, tasks, cfg, sink)
+		return scanner.Run(s.ctx(), s.Net, domains, countries, tasks, cfg, sink)
 	})
 }
 
 // scanVPSStream is scanStream for the datacenter engine.
-func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VPS, domains []string, tasks []lumscan.Task, sink lumscan.Sink) {
+func (s *Study) scanVPSStream(name string, cfg scanner.Config, fleet []*proxy.VPS, domains []string, tasks []scanner.Task, sink scanner.Sink) {
 	codes := make([]geo.CountryCode, len(fleet))
 	for i, v := range fleet {
 		codes[i] = v.Country
 	}
-	s.runScan(name, cfg, domains, codes, len(tasks), sink, func(cfg lumscan.Config, sink lumscan.Sink) error {
-		return lumscan.ScanVPSStream(s.ctx(), fleet, domains, tasks, cfg, sink)
+	s.runScan(name, cfg, domains, codes, len(tasks), sink, func(cfg scanner.Config, sink scanner.Sink) error {
+		return scanner.RunVPS(s.ctx(), fleet, domains, tasks, cfg, sink)
 	})
 }
 
@@ -661,7 +662,7 @@ func (s *Study) scanVPSStream(name string, cfg lumscan.Config, fleet []*proxy.VP
 // work — otherwise. groups lists the countries or VPS countries the
 // tasks index. An abort is recorded under the invocation's journal key,
 // so Err, the journal and the trace all name the phase the same way.
-func (s *Study) runScan(name string, cfg lumscan.Config, domains []string, groups []geo.CountryCode, tasks int, sink lumscan.Sink, run func(lumscan.Config, lumscan.Sink) error) {
+func (s *Study) runScan(name string, cfg scanner.Config, domains []string, groups []geo.CountryCode, tasks int, sink scanner.Sink, run func(scanner.Config, scanner.Sink) error) {
 	key := s.phaseKey(name)
 	traceDone := s.traceScan(key, &cfg)
 	var err error
@@ -685,11 +686,11 @@ func (s *Study) runScan(name string, cfg lumscan.Config, domains []string, group
 // browser set) and streamed to sink in canonical order. It runs as
 // every study phase does — journaled, fabric-routed and traced — under
 // the journal key and phase "cli".
-func (s *Study) Probe(domains []string, countries []geo.CountryCode, samples int, headers map[string]string, sink lumscan.Sink) {
+func (s *Study) Probe(domains []string, countries []geo.CountryCode, samples int, headers map[string]string, sink scanner.Sink) {
 	cfg := s.scanConfig("cli")
 	cfg.Samples = samples
 	if headers != nil {
 		cfg.Headers = headers
 	}
-	s.scanStream("cli", cfg, domains, countries, lumscan.CrossProduct(len(domains), len(countries)), sink)
+	s.scanStream("cli", cfg, domains, countries, scanner.CrossProduct(len(domains), len(countries)), sink)
 }

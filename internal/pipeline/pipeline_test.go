@@ -8,7 +8,7 @@ import (
 
 	"geoblock/internal/blockpage"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/scanner"
 	"geoblock/internal/trace"
 	"geoblock/internal/worldgen"
 )
@@ -289,11 +289,11 @@ func TestAbortNamesJournalKey(t *testing.T) {
 	s := New(worldgen.Generate(cfg))
 	s.Trace = trace.New(trace.Root(cfg.Seed))
 	injected := errors.New("injected resample failure")
-	s.Runner = func(ctx context.Context, domains []string, countries []geo.CountryCode, tasks []lumscan.Task, cfg lumscan.Config, sink lumscan.Sink) error {
+	s.Runner = func(ctx context.Context, domains []string, countries []geo.CountryCode, tasks []scanner.Task, cfg scanner.Config, sink scanner.Sink) error {
 		if cfg.Phase == "top10k-resample" {
 			return injected
 		}
-		return lumscan.ScanStream(ctx, s.Net, domains, countries, tasks, cfg, sink)
+		return scanner.Run(ctx, s.Net, domains, countries, tasks, cfg, sink)
 	}
 	s.RunTop10K(Top10KConfig{})
 

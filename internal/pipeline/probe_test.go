@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/runstore"
+	"geoblock/internal/scanner"
 	"geoblock/internal/worldgen"
 )
 
@@ -41,7 +41,7 @@ func (p probeInputs) run(t *testing.T, dir string) error {
 	defer store.Close()
 	s := New(p.w)
 	s.Store = store
-	var col lumscan.Collect
+	var col scanner.Collect
 	s.Probe(p.domains, p.countries, 1, p.headers, &col)
 	return s.Err()
 }
@@ -73,7 +73,7 @@ func TestScanFingerprintNamesInputs(t *testing.T) {
 	}{
 		{"domains", probeInputs{w: w, domains: names[1:], countries: ref.countries}},
 		{"countries", probeInputs{w: w, domains: ref.domains, countries: []geo.CountryCode{"US", "DE"}}},
-		{"headers", probeInputs{w: w, domains: ref.domains, countries: ref.countries, headers: lumscan.ZGrabHeaders()}},
+		{"headers", probeInputs{w: w, domains: ref.domains, countries: ref.countries, headers: scanner.ZGrabHeaders()}},
 		{"scale", probeInputs{w: wider, domains: ref.domains, countries: ref.countries}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

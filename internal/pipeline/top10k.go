@@ -8,8 +8,8 @@ import (
 	"geoblock/internal/cluster"
 	"geoblock/internal/consistency"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/outlier"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/textfeat"
 )
@@ -74,7 +74,7 @@ type Top10KResult struct {
 
 	// Initial snapshot.
 	Countries       []geo.CountryCode
-	Initial         *lumscan.Result
+	Initial         *scanner.Result
 	NeverResponded  int
 	LuminatiBlocked int
 
@@ -243,7 +243,7 @@ func (s *Study) extractOutliers(r *Top10KResult, rep []bool, classes bodyKinds) 
 		}
 		body := sm.Body
 		if body == "" {
-			replayed, _, err := lumscan.Replay(s.World, r.SafeDomains[sm.Domain], sm.ExitIP, sm.Seed, lumscan.BrowserHeaders(), 10)
+			replayed, _, err := scanner.Replay(s.World, r.SafeDomains[sm.Domain], sm.ExitIP, sm.Seed, scanner.BrowserHeaders(), scanner.MaxRedirects)
 			if err != nil {
 				continue
 			}

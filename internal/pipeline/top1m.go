@@ -8,7 +8,7 @@ import (
 	"geoblock/internal/cdnid"
 	"geoblock/internal/consistency"
 	"geoblock/internal/geo"
-	"geoblock/internal/lumscan"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/worldgen"
@@ -66,7 +66,7 @@ type Top1MResult struct {
 
 	// Snapshot (§5.1.3).
 	Countries       []geo.CountryCode
-	Initial         *lumscan.Result
+	Initial         *scanner.Result
 	NeverResponded  int
 	LuminatiBlocked int
 
@@ -227,10 +227,10 @@ func (s *Study) analyzeNonExplicit(r *Top1MResult, classes bodyKinds) {
 	}
 	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
 
-	tasks := make([]lumscan.Task, 0, len(domains)*len(r.Countries))
+	tasks := make([]scanner.Task, 0, len(domains)*len(r.Countries))
 	for ci := range r.Countries {
 		for _, d := range domains {
-			tasks = append(tasks, lumscan.Task{Domain: d, Country: int16(ci)})
+			tasks = append(tasks, scanner.Task{Domain: d, Country: int16(ci)})
 		}
 	}
 	scanCfg := s.scanConfig("top1m-nonexplicit")
@@ -242,7 +242,7 @@ func (s *Study) analyzeNonExplicit(r *Top1MResult, classes bodyKinds) {
 	// per-country rates and drops each body the moment it classifies.
 	perDomain := map[int32]map[string]consistency.Rate{}
 	s.scanStream("top1m-nonexplicit", scanCfg, r.TestDomains, r.Countries, tasks,
-		lumscan.SinkFunc(func(sm lumscan.Sample) {
+		scanner.SinkFunc(func(sm scanner.Sample) {
 			kind, tracked := ambiguous[sm.Domain]
 			if !tracked || !sm.OK() {
 				return

@@ -319,8 +319,10 @@ var (
 	errExitUnavailable = &vnet.OpError{Op: "proxy", Host: "lumtest.example", Msg: "exit unavailable"}
 )
 
-// RoundTrip implements http.RoundTripper as an adapter over Probe, for
-// callers that want an *http.Client on the mesh.
+// RoundTrip implements http.RoundTripper as an adapter over Probe, the
+// transport that Config.WrapTransport wraps in internal/scanner.
+// Program code sends hops through Probe (scanner.Fetch for a one-off
+// fetch).
 func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
 	var r vnet.Reply
 	if err := s.Probe(vnet.ProbeOf(req, s.Exit().IP), &r); err != nil {

@@ -18,6 +18,10 @@ const (
 	// MetRecordsReplayed counts sample records replayed into a sink on
 	// resume.
 	MetRecordsReplayed = "runstore.records.replayed"
+	// MetRecordsRead counts records decoded while replaying phases on
+	// resume: each phase's own records up to its last checkpointed
+	// sample (recovery's pass at Open is not counted).
+	MetRecordsRead = "runstore.records.read"
 	// MetRecordsTruncated counts records dropped by recovery: the torn
 	// record at a crashed tail plus any orphan samples of a shard that
 	// never reached its checkpoint.

@@ -15,6 +15,7 @@ package runstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"geoblock/internal/scanner"
@@ -102,11 +103,13 @@ func (s *Store) runJournaled(sc Scan, cfg scanner.Config, ph *phaseState) error 
 // Assembly journals shards at their canonical emission point —
 // crediting the sink-layer counters and merging each checkpoint's
 // staged metric snapshot, then returns the per-shard loss reasons for
-// the engine's Resume. The store stays open for appends throughout; replay reads
-// independent handles.
+// the engine's Resume. It reads from the phase's start and stops at
+// its last checkpointed sample, so resuming a journal decodes each
+// record at most once. The store stays open for appends throughout;
+// replay reads independent handles.
 func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Registry) ([]scanner.OutageReason, error) {
 	s.mu.Lock()
-	segs := append([]string(nil), s.segments...)
+	segs := append([]string(nil), s.segments[ph.start.seg:]...)
 	checkpoints := append([]Checkpoint(nil), ph.checkpoints...)
 	s.mu.Unlock()
 
@@ -117,22 +120,32 @@ func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Re
 		lost[i] = cp.Lost
 	}
 
-	var replayed int
+	var replayed, read int
 	var bodyBytes int64
+	from := ph.start.off
 	for _, name := range segs {
-		_, err := s.scanSegment(name, func(rec Record, _ int64) error {
-			if rec.Type != recSample || rec.Phase != ph.id || replayed >= want {
+		if replayed == want {
+			break
+		}
+		_, err := s.scanSegment(name, from, func(rec Record, _ int64) error {
+			read++
+			if rec.Type != recSample || rec.Phase != ph.id {
 				return nil
 			}
 			sink.Emit(rec.Sample)
 			replayed++
 			bodyBytes += int64(rec.Sample.BodyLen)
+			if replayed == want {
+				return errReplayed
+			}
 			return nil
 		})
-		if err != nil {
+		if err != nil && err != errReplayed {
 			return nil, err
 		}
+		from = int64(len(segMagic))
 	}
+	s.opts.Metrics.RuntimeCounter(MetRecordsRead).Add(int64(read))
 	if replayed != want {
 		return nil, fmt.Errorf("runstore: phase %q journal holds %d of %d checkpointed samples", ph.key, replayed, want)
 	}
@@ -158,6 +171,9 @@ func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Re
 	s.opts.Metrics.RuntimeCounter(MetRecordsReplayed).Add(int64(replayed))
 	return lost, nil
 }
+
+// errReplayed stops a phase's replay at its last checkpointed sample.
+var errReplayed = errors.New("runstore: phase replayed")
 
 // journalSink is the engine-facing tee: every sample, checkpoint,
 // outage, and coverage record is journaled and then forwarded to the

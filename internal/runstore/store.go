@@ -86,6 +86,16 @@ type phaseState struct {
 	fingerprint uint64
 	done        bool
 	checkpoints []Checkpoint
+	// start is where the phase's records begin, just past its begin
+	// record: where replay starts reading.
+	start position
+}
+
+// position is a place in the journal: a segment's index in
+// Store.segments and a byte offset into it.
+type position struct {
+	seg int
+	off int64
 }
 
 func (ph *phaseState) samples() int {
@@ -238,12 +248,12 @@ func (s *Store) recoverFromLocked(segs []string) error {
 	torn := false
 
 	for i, name := range segs {
-		off, err := s.scanSegment(name, func(rec Record, end int64) error {
+		off, err := s.scanSegment(name, int64(len(segMagic)), func(rec Record, end int64) error {
 			if rec.Type == recSample {
 				orphans++
 				return nil
 			}
-			if err := s.applyRecordLocked(rec); err != nil {
+			if err := s.applyRecordLocked(rec, position{i, end}); err != nil {
 				return err
 			}
 			commitSeg, commitOff = i, end
@@ -296,13 +306,14 @@ func (s *Store) recoverFromLocked(segs []string) error {
 	return s.writeManifestLocked()
 }
 
-// scanSegment streams name's records into apply (with each record's
-// end offset) and reports where the valid prefix ends: -1 when the
-// segment parsed cleanly to EOF, otherwise the offset of the first
-// torn or corrupt frame. Errors are reserved for I/O failures, a bad
-// magic, and apply rejections — a bad frame is data loss, not an
+// scanSegment streams name's records from byte offset from (a record
+// boundary; len(segMagic) for the first record) into apply, with each
+// record's end offset, and reports where the valid prefix ends: -1
+// when the segment parsed cleanly to EOF, otherwise the offset of the
+// first torn or corrupt frame. Errors are reserved for I/O failures, a
+// bad magic, and apply rejections — a bad frame is data loss, not an
 // error, because the tail of a crashed journal is expected to be torn.
-func (s *Store) scanSegment(name string, apply func(rec Record, end int64) error) (int64, error) {
+func (s *Store) scanSegment(name string, from int64, apply func(rec Record, end int64) error) (int64, error) {
 	f, err := os.Open(filepath.Join(s.dir, name))
 	if err != nil {
 		// A listed-but-unopenable segment is not a torn tail: the
@@ -312,12 +323,15 @@ func (s *Store) scanSegment(name string, apply func(rec Record, end int64) error
 		return -1, fmt.Errorf("runstore: segment %s is listed in the manifest but unreadable (a missing mid-sequence segment is data loss, not a crash artifact): %w", name, err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
 	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segMagic {
+	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
 		return -1, fmt.Errorf("runstore: %s: bad segment magic", name)
 	}
-	off := int64(len(segMagic))
+	if _, err := f.Seek(from, io.SeekStart); err != nil {
+		return -1, err
+	}
+	r := bufio.NewReader(f)
+	off := from
 	var head [frameHeader]byte
 	for {
 		if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -349,15 +363,15 @@ func (s *Store) scanSegment(name string, apply func(rec Record, end int64) error
 	}
 }
 
-// applyRecordLocked folds one committed record into the in-memory
-// index. Callers hold s.mu.
-func (s *Store) applyRecordLocked(rec Record) error {
+// applyRecordLocked folds one committed record, which ends at end,
+// into the in-memory index. Callers hold s.mu.
+func (s *Store) applyRecordLocked(rec Record, end position) error {
 	switch rec.Type {
 	case recPhaseBegin:
 		if s.phases[rec.Key] != nil {
 			return fmt.Errorf("runstore: phase %q begun twice", rec.Key)
 		}
-		ph := &phaseState{id: len(s.byID), key: rec.Key, name: rec.Name, fingerprint: rec.Fingerprint}
+		ph := &phaseState{id: len(s.byID), key: rec.Key, name: rec.Name, fingerprint: rec.Fingerprint, start: end}
 		s.phases[rec.Key] = ph
 		s.byID = append(s.byID, ph)
 	case recCheckpoint:
@@ -512,6 +526,9 @@ func (s *Store) beginPhase(key, name string, fingerprint uint64) (*phaseState, e
 	if err := s.appendLocked(Record{Type: recPhaseBegin, Key: key, Name: name, Fingerprint: fingerprint}); err != nil {
 		return nil, err
 	}
+	// Just past the begin record, or the head of the segment a rotation
+	// after it started.
+	ph.start = position{len(s.segments) - 1, s.segBytes}
 	s.phases[key] = ph
 	s.byID = append(s.byID, ph)
 	return ph, nil

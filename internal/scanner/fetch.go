@@ -26,11 +26,11 @@ import (
 
 var errRedirectLimit = errors.New("scanner: redirect limit reached")
 
-// prober is what a fetcher sends hops through: *proxy.Session and
+// Prober is what a fetcher sends hops through: *proxy.Session and
 // *vnet.Stack. Resolve resolves a task's destination once, Probe is the
 // direct path, and the RoundTrip adapter is what Config.WrapTransport
 // wraps.
-type prober interface {
+type Prober interface {
 	Resolve(host string, d *vnet.Dest)
 	Probe(vnet.Probe, *vnet.Reply) error
 	http.RoundTripper
@@ -56,7 +56,7 @@ func newHeaderSet(m map[string]string) headerSet {
 // shard's context so wrapped transports see a cancellable request.
 type fetcher struct {
 	ctx     context.Context
-	probe   prober
+	probe   Prober
 	rt      http.RoundTripper // Config.WrapTransport around probe; nil sends hops direct
 	headers headerSet
 	maxHops int
@@ -73,7 +73,7 @@ type fetcher struct {
 // the config's redirect bound and body-retention policy. It records its
 // attempts into t when t has a clock, that is when the scan has a
 // registry.
-func newFetcher(ctx context.Context, p prober, cfg Config, hs headerSet, t *tally) *fetcher {
+func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, t *tally) *fetcher {
 	f := &fetcher{
 		ctx:     ctx,
 		probe:   p,
@@ -254,6 +254,22 @@ func plain(s string, slash bool) bool {
 		}
 	}
 	return true
+}
+
+// Fetch sends one attempt at http://domain/ through p, as a scan's
+// fetcher sends it: the headers and seed ride on every hop, and the
+// redirect chain is followed to at most MaxRedirects requests. The
+// last hop's answer is left in r, its body unrendered until read. The
+// result classifies a failed attempt as a sample's would be; it is
+// ErrNone when r holds an answer, a proxy's refusal (r.Refused)
+// included.
+func Fetch(p Prober, domain string, seed uint64, headers map[string]string, r *vnet.Reply) ErrCode {
+	f := fetcher{probe: p, headers: newHeaderSet(headers), maxHops: MaxRedirects}
+	if err := f.follow(domain, seed); err != nil {
+		return classifyError(err)
+	}
+	*r = f.reply
+	return ErrNone
 }
 
 // Replay re-fetches the exact body of a previously collected sample:

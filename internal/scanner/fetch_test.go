@@ -123,9 +123,10 @@ func refDomains(t *testing.T, w *worldgen.World, n int) []string {
 // same rotation schedule — and requires every Sample field and every
 // attempt's exit-budget spend to agree, plain and under the truncate,
 // churn and mixed chaos profiles. A third twin sends its hops through
-// Config.WrapTransport, the per-hop HTTP adapter path, and must agree
-// too. Nothing else pins the redirect bound: the benchmark worlds
-// hold no redirect-loop or proxy-refused domains.
+// Config.WrapTransport, the per-hop HTTP adapter path, and a fourth
+// sends the attempt as the one-off Fetch; both must agree too. Nothing
+// else pins the redirect bound: the benchmark worlds hold no
+// redirect-loop or proxy-refused domains.
 func TestFetchMatchesNetHTTP(t *testing.T) {
 	domains := refDomains(t, refWorld, 3)
 	// Names that are not plain host names take the net/url path: one
@@ -154,7 +155,7 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 					}
 					return s
 				}
-				ref, direct, viaHTTP := open(), open(), open()
+				ref, direct, viaHTTP, viaFetch := open(), open(), open(), open()
 				fd := newFetcher(context.Background(), direct, cfg, newHeaderSet(cfg.Headers), nil)
 				fw := newFetcher(context.Background(), viaHTTP, wrapped, newHeaderSet(wrapped.Headers), nil)
 				for di, domain := range domains {
@@ -166,15 +167,25 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 						want := refFetch(ref, cfg, domain, seed, task, a, exit)
 						got := fd.fetch(domain, seed, task, a, direct.Exit().IP)
 						viaGot := fw.fetch(domain, seed, task, a, viaHTTP.Exit().IP)
+						var r vnet.Reply
+						fetched := Sample{Domain: task.Domain, Country: task.Country, Attempt: a, Seed: seed, ExitIP: viaFetch.Exit().IP}
+						code := Fetch(viaFetch, domain, seed, cfg.Headers, &r)
+						if want.Err == ErrLuminati && (code != ErrNone || !r.Refused) {
+							t.Fatalf("%s from %s attempt %d: Fetch returned %v for a refusal, not an answer", domain, cc, a, code)
+						}
+						fetched = fetchedSample(code, &r, fetched)
 						if got != want {
 							t.Fatalf("%s from %s attempt %d: direct %+v, net/http %+v", domain, cc, a, brief(got), brief(want))
 						}
 						if viaGot != want {
 							t.Fatalf("%s from %s attempt %d: wrapped transport %+v, net/http %+v", domain, cc, a, brief(viaGot), brief(want))
 						}
-						if ref.Used() != direct.Used() || ref.Used() != viaHTTP.Used() {
-							t.Fatalf("%s from %s attempt %d: exit budget spent net/http %d, direct %d, wrapped %d",
-								domain, cc, a, ref.Used()-before, direct.Used()-before, viaHTTP.Used()-before)
+						if fetched != want {
+							t.Fatalf("%s from %s attempt %d: Fetch %+v, net/http %+v", domain, cc, a, brief(fetched), brief(want))
+						}
+						if ref.Used() != direct.Used() || ref.Used() != viaHTTP.Used() || ref.Used() != viaFetch.Used() {
+							t.Fatalf("%s from %s attempt %d: exit budget spent net/http %d, direct %d, wrapped %d, Fetch %d",
+								domain, cc, a, ref.Used()-before, direct.Used()-before, viaHTTP.Used()-before, viaFetch.Used()-before)
 						}
 						seen[want.Err]++
 						statuses[want.Status]++
@@ -182,6 +193,7 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 							ref.Rotate()
 							direct.Rotate()
 							viaHTTP.Rotate()
+							viaFetch.Rotate()
 						}
 					}
 				}
@@ -197,6 +209,26 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 	if statuses[403] == 0 {
 		t.Errorf("no attempt saw a block page; statuses %v", statuses)
 	}
+}
+
+// fetchedSample fills s with what a BodyAll scan attempt records for
+// Fetch's outcome: a proxy's refusal, an answer to Fetch, is the
+// attempt's ErrLuminati, and a body that fails to read its ErrReset.
+func fetchedSample(code ErrCode, r *vnet.Reply, s Sample) Sample {
+	switch {
+	case code != ErrNone:
+		s.Err = code
+	case r.Refused:
+		s.Err = ErrLuminati
+	default:
+		s.Status = int16(r.Status)
+		if body, err := r.Body(); err != nil {
+			s.Err = ErrReset
+		} else {
+			s.Body, s.BodyLen = body, int32(len(body))
+		}
+	}
+	return s
 }
 
 // brief elides a sample's body for failure messages.

@@ -1,6 +1,21 @@
-// Package scanner is the layered scan engine behind lumscan (§3.2).
-// It splits the hot path every study phase funnels through into four
-// composable layers:
+// Package scanner is the reproduction of the paper's Lumscan tool
+// (§3.2): a reliable scanning engine over the residential proxy mesh,
+// with connectivity pre-checks on each exit, retries for failed
+// requests, full control of request headers (a bare User-Agent is not
+// enough to avoid bot detection), and exit rotation after a bounded
+// number of requests so no end user carries the scan. Samples record
+// status, body length, the serving exit and the deterministic seed
+// that lets Replay re-fetch the exact body later instead of storing
+// it.
+//
+// It is also the one way program code gets into the simulated web:
+// every scan runs through Run or RunVPS, and every one-off fetch (the
+// OONI comparison, the §7.3 extensions) through Fetch, which sends
+// one attempt's redirect chain through a vnet.Stack or proxy.Session
+// the way a scan's fetcher does.
+//
+// The engine splits the hot path every study phase funnels through
+// into four composable layers:
 //
 //   - Plan and scheduler (plan.go, sched.go): a Plan shards each
 //     country's task list into deterministic work units, an in-process
@@ -319,6 +334,18 @@ func (c Config) withDefaults() Config {
 		c.Headers = BrowserHeaders()
 	}
 	return c
+}
+
+// DefaultConfig is the initial-snapshot configuration of §4.1.1: three
+// samples per pair, two retries, browser headers.
+func DefaultConfig() Config {
+	return Config{
+		Samples:     3,
+		Retries:     2,
+		Concurrency: 8,
+		Headers:     BrowserHeaders(),
+		Phase:       "initial",
+	}
 }
 
 // BrowserHeaders is the full header set that suppresses bot detection

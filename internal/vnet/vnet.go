@@ -16,11 +16,12 @@
 // next hop (Reply.Next), its Location rendered only when read, so a hop
 // that only reports a length allocates nothing.
 //
-// A Stack is also an http.RoundTripper, a thin adapter over Probe, for
-// the tooling that wants real HTTP semantics (provider discovery, the
-// OONI comparison, the pipeline's extension studies): an ordinary
-// *http.Client on top gets redirect handling, header canonicalization
-// and net.Error semantics.
+// Program code reaches the simulated web only through Probe: scans and
+// one-off fetches through internal/scanner, which follows redirects as
+// http.Client does, and provider discovery, which reads every hop's
+// headers, hop by hop. A Stack (like a proxy.Session) is also an
+// http.RoundTripper, a thin adapter over Probe that the benchmark's
+// transport timers and the net/http reference tests wrap.
 //
 // The stack performs DNS resolution against the world, applies national
 // censorship in-path (resets, poisoned DNS, injected block pages,
@@ -82,20 +83,6 @@ func NewStack(w *worldgen.World, ip geo.IP) *Stack {
 func At(w *worldgen.World, ip geo.IP) Stack {
 	loc, _ := w.Geo.Locate(ip)
 	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Locate(w, ip)}
-}
-
-// Client returns an *http.Client that routes through the stack,
-// following up to maxRedirects redirects (the paper's tooling used 10).
-func (s *Stack) Client(maxRedirects int) *http.Client {
-	return &http.Client{
-		Transport: s,
-		CheckRedirect: func(req *http.Request, via []*http.Request) error {
-			if len(via) >= maxRedirects {
-				return fmt.Errorf("stopped after %d redirects", maxRedirects)
-			}
-			return nil
-		},
-	}
 }
 
 // Probe is one GET hop. It is passed by value; the answer comes back

@@ -34,7 +34,7 @@ func browserGet(t *testing.T, s *Stack, url string, seed uint64) (*http.Response
 	req.Header.Set("User-Agent", "Mozilla/5.0 (Macintosh) Firefox/61.0")
 	req.Header.Set("Accept", "text/html")
 	req.Header.Set("Accept-Language", "en-US")
-	resp, err := s.Client(10).Do(req)
+	resp, err := (&http.Client{Transport: s}).Do(req)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"geoblock/internal/faults"
-	"geoblock/internal/lumscan"
 	"geoblock/internal/runstore"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 )
 
@@ -20,7 +20,7 @@ import (
 func TestProbeJournalsAndReplays(t *testing.T) {
 	countries := []CountryCode{"US", "IR", "CN"}
 	blackout, _ := faults.Named("blackout")
-	probe := func(store *RunStore) (*System, []string, *lumscan.Collect) {
+	probe := func(store *RunStore) (*System, []string, *scanner.Collect) {
 		t.Helper()
 		sys := New(Options{Scale: 0.02, Seed: 11, Store: store})
 		sys.Net().SetFaults(faults.New(1).Country("IR", blackout))
@@ -28,7 +28,7 @@ func TestProbeJournalsAndReplays(t *testing.T) {
 		for _, d := range sys.World.Top10K()[:6] {
 			domains = append(domains, d.Name)
 		}
-		var col lumscan.Collect
+		var col scanner.Collect
 		sys.Probe(domains, countries, 2, nil, &col)
 		if err := sys.Err(); err != nil {
 			t.Fatalf("probe aborted: %v", err)
@@ -65,15 +65,15 @@ func TestProbeJournalsAndReplays(t *testing.T) {
 		t.Fatalf("replayed %d records, want all %d samples", n, len(first.Samples))
 	}
 
-	cfg := lumscan.DefaultConfig()
+	cfg := scanner.DefaultConfig()
 	cfg.Phase = "cli"
 	cfg.Samples = 2
-	var engine lumscan.Collect
-	if err := lumscan.ScanStream(context.Background(), sys.Net(), domains, countries,
-		lumscan.CrossProduct(len(domains), len(countries)), cfg, &engine); err != nil {
+	var engine scanner.Collect
+	if err := scanner.Run(context.Background(), sys.Net(), domains, countries,
+		scanner.CrossProduct(len(domains), len(countries)), cfg, &engine); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(engine.Samples, first.Samples) {
-		t.Fatal("Probe's samples differ from lumscan.ScanStream's for the same inputs")
+		t.Fatal("Probe's samples differ from scanner.Run's for the same inputs")
 	}
 }
