@@ -27,7 +27,8 @@
 #                has — so it never hides behind test caching
 #   make cover   coverage with ratcheted floors for the scan engine, the
 #                fault-injection layer, the telemetry layer, the journal
-#                (runstore), the verdict edge, and the lint suite
+#                (runstore), the verdict edge, the lint suite, and the
+#                hop chain (the cdn edge, vnet and the proxy mesh)
 #   make fuzz    short-budget fuzz pass over the hostile-input decoders:
 #                the journal's record decoder, the fabric's shard-frame
 #                decoder and completion handler, the blockpage signature
@@ -106,7 +107,10 @@ cover:
 	check ./internal/trace 89; \
 	check ./internal/runstore 89; \
 	check ./internal/fabric 79; \
-	check ./internal/verdict 85
+	check ./internal/verdict 85; \
+	check ./internal/cdn 88; \
+	check ./internal/vnet 79; \
+	check ./internal/proxy 89
 
 # `go test -fuzz` takes exactly one fuzz target per invocation, so each
 # decoder gets its own line. The budget is deliberately small: this is a

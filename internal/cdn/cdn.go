@@ -36,6 +36,11 @@ type Request struct {
 	Header     http.Header // read, never written; Response.Header consults it again
 	Clock      int64
 	SampleSeed uint64 // drives per-request randomness, deterministic per sample
+	// MaxHops is how many requests the client sends along the site's
+	// same-site redirect chain: the edge follows the chain for it until
+	// it reaches the page or the MaxHops-th request, and answers that
+	// hop. Zero, like one, answers the first hop alone.
+	MaxHops int
 
 	// Callers that send many requests from one address, or with one
 	// header set, resolve these once and set them; Serve computes what
@@ -74,17 +79,18 @@ func Classify(h http.Header) Fingerprint {
 	return Browser
 }
 
-// Hop is a same-site redirect's target, relative to the request:
-// Scheme://Host+Path, where Host is the request's host, with "www." in
-// front when WWW is set. Its zero value is no redirect.
-type Hop struct {
-	Scheme string
-	WWW    bool
-	Path   string
+// hop is a same-site redirect's target, relative to the hop that
+// answers it: Scheme://Host+Path, where Host is that hop's host, with
+// "www." in front when www is set. Its zero value is no redirect.
+type hop struct {
+	scheme string
+	www    bool
+	path   string
 }
 
-// Response is the edge's answer. Page records the ground truth of what
-// was served (never exposed on the wire).
+// Response is the edge's answer to the last request of the chain it
+// followed (Hops of them). Page records the ground truth of what was
+// served (never exposed on the wire).
 //
 // Rendering is lazy. The origin page is built only when Body is
 // called, the redirect's Location only when Location is, and the
@@ -96,14 +102,17 @@ type Response struct {
 	Status  int
 	BodyLen int
 	Page    blockpage.Kind
-	// Next is a redirect's target; its zero value means no redirect.
-	Next Hop
+	// Hops is how many requests the answer took: the first, plus each
+	// same-site redirect the edge followed within Request.MaxHops.
+	Hops int
 
 	body    string                // the rendered body, unless origin is set
 	origin  *blockpage.OriginSite // the origin page, rendered on demand
 	variant blockpage.PageVariant
 	seed    uint64
-	host    string // the request's host, which Next is relative to
+	host    string // the request's host
+	www     bool   // the last hop's host is host with "www." in front
+	next    hop    // the last hop's redirect target
 
 	// The inputs of the provider headers.
 	domain    *worldgen.Domain
@@ -112,16 +121,19 @@ type Response struct {
 	nonce     uint32
 }
 
+// Redirect reports whether the response is a redirect.
+func (r Response) Redirect() bool { return r.next.scheme != "" }
+
 // Location renders a redirect's Location value, "" when the response
 // is not a redirect.
 func (r Response) Location() string {
 	switch {
-	case r.Next.Scheme == "":
+	case r.next.scheme == "":
 		return ""
-	case r.Next.WWW:
-		return r.Next.Scheme + "://www." + r.host + r.Next.Path
+	case r.www || r.next.www:
+		return r.next.scheme + "://www." + r.host + r.next.path
 	}
-	return r.Next.Scheme + "://" + r.host + r.Next.Path
+	return r.next.scheme + "://" + r.host + r.next.path
 }
 
 // Body renders the response body.
@@ -212,7 +224,7 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 	// draws below always see the same stream position.
 	x.ray = rng.Uint64()
 	x.nonce = uint32(rng.Uint64())
-	*resp = Response{Status: 200, host: req.Host, domain: d, reqHeader: req.Header, ray: x.ray, nonce: x.nonce}
+	*resp = Response{Status: 200, Hops: 1, host: req.Host, domain: d, reqHeader: req.Header, ray: x.ray, nonce: x.nonce}
 
 	// Access control runs at first contact, before any redirect: a
 	// blocked client never sees the redirect chain.
@@ -222,11 +234,29 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 		return
 	}
 
-	// Same-site redirect hops: http→https, then apex→www.
-	if resp.Next = redirect(d, req); resp.Next.Scheme != "" {
-		resp.Status = 301
-		resp.setBody(movedBody)
-		return
+	// Same-site redirect hops: http→https, then apex→www. Each further
+	// hop is served here, from the verdicts above: the draws, access
+	// control and the page below key on the domain, the client and its
+	// location, the clock, the header verdict and the seed, and no
+	// same-site hop changes any of those, so a client sending the hops
+	// one by one is answered the same at every hop.
+	scheme, path := req.Scheme, req.Path
+	www := len(req.Host) > 4 && req.Host[:4] == "www."
+	for {
+		next := redirect(d, scheme, www, path)
+		if next.scheme == "" {
+			break
+		}
+		if resp.Hops >= req.MaxHops {
+			resp.Status, resp.next = 301, next
+			resp.setBody(movedBody)
+			return
+		}
+		resp.Hops++
+		scheme, path = next.scheme, next.path
+		if next.www {
+			www, resp.www = true, true
+		}
 	}
 
 	// Flaky backends intermittently serve a shared junk page
@@ -474,23 +504,24 @@ func first(h http.Header, canonicalKey string) string {
 }
 
 // redirect computes the next hop of the domain's same-site redirect
-// chain; its zero value means content should be served.
-func redirect(d *worldgen.Domain, req *Request) Hop {
+// chain from a hop to scheme://host+path, where www reports whether
+// host starts with "www."; its zero value means content should be
+// served.
+func redirect(d *worldgen.Domain, scheme string, www bool, path string) hop {
 	if d.RedirectLoop {
 		// Pathological: bounce between two paths forever.
-		if req.Path == "/a" {
-			return Hop{Scheme: req.Scheme, Path: "/b"}
+		if path == "/a" {
+			return hop{scheme: scheme, path: "/b"}
 		}
-		return Hop{Scheme: req.Scheme, Path: "/a"}
+		return hop{scheme: scheme, path: "/a"}
 	}
-	www := len(req.Host) > 4 && req.Host[:4] == "www."
 	switch {
-	case d.RedirectHops >= 1 && req.Scheme == "http":
-		return Hop{Scheme: "https", Path: req.Path}
+	case d.RedirectHops >= 1 && scheme == "http":
+		return hop{scheme: "https", path: path}
 	case d.RedirectHops >= 2 && !www:
-		return Hop{Scheme: "https", WWW: true, Path: req.Path}
+		return hop{scheme: "https", www: true, path: path}
 	}
-	return Hop{}
+	return hop{}
 }
 
 // addProviderHeaders attaches each provider's identifying headers: the

@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"net/url"
 	"reflect"
 	"testing"
 
@@ -353,4 +354,116 @@ func TestLocatedServesLikeUnlocated(t *testing.T) {
 	if len(served) < 5 {
 		t.Errorf("the comparison saw only %d page kinds: %v", len(served), served)
 	}
+}
+
+// serveHops answers req the way a client sending the same-site hops one
+// by one is answered: one-hop requests, each to the last one's
+// Location, until the answer is not a redirect or the k-th request
+// has been sent. It returns the last answer and the requests sent.
+func serveHops(t *testing.T, req Request, k int) (Response, int) {
+	t.Helper()
+	req.MaxHops = 0
+	for n := 1; ; n++ {
+		resp := Serve(testWorld, req)
+		if !resp.Redirect() || n >= k {
+			return resp, n
+		}
+		u, err := url.Parse(resp.Location())
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Scheme, req.Host, req.Path = u.Scheme, u.Host, u.Path
+	}
+}
+
+// TestChainServesLikeHops pins the chain walk: a request with hop
+// budget k is answered what k one-hop requests along the redirect
+// chain are answered at their last hop — status, length, page, body,
+// headers and Location — and reports how many of them the chain took.
+// The sites redirect zero, one or two times or loop, and include a
+// blocked and a junk-serving one; the chain starts over http and https
+// at the apex and at www., and the budgets run from 1 to http.Client's
+// bound of 10 (0 is the one-hop answer too).
+func TestChainServesLikeHops(t *testing.T) {
+	const maxRedirects = 10
+	blockIR := func(d *worldgen.Domain) {
+		d.RedirectHops = 2
+		d.GeoRules[worldgen.Cloudflare] = &worldgen.GeoRule{Action: worldgen.ActionBlock,
+			Countries: map[geo.CountryCode]bool{"IR": true}}
+	}
+	domains := []*worldgen.Domain{
+		synthetic("direct.example", []worldgen.Provider{worldgen.Cloudflare}, nil),
+		synthetic("onehop.example", []worldgen.Provider{worldgen.Akamai}, func(d *worldgen.Domain) { d.RedirectHops = 1 }),
+		synthetic("twohop.example", []worldgen.Provider{worldgen.CloudFront}, func(d *worldgen.Domain) { d.RedirectHops = 2 }),
+		synthetic("loop.example", []worldgen.Provider{worldgen.OriginNginx}, func(d *worldgen.Domain) { d.RedirectLoop = true }),
+		synthetic("blocked.example", []worldgen.Provider{worldgen.Cloudflare}, blockIR),
+		synthetic("junk.example", []worldgen.Provider{worldgen.Incapsula}, func(d *worldgen.Domain) {
+			d.RedirectHops, d.JunkRate = 2, 0.5
+		}),
+	}
+	var clients []geo.IP
+	for _, cc := range []geo.CountryCode{"US", "IR"} {
+		ip, err := testWorld.Geo.HostIP(cc, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, ip)
+	}
+	// The junk-serving site's pages without the junk, to tell the two
+	// apart.
+	origin := *domains[len(domains)-1]
+	origin.JunkRate = 0
+	hops := map[string]map[int]int{} // domain → requests taken → answers
+	pages := map[blockpage.Kind]int{}
+	junk := map[bool]int{}
+	for _, d := range domains {
+		hops[d.Name] = map[int]int{}
+		for _, ip := range clients {
+			for _, scheme := range []string{"http", "https"} {
+				for _, host := range []string{d.Name, "www." + d.Name} {
+					for seed := uint64(0); seed < 4; seed++ {
+						req := Request{Domain: d, Host: host, Path: "/", Method: "GET", Scheme: scheme,
+							ClientIP: ip, Header: browserHeaders(), SampleSeed: seed}
+						for k := 0; k <= maxRedirects; k++ {
+							want, n := serveHops(t, req, k)
+							req.MaxHops = k
+							got := Serve(testWorld, req)
+							if got.Hops != n || got.Status != want.Status || got.BodyLen != want.BodyLen ||
+								got.Page != want.Page || got.Location() != want.Location() ||
+								got.Body() != want.Body() || !reflect.DeepEqual(got.Header(), want.Header()) {
+								t.Fatalf("%s://%s from %s, seed %d, budget %d: chain %d hops %d/%d bytes/%v -> %q, one by one %d hops %d/%d bytes/%v -> %q",
+									scheme, host, ip, seed, k, got.Hops, got.Status, got.BodyLen, got.Page, got.Location(),
+									n, want.Status, want.BodyLen, want.Page, want.Location())
+							}
+							hops[d.Name][n]++
+							pages[got.Page]++
+							if d.JunkRate > 0 && got.Status == 200 {
+								plain := req
+								plain.Domain = &origin
+								junk[got.Body() != Serve(testWorld, plain).Body()]++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// The comparison is only as good as the chains it walked.
+	for name, wantMax := range map[string]int{"direct.example": 1, "onehop.example": 2, "twohop.example": 3,
+		"loop.example": maxRedirects, "blocked.example": 3, "junk.example": 3} {
+		longest := 0
+		for n := range hops[name] {
+			longest = max(longest, n)
+		}
+		if longest != wantMax {
+			t.Errorf("%s: the longest chain took %d requests, want %d (%v)", name, longest, wantMax, hops[name])
+		}
+	}
+	if pages[blockpage.Cloudflare] == 0 {
+		t.Errorf("no answer was a block page: %v", pages)
+	}
+	if junk[true] == 0 || junk[false] == 0 {
+		t.Errorf("the junk-serving site answered %d junk and %d origin pages", junk[true], junk[false])
+	}
+	t.Logf("requests per answer %v; pages %v; junk pages %v", hops, pages, junk)
 }

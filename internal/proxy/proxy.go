@@ -338,19 +338,17 @@ func (s *Session) Resolve(host string, d *vnet.Dest) {
 	d.PathDown = s.path.down(d.Hash)
 }
 
-// Probe sends one GET hop through the session's current exit, charging
-// it one request of the exit's budget. It applies, in order: injected
-// faults, the platform's own domain policy (X-Luminati-Error), the
-// path from the exit's country, the exit's reliability, the exit's
-// local firewall, and then the real network path from the exit's
-// address. The answer is written into r, as vnet.Stack.Probe writes
-// it. Every check keys on the destination's site name, whatever the
-// spelling of p.Host.
+// Probe sends p through the session's current exit, charging the exit
+// one request of its budget for every hop the probe takes. It applies,
+// in order: injected faults, the platform's own domain policy
+// (X-Luminati-Error), the path from the exit's country, the exit's
+// reliability, the exit's local firewall, and then the real network
+// path from the exit's address, which follows the site's same-site
+// redirects within p.MaxHops. The answer is written into r, as
+// vnet.Stack.Probe writes it. Every check keys on the destination's
+// site name, whatever the spelling of p.Host.
 func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	e := s.Exit()
-	served := s.used
-	s.used++
-
 	d := p.Dest
 	if d == nil {
 		d = new(vnet.Dest)
@@ -363,21 +361,9 @@ func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	// Injected faults sit in front of the mesh's organic error
 	// structure, so a chaos run layers on top of (never replaces) the
 	// paper's baseline unreliability.
-	truncate := false
-	if f := s.net.faults; f != nil {
-		if f.ExitDark(s.cc, e.IP) || f.Churned(s.cc, e.IP, served) {
-			return d.Fail("proxy", host, "superproxy: exit connection failed", false)
-		}
-		switch f.Request(s.cc, e.IP, host, p.Seed) {
-		case FaultExitDown:
-			return d.Fail("proxy", host, "superproxy: exit connection failed", false)
-		case FaultStall:
-			return d.Fail("read", host, "i/o timeout", true)
-		case FaultReset:
-			return d.Fail("read", host, "connection reset by peer", false)
-		case FaultTruncate:
-			truncate = true
-		}
+	truncate, err := s.send(e, d, p.Seed)
+	if err != nil {
+		return err
 	}
 
 	if d.Domain != nil && d.Domain.LuminatiRestricted {
@@ -406,13 +392,56 @@ func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 		return d.Fail("read", host, "connection reset by local filter", false)
 	}
 
-	err := s.stack.Probe(p, r)
-	if err == nil && truncate {
+	if err := s.stack.Probe(p, r); err != nil {
+		return err
+	}
+	// The edge followed r.Hops-1 same-site redirects past the first
+	// hop. Every check above but the fault hook's, and every check of
+	// the stack and the edge, keys on the attempt's seed, the exit, the
+	// destination's name, the exit's location, the clock and the header
+	// verdict, and no same-site hop changes any of those: sent one by
+	// one, each further hop passes them as the first did. What a further
+	// hop does change is the exit's budget and the served count churn
+	// keys on, so each one is charged here and consults the hook again,
+	// in hop order.
+	for hop := 1; hop < r.Hops; hop++ {
+		if truncate, err = s.send(e, d, p.Seed); err != nil {
+			return err
+		}
+	}
+	if truncate {
 		// The transfer dies after a seed-determined prefix, the way a
 		// dropped residential uplink looks to the client.
 		r.Truncate(int(stats.Mix64(p.Seed^0x7c1) % 512))
 	}
-	return err
+	return nil
+}
+
+// send charges the exit one request of its budget for a hop to d and
+// draws the hop's injected faults: a dark exit, or one that has churned
+// by this request, fails it, and so may the request's own verdict,
+// which otherwise reports whether the hop's transfer is cut mid-body.
+func (s *Session) send(e *Exit, d *vnet.Dest, seed uint64) (truncate bool, err error) {
+	served := s.used
+	s.used++
+	f := s.net.faults
+	if f == nil {
+		return false, nil
+	}
+	if f.ExitDark(s.cc, e.IP) || f.Churned(s.cc, e.IP, served) {
+		return false, d.Fail("proxy", d.Name, "superproxy: exit connection failed", false)
+	}
+	switch f.Request(s.cc, e.IP, d.Name, seed) {
+	case FaultExitDown:
+		return false, d.Fail("proxy", d.Name, "superproxy: exit connection failed", false)
+	case FaultStall:
+		return false, d.Fail("read", d.Name, "i/o timeout", true)
+	case FaultReset:
+		return false, d.Fail("read", d.Name, "connection reset by peer", false)
+	case FaultTruncate:
+		return true, nil
+	}
+	return false, nil
 }
 
 // transit is a country's share of unreachable destinations and the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -277,5 +278,120 @@ func TestExitsAreProxyFlagged(t *testing.T) {
 				t.Fatalf("exit %v in %s not in the proxy slice", e.IP, cc)
 			}
 		}
+	}
+}
+
+// hookStub is a fault hook that answers every request with one verdict,
+// churns the exit from a given served count on, and records the served
+// counts Churned sees and the Request calls it gets.
+type hookStub struct {
+	churnAt  int // churned once served reaches it; negative never
+	verdict  FaultVerdict
+	churned  []int
+	requests int
+}
+
+func (h *hookStub) Brownout(geo.CountryCode, uint64, int) bool { return false }
+func (h *hookStub) ExitDark(geo.CountryCode, geo.IP) bool      { return false }
+func (h *hookStub) Churned(_ geo.CountryCode, _ geo.IP, served int) bool {
+	h.churned = append(h.churned, served)
+	return h.churnAt >= 0 && served >= h.churnAt
+}
+func (h *hookStub) Request(geo.CountryCode, geo.IP, string, uint64) FaultVerdict {
+	h.requests++
+	return h.verdict
+}
+
+// TestProbeChargesEveryHop pins what a probe that walks a same-site
+// redirect chain costs the session: one request of the exit's budget
+// per hop, and per hop, in order, the fault hook's churn check at that
+// hop's served count and its request draw. A churned exit fails the
+// hop it dies at, a truncating verdict cuts the last hop's transfer,
+// and a probe whose budget ends mid-chain answers with the redirect.
+func TestProbeChargesEveryHop(t *testing.T) {
+	net := NewNetwork(testWorld)
+	var d *worldgen.Domain
+	for _, cand := range testWorld.Top10K() {
+		if cand.RedirectHops == 2 && len(cand.GeoRules) == 0 && !cand.BlocksProxies && cand.JunkRate == 0 &&
+			cand.ResidentialChallengeRate == 0 && len(cand.CensoredIn) == 0 && !cand.GAEHosted && !cand.AirbnbStyle {
+			d = cand
+			break
+		}
+	}
+	if d == nil {
+		t.Fatal("no plain two-redirect domain in the test world")
+	}
+	s, err := net.NewSession("DE", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dest vnet.Dest
+	s.Resolve(d.Name, &dest)
+	if dest.PathDown {
+		t.Fatalf("%s is unreachable from DE", d.Name)
+	}
+	probe := vnet.Probe{Scheme: "http", Host: d.Name, Path: "/", Dest: &dest, MaxHops: 10}
+	var r vnet.Reply
+	for ; probe.Seed < 100; probe.Seed++ {
+		if s.Probe(probe, &r) == nil {
+			break
+		}
+	}
+	if probe.Seed == 100 {
+		t.Fatalf("no seed reaches %s through the exit", d.Name)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		hook     hookStub
+		maxHops  int
+		err      string // the failure, "" for an answer
+		used     int    // requests charged to the exit
+		churned  []int  // served counts Churned saw
+		requests int
+		status   int
+	}{
+		{"no fault", hookStub{churnAt: -1}, 10, "", 3, []int{0, 1, 2}, 3, 200},
+		{"budget ends mid-chain", hookStub{churnAt: -1}, 2, "", 2, []int{0, 1}, 2, 301},
+		{"churned at the second hop", hookStub{churnAt: 1}, 10, "exit connection failed", 2, []int{0, 1}, 1, 0},
+		{"truncated", hookStub{churnAt: -1, verdict: FaultTruncate}, 10, "", 3, []int{0, 1, 2}, 3, 200},
+		{"stalled", hookStub{churnAt: -1, verdict: FaultStall}, 10, "i/o timeout", 1, []int{0}, 1, 0},
+		{"reset", hookStub{churnAt: -1, verdict: FaultReset}, 10, "connection reset by peer", 1, []int{0}, 1, 0},
+		{"exit down", hookStub{churnAt: -1, verdict: FaultExitDown}, 10, "exit connection failed", 1, []int{0}, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hook := tc.hook
+			net.SetFaults(&hook)
+			defer net.SetFaults(nil)
+			s, err := net.NewSession("DE", 9) // the same exit, nothing spent
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := probe
+			p.MaxHops = tc.maxHops
+			err = s.Probe(p, &r)
+			switch {
+			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+				t.Fatalf("err = %v, want %q", err, tc.err)
+			case tc.err == "" && err != nil:
+				t.Fatal(err)
+			}
+			if s.Used() != tc.used || !reflect.DeepEqual(hook.churned, tc.churned) || hook.requests != tc.requests {
+				t.Errorf("charged %d, churn checks at %v, %d request draws; want %d, %v, %d",
+					s.Used(), hook.churned, hook.requests, tc.used, tc.churned, tc.requests)
+			}
+			if tc.err != "" {
+				return
+			}
+			if r.Status != tc.status || r.Hops != tc.used || r.Redirect != (tc.status == 301) {
+				t.Errorf("answered %d after %d hops (redirect %v), want %d after %d", r.Status, r.Hops, r.Redirect, tc.status, tc.used)
+			}
+			if truncated := tc.hook.verdict == FaultTruncate; r.Truncated != truncated || (r.BodyLen < 0) != truncated {
+				t.Errorf("truncated %v with length %d, want truncated %v", r.Truncated, r.BodyLen, truncated)
+			}
+			if tc.status == 301 && r.Location() != "https://www."+d.Name+"/" {
+				t.Errorf("the redirect points at %q", r.Location())
+			}
+		})
 	}
 }

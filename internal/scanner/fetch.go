@@ -1,13 +1,17 @@
 // The fetcher layer: one attempt, its redirect chain, and its error
-// classification. Each hop is a direct probe (vnet.Probe) of the
+// classification. An attempt is a direct probe (vnet.Probe) of the
 // shard's session or stack: no *http.Request, no header copies, no
 // body rendered unless the sample keeps it, and one vnet.Reply, owned
-// by the fetcher, that every hop and attempt writes into. What stays
+// by the fetcher, that every probe and attempt writes into. What stays
 // fixed for a task is resolved once, into a vnet.Dest the fetcher owns
-// and every hop carries: the site name, its domain record and hash, and
-// the mesh's transit verdict. Redirects are followed here with
-// http.Client's bound, so an attempt sends at most MaxRedirects
-// requests and each one spends a unit of the exit's budget.
+// and every probe carries: the site name, its domain record and hash,
+// and the mesh's transit verdict. Redirects are bounded here as
+// http.Client bounds them: an attempt sends at most MaxRedirects
+// requests, each spending a unit of the exit's budget. A probe carries
+// what is left of that bound and walks the site's same-site redirects
+// within it; a Location it did not walk (one read back through a
+// wrapped transport, whose probes are one hop each) is parsed and sent
+// as the next probe.
 package scanner
 
 import (
@@ -151,8 +155,8 @@ func (f *fetcher) resolve(host string) *vnet.Dest {
 	return &f.dest
 }
 
-// hop sends one hop into r: straight to the prober, or, when the
-// config wraps the transport, as an HTTP request through the wrapped
+// hop sends p into r: straight to the prober, or, when the config
+// wraps the transport, as a one-hop HTTP request through the wrapped
 // RoundTrip adapter, whose bodies stay unrendered until read.
 func (f *fetcher) hop(p vnet.Probe, r *vnet.Reply) error {
 	if f.rt == nil {
@@ -175,9 +179,10 @@ func (f *fetcher) hop(p vnet.Probe, r *vnet.Reply) error {
 // follow fetches http://domain/ into f.reply and follows its redirect
 // chain the way http.Client does: every hop carries the same headers
 // and seed, and the attempt fails with errRedirectLimit when the
-// maxHops-th request still answers with a redirect. An edge's
-// same-site redirect keeps the task's destination; a Location that
-// leaves the site is resolved again by whatever probes it.
+// maxHops-th request still answers with a redirect. Each probe may
+// spend what is left of maxHops, and the requests it took count
+// against it. A same-site Location keeps the task's destination; one
+// that leaves the site is resolved again by whatever probes it.
 func (f *fetcher) follow(domain string, seed uint64) error {
 	p := vnet.Probe{Scheme: "http", Host: domain, Path: "/", Seed: seed,
 		Header: f.headers.header, Fingerprint: f.headers.fingerprint}
@@ -189,17 +194,14 @@ func (f *fetcher) follow(domain string, seed uint64) error {
 	}
 	p.Dest = f.resolve(p.Host)
 	r := &f.reply
-	for sent := 1; ; sent++ {
+	for sent := 0; ; {
+		p.MaxHops = f.maxHops - sent
 		if err := f.hop(p, r); err != nil || !r.Redirect {
 			return err
 		}
 		r.Close()
-		if sent >= f.maxHops {
+		if sent += r.Hops; sent >= f.maxHops {
 			return errRedirectLimit
-		}
-		if next, ok := r.Next(p); ok {
-			p = next
-			continue
 		}
 		var err error
 		if p, err = nextHop(p, r.Location()); err != nil {
@@ -291,9 +293,12 @@ func Replay(w *worldgen.World, domain string, exit geo.IP, seed uint64, headers 
 }
 
 // classifyError maps transport errors onto the sample taxonomy. The
-// probe path returns a bare *vnet.OpError, which the type assertion
-// takes without the allocation errors.As costs.
+// probe path returns a bare *vnet.OpError or errRedirectLimit, which
+// the comparisons take without the allocation errors.As costs.
 func classifyError(err error) ErrCode {
+	if err == errRedirectLimit {
+		return ErrRedirects
+	}
 	op, ok := err.(*vnet.OpError)
 	if !ok {
 		var wrapped *vnet.OpError

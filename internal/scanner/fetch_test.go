@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -124,9 +125,13 @@ func refDomains(t *testing.T, w *worldgen.World, n int) []string {
 // attempt's exit-budget spend to agree, plain and under the truncate,
 // churn and mixed chaos profiles. A third twin sends its hops through
 // Config.WrapTransport, the per-hop HTTP adapter path, and a fourth
-// sends the attempt as the one-off Fetch; both must agree too. Nothing
-// else pins the redirect bound: the benchmark worlds hold no
-// redirect-loop or proxy-refused domains.
+// sends the attempt as the one-off Fetch; both must agree too. Each
+// twin has a network of its own, whose injector (the same seed for
+// all) counts the faults it fires: the direct path walks a same-site
+// chain in one probe, and its per-hop fault draws must fire exactly
+// what the reference's hop-by-hop requests fire. Nothing else pins the
+// redirect bound: the benchmark worlds hold no redirect-loop or
+// proxy-refused domains.
 func TestFetchMatchesNetHTTP(t *testing.T) {
 	domains := refDomains(t, refWorld, 3)
 	// Names that are not plain host names take the net/url path: one
@@ -137,10 +142,15 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 	statuses := map[int16]int{}
 	for _, profile := range []string{"", "truncate", "churn", "mixed"} {
 		t.Run("profile="+profile, func(t *testing.T) {
-			net := proxy.NewNetwork(refWorld)
-			if profile != "" {
-				p, _ := faults.Named(profile)
-				net.SetFaults(faults.New(7).Default(p))
+			const twins = 4 // net/http, direct, wrapped, Fetch
+			var nets [twins]*proxy.Network
+			var regs [twins]*telemetry.Registry
+			for i := range nets {
+				nets[i], regs[i] = proxy.NewNetwork(refWorld), telemetry.New()
+				if profile != "" {
+					p, _ := faults.Named(profile)
+					nets[i].SetFaults(faults.New(7).Default(p).Instrument(regs[i]))
+				}
 			}
 			cfg := testConfig()
 			cfg.Bodies = BodyAll // exercise the body path on every hop kind
@@ -148,14 +158,15 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 			wrapped := cfg
 			wrapped.WrapTransport = func(rt http.RoundTripper) http.RoundTripper { return rt }
 			for ci, cc := range countries {
-				open := func() *proxy.Session {
-					s, err := net.NewSession(cc, uint64(ci)+11)
+				var sessions [twins]*proxy.Session
+				for i, n := range nets {
+					s, err := n.NewSession(cc, uint64(ci)+11)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return s
+					sessions[i] = s
 				}
-				ref, direct, viaHTTP, viaFetch := open(), open(), open(), open()
+				ref, direct, viaHTTP, viaFetch := sessions[0], sessions[1], sessions[2], sessions[3]
 				fd := newFetcher(context.Background(), direct, cfg, newHeaderSet(cfg.Headers), nil)
 				fw := newFetcher(context.Background(), viaHTTP, wrapped, newHeaderSet(wrapped.Headers), nil)
 				for di, domain := range domains {
@@ -190,12 +201,23 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 						seen[want.Err]++
 						statuses[want.Status]++
 						if ref.Used() >= RequestsPerExit {
-							ref.Rotate()
-							direct.Rotate()
-							viaHTTP.Rotate()
-							viaFetch.Rotate()
+							for _, s := range sessions {
+								s.Rotate()
+							}
 						}
 					}
+				}
+			}
+			if profile == "" {
+				return
+			}
+			want := injectedCounts(regs[0])
+			if len(want) == 0 {
+				t.Fatalf("the %s profile fired no faults", profile)
+			}
+			for i, name := range []string{"direct", "wrapped", "Fetch"} {
+				if got := injectedCounts(regs[i+1]); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s fired faults %v, net/http %v", name, got, want)
 				}
 			}
 		})
@@ -209,6 +231,17 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 	if statuses[403] == 0 {
 		t.Errorf("no attempt saw a block page; statuses %v", statuses)
 	}
+}
+
+// injectedCounts reads the faults.injected{…} counters out of reg.
+func injectedCounts(reg *telemetry.Registry) map[string]int64 {
+	out := map[string]int64{}
+	for _, m := range reg.Snapshot().Counters {
+		if strings.HasPrefix(m.Name, faults.MetInjected+"{") {
+			out[m.Name] = m.Value
+		}
+	}
+	return out
 }
 
 // fetchedSample fills s with what a BodyAll scan attempt records for
@@ -295,38 +328,44 @@ func TestFetchAllocs(t *testing.T) {
 // TestHopAllocs pins that a resolved task's hops allocate nothing:
 // repeated direct-path samples of one task through a proxy session read
 // zero allocations per attempt, whether the attempt follows a
-// two-redirect chain to a 200 or fails on an unreachable path, an
-// unreachable domain or the exit. Each case takes the first domain of
-// its kind and the first seed that ends the way the case names, and
-// AllocsPerRun's warm-up run resolves the task.
+// two-redirect chain to a 200, runs a redirect loop into the redirect
+// limit (ten hops in one probe, each charged to the exit), or fails on
+// an unreachable path, an unreachable domain or the exit. Each case
+// takes the first domain of its kind and the first seed that ends the
+// way the case names, and AllocsPerRun's warm-up run resolves the
+// task. The benchmark-scale test world holds no redirect loop, so that
+// case scans the reference world.
 func TestHopAllocs(t *testing.T) {
 	cfg := testConfig().withDefaults()
-	s, err := testNet.NewSession("DE", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), nil)
-	pathDown := func(d *worldgen.Domain) bool {
-		var dest vnet.Dest
-		s.Resolve(d.Name, &dest)
-		return dest.PathDown
-	}
+	refNet := proxy.NewNetwork(refWorld)
 	for _, tc := range []struct {
 		name   string
-		domain func(*worldgen.Domain) bool
+		net    *proxy.Network
+		domain func(d *worldgen.Domain, pathDown bool) bool
 		want   Sample // the Err and Status the attempt must end with
+		hops   int    // the requests the attempt's probe takes
 	}{
-		{"two-redirect chain", func(d *worldgen.Domain) bool {
-			return d.RedirectHops == 2 && len(d.GeoRules) == 0 && d.JunkRate == 0 && !d.BlocksProxies && !pathDown(d)
-		}, Sample{Status: 200}},
-		{"path unreachable", pathDown, Sample{Err: ErrTimeout}},
-		{"unreachable domain", func(d *worldgen.Domain) bool { return d.Unreachable && !pathDown(d) }, Sample{Err: ErrTimeout}},
-		{"exit failure", func(d *worldgen.Domain) bool { return !pathDown(d) }, Sample{Err: ErrProxy}},
+		{"two-redirect chain", testNet, func(d *worldgen.Domain, pathDown bool) bool {
+			return d.RedirectHops == 2 && len(d.GeoRules) == 0 && d.JunkRate == 0 && !d.BlocksProxies && !pathDown
+		}, Sample{Status: 200}, 3},
+		{"redirect loop", refNet, func(d *worldgen.Domain, pathDown bool) bool {
+			return d.RedirectLoop && len(d.GeoRules) == 0 && !d.BlocksProxies && !pathDown
+		}, Sample{Err: ErrRedirects}, MaxRedirects},
+		{"path unreachable", testNet, func(_ *worldgen.Domain, pathDown bool) bool { return pathDown }, Sample{Err: ErrTimeout}, 1},
+		{"unreachable domain", testNet, func(d *worldgen.Domain, pathDown bool) bool { return d.Unreachable && !pathDown }, Sample{Err: ErrTimeout}, 1},
+		{"exit failure", testNet, func(_ *worldgen.Domain, pathDown bool) bool { return !pathDown }, Sample{Err: ErrProxy}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.net.NewSession("DE", 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), nil)
 			var domain string
-			for _, d := range testWorld.Top10K() {
-				if tc.domain(d) {
+			for _, d := range tc.net.World.Top10K() {
+				var dest vnet.Dest
+				s.Resolve(d.Name, &dest)
+				if tc.domain(d, dest.PathDown) {
 					domain = d.Name
 					break
 				}
@@ -343,6 +382,14 @@ func TestHopAllocs(t *testing.T) {
 			}
 			if seed == 1000 {
 				t.Fatalf("no seed ends %s with %v, status %d", domain, tc.want.Err, tc.want.Status)
+			}
+			before := s.Used()
+			f.fetch(domain, seed, task, 0, exit)
+			if spent := s.Used() - before; spent != tc.hops {
+				t.Errorf("%s, seed %d: the attempt charged the exit %d requests, want %d", domain, seed, spent, tc.hops)
+			}
+			if answered := tc.want.Err == ErrNone || tc.want.Err == ErrRedirects; answered && f.reply.Hops != tc.hops {
+				t.Errorf("%s, seed %d: the probe took %d hops, want %d", domain, seed, f.reply.Hops, tc.hops)
 			}
 			if allocs := testing.AllocsPerRun(100, func() { f.fetch(domain, seed, task, 0, exit) }); allocs != 0 {
 				t.Errorf("%s, seed %d: %.2f allocations per attempt", domain, seed, allocs)

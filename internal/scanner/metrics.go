@@ -51,6 +51,20 @@ const (
 	MetCovTasksLost = "scanner.coverage.tasks_lost"
 )
 
+// The fetch result counters, one per ErrCode: each is
+// telemetry.Label(MetFetchResults, "code", code.String()), spelled out
+// so that flushing a tally builds no name.
+const (
+	metResultsOK        = MetFetchResults + "{code=ok}"
+	metResultsProxy     = MetFetchResults + "{code=proxy}"
+	metResultsTimeout   = MetFetchResults + "{code=timeout}"
+	metResultsDNS       = MetFetchResults + "{code=dns}"
+	metResultsReset     = MetFetchResults + "{code=reset}"
+	metResultsRedirects = MetFetchResults + "{code=redirects}"
+	metResultsLuminati  = MetFetchResults + "{code=luminati}"
+	metResultsNoExits   = MetFetchResults + "{code=no-exits}"
+)
+
 // Histogram geometry of the tally's three histograms.
 const (
 	latencyMaxMs = 2000
@@ -138,9 +152,14 @@ func (t *tally) flush(reg *telemetry.Registry) {
 	}
 	if t.fetcher {
 		reg.Counter(MetFetchAttempts).Add(t.attempts)
-		for e, n := range t.results {
-			reg.Counter(telemetry.Label(MetFetchResults, "code", ErrCode(e).String())).Add(n)
-		}
+		reg.Counter(metResultsOK).Add(t.results[ErrNone])
+		reg.Counter(metResultsProxy).Add(t.results[ErrProxy])
+		reg.Counter(metResultsTimeout).Add(t.results[ErrTimeout])
+		reg.Counter(metResultsDNS).Add(t.results[ErrDNS])
+		reg.Counter(metResultsReset).Add(t.results[ErrReset])
+		reg.Counter(metResultsRedirects).Add(t.results[ErrRedirects])
+		reg.Counter(metResultsLuminati).Add(t.results[ErrLuminati])
+		reg.Counter(metResultsNoExits).Add(t.results[ErrNoExits])
 		// Latency is wall-schedule dependent; body size is not.
 		t.latency.addTo(reg.RuntimeHistogram(MetFetchLatency, 0, latencyMaxMs, latencyBins))
 		t.bytes.addTo(reg.Histogram(MetFetchBytes, 0, bytesMax, bytesBins))

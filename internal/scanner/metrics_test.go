@@ -109,3 +109,33 @@ func histogramTotal(s *telemetry.Snapshot, name string) int {
 	}
 	return 0
 }
+
+// TestResultCounterNames pins the fetch result counters a tally flushes
+// to telemetry.Label(MetFetchResults, "code", code.String()) for every
+// code below errCodeCount: each code's count must reach the series of
+// that name, and the flush must register no other result series.
+func TestResultCounterNames(t *testing.T) {
+	tl := newTally(telemetry.Wall{})
+	tl.fetcher = true
+	for e := range tl.results {
+		tl.results[e] = int64(e) + 1
+	}
+	reg := telemetry.New()
+	tl.flush(reg)
+	snap := reg.Snapshot()
+	for c := ErrCode(0); c < ErrCode(errCodeCount); c++ {
+		name := telemetry.Label(MetFetchResults, "code", c.String())
+		if got := counterValue(snap, name); got != int64(c)+1 {
+			t.Errorf("%s = %d after flushing %d %v results", name, got, int64(c)+1, c)
+		}
+	}
+	series := 0
+	for _, m := range snap.Counters {
+		if strings.HasPrefix(m.Name, MetFetchResults+"{") {
+			series++
+		}
+	}
+	if series != errCodeCount {
+		t.Errorf("the flush registered %d result series, want %d", series, errCodeCount)
+	}
+}

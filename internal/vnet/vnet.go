@@ -1,27 +1,33 @@
 // Package vnet is the virtual network layer: it connects a client
-// address to the simulated web. Its primary seam is Probe: one GET hop
-// in (scheme, host, path, the deterministic sample seed, and a shared
-// read-only header set), and out, written into a Reply the caller owns,
-// the status, advertised body length, redirect target, and a lazily
-// rendered body. The scanner follows redirect chains over that seam
-// itself, reusing one Reply for every hop of every attempt, so the scan
-// path pays for no HTTP plumbing it does not read and copies no reply.
+// address to the simulated web. Its primary seam is Probe: a GET in
+// (scheme, host, path, the deterministic sample seed, a shared
+// read-only header set, and how many requests the client will spend on
+// the site's same-site redirect chain), and out, written into a Reply
+// the caller owns, the last hop's status, advertised body length,
+// redirect target and lazily rendered body, and how many requests the
+// chain took. The scanner reuses one Reply for every probe of every
+// attempt, so the scan path pays for no HTTP plumbing it does not read
+// and copies no reply.
 //
 // What stays fixed across hops is worked out once, by the scope that
 // owns it. A Dest resolves a task's destination (site name, domain
 // record, name hash, the proxy mesh's transit verdict) and holds the
 // error value its failed hops reuse. At locates a client address once
 // for every probe its Stack sends, and the header set's bot verdict
-// rides in the Probe. An edge's same-site redirect comes back as the
-// next hop (Reply.Next), its Location rendered only when read, so a hop
-// that only reports a length allocates nothing.
+// rides in the Probe. A probe with a hop budget (MaxHops) sends a whole
+// same-site redirect chain: the stack's checks run once, since no
+// same-site hop changes what they key on, and the edge walks the chain
+// to the page or to the budget's last request, rendering the last
+// hop's Location only when read, so a probe that only reports a length
+// allocates nothing.
 //
 // Program code reaches the simulated web only through Probe: scans and
-// one-off fetches through internal/scanner, which follows redirects as
-// http.Client does, and provider discovery, which reads every hop's
-// headers, hop by hop. A Stack (like a proxy.Session) is also an
-// http.RoundTripper, a thin adapter over Probe that the benchmark's
-// transport timers and the net/http reference tests wrap.
+// one-off fetches through internal/scanner, which bounds each attempt's
+// requests as http.Client does, and provider discovery, which reads
+// every hop's headers, one hop per probe. A Stack (like a
+// proxy.Session) is also an http.RoundTripper, a thin adapter over
+// one-hop probes that the benchmark's transport timers and the
+// net/http reference tests wrap.
 //
 // The stack performs DNS resolution against the world, applies national
 // censorship in-path (resets, poisoned DNS, injected block pages,
@@ -85,8 +91,8 @@ func At(w *worldgen.World, ip geo.IP) Stack {
 	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Locate(w, ip)}
 }
 
-// Probe is one GET hop. It is passed by value; the answer comes back
-// in a Reply the caller owns.
+// Probe is one GET, with the same-site redirects it may follow. It is
+// passed by value; the answer comes back in a Reply the caller owns.
 type Probe struct {
 	Scheme string // "http" or "https"
 	Host   string
@@ -104,13 +110,17 @@ type Probe struct {
 	// leaves it to the edge.
 	Fingerprint cdn.Fingerprint
 	// Dest is Host resolved against the world, for callers that send
-	// many hops to one site. Nil resolves Host on each hop.
+	// many probes to one site. Nil resolves Host on each probe.
 	Dest *Dest
+	// MaxHops is how many requests the probe may send along the site's
+	// same-site redirect chain, each one a hop a client following the
+	// redirects would send. Zero, like one, sends one hop.
+	MaxHops int
 }
 
 // Dest is a destination resolved once for every hop and attempt of a
 // task: the site every layer keys on and what it resolves to. The
-// scanner owns one per task and points each hop's Probe.Dest at it; a
+// scanner owns one per task and points each probe's Dest at it; a
 // same-site redirect keeps it, and a redirect that leaves the site
 // needs another.
 type Dest struct {
@@ -125,7 +135,6 @@ type Dest struct {
 	// it). A Stack resolves no transit verdict.
 	PathDown bool
 
-	www string  // "www." + Name, built when a redirect first needs it
 	err OpError // the failure of the last failed hop, reused by the next
 }
 
@@ -150,27 +159,22 @@ func (d *Dest) Fail(op, host, msg string, timeout bool) error {
 	return &d.err
 }
 
-// host is the hop host lower-cased, without rebuilding the spellings
-// the destination already holds.
-func (d *Dest) host(hop string) string {
-	if hop == d.Name || hop == d.www {
-		return hop
-	}
-	return strings.ToLower(hop)
-}
-
-// Reply is the answer to one probe hop. The caller owns it: Probe
-// writes into a Reply the caller passes, so one Reply can serve every
-// hop of a redirect chain and every attempt after it. Rendering is
-// lazy: Body builds the page and Header the response headers only when
-// called.
+// Reply is the answer to a probe: what its last hop was answered, and
+// how many hops it took. The caller owns it: Probe writes into a Reply
+// the caller passes, so one Reply can serve every probe of an attempt
+// and every attempt after it. Rendering is lazy: Body builds the page
+// and Header the response headers only when called.
 type Reply struct {
 	Status int
 	// BodyLen is the advertised Content-Length, -1 when the response
 	// carries none (a truncated transfer).
 	BodyLen int
-	// Redirect marks a redirect response: Next points a probe at its
-	// target, and Location renders it.
+	// Hops is how many requests the probe took: one, plus each
+	// same-site redirect followed within Probe.MaxHops.
+	Hops int
+	// Redirect marks a redirect response, whose target Location
+	// renders: the chain outran the probe's hop budget, or the redirect
+	// was read back from an HTTP response.
 	Redirect bool
 	// Refused marks the proxy platform's refusal to fetch the
 	// destination (an X-Luminati-Error response).
@@ -193,7 +197,7 @@ var errMidTransfer = &OpError{Op: "read", Msg: "connection reset mid-transfer"}
 
 // Refuse makes r the proxy platform's answer for a destination it will
 // not fetch.
-func (r *Reply) Refuse() { *r = Reply{Status: http.StatusBadGateway, Refused: true} }
+func (r *Reply) Refuse() { *r = Reply{Status: http.StatusBadGateway, Hops: 1, Refused: true} }
 
 // Truncate cuts the transfer after keep bytes of body: the advertised
 // length disappears and reading the body fails.
@@ -256,25 +260,6 @@ func (r *Reply) Location() string {
 	return r.edge.Location()
 }
 
-// Next points p, the probe r answers, at the target of an edge's
-// same-site redirect without rendering its Location. It reports false
-// for a probe without a Dest and for any other redirect, whose
-// Location the caller parses.
-func (r *Reply) Next(p Probe) (Probe, bool) {
-	hop := r.edge.Next
-	if r.resp != nil || hop.Scheme == "" || p.Dest == nil {
-		return p, false
-	}
-	p.Scheme, p.Path = hop.Scheme, hop.Path
-	if hop.WWW {
-		if p.Dest.www == "" {
-			p.Dest.www = "www." + p.Dest.Name
-		}
-		p.Host = p.Dest.www
-	}
-	return p, true
-}
-
 // Close releases the body of a reply read back from an HTTP response.
 // Other replies hold nothing to release.
 func (r *Reply) Close() {
@@ -287,7 +272,7 @@ func (r *Reply) Close() {
 // through an http.RoundTripper. Body reads resp.Body, and Close closes
 // it.
 func (r *Reply) SetResponse(resp *http.Response) {
-	*r = Reply{Status: resp.StatusCode, BodyLen: int(resp.ContentLength), resp: resp}
+	*r = Reply{Status: resp.StatusCode, BodyLen: int(resp.ContentLength), Hops: 1, resp: resp}
 	switch resp.StatusCode {
 	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
 		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
@@ -324,7 +309,7 @@ func (r *Reply) Response(req *http.Request) *http.Response {
 	return resp
 }
 
-// ProbeOf translates an HTTP request into a probe hop. The seed comes
+// ProbeOf translates an HTTP request into a one-hop probe. The seed comes
 // from the request context (WithSampleSeed); requests without one
 // derive it from the host and the source address, deterministic per
 // URL and client but shared across repeats.
@@ -360,8 +345,12 @@ func (s *Stack) RoundTrip(req *http.Request) (*http.Response, error) {
 	return r.Response(req), nil
 }
 
-// Probe sends one GET hop from the stack's address and writes the
-// answer into r. After an error r holds nothing the caller may read.
+// Probe sends p from the stack's address, following the site's
+// same-site redirects within p.MaxHops, and writes the last hop's
+// answer into r. The checks in front of the edge run once: they key on
+// the destination's name, the client's location and the clock, which
+// no same-site hop changes. After an error r holds nothing the caller
+// may read.
 func (s *Stack) Probe(p Probe, r *Reply) error {
 	if !s.located {
 		st := At(s.World, s.IP)
@@ -372,7 +361,7 @@ func (s *Stack) Probe(p Probe, r *Reply) error {
 		d = new(Dest)
 		s.Resolve(p.Host, d)
 	}
-	host := d.host(p.Host)
+	host := strings.ToLower(p.Host)
 
 	// National censorship sits between the client and everything else;
 	// DNS poisoning fires even for domains that would not resolve.
@@ -421,8 +410,9 @@ func (s *Stack) Probe(p Probe, r *Reply) error {
 		Located:     true,
 		Fingerprint: p.Fingerprint,
 		NameHash:    d.Hash,
+		MaxHops:     p.MaxHops,
 	}, &r.edge)
-	r.Status, r.BodyLen, r.Redirect = r.edge.Status, r.edge.BodyLen, r.edge.Next.Scheme != ""
+	r.Status, r.BodyLen, r.Hops, r.Redirect = r.edge.Status, r.edge.BodyLen, r.edge.Hops, r.edge.Redirect()
 	return nil
 }
 
@@ -434,7 +424,7 @@ func (s *Stack) censorPage(d *worldgen.Domain, seed uint64, r *Reply) {
 		ClientIP: s.IP.String(),
 		Nonce:    fmt.Sprintf("%06x", uint32(rng.Uint64())),
 	})
-	*r = Reply{Status: http.StatusForbidden, BodyLen: len(body), censored: body}
+	*r = Reply{Status: http.StatusForbidden, BodyLen: len(body), Hops: 1, censored: body}
 }
 
 // lazyBody renders the page on first Read; responses whose bodies are

@@ -41,6 +41,7 @@ func Generate(cfg Config) *World {
 		seed:      cfg.Seed,
 	}
 
+	w.highRisk, w.measurable = highRiskCountries(w.Geo), w.Geo.Measurable()
 	g := &generator{cfg: &cfg, w: w, names: newNameGen(root.Fork("names"))}
 	g.generateTop10K(root.Fork("top10k"))
 	g.placeCameos(root.Fork("cameos"))
@@ -138,8 +139,6 @@ func (g *generator) decoratePopulation(d *Domain, rng *stats.RNG) {
 func (g *generator) assignPolicies(d *Domain, rng *stats.RNG, top1m bool) {
 	cfg := g.cfg
 	bias := cfg.catBias(d.Category)
-	highRisk := g.highRiskCountries()
-	measurable := g.w.Geo.Measurable()
 
 	for _, p := range d.Providers {
 		switch p {
@@ -152,15 +151,15 @@ func (g *generator) assignPolicies(d *Domain, rng *stats.RNG, top1m bool) {
 		case Cloudflare:
 			d.NSDetectable = rng.Bool(0.020)
 			if rng.Bool(clamp01(cfg.CFGeoblockRate * bias)) {
-				d.GeoRules[p] = g.scatteredBlockRule(rng, highRisk, measurable)
+				d.GeoRules[p] = g.scatteredBlockRule(rng)
 			} else if rng.Bool(cfg.CFCaptchaRate) {
-				d.GeoRules[p] = g.challengeRule(rng, ActionCaptcha, highRisk, measurable)
+				d.GeoRules[p] = g.challengeRule(rng, ActionCaptcha)
 			} else if rng.Bool(cfg.CFJSRate) {
-				d.GeoRules[p] = g.jsRule(rng, highRisk, measurable)
+				d.GeoRules[p] = g.jsRule(rng)
 			}
 		case CloudFront:
 			if rng.Bool(clamp01(cfg.CloudFrontGeoblockRate * bias)) {
-				d.GeoRules[p] = g.wideBlockRule(rng, measurable)
+				d.GeoRules[p] = g.wideBlockRule(rng)
 			}
 		case Akamai:
 			d.NSDetectable = rng.Bool(0.383)
@@ -170,7 +169,7 @@ func (g *generator) assignPolicies(d *Domain, rng *stats.RNG, top1m bool) {
 				d.ReputationSensitivity = cfg.ReputationMin + cfg.ReputationSpan*rng.Float64()
 			}
 			if rng.Bool(clamp01(cfg.AkamaiGeoblockRate * bias)) {
-				d.GeoRules[p] = g.scatteredBlockRule(rng, highRisk, measurable)
+				d.GeoRules[p] = g.scatteredBlockRule(rng)
 			}
 		case Incapsula:
 			d.BotSensitivity = akamaiBotSensitivity(rng, cfg.AkamaiBotSensitivityRate*0.8)
@@ -179,24 +178,24 @@ func (g *generator) assignPolicies(d *Domain, rng *stats.RNG, top1m bool) {
 				d.ReputationSensitivity = cfg.ReputationMin + cfg.ReputationSpan*rng.Float64()
 			}
 			if rng.Bool(clamp01(cfg.IncapsulaGeoblockRate * bias)) {
-				d.GeoRules[p] = g.scatteredBlockRule(rng, highRisk, measurable)
+				d.GeoRules[p] = g.scatteredBlockRule(rng)
 			}
 		case Baidu:
 			if rng.Bool(cfg.BaiduCaptchaRate) {
-				d.GeoRules[p] = g.challengeRule(rng, ActionCaptcha, highRisk, measurable)
+				d.GeoRules[p] = g.challengeRule(rng, ActionCaptcha)
 			}
 		case Soasta:
 			if rng.Bool(cfg.SoastaBlockRate) {
-				d.GeoRules[p] = g.challengeRule(rng, ActionBlock, highRisk, measurable)
+				d.GeoRules[p] = g.challengeRule(rng, ActionBlock)
 			}
 		case OriginNginx:
 			d.BlocksProxies = rng.Bool(cfg.ProxyBlockNginx)
 			if rng.Bool(cfg.NginxGeoblockRate) {
-				d.GeoRules[p] = g.proxyHostileRule(rng, highRisk, measurable)
+				d.GeoRules[p] = g.proxyHostileRule(rng)
 			}
 		case OriginVarnish:
 			if rng.Bool(cfg.VarnishGeoblockRate) {
-				d.GeoRules[p] = g.proxyHostileRule(rng, highRisk, measurable)
+				d.GeoRules[p] = g.proxyHostileRule(rng)
 			}
 		}
 	}
@@ -205,7 +204,7 @@ func (g *generator) assignPolicies(d *Domain, rng *stats.RNG, top1m bool) {
 		d.BlocksProxies = rng.Bool(cfg.ProxyBlockDistil)
 		d.ResidentialChallengeRate = 0.10 + 0.30*rng.Float64()
 		if _, ok := d.GeoRules[d.Providers[0]]; !ok {
-			d.GeoRules[d.Providers[0]] = g.challengeRule(rng, ActionCaptcha, highRisk, measurable)
+			d.GeoRules[d.Providers[0]] = g.challengeRule(rng, ActionCaptcha)
 		}
 	} else if rng.Bool(0.05) {
 		d.ResidentialChallengeRate = cfg.ResidentialChallengeRate
@@ -217,7 +216,7 @@ func (g *generator) assignPolicies(d *Domain, rng *stats.RNG, top1m bool) {
 	// Timeout geoblocking: origin-hosted sites only (a CDN fronting the
 	// site would answer the TCP handshake itself).
 	if !d.Providers[0].IsCDN() && rng.Bool(cfg.TimeoutGeoblockRate) {
-		rule := g.proxyHostileRule(rng, highRisk, measurable)
+		rule := g.proxyHostileRule(rng)
 		d.TimeoutBlock = rule.Countries
 	}
 
@@ -235,14 +234,14 @@ func (g *generator) assignPolicies(d *Domain, rng *stats.RNG, top1m bool) {
 					pol.RestrictedIn[cc] = true
 				}
 			}
-			for _, cc := range highRisk {
+			for _, cc := range g.w.highRisk {
 				if rng.Bool(0.15) {
 					pol.RestrictedIn[cc] = true
 				}
 			}
 			n := 1 + poisson(rng, 2)
 			for i := 0; i < n; i++ {
-				cc := measurable[rng.Intn(len(measurable))]
+				cc := g.w.measurable[rng.Intn(len(g.w.measurable))]
 				pol.PriceMarkup[cc] = 1.1 + 0.5*rng.Float64()
 			}
 			if len(pol.RestrictedIn) == 0 && len(pol.PriceMarkup) == 0 {
@@ -256,8 +255,8 @@ func (g *generator) assignPolicies(d *Domain, rng *stats.RNG, top1m bool) {
 // scatteredBlockRule models the observed Cloudflare/Akamai/Incapsula
 // rule shape: the sanctioned set with one coin flip, individual
 // high-risk countries with another, and a small random tail.
-func (g *generator) scatteredBlockRule(rng *stats.RNG, highRisk, measurable []geo.CountryCode) *GeoRule {
-	cfg := g.cfg
+func (g *generator) scatteredBlockRule(rng *stats.RNG) *GeoRule {
+	cfg, highRisk, measurable := g.cfg, g.w.highRisk, g.w.measurable
 	r := &GeoRule{Action: ActionBlock, Countries: map[geo.CountryCode]bool{}}
 	if rng.Bool(cfg.SanctionedBlockProb) {
 		for _, cc := range []geo.CountryCode{"IR", "SY", "SD", "CU", "KP"} {
@@ -282,7 +281,8 @@ func (g *generator) scatteredBlockRule(rng *stats.RNG, highRisk, measurable []ge
 
 // wideBlockRule models CloudFront's observed market-segmentation rules:
 // a wide set of arbitrary countries (~33 in Table 6).
-func (g *generator) wideBlockRule(rng *stats.RNG, measurable []geo.CountryCode) *GeoRule {
+func (g *generator) wideBlockRule(rng *stats.RNG) *GeoRule {
+	measurable := g.w.measurable
 	n := g.cfg.CloudFrontBlockSetSize + rng.Intn(21) - 10
 	if n < 5 {
 		n = 5
@@ -307,7 +307,8 @@ func (g *generator) wideBlockRule(rng *stats.RNG, measurable []geo.CountryCode) 
 
 // challengeRule scopes a captcha/block to a handful of high-risk
 // countries (anti-abuse deployments).
-func (g *generator) challengeRule(rng *stats.RNG, action Action, highRisk, measurable []geo.CountryCode) *GeoRule {
+func (g *generator) challengeRule(rng *stats.RNG, action Action) *GeoRule {
+	highRisk, measurable := g.w.highRisk, g.w.measurable
 	r := &GeoRule{Action: action, Countries: map[geo.CountryCode]bool{}}
 	n := 3 + rng.Intn(6)
 	for i := 0; i < n; i++ {
@@ -321,21 +322,22 @@ func (g *generator) challengeRule(rng *stats.RNG, action Action, highRisk, measu
 
 // jsRule: half of JavaScript-challenge deployments are global
 // ("under attack" mode), half country-scoped like captchas.
-func (g *generator) jsRule(rng *stats.RNG, highRisk, measurable []geo.CountryCode) *GeoRule {
+func (g *generator) jsRule(rng *stats.RNG) *GeoRule {
 	if rng.Bool(0.5) {
 		r := &GeoRule{Action: ActionJS, Countries: map[geo.CountryCode]bool{}}
-		for _, cc := range measurable {
+		for _, cc := range g.w.measurable {
 			r.Countries[cc] = true
 		}
 		return r
 	}
-	r := g.challengeRule(rng, ActionJS, highRisk, measurable)
+	r := g.challengeRule(rng, ActionJS)
 	return r
 }
 
 // proxyHostileRule models origin-side country blocks: heavy on the
 // abuse-associated countries, mean size ~8.
-func (g *generator) proxyHostileRule(rng *stats.RNG, highRisk, measurable []geo.CountryCode) *GeoRule {
+func (g *generator) proxyHostileRule(rng *stats.RNG) *GeoRule {
+	highRisk, measurable := g.w.highRisk, g.w.measurable
 	r := &GeoRule{Action: ActionBlock, Countries: map[geo.CountryCode]bool{}}
 	for _, cc := range highRisk {
 		if rng.Bool(0.4) {
@@ -352,9 +354,10 @@ func (g *generator) proxyHostileRule(rng *stats.RNG, highRisk, measurable []geo.
 	return r
 }
 
-func (g *generator) highRiskCountries() []geo.CountryCode {
+// highRiskCountries returns the codes of db's high-risk countries.
+func highRiskCountries(db *geo.DB) []geo.CountryCode {
 	var out []geo.CountryCode
-	for _, c := range g.w.Geo.Countries() {
+	for _, c := range db.Countries() {
 		if c.HighRisk {
 			out = append(out, c.Code)
 		}
@@ -379,8 +382,6 @@ func (g *generator) placeCameos(rng *stats.RNG) {
 	if size < 100 {
 		return
 	}
-	measurable := w.Geo.Measurable()
-
 	replace := func(idx int, name string, mutate func(d *Domain)) {
 		old := w.top10k[idx]
 		delete(w.byName, old.Name)
@@ -401,7 +402,7 @@ func (g *generator) placeCameos(rng *stats.RNG) {
 	replace(size/7, "makro.co.za", func(d *Domain) {
 		d.Providers = []Provider{CloudFront}
 		d.Category = category.Shopping
-		rule := g.wideBlockRule(rng, measurable)
+		rule := g.wideBlockRule(rng)
 		rule.ActiveUntil = 1
 		d.GeoRules[CloudFront] = rule
 	})
@@ -624,8 +625,6 @@ func (g *generator) buildCLExtra(i int, rng *stats.RNG) *Domain {
 		GeoRules:     map[Provider]*GeoRule{},
 		OnCitizenLab: true,
 	}
-	highRisk := g.highRiskCountries()
-	measurable := g.w.Geo.Measurable()
 	switch {
 	case rng.Bool(0.35):
 		d.Providers = []Provider{Cloudflare}
@@ -634,12 +633,12 @@ func (g *generator) buildCLExtra(i int, rng *stats.RNG) *Domain {
 				// A minority of restricted test-list sites segment wide
 				// swaths of the world, spreading the OONI confound far
 				// beyond the sanctioned set.
-				d.GeoRules[Cloudflare] = g.wideBlockRule(rng, measurable)
+				d.GeoRules[Cloudflare] = g.wideBlockRule(rng)
 			} else {
-				d.GeoRules[Cloudflare] = g.scatteredBlockRule(rng, highRisk, measurable)
+				d.GeoRules[Cloudflare] = g.scatteredBlockRule(rng)
 			}
 		} else if rng.Bool(0.10) {
-			d.GeoRules[Cloudflare] = g.challengeRule(rng, ActionCaptcha, highRisk, measurable)
+			d.GeoRules[Cloudflare] = g.challengeRule(rng, ActionCaptcha)
 		}
 	case rng.Bool(0.08):
 		d.Providers = []Provider{Akamai}
@@ -652,7 +651,7 @@ func (g *generator) buildCLExtra(i int, rng *stats.RNG) *Domain {
 	case rng.Bool(0.04):
 		d.Providers = []Provider{CloudFront}
 		if rng.Bool(0.1) {
-			d.GeoRules[CloudFront] = g.wideBlockRule(rng, measurable)
+			d.GeoRules[CloudFront] = g.wideBlockRule(rng)
 		}
 	}
 	// Test-list content is censored far more aggressively than popular

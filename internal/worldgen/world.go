@@ -34,6 +34,11 @@ type World struct {
 
 	clExtras []*Domain // test-list domains outside the rank space
 
+	// The country lists access policies draw from, computed once for
+	// the eager population and every lazily built customer alike.
+	highRisk   []geo.CountryCode // the high-risk countries
+	measurable []geo.CountryCode // Geo.Measurable()
+
 	clock atomic.Int64
 	seed  uint64
 }
