@@ -100,13 +100,13 @@ cover:
 	  awk -v p="$$pct" -v m="$$2" 'BEGIN { exit (p+0 >= m+0) ? 0 : 1 }' \
 	    || { echo "FAIL: coverage for $$1 fell below the ratcheted floor of $$2%"; exit 1; }; \
 	}; \
-	check ./internal/scanner 90; \
+	check ./internal/scanner 94; \
 	check ./internal/faults 94; \
 	check ./internal/lint 92; \
 	check ./internal/telemetry 95; \
 	check ./internal/trace 89; \
-	check ./internal/runstore 89; \
-	check ./internal/fabric 79; \
+	check ./internal/runstore 91; \
+	check ./internal/fabric 80; \
 	check ./internal/verdict 85; \
 	check ./internal/cdn 88; \
 	check ./internal/vnet 79; \

@@ -140,16 +140,3 @@ func Top1MWeights() []Weight {
 		{Dating, 90}, {Circumvention, 30}, {Unknown, 190},
 	}
 }
-
-// FilterSafe partitions cats' indices into kept and removed under the
-// Top-10K policy, preserving order.
-func FilterSafe(cats []Category) (kept, removed []int) {
-	for i, c := range cats {
-		if IsRisky(c) {
-			removed = append(removed, i)
-		} else {
-			kept = append(kept, i)
-		}
-	}
-	return kept, removed
-}

@@ -79,17 +79,3 @@ func TestTop10KRiskyFraction(t *testing.T) {
 		t.Fatalf("risky weight fraction = %.3f, want ~0.20", frac)
 	}
 }
-
-func TestFilterSafe(t *testing.T) {
-	cats := []Category{Shopping, Pornography, Business, Unknown, Travel}
-	kept, removed := FilterSafe(cats)
-	if len(kept) != 3 || len(removed) != 2 {
-		t.Fatalf("kept=%v removed=%v", kept, removed)
-	}
-	if kept[0] != 0 || kept[1] != 2 || kept[2] != 4 {
-		t.Fatalf("kept order wrong: %v", kept)
-	}
-	if removed[0] != 1 || removed[1] != 3 {
-		t.Fatalf("removed order wrong: %v", removed)
-	}
-}

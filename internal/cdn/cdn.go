@@ -330,7 +330,7 @@ func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
 	for _, p := range d.Providers {
 		// Platform-level App Engine block (§4.2.1): Google itself, not
 		// the customer, denies sanctioned locations.
-		if p == worldgen.AppEngine && d.GAEHosted && gaeBlocked(loc) {
+		if p == worldgen.AppEngine && d.GAEHosted && worldgen.AppEngineBlocked(loc) {
 			return blockpage.AppEngine
 		}
 
@@ -401,7 +401,7 @@ func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
 	}
 
 	// Airbnb's custom application-level restriction page.
-	if d.AirbnbStyle && airbnbBlocked(loc) {
+	if d.AirbnbStyle && worldgen.AirbnbBlocked(loc) {
 		return blockpage.Airbnb
 	}
 
@@ -623,24 +623,4 @@ func maybeMisgeolocate(w *worldgen.World, loc geo.Location, ip geo.IP) geo.Locat
 		}
 	}
 	return loc
-}
-
-// gaeBlocked mirrors Google's platform policy: Cuba, Iran, Syria,
-// Sudan, North Korea, Crimea.
-func gaeBlocked(loc geo.Location) bool {
-	switch loc.Country {
-	case "CU", "IR", "SY", "SD", "KP":
-		return true
-	}
-	return loc.Region == geo.RegionCrimea
-}
-
-// airbnbBlocked mirrors Airbnb's stated policy: Crimea, Iran, Syria,
-// North Korea.
-func airbnbBlocked(loc geo.Location) bool {
-	switch loc.Country {
-	case "IR", "SY", "KP":
-		return true
-	}
-	return loc.Region == geo.RegionCrimea
 }

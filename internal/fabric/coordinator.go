@@ -481,21 +481,12 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		reject(fmt.Sprintf("fabric: checkpoint seq %d does not match completion seq %d", cp.Seq, seq))
 		return
 	}
-	res := scanner.UnitResult{Samples: samples, Lost: cp.Lost}
-	if len(cp.Metrics) > 0 {
-		// The wire payload is the staged snapshot plus the unit's trace
-		// events (see unitPayload) — transport only, never journaled.
-		var pl unitPayload
-		err = json.Unmarshal(cp.Metrics, &pl)
-		if err == nil {
-			err = pl.Snapshot.Validate()
-		}
-		if err != nil {
-			reject("fabric: bad completion metrics: " + err.Error())
+	res := scanner.UnitResult{Samples: samples, Lost: cp.Lost, Metrics: cp.Metrics}
+	if len(cp.Trace) > 0 {
+		if err := json.Unmarshal(cp.Trace, &res.Trace); err != nil {
+			reject("fabric: bad completion trace: " + err.Error())
 			return
 		}
-		res.Metrics = &pl.Snapshot
-		res.Trace = pl.Trace
 	}
 
 	c.mu.Lock()

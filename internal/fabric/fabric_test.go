@@ -313,7 +313,7 @@ func TestCompleteIdempotency(t *testing.T) {
 			t.Fatalf("ExecuteUnit(%d): %v", seq, err)
 		}
 		unit := w.plan.Unit(seq)
-		cp := runstore.Checkpoint{Seq: seq, Country: unit.Country, Tasks: unit.Tasks, Samples: len(res.Samples), Lost: res.Lost}
+		cp := runstore.Checkpoint{Seq: seq, Country: unit.Country, Tasks: unit.Tasks, Samples: len(res.Samples), Lost: res.Lost, Metrics: res.Metrics}
 		body := runstore.EncodeShardFrames(res.Samples, cp)
 		url := fmt.Sprintf("%s%s?phase=%d&seq=%d&lease=%d&fp=%d&worker=probe", srv.URL, PathComplete, g.Phase, seq, lease, fp)
 		resp, err := http.Post(url, "application/octet-stream", strings.NewReader(string(body)))
@@ -358,35 +358,53 @@ func TestCompleteIdempotency(t *testing.T) {
 	}
 }
 
-// badCompletions encodes the five completions a faulty worker could
-// send for a unit whose genuine result is res: the first sample naming
+// badCompletions encodes the completions a faulty worker could send
+// for a unit whose genuine result is res: the first sample naming
 // domain index 2^30, the first sample naming country index 999, one of
-// the unit's samples alone, loss reason 200, and the genuine samples
-// with a staged snapshot holding a histogram whose min equals its max.
-// Each is well framed and goes out under the unit's own fingerprint, so
-// only the coordinator's checks can tell it from the real thing.
+// the unit's samples alone, loss reason 200, no metrics, results that
+// do not sum to the attempts, a body-size histogram holding one more
+// observation than the ok results, more attempts than 1+Retries per
+// sample allows, attempts without a fetcher, and a trace field that is
+// not JSON. Each is well framed and goes out under the unit's own
+// fingerprint, so only the coordinator's checks can tell it from the
+// real thing.
 func badCompletions(t testing.TB, unit scanner.WorkUnit, res scanner.UnitResult) [][]byte {
 	t.Helper()
-	variant := func(edit func(*scanner.UnitResult)) []byte {
-		bad := res
-		bad.Samples = append([]scanner.Sample(nil), res.Samples...)
-		edit(&bad)
-		b, err := completionBody(unit, bad)
+	encode := func(res scanner.UnitResult) []byte {
+		b, err := completionBody(unit, res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
+	variant := func(edit func(*scanner.UnitResult)) []byte {
+		bad := res
+		bad.Samples = append([]scanner.Sample(nil), res.Samples...)
+		m := *res.Metrics
+		bad.Metrics = &m
+		edit(&bad)
+		return encode(bad)
+	}
+	samples, cp, err := runstore.DecodeShardFrames(encode(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Trace = []byte(`[{"name":`)
 	return [][]byte{
 		variant(func(r *scanner.UnitResult) { r.Samples[0].Domain = 1 << 30 }),
 		variant(func(r *scanner.UnitResult) { r.Samples[0].Country = 999 }),
 		variant(func(r *scanner.UnitResult) { r.Samples = r.Samples[:1] }),
 		variant(func(r *scanner.UnitResult) { r.Lost = 200 }),
+		variant(func(r *scanner.UnitResult) { r.Metrics = nil }),
+		variant(func(r *scanner.UnitResult) { r.Metrics.Results[scanner.ErrProxy]++ }),
+		variant(func(r *scanner.UnitResult) { r.Metrics.Bytes.Counts[0]++ }),
 		variant(func(r *scanner.UnitResult) {
-			r.Metrics = &telemetry.Snapshot{Histograms: []telemetry.HistogramStats{
-				{Name: "scanner.flat", Min: 1, Max: 1, Counts: []int{1}, Total: 1},
-			}}
+			extra := int64(len(r.Samples) * 3)
+			r.Metrics.Attempts += extra
+			r.Metrics.Results[scanner.ErrTimeout] += extra
 		}),
+		variant(func(r *scanner.UnitResult) { r.Metrics.Fetcher = false }),
+		runstore.EncodeShardFrames(samples, cp),
 	}
 }
 

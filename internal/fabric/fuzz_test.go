@@ -22,13 +22,12 @@ import (
 
 // FuzzCompleteHandler drives the completion handler end to end — query
 // string and body — against a fresh coordinator running one fixed
-// phase into a fresh registry, so an accepted completion's staged
-// snapshot reaches Registry.Merge. The seeds include the genuine unit-0
-// completion carrying a histogram no registry can hold (see
-// badCompletions). The handler must never panic, and it must never answer 200
-// with an accepted or duplicate ack for a payload that is not the named
-// unit's output. (A stale-phase ack is 200 too, but only for a query
-// that names another phase.)
+// phase into a fresh registry, so an accepted completion's metrics
+// reach the registry. The seeds include the genuine unit-0 completion
+// and every bad completion of badCompletions. The handler must never
+// panic, and it must never answer 200 with an accepted or duplicate ack
+// for a payload that is not the named unit's output. (A stale-phase ack
+// is 200 too, but only for a query that names another phase.)
 func FuzzCompleteHandler(f *testing.F) {
 	domains, countries, tasks, cfg := fabricInputs()
 	plan := scanner.NewPlan(domains, countries, tasks, cfg)
@@ -109,6 +108,9 @@ func FuzzCompleteHandler(f *testing.F) {
 		want := refs[seq].Samples
 		if cp.Lost > scanner.OutageDark || len(samples) != len(want) {
 			t.Fatalf("answered %+v to unit %d with loss reason %d and %d of %d samples", ack, seq, cp.Lost, len(samples), len(want))
+		}
+		if m := cp.Metrics; m == nil || m.Attempts > int64(len(want)*(1+cfg.Retries)) {
+			t.Fatalf("answered %+v to unit %d with metrics %+v", ack, seq, m)
 		}
 		for i, s := range samples {
 			if w := want[i]; s.Domain != w.Domain || s.Country != w.Country || s.Attempt != w.Attempt {

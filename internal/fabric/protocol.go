@@ -5,8 +5,11 @@
 // calibration, rebuilds each phase's Plan from the PhaseSpec's inputs,
 // and proves agreement through the plan and unit fingerprints before
 // any lease runs. Only results cross the wire in bulk — and those
-// travel as runstore-framed records, so the coordinator journals
-// exactly the bytes a single-process run would have journaled.
+// travel as runstore-framed records, the unit's scanner.UnitMetrics
+// typed in its checkpoint, so the coordinator journals exactly the
+// bytes a single-process run would have journaled. A unit's trace
+// events are a completion's only JSON, in the checkpoint's
+// transport-only Trace field.
 package fabric
 
 import (
@@ -16,7 +19,6 @@ import (
 	"geoblock/internal/faults"
 	"geoblock/internal/geo"
 	"geoblock/internal/scanner"
-	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 	"geoblock/internal/worldgen"
 )
@@ -176,17 +178,6 @@ type UnitLease struct {
 	// errors if the two disagree, the same trust-but-verify posture as
 	// the fingerprints. Zero when the coordinator is not tracing.
 	Span trace.ID `json:"span,omitempty"`
-}
-
-// unitPayload is what rides Checkpoint.Metrics across the wire in a
-// completion: the unit's full staged metrics snapshot (embedded, so an
-// untraced payload's JSON is exactly the bare snapshot) plus its trace
-// events. Transport only — the coordinator journal re-derives its
-// deterministic checkpoint view from the snapshot, so these bytes
-// never land in a segment file.
-type unitPayload struct {
-	telemetry.Snapshot
-	Trace []trace.Event `json:"trace,omitempty"`
 }
 
 // LeaseGrant is the coordinator's answer to a lease request.

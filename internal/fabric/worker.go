@@ -270,27 +270,25 @@ func (w *Worker) runUnit(ctx context.Context, phase int, lease UnitLease) error 
 }
 
 // completionBody encodes one executed unit as a completion payload:
-// its samples and checkpoint as runstore frames. The full staged
-// snapshot and the unit's trace events ride the checkpoint's metrics
-// field, so the coordinator's live registry merge and merged timeline
-// match an in-process run; the journal keeps only its deterministic
-// view.
+// its samples and checkpoint as runstore frames, the checkpoint
+// carrying the unit's metrics as the journal does and its trace events,
+// as JSON, in the transport-only Trace field, so the coordinator's
+// registry and merged timeline match an in-process run.
 func completionBody(unit scanner.WorkUnit, res scanner.UnitResult) ([]byte, error) {
-	pl := unitPayload{Trace: res.Trace}
-	if res.Metrics != nil {
-		pl.Snapshot = *res.Metrics
-	}
-	mb, err := json.Marshal(pl)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: encoding unit metrics: %w", err)
-	}
 	cp := runstore.Checkpoint{
 		Seq:     unit.Seq,
 		Country: unit.Country,
 		Tasks:   unit.Tasks,
 		Samples: len(res.Samples),
 		Lost:    res.Lost,
-		Metrics: mb,
+		Metrics: res.Metrics,
+	}
+	if len(res.Trace) > 0 {
+		b, err := json.Marshal(res.Trace)
+		if err != nil {
+			return nil, fmt.Errorf("fabric: encoding unit trace: %w", err)
+		}
+		cp.Trace = b
 	}
 	return runstore.EncodeShardFrames(res.Samples, cp), nil
 }

@@ -12,18 +12,13 @@ import (
 	"geoblock/internal/blockpage"
 )
 
-// Signature recognizes one page class: every token must appear in the
-// whitespace-normalized body.
-type Signature struct {
-	Kind   blockpage.Kind
-	Tokens []string
-}
-
-// Classifier matches bodies against an ordered signature set. It holds
-// no scratch space, so one Classifier is safe for concurrent use.
+// Classifier matches bodies against an ordered signature set: one
+// page class per signature, recognized when every one of its tokens
+// appears in the whitespace-normalized body. It holds no scratch
+// space, so one Classifier is safe for concurrent use.
 type Classifier struct {
-	sigs []Signature
-	toks [][][]byte // each signature's Tokens, compiled for blockpage.Match
+	kinds []blockpage.Kind
+	toks  [][][]byte // each kind's tokens, compiled for blockpage.Match
 }
 
 // NewClassifier compiles the default signature set: one signature per
@@ -31,21 +26,12 @@ type Classifier struct {
 // pipeline must recognize to *exclude*, not to report). Each class's
 // tokens are normalized once, here.
 func NewClassifier() *Classifier {
-	kinds := append(blockpage.Kinds(), blockpage.Censorship, blockpage.Legal451)
-	c := &Classifier{}
-	for _, k := range kinds {
-		toks := blockpage.Tokens(k)
-		s := Signature{Kind: k}
-		for _, t := range toks {
-			s.Tokens = append(s.Tokens, string(t))
-		}
-		c.sigs, c.toks = append(c.sigs, s), append(c.toks, toks)
+	c := &Classifier{kinds: append(blockpage.Kinds(), blockpage.Censorship, blockpage.Legal451)}
+	for _, k := range c.kinds {
+		c.toks = append(c.toks, blockpage.Tokens(k))
 	}
 	return c
 }
-
-// Signatures exposes the compiled set (for documentation tooling).
-func (c *Classifier) Signatures() []Signature { return c.sigs }
 
 // Classify labels body, returning KindNone when nothing matches.
 // The body is normalized once and matched in signature order, with no
@@ -53,7 +39,7 @@ func (c *Classifier) Signatures() []Signature { return c.sigs }
 // construction (verified by tests against every template).
 func (c *Classifier) Classify(body string) blockpage.Kind {
 	if i := blockpage.Match(body, c.toks); i >= 0 {
-		return c.sigs[i].Kind
+		return c.kinds[i]
 	}
 	return blockpage.KindNone
 }

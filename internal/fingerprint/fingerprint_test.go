@@ -110,16 +110,3 @@ func TestSignatureWhitespaceInsensitive(t *testing.T) {
 		t.Fatal("classifier must tolerate reflowed whitespace")
 	}
 }
-
-func TestSignaturesExposed(t *testing.T) {
-	c := NewClassifier()
-	want := len(blockpage.Kinds()) + 2 // + censorship + HTTP 451
-	if got := len(c.Signatures()); got != want {
-		t.Fatalf("signature count = %d, want %d", got, want)
-	}
-	for _, s := range c.Signatures() {
-		if len(s.Tokens) == 0 {
-			t.Fatalf("%v has no tokens", s.Kind)
-		}
-	}
-}

@@ -28,7 +28,7 @@
 // intra-package callers are handler-shaped.
 //
 // internal/telemetry itself is exempt: it is the layer's implementor,
-// and its Merge/Snapshot plumbing necessarily handles names and
+// and its Snapshot plumbing necessarily handles names and
 // classes as data.
 package lint
 

@@ -197,18 +197,6 @@ func TestTop10KAppEngineOnlySanctioned(t *testing.T) {
 	}
 }
 
-func TestFindingsByKind(t *testing.T) {
-	_, r := top10K(t)
-	groups := FindingsByKind(r.Findings)
-	total := 0
-	for _, fs := range groups {
-		total += len(fs)
-	}
-	if total != len(r.Findings) {
-		t.Fatal("grouping lost findings")
-	}
-}
-
 func TestConsistencyExperiment(t *testing.T) {
 	s, r := top10K(t)
 	exp := s.RunConsistencyExperiment(r, 30, 100, []int{1, 3, 20})

@@ -395,12 +395,3 @@ func UniqueDomains(findings []Finding) int {
 	}
 	return len(set)
 }
-
-// FindingsByKind groups findings per page kind.
-func FindingsByKind(findings []Finding) map[blockpage.Kind][]Finding {
-	out := map[blockpage.Kind][]Finding{}
-	for _, f := range findings {
-		out[f.Kind] = append(out[f.Kind], f)
-	}
-	return out
-}

@@ -3,7 +3,6 @@ package runstore
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"geoblock/internal/faults"
@@ -213,35 +212,5 @@ func TestFingerprintMismatch(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("fingerprint mismatch accepted")
-	}
-}
-
-// TestResumeRejectsUnholdableSnapshot: a checkpoint whose staged
-// snapshot carries a histogram no registry can hold (min == max) fails
-// the resume with an error naming the phase and the checkpoint, where
-// merging it would panic.
-func TestResumeRejectsUnholdableSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	flat := &telemetry.Snapshot{Histograms: []telemetry.HistogramStats{
-		{Name: "scanner.flat", Min: 1, Max: 1, Counts: []int{1}, Total: 1},
-	}}
-	scan := func(reg *telemetry.Registry, run func(scanner.Config, scanner.Sink) error) error {
-		st := mustOpen(t, dir, Options{})
-		defer st.Close()
-		return st.Scan(Scan{Key: "flat", Fingerprint: 403, Cfg: crashConfig(1, reg), Sink: &scanner.Collect{}, Run: run})
-	}
-	if err := scan(nil, func(_ scanner.Config, sink scanner.Sink) error {
-		sink.Emit(scanner.Sample{})
-		sink.(scanner.ShardSink).EmitShardDone(scanner.ShardDone{Country: "US", Tasks: 1, Samples: 1, Metrics: flat})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err := scan(telemetry.New(), func(scanner.Config, scanner.Sink) error {
-		t.Fatal("engine ran past an unholdable checkpoint snapshot")
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), `phase "flat" checkpoint 0`) {
-		t.Fatalf("resume = %v, want an error naming phase flat and checkpoint 0", err)
 	}
 }

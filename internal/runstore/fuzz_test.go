@@ -24,6 +24,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	flipped := append([]byte(nil), half...)
 	flipped[len(flipped)/3] ^= 0x80
 	f.Add(flipped)
+	for _, bad := range badMetrics() {
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := DecodeRecord(payload)
@@ -46,7 +49,8 @@ func FuzzDecodeRecord(f *testing.F) {
 // re-encode into one that decodes to the same shard. The seeds include
 // the four bad completions a faulty worker could send for a 16-sample
 // unit — a foreign domain index, a foreign country index, a short
-// payload, and loss reason 200 (which the decoder itself rejects).
+// payload, and loss reason 200 (which the decoder itself rejects) —
+// and the two checkpoints of badMetrics.
 func FuzzDecodeShardFrames(f *testing.F) {
 	samples, cp := wireShard(16)
 	f.Add(EncodeShardFrames(samples, cp))
@@ -61,6 +65,9 @@ func FuzzDecodeShardFrames(f *testing.F) {
 	f.Add(bad(func(s []scanner.Sample, _ *Checkpoint) []scanner.Sample { s[0].Country = 999; return s }))
 	f.Add(bad(func(s []scanner.Sample, _ *Checkpoint) []scanner.Sample { return s[:1] }))
 	f.Add(bad(func(s []scanner.Sample, c *Checkpoint) []scanner.Sample { c.Lost = 200; return s }))
+	for _, cp := range badMetrics() {
+		f.Add(frame(cp))
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		samples, cp, err := DecodeShardFrames(b)

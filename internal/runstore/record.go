@@ -33,8 +33,11 @@ const (
 	recPhaseDone  byte = 6 // phase ID
 )
 
-// segMagic opens every segment file.
-const segMagic = "GBRUNST1"
+// segMagic opens every segment file and names its record format.
+// GBRUNST2 carries typed checkpoint metrics; GBRUNST1 carried them as
+// JSON, and Open refuses it rather than read such a checkpoint as a
+// torn tail.
+const segMagic = "GBRUNST2"
 
 // frameHeader is the byte length of the length+CRC prefix.
 const frameHeader = 8
@@ -73,16 +76,21 @@ type Record struct {
 
 // Checkpoint records one completed scheduler shard: its canonical
 // sequence number, country, task and sample counts, loss reason, and
-// the JSON-encoded deterministic telemetry snapshot the shard staged
-// (nil when the scan ran without a registry). A checkpoint is the
-// commit point for the sample records preceding it.
+// what its session and fetch work counted. A checkpoint is the commit
+// point for the sample records preceding it.
 type Checkpoint struct {
 	Seq     int
 	Country string
 	Tasks   int
 	Samples int
 	Lost    scanner.OutageReason
-	Metrics []byte
+	// Metrics is the shard's scanner.UnitMetrics, encoded field by
+	// field behind a presence byte; nil when the checkpoint carries
+	// none.
+	Metrics *scanner.UnitMetrics
+	// Trace is transport-only: a fabric completion's trace events as
+	// JSON. The journal writes it empty.
+	Trace []byte
 }
 
 // encodeRecord renders rec's payload (type byte + fields).
@@ -113,7 +121,8 @@ func encodeRecord(rec Record) []byte {
 		b = binary.AppendUvarint(b, uint64(cp.Tasks))
 		b = binary.AppendUvarint(b, uint64(cp.Samples))
 		b = binary.AppendUvarint(b, uint64(cp.Lost))
-		b = appendBytes(b, cp.Metrics)
+		b = appendMetrics(b, cp.Metrics)
+		b = appendBytes(b, cp.Trace)
 	case recOutage:
 		b = binary.AppendUvarint(b, uint64(rec.Phase))
 		o := rec.Outage
@@ -241,7 +250,10 @@ func DecodeRecord(payload []byte) (Record, error) {
 			cp.Lost = scanner.OutageReason(v)
 		}
 		if err == nil {
-			cp.Metrics, err = d.bytes()
+			cp.Metrics, err = d.metrics()
+		}
+		if err == nil {
+			cp.Trace, err = d.bytes()
 		}
 	case recOutage:
 		rec.Phase, err = d.count()
@@ -310,6 +322,40 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
+// appendMetrics renders a checkpoint's metrics: a presence byte, then
+// the fetcher flag and every counter in metricFields order.
+func appendMetrics(b []byte, m *scanner.UnitMetrics) []byte {
+	if m == nil {
+		return append(b, 0)
+	}
+	fetcher := byte(0)
+	if m.Fetcher {
+		fetcher = 1
+	}
+	b = append(b, 1, fetcher)
+	for _, f := range metricFields(m) {
+		b = binary.AppendUvarint(b, uint64(*f))
+	}
+	return b
+}
+
+// metricFields lists m's counters in wire order, the one order both
+// appendMetrics and dec.metrics follow.
+func metricFields(m *scanner.UnitMetrics) []*int64 {
+	f := make([]*int64, 0, 8+len(m.Results)+2*(len(m.Bytes.Counts)+2))
+	f = append(f, &m.Attempts, &m.OpenAttempts, &m.Brownouts, &m.Retries, &m.Rotations, &m.Probes, &m.FailedSweeps, &m.BreakerTrips)
+	for i := range m.Results {
+		f = append(f, &m.Results[i])
+	}
+	for _, h := range []*scanner.UnitHistogram{&m.Bytes, &m.Backoff} {
+		for i := range h.Counts {
+			f = append(f, &h.Counts[i])
+		}
+		f = append(f, &h.OutOfRange, &h.Sum)
+	}
+	return f
+}
+
 var errTruncated = errors.New("runstore: truncated record payload")
 
 // dec is a strict cursor over a record payload.
@@ -365,6 +411,39 @@ func (d *dec) uvarint8() (byte, error) {
 		return 0, fmt.Errorf("runstore: field value %d overflows uint8", v)
 	}
 	return byte(v), nil
+}
+
+// flag decodes a byte that must be 0 or 1.
+func (d *dec) flag() (bool, error) {
+	v, err := d.u8()
+	if err == nil && v > 1 {
+		err = fmt.Errorf("runstore: flag byte %d is neither 0 nor 1", v)
+	}
+	return v == 1, err
+}
+
+// metrics decodes what appendMetrics wrote. A counter past MaxInt64
+// is corruption: counts are never negative, so none may wrap.
+func (d *dec) metrics() (*scanner.UnitMetrics, error) {
+	present, err := d.flag()
+	if err != nil || !present {
+		return nil, err
+	}
+	m := &scanner.UnitMetrics{}
+	if m.Fetcher, err = d.flag(); err != nil {
+		return nil, err
+	}
+	for _, f := range metricFields(m) {
+		v, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if v > math.MaxInt64 {
+			return nil, fmt.Errorf("runstore: checkpoint counter %d overflows int64", v)
+		}
+		*f = int64(v)
+	}
+	return m, nil
 }
 
 // count decodes a non-negative int-sized field (sequence numbers,

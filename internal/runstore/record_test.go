@@ -2,10 +2,13 @@ package runstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"geoblock/internal/geo"
@@ -14,9 +17,38 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden segment file")
 
+// fullMetrics returns UnitMetrics with the fetcher flag set and a
+// distinct nonzero value in every counter, one of them MaxInt64. It
+// fills the counters by reflection, so a counter the codec misses
+// cannot roundtrip.
+func fullMetrics() *scanner.UnitMetrics {
+	m := &scanner.UnitMetrics{Fetcher: true}
+	n := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Int64:
+			n++
+			v.SetInt(n * 1000003)
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		}
+	}
+	fill(reflect.ValueOf(m).Elem())
+	m.Backoff.Sum = math.MaxInt64
+	return m
+}
+
 // sampleRecords returns one record of every type, with every field
 // populated (including negative and boundary values), in the order a
-// real journal would carry them.
+// real journal would carry them. The checkpoints' transport-only Trace
+// stays empty, as the journal writes it.
 func sampleRecords() []Record {
 	return []Record{
 		{Type: recPhaseBegin, Key: "top10k-initial", Name: "top10k-initial", Fingerprint: 0xdeadbeefcafef00d},
@@ -29,7 +61,7 @@ func sampleRecords() []Record {
 		}},
 		{Type: recCheckpoint, Phase: 0, Checkpoint: Checkpoint{
 			Seq: 0, Country: "IR", Tasks: 40, Samples: 120, Lost: 2,
-			Metrics: []byte(`{"counters":[{"name":"x","value":1}]}`),
+			Metrics: fullMetrics(),
 		}},
 		{Type: recCheckpoint, Phase: 0, Checkpoint: Checkpoint{Seq: 1, Country: "US", Tasks: 1, Samples: 3}},
 		{Type: recOutage, Phase: 0, Outage: scanner.Outage{
@@ -67,20 +99,29 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeRecord([]byte{200}); err == nil {
 		t.Error("unknown type 200 decoded")
 	}
-	valid := encodeRecord(sampleRecords()[1])
-	for cut := 1; cut < len(valid); cut++ {
-		if _, err := DecodeRecord(valid[:cut]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes decoded", cut, len(valid))
+	for _, i := range []int{1, 3} { // a sample and the checkpoint with metrics
+		valid := encodeRecord(sampleRecords()[i])
+		for cut := 1; cut < len(valid); cut++ {
+			if _, err := DecodeRecord(valid[:cut]); err == nil {
+				t.Fatalf("record %d truncated to %d of %d bytes decoded", i, cut, len(valid))
+			}
 		}
-	}
-	if _, err := DecodeRecord(append(append([]byte(nil), valid...), 0)); err == nil {
-		t.Error("trailing byte accepted")
+		if _, err := DecodeRecord(append(append([]byte(nil), valid...), 0)); err == nil {
+			t.Errorf("record %d with a trailing byte decoded", i)
+		}
 	}
 	// A checkpoint loss reason outside OutageReason must not reach the
 	// outage accounting on resume.
 	lost := encodeRecord(Record{Type: recCheckpoint, Checkpoint: Checkpoint{Lost: scanner.OutageDark + 1}})
 	if _, err := DecodeRecord(lost); err == nil {
 		t.Error("checkpoint loss reason past OutageDark decoded")
+	}
+	// Checkpoint metrics admit a presence byte of 0 or 1 and counters
+	// up to MaxInt64, nothing else.
+	for _, bad := range badMetrics() {
+		if _, err := DecodeRecord(bad); err == nil {
+			t.Errorf("checkpoint metrics %x decoded", bad)
+		}
 	}
 	// A status outside int16 must not wrap into a real-looking one.
 	big := encodeRecord(Record{Type: recSample, Sample: scanner.Sample{Status: 32767}})
@@ -90,6 +131,66 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeRecord(big); err != nil {
 		t.Fatalf("boundary status rejected: %v", err)
+	}
+}
+
+// badMetrics returns two checkpoint payloads whose metrics no decoder
+// may accept: one with a presence byte of 2, one whose last counter is
+// 2^63.
+func badMetrics() [][]byte {
+	bare := encodeRecord(Record{Type: recCheckpoint})
+	zeros := encodeRecord(Record{Type: recCheckpoint, Checkpoint: Checkpoint{Metrics: &scanner.UnitMetrics{}}})
+	// Each payload ends with its last metrics byte and the empty
+	// trace's zero length.
+	presence := append(bare[:len(bare)-2:len(bare)-2], 2, 0)
+	counter := append(binary.AppendUvarint(zeros[:len(zeros)-2:len(zeros)-2], 1<<63), 0)
+	return [][]byte{presence, counter}
+}
+
+// TestOpenRefusesOldFormat: a journal written in the GBRUNST1 format,
+// whose checkpoints carried their metrics as a JSON snapshot, fails
+// Open with an error naming both formats, and Open changes no file.
+// Read as the current format, its checkpoint would not decode, and
+// recovery would truncate the journal there as a torn tail.
+func TestOpenRefusesOldFormat(t *testing.T) {
+	seg := []byte("GBRUNST1")
+	seg = append(seg, frame(encodeRecord(Record{Type: recPhaseBegin, Key: "top10k-initial", Name: "top10k-initial", Fingerprint: 1}))...)
+	cp := []byte{recCheckpoint, 0, 0}
+	cp = appendString(cp, "US")
+	cp = append(cp, 1, 3, 0)
+	cp = appendBytes(cp, []byte(`{"counters":[{"name":"scanner.fetch.attempts","value":3}],"gauges":null,"histograms":null}`))
+	seg = append(seg, frame(cp)...)
+	seg = append(seg, frame(encodeRecord(Record{Type: recPhaseDone}))...)
+	files := map[string][]byte{
+		segName(0):   seg,
+		manifestName: []byte(manifestHeader + "\nsegment " + segName(0) + "\n"),
+	}
+	dir := t.TempDir()
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(dir, Options{})
+	if err == nil {
+		st.Close()
+		t.Fatal("a GBRUNST1 journal opened")
+	}
+	if !strings.Contains(err.Error(), `"GBRUNST1"`) || !strings.Contains(err.Error(), segMagic) {
+		t.Fatalf("Open = %v, want an error naming GBRUNST1 and %s", err, segMagic)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(files) {
+		t.Fatalf("Open left %d files, want the journal's %d", len(entries), len(files))
+	}
+	for name, want := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Open changed %s (err %v)", name, err)
+		}
 	}
 }
 

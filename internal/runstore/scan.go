@@ -3,7 +3,7 @@
 //
 // Division of labor with the engine: the store replays a phase's
 // persisted samples into the caller's sink and restores the journaled
-// per-shard metric snapshots BEFORE the engine runs, then hands the
+// per-shard metrics BEFORE the engine runs, then hands the
 // engine a scanner.Resume marking those shards done. The engine
 // credits the skipped shards' counters and outage accounting itself (see scanner.Config.Resume), so a resumed run's deterministic
 // telemetry, paper tables, and sample stream are byte-identical to an
@@ -14,7 +14,6 @@
 package runstore
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -101,8 +100,8 @@ func (s *Store) runJournaled(sc Scan, cfg scanner.Config, ph *phaseState) error 
 // replayPhase streams ph's committed samples from disk into sink in
 // journal order — which is canonical order, because the engine's
 // Assembly journals shards at their canonical emission point —
-// crediting the sink-layer counters and merging each checkpoint's
-// staged metric snapshot, then returns the per-shard loss reasons for
+// crediting the sink-layer counters and adding each checkpoint's
+// metrics to reg, then returns the per-shard loss reasons for
 // the engine's Resume. It reads from the phase's start and stops at
 // its last checkpointed sample, so resuming a journal decodes each
 // record at most once. The store stays open for appends throughout;
@@ -154,18 +153,7 @@ func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Re
 		reg.Counter(scanner.MetSinkSamples).Add(int64(replayed))
 		reg.Counter(scanner.MetSinkBytes).Add(bodyBytes)
 		for _, cp := range checkpoints {
-			if len(cp.Metrics) == 0 {
-				continue
-			}
-			var snap telemetry.Snapshot
-			err := json.Unmarshal(cp.Metrics, &snap)
-			if err == nil {
-				err = snap.Validate()
-			}
-			if err != nil {
-				return nil, fmt.Errorf("runstore: phase %q checkpoint %d metrics: %w", ph.key, cp.Seq, err)
-			}
-			reg.Merge(&snap)
+			cp.Metrics.AddTo(reg)
 		}
 	}
 	s.opts.Metrics.RuntimeCounter(MetRecordsReplayed).Add(int64(replayed))
@@ -199,15 +187,7 @@ func (j *journalSink) Emit(s scanner.Sample) {
 }
 
 func (j *journalSink) EmitShardDone(d scanner.ShardDone) {
-	cp := Checkpoint{Seq: d.Seq, Country: d.Country, Tasks: d.Tasks, Samples: d.Samples, Lost: d.Lost}
-	if d.Metrics != nil {
-		b, err := json.Marshal(d.Metrics)
-		if err != nil {
-			j.note(err)
-		} else {
-			cp.Metrics = b
-		}
-	}
+	cp := Checkpoint{Seq: d.Seq, Country: d.Country, Tasks: d.Tasks, Samples: d.Samples, Lost: d.Lost, Metrics: d.Metrics}
 	j.note(j.store.journalCheckpoint(j.phase, cp))
 	if ss, ok := j.next.(scanner.ShardSink); ok {
 		ss.EmitShardDone(d)

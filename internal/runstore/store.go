@@ -324,8 +324,11 @@ func (s *Store) scanSegment(name string, from int64, apply func(rec Record, end 
 	}
 	defer f.Close()
 	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
+	if _, err := io.ReadFull(f, magic); err != nil {
 		return -1, fmt.Errorf("runstore: %s: bad segment magic", name)
+	}
+	if string(magic) != segMagic {
+		return -1, fmt.Errorf("runstore: %s: segment format %q is not this build's %q; a journal in another format cannot be resumed", name, magic, segMagic)
 	}
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
 		return -1, err

@@ -15,7 +15,7 @@ func wireShard(n int) ([]scanner.Sample, Checkpoint) {
 	for i := range samples {
 		samples[i] = scanner.Sample{Domain: int32(i), Country: 7, Seed: uint64(1000 + i)}
 	}
-	cp := Checkpoint{Seq: 3, Country: "IR", Tasks: n, Samples: n, Metrics: []byte(`{"k":1}`)}
+	cp := Checkpoint{Seq: 3, Country: "IR", Tasks: n, Samples: n, Metrics: fullMetrics(), Trace: []byte(`[{"name":"unit"}]`)}
 	return samples, cp
 }
 

@@ -379,7 +379,7 @@ func TestBrownoutBackoff(t *testing.T) {
 	if _, err := openSession(net, cc, slot, Config{}, tl); err != nil {
 		t.Fatalf("transient brownout did not clear: %v", err)
 	}
-	tl.flush(reg)
+	tl.AddTo(reg)
 	if waits(reg) == 0 {
 		t.Fatal("no backoff waits recorded")
 	}
@@ -389,7 +389,7 @@ func TestBrownoutBackoff(t *testing.T) {
 	net2 := chaosNet(faults.New(5).Default(permanent))
 	tl = newTally(nil)
 	_, err := openSession(net2, cc, slot, Config{}, tl)
-	tl.flush(reg)
+	tl.AddTo(reg)
 	if err == nil {
 		t.Fatal("blackout session open succeeded")
 	}

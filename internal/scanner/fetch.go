@@ -66,7 +66,7 @@ type fetcher struct {
 	maxHops int
 	bodies  BodyPolicy
 	reply   vnet.Reply // every hop's answer, reused from hop to hop
-	tally   *tally     // nil when the scan records no metrics
+	tally   *tally     // nil when nothing counts the attempts
 
 	dest     vnet.Dest // the current task's destination
 	host     string    // the host dest was resolved from
@@ -75,8 +75,7 @@ type fetcher struct {
 
 // newFetcher builds a fetcher over p with the plan's header set and
 // the config's redirect bound and body-retention policy. It records its
-// attempts into t when t has a clock, that is when the scan has a
-// registry.
+// attempts into t, when t is not nil.
 func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, t *tally) *fetcher {
 	f := &fetcher{
 		ctx:     ctx,
@@ -85,8 +84,8 @@ func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, t *tall
 		maxHops: MaxRedirects,
 		bodies:  cfg.Bodies,
 	}
-	if t != nil && t.clock != nil {
-		f.tally, t.fetcher = t, true
+	if t != nil {
+		f.tally, t.Fetcher = t, true
 	}
 	if cfg.WrapTransport != nil {
 		f.rt = cfg.WrapTransport(p)
@@ -100,8 +99,7 @@ func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, t *tall
 // defer records the final sample whichever path produced it.
 func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit geo.IP) (s Sample) {
 	if tl := f.tally; tl != nil {
-		start := tl.clock.Now()
-		defer func() { tl.fetched(&s, tl.clock.Now().Sub(start)) }()
+		defer tl.fetched(&s, tl.now())
 	}
 	s = Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Seed: seed, ExitIP: exit}
 

@@ -275,7 +275,7 @@ func brief(s Sample) Sample {
 // TestFetchAllocs pins the fetcher's steady-state cost: the direct
 // probe path stays under ten allocations per sample, and recording the
 // attempt into a tally allocates nothing — the tally's record path (its
-// two clock reads and tally.fetched) reads 0 allocations, and outside
+// two clock reads in tally.now and tally.fetched) reads 0 allocations, and outside
 // the race detector an attempt allocates exactly the same with a tally
 // as without one. Twin sessions (same country and slot) take the same
 // exits, so both fetchers do identical work apart from the tally. Under
@@ -309,17 +309,14 @@ func TestFetchAllocs(t *testing.T) {
 	if bare >= 10 {
 		t.Fatalf("fetcher allocates %.2f times per sample; the direct probe path must stay under 10", bare)
 	}
-	if tl.attempts == 0 {
+	if tl.Attempts == 0 {
 		t.Fatal("the tally recorded no attempts")
 	}
 	if !raceEnabled && tallied != bare {
 		t.Fatalf("a fetch attempt allocates %.3f times with a tally and %.3f without", tallied, bare)
 	}
 	s := Sample{BodyLen: 512}
-	record := func() {
-		start := tl.clock.Now()
-		tl.fetched(&s, tl.clock.Now().Sub(start))
-	}
+	record := func() { tl.fetched(&s, tl.now()) }
 	if n := testing.AllocsPerRun(100, record); n != 0 {
 		t.Fatalf("recording an attempt into a tally allocates %.1f times", n)
 	}

@@ -65,38 +65,142 @@ const (
 	metResultsNoExits   = MetFetchResults + "{code=no-exits}"
 )
 
-// Histogram geometry of the tally's three histograms.
+// Histogram geometry: the runtime latency histogram, which stays in
+// the process that timed it, and the two deterministic histograms a
+// unit carries (UnitHistogram).
 const (
 	latencyMaxMs = 2000
 	latencyBins  = 20
 	bytesMax     = 65536
-	bytesBins    = 16
 	backoffMaxMs = float64(backoffCap / time.Millisecond)
-	backoffBins  = 16
+	unitBins     = 16
 )
 
-// tally is one unit's session and fetch metrics in plain fields. The
-// unit's goroutine is its only writer, so a sample takes no lock, no
-// shared atomic and no name lookup; Plan.execute flushes the tally into
-// the registry once, when the unit ends.
+// UnitMetrics is the one form a unit's session and fetch metrics take:
+// the unit's tally counts into it, its UnitResult and ShardDone point
+// at it, journal checkpoints and fabric completions carry it, and AddTo
+// adds it to a registry at the unit's emission or replay. Every field
+// is deterministic and never negative.
+type UnitMetrics struct {
+	// Fetcher is set once the unit built a fetcher, whose series
+	// register even when they stayed zero.
+	Fetcher  bool
+	Attempts int64
+	Results  [errCodeCount]int64 // attempts by ErrCode
+
+	OpenAttempts, Brownouts, Retries, Rotations, Probes, FailedSweeps, BreakerTrips int64
+
+	// Bytes holds the body sizes of ErrNone attempts; Backoff the
+	// computed brownout waits, in milliseconds.
+	Bytes, Backoff UnitHistogram
+}
+
+// UnitHistogram is a unit's share of a deterministic registry
+// histogram: 16 fixed-width bins from zero, binned by stats.Bin, the
+// observations outside them, and the sum of the observations truncated
+// toward zero, as the registry sums them.
+type UnitHistogram struct {
+	Counts     [unitBins]int64
+	OutOfRange int64
+	Sum        int64
+}
+
+func (h *UnitHistogram) observe(v, max float64) {
+	if i := stats.Bin(v, 0, max, unitBins); i >= 0 {
+		h.Counts[i]++
+	} else {
+		h.OutOfRange++
+	}
+	h.Sum += int64(v)
+}
+
+// addTo adds h to the registry histogram th in one batch.
+func (h *UnitHistogram) addTo(th *telemetry.Histogram) {
+	var counts [unitBins]int
+	for i, c := range h.Counts {
+		counts[i] = int(c)
+	}
+	th.AddBatch(counts[:], int(h.OutOfRange), h.Sum)
+}
+
+// AddTo adds m to reg. It registers exactly what recording each event
+// live registers: a fetcher's series even at zero, and a session series
+// only once it moved. A nil m or reg adds nothing.
+func (m *UnitMetrics) AddTo(reg *telemetry.Registry) {
+	if m == nil || reg == nil {
+		return
+	}
+	if m.Fetcher {
+		reg.Counter(MetFetchAttempts).Add(m.Attempts)
+		reg.Counter(metResultsOK).Add(m.Results[ErrNone])
+		reg.Counter(metResultsProxy).Add(m.Results[ErrProxy])
+		reg.Counter(metResultsTimeout).Add(m.Results[ErrTimeout])
+		reg.Counter(metResultsDNS).Add(m.Results[ErrDNS])
+		reg.Counter(metResultsReset).Add(m.Results[ErrReset])
+		reg.Counter(metResultsRedirects).Add(m.Results[ErrRedirects])
+		reg.Counter(metResultsLuminati).Add(m.Results[ErrLuminati])
+		reg.Counter(metResultsNoExits).Add(m.Results[ErrNoExits])
+		m.Bytes.addTo(reg.Histogram(MetFetchBytes, 0, bytesMax, unitBins))
+	}
+	addMoved(reg, MetOpenAttempts, m.OpenAttempts)
+	addMoved(reg, MetBrownouts, m.Brownouts)
+	addMoved(reg, MetRetries, m.Retries)
+	addMoved(reg, MetRotations, m.Rotations)
+	addMoved(reg, MetProbes, m.Probes)
+	addMoved(reg, MetFailedSweeps, m.FailedSweeps)
+	addMoved(reg, MetBreakerTrips, m.BreakerTrips)
+	if m.Backoff != (UnitHistogram{}) {
+		// The schedule is a pure function of the slot, so the histogram
+		// is deterministic-class even though it records durations.
+		m.Backoff.addTo(reg.Histogram(MetBackoff, 0, backoffMaxMs, unitBins))
+	}
+}
+
+// check reports a UnitMetrics no execution of a unit allowed at most
+// maxAttempts fetch attempts produces: one whose results do not sum to
+// its attempts, whose body-size histogram does not hold exactly its
+// ErrNone results, with more attempts than allowed, or with attempts
+// but no fetcher. The sums are bounded term by term, so no decoded
+// value can overflow them into agreement.
+func (m *UnitMetrics) check(maxAttempts int64) error {
+	switch {
+	case m.Attempts < 0 || m.Attempts > maxAttempts:
+		return fmt.Errorf("%d attempts, at most %d allowed", m.Attempts, maxAttempts)
+	case !m.Fetcher && m.Attempts != 0:
+		return fmt.Errorf("%d attempts without a fetcher", m.Attempts)
+	case sumTo(m.Attempts, m.Results[:]...) != m.Attempts:
+		return fmt.Errorf("results do not sum to its %d attempts", m.Attempts)
+	case sumTo(m.Results[ErrNone], m.Bytes.OutOfRange, sumTo(m.Results[ErrNone], m.Bytes.Counts[:]...)) != m.Results[ErrNone]:
+		return fmt.Errorf("body-size histogram does not hold its %d ok results", m.Results[ErrNone])
+	}
+	return nil
+}
+
+// sumTo adds vs, stopping with -1 as soon as one is negative or the
+// running sum would pass limit.
+func sumTo(limit int64, vs ...int64) int64 {
+	var s int64
+	for _, v := range vs {
+		if v < 0 || v > limit-s {
+			return -1
+		}
+		s += v
+	}
+	return s
+}
+
+// tally is one unit's counting state: its UnitMetrics, plus attempt
+// latencies, which stay in the process that timed them. The unit's
+// goroutine is its only writer, so a sample takes no lock, no shared
+// atomic and no name lookup.
 type tally struct {
-	// clock is the target registry's clock: two reads per attempt feed
-	// the latency histogram. Nil when the scan has no registry, and then
-	// the fetcher records nothing.
-	clock telemetry.Clock
-	// fetcher is set once the unit built a fetcher, whose series
-	// register at flush even when they stayed zero.
-	fetcher bool
-
-	attempts                int64
-	results                 [errCodeCount]int64
-	latency, bytes, backoff batch
-
-	openAttempts, brownouts, retries, rotations, probes, failedSweeps, breakerTrips int64
-
-	latencyBins [latencyBins]int
-	bytesBins   [bytesBins]int
-	backoffBins [backoffBins]int
+	UnitMetrics
+	// clock is Config.Metrics' clock: two reads per attempt feed the
+	// latency histogram. Nil when the scan has no registry; the unit
+	// then counts everything but latency.
+	clock   telemetry.Clock
+	latency batch
+	bins    [latencyBins]int
 }
 
 // batch bins one histogram's observations with the registry's rule
@@ -125,56 +229,29 @@ func (b *batch) addTo(h *telemetry.Histogram) {
 // tally itself.
 func newTally(clock telemetry.Clock) *tally {
 	t := &tally{clock: clock}
-	t.latency.h = stats.Histogram{Max: latencyMaxMs, Counts: t.latencyBins[:]}
-	t.bytes.h = stats.Histogram{Max: bytesMax, Counts: t.bytesBins[:]}
-	t.backoff.h = stats.Histogram{Max: backoffMaxMs, Counts: t.backoffBins[:]}
+	t.latency.h = stats.Histogram{Max: latencyMaxMs, Counts: t.bins[:]}
 	return t
 }
 
-// fetched records one completed fetch attempt.
-func (t *tally) fetched(s *Sample, d time.Duration) {
-	t.attempts++
-	if int(s.Err) < len(t.results) {
-		t.results[s.Err]++
+// now reads the tally's clock, the zero time without one.
+func (t *tally) now() time.Time {
+	if t.clock == nil {
+		return time.Time{}
 	}
-	t.latency.observe(float64(d) / float64(time.Millisecond))
-	if s.Err == ErrNone {
-		t.bytes.observe(float64(s.BodyLen))
-	}
+	return t.clock.Now()
 }
 
-// flush adds the tally to reg. It registers exactly what recording
-// each event live registers: a fetcher's series even at zero, and a
-// session series only once it moved.
-func (t *tally) flush(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+// fetched records one completed fetch attempt that began at start.
+func (t *tally) fetched(s *Sample, start time.Time) {
+	t.Attempts++
+	if int(s.Err) < len(t.Results) {
+		t.Results[s.Err]++
 	}
-	if t.fetcher {
-		reg.Counter(MetFetchAttempts).Add(t.attempts)
-		reg.Counter(metResultsOK).Add(t.results[ErrNone])
-		reg.Counter(metResultsProxy).Add(t.results[ErrProxy])
-		reg.Counter(metResultsTimeout).Add(t.results[ErrTimeout])
-		reg.Counter(metResultsDNS).Add(t.results[ErrDNS])
-		reg.Counter(metResultsReset).Add(t.results[ErrReset])
-		reg.Counter(metResultsRedirects).Add(t.results[ErrRedirects])
-		reg.Counter(metResultsLuminati).Add(t.results[ErrLuminati])
-		reg.Counter(metResultsNoExits).Add(t.results[ErrNoExits])
-		// Latency is wall-schedule dependent; body size is not.
-		t.latency.addTo(reg.RuntimeHistogram(MetFetchLatency, 0, latencyMaxMs, latencyBins))
-		t.bytes.addTo(reg.Histogram(MetFetchBytes, 0, bytesMax, bytesBins))
+	if s.Err == ErrNone {
+		t.Bytes.observe(float64(s.BodyLen), bytesMax)
 	}
-	addMoved(reg, MetOpenAttempts, t.openAttempts)
-	addMoved(reg, MetBrownouts, t.brownouts)
-	addMoved(reg, MetRetries, t.retries)
-	addMoved(reg, MetRotations, t.rotations)
-	addMoved(reg, MetProbes, t.probes)
-	addMoved(reg, MetFailedSweeps, t.failedSweeps)
-	addMoved(reg, MetBreakerTrips, t.breakerTrips)
-	if t.backoff.h.Total() > 0 {
-		// The schedule is a pure function of the slot, so the histogram
-		// is deterministic-class even though it records durations.
-		t.backoff.addTo(reg.Histogram(MetBackoff, 0, backoffMaxMs, backoffBins))
+	if t.clock != nil {
+		t.latency.observe(float64(t.clock.Now().Sub(start)) / float64(time.Millisecond))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"geoblock/internal/faults"
+	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 )
 
@@ -19,10 +20,11 @@ var update = flag.Bool("update", false, "rewrite the scanner's golden files")
 // real scan: the mixed chaos profile everywhere (brownouts that clear,
 // so the backoff histogram fills; retries, rotations and pre-check
 // probes), IR dark (failed sweeps and breaker trips) and SY blacked out
-// (shards that never open a session, so build no fetcher). Run with and
-// without a ShardSink, the scan must snapshot to the same committed
-// bytes, and the staged run's per-shard snapshots — a journal's
-// checkpoint views — must match theirs. The matrices compare runs with
+// (shards that never open a session, so build no fetcher). Run with
+// ("staged") and without ("unstaged") a ShardSink, the scan must
+// snapshot to the same committed bytes, and each ShardDone's metrics —
+// what a journal checkpoints — added to a fresh registry must snapshot
+// to theirs. The matrices compare runs with
 // each other, so only a golden catches a registration or tally bug
 // that hits both paths alike.
 func TestScanSnapshotGolden(t *testing.T) {
@@ -62,7 +64,9 @@ func TestScanSnapshotGolden(t *testing.T) {
 			if sc, ok := tc.sink.(*shardCollect); ok {
 				var b strings.Builder
 				for _, d := range sc.Dones {
-					fmt.Fprintf(&b, "## shard %d %s\n%s\n", d.Seq, d.Country, d.Metrics.Text())
+					shard := telemetry.New()
+					d.Metrics.AddTo(shard)
+					fmt.Fprintf(&b, "## shard %d %s\n%s\n", d.Seq, d.Country, shard.Snapshot().Deterministic().Text())
 				}
 				checkGolden(t, "shards.golden", b.String())
 			}
@@ -110,18 +114,17 @@ func histogramTotal(s *telemetry.Snapshot, name string) int {
 	return 0
 }
 
-// TestResultCounterNames pins the fetch result counters a tally flushes
-// to telemetry.Label(MetFetchResults, "code", code.String()) for every
-// code below errCodeCount: each code's count must reach the series of
-// that name, and the flush must register no other result series.
+// TestResultCounterNames pins the fetch result counters UnitMetrics.AddTo
+// adds to telemetry.Label(MetFetchResults, "code", code.String()) for
+// every code below errCodeCount: each code's count must reach the
+// series of that name, and AddTo must register no other result series.
 func TestResultCounterNames(t *testing.T) {
-	tl := newTally(telemetry.Wall{})
-	tl.fetcher = true
-	for e := range tl.results {
-		tl.results[e] = int64(e) + 1
+	m := UnitMetrics{Fetcher: true}
+	for e := range m.Results {
+		m.Results[e] = int64(e) + 1
 	}
 	reg := telemetry.New()
-	tl.flush(reg)
+	m.AddTo(reg)
 	snap := reg.Snapshot()
 	for c := ErrCode(0); c < ErrCode(errCodeCount); c++ {
 		name := telemetry.Label(MetFetchResults, "code", c.String())
@@ -136,6 +139,29 @@ func TestResultCounterNames(t *testing.T) {
 		}
 	}
 	if series != errCodeCount {
-		t.Errorf("the flush registered %d result series, want %d", series, errCodeCount)
+		t.Errorf("AddTo registered %d result series, want %d", series, errCodeCount)
+	}
+}
+
+// TestUnitHistogramBinsLikeStats: a UnitHistogram bins by the rule
+// stats.Histogram.Add counts by — the upper edge in the last bin,
+// values outside the range out of range — and sums its observations
+// truncated toward zero, as the registry does.
+func TestUnitHistogramBinsLikeStats(t *testing.T) {
+	var h UnitHistogram
+	ref := stats.NewHistogram(0, bytesMax, unitBins)
+	var sum int64
+	for _, v := range []float64{-1, 0, 0.5, 4095.9, 4096, 31337, 65535.9, 65536, 65537, 1e9} {
+		h.observe(v, bytesMax)
+		ref.Add(v)
+		sum += int64(v)
+	}
+	for i, c := range ref.Counts {
+		if h.Counts[i] != int64(c) {
+			t.Errorf("bin %d holds %d, stats.Histogram %d", i, h.Counts[i], c)
+		}
+	}
+	if h.OutOfRange != 3 || h.Sum != sum {
+		t.Errorf("out of range %d, sum %d; want 3, %d", h.OutOfRange, h.Sum, sum)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/stats"
-	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
 
@@ -51,12 +50,13 @@ type WorkUnit struct {
 }
 
 // UnitResult is one executed unit: the shard's samples in task order,
-// its loss reason, and the snapshot of the metrics its session and
-// fetch work staged (nil when the unit ran unstaged).
+// its loss reason, and what its session and fetch work counted.
 type UnitResult struct {
 	Samples []Sample
 	Lost    OutageReason
-	Metrics *telemetry.Snapshot
+	// Metrics points into the unit's tally, no copy; Assembly.emit adds
+	// it to Config.Metrics at the unit's canonical emission.
+	Metrics *UnitMetrics
 	// Trace holds the unit's staged wide events when tracing was on —
 	// shipped back in fabric completions and appended at the assembly's
 	// canonical emission point, same as an in-process shard's.
@@ -65,8 +65,9 @@ type UnitResult struct {
 
 // ErrBadCompletion marks a unit completion that is not its unit's
 // output: a loss reason outside OutageReason, a sample count other than
-// tasks × Samples, or a sample out of the unit's canonical (domain,
-// country, attempt) order.
+// tasks × Samples, a sample out of the unit's canonical (domain,
+// country, attempt) order, or metrics missing or not what an execution
+// of the unit counts (see UnitMetrics.check).
 var ErrBadCompletion = errors.New("scanner: completion is not its unit's output")
 
 // Plan is the deterministic decomposition of one scan into work units.
@@ -193,8 +194,8 @@ func MixHeaders(h uint64, headers map[string]string) uint64 {
 }
 
 // ExecuteUnit runs one unit through the session and fetcher layers
-// against net, staging its metrics in a fresh unit-local registry.
-// Execution never mutates the plan, so a unit can run any number of
+// against net, its metrics counted in the result. Execution never
+// mutates the plan, so a unit can run any number of
 // times (a re-issued lease after a worker death, say) with identical
 // results. A cancelled context returns ctx.Err() and no result — a
 // partial shard must never be reported as complete.
@@ -202,7 +203,7 @@ func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (Un
 	if seq < 0 || seq >= len(p.shards) {
 		return UnitResult{}, fmt.Errorf("scanner: unit %d outside plan of %d units", seq, len(p.shards))
 	}
-	res := p.execute(ctx, net, p.shards[seq], true)
+	res := p.execute(ctx, net, p.shards[seq])
 	if err := ctx.Err(); err != nil {
 		return UnitResult{}, err
 	}
@@ -210,47 +211,37 @@ func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (Un
 }
 
 // execute runs one unit. Its session and fetch metrics accumulate in a
-// tally that is flushed once, when the unit ends — a cancelled unit's
-// too. With stage set the flush goes to a fresh unit-local registry
-// whose snapshot rides the result; otherwise straight to
-// Config.Metrics.
-func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard, stage bool) UnitResult {
-	reg := p.cfg.Metrics
-	if stage {
-		reg = telemetry.NewWithClock(reg.Clock())
-	}
-	t := newTally(reg.Clock())
+// tally the result points at; only the attempt latencies, timed on
+// Config.Metrics' clock, go to that registry when the unit ends.
+func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard) UnitResult {
+	t := newTally(p.cfg.Metrics.Clock())
 	tb := unitBuffer(p.scanCtx, sh.seq, p.cfg)
-	var res UnitResult
+	res := UnitResult{Metrics: &t.UnitMetrics}
 	if p.fleet != nil {
 		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, p.cfg, p.headers, tb, t)
 	} else {
 		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, p.cfg, p.headers, tb, t)
 	}
 	res.Trace = tb.Events()
-	t.flush(reg)
-	if stage {
-		res.Metrics = reg.Snapshot()
+	if t.Fetcher {
+		// Runtime-class: the latencies time one particular schedule.
+		t.latency.addTo(p.cfg.Metrics.RuntimeHistogram(MetFetchLatency, 0, latencyMaxMs, latencyBins))
 	}
 	return res
 }
 
 // run is the in-process executor: the work-stealing pool executes
 // every pending unit and completes it through an Assembly into sink.
-// Units stage their metrics only for a ShardSink (the journal), which
-// needs each unit's own contribution; otherwise they flush their
-// tallies straight into Config.Metrics. A cancelled scan returns
-// ctx.Err() with a prefix of the stream delivered, ending at the first
-// unit boundary after the cancel.
+// A cancelled scan returns ctx.Err() with a prefix of the stream
+// delivered, ending at the first unit boundary after the cancel.
 func (p *Plan) run(ctx context.Context, net *proxy.Network, sink Sink) error {
 	a, err := NewAssembly(p, sink)
 	if err != nil {
 		return err
 	}
 	a.ctx = ctx
-	stage := a.shardSink != nil && p.cfg.Metrics != nil
 	err = p.schedule(ctx, p.shards[a.skip:], func(ctx context.Context, sh *shard) error {
-		res := p.execute(ctx, net, sh, stage)
+		res := p.execute(ctx, net, sh)
 		if ctx.Err() != nil {
 			return nil // a cancelled unit is never completed
 		}
@@ -265,8 +256,9 @@ func (p *Plan) run(ctx context.Context, net *proxy.Network, sink Sink) error {
 
 // check verifies that res has the shape only sh's execution produces:
 // every executed unit emits one sample per task and attempt, in task
-// order — a lost unit's samples carry ErrNoExits — so anything else is
-// a foreign or corrupted payload.
+// order — a lost unit's samples carry ErrNoExits — and counts at most
+// 1+Retries fetch attempts per sample, so anything else is a foreign or
+// corrupted payload.
 func (p *Plan) check(sh *shard, res UnitResult) error {
 	if res.Lost > OutageDark {
 		return fmt.Errorf("%w: unit %d has loss reason %d", ErrBadCompletion, sh.seq, res.Lost)
@@ -283,6 +275,12 @@ func (p *Plan) check(sh *shard, res UnitResult) error {
 					ErrBadCompletion, sh.seq, i*n+a, s.Domain, s.Country, s.Attempt, t.Domain, t.Country, uint8(a))
 			}
 		}
+	}
+	if res.Metrics == nil {
+		return fmt.Errorf("%w: unit %d carries no metrics", ErrBadCompletion, sh.seq)
+	}
+	if err := res.Metrics.check(int64(len(res.Samples) * (1 + p.cfg.Retries))); err != nil {
+		return fmt.Errorf("%w: unit %d metrics: %v", ErrBadCompletion, sh.seq, err)
 	}
 	return nil
 }
@@ -385,9 +383,6 @@ func (a *Assembly) Complete(seq int, res UnitResult) error {
 	if a.done[seq] {
 		return fmt.Errorf("scanner: duplicate completion of unit %d", seq)
 	}
-	if p.cfg.Metrics == nil {
-		res.Metrics = nil // nothing to merge into, nothing to journal
-	}
 	sh.res = res
 	a.done[seq] = true
 	p.cfg.Metrics.Counter(MetShardsDone).Add(1)
@@ -396,9 +391,9 @@ func (a *Assembly) Complete(seq int, res UnitResult) error {
 }
 
 // emit delivers every completed unit at the reorder frontier: samples
-// to the sink, staged metrics into the registry, a ShardDone to a
+// to the sink, the unit's metrics into the registry, a ShardDone to a
 // journaling sink, and the unit's events to the tracer. All of it
-// happens at this one canonical point, which is what makes the merged
+// happens at this one canonical point, which is what makes the
 // metrics, journal, and trace identical regardless of scheduling or
 // process count.
 func (a *Assembly) emit() {
@@ -420,22 +415,16 @@ func (a *Assembly) emit() {
 			}
 			reg.Counter(MetSinkSamples).Add(int64(len(res.Samples)))
 			reg.Counter(MetSinkBytes).Add(bytes)
-			// Merging is commutative, so the totals equal a run that
-			// recorded the staged metrics live.
-			reg.Merge(res.Metrics)
+			res.Metrics.AddTo(reg)
 		}
 		if a.shardSink != nil {
-			var det *telemetry.Snapshot
-			if res.Metrics != nil {
-				det = res.Metrics.Deterministic()
-			}
 			a.shardSink.EmitShardDone(ShardDone{
 				Seq:     sh.seq,
 				Country: sh.country,
 				Tasks:   len(sh.tasks),
 				Samples: len(res.Samples),
 				Lost:    res.Lost,
-				Metrics: det,
+				Metrics: res.Metrics,
 			})
 		}
 		if tr != nil {

@@ -3,6 +3,7 @@ package scanner
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -172,15 +173,34 @@ func TestAssemblyRejections(t *testing.T) {
 		t.Fatal("out-of-range completion accepted")
 	}
 	// Results that are not unit 0's output — a short payload, a sample
-	// of a foreign domain, an unknown loss reason — are rejected, and
-	// checked before the duplicate test, so no bad payload ever passes
-	// for a duplicate.
-	short, foreign, unknown := res, res, res
+	// of a foreign domain, an unknown loss reason, and metrics no
+	// execution of the unit counts — are rejected, and checked before
+	// the duplicate test, so no bad payload ever passes for a
+	// duplicate.
+	short, foreign, unknown, unmetered := res, res, res, res
 	short.Samples = res.Samples[:1]
 	foreign.Samples = append([]Sample(nil), res.Samples...)
 	foreign.Samples[0].Domain = 1 << 30
 	unknown.Lost = OutageDark + 1
-	bad := []UnitResult{short, foreign, unknown}
+	unmetered.Metrics = nil
+	metrics := func(edit func(*UnitMetrics)) UnitResult {
+		r, m := res, *res.Metrics
+		edit(&m)
+		r.Metrics = &m
+		return r
+	}
+	bad := []UnitResult{short, foreign, unknown, unmetered,
+		metrics(func(m *UnitMetrics) { m.Results[ErrNone]++ }),
+		metrics(func(m *UnitMetrics) { m.Bytes.OutOfRange++ }),
+		metrics(func(m *UnitMetrics) { m.Attempts, m.Results[ErrProxy] = m.Attempts+1000, m.Results[ErrProxy]+1000 }),
+		metrics(func(m *UnitMetrics) { m.Attempts = -1 }),
+		metrics(func(m *UnitMetrics) { m.Fetcher = false }),
+		// Bins that wrap past 2^64 to the ok results' count.
+		metrics(func(m *UnitMetrics) {
+			m.Bytes = UnitHistogram{OutOfRange: m.Results[ErrNone] + 2}
+			m.Bytes.Counts[0], m.Bytes.Counts[1] = math.MaxInt64, math.MaxInt64
+		}),
+	}
 	for i, r := range bad {
 		if err := asm.Complete(0, r); !errors.Is(err, ErrBadCompletion) {
 			t.Fatalf("bad completion %d: err = %v, want ErrBadCompletion", i, err)

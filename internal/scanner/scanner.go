@@ -281,8 +281,8 @@ type Config struct {
 	WrapTransport func(http.RoundTripper) http.RoundTripper
 	// Metrics, when non-nil, receives counters and histograms from
 	// every engine layer (see metrics.go for the names). Session and
-	// fetch metrics arrive once per unit, flushed from the unit's tally
-	// when it ends. Instrumentation never influences scan behavior:
+	// fetch metrics arrive once per unit, at its canonical emission
+	// (see UnitMetrics). Instrumentation never influences scan behavior:
 	// samples are byte-identical with or without it.
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, receives wide events from every engine layer

@@ -37,7 +37,7 @@ func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config
 	bo := newBackoff(slot)
 	var lastErr error
 	for attempt := 0; attempt <= DefaultOpenRetries; attempt++ {
-		t.openAttempts++
+		t.OpenAttempts++
 		s, err := net.NewSessionAttempt(cc, slot, attempt)
 		if err == nil {
 			return &session{s: s, retries: cfg.Retries, t: t}, nil
@@ -47,9 +47,9 @@ func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config
 		if !errors.As(err, &brown) {
 			return nil, err
 		}
-		t.brownouts++
+		t.Brownouts++
 		if attempt < DefaultOpenRetries {
-			t.backoff.observe(float64(bo.wait()) / float64(time.Millisecond))
+			t.Backoff.observe(float64(bo.wait())/float64(time.Millisecond), backoffMaxMs)
 		}
 	}
 	return nil, lastErr
@@ -67,7 +67,7 @@ func (se *session) ready(seed uint64) bool {
 	}
 	if se.s.Used() >= RequestsPerExit {
 		se.s.Rotate()
-		se.t.rotations++
+		se.t.Rotations++
 	}
 	if se.s.Used() == 0 {
 		probes := DefaultVerifyProbes
@@ -76,7 +76,7 @@ func (se *session) ready(seed uint64) bool {
 		}
 		found := false
 		for probe := 0; probe < probes; probe++ {
-			se.t.probes++
+			se.t.Probes++
 			if _, _, err := se.s.Verify(seed + uint64(probe)); err == nil {
 				found = true
 				break
@@ -86,10 +86,10 @@ func (se *session) ready(seed uint64) bool {
 		if found {
 			se.h.success()
 		} else {
-			se.t.failedSweeps++
+			se.t.FailedSweeps++
 			if se.h.failedSweep(DefaultBreakerSweeps) {
 				if se.h.dead {
-					se.t.breakerTrips++
+					se.t.BreakerTrips++
 				}
 				return false
 			}
@@ -101,7 +101,7 @@ func (se *session) ready(seed uint64) bool {
 // rotate abandons the current exit (after a failed attempt).
 func (se *session) rotate() {
 	se.s.Rotate()
-	se.t.rotations++
+	se.t.Rotations++
 }
 
 // dark reports whether the circuit breaker wrote the country off.
@@ -122,7 +122,7 @@ func fetchReliable(f *fetcher, se *session, domain string, seed uint64, t Task, 
 	var last Sample
 	for try := 0; try <= se.retries; try++ {
 		if try > 0 {
-			se.t.retries++
+			se.t.Retries++
 		}
 		if !se.ready(seed) {
 			return Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Err: ErrNoExits}

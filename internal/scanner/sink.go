@@ -1,8 +1,6 @@
 // The sink layer: streaming delivery of samples.
 package scanner
 
-import "geoblock/internal/telemetry"
-
 // Sink receives samples as shards complete. The engine serializes
 // calls and delivers in canonical country-major, task-order sequence
 // (see the package determinism contract), so implementations need no
@@ -36,18 +34,18 @@ type OutageSink interface {
 // ShardDone describes one completed scheduler shard at the moment of
 // its canonical emission: its sequence number, the country (or VPS
 // country) it belongs to, its task and emitted-sample counts, why its
-// tasks were lost (OutageNone for a healthy shard), and the shard's own
-// deterministic telemetry contribution.
+// tasks were lost (OutageNone for a healthy shard), and what its
+// session and fetch work counted.
 type ShardDone struct {
 	Seq     int
 	Country string
 	Tasks   int
 	Samples int
 	Lost    OutageReason
-	// Metrics is the deterministic view of the metrics this shard's
-	// session and fetch work recorded, staged in a shard-local registry
-	// (see ShardSink). Nil when the scan ran without a registry.
-	Metrics *telemetry.Snapshot
+	// Metrics is the shard's own contribution to the engine's session
+	// and fetch metrics, the one the registry received at this
+	// emission: what a resumed run must restore for work it skips.
+	Metrics *UnitMetrics
 }
 
 // ShardSink is the optional checkpoint channel: a Sink that also
@@ -55,14 +53,6 @@ type ShardDone struct {
 // still on the engine's single delivery goroutine and in canonical
 // order. A journaling sink treats the callback as its durable commit
 // point — everything before it belongs to fully delivered shards.
-//
-// Presence of a ShardSink switches the engine into metric staging: each
-// shard's session and fetch tally is flushed into a shard-local
-// registry that is merged into Config.Metrics at emission time (the
-// merged totals are identical either way, since every engine metric is
-// per-shard and commutative), and ShardDone.Metrics carries exactly
-// that shard's deterministic contribution — what a resumed run must
-// restore for work it skips.
 type ShardSink interface {
 	Sink
 	EmitShardDone(d ShardDone)

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -172,24 +171,27 @@ func NewHistogram(min, max float64, n int) *Histogram {
 // underflow/overflow counters rather than dropped.
 func (h *Histogram) Add(v float64) {
 	h.total++
-	if v < h.Min {
+	switch i := Bin(v, h.Min, h.Max, len(h.Counts)); {
+	case i >= 0:
+		h.Counts[i]++
+	case v < h.Min:
 		h.under++
-		return
-	}
-	if v >= h.Max {
-		if v == h.Max {
-			h.Counts[len(h.Counts)-1]++
-			return
-		}
+	default:
 		h.over++
-		return
 	}
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	i := int((v - h.Min) / width)
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
+}
+
+// Bin returns the bin of n fixed-width bins over [lo, hi] that v falls
+// in, or -1 when it falls outside them: the rule Add counts by, for
+// callers that keep their bins in fixed arrays.
+func Bin(v, lo, hi float64, n int) int {
+	if !(v >= lo && v <= hi) {
+		return -1
 	}
-	h.Counts[i]++
+	if v == hi {
+		return n - 1
+	}
+	return min(int((v-lo)/((hi-lo)/float64(n))), n-1)
 }
 
 // Total reports the number of observations including out-of-range ones.
@@ -199,8 +201,8 @@ func (h *Histogram) Total() int { return h.total }
 // histogram: counts adds bin-wise (its length must match the bin count;
 // nil adds nothing in-range) and outOfRange observations land in the
 // overflow tally. Merging is commutative, so histograms accumulated in
-// pieces — per-shard telemetry staging, say — total the same as one
-// accumulated live.
+// pieces — one per scan unit, say — total the same as one accumulated
+// live.
 func (h *Histogram) MergeCounts(counts []int, outOfRange int) {
 	for i, c := range counts {
 		h.Counts[i] += c
@@ -284,13 +286,4 @@ func (c *Counter) TopN(n int) []KV {
 		s = s[:n]
 	}
 	return s
-}
-
-// Pct formats a ratio as a percentage string with one decimal, e.g.
-// "58.3%". It is the formatting the paper's tables use.
-func Pct(num, den int) string {
-	if den == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(num)/float64(den))
 }

@@ -172,15 +172,6 @@ func TestCounterTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-func TestPct(t *testing.T) {
-	if got := Pct(583, 1000); got != "58.3%" {
-		t.Fatalf("Pct = %q", got)
-	}
-	if got := Pct(1, 0); got != "n/a" {
-		t.Fatalf("Pct div0 = %q", got)
-	}
-}
-
 func TestQuantileMatchesSort(t *testing.T) {
 	r := NewRNG(99)
 	f := func(n uint8) bool {

@@ -110,20 +110,6 @@ func (h *Histogram) export(name string) HistogramStats {
 	}
 }
 
-// Validate reports a histogram no registry can hold: one with no bins
-// or an empty range. Merge registers an unknown histogram with the
-// snapshot's geometry, and an invalid geometry panics there, so a
-// snapshot decoded from a journal checkpoint or a fabric completion
-// must pass Validate before anything merges it.
-func (s *Snapshot) Validate() error {
-	for _, h := range s.Histograms {
-		if len(h.Counts) == 0 || !(h.Min < h.Max) {
-			return fmt.Errorf("telemetry: histogram %q has %d bins over [%v, %v)", h.Name, len(h.Counts), h.Min, h.Max)
-		}
-	}
-	return nil
-}
-
 // Deterministic returns a copy with runtime-class metrics removed:
 // exactly the content that the determinism contract promises is
 // identical at any Concurrency. The chaos matrix byte-compares this

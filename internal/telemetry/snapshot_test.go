@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -135,5 +136,43 @@ func TestWriteFileFormats(t *testing.T) {
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {
 		t.Fatalf(".json WriteFile must produce JSON: %v", err)
+	}
+}
+
+// TestWriteFileAtomic: WriteFile leaves no temp droppings on success,
+// replaces an existing file wholesale, and fails cleanly when the
+// target directory does not exist.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "metrics.txt")
+	if err := os.WriteFile(path, []byte("stale content"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := populate().Snapshot()
+	if err := snap.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != snap.Text() {
+		t.Fatal("overwrite left mixed content")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".") {
+			t.Fatalf("temp file %q left behind", e.Name())
+		}
+	}
+	if len(entries) != 1 {
+		t.Fatalf("%d entries in dir, want just the snapshot", len(entries))
+	}
+
+	if err := snap.WriteFile(filepath.Join(dir, "missing", "metrics.txt")); err == nil {
+		t.Fatal("write into a missing directory succeeded")
 	}
 }

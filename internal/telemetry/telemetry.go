@@ -76,42 +76,14 @@ func (r *Registry) Now() time.Time {
 	return r.clock.Now()
 }
 
-// Clock returns the registry's time source, so derived registries (the
-// engine's per-shard staging registries, for one) can tick on the same
-// clock as their parent. A nil registry returns nil, which NewWithClock
-// treats as a fresh Virtual clock.
+// Clock returns the registry's time source, so code that times work
+// for the registry (the engine's per-unit attempt latencies, for one)
+// reads the same clock the registry does. A nil registry returns nil.
 func (r *Registry) Clock() Clock {
 	if r == nil {
 		return nil
 	}
 	return r.clock
-}
-
-// Merge folds an exported snapshot back into the registry: counters and
-// histogram bins add, and gauges take the snapshot's value. Metric
-// classes and histogram geometry apply on first registration, exactly
-// as with the live constructors; a histogram whose bin layout disagrees
-// with an already-registered one is folded into the out-of-range tally
-// rather than dropped, so totals stay honest.
-//
-// Merge is how a resumed run restores the telemetry of work it did not
-// redo: the journal layer persists each shard's staged snapshot and
-// merges it back on replay, and because every operation here is
-// commutative and associative, the merged registry snapshots
-// byte-identically to one that recorded the events live.
-func (r *Registry) Merge(s *Snapshot) {
-	if r == nil || s == nil {
-		return
-	}
-	for _, m := range s.Counters {
-		r.counter(m.Name, m.Runtime).Add(m.Value)
-	}
-	for _, m := range s.Gauges {
-		r.gauge(m.Name, m.Runtime).Set(m.Value)
-	}
-	for _, hs := range s.Histograms {
-		r.histogram(hs.Name, hs.Min, hs.Max, len(hs.Counts), hs.Runtime).merge(hs)
-	}
 }
 
 // Counter returns the named deterministic-class counter, creating it on
@@ -267,7 +239,7 @@ func (h *Histogram) Observe(v float64) {
 // outOfRange joins the out-of-range tally, and sum the truncated sum,
 // all under one lock. It is Observe in bulk, for a caller that bins
 // its own observations and adds them once. A batch with another bin
-// count lands out of range whole, as a mismatched merge does.
+// count lands out of range whole.
 func (h *Histogram) AddBatch(counts []int, outOfRange int, sum int64) {
 	if h == nil {
 		return
@@ -282,24 +254,6 @@ func (h *Histogram) AddBatch(counts []int, outOfRange int, sum int64) {
 		counts = nil
 	}
 	h.h.MergeCounts(counts, outOfRange)
-}
-
-// merge folds an exported histogram into this one. Matching bin layouts
-// add bin-wise; a mismatched layout (the registry already held the name
-// with different geometry) folds every observation into the overflow
-// tally so the total still reflects the events.
-func (h *Histogram) merge(hs HistogramStats) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.sum += hs.Sum
-	if len(hs.Counts) == len(h.h.Counts) && hs.Min == h.h.Min && hs.Max == h.h.Max {
-		h.h.MergeCounts(hs.Counts, hs.OutOfRange)
-		return
-	}
-	h.h.MergeCounts(nil, hs.Total)
 }
 
 // Label decorates a metric name with key=value label pairs:

@@ -242,12 +242,6 @@ func (s *Snapshot) Lookup(domain string, cc geo.CountryCode) (v Verdict, ok bool
 	return Verdict{Blocked: true, Kind: row.kind(di)}, true
 }
 
-// HasDomain reports whether domain is in the snapshot's universe.
-func (s *Snapshot) HasDomain(domain string) bool {
-	_, ok := s.domainIdx[domain]
-	return ok
-}
-
 // Version returns the snapshot's study version.
 func (s *Snapshot) Version() uint64 { return s.version }
 

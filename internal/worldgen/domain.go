@@ -156,14 +156,14 @@ func (d *Domain) FrontedBy(p Provider) bool {
 // count: the paper's headline metric is total denial of access.
 func (d *Domain) GeoBlockedIn(loc geo.Location, clock int64) (Provider, bool) {
 	for _, p := range d.Providers {
-		if p == AppEngine && d.GAEHosted && sanctionedLocation(loc) {
+		if p == AppEngine && d.GAEHosted && AppEngineBlocked(loc) {
 			return AppEngine, true
 		}
 		if r, ok := d.GeoRules[p]; ok && r.Action == ActionBlock && r.Applies(loc, clock) {
 			return p, true
 		}
 	}
-	if d.AirbnbStyle && airbnbBlocked(loc) {
+	if d.AirbnbStyle && AirbnbBlocked(loc) {
 		return d.Providers[0], true
 	}
 	return "", false
@@ -177,7 +177,7 @@ func (d *Domain) ExplicitGeoBlockedIn(loc geo.Location, clock int64) bool {
 	if !ok {
 		return false
 	}
-	if d.AirbnbStyle && airbnbBlocked(loc) {
+	if d.AirbnbStyle && AirbnbBlocked(loc) {
 		return true
 	}
 	switch p {
@@ -187,9 +187,11 @@ func (d *Domain) ExplicitGeoBlockedIn(loc geo.Location, clock int64) bool {
 	return false
 }
 
-// sanctionedLocation reports whether loc falls under the App Engine
+// AppEngineBlocked reports whether loc falls under Google's App Engine
 // platform block: Cuba, Iran, Syria, Sudan, North Korea, and Crimea.
-func sanctionedLocation(loc geo.Location) bool {
+// The edge (internal/cdn) serves by it, so the ground truth and the
+// edge's answers cannot disagree.
+func AppEngineBlocked(loc geo.Location) bool {
 	switch loc.Country {
 	case "CU", "IR", "SY", "SD", "KP":
 		return true
@@ -197,9 +199,9 @@ func sanctionedLocation(loc geo.Location) bool {
 	return loc.Region == geo.RegionCrimea
 }
 
-// airbnbBlocked reports whether loc falls under Airbnb's stated policy:
-// Crimea, Iran, Syria, and North Korea.
-func airbnbBlocked(loc geo.Location) bool {
+// AirbnbBlocked reports whether loc falls under Airbnb's stated policy:
+// Crimea, Iran, Syria, and North Korea. The edge serves by it too.
+func AirbnbBlocked(loc geo.Location) bool {
 	switch loc.Country {
 	case "IR", "SY", "KP":
 		return true
