@@ -34,8 +34,10 @@
 #                decoder and completion handler, the blockpage signature
 #                matcher, the fingerprint classifier (against a
 #                strings.Fields oracle), and the verdict snapshot codec
-#                (one `go test -fuzz` invocation per target; the corpus
-#                seeds still run under plain `make check`)
+#                (one `go test -fuzz` invocation per target through
+#                scripts/fuzz.sh, which fails a target whose exec count
+#                stands still; the corpus seeds still run under plain
+#                `make check`)
 #   make bench   the scan engine benchmarks (collect vs streaming,
 #                sharded vs one-worker-per-country, instrumented vs bare),
 #                BENCHTIME iterations each (default 3x; CI runs 1x so the
@@ -104,7 +106,7 @@ cover:
 	check ./internal/faults 94; \
 	check ./internal/lint 92; \
 	check ./internal/telemetry 95; \
-	check ./internal/trace 89; \
+	check ./internal/trace 90; \
 	check ./internal/runstore 91; \
 	check ./internal/fabric 80; \
 	check ./internal/verdict 85; \
@@ -114,16 +116,21 @@ cover:
 
 # `go test -fuzz` takes exactly one fuzz target per invocation, so each
 # decoder gets its own line. The budget is deliberately small: this is a
-# smoke pass to catch freshly broken invariants, not a campaign.
+# smoke pass to catch freshly broken invariants, not a campaign. Each
+# new input's minimization is bounded to 1 s: unbounded, it may run for
+# 60 s, and while every worker minimizes the target fuzzes nothing,
+# which scripts/fuzz.sh fails. A crasher is still saved to testdata/fuzz.
 FUZZTIME ?= 10s
+FUZZ = GO=$(GO) sh scripts/fuzz.sh
+FUZZFLAGS = -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 fuzz:
-	$(GO) test ./internal/runstore -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/runstore -run FuzzDecodeShardFrames -fuzz FuzzDecodeShardFrames -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fabric -run FuzzCompleteHandler -fuzz FuzzCompleteHandler -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/blockpage -run FuzzMatchSignature -fuzz FuzzMatchSignature -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fingerprint -run FuzzClassify -fuzz FuzzClassify -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/verdict -run FuzzDecodeSnapshot -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
+	$(FUZZ) ./internal/runstore FuzzDecodeRecord $(FUZZFLAGS)
+	$(FUZZ) ./internal/runstore FuzzDecodeShardFrames $(FUZZFLAGS)
+	$(FUZZ) ./internal/fabric FuzzCompleteHandler $(FUZZFLAGS)
+	$(FUZZ) ./internal/blockpage FuzzMatchSignature $(FUZZFLAGS)
+	$(FUZZ) ./internal/fingerprint FuzzClassify $(FUZZFLAGS)
+	$(FUZZ) ./internal/verdict FuzzDecodeSnapshot $(FUZZFLAGS)
 
 BENCHTIME ?= 3x
 

@@ -810,13 +810,15 @@ func BenchmarkScanStreaming(b *testing.B) {
 // overhead-ratio metric. It is a reported figure, not an assertion.
 // With -benchtime 400x on a 2-vCPU Xeon (go1.24) it read 1.24–1.33
 // while the session and fetch layers called the registry per attempt,
-// and 1.04–1.12 with the per-unit tally that is flushed once per unit;
-// fewer iterations swing too widely to compare. The remaining cost is
-// two clock reads per attempt and the flush's per-unit label building.
-// Resolving each hop's invariants once per task and per exit then cut
-// the bare scan from 0.94–1.18 ms to 0.48–0.63 ms (six alternating runs
-// each), so the same fixed cost reads 1.09–1.23, where the code before
-// it read 1.07–1.14 in the same runs.
+// and 1.04–1.12 once each unit counted privately and was added to the
+// registry once; fewer iterations swing too widely to compare.
+// Resolving each hop's invariants once per task and per exit then
+// halved the bare scan, and the same fixed cost read 1.09–1.23. Each
+// attempt then read the registry's clock twice for a latency
+// histogram; without those reads, 8 alternating runs read 1.024–1.135
+// (median 1.082) against 1.125–1.182 (median 1.153) with them. What
+// remains is adding each unit's metrics and the sink counters to the
+// registry at the unit's emission.
 func BenchmarkScanInstrumented(b *testing.B) {
 	net, domains, countries, tasks := scanBenchWorld(b)
 	sink := scanner.SinkFunc(func(scanner.Sample) {})

@@ -71,8 +71,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Studies driven from the CLI report real latencies in their
-	// histograms, and the registry backs the live endpoints below.
+	// The registry backs the live endpoints below; its wall clock times
+	// the journal's fsyncs.
 	reg := telemetry.NewWithClock(telemetry.Wall{})
 
 	// One fault spec drives the in-process injector (instrumented) and,
@@ -134,7 +134,7 @@ func main() {
 	var coord *geoblock.FabricCoordinator
 	if *fabricAddr != "" {
 		spec := geoblock.FabricStudySpec{World: wcfg, Faults: faultSpec}
-		coord = geoblock.NewFabric(geoblock.FabricOptions{Study: spec, Metrics: reg, Trace: tracer})
+		coord = geoblock.NewFabric(geoblock.FabricOptions{Study: spec, Clock: telemetry.Wall{}, Metrics: reg, Trace: tracer})
 		ln, lerr := stdnet.Listen("tcp", *fabricAddr)
 		if lerr != nil {
 			fmt.Fprintf(os.Stderr, "geoscan: fabric listener: %v\n", lerr)

@@ -1,8 +1,10 @@
 package geoblock
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,21 +17,36 @@ import (
 	"geoblock/internal/telemetry"
 )
 
-// leaseCounter wraps a coordinator's handler and counts, from the
-// lease answers it serves, the lease requests that granted units and
-// the units they granted.
+// leaseCounter wraps a coordinator's handler and follows, from the
+// lease answers it serves and the completions it forwards, the lease
+// requests that granted units, the units they granted, and how many
+// units each worker holds: a unit is held from its grant to its
+// completion.
+// Under the default TTL on the coordinator's virtual clock no lease
+// expires, so every held unit is under an unexpired lease.
 type leaseCounter struct {
 	next http.Handler
 
 	mu            sync.Mutex
 	grants, units int
+	held          map[string]int // units each worker holds
+	overlaps      int            // grants that left two workers holding units
 }
 
 func (lc *leaseCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == fabric.PathComplete {
+		lc.mu.Lock()
+		lc.held[r.URL.Query().Get("worker")]--
+		lc.mu.Unlock()
+	}
 	if r.URL.Path != fabric.PathLease {
 		lc.next.ServeHTTP(w, r)
 		return
 	}
+	body, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	var req fabric.LeaseRequest
+	_ = json.Unmarshal(body, &req)
 	rec := httptest.NewRecorder()
 	lc.next.ServeHTTP(rec, r)
 	var g fabric.LeaseGrant
@@ -37,6 +54,16 @@ func (lc *leaseCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		lc.mu.Lock()
 		lc.grants++
 		lc.units += len(g.Units)
+		lc.held[req.Worker] += len(g.Units)
+		holders := 0
+		for _, n := range lc.held {
+			if n > 0 {
+				holders++
+			}
+		}
+		if holders >= 2 {
+			lc.overlaps++
+		}
 		lc.mu.Unlock()
 	}
 	for k, v := range rec.Header() {
@@ -46,18 +73,18 @@ func (lc *leaseCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Write(rec.Body.Bytes())
 }
 
-// counts reads the lease requests that granted units and the units
-// they granted.
-func (lc *leaseCounter) counts() (grants, units int) {
+// counts reads the lease requests that granted units, the units they
+// granted, and the grants that left two workers holding units.
+func (lc *leaseCounter) counts() (grants, units, overlaps int) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	return lc.grants, lc.units
+	return lc.grants, lc.units, lc.overlaps
 }
 
 // timedFabricStudy runs the Top-10K study distributed over nWorkers
 // worker loops and returns the study's wall-clock duration and its
 // lease counts. Unlike fabricRun it keeps the default lease TTL (never
-// expiring under the registry's virtual clock), so no unit is ever
+// expiring on the coordinator's default virtual clock), so no unit is ever
 // re-issued and the measurement sees each unit execute exactly once.
 func timedFabricStudy(t *testing.T, nWorkers int) (time.Duration, *leaseCounter) {
 	t.Helper()
@@ -67,7 +94,7 @@ func timedFabricStudy(t *testing.T, nWorkers int) (time.Duration, *leaseCounter)
 		Study:   FabricStudySpec{World: wcfg},
 		Metrics: reg,
 	})
-	leases := &leaseCounter{next: coord.Handler()}
+	leases := &leaseCounter{next: coord.Handler(), held: map[string]int{}}
 	srv := httptest.NewServer(leases)
 	defer srv.Close()
 
@@ -112,10 +139,12 @@ func timedFabricStudy(t *testing.T, nWorkers int) (time.Duration, *leaseCounter)
 // single worker (4 workers ran ~43% behind), because each tiny unit
 // cost a full coordinator round trip.
 //
-// Its deterministic witness runs always: in a two-worker study, lease
-// requests that granted units divided by the units granted must stay
-// at most 0.25. Batches of DefaultLeaseBatch (16) put it near 1/16;
-// per-unit leasing puts it at 1.
+// Its two witnesses read no wall clock and run always, in a two-worker
+// study. Lease requests that granted units divided by the units
+// granted must stay at most 0.25: batches of DefaultLeaseBatch (16)
+// put it near 1/16, per-unit leasing puts it at 1. And at some grant
+// both workers must hold units, so the two scanned at the same time
+// rather than one after the other.
 //
 // With GEOBLOCK_FABRIC_SCALING=full (make fabric-test, which CI runs
 // on its own) it also compares wall time: 2 workers have to beat 1 on
@@ -125,12 +154,16 @@ func timedFabricStudy(t *testing.T, nWorkers int) (time.Duration, *leaseCounter)
 // `go test ./...` on a 2-vCPU box does not leave it.
 func TestFabricScalesWithWorkers(t *testing.T) {
 	_, leases := timedFabricStudy(t, 2)
-	grants, units := leases.counts()
+	grants, units, overlaps := leases.counts()
 	ratio := float64(grants) / float64(max(units, 1))
-	t.Logf("fabric study: %d granting lease requests for %d units (%.3f per unit)", grants, units, ratio)
+	t.Logf("fabric study: %d granting lease requests for %d units (%.3f per unit); %d left both workers holding units",
+		grants, units, ratio, overlaps)
 	if units == 0 || ratio > 0.25 {
 		t.Fatalf("%d granting lease requests for %d units (%.3f per unit, bound 0.25): the lease path is leasing unit by unit again",
 			grants, units, ratio)
+	}
+	if overlaps == 0 {
+		t.Fatal("no lease grant left both workers holding units: the two workers never held work at the same time")
 	}
 	if os.Getenv("GEOBLOCK_FABRIC_SCALING") != "full" {
 		return

@@ -169,14 +169,16 @@ type Options struct {
 	// cancelled study returns partial results. Nil means never cancel.
 	Ctx context.Context
 	// Metrics, when non-nil, replaces the study's default virtual-clock
-	// telemetry registry. CLIs that want wall-clock latencies and a
-	// live /debug/metrics view inject telemetry.NewWithClock(telemetry.Wall{})
-	// here; leaving it nil keeps snapshots deterministic.
+	// telemetry registry; a CLI's live /debug/metrics view reads the one
+	// it injects here. Scans read no clock, so the registry's clock
+	// times only what else shares it, such as a journal's fsyncs
+	// (RunStoreOptions.Metrics).
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, turns on wide-event tracing: every study
 	// and analysis stage, scan phase, scheduler shard, session open,
-	// fetch, and verdict-edge slow lookup records into it, and Tracer.Snapshot() exports the
-	// run as Chrome trace-event JSON (the CLIs' -trace flag). Tracing
+	// emission, and verdict-edge slow lookup records into it, and
+	// Tracer.Snapshot() exports the run as Chrome trace-event JSON (the
+	// CLIs' -trace flag). Tracing
 	// never influences results; deterministic-class events are
 	// byte-identical at any concurrency or worker count.
 	Trace *Tracer
@@ -272,7 +274,8 @@ func DecodeVerdicts(b []byte) (*VerdictSnapshot, error) {
 func (s *System) Err() error { return s.study.Err() }
 
 // Metrics exposes the system's telemetry registry: scan counters, error
-// tallies, and latency histograms accumulate here as studies run.
+// tallies, and body-size and backoff histograms accumulate here as
+// studies run.
 // Per-stage and per-unit timing lives in the trace (Options.Trace).
 func (s *System) Metrics() *telemetry.Registry {
 	return s.study.Metrics

@@ -79,8 +79,9 @@ type Options struct {
 	// negative makes every lease instantly expirable — with a virtual
 	// clock, the deterministic way to exercise re-issue without waiting.
 	LeaseTTL time.Duration
-	// Clock drives lease deadlines. Nil falls back to Metrics.Clock(),
-	// then to a virtual clock (tests advance it by hand).
+	// Clock drives lease deadlines. Nil means a virtual clock, on which
+	// a lease expires only under a negative LeaseTTL; geoscan passes
+	// telemetry.Wall{}.
 	Clock telemetry.Clock
 	// Metrics, when non-nil, receives the fabric's runtime-class lease
 	// counters.
@@ -160,9 +161,6 @@ type Coordinator struct {
 // New builds a coordinator for one study.
 func New(opts Options) *Coordinator {
 	clock := opts.Clock
-	if clock == nil {
-		clock = opts.Metrics.Clock()
-	}
 	if clock == nil {
 		clock = telemetry.NewVirtual()
 	}

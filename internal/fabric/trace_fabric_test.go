@@ -114,12 +114,12 @@ func TestFabricTracePropagation(t *testing.T) {
 	}
 
 	// The coordinator's stream merged the workers' deterministic unit
-	// events (fetch spans only ever run on workers here) and recorded
-	// its own runtime lease protocol, including the re-issue of the
-	// victim's forfeited lease and at least one completed unit.
+	// events (sessions only ever open on workers here) and recorded its
+	// own runtime lease protocol, including the re-issue of the victim's
+	// forfeited lease and at least one completed unit.
 	snap := coordTr.Snapshot()
-	if !snapHas(snap, "fetch", "", false) {
-		t.Error("coordinator trace has no worker-executed fetch events")
+	if !snapHas(snap, "session.open", "", false) {
+		t.Error("coordinator trace has no worker-executed session.open events")
 	}
 	if !snapHas(snap, "lease", "", true) {
 		t.Error("coordinator trace has no lease events")

@@ -54,8 +54,8 @@ type Study struct {
 	Ctx context.Context
 	// Metrics receives counters and histograms from every scan the
 	// study runs. New installs a virtual-clock registry (deterministic
-	// snapshots); replace it with telemetry.NewWithClock(telemetry.Wall{})
-	// before running to time a real study. Never nil after New.
+	// snapshots); scans read no clock, and per-stage timing lives in
+	// the trace. Never nil after New.
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, receives wide events from every phase the
 	// study runs: each scan invocation gets its own span context

@@ -375,11 +375,11 @@ func TestBrownoutBackoff(t *testing.T) {
 	waits := func(reg *telemetry.Registry) int { return histogramTotal(reg.Snapshot(), MetBackoff) }
 	reg := telemetry.New()
 	net := chaosNet(inj)
-	tl := newTally(nil)
-	if _, err := openSession(net, cc, slot, Config{}, tl); err != nil {
+	m := new(UnitMetrics)
+	if _, err := openSession(net, cc, slot, Config{}, m); err != nil {
 		t.Fatalf("transient brownout did not clear: %v", err)
 	}
-	tl.AddTo(reg)
+	m.AddTo(reg)
 	if waits(reg) == 0 {
 		t.Fatal("no backoff waits recorded")
 	}
@@ -387,9 +387,9 @@ func TestBrownoutBackoff(t *testing.T) {
 	// Permanent blackout: bounded attempts, then a typed error.
 	reg = telemetry.New()
 	net2 := chaosNet(faults.New(5).Default(permanent))
-	tl = newTally(nil)
-	_, err := openSession(net2, cc, slot, Config{}, tl)
-	tl.AddTo(reg)
+	m = new(UnitMetrics)
+	_, err := openSession(net2, cc, slot, Config{}, m)
+	m.AddTo(reg)
 	if err == nil {
 		t.Fatal("blackout session open succeeded")
 	}

@@ -65,8 +65,8 @@ type fetcher struct {
 	headers headerSet
 	maxHops int
 	bodies  BodyPolicy
-	reply   vnet.Reply // every hop's answer, reused from hop to hop
-	tally   *tally     // nil when nothing counts the attempts
+	reply   vnet.Reply   // every hop's answer, reused from hop to hop
+	metrics *UnitMetrics // nil when nothing counts the attempts
 
 	dest     vnet.Dest // the current task's destination
 	host     string    // the host dest was resolved from
@@ -74,9 +74,9 @@ type fetcher struct {
 }
 
 // newFetcher builds a fetcher over p with the plan's header set and
-// the config's redirect bound and body-retention policy. It records its
-// attempts into t, when t is not nil.
-func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, t *tally) *fetcher {
+// the config's redirect bound and body-retention policy. It counts its
+// attempts into m, when m is not nil.
+func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, m *UnitMetrics) *fetcher {
 	f := &fetcher{
 		ctx:     ctx,
 		probe:   p,
@@ -84,8 +84,8 @@ func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, t *tall
 		maxHops: MaxRedirects,
 		bodies:  cfg.Bodies,
 	}
-	if t != nil {
-		f.tally, t.Fetcher = t, true
+	if m != nil {
+		f.metrics, m.Fetcher = m, true
 	}
 	if cfg.WrapTransport != nil {
 		f.rt = cfg.WrapTransport(p)
@@ -95,11 +95,11 @@ func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, t *tall
 
 // fetch performs one attempt and classifies the outcome. exit is the
 // address serving the attempt (recorded even on failure, for the load
-// accounting and for replay). The return value is named so the tally's
-// defer records the final sample whichever path produced it.
+// accounting and for replay). The return value is named so the
+// metrics' defer counts the final sample whichever path produced it.
 func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit geo.IP) (s Sample) {
-	if tl := f.tally; tl != nil {
-		defer tl.fetched(&s, tl.now())
+	if m := f.metrics; m != nil {
+		defer m.fetched(&s)
 	}
 	s = Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Seed: seed, ExitIP: exit}
 

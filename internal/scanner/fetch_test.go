@@ -273,24 +273,24 @@ func brief(s Sample) Sample {
 }
 
 // TestFetchAllocs pins the fetcher's steady-state cost: the direct
-// probe path stays under ten allocations per sample, and recording the
-// attempt into a tally allocates nothing — the tally's record path (its
-// two clock reads in tally.now and tally.fetched) reads 0 allocations, and outside
-// the race detector an attempt allocates exactly the same with a tally
-// as without one. Twin sessions (same country and slot) take the same
-// exits, so both fetchers do identical work apart from the tally. Under
-// -race the twin counts drift: the race runtime drops a random share
-// of sync.Pool puts, and every block-page render goes through fmt's
+// probe path stays under ten allocations per sample, and counting the
+// attempt into a unit's metrics allocates nothing — UnitMetrics.fetched
+// reads 0 allocations, and outside the race detector an attempt
+// allocates exactly the same with metrics as without them. Twin
+// sessions (same country and slot) take the same exits, so both
+// fetchers do identical work apart from the counting. Under -race the
+// twin counts drift: the race runtime drops a random share of
+// sync.Pool puts, and every block-page render goes through fmt's
 // pooled printers.
 func TestFetchAllocs(t *testing.T) {
 	domains, _ := smallInputs(64)
 	cfg := testConfig().withDefaults()
-	perSample := func(tl *tally) float64 {
+	perSample := func(m *UnitMetrics) float64 {
 		s, err := testNet.NewSession("DE", 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), tl)
+		f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), m)
 		fetchAll := func() {
 			for i, domain := range domains {
 				if s.Used() >= RequestsPerExit {
@@ -303,22 +303,22 @@ func TestFetchAllocs(t *testing.T) {
 		return testing.AllocsPerRun(20, fetchAll) / float64(len(domains))
 	}
 	bare := perSample(nil)
-	tl := newTally(telemetry.Wall{})
-	tallied := perSample(tl)
-	t.Logf("%.2f allocs/sample, %.2f with a tally", bare, tallied)
+	m := new(UnitMetrics)
+	counted := perSample(m)
+	t.Logf("%.2f allocs/sample, %.2f with metrics", bare, counted)
 	if bare >= 10 {
 		t.Fatalf("fetcher allocates %.2f times per sample; the direct probe path must stay under 10", bare)
 	}
-	if tl.Attempts == 0 {
-		t.Fatal("the tally recorded no attempts")
+	if m.Attempts == 0 {
+		t.Fatal("the metrics counted no attempts")
 	}
-	if !raceEnabled && tallied != bare {
-		t.Fatalf("a fetch attempt allocates %.3f times with a tally and %.3f without", tallied, bare)
+	if !raceEnabled && counted != bare {
+		t.Fatalf("a fetch attempt allocates %.3f times with metrics and %.3f without", counted, bare)
 	}
 	s := Sample{BodyLen: 512}
-	record := func() { tl.fetched(&s, tl.now()) }
+	record := func() { m.fetched(&s) }
 	if n := testing.AllocsPerRun(100, record); n != 0 {
-		t.Fatalf("recording an attempt into a tally allocates %.1f times", n)
+		t.Fatalf("counting an attempt into a unit's metrics allocates %.1f times", n)
 	}
 }
 

@@ -29,8 +29,7 @@ const (
 
 	// Fetcher layer.
 	MetFetchAttempts = "scanner.fetch.attempts"
-	MetFetchResults  = "scanner.fetch.results"    // + {code=<ErrCode>}
-	MetFetchLatency  = "scanner.fetch.latency_ms" // runtime histogram
+	MetFetchResults  = "scanner.fetch.results" // + {code=<ErrCode>}
 	MetFetchBytes    = "scanner.fetch.body_bytes"
 
 	// Session layer.
@@ -53,7 +52,7 @@ const (
 
 // The fetch result counters, one per ErrCode: each is
 // telemetry.Label(MetFetchResults, "code", code.String()), spelled out
-// so that flushing a tally builds no name.
+// so that adding a unit's metrics builds no name.
 const (
 	metResultsOK        = MetFetchResults + "{code=ok}"
 	metResultsProxy     = MetFetchResults + "{code=proxy}"
@@ -65,19 +64,16 @@ const (
 	metResultsNoExits   = MetFetchResults + "{code=no-exits}"
 )
 
-// Histogram geometry: the runtime latency histogram, which stays in
-// the process that timed it, and the two deterministic histograms a
-// unit carries (UnitHistogram).
+// Histogram geometry: the two deterministic histograms a unit carries
+// (UnitHistogram).
 const (
-	latencyMaxMs = 2000
-	latencyBins  = 20
 	bytesMax     = 65536
 	backoffMaxMs = float64(backoffCap / time.Millisecond)
 	unitBins     = 16
 )
 
 // UnitMetrics is the one form a unit's session and fetch metrics take:
-// the unit's tally counts into it, its UnitResult and ShardDone point
+// the executing unit counts into it, its UnitResult and ShardDone point
 // at it, journal checkpoints and fabric completions carry it, and AddTo
 // adds it to a registry at the unit's emission or replay. Every field
 // is deterministic and never negative.
@@ -189,69 +185,16 @@ func sumTo(limit int64, vs ...int64) int64 {
 	return s
 }
 
-// tally is one unit's counting state: its UnitMetrics, plus attempt
-// latencies, which stay in the process that timed them. The unit's
-// goroutine is its only writer, so a sample takes no lock, no shared
-// atomic and no name lookup.
-type tally struct {
-	UnitMetrics
-	// clock is Config.Metrics' clock: two reads per attempt feed the
-	// latency histogram. Nil when the scan has no registry; the unit
-	// then counts everything but latency.
-	clock   telemetry.Clock
-	latency batch
-	bins    [latencyBins]int
-}
-
-// batch bins one histogram's observations with the registry's rule
-// (stats.Histogram.Add) and keeps the registry's truncated sum.
-type batch struct {
-	h   stats.Histogram
-	sum int64
-}
-
-func (b *batch) observe(v float64) {
-	b.h.Add(v)
-	b.sum += int64(v)
-}
-
-// addTo adds the batch to h in one call.
-func (b *batch) addTo(h *telemetry.Histogram) {
-	in := 0
-	for _, c := range b.h.Counts {
-		in += c
-	}
-	h.AddBatch(b.h.Counts, b.h.Total()-in, b.sum)
-}
-
-// newTally returns an empty tally reading time from clock. Its bins
-// are arrays inside it, so recording allocates nothing beyond the
-// tally itself.
-func newTally(clock telemetry.Clock) *tally {
-	t := &tally{clock: clock}
-	t.latency.h = stats.Histogram{Max: latencyMaxMs, Counts: t.bins[:]}
-	return t
-}
-
-// now reads the tally's clock, the zero time without one.
-func (t *tally) now() time.Time {
-	if t.clock == nil {
-		return time.Time{}
-	}
-	return t.clock.Now()
-}
-
-// fetched records one completed fetch attempt that began at start.
-func (t *tally) fetched(s *Sample, start time.Time) {
-	t.Attempts++
-	if int(s.Err) < len(t.Results) {
-		t.Results[s.Err]++
+// fetched counts one completed fetch attempt. The executing unit's
+// goroutine is its metrics' only writer, so an attempt takes no lock,
+// no shared atomic, no name lookup and no clock read.
+func (m *UnitMetrics) fetched(s *Sample) {
+	m.Attempts++
+	if int(s.Err) < len(m.Results) {
+		m.Results[s.Err]++
 	}
 	if s.Err == ErrNone {
-		t.Bytes.observe(float64(s.BodyLen), bytesMax)
-	}
-	if t.clock != nil {
-		t.latency.observe(float64(t.clock.Now().Sub(start)) / float64(time.Millisecond))
+		m.Bytes.observe(float64(s.BodyLen), bytesMax)
 	}
 }
 

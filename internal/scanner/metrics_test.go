@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite the scanner's golden files")
 // snapshot to the same committed bytes, and each ShardDone's metrics —
 // what a journal checkpoints — added to a fresh registry must snapshot
 // to theirs. The matrices compare runs with
-// each other, so only a golden catches a registration or tally bug
+// each other, so only a golden catches a registration or counting bug
 // that hits both paths alike.
 func TestScanSnapshotGolden(t *testing.T) {
 	mixed, _ := faults.Named("mixed")

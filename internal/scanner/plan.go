@@ -54,8 +54,8 @@ type WorkUnit struct {
 type UnitResult struct {
 	Samples []Sample
 	Lost    OutageReason
-	// Metrics points into the unit's tally, no copy; Assembly.emit adds
-	// it to Config.Metrics at the unit's canonical emission.
+	// Metrics is what the unit counted as it ran; Assembly.emit adds it
+	// to Config.Metrics at the unit's canonical emission.
 	Metrics *UnitMetrics
 	// Trace holds the unit's staged wide events when tracing was on —
 	// shipped back in fabric completions and appended at the assembly's
@@ -210,23 +210,17 @@ func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (Un
 	return res, nil
 }
 
-// execute runs one unit. Its session and fetch metrics accumulate in a
-// tally the result points at; only the attempt latencies, timed on
-// Config.Metrics' clock, go to that registry when the unit ends.
+// execute runs one unit. Its session and fetch metrics accumulate in
+// the result's Metrics.
 func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard) UnitResult {
-	t := newTally(p.cfg.Metrics.Clock())
 	tb := unitBuffer(p.scanCtx, sh.seq, p.cfg)
-	res := UnitResult{Metrics: &t.UnitMetrics}
+	res := UnitResult{Metrics: new(UnitMetrics)}
 	if p.fleet != nil {
-		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, p.cfg, p.headers, tb, t)
+		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, p.cfg, p.headers, tb, res.Metrics)
 	} else {
-		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, p.cfg, p.headers, tb, t)
+		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, p.cfg, p.headers, tb, res.Metrics)
 	}
 	res.Trace = tb.Events()
-	if t.Fetcher {
-		// Runtime-class: the latencies time one particular schedule.
-		t.latency.addTo(p.cfg.Metrics.RuntimeHistogram(MetFetchLatency, 0, latencyMaxMs, latencyBins))
-	}
 	return res
 }
 

@@ -54,14 +54,13 @@ func Scan(ctx context.Context, net *proxy.Network, domains []string, countries [
 
 // scanShard runs one shard's tasks through its own sticky session and
 // reports why (if at all) its tasks were lost. Its session and fetch
-// metrics go into tl. tb, when non-nil, stages the shard's trace events
-// — session open, one wide record per fetch, and the closing unit
-// event.
-func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *shard, cfg Config, hs headerSet, tb *trace.Buffer, tl *tally) ([]Sample, OutageReason) {
+// metrics go into m. tb, when non-nil, stages the shard's trace events
+// — session open and the closing unit event.
+func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *shard, cfg Config, hs headerSet, tb *trace.Buffer, m *UnitMetrics) ([]Sample, OutageReason) {
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
 	unitStart := tb.Wall()
 
-	se, err := openSession(net, geo.CountryCode(sh.country), sh.slot, cfg, tl)
+	se, err := openSession(net, geo.CountryCode(sh.country), sh.slot, cfg, m)
 	if tb != nil {
 		ev := trace.NewEvent(tb.Ctx().Child("session.open", 0), "session.open")
 		ev.Unit = sh.seq
@@ -91,24 +90,16 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *sh
 		return out, lost
 	}
 
-	f := newFetcher(ctx, se.transport(), cfg, hs, tl)
+	f := newFetcher(ctx, se.transport(), cfg, hs, m)
 	salt := seedSalt(sh.country, cfg.Phase)
-	for ti, t := range sh.tasks {
+	for _, t := range sh.tasks {
 		if ctx.Err() != nil {
 			return out, OutageNone
 		}
 		domain := domains[t.Domain]
 		name := stats.Hash(domain)
 		for a := 0; a < cfg.Samples; a++ {
-			seed := saltedSeed(name, salt, a)
-			if tb == nil {
-				out = append(out, fetchReliable(f, se, domain, seed, t, uint8(a)))
-				continue
-			}
-			fetchStart := tb.Wall()
-			s := fetchReliable(f, se, domain, seed, t, uint8(a))
-			out = append(out, s)
-			recordFetch(tb, sh, cfg, domain, ti*cfg.Samples+a, s, fetchStart)
+			out = append(out, fetchReliable(f, se, domain, saltedSeed(name, salt, a), t, uint8(a)))
 		}
 	}
 	lost := OutageNone

@@ -24,32 +24,32 @@ type session struct {
 	s       *proxy.Session
 	retries int // Config.Retries: attempts per sample = 1 + retries
 	h       health
-	t       *tally
+	m       *UnitMetrics
 }
 
 // openSession acquires a sticky session for cc starting at the
 // deterministic slot. Superproxy brownouts are retried up to
 // DefaultOpenRetries times under decorrelated-jitter backoff (they
-// clear); every other failure — ErrNoExits above all — is final. t
-// tallies attempts, brownouts, and the computed backoff waits, and the
-// session keeps tallying into it.
-func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config, t *tally) (*session, error) {
+// clear); every other failure — ErrNoExits above all — is final. m
+// counts attempts, brownouts, and the computed backoff waits, and the
+// session keeps counting into it.
+func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config, m *UnitMetrics) (*session, error) {
 	bo := newBackoff(slot)
 	var lastErr error
 	for attempt := 0; attempt <= DefaultOpenRetries; attempt++ {
-		t.OpenAttempts++
+		m.OpenAttempts++
 		s, err := net.NewSessionAttempt(cc, slot, attempt)
 		if err == nil {
-			return &session{s: s, retries: cfg.Retries, t: t}, nil
+			return &session{s: s, retries: cfg.Retries, m: m}, nil
 		}
 		lastErr = err
 		var brown *proxy.ErrBrownout
 		if !errors.As(err, &brown) {
 			return nil, err
 		}
-		t.Brownouts++
+		m.Brownouts++
 		if attempt < DefaultOpenRetries {
-			t.Backoff.observe(float64(bo.wait())/float64(time.Millisecond), backoffMaxMs)
+			m.Backoff.observe(float64(bo.wait())/float64(time.Millisecond), backoffMaxMs)
 		}
 	}
 	return nil, lastErr
@@ -67,7 +67,7 @@ func (se *session) ready(seed uint64) bool {
 	}
 	if se.s.Used() >= RequestsPerExit {
 		se.s.Rotate()
-		se.t.Rotations++
+		se.m.Rotations++
 	}
 	if se.s.Used() == 0 {
 		probes := DefaultVerifyProbes
@@ -76,7 +76,7 @@ func (se *session) ready(seed uint64) bool {
 		}
 		found := false
 		for probe := 0; probe < probes; probe++ {
-			se.t.Probes++
+			se.m.Probes++
 			if _, _, err := se.s.Verify(seed + uint64(probe)); err == nil {
 				found = true
 				break
@@ -86,10 +86,10 @@ func (se *session) ready(seed uint64) bool {
 		if found {
 			se.h.success()
 		} else {
-			se.t.FailedSweeps++
+			se.m.FailedSweeps++
 			if se.h.failedSweep(DefaultBreakerSweeps) {
 				if se.h.dead {
-					se.t.BreakerTrips++
+					se.m.BreakerTrips++
 				}
 				return false
 			}
@@ -101,7 +101,7 @@ func (se *session) ready(seed uint64) bool {
 // rotate abandons the current exit (after a failed attempt).
 func (se *session) rotate() {
 	se.s.Rotate()
-	se.t.Rotations++
+	se.m.Rotations++
 }
 
 // dark reports whether the circuit breaker wrote the country off.
@@ -122,7 +122,7 @@ func fetchReliable(f *fetcher, se *session, domain string, seed uint64, t Task, 
 	var last Sample
 	for try := 0; try <= se.retries; try++ {
 		if try > 0 {
-			se.t.Retries++
+			se.m.Retries++
 		}
 		if !se.ready(seed) {
 			return Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Err: ErrNoExits}

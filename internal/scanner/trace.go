@@ -72,24 +72,6 @@ func outcome(lost OutageReason) string {
 	return lost.String()
 }
 
-// recordFetch records one sample's "fetch" event. k is the sample's
-// ordinal within the unit (task-major), which keys the span ID.
-func recordFetch(tb *trace.Buffer, sh *shard, cfg Config, domain string, k int, s Sample, wallStart int64) {
-	ev := trace.NewEvent(tb.Ctx().Child(trace.EventFetch, k), trace.EventFetch)
-	ev.Unit = sh.seq
-	ev.Country = sh.country
-	ev.Phase = cfg.Phase
-	ev.Outcome = s.Err.String()
-	ev.WallNS = wallStart
-	ev.WallDurNS = tb.Wall() - wallStart
-	ev.Attrs = []trace.Attr{
-		{K: "domain", V: domain},
-		{K: "status", V: strconv.Itoa(int(s.Status))},
-		{K: "attempt", V: strconv.Itoa(int(s.Attempt))},
-	}
-	tb.Record(ev)
-}
-
 // recordScanTail emits the end-of-scan events Assembly.Finish records:
 // one "outage" event per degraded country (each also firing the flight
 // recorder), then the closing "scan" event.

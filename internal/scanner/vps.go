@@ -45,27 +45,19 @@ func fleetCountries(fleet []*proxy.VPS) []geo.CountryCode {
 	return countries
 }
 
-func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, hs headerSet, tb *trace.Buffer, tl *tally) []Sample {
-	f := newFetcher(ctx, v.Stack(), cfg, hs, tl)
+func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, hs headerSet, tb *trace.Buffer, m *UnitMetrics) []Sample {
+	f := newFetcher(ctx, v.Stack(), cfg, hs, m)
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
 	unitStart := tb.Wall()
 	salt := seedSalt(sh.country, cfg.Phase+"/vps")
-	for ti, t := range sh.tasks {
+	for _, t := range sh.tasks {
 		if ctx.Err() != nil {
 			return out
 		}
 		domain := domains[t.Domain]
 		name := stats.Hash(domain)
 		for a := 0; a < cfg.Samples; a++ {
-			seed := saltedSeed(name, salt, a)
-			if tb == nil {
-				out = append(out, f.fetch(domain, seed, t, uint8(a), v.IP))
-				continue
-			}
-			fetchStart := tb.Wall()
-			s := f.fetch(domain, seed, t, uint8(a), v.IP)
-			out = append(out, s)
-			recordFetch(tb, sh, cfg, domain, ti*cfg.Samples+a, s, fetchStart)
+			out = append(out, f.fetch(domain, saltedSeed(name, salt, a), t, uint8(a), v.IP))
 		}
 	}
 	closeUnit(tb, sh, cfg, len(out), unitStart, OutageNone)

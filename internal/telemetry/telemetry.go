@@ -76,16 +76,6 @@ func (r *Registry) Now() time.Time {
 	return r.clock.Now()
 }
 
-// Clock returns the registry's time source, so code that times work
-// for the registry (the engine's per-unit attempt latencies, for one)
-// reads the same clock the registry does. A nil registry returns nil.
-func (r *Registry) Clock() Clock {
-	if r == nil {
-		return nil
-	}
-	return r.clock
-}
-
 // Counter returns the named deterministic-class counter, creating it on
 // first use. The class is fixed at creation; later lookups keep it.
 func (r *Registry) Counter(name string) *Counter { return r.counter(name, false) }

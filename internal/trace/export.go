@@ -15,14 +15,12 @@ import (
 )
 
 // Trace is a point-in-time export of a Tracer: the event stream in
-// recorded (canonical) order plus the tallies of events dropped past
-// the limit (see DefaultLimit). Dropped counts fetch events and is
-// deterministic, like the stream; RuntimeDropped counts runtime events
-// and, like them, depends on the schedule.
+// recorded (canonical) order plus the tally of runtime events dropped
+// past the limit (see DefaultLimit), which like them depends on the
+// schedule.
 type Trace struct {
 	Root           SpanCtx `json:"root"`
 	Events         []Event `json:"events"`
-	Dropped        int64   `json:"dropped,omitempty"`
 	RuntimeDropped int64   `json:"runtime_dropped,omitempty"`
 }
 
@@ -33,7 +31,7 @@ type Trace struct {
 // the scan inputs, so two runs of the same scan produce byte-identical
 // deterministic traces at any Concurrency and any worker count.
 func (t *Trace) Deterministic() *Trace {
-	out := &Trace{Root: t.Root, Dropped: t.Dropped}
+	out := &Trace{Root: t.Root}
 	for _, ev := range t.Events {
 		if ev.Runtime {
 			continue
@@ -124,13 +122,10 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		ce.Args = args
 		out.TraceEvents = append(out.TraceEvents, ce)
 	}
-	if t.Dropped > 0 || t.RuntimeDropped > 0 {
-		args := map[string]string{"dropped": strconv.FormatInt(t.Dropped, 10)}
-		if t.RuntimeDropped > 0 {
-			args["runtime_dropped"] = strconv.FormatInt(t.RuntimeDropped, 10)
-		}
+	if t.RuntimeDropped > 0 {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "trace_dropped_events", Ph: "M", PID: 1, Args: args,
+			Name: "trace_dropped_events", Ph: "M", PID: 1,
+			Args: map[string]string{"runtime_dropped": strconv.FormatInt(t.RuntimeDropped, 10)},
 		})
 	}
 	enc := json.NewEncoder(w)

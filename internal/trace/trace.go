@@ -92,9 +92,10 @@ type Event struct {
 	Trace  ID `json:"trace"`
 	Span   ID `json:"span"`
 	Parent ID `json:"parent,omitempty"`
-	// Name is the event class: "fetch", "session.open", "unit",
-	// "sink.emit", "scan", "outage", "pipeline/scan",
-	// "pipeline/stage", ...
+	// Name is the event class: "session.open", "unit", "sink.emit",
+	// "scan", "outage", "pipeline/scan", "pipeline/stage", ... A
+	// unit's samples have no event of their own: the journal keeps
+	// every one of them.
 	Name string `json:"name"`
 	// Phase is the scan phase (or journal key) the event belongs to.
 	Phase string `json:"phase,omitempty"`
@@ -114,10 +115,6 @@ type Event struct {
 	WallDurNS int64  `json:"wall_dur_ns,omitempty"`
 	Attrs     []Attr `json:"attrs,omitempty"`
 }
-
-// EventFetch names the per-sample event class: the one deterministic
-// class the Tracer's limit caps (see DefaultLimit).
-const EventFetch = "fetch"
 
 // NewEvent starts an event under ctx with the unit field parked at -1.
 // The caller fills coordinates and outcome, then hands it to a Buffer

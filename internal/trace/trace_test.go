@@ -51,7 +51,7 @@ func TestBufferNilSafetyAndFill(t *testing.T) {
 	root := Root(7)
 	unit := root.Child("unit", 3)
 	b := NewBuffer(unit, root.Span, nil)
-	b.Record(Event{Span: unit.Child("fetch", 0).Span, Name: "fetch", Unit: 3})
+	b.Record(Event{Span: unit.Child("session.open", 0).Span, Name: "session.open", Unit: 3})
 	evs := b.Events()
 	if len(evs) != 1 {
 		t.Fatalf("got %d events", len(evs))
@@ -69,51 +69,52 @@ func TestTracerRecordAppendAndLimit(t *testing.T) {
 	nt.Record(Event{Name: "x"})
 	nt.Append([]Event{{Name: "y"}})
 	nt.Trigger("nothing")
-	if nt.Snapshot() == nil || nt.Dropped() != 0 || nt.Root().Valid() {
+	if nt.Snapshot() == nil || nt.Root().Valid() {
 		t.Fatalf("nil tracer not a no-op")
 	}
 
-	// The limit caps fetch events and, separately, runtime events;
-	// every other event is kept however many there are.
-	tr := New(Root(11)).WithLimit(2)
+	// The limit caps runtime events only; deterministic events are kept
+	// however many there are, and runtime events past the limit never
+	// displace one, whichever arrives first.
+	tr := New(Root(11))
+	tr.limit = 2
 	tr.Record(NewEvent(tr.Root(), "a"))
 	for i := 0; i < 3; i++ {
 		tr.Record(Event{Name: "steal", Unit: i, Runtime: true})
 	}
 	tr.Append([]Event{
-		{Name: EventFetch, Unit: 0}, {Name: EventFetch, Unit: 0}, {Name: EventFetch, Unit: 0},
-		{Name: "unit", Unit: 0}, {Name: "unit", Unit: 1}, {Name: "unit", Unit: 2},
+		{Name: "session.open", Unit: 0}, {Name: "unit", Unit: 0}, {Name: "sink.emit", Unit: 0},
+		{Name: "unit", Unit: 1}, {Name: "unit", Unit: 2},
 	})
+	tr.Record(Event{Name: "lease", Unit: 3, Runtime: true})
 	snap := tr.Snapshot()
 	var names []string
 	for _, ev := range snap.Events {
 		names = append(names, ev.Name)
 	}
-	if got, want := strings.Join(names, " "), "a steal steal fetch fetch unit unit unit"; got != want {
+	if got, want := strings.Join(names, " "), "a steal steal session.open unit sink.emit unit unit"; got != want {
 		t.Fatalf("kept %q, want %q", got, want)
 	}
-	if snap.Dropped != 1 || tr.Dropped() != 1 || snap.RuntimeDropped != 1 {
-		t.Fatalf("dropped = %d / %d, runtime %d; want the 1 fetch and 1 steal event past the limit",
-			snap.Dropped, tr.Dropped(), snap.RuntimeDropped)
+	if snap.RuntimeDropped != 2 {
+		t.Fatalf("runtime dropped = %d; want the steal and lease events past the limit", snap.RuntimeDropped)
 	}
-	if det := snap.Deterministic(); det.Dropped != 1 || det.RuntimeDropped != 0 || len(det.Events) != 6 {
-		t.Fatalf("deterministic view: %d events, dropped %d, runtime %d; want 6, 1, 0",
-			len(det.Events), det.Dropped, det.RuntimeDropped)
+	if det := snap.Deterministic(); det.RuntimeDropped != 0 || len(det.Events) != 6 {
+		t.Fatalf("deterministic view: %d events, runtime dropped %d; want 6, 0", len(det.Events), det.RuntimeDropped)
 	}
 	var chrome bytes.Buffer
 	if err := snap.WriteChrome(&chrome); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(chrome.String(), `"args":{"dropped":"1","runtime_dropped":"1"}`) {
-		t.Fatalf("chrome export does not report both drop tallies:\n%s", chrome.String())
+	if !strings.Contains(chrome.String(), `"args":{"runtime_dropped":"2"}`) {
+		t.Fatalf("chrome export does not report the drop tally:\n%s", chrome.String())
 	}
 	if snap.Events[0].Trace != tr.Root().Trace {
 		t.Fatalf("Record did not fill the trace ID")
 	}
 	var dump bytes.Buffer
 	tr.DumpFlight(&dump, "limits")
-	if !strings.Contains(dump.String(), "dropped=1 runtime_dropped=1") {
-		t.Fatalf("flight dump does not report both drop tallies:\n%s", dump.String())
+	if !strings.Contains(dump.String(), "events=8 runtime_dropped=2") {
+		t.Fatalf("flight dump does not report the drop tally:\n%s", dump.String())
 	}
 }
 
@@ -137,7 +138,7 @@ func TestFlightRecorderDump(t *testing.T) {
 	tr := New(Root(11)).WithFlightSink(&sink)
 	// Overflow the ring so the dump window slides.
 	for i := 0; i < DefaultFlightSize+10; i++ {
-		tr.Record(Event{Name: "fetch", Unit: i, Country: "IR", Outcome: "ok"})
+		tr.Record(Event{Name: "unit", Unit: i, Country: "IR", Outcome: "ok"})
 	}
 	tr.Trigger("seeded outage")
 	if tr.FlightDumps() != 1 {
@@ -210,8 +211,8 @@ func TestDeterministicViewStripsRuntimeAndWall(t *testing.T) {
 func TestChromeExportSchema(t *testing.T) {
 	tr := New(Root(11)).WithWall(telemetry.NewVirtual())
 	tr.Record(Event{Name: "scan", Unit: -1, Phase: "initial", Outcome: "ok", WallNS: 2000, WallDurNS: 1000})
-	tr.Record(Event{Name: "fetch", Unit: 4, Country: "CN", Outcome: "timeout",
-		Attrs: []Attr{{K: "status", V: "0"}}})
+	tr.Record(Event{Name: "unit", Unit: 4, Country: "CN", Outcome: "no-exits",
+		Attrs: []Attr{{K: "samples", V: "96"}}})
 	tr.Record(Event{Name: "lease", Unit: -1, Runtime: true})
 
 	var buf bytes.Buffer
@@ -264,10 +265,10 @@ func TestChromeExportSchema(t *testing.T) {
 	if scan.Name != "scan" || *scan.TS != 2.0 || *scan.Dur != 1.0 {
 		t.Fatalf("scan event mistimed: %+v", scan)
 	}
-	// The fetch event rides its unit's timeline row and keeps attrs.
-	fetch := doc.TraceEvents[2]
-	if *fetch.TID != 5 || fetch.Args["status"] == nil || *fetch.Args["country"] != "CN" {
-		t.Fatalf("fetch event misplaced: %+v", fetch)
+	// The unit event rides its unit's timeline row and keeps attrs.
+	unit := doc.TraceEvents[2]
+	if *unit.TID != 5 || unit.Args["samples"] == nil || *unit.Args["country"] != "CN" {
+		t.Fatalf("unit event misplaced: %+v", unit)
 	}
 	if doc.TraceEvents[3].Cat != "runtime" {
 		t.Fatalf("runtime event not categorized: %+v", doc.TraceEvents[3])

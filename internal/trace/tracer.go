@@ -11,20 +11,14 @@ import (
 	"geoblock/internal/telemetry"
 )
 
-// DefaultLimit bounds the two unbounded event classes a Tracer
-// retains: per-sample "fetch" events, and runtime-class events. Every
-// other deterministic event — unit, session.open, sink.emit, outage,
-// scan, pipeline/* — is always kept, so a capped trace is still a
-// complete record of what each phase, stage, and unit did.
-//
-// Fetch events past the cap are counted (Trace.Dropped) rather than
-// kept. They arrive only through Append at the canonical merge point,
-// and runtime events draw on their own budget, so which fetch events
-// survive — and how many are dropped — is a pure function of the scan
-// inputs, like the rest of the deterministic view. Runtime events past
-// their budget (a long-lived worldd's slow-lookup exemplars) are
-// counted separately (Trace.RuntimeDropped) and never displace a
-// deterministic event.
+// DefaultLimit bounds the one unbounded event class a Tracer retains:
+// runtime-class events (a long-lived worldd's slow-lookup exemplars,
+// say). Runtime events past it are counted (Trace.RuntimeDropped)
+// rather than kept. Every deterministic event — unit, session.open,
+// sink.emit, outage, scan, pipeline/* — is always kept: there are a
+// few per unit, never one per sample, so a trace is a complete record
+// of what each phase, stage, and unit did, and its durations sum per
+// layer from the events alone.
 const DefaultLimit = 1 << 18
 
 // DefaultFlightSize is the flight recorder's ring capacity.
@@ -36,26 +30,24 @@ const DefaultFlightSize = 256
 // the engine's Assembly. A nil *Tracer no-ops everywhere, so the
 // engine's hot path pays one pointer test when tracing is off.
 type Tracer struct {
-	// root and wall are fixed before the tracer is shared (the With*
-	// builders run at construction sites); they sit above mu, outside
-	// the guarded set.
-	root SpanCtx
-	wall telemetry.Clock
+	// root, wall and the runtime-event limit are fixed before the
+	// tracer is shared (the With* builders run at construction sites);
+	// they sit above mu, outside the guarded set.
+	root  SpanCtx
+	wall  telemetry.Clock
+	limit int
 
 	mu      sync.Mutex
 	events  []Event
-	limit   int
 	ring    []Event // flight recorder: last DefaultFlightSize events
 	ringPos int
 	ringLen int
 	flight  io.Writer
 	dumps   int
 
-	// Per-class tallies against limit (see DefaultLimit).
-	fetches        int   // fetch events kept
-	dropped        int64 // fetch events past limit
-	runtimes       int   // runtime events kept
-	runtimeDropped int64 // runtime events past limit
+	// Runtime events kept and past limit (see DefaultLimit).
+	runtimes       int
+	runtimeDropped int64
 }
 
 // New builds a tracer rooted at ctx, with no wall clock and no flight
@@ -84,17 +76,6 @@ func (t *Tracer) WithFlightSink(w io.Writer) *Tracer {
 	}
 	t.mu.Lock()
 	t.flight = w
-	t.mu.Unlock()
-	return t
-}
-
-// WithLimit overrides DefaultLimit (tests shrink it).
-func (t *Tracer) WithLimit(n int) *Tracer {
-	if t == nil || n <= 0 {
-		return t
-	}
-	t.mu.Lock()
-	t.limit = n
 	t.mu.Unlock()
 	return t
 }
@@ -141,7 +122,7 @@ func (t *Tracer) Record(ev Event) {
 
 // Append merges a unit buffer's events in order. The engine calls this
 // at the canonical emission point only, which is what makes the stored
-// order (and, with the limit, the drop set) schedule-independent.
+// order schedule-independent.
 func (t *Tracer) Append(evs []Event) {
 	if t == nil || len(evs) == 0 {
 		return
@@ -153,20 +134,15 @@ func (t *Tracer) Append(evs []Event) {
 	t.mu.Unlock()
 }
 
-// addLocked stores one event under mu: into the main buffer unless
-// its class is over the limit (see DefaultLimit), and into the flight
-// ring always.
+// addLocked stores one event under mu: into the main buffer unless it
+// is a runtime event over the limit (see DefaultLimit), and into the
+// flight ring always.
 func (t *Tracer) addLocked(ev Event) {
 	switch {
 	case ev.Runtime && t.runtimes >= t.limit:
 		t.runtimeDropped++
 	case ev.Runtime:
 		t.runtimes++
-		t.events = append(t.events, ev)
-	case ev.Name == EventFetch && t.fetches >= t.limit:
-		t.dropped++
-	case ev.Name == EventFetch:
-		t.fetches++
 		t.events = append(t.events, ev)
 	default:
 		t.events = append(t.events, ev)
@@ -176,16 +152,6 @@ func (t *Tracer) addLocked(ev Event) {
 	if t.ringLen < len(t.ring) {
 		t.ringLen++
 	}
-}
-
-// Dropped reports how many fetch events fell past the limit.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // FlightDumps reports how many flight-recorder dumps have been
@@ -228,7 +194,7 @@ func (t *Tracer) DumpFlight(w io.Writer, reason string) {
 func (t *Tracer) dumpLocked(w io.Writer, reason string) {
 	t.dumps++
 	fmt.Fprintf(w, "== trace flight recorder: %s ==\n", reason)
-	fmt.Fprintf(w, "trace=%s events=%d dropped=%d runtime_dropped=%d\n", t.root.Trace, len(t.events), t.dropped, t.runtimeDropped)
+	fmt.Fprintf(w, "trace=%s events=%d runtime_dropped=%d\n", t.root.Trace, len(t.events), t.runtimeDropped)
 	// Oldest first: with a full ring the write position is the oldest
 	// entry.
 	start := 0
@@ -276,7 +242,7 @@ func (t *Tracer) Snapshot() *Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := &Trace{Root: t.root, Dropped: t.dropped, RuntimeDropped: t.runtimeDropped}
+	out := &Trace{Root: t.root, RuntimeDropped: t.runtimeDropped}
 	out.Events = append([]Event(nil), t.events...)
 	return out
 }

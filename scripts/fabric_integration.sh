@@ -107,8 +107,8 @@ if ! cmp -s "$work/ref.out" "$work/fab.out"; then
 fi
 
 # The merged trace must exist and be Chrome trace-event JSON with
-# worker-executed unit events in it (the "fetch" spans run on workers,
-# so their presence proves events crossed the wire).
+# worker-executed unit events in it (the "session.open" spans run on
+# workers, so their presence proves events crossed the wire).
 if [ ! -s "$trace_artifact" ]; then
     echo "FAIL: coordinator wrote no trace artifact at $trace_artifact"
     exit 1
@@ -118,7 +118,7 @@ if ! grep -q '"traceEvents"' "$trace_artifact"; then
     head -5 "$trace_artifact"
     exit 1
 fi
-if ! grep -q '"fetch"' "$trace_artifact"; then
+if ! grep -q '"session.open"' "$trace_artifact"; then
     echo "FAIL: merged trace carries no worker unit events"
     exit 1
 fi
