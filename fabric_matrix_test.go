@@ -111,7 +111,8 @@ func fabricRun(t *testing.T, store *RunStore, reg *telemetry.Registry, tr *Trace
 }
 
 // journalFiles reads every file of a run journal directory into a map
-// for byte comparison (MANIFEST plus every segment file).
+// for byte comparison: its journal file, and any other file a run
+// leaves there.
 func journalFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	ents, err := os.ReadDir(dir)

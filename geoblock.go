@@ -77,8 +77,8 @@ type (
 	// RunStore is a crash-safe journal of scan samples and checkpoints;
 	// attach one via Options.Store to make a study resumable.
 	RunStore = runstore.Store
-	// RunStoreOptions tunes a RunStore (segment size, metrics, and the
-	// chaos crash hook).
+	// RunStoreOptions tunes a RunStore (metrics and the chaos crash
+	// hook).
 	RunStoreOptions = runstore.Options
 	// RunStorePhase is the journaled state of one study phase.
 	RunStorePhase = runstore.PhaseInfo

@@ -11,7 +11,7 @@
 // systems problem here into bookkeeping: a lost worker is a lease that
 // expires and a unit that runs again; a duplicate completion is a
 // no-op; and the reorder frontier (scanner.Assembly) guarantees the
-// sink — and through the journaling sink, the runstore segment files —
+// sink — and through the journaling sink, the runstore journal file —
 // sees the exact byte stream an in-process run produces.
 //
 // Lease state machine, per unit:

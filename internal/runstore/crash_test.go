@@ -3,6 +3,7 @@ package runstore
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"geoblock/internal/faults"
@@ -37,13 +38,23 @@ func crashConfig(conc int, reg *telemetry.Registry) scanner.Config {
 	}
 }
 
-// runStored drives one journaled scan attempt against a fresh mesh and
-// returns the collected output, the deterministic snapshot text, and
-// the scan error.
-func runStored(t *testing.T, dir string, conc int, crash func(int64) bool) (*scanner.Collect, string, error) {
+// crashNet builds a fresh mesh with inj's faults installed; nil
+// injects none.
+func crashNet(inj *faults.Injector) *proxy.Network {
+	net := proxy.NewNetwork(crashWorld)
+	if inj != nil {
+		net.SetFaults(inj)
+	}
+	return net
+}
+
+// runStored drives one journaled scan attempt against a fresh mesh
+// faulted by inj (nil for none) and returns the collected output, the
+// deterministic snapshot text, and the scan error.
+func runStored(t *testing.T, dir string, conc int, inj *faults.Injector, crash func(int64) bool) (*scanner.Collect, string, error) {
 	t.Helper()
 	domains, countries, tasks := crashInputs()
-	net := proxy.NewNetwork(crashWorld)
+	net := crashNet(inj)
 	reg := telemetry.New()
 	st, err := Open(dir, Options{Metrics: reg, Crash: crash})
 	if err != nil {
@@ -64,10 +75,10 @@ func runStored(t *testing.T, dir string, conc int, crash func(int64) bool) (*sca
 }
 
 // runBare is the uninterrupted, store-less reference scan.
-func runBare(t *testing.T, conc int) (*scanner.Collect, string) {
+func runBare(t *testing.T, conc int, inj *faults.Injector) (*scanner.Collect, string) {
 	t.Helper()
 	domains, countries, tasks := crashInputs()
-	net := proxy.NewNetwork(crashWorld)
+	net := crashNet(inj)
 	reg := telemetry.New()
 	var col scanner.Collect
 	if err := scanner.Run(context.Background(), net, domains, countries, tasks, crashConfig(conc, reg), &col); err != nil {
@@ -99,7 +110,7 @@ func assertSameScan(t *testing.T, label string, got, want *scanner.Collect, gotS
 	if got.Coverage.Requested != want.Coverage.Requested ||
 		got.Coverage.Attained != want.Coverage.Attained ||
 		got.Coverage.TasksLost != want.Coverage.TasksLost ||
-		len(got.Coverage.Lost) != len(want.Coverage.Lost) {
+		!slices.Equal(got.Coverage.Lost, want.Coverage.Lost) {
 		t.Fatalf("%s: coverage differs:\ngot  %+v\nwant %+v", label, got.Coverage, want.Coverage)
 	}
 	if gotSnap != wantSnap {
@@ -113,37 +124,55 @@ func assertSameScan(t *testing.T, label string, got, want *scanner.Collect, gotS
 // byte-identical to an uninterrupted run, at Concurrency 1, 4, and 32
 // across crash seeds. The crash may also land after the whole scan
 // completed (large spans), in which case the severed attempt itself
-// already succeeded — resume must then be a pure replay.
+// already succeeded — resume must then be a pure replay. The matrix
+// runs on a clean mesh, where every country is attained, and on one
+// where SY is dark, whose outage and coverage the journal does not
+// hold: resume must recompute them from the checkpoints' loss reasons.
 func TestKillMidWriteMatrix(t *testing.T) {
-	refCol, refSnap := runBare(t, 1)
+	dark, _ := faults.Named("dark")
+	for _, cell := range []struct {
+		name     string
+		inj      *faults.Injector
+		outages  int
+		attained int
+	}{
+		{"clean", nil, 0, 5},
+		{"SY dark", faults.New(3).Country("SY", dark), 1, 4},
+	} {
+		refCol, refSnap := runBare(t, 1, cell.inj)
+		if len(refCol.Outages) != cell.outages || refCol.Coverage.Attained != cell.attained {
+			t.Fatalf("%s: reference scan has %d outages and %d/%d countries attained, want %d and %d",
+				cell.name, len(refCol.Outages), refCol.Coverage.Attained, refCol.Coverage.Requested, cell.outages, cell.attained)
+		}
 
-	for _, conc := range []int{1, 4, 32} {
-		// The same schedule without a store must already match.
-		bareCol, bareSnap := runBare(t, conc)
-		assertSameScan(t, "bare", bareCol, refCol, bareSnap, refSnap)
+		for _, conc := range []int{1, 4, 32} {
+			// The same schedule without a store must already match.
+			bareCol, bareSnap := runBare(t, conc, cell.inj)
+			assertSameScan(t, cell.name+" bare", bareCol, refCol, bareSnap, refSnap)
 
-		for _, seed := range []uint64{1, 2, 3} {
-			for _, span := range []int64{25, 200} {
-				dir := t.TempDir()
-				crash := faults.New(seed).StoreCrash(span)
+			for _, seed := range []uint64{1, 2, 3} {
+				for _, span := range []int64{25, 200} {
+					dir := t.TempDir()
+					crash := faults.New(seed).StoreCrash(span)
 
-				col, snap, err := runStored(t, dir, conc, crash)
-				if err == nil {
-					// The seeded kill point landed past the journal's record
-					// count: the first attempt already completed and must be
-					// correct on its own.
-					assertSameScan(t, "uncrashed first attempt", col, refCol, snap, refSnap)
-				} else if !errors.Is(err, ErrSevered) {
-					t.Fatalf("conc %d seed %d span %d: first attempt: %v", conc, seed, span, err)
+					col, snap, err := runStored(t, dir, conc, cell.inj, crash)
+					if err == nil {
+						// The seeded kill point landed past the journal's
+						// record count: the first attempt already completed
+						// and must be correct on its own.
+						assertSameScan(t, cell.name+" uncrashed first attempt", col, refCol, snap, refSnap)
+					} else if !errors.Is(err, ErrSevered) {
+						t.Fatalf("%s conc %d seed %d span %d: first attempt: %v", cell.name, conc, seed, span, err)
+					}
+
+					// Crash → reopen → resume: the second attempt replays
+					// the committed prefix and fetches only the rest.
+					col2, snap2, err := runStored(t, dir, conc, cell.inj, nil)
+					if err != nil {
+						t.Fatalf("%s conc %d seed %d span %d: resume: %v", cell.name, conc, seed, span, err)
+					}
+					assertSameScan(t, cell.name+" resume", col2, refCol, snap2, refSnap)
 				}
-
-				// Crash → reopen → resume: the second attempt replays the
-				// committed prefix and fetches only the rest.
-				col2, snap2, err := runStored(t, dir, conc, nil)
-				if err != nil {
-					t.Fatalf("conc %d seed %d span %d: resume: %v", conc, seed, span, err)
-				}
-				assertSameScan(t, "resume", col2, refCol, snap2, refSnap)
 			}
 		}
 	}
@@ -153,16 +182,16 @@ func TestKillMidWriteMatrix(t *testing.T) {
 // replays everything from disk — zero fetching — and still reproduces
 // the identical output and deterministic snapshot.
 func TestResumeOfCompletePhase(t *testing.T) {
-	refCol, refSnap := runBare(t, 4)
+	refCol, refSnap := runBare(t, 4, nil)
 	dir := t.TempDir()
 
-	col, snap, err := runStored(t, dir, 4, nil)
+	col, snap, err := runStored(t, dir, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameScan(t, "journaled", col, refCol, snap, refSnap)
 
-	col2, snap2, err := runStored(t, dir, 4, nil)
+	col2, snap2, err := runStored(t, dir, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,16 +201,16 @@ func TestResumeOfCompletePhase(t *testing.T) {
 // TestDoubleCrashResume: a resume attempt that itself crashes still
 // leaves a resumable journal — checkpoints only ever accumulate.
 func TestDoubleCrashResume(t *testing.T) {
-	refCol, refSnap := runBare(t, 4)
+	refCol, refSnap := runBare(t, 4, nil)
 	dir := t.TempDir()
 
-	if _, _, err := runStored(t, dir, 4, faults.New(1).StoreCrash(20)); !errors.Is(err, ErrSevered) {
+	if _, _, err := runStored(t, dir, 4, nil, faults.New(1).StoreCrash(20)); !errors.Is(err, ErrSevered) {
 		t.Fatalf("first crash: %v, want ErrSevered", err)
 	}
-	if _, _, err := runStored(t, dir, 4, faults.New(2).StoreCrash(60)); !errors.Is(err, ErrSevered) {
+	if _, _, err := runStored(t, dir, 4, nil, faults.New(2).StoreCrash(60)); !errors.Is(err, ErrSevered) {
 		t.Fatalf("second crash: %v, want ErrSevered", err)
 	}
-	col, snap, err := runStored(t, dir, 4, nil)
+	col, snap, err := runStored(t, dir, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +221,7 @@ func TestDoubleCrashResume(t *testing.T) {
 // errors instead of splicing two scans together.
 func TestFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, err := runStored(t, dir, 1, nil); err != nil {
+	if _, _, err := runStored(t, dir, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(dir, Options{})

@@ -27,6 +27,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	for _, bad := range badMetrics() {
 		f.Add(bad)
 	}
+	for _, old := range retiredRecords() {
+		f.Add(old)
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := DecodeRecord(payload)

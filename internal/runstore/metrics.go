@@ -26,8 +26,6 @@ const (
 	// record at a crashed tail plus any orphan samples of a shard that
 	// never reached its checkpoint.
 	MetRecordsTruncated = "runstore.records.truncated"
-	// MetSegmentRotations counts segment-file rotations.
-	MetSegmentRotations = "runstore.segment.rotations"
 	// MetFsyncLatency is the fsync latency histogram, in microseconds.
 	MetFsyncLatency = "runstore.fsync.latency_us"
 )

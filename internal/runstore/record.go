@@ -6,8 +6,8 @@
 // and the payload is a type byte followed by varint-coded fields
 // (zigzag for signed, uvarint for unsigned, length-prefixed bytes for
 // strings). The encoding has no maps, no floats, and no timestamps, so
-// the same records always produce the same bytes — golden segment
-// files stay stable across Go versions.
+// the same records always produce the same bytes — the golden journal
+// stays stable across Go versions.
 package runstore
 
 import (
@@ -23,21 +23,22 @@ import (
 
 // Record types. The journal is a single interleaved stream: phases
 // announce themselves once, then their samples and checkpoints carry
-// the phase ID.
+// the phase ID. Types 4 and 5 carried outage and coverage records,
+// which resume recomputes from the checkpoints' loss reasons; they
+// decode as unknown types.
 const (
 	recPhaseBegin byte = 1 // key, name, fingerprint
 	recSample     byte = 2 // phase ID + one scanner.Sample
 	recCheckpoint byte = 3 // phase ID + one completed shard
-	recOutage     byte = 4 // phase ID + one scanner.Outage
-	recCoverage   byte = 5 // phase ID + the scanner.Coverage summary
 	recPhaseDone  byte = 6 // phase ID
 )
 
-// segMagic opens every segment file and names its record format.
-// GBRUNST2 carries typed checkpoint metrics; GBRUNST1 carried them as
-// JSON, and Open refuses it rather than read such a checkpoint as a
-// torn tail.
-const segMagic = "GBRUNST2"
+// journalMagic opens the journal file and names its record format.
+// GBRUNST3 is one file of the four record types above; GBRUNST2 was
+// split into segments and also journaled outage and coverage records,
+// and GBRUNST1 carried checkpoint metrics as JSON. Open refuses both
+// rather than read them as a torn tail.
+const journalMagic = "GBRUNST3"
 
 // frameHeader is the byte length of the length+CRC prefix.
 const frameHeader = 8
@@ -66,12 +67,6 @@ type Record struct {
 
 	// recCheckpoint.
 	Checkpoint Checkpoint
-
-	// recOutage.
-	Outage scanner.Outage
-
-	// recCoverage.
-	Coverage scanner.Coverage
 }
 
 // Checkpoint records one completed scheduler shard: its canonical
@@ -123,24 +118,6 @@ func encodeRecord(rec Record) []byte {
 		b = binary.AppendUvarint(b, uint64(cp.Lost))
 		b = appendMetrics(b, cp.Metrics)
 		b = appendBytes(b, cp.Trace)
-	case recOutage:
-		b = binary.AppendUvarint(b, uint64(rec.Phase))
-		o := rec.Outage
-		b = appendString(b, string(o.Country))
-		b = binary.AppendUvarint(b, uint64(o.Reason))
-		b = binary.AppendUvarint(b, uint64(o.Shards))
-		b = binary.AppendUvarint(b, uint64(o.ShardsTotal))
-		b = binary.AppendUvarint(b, uint64(o.Tasks))
-	case recCoverage:
-		b = binary.AppendUvarint(b, uint64(rec.Phase))
-		c := rec.Coverage
-		b = binary.AppendUvarint(b, uint64(c.Requested))
-		b = binary.AppendUvarint(b, uint64(c.Attained))
-		b = binary.AppendUvarint(b, uint64(c.TasksLost))
-		b = binary.AppendUvarint(b, uint64(len(c.Lost)))
-		for _, cc := range c.Lost {
-			b = appendString(b, string(cc))
-		}
 	case recPhaseDone:
 		b = binary.AppendUvarint(b, uint64(rec.Phase))
 	default:
@@ -254,49 +231,6 @@ func DecodeRecord(payload []byte) (Record, error) {
 		}
 		if err == nil {
 			cp.Trace, err = d.bytes()
-		}
-	case recOutage:
-		rec.Phase, err = d.count()
-		o := &rec.Outage
-		if err == nil {
-			var s string
-			s, err = d.str()
-			o.Country = geo.CountryCode(s)
-		}
-		if err == nil {
-			var v byte
-			v, err = d.uvarint8()
-			o.Reason = scanner.OutageReason(v)
-		}
-		if err == nil {
-			o.Shards, err = d.count()
-		}
-		if err == nil {
-			o.ShardsTotal, err = d.count()
-		}
-		if err == nil {
-			o.Tasks, err = d.count()
-		}
-	case recCoverage:
-		rec.Phase, err = d.count()
-		c := &rec.Coverage
-		if err == nil {
-			c.Requested, err = d.count()
-		}
-		if err == nil {
-			c.Attained, err = d.count()
-		}
-		if err == nil {
-			c.TasksLost, err = d.count()
-		}
-		if err == nil {
-			var n int
-			n, err = d.count()
-			for i := 0; err == nil && i < n; i++ {
-				var s string
-				s, err = d.str()
-				c.Lost = append(c.Lost, geo.CountryCode(s))
-			}
 		}
 	case recPhaseDone:
 		rec.Phase, err = d.count()

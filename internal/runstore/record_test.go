@@ -11,11 +11,10 @@ import (
 	"strings"
 	"testing"
 
-	"geoblock/internal/geo"
 	"geoblock/internal/scanner"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden segment file")
+var update = flag.Bool("update", false, "rewrite the golden journal file")
 
 // fullMetrics returns UnitMetrics with the fetcher flag set and a
 // distinct nonzero value in every counter, one of them MaxInt64. It
@@ -64,14 +63,21 @@ func sampleRecords() []Record {
 			Metrics: fullMetrics(),
 		}},
 		{Type: recCheckpoint, Phase: 0, Checkpoint: Checkpoint{Seq: 1, Country: "US", Tasks: 1, Samples: 3}},
-		{Type: recOutage, Phase: 0, Outage: scanner.Outage{
-			Country: "SY", Reason: 1, Shards: 2, ShardsTotal: 4, Tasks: 80,
-		}},
-		{Type: recCoverage, Phase: 0, Coverage: scanner.Coverage{
-			Requested: 177, Attained: 175, Lost: []geo.CountryCode{"KP", "SY"}, TasksLost: 160,
-		}},
 		{Type: recPhaseDone, Phase: 0},
 	}
+}
+
+// retiredRecords returns an outage (type 4) and a coverage (type 5)
+// payload in the layout GBRUNST2 journals wrote them. Resume recomputes
+// both from the checkpoints' loss reasons, so no journal carries them
+// any more and both types must decode as unknown.
+func retiredRecords() [][]byte {
+	outage := appendString([]byte{4, 0}, "SY")
+	outage = append(outage, 1, 2, 4, 80)  // reason, shards, of total, tasks
+	coverage := []byte{5, 0, 5, 3, 60, 2} // requested, attained, tasks lost, 2 lost countries
+	coverage = appendString(coverage, "KP")
+	coverage = appendString(coverage, "SY")
+	return [][]byte{outage, coverage}
 }
 
 // TestRecordRoundtrip pins the codec contract: every record type
@@ -98,6 +104,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeRecord([]byte{200}); err == nil {
 		t.Error("unknown type 200 decoded")
+	}
+	for _, old := range retiredRecords() {
+		if _, err := DecodeRecord(old); err == nil || !strings.Contains(err.Error(), "unknown record type") {
+			t.Errorf("retired record type %d: DecodeRecord = %v, want an unknown-type error", old[0], err)
+		}
 	}
 	for _, i := range []int{1, 3} { // a sample and the checkpoint with metrics
 		valid := encodeRecord(sampleRecords()[i])
@@ -147,61 +158,73 @@ func badMetrics() [][]byte {
 	return [][]byte{presence, counter}
 }
 
-// TestOpenRefusesOldFormat: a journal written in the GBRUNST1 format,
-// whose checkpoints carried their metrics as a JSON snapshot, fails
-// Open with an error naming both formats, and Open changes no file.
-// Read as the current format, its checkpoint would not decode, and
-// recovery would truncate the journal there as a torn tail.
+// TestOpenRefusesOldFormat: a journal in an earlier build's format
+// fails Open, and Open changes no file. The segmented layout — a
+// MANIFEST listing seg-*.log files, or the segments alone — is refused
+// by name; a journal file opening with another magic (here GBRUNST2,
+// whose outage and coverage records this build no longer decodes) is
+// refused naming both magics. Read as the current format, such a
+// journal would lose its records to recovery as a torn tail.
 func TestOpenRefusesOldFormat(t *testing.T) {
-	seg := []byte("GBRUNST1")
+	seg := []byte("GBRUNST2")
 	seg = append(seg, frame(encodeRecord(Record{Type: recPhaseBegin, Key: "top10k-initial", Name: "top10k-initial", Fingerprint: 1}))...)
-	cp := []byte{recCheckpoint, 0, 0}
-	cp = appendString(cp, "US")
-	cp = append(cp, 1, 3, 0)
-	cp = appendBytes(cp, []byte(`{"counters":[{"name":"scanner.fetch.attempts","value":3}],"gauges":null,"histograms":null}`))
-	seg = append(seg, frame(cp)...)
+	seg = append(seg, frame(encodeRecord(Record{Type: recCheckpoint, Checkpoint: Checkpoint{Country: "SY", Tasks: 80, Lost: scanner.OutageDark}}))...)
+	for _, old := range retiredRecords() {
+		seg = append(seg, frame(old)...)
+	}
 	seg = append(seg, frame(encodeRecord(Record{Type: recPhaseDone}))...)
-	files := map[string][]byte{
-		segName(0):   seg,
-		manifestName: []byte(manifestHeader + "\nsegment " + segName(0) + "\n"),
-	}
-	dir := t.TempDir()
-	for name, b := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := Open(dir, Options{})
-	if err == nil {
-		st.Close()
-		t.Fatal("a GBRUNST1 journal opened")
-	}
-	if !strings.Contains(err.Error(), `"GBRUNST1"`) || !strings.Contains(err.Error(), segMagic) {
-		t.Fatalf("Open = %v, want an error naming GBRUNST1 and %s", err, segMagic)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(files) {
-		t.Fatalf("Open left %d files, want the journal's %d", len(entries), len(files))
-	}
-	for name, want := range files {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Open changed %s (err %v)", name, err)
-		}
+	manifest := []byte("geoblock-runstore v1\nsegment seg-00000000.log\n")
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+		want  []string
+	}{
+		{"segmented", map[string][]byte{"MANIFEST": manifest, "seg-00000000.log": seg}, []string{"segmented journal", "MANIFEST", journalMagic}},
+		{"segments without a manifest", map[string][]byte{"seg-00000000.log": seg}, []string{"segmented journal"}},
+		{"another magic", map[string][]byte{journalName: seg}, []string{`"GBRUNST2"`, journalMagic}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, b := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := Open(dir, Options{})
+			if err == nil {
+				st.Close()
+				t.Fatal("an old-format journal opened")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("Open = %v, want an error naming %s", err, w)
+				}
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(tc.files) {
+				t.Fatalf("Open left %d files, want the journal's %d", len(entries), len(tc.files))
+			}
+			for name, want := range tc.files {
+				got, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("Open changed %s (err %v)", name, err)
+				}
+			}
+		})
 	}
 }
 
-// TestGoldenSegment freezes the on-disk bytes: the fixed record
-// sequence above must frame to exactly testdata/golden.seg, and Open
-// must recover a directory holding only that file (no manifest — the
-// glob fallback). If this test fails after an intentional codec change,
-// bump segMagic: old journals are no longer readable.
+// TestGoldenSegment freezes the on-disk bytes: the magic and the fixed
+// record sequence above must frame to exactly testdata/golden.seg, and
+// Open must recover a directory holding that file as its journal. If
+// this test fails after an intentional codec change, bump
+// journalMagic: old journals are no longer readable.
 func TestGoldenSegment(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(segMagic)
+	buf.WriteString(journalMagic)
 	for _, rec := range sampleRecords() {
 		buf.Write(frame(encodeRecord(rec)))
 	}
@@ -219,12 +242,12 @@ func TestGoldenSegment(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("segment encoding changed: got %d bytes, golden %d bytes — old journals would be unreadable", buf.Len(), len(want))
+		t.Fatalf("journal encoding changed: got %d bytes, golden %d bytes — old journals would be unreadable", buf.Len(), len(want))
 	}
 
 	// The golden journal must stay openable and fully indexed.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segName(0)), want, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, journalName), want, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(dir, Options{})

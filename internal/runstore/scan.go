@@ -105,10 +105,9 @@ func (s *Store) runJournaled(sc Scan, cfg scanner.Config, ph *phaseState) error 
 // the engine's Resume. It reads from the phase's start and stops at
 // its last checkpointed sample, so resuming a journal decodes each
 // record at most once. The store stays open for appends throughout;
-// replay reads independent handles.
+// replay reads the journal at offsets, which appends do not move.
 func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Registry) ([]scanner.OutageReason, error) {
 	s.mu.Lock()
-	segs := append([]string(nil), s.segments[ph.start.seg:]...)
 	checkpoints := append([]Checkpoint(nil), ph.checkpoints...)
 	s.mu.Unlock()
 
@@ -121,12 +120,8 @@ func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Re
 
 	var replayed, read int
 	var bodyBytes int64
-	from := ph.start.off
-	for _, name := range segs {
-		if replayed == want {
-			break
-		}
-		_, err := s.scanSegment(name, from, func(rec Record, _ int64) error {
+	if want > 0 {
+		_, err := s.scan(ph.start, func(rec Record, _ int64) error {
 			read++
 			if rec.Type != recSample || rec.Phase != ph.id {
 				return nil
@@ -142,7 +137,6 @@ func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Re
 		if err != nil && err != errReplayed {
 			return nil, err
 		}
-		from = int64(len(segMagic))
 	}
 	s.opts.Metrics.RuntimeCounter(MetRecordsRead).Add(int64(read))
 	if replayed != want {
@@ -163,11 +157,13 @@ func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Re
 // errReplayed stops a phase's replay at its last checkpointed sample.
 var errReplayed = errors.New("runstore: phase replayed")
 
-// journalSink is the engine-facing tee: every sample, checkpoint,
-// outage, and coverage record is journaled and then forwarded to the
-// wrapped sink. The first store error latches — later records still
-// flow to the wrapped sink (the engine does not observe sink errors)
-// and Store.Scan surfaces the latched error after the run.
+// journalSink is the engine-facing tee: every sample and checkpoint is
+// journaled and then forwarded to the wrapped sink; outages and
+// coverage are only forwarded, since resume recomputes them from the
+// checkpoints' loss reasons. The first store error latches — later
+// records still flow to the wrapped sink (the engine does not observe
+// sink errors) and Store.Scan surfaces the latched error after the
+// run.
 type journalSink struct {
 	store *Store
 	phase *phaseState
@@ -195,14 +191,12 @@ func (j *journalSink) EmitShardDone(d scanner.ShardDone) {
 }
 
 func (j *journalSink) EmitOutage(o scanner.Outage) {
-	j.note(j.store.journalOutage(j.phase, o))
 	if os, ok := j.next.(scanner.OutageSink); ok {
 		os.EmitOutage(o)
 	}
 }
 
 func (j *journalSink) EmitCoverage(c scanner.Coverage) {
-	j.note(j.store.journalCoverage(j.phase, c))
 	if os, ok := j.next.(scanner.OutageSink); ok {
 		os.EmitCoverage(c)
 	}

@@ -3,22 +3,23 @@
 // completed work, so a long study interrupted at any byte resumes by
 // replaying what it has instead of refetching it.
 //
-// Layout: a run directory holds numbered segment files (seg-00000000.log,
-// rotated once a segment passes Options.SegmentBytes at a commit
-// boundary) and a MANIFEST listing them in order, rewritten atomically
-// on every rotation. Each segment opens with an 8-byte magic and then
-// carries length-prefixed, CRC-32C-checked records (see record.go).
+// Layout: a run directory holds one file, journal, which opens with an
+// 8-byte magic and then carries length-prefixed, CRC-32C-checked
+// records (see record.go).
 //
 // Durability discipline: sample records are buffered only by the OS —
-// the store issues no fsync for them — while every checkpoint, phase,
-// outage, and coverage record is fsync'd before the append returns.
-// A checkpoint is therefore the commit point for the samples before
-// it: after a crash, recovery truncates the journal back to the last
-// fsync'd non-sample record, dropping the torn tail record (if any)
-// and any orphan samples of a shard that never checkpointed. Those
-// shards simply run again on resume. Recovery never errors on a torn
-// tail; corruption earlier than the tail means the disk lied about an
-// fsync, and that does error.
+// the store issues no fsync for them — while every checkpoint and
+// phase record is fsync'd before the append returns. A checkpoint is
+// therefore the commit point for the samples before it: after a crash,
+// recovery truncates the journal back to the last fsync'd non-sample
+// record, dropping the torn tail record (if any) and any orphan
+// samples of a shard that never checkpointed. Those shards simply run
+// again on resume. A frame that is torn, fails its CRC or does not
+// decode ends the journal's valid prefix wherever it lies, at the tail
+// or before it: recovery cuts back to the last commit before that
+// frame rather than error, and resume refetches what was cut.
+// Recovery errors only on I/O failures, a foreign magic, and valid
+// records that contradict each other.
 package runstore
 
 import (
@@ -28,9 +29,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -43,23 +44,11 @@ import (
 // and refuses all further appends, exactly as a killed process would.
 var ErrSevered = errors.New("runstore: store severed by crash hook")
 
-// manifestName is the journal's segment list file.
-const manifestName = "MANIFEST"
-
-// manifestHeader is the first line of a manifest.
-const manifestHeader = "geoblock-runstore v1"
-
-// DefaultSegmentBytes is the rotation threshold when Options leaves it
-// zero.
-const DefaultSegmentBytes = 4 << 20
+// journalName is the run directory's one journal file.
+const journalName = "journal"
 
 // Options tunes a Store.
 type Options struct {
-	// SegmentBytes rotates the journal to a fresh segment once the
-	// current one passes this size. Rotation happens only at commit
-	// boundaries (after an fsync'd record), so a segment may overshoot
-	// by one shard's samples. Zero takes DefaultSegmentBytes.
-	SegmentBytes int64
 	// Metrics, when non-nil, receives the store's counters and the
 	// fsync latency histogram (see metrics.go; all runtime-class).
 	Metrics *telemetry.Registry
@@ -71,13 +60,6 @@ type Options struct {
 	Crash func(written int64) bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
-	return o
-}
-
 // phaseState is the in-memory index of one journaled phase.
 type phaseState struct {
 	id          int
@@ -86,16 +68,9 @@ type phaseState struct {
 	fingerprint uint64
 	done        bool
 	checkpoints []Checkpoint
-	// start is where the phase's records begin, just past its begin
-	// record: where replay starts reading.
-	start position
-}
-
-// position is a place in the journal: a segment's index in
-// Store.segments and a byte offset into it.
-type position struct {
-	seg int
-	off int64
+	// start is the byte offset just past the phase's begin record:
+	// where replay starts reading.
+	start int64
 }
 
 func (ph *phaseState) samples() int {
@@ -123,252 +98,170 @@ type PhaseInfo struct {
 // Store is an open run journal. Methods are safe for concurrent use,
 // though scans themselves run one phase at a time.
 type Store struct {
-	dir  string
 	opts Options
+	f    *os.File // the journal, open for append; replay reads it at offsets
 
-	mu       sync.Mutex
-	phases   map[string]*phaseState
-	byID     []*phaseState
-	segments []string // active segment file names, in order
-	seg      *os.File // tail segment, open for append
-	segBytes int64
-	written  int64 // records appended by this process (crash-hook clock)
-	severed  bool
-	closed   bool
+	mu      sync.Mutex
+	phases  map[string]*phaseState
+	byID    []*phaseState
+	size    int64 // the journal's length in bytes
+	written int64 // records appended by this process (crash-hook clock)
+	severed bool
+	closed  bool
 }
 
 // Open opens (or creates) the journal in dir and recovers its index:
-// every segment is scanned, records validate against their CRCs, and
-// the journal is truncated back to its commit point — the position
-// after the last fsync'd non-sample record — dropping a torn tail and
-// any orphan samples beyond it. A fresh directory starts an empty
-// journal.
+// its records validate against their CRCs, and the journal is
+// truncated back to its commit point — the offset after the last
+// fsync'd non-sample record — dropping a torn tail and any orphan
+// samples beyond it. A fresh directory starts an empty journal. A
+// directory in the segmented layout of earlier builds is refused, and
+// Open changes none of its files.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), phases: map[string]*phaseState{}}
+	if err := refuseSegmented(dir); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{opts: opts, phases: map[string]*phaseState{}, f: f}
 	// Nothing else holds s yet, so the lock is uncontended; taking it
 	// keeps recovery inside the mu discipline every other method obeys.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	segs, err := s.listSegments()
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) == 0 {
-		if err := s.createSegmentLocked(0); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	if err := s.recoverFromLocked(segs); err != nil {
+	if err := s.recoverLocked(); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// listSegments returns the segment file names in journal order: the
-// manifest's list when one exists, otherwise (first open ever crashed
-// before writing it) the directory's seg-*.log files sorted by name.
-func (s *Store) listSegments() ([]string, error) {
-	b, err := os.ReadFile(filepath.Join(s.dir, manifestName))
-	if err == nil {
-		lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
-		if len(lines) == 0 || lines[0] != manifestHeader {
-			return nil, fmt.Errorf("runstore: %s: bad manifest header", s.dir)
-		}
-		var segs []string
-		for _, ln := range lines[1:] {
-			name, ok := strings.CutPrefix(ln, "segment ")
-			if !ok {
-				return nil, fmt.Errorf("runstore: %s: bad manifest line %q", s.dir, ln)
-			}
-			segs = append(segs, name)
-		}
-		return segs, nil
-	}
-	if !os.IsNotExist(err) {
-		return nil, err
-	}
-	segs, err := filepath.Glob(filepath.Join(s.dir, "seg-*.log"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(segs)
-	for i, p := range segs {
-		segs[i] = filepath.Base(p)
-	}
-	return segs, nil
-}
-
-// segName renders the i-th segment file name.
-func segName(i int) string { return fmt.Sprintf("seg-%08d.log", i) }
-
-// createSegmentLocked starts segment index i as the new tail and
-// rewrites the manifest to match. Callers hold s.mu.
-func (s *Store) createSegmentLocked(i int) error {
-	name := segName(i)
-	f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// refuseSegmented errors when dir holds a journal in the layout
+// earlier builds wrote — numbered seg-*.log files listed by a
+// MANIFEST — which this build cannot resume.
+func refuseSegmented(dir string) error {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
+	for _, e := range ents {
+		if seg, _ := filepath.Match("seg-*.log", e.Name()); seg || e.Name() == "MANIFEST" {
+			return fmt.Errorf("runstore: %s holds a segmented journal (a MANIFEST and seg-*.log files) from an earlier build; this build writes one %q file in format %q and cannot resume it", dir, journalName, journalMagic)
+		}
+	}
+	return nil
+}
+
+// recoverLocked checks the journal's magic, rebuilds the index from its
+// records, and truncates the journal to its commit point. Callers hold
+// s.mu.
+func (s *Store) recoverLocked() error {
+	magic := make([]byte, len(journalMagic))
+	n, err := s.f.ReadAt(magic, 0)
+	if err != nil && err != io.EOF {
 		return err
 	}
-	s.seg = f
-	s.segBytes = int64(len(segMagic))
-	s.segments = append(s.segments, name)
-	return s.writeManifestLocked()
-}
-
-// writeManifestLocked atomically rewrites the manifest from
-// s.segments. The slice is ordered by construction — never a map
-// iteration — so the bytes are deterministic.
-func (s *Store) writeManifestLocked() error {
-	var b strings.Builder
-	b.WriteString(manifestHeader)
-	b.WriteByte('\n')
-	for _, name := range s.segments {
-		b.WriteString("segment ")
-		b.WriteString(name)
-		b.WriteByte('\n')
-	}
-	return telemetry.WriteFileAtomic(filepath.Join(s.dir, manifestName), []byte(b.String()))
-}
-
-// recoverFromLocked rebuilds the index from the listed segments and
-// truncates the journal to its commit point. Callers hold s.mu.
-func (s *Store) recoverFromLocked(segs []string) error {
-	// Commit point: segment index + byte offset just past the last
-	// non-sample record (those are the fsync'd ones).
-	commitSeg, commitOff := 0, int64(len(segMagic))
-	orphans := 0 // valid sample records past the commit point
-	torn := false
-
-	for i, name := range segs {
-		off, err := s.scanSegment(name, int64(len(segMagic)), func(rec Record, end int64) error {
-			if rec.Type == recSample {
-				orphans++
-				return nil
-			}
-			if err := s.applyRecordLocked(rec, position{i, end}); err != nil {
-				return err
-			}
-			commitSeg, commitOff = i, end
-			orphans = 0
-			return nil
-		})
-		if err != nil {
+	if n < len(magic) && strings.HasPrefix(journalMagic, string(magic[:n])) {
+		// A fresh journal, or one torn while it was created: a tail
+		// torn at offset 0. It starts over as the magic alone, fsync'd
+		// before any commit can follow it.
+		if err := s.f.Truncate(0); err != nil {
 			return err
 		}
-		if off >= 0 {
-			// Torn or corrupt frame at off: everything after the commit
-			// point goes, including any later segments.
-			torn = true
-			break
+		if _, err := s.f.Write([]byte(journalMagic)); err != nil {
+			return err
 		}
+		s.size = int64(len(journalMagic))
+		return s.f.Sync()
+	}
+	if string(magic[:n]) != journalMagic {
+		return fmt.Errorf("runstore: %s: journal magic %q is not this build's %q; a journal in another format cannot be resumed", s.f.Name(), magic[:n], journalMagic)
 	}
 
+	// Commit point: the offset just past the last non-sample record
+	// (those are the fsync'd ones).
+	commit := int64(len(journalMagic))
+	orphans := 0 // valid sample records past the commit point
+	torn, err := s.scan(commit, func(rec Record, end int64) error {
+		if rec.Type == recSample {
+			orphans++
+			return nil
+		}
+		if err := s.applyRecordLocked(rec, end); err != nil {
+			return err
+		}
+		commit, orphans = end, 0
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	truncated := orphans
 	if torn {
 		truncated++
 	}
-	// Drop segments past the commit segment and cut the commit segment
-	// back to the commit offset. On a clean shutdown this is a no-op
-	// (the journal already ends at a commit point).
-	for _, name := range segs[commitSeg+1:] {
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	s.segments = append([]string(nil), segs[:commitSeg+1]...)
-	tail := filepath.Join(s.dir, s.segments[commitSeg])
-	st, err := os.Stat(tail)
+	// Cut the journal back to the commit point. On a clean shutdown
+	// this is a no-op: the journal already ends at one.
+	st, err := s.f.Stat()
 	if err != nil {
 		return err
 	}
-	if st.Size() != commitOff {
-		if err := os.Truncate(tail, commitOff); err != nil {
+	if st.Size() != commit {
+		if err := s.f.Truncate(commit); err != nil {
 			return err
 		}
 	}
-	f, err := os.OpenFile(tail, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	s.seg = f
-	s.segBytes = commitOff
+	s.size = commit
 	if truncated > 0 {
 		s.opts.Metrics.RuntimeCounter(MetRecordsTruncated).Add(int64(truncated))
 	}
-	return s.writeManifestLocked()
+	return nil
 }
 
-// scanSegment streams name's records from byte offset from (a record
-// boundary; len(segMagic) for the first record) into apply, with each
-// record's end offset, and reports where the valid prefix ends: -1
-// when the segment parsed cleanly to EOF, otherwise the offset of the
-// first torn or corrupt frame. Errors are reserved for I/O failures, a
-// bad magic, and apply rejections — a bad frame is data loss, not an
-// error, because the tail of a crashed journal is expected to be torn.
-func (s *Store) scanSegment(name string, from int64, apply func(rec Record, end int64) error) (int64, error) {
-	f, err := os.Open(filepath.Join(s.dir, name))
-	if err != nil {
-		// A listed-but-unopenable segment is not a torn tail: the
-		// manifest promised committed data this directory no longer
-		// serves. Name the segment — "file not found" alone reads like a
-		// fresh journal when it is actually data loss.
-		return -1, fmt.Errorf("runstore: segment %s is listed in the manifest but unreadable (a missing mid-sequence segment is data loss, not a crash artifact): %w", name, err)
-	}
-	defer f.Close()
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return -1, fmt.Errorf("runstore: %s: bad segment magic", name)
-	}
-	if string(magic) != segMagic {
-		return -1, fmt.Errorf("runstore: %s: segment format %q is not this build's %q; a journal in another format cannot be resumed", name, magic, segMagic)
-	}
-	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return -1, err
-	}
-	r := bufio.NewReader(f)
+// scan streams the journal's records from byte offset from (a record
+// boundary) into apply, with each record's end offset, and reports
+// whether it stopped at a torn or corrupt frame rather than a clean
+// end. Errors are reserved for I/O failures and apply rejections — a
+// bad frame is data loss, not an error, because the tail of a crashed
+// journal is expected to be torn.
+func (s *Store) scan(from int64, apply func(rec Record, end int64) error) (bool, error) {
+	r := bufio.NewReader(io.NewSectionReader(s.f, from, math.MaxInt64-from))
 	off := from
 	var head [frameHeader]byte
 	for {
 		if _, err := io.ReadFull(r, head[:]); err != nil {
-			if err == io.EOF {
-				return -1, nil // clean end
-			}
-			return off, nil // torn header
+			return err != io.EOF, nil // a clean end, or a torn header
 		}
 		n := binary.LittleEndian.Uint32(head[0:4])
 		sum := binary.LittleEndian.Uint32(head[4:8])
 		if n > maxPayload {
-			return off, nil // corrupt length
+			return true, nil // corrupt length
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil // torn payload
+			return true, nil // torn payload
 		}
 		if crc32.Checksum(payload, castagnoli) != sum {
-			return off, nil // corrupt payload
+			return true, nil // corrupt payload
 		}
 		rec, err := DecodeRecord(payload)
 		if err != nil {
-			return off, nil // CRC fine but undecodable: treat as torn
+			return true, nil // CRC fine but undecodable: treat as torn
 		}
 		off += frameHeader + int64(n)
 		if err := apply(rec, off); err != nil {
-			return -1, err
+			return false, err
 		}
 	}
 }
 
-// applyRecordLocked folds one committed record, which ends at end,
-// into the in-memory index. Callers hold s.mu.
-func (s *Store) applyRecordLocked(rec Record, end position) error {
+// applyRecordLocked folds one committed record, which ends at byte
+// offset end, into the in-memory index. Callers hold s.mu.
+func (s *Store) applyRecordLocked(rec Record, end int64) error {
 	switch rec.Type {
 	case recPhaseBegin:
 		if s.phases[rec.Key] != nil {
@@ -393,13 +286,6 @@ func (s *Store) applyRecordLocked(rec Record, end position) error {
 			return err
 		}
 		ph.done = true
-	case recOutage, recCoverage:
-		// Accounting records are audit data: resume recomputes outages
-		// and coverage from the checkpoints' loss reasons, so recovery
-		// only validates the phase reference.
-		if _, err := s.phaseByIDLocked(rec.Phase); err != nil {
-			return err
-		}
 	default:
 		return fmt.Errorf("runstore: unexpected record type %d in index", rec.Type)
 	}
@@ -414,8 +300,8 @@ func (s *Store) phaseByIDLocked(id int) (*phaseState, error) {
 }
 
 // append frames and writes one record, honoring the crash hook and the
-// durability discipline (fsync on every non-sample record), rotating
-// segments at commit boundaries. Callers hold s.mu.
+// durability discipline (fsync on every non-sample record). Callers
+// hold s.mu.
 func (s *Store) appendLocked(rec Record) error {
 	if s.closed {
 		return errors.New("runstore: store is closed")
@@ -428,51 +314,36 @@ func (s *Store) appendLocked(rec Record) error {
 	if s.opts.Crash != nil && s.opts.Crash(s.written) {
 		// Sever mid-record: flush a torn half-frame, exactly the state a
 		// kill -9 between write and fsync leaves behind.
-		_, _ = s.seg.Write(fr[:len(fr)/2])
-		_ = s.seg.Sync()
+		_, _ = s.f.Write(fr[:len(fr)/2])
+		_ = s.f.Sync()
 		s.severed = true
 		return ErrSevered
 	}
-	if _, err := s.seg.Write(fr); err != nil {
+	if _, err := s.f.Write(fr); err != nil {
 		return err
 	}
 	s.written++
-	s.segBytes += int64(len(fr))
+	s.size += int64(len(fr))
 	s.opts.Metrics.RuntimeCounter(MetRecordsWritten).Add(1)
 	if rec.Type == recSample {
 		return nil
 	}
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
-	if s.segBytes >= s.opts.SegmentBytes {
-		return s.rotateLocked()
-	}
-	return nil
+	return s.syncLocked()
 }
 
-// syncLocked fsyncs the tail segment, timing the call on the
-// registry's clock seam (never the wall clock directly).
+// syncLocked fsyncs the journal, timing the call on the registry's
+// clock seam (never the wall clock directly).
 func (s *Store) syncLocked() error {
 	reg := s.opts.Metrics
 	start := reg.Now()
-	err := s.seg.Sync()
+	err := s.f.Sync()
 	if reg != nil {
 		reg.RuntimeHistogram(MetFsyncLatency, 0, 50000, 25).Observe(float64(reg.Now().Sub(start).Microseconds()))
 	}
 	return err
 }
 
-// rotateLocked closes the tail segment and starts the next one.
-func (s *Store) rotateLocked() error {
-	if err := s.seg.Close(); err != nil {
-		return err
-	}
-	s.opts.Metrics.RuntimeCounter(MetSegmentRotations).Add(1)
-	return s.createSegmentLocked(len(s.segments))
-}
-
-// Close fsyncs and closes the tail segment. Further writes error.
+// Close fsyncs and closes the journal. Further writes error.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -480,21 +351,15 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.seg == nil {
-		return nil
-	}
 	var err error
 	if !s.severed {
-		err = s.seg.Sync()
+		err = s.f.Sync()
 	}
-	if cerr := s.seg.Close(); err == nil {
+	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
-
-// Dir returns the journal directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Phases lists the journaled phases in begin order.
 func (s *Store) Phases() []PhaseInfo {
@@ -529,9 +394,7 @@ func (s *Store) beginPhase(key, name string, fingerprint uint64) (*phaseState, e
 	if err := s.appendLocked(Record{Type: recPhaseBegin, Key: key, Name: name, Fingerprint: fingerprint}); err != nil {
 		return nil, err
 	}
-	// Just past the begin record, or the head of the segment a rotation
-	// after it started.
-	ph.start = position{len(s.segments) - 1, s.segBytes}
+	ph.start = s.size
 	s.phases[key] = ph
 	s.byID = append(s.byID, ph)
 	return ph, nil
@@ -558,20 +421,6 @@ func (s *Store) journalCheckpoint(ph *phaseState, cp Checkpoint) error {
 	}
 	ph.checkpoints = append(ph.checkpoints, cp)
 	return nil
-}
-
-// journalOutage appends and fsyncs one outage record.
-func (s *Store) journalOutage(ph *phaseState, o scanner.Outage) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(Record{Type: recOutage, Phase: ph.id, Outage: o})
-}
-
-// journalCoverage appends and fsyncs the coverage summary.
-func (s *Store) journalCoverage(ph *phaseState, c scanner.Coverage) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(Record{Type: recCoverage, Phase: ph.id, Coverage: c})
 }
 
 // completePhase journals the phase-done marker.

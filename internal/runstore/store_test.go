@@ -36,8 +36,8 @@ func journalShard(t *testing.T, st *Store, ph *phaseState, seq, n int) {
 	}
 }
 
-// TestOpenFreshAndReopenEmpty: a new directory starts an empty journal
-// with a manifest; reopening it finds no phases.
+// TestOpenFreshAndReopenEmpty: a new directory starts an empty journal,
+// one file holding exactly the magic; reopening it finds no phases.
 func TestOpenFreshAndReopenEmpty(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir, Options{})
@@ -47,18 +47,82 @@ func TestOpenFreshAndReopenEmpty(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, manifestName))
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := manifestHeader + "\nsegment " + segName(0) + "\n"
-	if string(b) != want {
-		t.Fatalf("manifest = %q, want %q", b, want)
+	if len(ents) != 1 || ents[0].Name() != journalName {
+		t.Fatalf("fresh run directory holds %v, want only %s", ents, journalName)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != journalMagic {
+		t.Fatalf("fresh journal = %q, want the magic %q", b, journalMagic)
 	}
 	st2 := mustOpen(t, dir, Options{})
 	defer st2.Close()
 	if got := st2.Phases(); len(got) != 0 {
 		t.Fatalf("reopened empty journal has %d phases", len(got))
+	}
+}
+
+// TestOpenTornMagic: a journal file whose bytes are a proper prefix of
+// the magic, empty included, is what a crash while the journal was
+// being created leaves: a tail torn at offset 0. It opens as an empty
+// journal that takes appends and survives a reopen. Any other short
+// content is not a journal of this format and fails Open unchanged.
+func TestOpenTornMagic(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		content string
+		ok      bool
+	}{
+		{"empty", "", true},
+		{"magic prefix", journalMagic[:4], true},
+		{"not a prefix", journalMagic[:3] + "X", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, journalName)
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(dir, Options{})
+			if !tc.ok {
+				if err == nil {
+					st.Close()
+					t.Fatalf("a journal holding %q opened", tc.content)
+				}
+				if !strings.Contains(err.Error(), "journal magic") {
+					t.Fatalf("Open = %v, want a bad-magic error", err)
+				}
+				if b, err := os.ReadFile(path); err != nil || string(b) != tc.content {
+					t.Fatalf("Open changed the journal to %q (err %v)", b, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Phases(); len(got) != 0 {
+				t.Fatalf("torn-magic journal has %d phases", len(got))
+			}
+			ph, err := st.beginPhase("p", "phase", 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journalShard(t, st, ph, 0, 2)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2 := mustOpen(t, dir, Options{})
+			defer st2.Close()
+			if info, _ := st2.Phase("p"); info.Shards != 1 || info.Samples != 2 {
+				t.Fatalf("reopened phase = %+v, want 1 shard / 2 samples", info)
+			}
+		})
 	}
 }
 
@@ -76,13 +140,13 @@ func TestRecoverTornTail(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, segName(0))
-	committed, err := os.Stat(seg)
+	path := filepath.Join(dir, journalName)
+	committed, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Half a frame of a would-be record: length says 100, payload absent.
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +162,7 @@ func TestRecoverTornTail(t *testing.T) {
 	if !ok || info.Shards != 1 || info.Samples != 5 {
 		t.Fatalf("recovered phase = %+v, want 1 shard / 5 samples", info)
 	}
-	after, err := os.Stat(seg)
+	after, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,128 +233,57 @@ func (s *Store) phaseByKey(key string) (*phaseState, error) {
 	return ph, nil
 }
 
-// TestSegmentRotation: a tiny segment budget forces rotation at commit
-// boundaries; the manifest tracks every segment and recovery walks them
-// all in order.
-func TestSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	reg := telemetry.New()
-	st := mustOpen(t, dir, Options{SegmentBytes: 256, Metrics: reg})
-	ph, err := st.beginPhase("p", "phase", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := 0; seq < 8; seq++ {
-		journalShard(t, st, ph, seq, 6)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.RuntimeCounter(MetSegmentRotations).Value(); got < 2 {
-		t.Fatalf("rotations = %d, want several at a 256-byte budget", got)
-	}
-	b, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
-	if len(lines)-1 < 3 {
-		t.Fatalf("manifest lists %d segments, want at least 3:\n%s", len(lines)-1, b)
-	}
-	for i, ln := range lines[1:] {
-		if ln != "segment "+segName(i) {
-			t.Fatalf("manifest line %d = %q, want segment %s", i, ln, segName(i))
-		}
-	}
-
-	st2 := mustOpen(t, dir, Options{})
-	defer st2.Close()
-	info, _ := st2.Phase("p")
-	if info.Shards != 8 || info.Samples != 48 {
-		t.Fatalf("multi-segment recovery = %+v, want 8 shards / 48 samples", info)
-	}
-	ph2, err := st2.phaseByKey("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var col scanner.Collect
-	if _, err := st2.replayPhase(ph2, &col, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(col.Samples) != 48 {
-		t.Fatalf("replayed %d samples across segments, want 48", len(col.Samples))
-	}
-}
-
-// TestRecoverWithoutManifest: a journal whose manifest was lost (crash
-// before the first rewrite landed) is still recovered from the
-// seg-*.log glob, in name order.
-func TestRecoverWithoutManifest(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{SegmentBytes: 256})
-	ph, err := st.beginPhase("p", "phase", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := 0; seq < 6; seq++ {
-		journalShard(t, st, ph, seq, 4)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
-	st2 := mustOpen(t, dir, Options{})
-	defer st2.Close()
-	info, _ := st2.Phase("p")
-	if info.Shards != 6 || info.Samples != 24 {
-		t.Fatalf("glob recovery = %+v, want 6 shards / 24 samples", info)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("recovery did not rewrite the manifest: %v", err)
-	}
-}
-
-// TestRecoverDropsLaterSegments: a torn frame in an early segment
-// truncates there and removes every later segment — the disk's story
-// ends at the last believable commit.
+// TestRecoverDropsLaterSegments: a corrupt frame mid-file cuts the
+// journal back to the last commit before it, dropping every later
+// record, valid or not — the disk's story ends at the last believable
+// commit, and resume refetches the rest.
 func TestRecoverDropsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{SegmentBytes: 256})
+	st := mustOpen(t, dir, Options{})
 	ph, err := st.beginPhase("p", "phase", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(dir, journalName)
+	var ends []int64 // the journal's length after each shard's checkpoint
 	for seq := 0; seq < 6; seq++ {
 		journalShard(t, st, ph, seq, 4)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, fi.Size())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte mid-way through the second segment.
-	seg1 := filepath.Join(dir, segName(1))
-	b, err := os.ReadFile(seg1)
+	// Flip one byte inside shard 3's samples.
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)/2] ^= 0xff
-	if err := os.WriteFile(seg1, b, 0o644); err != nil {
+	b[(ends[2]+ends[3])/2] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	st2 := mustOpen(t, dir, Options{})
+	reg := telemetry.New()
+	st2 := mustOpen(t, dir, Options{Metrics: reg})
 	defer st2.Close()
-	info, _ := st2.Phase("p")
-	if info.Shards >= 6 || info.Shards == 0 {
-		t.Fatalf("recovered %d shards, want a proper prefix of 6", info.Shards)
+	if info, _ := st2.Phase("p"); info.Shards != 3 || info.Samples != 12 {
+		t.Fatalf("recovered %+v, want the 3 shards before the corrupt frame", info)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) > 2 {
-		t.Fatalf("%d segments survive a torn frame in segment 1, want at most 2: %v", len(segs), segs)
+	if fi.Size() != ends[2] {
+		t.Fatalf("journal cut to %d bytes, want shard 2's commit point at %d", fi.Size(), ends[2])
+	}
+	// The corrupt frame and the valid orphan samples before it; the
+	// records after the corrupt frame are never parsed.
+	if got := reg.RuntimeCounter(MetRecordsTruncated).Value(); got < 1 || got > 4 {
+		t.Fatalf("truncated counter = %d, want the corrupt frame and at most 3 orphans before it", got)
 	}
 }
 
@@ -354,64 +347,5 @@ func TestCheckpointOrdering(t *testing.T) {
 	}
 	if _, err := st.beginPhase("p", "phase", 42); err == nil {
 		t.Fatal("duplicate phase begin accepted")
-	}
-}
-
-// TestMissingMidSequenceSegment: deleting a segment the manifest still
-// lists is data loss, not a crash artifact — a crash only ever tears
-// the tail. Open must refuse and the error must name the missing file,
-// because "no such file" alone reads like a fresh journal.
-func TestMissingMidSequenceSegment(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, dir, Options{SegmentBytes: 256})
-	ph, err := st.beginPhase("p", "phase", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := 0; seq < 8; seq++ {
-		journalShard(t, st, ph, seq, 6)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("only %d segments at a 256-byte budget; the test needs a middle one to delete", len(segs))
-	}
-	victim := segName(1)
-	if err := os.Remove(filepath.Join(dir, victim)); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = Open(dir, Options{})
-	if err == nil {
-		t.Fatal("journal with a missing mid-sequence segment opened")
-	}
-	if !strings.Contains(err.Error(), victim) {
-		t.Fatalf("error does not name the missing segment %s: %v", victim, err)
-	}
-	if !strings.Contains(err.Error(), "data loss") {
-		t.Fatalf("error does not call out data loss: %v", err)
-	}
-}
-
-// TestBadManifestErrors: a manifest with a wrong header or junk lines
-// is corruption of fsync'd state, which errors rather than guesses.
-func TestBadManifestErrors(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not a manifest\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("bad manifest header opened")
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifestHeader+"\njunk line\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("bad manifest line opened")
 	}
 }

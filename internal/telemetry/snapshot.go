@@ -200,8 +200,8 @@ func (s *Snapshot) WriteFile(path string) error {
 // a temp file in the same directory, is synced, and renames over path,
 // so a crash mid-write (or a concurrent reader) never sees a
 // half-written file, only the old one or the new one. On error the temp
-// file is removed and path is untouched. Snapshots, traces, and the
-// journal's manifest all write through here.
+// file is removed and path is untouched. Snapshots and traces write
+// through here.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -3,8 +3,8 @@
 # checked across real OS processes, not goroutines. One `geoscan
 # -study lumscan` coordinator and three scanworker processes — one of
 # which is killed by chaos injection mid-shard so its lease expires and
-# the shard is re-executed — must journal byte-identical segment files
-# to a single-process run of the same scan.
+# the shard is re-executed — must write a journal byte-identical to
+# that of a single-process run of the same scan.
 #
 # Run via `make fabric-test`. Needs only the go toolchain and a POSIX
 # shell; everything happens under a temp directory that is cleaned up
