@@ -27,21 +27,25 @@
 #                has — so it never hides behind test caching
 #   make cover   coverage with ratcheted floors for the scan engine, the
 #                fault-injection layer, the telemetry layer, the journal
-#                (runstore), the verdict edge, the lint suite, and the
-#                hop chain (the cdn edge, vnet and the proxy mesh)
+#                (runstore), the verdict edge, the lint suite, the hop
+#                chain (the cdn edge, vnet and the proxy mesh), and the
+#                page templates (blockpage)
 #   make fuzz    short-budget fuzz pass over the hostile-input decoders:
 #                the journal's record decoder, the fabric's shard-frame
 #                decoder and completion handler, the blockpage signature
-#                matcher, the fingerprint classifier (against a
-#                strings.Fields oracle), and the verdict snapshot codec
+#                matcher, the page formatters (against fmt), the
+#                fingerprint classifier (against a strings.Fields
+#                oracle), and the verdict snapshot codec
 #                (one `go test -fuzz` invocation per target through
 #                scripts/fuzz.sh, which fails a target whose exec count
 #                stands still; the corpus seeds still run under plain
 #                `make check`)
 #   make bench   the scan engine benchmarks (collect vs streaming,
-#                sharded vs one-worker-per-country, instrumented vs bare),
-#                BENCHTIME iterations each (default 3x; CI runs 1x so the
-#                benchmarks the docs quote cannot break unnoticed)
+#                sharded vs one-worker-per-country, instrumented vs bare)
+#                and the page renderers (an origin page, every block
+#                page; each page one allocation), BENCHTIME iterations
+#                each (default 3x; CI runs 1x so the benchmarks the docs
+#                quote cannot break unnoticed)
 #   make profile the streaming scan benchmark under the CPU and memory
 #                profilers; inspect with `go tool pprof geoblock.test cpu.prof`
 #   make fabric-test  the multi-process fabric integration: a `geoscan
@@ -111,8 +115,9 @@ cover:
 	check ./internal/fabric 80; \
 	check ./internal/verdict 85; \
 	check ./internal/cdn 88; \
-	check ./internal/vnet 79; \
-	check ./internal/proxy 89
+	check ./internal/vnet 83; \
+	check ./internal/proxy 89; \
+	check ./internal/blockpage 95
 
 # `go test -fuzz` takes exactly one fuzz target per invocation, so each
 # decoder gets its own line. The budget is deliberately small: this is a
@@ -129,13 +134,14 @@ fuzz:
 	$(FUZZ) ./internal/runstore FuzzDecodeShardFrames $(FUZZFLAGS)
 	$(FUZZ) ./internal/fabric FuzzCompleteHandler $(FUZZFLAGS)
 	$(FUZZ) ./internal/blockpage FuzzMatchSignature $(FUZZFLAGS)
+	$(FUZZ) ./internal/blockpage FuzzFormatters $(FUZZFLAGS)
 	$(FUZZ) ./internal/fingerprint FuzzClassify $(FUZZFLAGS)
 	$(FUZZ) ./internal/verdict FuzzDecodeSnapshot $(FUZZFLAGS)
 
 BENCHTIME ?= 3x
 
 bench:
-	$(GO) test . -run xxx -bench 'BenchmarkScan(Collect|Streaming|SkewedSharded|Instrumented|ColdVsResume)' -benchtime $(BENCHTIME)
+	$(GO) test . -run xxx -bench 'BenchmarkScan(Collect|Streaming|SkewedSharded|Instrumented|ColdVsResume)|Benchmark(OriginRender|BlockPages)' -benchtime $(BENCHTIME)
 
 profile:
 	$(GO) test . -run xxx -bench 'BenchmarkScanStreaming' -benchtime 10x \

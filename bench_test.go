@@ -642,13 +642,33 @@ func BenchmarkGeoLocate(b *testing.B) {
 	}
 }
 
+// BenchmarkOriginRender renders one origin page per iteration, in one
+// allocation.
 func BenchmarkOriginRender(b *testing.B) {
 	site := blockpage.NewOriginSite("bench.example.com", stats.NewRNG(1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body := site.Render(uint64(i))
 		if len(body) != site.Length(uint64(i)) {
 			b.Fatal("length mismatch")
+		}
+	}
+}
+
+// BenchmarkBlockPages renders every block-page kind once per
+// iteration: one allocation per kind but the field-free nginx page.
+func BenchmarkBlockPages(b *testing.B) {
+	v := blockpage.Vars{Domain: "bench.example.com", Path: "/", ClientIP: "203.0.113.9",
+		CountryName: "Iran", RayID: "44bfa65f2a8c2b91", Nonce: "f3a9c1d0"}
+	kinds := append(blockpage.Kinds(), blockpage.Censorship, blockpage.Legal451)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range kinds {
+			if len(blockpage.Render(k, v)) == 0 {
+				b.Fatal("empty page")
+			}
 		}
 	}
 }

@@ -11,11 +11,19 @@
 // real-world counterparts, with the request-specific fields (ray IDs,
 // reference numbers, client IPs) varying per response exactly where the
 // real pages vary.
+//
+// A scan renders every block page it is served, since a page's length
+// is its body's length, so each page is built into one exactly sized
+// allocation: the templates' only verbs are %s and %%, which fill
+// substitutes without fmt, and an origin page writes its head, filler,
+// foot and dynamic slots into one builder sized by VariantLength.
 package blockpage
 
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -152,49 +160,103 @@ func (v Vars) path() string {
 	return v.Path
 }
 
-// Render produces the HTML body for kind with vars substituted.
+// Render produces the HTML body for kind with vars substituted, in one
+// allocation (none for the nginx page, which has no fields).
 func Render(k Kind, v Vars) string {
 	switch k {
 	case Akamai:
-		return renderAkamai(v)
+		return fill(akamaiPage, v.Domain, v.path(), v.RayID)
 	case Cloudflare:
-		return renderCloudflare(v)
+		return fill(cloudflarePage, v.Domain, v.Domain, v.CountryName, v.RayID, v.ClientIP)
 	case AppEngine:
-		return renderAppEngine(v)
+		return fill(appEnginePage, v.CountryName, v.Domain, v.path())
 	case CloudflareCaptcha:
-		return renderCloudflareCaptcha(v)
+		return fill(cloudflareCaptchaPage, v.Domain, v.RayID, v.Nonce, v.RayID, v.ClientIP)
 	case CloudflareJS:
-		return renderCloudflareJS(v)
+		return fill(cloudflareJSPage, v.Domain, v.Nonce, v.Nonce, v.Nonce, v.RayID)
 	case CloudFront:
-		return renderCloudFront(v)
+		return fill(cloudFrontPage, v.RayID)
 	case BaiduCaptcha:
-		return renderBaiduCaptcha(v)
+		return fill(baiduCaptchaPage, v.Domain, v.Nonce, v.RayID, v.RayID, v.ClientIP)
 	case Baidu:
-		return renderBaidu(v)
+		return fill(baiduPage, v.Domain, v.Domain, v.CountryName, v.RayID, v.ClientIP)
 	case Incapsula:
-		return renderIncapsula(v)
+		return fill(incapsulaPage, v.Nonce, v.RayID, v.RayID)
 	case Soasta:
-		return renderSoasta(v)
+		return fill(soastaPage, v.Domain, v.path(), v.RayID)
 	case Airbnb:
-		return renderAirbnb(v)
+		return fill(airbnbPage, v.RayID, v.ClientIP)
 	case DistilCaptcha:
-		return renderDistil(v)
+		return fill(distilPage, v.Domain, v.Domain, v.Nonce, v.Nonce, v.RayID)
 	case Nginx:
-		return renderNginx(v)
+		return nginxPage
 	case Varnish:
-		return renderVarnish(v)
+		return fill(varnishPage, v.RayID)
 	case Censorship:
-		return renderCensorship(v)
+		return fill(censorshipPage, v.Nonce)
 	case Legal451:
-		return renderLegal451(v)
+		return fill(legal451Page, v.Domain, v.CountryName, v.RayID)
 	}
 	panic(fmt.Sprintf("blockpage: Render of %v", k))
 }
 
-func renderAkamai(v Vars) string {
-	// Akamai serves the same terse page for geo rules, bot detection
-	// and other edge denials — the ambiguity at the heart of §3.1.
-	return fmt.Sprintf(`<HTML><HEAD>
+// fill returns what fmt's Sprintf(format, args...) does for the formats
+// this package holds, whose only verbs are %s and %%: it sizes the
+// result, then writes it in one allocation.
+func fill(format string, args ...string) string {
+	var b strings.Builder
+	b.Grow(fillLen(format, args...))
+	writeFill(&b, format, args...)
+	return b.String()
+}
+
+// fillLen is len(fill(format, args...)).
+func fillLen(format string, args ...string) int {
+	n := len(format) - strings.Count(format, "%%")
+	for _, a := range args {
+		n += len(a) - len("%s")
+	}
+	return n
+}
+
+// writeFill writes fill(format, args...) to b.
+func writeFill(b *strings.Builder, format string, args ...string) {
+	for {
+		i := strings.IndexByte(format, '%')
+		if i < 0 {
+			b.WriteString(format)
+			return
+		}
+		b.WriteString(format[:i])
+		switch format[i+1] {
+		case 's':
+			b.WriteString(args[0])
+			args = args[1:]
+		case '%':
+			b.WriteByte('%')
+		default:
+			panic("blockpage: verb " + format[i:i+2] + " in a page template")
+		}
+		format = format[i+2:]
+	}
+}
+
+// AppendHex appends v in lower-case hexadecimal, zero-padded to at
+// least width digits: fmt's %0<width>x, for the ray IDs, nonces and
+// tokens the pages carry.
+func AppendHex(dst []byte, v uint64, width int) []byte {
+	for n := max((bits.Len64(v)+3)/4, 1); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, v, 16)
+}
+
+// The templates, one per kind. Their only verbs are %s and %%, which
+// fill substitutes.
+
+// Akamai serves the same terse page for geo rules, bot detection
+// and other edge denials — the ambiguity at the heart of §3.1.
+const akamaiPage = `<HTML><HEAD>
 <TITLE>Access Denied</TITLE>
 </HEAD><BODY>
 <H1>Access Denied</H1>
@@ -203,11 +265,9 @@ You don't have permission to access "http&#58;&#47;&#47;%s%s" on this server.<P>
 Reference&#32;&#35;18&#46;%s
 </BODY>
 </HTML>
-`, v.Domain, v.path(), v.RayID)
-}
+`
 
-func renderCloudflare(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+const cloudflarePage = `<!DOCTYPE html>
 <html lang="en-US">
 <head>
 <title>Access denied | %s used Cloudflare to restrict access</title>
@@ -244,11 +304,9 @@ func renderCloudflare(v Vars) string {
 </div>
 </body>
 </html>
-`, v.Domain, v.Domain, v.CountryName, v.RayID, v.ClientIP)
-}
+`
 
-func renderAppEngine(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+const appEnginePage = `<!DOCTYPE html>
 <html lang=en>
 <meta charset=utf-8>
 <title>Error 403 (Forbidden)!!1</title>
@@ -259,11 +317,9 @@ func renderAppEngine(v Vars) string {
 App Engine applications cannot be accessed from the country or region
 your request originated from (%s). <ins>That's all we know.</ins>
 <p>Requested URL: http://%s%s
-`, v.CountryName, v.Domain, v.path())
-}
+`
 
-func renderCloudflareCaptcha(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+const cloudflareCaptchaPage = `<!DOCTYPE html>
 <html lang="en-US">
 <head>
 <title>Attention Required! | Cloudflare</title>
@@ -316,11 +372,9 @@ func renderCloudflareCaptcha(v Vars) string {
 </div>
 </body>
 </html>
-`, v.Domain, v.RayID, v.Nonce, v.RayID, v.ClientIP)
-}
+`
 
-func renderCloudflareJS(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE HTML>
+const cloudflareJSPage = `<!DOCTYPE HTML>
 <html lang="en-US">
 <head>
 <meta charset="UTF-8" />
@@ -345,18 +399,16 @@ func renderCloudflareJS(v Vars) string {
     </form>
     <script type="text/javascript">
       (function(){var a=function(){try{return !!window.addEventListener}catch(e){return !1}};
-      var t,r,a,f,%s={"%s":+(+!![]+[])};</script>
+      var t,r,a,f,kJwqyDRp={"%s":+(+!![]+[])};</script>
   </div>
   <div class="attribution">DDoS protection by Cloudflare<br/>Ray ID: %s</div>
 </td></tr>
 </table>
 </body>
 </html>
-`, v.Domain, v.Nonce, v.Nonce, "kJwqyDRp", v.Nonce, v.RayID)
-}
+`
 
-func renderCloudFront(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 4.01 Transitional//EN" "http://www.w3.org/TR/html4/loose.dtd">
+const cloudFrontPage = `<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 4.01 Transitional//EN" "http://www.w3.org/TR/html4/loose.dtd">
 <HTML><HEAD><META HTTP-EQUIV="Content-Type" CONTENT="text/html; charset=iso-8859-1">
 <TITLE>ERROR: The request could not be satisfied</TITLE>
 </HEAD><BODY>
@@ -379,13 +431,11 @@ Request ID: %s
 <ADDRESS>
 </ADDRESS>
 </BODY></HTML>
-`, v.RayID)
-}
+`
 
-func renderBaidu(v Vars) string {
-	// Baidu Yunjiasu's block page is nearly identical to Cloudflare's in
-	// content (the paper notes this, §4.2.2).
-	return fmt.Sprintf(`<!DOCTYPE html>
+// Baidu Yunjiasu's block page is nearly identical to Cloudflare's in
+// content (the paper notes this, §4.2.2).
+const baiduPage = `<!DOCTYPE html>
 <html lang="zh-CN">
 <head>
 <title>Access denied | %s used Yunjiasu to restrict access</title>
@@ -410,11 +460,9 @@ func renderBaidu(v Vars) string {
 </div>
 </body>
 </html>
-`, v.Domain, v.Domain, v.CountryName, v.RayID, v.ClientIP)
-}
+`
 
-func renderBaiduCaptcha(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+const baiduCaptchaPage = `<!DOCTYPE html>
 <html lang="zh-CN">
 <head>
 <title>安全验证 | Baidu Yunjiasu</title>
@@ -433,19 +481,15 @@ func renderBaiduCaptcha(v Vars) string {
 </div>
 </body>
 </html>
-`, v.Domain, v.Nonce, v.RayID, v.RayID, v.ClientIP)
-}
+`
 
-func renderIncapsula(v Vars) string {
-	// Incapsula serves a small iframe wrapper naming an internal
-	// resource; like Akamai the identical page covers many deny reasons.
-	return fmt.Sprintf(`<html style="height:100%%"><head><META NAME="ROBOTS" CONTENT="NOINDEX, NOFOLLOW"><meta name="format-detection" content="telephone=no"><meta name="viewport" content="initial-scale=1.0"><meta http-equiv="X-UA-Compatible" content="IE=edge,chrome=1"></head>
+// Incapsula serves a small iframe wrapper naming an internal
+// resource; like Akamai the identical page covers many deny reasons.
+const incapsulaPage = `<html style="height:100%%"><head><META NAME="ROBOTS" CONTENT="NOINDEX, NOFOLLOW"><meta name="format-detection" content="telephone=no"><meta name="viewport" content="initial-scale=1.0"><meta http-equiv="X-UA-Compatible" content="IE=edge,chrome=1"></head>
 <body style="margin:0px;height:100%%"><iframe src="/_Incapsula_Resource?CWUDNSAI=9&xinfo=%s&incident_id=%s&edet=12&cinfo=04000000" frameborder=0 width="100%%" height="100%%" marginheight="0px" marginwidth="0px">Request unsuccessful. Incapsula incident ID: %s</iframe></body></html>
-`, v.Nonce, v.RayID, v.RayID)
-}
+`
 
-func renderSoasta(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+const soastaPage = `<!DOCTYPE html>
 <html>
 <head><title>Access Denied</title></head>
 <body>
@@ -457,11 +501,9 @@ the incident identifier below.</p>
 <p><small>Protected by SOASTA mPulse edge services.</small></p>
 </body>
 </html>
-`, v.Domain, v.path(), v.RayID)
-}
+`
 
-func renderAirbnb(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+const airbnbPage = `<!DOCTYPE html>
 <html lang="en">
 <head>
 <title>Airbnb: Not available in your region</title>
@@ -479,11 +521,9 @@ func renderAirbnb(v Vars) string {
 </div>
 </body>
 </html>
-`, v.RayID, v.ClientIP)
-}
+`
 
-func renderDistil(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+const distilPage = `<!DOCTYPE html>
 <html lang="en">
 <head>
 <title>Pardon Our Interruption</title>
@@ -509,11 +549,9 @@ func renderDistil(v Vars) string {
 </div>
 </body>
 </html>
-`, v.Domain, v.Domain, v.Nonce, v.Nonce, v.RayID)
-}
+`
 
-func renderNginx(Vars) string {
-	return `<html>
+const nginxPage = `<html>
 <head><title>403 Forbidden</title></head>
 <body bgcolor="white">
 <center><h1>403 Forbidden</h1></center>
@@ -521,10 +559,8 @@ func renderNginx(Vars) string {
 </body>
 </html>
 `
-}
 
-func renderVarnish(v Vars) string {
-	return fmt.Sprintf(`<?xml version="1.0" encoding="utf-8"?>
+const varnishPage = `<?xml version="1.0" encoding="utf-8"?>
 <!DOCTYPE html PUBLIC "-//W3C//DTD XHTML 1.0 Strict//EN" "http://www.w3.org/TR/xhtml1/DTD/xhtml1-strict.dtd">
 <html>
   <head>
@@ -539,20 +575,16 @@ func renderVarnish(v Vars) string {
     <p>Varnish cache server</p>
   </body>
 </html>
-`, v.RayID)
-}
+`
 
-func renderCensorship(v Vars) string {
-	// A generic national filtering page in the style documented for
-	// state censorship (an iframe to a government portal). Deliberately
-	// distinct from every CDN page: the pipeline must not confuse the
-	// two phenomena.
-	return fmt.Sprintf(`<html><head><meta http-equiv="Content-Type" content="text/html; charset=windows-1256"><title>M%s</title></head><body><iframe src="http://10.10.34.34?type=Invalid Site&policy=MainPolicy" style="width: 100%%; height: 100%%" scrolling="no" marginwidth="0" marginheight="0" frameborder="0" vspace="0" hspace="0"></iframe></body></html>
-`, v.Nonce)
-}
+// A generic national filtering page in the style documented for
+// state censorship (an iframe to a government portal). Deliberately
+// distinct from every CDN page: the pipeline must not confuse the
+// two phenomena.
+const censorshipPage = `<html><head><meta http-equiv="Content-Type" content="text/html; charset=windows-1256"><title>M%s</title></head><body><iframe src="http://10.10.34.34?type=Invalid Site&policy=MainPolicy" style="width: 100%%; height: 100%%" scrolling="no" marginwidth="0" marginheight="0" frameborder="0" vspace="0" hspace="0"></iframe></body></html>
+`
 
-func renderLegal451(v Vars) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+const legal451Page = `<!DOCTYPE html>
 <html lang="en">
 <head><title>Unavailable For Legal Reasons</title><meta charset="utf-8"></head>
 <body>
@@ -563,8 +595,7 @@ compliance with applicable trade regulations and legal obligations.</p>
 site operator. Reference: %s.</p>
 </body>
 </html>
-`, v.Domain, v.CountryName, v.RayID)
-}
+`
 
 // Signature returns a substring that uniquely identifies kind among all
 // templates; the fingerprint package builds its matchers from these.

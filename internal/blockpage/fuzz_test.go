@@ -1,6 +1,8 @@
 package blockpage
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -81,4 +83,54 @@ func TestMatchesOversizedBody(t *testing.T) {
 	if !Matches(Cloudflare, body) {
 		t.Error("Cloudflare page lost inside an oversized body")
 	}
+}
+
+// pageFormats lists every template fill substitutes into.
+var pageFormats = []string{
+	akamaiPage, cloudflarePage, appEnginePage, cloudflareCaptchaPage,
+	cloudflareJSPage, cloudFrontPage, baiduPage, baiduCaptchaPage,
+	incapsulaPage, soastaPage, airbnbPage, distilPage, varnishPage,
+	censorshipPage, legal451Page,
+	maintenancePage, emptyAppPage, parkedPage,
+	originHead, originFoot,
+}
+
+// FuzzFormatters holds the page writers to fmt on fuzzed arguments:
+// fill and fillLen to fmt.Sprintf over every template, appendPrice to
+// %09.2f (negative, huge, NaN and infinite prices included), and
+// AppendHex to %0*x.
+func FuzzFormatters(f *testing.F) {
+	f.Add("shop.example.com", "", "203.113.255.254", "Côte d’Ivoire", "44bfa65f2a8c2b91", 194.45, uint64(0xf3a9c1d0), uint8(8))
+	f.Add("100%.example", "%s%%d", "%!", "\xff\xfe", "", -0.001, uint64(0), uint8(0))
+	f.Add("", "", "", "", "", 999999.995, uint64(math.MaxUint64), uint8(16))
+	f.Add("a", "b", "c", "d", "e", -99999.5, uint64(0xabc), uint8(6))
+	f.Add("a", "b", "c", "d", "e", 1e300, uint64(1), uint8(23))
+	f.Add("a", "b", "c", "d", "e", math.Inf(-1), uint64(1), uint8(1))
+	f.Add("a", "b", "c", "d", "e", math.NaN(), uint64(1), uint8(1))
+
+	f.Fuzz(func(t *testing.T, a, b, c, d, e string, p float64, h uint64, width uint8) {
+		args := []string{a, b, c, d, e}
+		for i, format := range pageFormats {
+			n := strings.Count(strings.ReplaceAll(format, "%%", ""), "%s")
+			strs, anys := make([]string, n), make([]any, n)
+			for j := range strs {
+				strs[j] = args[j%len(args)]
+				anys[j] = strs[j]
+			}
+			want := fmt.Sprintf(format, anys...)
+			if got := fill(format, strs...); got != want {
+				t.Fatalf("format %d: fill differs from fmt.Sprintf:\n got %q\nwant %q", i, got, want)
+			}
+			if got := fillLen(format, strs...); got != len(want) {
+				t.Fatalf("format %d: fillLen %d, fmt.Sprintf wrote %d bytes", i, got, len(want))
+			}
+		}
+		if got, want := string(appendPrice(nil, p)), fmt.Sprintf("%09.2f", p); got != want {
+			t.Fatalf("appendPrice(%v) = %q, %%09.2f writes %q", p, got, want)
+		}
+		w := int(width % 24)
+		if got, want := string(AppendHex([]byte("x"), h, w)), "x"+fmt.Sprintf("%0*x", w, h); got != want {
+			t.Fatalf("AppendHex(%#x, %d) = %q, %%0*x writes %q", h, w, got, want)
+		}
+	})
 }

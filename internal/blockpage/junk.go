@@ -31,8 +31,9 @@ func JunkKinds() []JunkKind {
 	return []JunkKind{JunkNginxDefault, JunkApacheDefault, JunkMaintenance, JunkEmptyApp, JunkParked}
 }
 
-// RenderJunk produces the junk page. The body is almost entirely
-// template; only a tiny per-site token varies, so instances cluster.
+// RenderJunk produces the junk page, in at most one allocation. The
+// body is almost entirely template; only a tiny per-site token varies,
+// so instances cluster.
 func RenderJunk(k JunkKind, domain string, nonce string) string {
 	switch k {
 	case JunkNginxDefault:
@@ -77,7 +78,18 @@ Commercial support is available at
 </html>
 `
 	case JunkMaintenance:
-		return fmt.Sprintf(`<!DOCTYPE html>
+		return fill(maintenancePage, nonce)
+	case JunkEmptyApp:
+		return fill(emptyAppPage, nonce)
+	case JunkParked:
+		return fill(parkedPage, domain, domain)
+	}
+	panic(fmt.Sprintf("blockpage: RenderJunk of %d", int(k)))
+}
+
+// The formatted junk pages; fill substitutes their %s verbs.
+
+const maintenancePage = `<!DOCTYPE html>
 <html lang="en">
 <head><title>We'll be right back</title><meta charset="utf-8"></head>
 <body style="text-align:center;font-family:sans-serif;padding-top:80px">
@@ -87,9 +99,9 @@ Commercial support is available at
 <!-- mid:%s -->
 </body>
 </html>
-`, nonce)
-	case JunkEmptyApp:
-		return fmt.Sprintf(`<!DOCTYPE html>
+`
+
+const emptyAppPage = `<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
@@ -102,9 +114,9 @@ Commercial support is available at
 <div id="root"></div>
 </body>
 </html>
-`, nonce)
-	case JunkParked:
-		return fmt.Sprintf(`<!DOCTYPE html>
+`
+
+const parkedPage = `<!DOCTYPE html>
 <html>
 <head><title>%s</title></head>
 <body>
@@ -114,7 +126,4 @@ Commercial support is available at
 domain? Contact the owner through our brokerage service.</p>
 </body>
 </html>
-`, domain, domain)
-	}
-	panic(fmt.Sprintf("blockpage: RenderJunk of %d", int(k)))
-}
+`

@@ -1,7 +1,8 @@
 package blockpage
 
 import (
-	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"geoblock/internal/stats"
@@ -20,7 +21,7 @@ import (
 // Length(seed) is O(1) and allocation-free (the serving layer uses it
 // for Content-Length and only materializes bodies a client reads), and
 // the struct holds no cached page — Render rebuilds the identical bytes
-// on demand. Render(seed) always produces exactly Length(seed) bytes.
+// on demand, into one allocation of exactly Length(seed) bytes.
 type OriginSite struct {
 	Domain  string
 	Title   string
@@ -49,8 +50,10 @@ func NewOriginSite(domain string, rng *stats.RNG) *OriginSite {
 		Jitter:   0.01 + 0.03*rng.Float64(),
 		wordSeed: rng.Uint64(),
 	}
-	s.headLen = len(s.head())
-	s.footLen = len(s.foot())
+	var pb [24]byte
+	price := string(appendPrice(pb[:0], s.basePrice()))
+	s.headLen = fillLen(originHead, s.Title, s.Domain, checkoutLink, price, price)
+	s.footLen = fillLen(originFoot, s.Domain)
 	s.fillerLen = int(float64(base)*0.85) - s.headLen - s.footLen
 	if s.fillerLen < minFiller {
 		s.fillerLen = minFiller
@@ -93,9 +96,16 @@ func siteTitle(domain string, rng *stats.RNG) string {
 	if i := strings.IndexByte(base, '.'); i > 0 {
 		base = base[:i]
 	}
-	return fmt.Sprintf("%s — %s %s", titleCase(base),
-		titleCase(wordBank[rng.Intn(len(wordBank))]),
-		wordBank[rng.Intn(len(wordBank))])
+	w1 := wordBank[rng.Intn(len(wordBank))]
+	w2 := wordBank[rng.Intn(len(wordBank))]
+	var b strings.Builder
+	b.Grow(len(base) + len(" — ") + len(w1) + len(" ") + len(w2))
+	writeTitle(&b, base)
+	b.WriteString(" — ")
+	writeTitle(&b, w1)
+	b.WriteByte(' ')
+	b.WriteString(w2)
+	return b.String()
 }
 
 // PageVariant selects the application-layer variant of the page: the
@@ -110,8 +120,6 @@ type PageVariant struct {
 	// changes page length — invisible to the length heuristic.
 	PriceFactor float64
 }
-
-func (s *OriginSite) head() string { return s.headVariant(PageVariant{}) }
 
 // basePrice derives the site's deterministic base price.
 func (s *OriginSite) basePrice() float64 {
@@ -131,7 +139,26 @@ const priceWidth = 9
 
 // Price returns the displayed price for a variant (fixed width).
 func (s *OriginSite) Price(v PageVariant) string {
-	return fmt.Sprintf("%09.2f", s.basePrice()*v.factor())
+	return string(appendPrice(nil, s.basePrice()*v.factor()))
+}
+
+// appendPrice appends p as fmt's %09.2f writes it: zero-padded to
+// priceWidth after any minus sign, except that NaN and ±Inf are padded
+// with spaces.
+func appendPrice(dst []byte, p float64) []byte {
+	var nb [24]byte
+	num := strconv.AppendFloat(nb[:0], p, 'f', 2, 64)
+	pad, n := byte('0'), len(num)
+	if math.IsNaN(p) || math.IsInf(p, 0) {
+		pad = ' '
+	} else if num[0] == '-' {
+		dst = append(dst, '-')
+		num = num[1:]
+	}
+	for ; n < priceWidth; n++ {
+		dst = append(dst, pad)
+	}
+	return append(dst, num...)
 }
 
 // The head's commerce slot: the checkout link, or in the restricted
@@ -141,12 +168,11 @@ const (
 	regionNotice = `<span class="region-notice">Checkout is not available in your region.</span>`
 )
 
-func (s *OriginSite) headVariant(v PageVariant) string {
-	commerce := checkoutLink
-	if v.Restricted {
-		commerce = regionNotice
-	}
-	return fmt.Sprintf(`<!DOCTYPE html>
+// originHead is the page head, filled with the site's title, its
+// domain, the commerce slot and the price twice; originFoot is the
+// page foot, filled with the domain.
+const (
+	originHead = `<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
@@ -158,16 +184,13 @@ func (s *OriginSite) headVariant(v PageVariant) string {
 <header><nav><a href="/">%s</a> <a href="/products">Products</a> %s <a href="/about">About</a> <a href="/contact">Contact</a></nav></header>
 <p class="offer">Today's featured offer: <span class="price" data-amount="%s">USD %s</span></p>
 <main>
-`, s.Title, s.Domain, commerce, s.Price(v), s.Price(v))
-}
-
-func (s *OriginSite) foot() string {
-	return fmt.Sprintf(`</main>
+`
+	originFoot = `</main>
 <footer><p>&copy; %s. All rights reserved. <a href="/privacy">Privacy</a> <a href="/terms">Terms</a></p></footer>
 </body>
 </html>
-`, s.Domain)
-}
+`
+)
 
 const (
 	dynOpen   = "<section id=\"dynamic\"><!--"
@@ -202,7 +225,8 @@ func (s *OriginSite) VariantLength(sampleSeed uint64, v PageVariant) int {
 		n += len(regionNotice) - len(checkoutLink)
 	}
 	if p := s.basePrice() * v.factor(); !(p > -99999 && p < 999999) {
-		n += 2 * (len(s.Price(v)) - priceWidth)
+		var pb [24]byte
+		n += 2 * (len(appendPrice(pb[:0], p)) - priceWidth)
 	}
 	return n
 }
@@ -217,22 +241,28 @@ func (s *OriginSite) Render(sampleSeed uint64) string {
 // RenderVariant produces an application-layer variant of the page;
 // len(result) == VariantLength(sampleSeed, v).
 func (s *OriginSite) RenderVariant(sampleSeed uint64, v PageVariant) string {
+	commerce := checkoutLink
+	if v.Restricted {
+		commerce = regionNotice
+	}
+	var pb [24]byte
+	price := string(appendPrice(pb[:0], s.basePrice()*v.factor()))
+
 	var b strings.Builder
-	b.Grow(s.VariantLength(sampleSeed, v) + 16)
-	b.WriteString(s.headVariant(v))
+	b.Grow(s.VariantLength(sampleSeed, v))
+	writeFill(&b, originHead, s.Title, s.Domain, commerce, price, price)
 	writeExact(&b, stats.NewRNG(s.wordSeed), s.fillerLen)
-	b.WriteString(s.foot())
+	writeFill(&b, originFoot, s.Domain)
 
 	dyn := s.dynamicLen(sampleSeed) - len(dynOpen) - len(dynClose)
 	b.WriteString(dynOpen)
 	rng := stats.NewRNG(s.wordSeed ^ stats.Mix64(sampleSeed) ^ 0x5bd1e995)
+	var tok [len(" slot=") + 8]byte
 	for dyn > 0 {
-		tok := fmt.Sprintf(" slot=%08x", uint32(rng.Uint64()))
-		if len(tok) > dyn {
-			tok = tok[:dyn]
-		}
-		b.WriteString(tok)
-		dyn -= len(tok)
+		slot := AppendHex(append(tok[:0], " slot="...), uint64(uint32(rng.Uint64())), 8)
+		slot = slot[:min(len(slot), dyn)]
+		b.Write(slot)
+		dyn -= len(slot)
 	}
 	b.WriteString(dynClose)
 	return b.String()
@@ -258,10 +288,10 @@ func writeExact(b *strings.Builder, rng *stats.RNG, budget int) {
 		for i, w := range words[:n] {
 			if i > 0 {
 				b.WriteByte(' ')
+				b.WriteString(w)
 			} else {
-				w = titleCase(w)
+				writeTitle(b, w)
 			}
-			b.WriteString(w)
 		}
 		b.WriteString(".</p>\n")
 		written += size
@@ -285,14 +315,12 @@ func writeExact(b *strings.Builder, rng *stats.RNG, budget int) {
 	b.WriteString(".</p>\n")
 }
 
-// titleCase upper-cases the first ASCII letter of w.
-func titleCase(w string) string {
-	if w == "" {
-		return w
+// writeTitle writes w to b with its first byte upper-cased when that
+// is an ASCII lower-case letter.
+func writeTitle(b *strings.Builder, w string) {
+	if w != "" && 'a' <= w[0] && w[0] <= 'z' {
+		b.WriteByte(w[0] - 'a' + 'A')
+		w = w[1:]
 	}
-	c := w[0]
-	if c >= 'a' && c <= 'z' {
-		return string(c-'a'+'A') + w[1:]
-	}
-	return w
+	b.WriteString(w)
 }

@@ -15,7 +15,6 @@
 package cdn
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 
@@ -152,7 +151,9 @@ func (r Response) Header() http.Header {
 	if r.domain == nil {
 		return h
 	}
-	vars := blockpage.Vars{Domain: r.domain.Name, RayID: rayID(r.ray), Nonce: nonceHex(r.nonce)}
+	var b [rayLen + nonceLen]byte
+	f := string(appendRayNonce(b[:0], r.ray, r.nonce))
+	vars := blockpage.Vars{Domain: r.domain.Name, RayID: f[:rayLen], Nonce: f[rayLen:]}
 	for _, p := range r.domain.Providers {
 		addProviderHeaders(h, p, r.reqHeader, vars)
 	}
@@ -184,20 +185,33 @@ type exchange struct {
 	nonce uint32
 }
 
-// vars formats the template variables block pages substitute.
-func (x *exchange) vars(req *Request) blockpage.Vars {
-	return blockpage.Vars{
+// page renders block page k for req. The page is its one allocation:
+// Render keeps none of its Vars, so the formatted ray ID, nonce and
+// client address, each string under 32 bytes, stay on the stack.
+func (x *exchange) page(k blockpage.Kind, req *Request) string {
+	var ids [rayLen + nonceLen]byte
+	var ip [len("255.255.255.255")]byte
+	hex := string(appendRayNonce(ids[:0], x.ray, x.nonce))
+	return blockpage.Render(k, blockpage.Vars{
 		Domain:      req.Domain.Name,
 		Path:        req.Path,
-		ClientIP:    req.ClientIP.String(),
+		ClientIP:    string(req.ClientIP.Addr().AppendTo(ip[:0])),
 		CountryName: x.w.Geo.Name(x.loc.Country),
-		RayID:       rayID(x.ray),
-		Nonce:       nonceHex(x.nonce),
-	}
+		RayID:       hex[:rayLen],
+		Nonce:       hex[rayLen:],
+	})
 }
 
-func rayID(ray uint64) string      { return fmt.Sprintf("%016x", ray) }
-func nonceHex(nonce uint32) string { return fmt.Sprintf("%08x", nonce) }
+// The ray ID is 16 hex digits and the nonce 8: all the bits of each.
+const (
+	rayLen   = 16
+	nonceLen = 8
+)
+
+// appendRayNonce appends the ray ID and then the nonce to dst.
+func appendRayNonce(dst []byte, ray uint64, nonce uint32) []byte {
+	return blockpage.AppendHex(blockpage.AppendHex(dst, ray, rayLen), uint64(nonce), nonceLen)
+}
 
 const movedBody = "<html><head><title>301 Moved Permanently</title></head><body>moved</body></html>\n"
 
@@ -230,7 +244,7 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 	// blocked client never sees the redirect chain.
 	if kind := accessControl(&x, req, rng); kind != blockpage.KindNone {
 		resp.Status, resp.Page = kind.Status(), kind
-		resp.setBody(blockpage.Render(kind, x.vars(req)))
+		resp.setBody(x.page(kind, req))
 		return
 	}
 
@@ -265,7 +279,9 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 	if d.JunkRate > 0 && rng.Bool(d.JunkRate) {
 		kinds := blockpage.JunkKinds()
 		k := kinds[x.name%uint64(len(kinds))]
-		resp.setBody(blockpage.RenderJunk(k, d.Name, nonceHex(x.nonce)[:6]))
+		var b [nonceLen]byte
+		token := blockpage.AppendHex(b[:0], uint64(x.nonce), nonceLen)[:6]
+		resp.setBody(blockpage.RenderJunk(k, d.Name, string(token)))
 		return
 	}
 
@@ -536,7 +552,7 @@ func addProviderHeaders(h http.Header, p worldgen.Provider, reqHeader http.Heade
 		h.Set("X-Amz-Cf-Id", vars.RayID+vars.Nonce)
 		h.Set("X-Cache", "Miss from cloudfront")
 	case worldgen.Incapsula:
-		h.Set("X-Iinfo", fmt.Sprintf("9-%s 0NNN RT", vars.Nonce))
+		h.Set("X-Iinfo", "9-"+vars.Nonce+" 0NNN RT")
 		h.Set("X-CDN", "Incapsula")
 	case worldgen.Akamai:
 		// Akamai identifies itself only when poked with the Pragma

@@ -30,16 +30,22 @@ func synthetic(name string, chain []worldgen.Provider, mutate func(*worldgen.Dom
 
 func serveSyn(t *testing.T, d *worldgen.Domain, cc geo.CountryCode, h map[string]string) Response {
 	t.Helper()
-	ip, err := testWorld.Geo.HostIP(cc, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Domain: d, Host: d.Name, Path: "/", Method: "GET", Scheme: "https",
-		ClientIP: ip, Header: browserHeaders(), SampleSeed: 1}
+	req := synRequest(t, d, cc)
 	for k, v := range h {
 		req.Header.Set(k, v)
 	}
 	return Serve(testWorld, req)
+}
+
+// synRequest is a browser's request for d's front page from cc.
+func synRequest(t *testing.T, d *worldgen.Domain, cc geo.CountryCode) Request {
+	t.Helper()
+	ip, err := testWorld.Geo.HostIP(cc, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Request{Domain: d, Host: d.Name, Path: "/", Method: "GET", Scheme: "https",
+		ClientIP: ip, Header: browserHeaders(), SampleSeed: 1}
 }
 
 func TestBlockKindPerProvider(t *testing.T) {
@@ -77,6 +83,12 @@ func TestBlockKindPerProvider(t *testing.T) {
 		}
 		if r.Status != tc.want.Status() {
 			t.Errorf("%s status = %d", tc.prov, r.Status)
+		}
+		// A blocked request allocates its page and nothing else: the
+		// ray ID, nonce and client address it shows stay on the stack.
+		req := synRequest(t, d, "CH")
+		if n := testing.AllocsPerRun(20, func() { ServeTo(testWorld, &req, &r) }); n > 1 {
+			t.Errorf("%s: a blocked request allocates %v times, want at most 1", tc.prov, n)
 		}
 	}
 }

@@ -275,13 +275,11 @@ func brief(s Sample) Sample {
 // TestFetchAllocs pins the fetcher's steady-state cost: the direct
 // probe path stays under ten allocations per sample, and counting the
 // attempt into a unit's metrics allocates nothing — UnitMetrics.fetched
-// reads 0 allocations, and outside the race detector an attempt
-// allocates exactly the same with metrics as without them. Twin
-// sessions (same country and slot) take the same exits, so both
-// fetchers do identical work apart from the counting. Under -race the
-// twin counts drift: the race runtime drops a random share of
-// sync.Pool puts, and every block-page render goes through fmt's
-// pooled printers.
+// reads 0 allocations, and an attempt allocates exactly the same with
+// metrics as without them. Twin sessions (same country and slot) take
+// the same exits, so both fetchers do identical work apart from the
+// counting. No page on the path goes through a sync.Pool (fmt's
+// printers did), so the twin counts hold under -race too.
 func TestFetchAllocs(t *testing.T) {
 	domains, _ := smallInputs(64)
 	cfg := testConfig().withDefaults()
@@ -312,7 +310,7 @@ func TestFetchAllocs(t *testing.T) {
 	if m.Attempts == 0 {
 		t.Fatal("the metrics counted no attempts")
 	}
-	if !raceEnabled && counted != bare {
+	if counted != bare {
 		t.Fatalf("a fetch attempt allocates %.3f times with metrics and %.3f without", counted, bare)
 	}
 	s := Sample{BodyLen: 512}

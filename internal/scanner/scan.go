@@ -92,8 +92,9 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *sh
 
 	f := newFetcher(ctx, se.transport(), cfg, hs, m)
 	salt := seedSalt(sh.country, cfg.Phase)
+	done := ctx.Done()
 	for _, t := range sh.tasks {
-		if ctx.Err() != nil {
+		if stopped(done) {
 			return out, OutageNone
 		}
 		domain := domains[t.Domain]

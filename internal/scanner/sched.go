@@ -66,6 +66,18 @@ func (d *deque) stealBack() *shard {
 	return sh
 }
 
+// stopped reports, without blocking, whether done, a context's Done
+// channel read once per unit, is closed. Unlike the context's Err it
+// takes no lock, so workers polling it per task do not contend.
+func stopped(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // schedule fans units out over a work-stealing pool of up to
 // Config.Concurrency workers and calls run on each. On context
 // cancellation workers stop picking up units and schedule returns
@@ -96,12 +108,13 @@ func (p *Plan) schedule(ctx context.Context, units []*shard, run func(context.Co
 
 	ctx, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
+	done := ctx.Done()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			for !stopped(done) {
 				sh := deques[w].popFront()
 				if sh == nil {
 					for off := 1; off < workers && sh == nil; off++ {

@@ -34,7 +34,7 @@ type session struct {
 // counts attempts, brownouts, and the computed backoff waits, and the
 // session keeps counting into it.
 func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config, m *UnitMetrics) (*session, error) {
-	bo := newBackoff(slot)
+	var bo *backoff // built at the first brownout: most units never wait
 	var lastErr error
 	for attempt := 0; attempt <= DefaultOpenRetries; attempt++ {
 		m.OpenAttempts++
@@ -49,6 +49,9 @@ func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config
 		}
 		m.Brownouts++
 		if attempt < DefaultOpenRetries {
+			if bo == nil {
+				bo = newBackoff(slot)
+			}
 			m.Backoff.observe(float64(bo.wait())/float64(time.Millisecond), backoffMaxMs)
 		}
 	}

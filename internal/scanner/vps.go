@@ -50,8 +50,9 @@ func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard
 	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
 	unitStart := tb.Wall()
 	salt := seedSalt(sh.country, cfg.Phase+"/vps")
+	done := ctx.Done()
 	for _, t := range sh.tasks {
-		if ctx.Err() != nil {
+		if stopped(done) {
 			return out
 		}
 		domain := domains[t.Domain]

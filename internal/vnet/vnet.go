@@ -419,10 +419,16 @@ func (s *Stack) Probe(p Probe, r *Reply) error {
 // censorPage injects the national filter's block page into r.
 func (s *Stack) censorPage(d *worldgen.Domain, seed uint64, r *Reply) {
 	rng := stats.NewRNG(seed)
+	// The nonce is 32 random bits in hex, at least 6 digits (%06x).
+	// With the client's address it is one string under 32 bytes, which
+	// stays on the stack: Render keeps none of its Vars.
+	var b [8 + len("255.255.255.255")]byte
+	nonce := blockpage.AppendHex(b[:0], uint64(uint32(rng.Uint64())), 6)
+	f := string(s.IP.Addr().AppendTo(nonce))
 	body := blockpage.Render(blockpage.Censorship, blockpage.Vars{
 		Domain:   d.Name,
-		ClientIP: s.IP.String(),
-		Nonce:    fmt.Sprintf("%06x", uint32(rng.Uint64())),
+		ClientIP: f[len(nonce):],
+		Nonce:    f[:len(nonce)],
 	})
 	*r = Reply{Status: http.StatusForbidden, BodyLen: len(body), Hops: 1, censored: body}
 }

@@ -183,6 +183,15 @@ func TestCensorshipBlockPage(t *testing.T) {
 	if !blockpage.Matches(blockpage.Censorship, string(body)) {
 		t.Fatal("expected the censorship page")
 	}
+	// The injected page is a resolved probe's one allocation: the nonce
+	// and client address it shows stay on the stack.
+	var r Reply
+	var dest Dest
+	s.Resolve(d.Name, &dest)
+	probe := Probe{Scheme: "http", Host: d.Name, Path: "/", Seed: 1, Dest: &dest}
+	if n := testing.AllocsPerRun(20, func() { s.Probe(probe, &r) }); n > 1 || r.censored == "" {
+		t.Fatalf("a censored probe allocates %v times (censored page %t), want at most 1", n, r.censored != "")
+	}
 }
 
 func checkMech(d *worldgen.Domain, cc geo.CountryCode) string {
