@@ -50,9 +50,9 @@
 #                profilers; inspect with `go tool pprof geoblock.test cpu.prof`
 #   make fabric-test  the multi-process fabric integration: a `geoscan
 #                -study lumscan` coordinator plus three scanworker
-#                processes (one chaos-killed mid-shard) must journal
-#                byte-identically to a single-process run of the same
-#                scan; then the fabric's wall-clock scaling check (2
+#                processes (one chaos-killed mid-shard) must journal,
+#                print and count (deterministic metrics) byte-identically
+#                to a single-process run of the same scan; then the fabric's wall-clock scaling check (2
 #                in-process workers must beat 1, best of 3), which needs
 #                the CPUs to itself and so stays out of `go test ./...`
 #   make perfbench-test  vet and test the benchmark module (perfbench/,

@@ -75,8 +75,8 @@ func main() {
 	// the journal's fsyncs.
 	reg := telemetry.NewWithClock(telemetry.Wall{})
 
-	// One fault spec drives the in-process injector (instrumented) and,
-	// under -fabric, every worker's.
+	// One fault spec drives the in-process injector and, under -fabric,
+	// every worker's.
 	var faultSpec *geoblock.FabricFaultSpec
 	var inj *faults.Injector
 	if *faultsFlag != "" {
@@ -86,7 +86,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "geoscan: %v\n", err)
 			os.Exit(2)
 		}
-		inj.Instrument(reg)
 	}
 
 	if *resume && *storeDir == "" {

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"geoblock/internal/faults"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 )
 
@@ -35,13 +38,14 @@ func fabricYield(time.Duration) { runtime.Gosched() }
 // phase distributed across nWorkers worker loops (plus, when kill is
 // set, one victim worker that dies mid-shard before reporting its
 // first unit — exercising lease expiry and re-issue inside a real
-// study). Returns the same (result, tables, snapshot) triple as
-// resumeRun for byte comparison.
-func fabricRun(t *testing.T, store *RunStore, reg *telemetry.Registry, tr *Tracer, nWorkers int, kill bool) (*Top10KResult, string, string) {
+// study), under the chaos profile chaos names (nil for none). Returns
+// the same (result, tables, snapshot) triple as resumeRun for byte
+// comparison.
+func fabricRun(t *testing.T, store *RunStore, reg *telemetry.Registry, tr *Tracer, nWorkers int, kill bool, chaos *FabricFaultSpec) (*Top10KResult, string, string) {
 	t.Helper()
 	wcfg := matrixWorld()
 	coord := NewFabric(FabricOptions{
-		Study:    FabricStudySpec{World: wcfg},
+		Study:    FabricStudySpec{World: wcfg, Faults: chaos},
 		LeaseTTL: -1, // instantly re-issuable: worker death needs no wall-clock wait
 		Metrics:  reg,
 	})
@@ -89,7 +93,7 @@ func fabricRun(t *testing.T, store *RunStore, reg *telemetry.Registry, tr *Trace
 		}(i)
 	}
 
-	s := New(Options{World: &wcfg, Metrics: reg, Store: store, Fabric: coord, Trace: tr})
+	s := chaosSystem(t, Options{World: &wcfg, Metrics: reg, Store: store, Fabric: coord, Trace: tr}, chaos)
 	r := s.RunTop10K(Top10KConfig{})
 	if err := s.Err(); err != nil {
 		t.Fatalf("fabric study aborted: %v", err)
@@ -133,14 +137,16 @@ func journalFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestFabricMatrix is the PR's acceptance gate: a study distributed
+// TestFabricMatrix is the fabric's acceptance gate: a study distributed
 // over a coordinator and {1, 2, 4} workers — including runs where a
 // worker is killed mid-shard and its lease re-issued — produces the
 // identical journal bytes, paper tables, findings, and deterministic
 // telemetry snapshot as the single-process engine, which itself is
-// invariant across scan concurrency 1/4/32.
+// invariant across scan concurrency 1/4/32. The chaos cell runs the
+// mixed profile on every worker: the killed victim's unit runs twice,
+// and its injected faults must still count once, as in process.
 func TestFabricMatrix(t *testing.T) {
-	refResult, refTables, refSnap := resumeRun(t, nil, telemetry.New())
+	clean := matrixReference(t, nil)
 
 	// The in-process engine is concurrency-invariant; the fabric's
 	// workers then only have to match one canonical output.
@@ -149,64 +155,89 @@ func TestFabricMatrix(t *testing.T) {
 		reg := telemetry.New()
 		s := New(Options{World: &wcfg, Metrics: reg})
 		r := s.RunTop10K(Top10KConfig{Concurrency: conc})
-		if paperTables(s, r) != refTables {
+		if paperTables(s, r) != clean.tables {
 			t.Fatalf("in-process study at concurrency %d diverges from default", conc)
 		}
-		if snap := reg.Snapshot().Deterministic().Text(); snap != refSnap {
+		if snap := reg.Snapshot().Deterministic().Text(); snap != clean.snap {
 			t.Fatalf("in-process snapshot at concurrency %d diverges from default", conc)
 		}
 	}
 
-	// The journaled reference: what the fabric's coordinator journal
-	// must reproduce byte-for-byte.
-	refDir := t.TempDir()
-	refStore, err := OpenRunStore(refDir, RunStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
+	mixed := &FabricFaultSpec{Seed: 7, Profile: "mixed"}
+	refs := map[*FabricFaultSpec]matrixRef{nil: clean, mixed: matrixReference(t, mixed)}
+	if !strings.Contains(refs[mixed].snap, scanner.MetInjected) {
+		t.Fatal("the mixed profile's reference snapshot holds no fault counts")
 	}
-	if _, tables, snap := resumeRun(t, refStore, telemetry.New()); tables != refTables || snap != refSnap {
-		t.Fatal("journaled in-process run diverges from reference")
-	}
-	refStore.Close()
-	refJournal := journalFiles(t, refDir)
 
 	for _, tc := range []struct {
 		workers int
 		kill    bool
-	}{{1, false}, {2, true}, {4, true}} {
+		chaos   *FabricFaultSpec
+	}{{1, false, nil}, {2, true, nil}, {4, true, nil}, {2, true, mixed}} {
+		want := refs[tc.chaos]
+		cell := fmt.Sprintf("workers=%d kill=%v chaos=%v", tc.workers, tc.kill, tc.chaos != nil)
 		dir := t.TempDir()
 		store, err := OpenRunStore(dir, RunStoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		result, tables, snap := fabricRun(t, store, telemetry.New(), nil, tc.workers, tc.kill)
+		result, tables, snap := fabricRun(t, store, telemetry.New(), nil, tc.workers, tc.kill, tc.chaos)
 		store.Close()
-		if len(result.Findings) != len(refResult.Findings) {
-			t.Fatalf("workers=%d kill=%v: %d findings, reference %d", tc.workers, tc.kill, len(result.Findings), len(refResult.Findings))
+		if len(result.Findings) != len(want.result.Findings) {
+			t.Fatalf("%s: %d findings, reference %d", cell, len(result.Findings), len(want.result.Findings))
 		}
 		for i := range result.Findings {
-			if result.Findings[i] != refResult.Findings[i] {
-				t.Fatalf("workers=%d kill=%v: finding %d differs:\n%+v\n%+v", tc.workers, tc.kill, i, result.Findings[i], refResult.Findings[i])
+			if result.Findings[i] != want.result.Findings[i] {
+				t.Fatalf("%s: finding %d differs:\n%+v\n%+v", cell, i, result.Findings[i], want.result.Findings[i])
 			}
 		}
-		if tables != refTables {
-			t.Fatalf("workers=%d kill=%v: paper tables diverge:\n--- fabric ---\n%s\n--- reference ---\n%s", tc.workers, tc.kill, tables, refTables)
+		if tables != want.tables {
+			t.Fatalf("%s: paper tables diverge:\n--- fabric ---\n%s\n--- reference ---\n%s", cell, tables, want.tables)
 		}
-		if snap != refSnap {
-			t.Fatalf("workers=%d kill=%v: deterministic snapshots diverge:\n--- fabric ---\n%s\n--- reference ---\n%s", tc.workers, tc.kill, snap, refSnap)
+		if snap != want.snap {
+			t.Fatalf("%s: deterministic snapshots diverge:\n--- fabric ---\n%s\n--- reference ---\n%s", cell, snap, want.snap)
 		}
-		if journal := journalFiles(t, dir); !reflect.DeepEqual(journal, refJournal) {
-			for name, b := range refJournal {
+		if journal := journalFiles(t, dir); !reflect.DeepEqual(journal, want.journal) {
+			for name, b := range want.journal {
 				if !bytes.Equal(journal[name], b) {
-					t.Errorf("workers=%d kill=%v: journal file %s diverges (%d vs %d bytes)", tc.workers, tc.kill, name, len(journal[name]), len(b))
+					t.Errorf("%s: journal file %s diverges (%d vs %d bytes)", cell, name, len(journal[name]), len(b))
 				}
 			}
 			for name := range journal {
-				if _, ok := refJournal[name]; !ok {
-					t.Errorf("workers=%d kill=%v: extra journal file %s", tc.workers, tc.kill, name)
+				if _, ok := want.journal[name]; !ok {
+					t.Errorf("%s: extra journal file %s", cell, name)
 				}
 			}
-			t.Fatalf("workers=%d kill=%v: coordinator journal is not byte-identical to the single-process journal", tc.workers, tc.kill)
+			t.Fatalf("%s: coordinator journal is not byte-identical to the single-process journal", cell)
 		}
 	}
+}
+
+// matrixRef is what every fabric cell under one fault spec must
+// reproduce: the in-process study's result, paper tables,
+// deterministic snapshot and journal files.
+type matrixRef struct {
+	result       *Top10KResult
+	tables, snap string
+	journal      map[string][]byte
+}
+
+// matrixReference runs the in-process study under the chaos profile
+// chaos names (nil for none), bare and journaled, and checks that
+// journaling changed neither its tables nor its snapshot.
+func matrixReference(t *testing.T, chaos *FabricFaultSpec) matrixRef {
+	t.Helper()
+	var ref matrixRef
+	ref.result, ref.tables, ref.snap = resumeRun(t, nil, telemetry.New(), chaos)
+	dir := t.TempDir()
+	store, err := OpenRunStore(dir, RunStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, tables, snap := resumeRun(t, store, telemetry.New(), chaos); tables != ref.tables || snap != ref.snap {
+		t.Fatal("journaled in-process run diverges from reference")
+	}
+	store.Close()
+	ref.journal = journalFiles(t, dir)
+	return ref
 }

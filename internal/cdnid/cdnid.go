@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"geoblock/internal/geo"
+	"geoblock/internal/scanner"
 	"geoblock/internal/stats"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
@@ -169,11 +170,15 @@ func (id *Identifier) classifyDomain(stack *vnet.Stack, res *vnet.Resolver, d *w
 	}
 
 	// Header probe over the redirect chain, walked hop by hop so every
-	// hop's headers are inspected (§5.1.1).
+	// hop's headers are inspected (§5.1.1), to at most the requests a
+	// scan's attempt may send. Each hop resolves its host into the
+	// walk's one destination.
+	var dest vnet.Dest
 	p := vnet.Probe{Scheme: "http", Host: d.Name, Path: "/",
-		Seed: stats.Mix64(stats.Hash(d.Name) ^ 0x1d3), Header: pragmaProbe}
+		Seed: stats.Mix64(stats.Hash(d.Name) ^ 0x1d3), Header: pragmaProbe, Dest: &dest}
 	var r vnet.Reply
-	for hop := 0; hop < 10; hop++ {
+	for hop := 0; hop < scanner.MaxRedirects; hop++ {
+		stack.Resolve(p.Host, &dest)
 		if stack.Probe(p, &r) != nil {
 			break
 		}

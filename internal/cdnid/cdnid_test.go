@@ -3,6 +3,7 @@ package cdnid
 import (
 	"testing"
 
+	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
 )
 
@@ -159,4 +160,28 @@ func TestFullRankSpaceScan(t *testing.T) {
 	if got := pops.Total(); got < truth*9/10 {
 		t.Fatalf("full scan found %d customers of %d", got, truth)
 	}
+}
+
+// TestClassifyAllocs pins the cost of provider discovery's redirect
+// walk on a domain two redirects deep. Each of its three hops resolves
+// into the walk's one destination, so the walk allocates one Dest, not
+// one per hop as a probe that carries none does; everything else it
+// allocates is what it reads of the answers: each hop's rendered
+// headers, each redirect's Location and parsed URL, and the evidence.
+func TestClassifyAllocs(t *testing.T) {
+	id := NewIdentifier(testWorld)
+	gae := id.GAERanges()
+	res := &vnet.Resolver{World: testWorld}
+	stack := vnet.NewStack(testWorld, id.Vantage)
+	for _, d := range testWorld.Top10K() {
+		if d.RedirectHops != 2 || d.Unreachable || d.RedirectLoop {
+			continue
+		}
+		const want = 31 // 33 when each hop allocates a Dest of its own
+		if n := testing.AllocsPerRun(100, func() { id.classifyDomain(stack, res, d, gae) }); n != want {
+			t.Fatalf("classifying %s allocates %.0f times, want %d", d.Name, n, want)
+		}
+		return
+	}
+	t.Fatal("the test world holds no domain two redirects deep")
 }

@@ -364,10 +364,11 @@ func TestCompleteIdempotency(t *testing.T) {
 // the unit's samples alone, loss reason 200, no metrics, results that
 // do not sum to the attempts, a body-size histogram holding one more
 // observation than the ok results, more attempts than 1+Retries per
-// sample allows, attempts without a fetcher, and a trace field that is
-// not JSON. Each is well framed and goes out under the unit's own
-// fingerprint, so only the coordinator's checks can tell it from the
-// real thing.
+// sample allows, attempts without a fetcher, one more injected fault
+// than one per hop and one dark exit per pre-check probe allow, and a
+// trace field that is not JSON. Each is well framed and goes out under
+// the unit's own fingerprint, so only the coordinator's checks can tell
+// it from the real thing.
 func badCompletions(t testing.TB, unit scanner.WorkUnit, res scanner.UnitResult) [][]byte {
 	t.Helper()
 	encode := func(res scanner.UnitResult) []byte {
@@ -404,6 +405,9 @@ func badCompletions(t testing.TB, unit scanner.WorkUnit, res scanner.UnitResult)
 			r.Metrics.Results[scanner.ErrTimeout] += extra
 		}),
 		variant(func(r *scanner.UnitResult) { r.Metrics.Fetcher = false }),
+		variant(func(r *scanner.UnitResult) {
+			r.Metrics.Faults.Dark = r.Metrics.Attempts*scanner.MaxRedirects + r.Metrics.Probes + 1
+		}),
 		runstore.EncodeShardFrames(samples, cp),
 	}
 }

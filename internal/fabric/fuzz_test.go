@@ -109,8 +109,12 @@ func FuzzCompleteHandler(f *testing.F) {
 		if cp.Lost > scanner.OutageDark || len(samples) != len(want) {
 			t.Fatalf("answered %+v to unit %d with loss reason %d and %d of %d samples", ack, seq, cp.Lost, len(samples), len(want))
 		}
-		if m := cp.Metrics; m == nil || m.Attempts > int64(len(want)*(1+cfg.Retries)) {
+		m := cp.Metrics
+		if m == nil || m.Attempts > int64(len(want)*(1+cfg.Retries)) {
 			t.Fatalf("answered %+v to unit %d with metrics %+v", ack, seq, m)
+		}
+		if f := m.Faults; f.Dark+f.Churn+f.ExitDown+f.Stall+f.Truncate-m.Probes > m.Attempts*scanner.MaxRedirects {
+			t.Fatalf("answered %+v to unit %d with injected faults %+v past its %d attempts and %d probes", ack, seq, f, m.Attempts, m.Probes)
 		}
 		for i, s := range samples {
 			if w := want[i]; s.Domain != w.Domain || s.Country != w.Country || s.Attempt != w.Attempt {

@@ -45,8 +45,8 @@ type FaultSpec struct {
 	Country string `json:"country,omitempty"`
 }
 
-// Injector builds the uninstrumented fault injector the spec names, or
-// errors when this binary does not know the profile.
+// Injector builds the fault injector the spec names, or errors when
+// this binary does not know the profile.
 func (f FaultSpec) Injector() (*faults.Injector, error) {
 	prof, ok := faults.Named(f.Profile)
 	if !ok {

@@ -99,11 +99,6 @@ func NewWorker(ctx context.Context, opts WorkerOptions) (*Worker, error) {
 	w.world = worldgen.Generate(spec.World)
 	w.net = proxy.NewNetwork(w.world)
 	if spec.Faults != nil {
-		// The injector stays uninstrumented on workers: fault verdicts are
-		// pure functions of (seed, arguments) so every process draws the
-		// same faults, but instrumenting them here would stage fault
-		// counters into unit snapshots that an in-process run records only
-		// once, globally — and the journal bytes would diverge.
 		inj, err := spec.Faults.Injector()
 		if err != nil {
 			return nil, fmt.Errorf("fabric: study names %w", err)

@@ -17,11 +17,11 @@
 // injector's seed and the call's arguments. No mutable state, no wall
 // time, no call-order dependence — so a scan under a fixed fault seed
 // is byte-identical at any Concurrency, and a failure found in chaos
-// testing replays from a single seed. The optional telemetry registry
-// (Instrument) is a pure side channel: it counts fired verdicts and
-// never feeds back into them, and because the engine's hook call
-// pattern is schedule-independent, the counts themselves are
-// deterministic too.
+// testing replays from a single seed. The injector counts nothing:
+// the proxy session tallies the verdicts it acts on, and each scan
+// unit carries its session's tally in its metrics
+// (scanner.MetInjected), so fault counts travel with the unit through
+// journal and fabric like every other count.
 package faults
 
 import (
@@ -30,7 +30,6 @@ import (
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/stats"
-	"geoblock/internal/telemetry"
 )
 
 // Profile is one country's (or the default) failure-rate profile. The
@@ -75,12 +74,11 @@ func (p Profile) active() bool { return p != Profile{} }
 
 // Injector implements proxy.FaultHook from a single seed plus a
 // default and optional per-country profiles. It is safe for concurrent
-// use: all methods are pure (the metrics registry only ever counts).
+// use: all methods are pure.
 type Injector struct {
 	seed       uint64
 	def        Profile
 	perCountry map[geo.CountryCode]Profile
-	metrics    *telemetry.Registry
 }
 
 // New returns an injector that injects nothing until profiles are set.
@@ -103,26 +101,6 @@ func (in *Injector) Country(cc geo.CountryCode, p Profile) *Injector {
 
 // Seed returns the injector's seed (for replay reporting).
 func (in *Injector) Seed() uint64 { return in.seed }
-
-// MetInjected is the fired-fault counter series, labeled by fault kind
-// (brownout, dark, churn, exitdown, stall, truncate) and country
-// ("vps" on the country-agnostic transport seam).
-const MetInjected = "faults.injected"
-
-// Instrument routes a counter per fired fault verdict into reg,
-// labeled by kind and country. Call before the scan (the field is not
-// synchronized); verdicts are unaffected. Returns the injector for
-// chaining.
-func (in *Injector) Instrument(reg *telemetry.Registry) *Injector {
-	in.metrics = reg
-	return in
-}
-
-// count tallies one fired verdict. Pure side channel: no influence on
-// any verdict, and nil-safe when the injector is uninstrumented.
-func (in *Injector) count(kind string, country string) {
-	in.metrics.Counter(telemetry.Label(MetInjected, "kind", kind, "country", country)).Add(1)
-}
 
 func (in *Injector) profile(cc geo.CountryCode) Profile {
 	if p, ok := in.perCountry[cc]; ok {
@@ -155,11 +133,7 @@ func (in *Injector) Brownout(cc geo.CountryCode, slot uint64, attempt int) bool 
 	if length == 0 {
 		length = DefaultBrownoutLen
 	}
-	fired := length < 0 || attempt < length
-	if fired {
-		in.count("brownout", string(cc))
-	}
-	return fired
+	return length < 0 || attempt < length
 }
 
 // ExitDark implements proxy.FaultHook.
@@ -168,11 +142,7 @@ func (in *Injector) ExitDark(cc geo.CountryCode, exit geo.IP) bool {
 	if p.DarkExits <= 0 {
 		return false
 	}
-	fired := in.draw("dark", stats.Hash(string(cc)), uint64(exit)) < p.DarkExits
-	if fired {
-		in.count("dark", string(cc))
-	}
-	return fired
+	return in.draw("dark", stats.Hash(string(cc)), uint64(exit)) < p.DarkExits
 }
 
 // Churned implements proxy.FaultHook.
@@ -185,11 +155,7 @@ func (in *Injector) Churned(cc geo.CountryCode, exit geo.IP, served int) bool {
 		return false
 	}
 	deathAt := 1 + int(stats.Mix64(in.seed^0xc4a12b^uint64(exit))%churnSpan)
-	fired := served >= deathAt
-	if fired {
-		in.count("churn", string(cc))
-	}
-	return fired
+	return served >= deathAt
 }
 
 // StoreCrash returns a runstore crash hook that severs the journal
@@ -204,13 +170,7 @@ func (in *Injector) StoreCrash(span int64) func(written int64) bool {
 		span = 1
 	}
 	at := 1 + int64(stats.Mix64(in.seed^stats.Hash("kill-mid-write"))%uint64(span))
-	return func(written int64) bool {
-		fired := written >= at
-		if fired {
-			in.count("store-crash", "")
-		}
-		return fired
-	}
+	return func(written int64) bool { return written >= at }
 }
 
 // WorkerDeath returns a fabric worker kill hook: the worker dies after
@@ -225,13 +185,7 @@ func (in *Injector) WorkerDeath(span int64) func(executed int64) bool {
 		span = 1
 	}
 	at := 1 + int64(stats.Mix64(in.seed^stats.Hash("worker-death"))%uint64(span))
-	return func(executed int64) bool {
-		fired := executed >= at
-		if fired {
-			in.count("worker-death", "")
-		}
-		return fired
-	}
+	return func(executed int64) bool { return executed >= at }
 }
 
 // Request implements proxy.FaultHook: one draw, split across the
@@ -244,13 +198,10 @@ func (in *Injector) Request(cc geo.CountryCode, exit geo.IP, host string, seed u
 	u := in.draw("request", uint64(exit), stats.Hash(host), seed)
 	switch {
 	case u < p.ExitFailure:
-		in.count("exitdown", string(cc))
 		return proxy.FaultExitDown
 	case u < p.ExitFailure+p.Stall:
-		in.count("stall", string(cc))
 		return proxy.FaultStall
 	case u < p.ExitFailure+p.Stall+p.Truncate:
-		in.count("truncate", string(cc))
 		return proxy.FaultTruncate
 	}
 	return proxy.FaultNone

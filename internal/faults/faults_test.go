@@ -1,12 +1,10 @@
 package faults
 
 import (
-	"strings"
 	"testing"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
-	"geoblock/internal/telemetry"
 )
 
 func TestDeterministicVerdicts(t *testing.T) {
@@ -188,21 +186,6 @@ func TestStoreCrashSeededThreshold(t *testing.T) {
 	if !New(3).StoreCrash(0)(1) {
 		t.Fatal("clamped hook survived the first record")
 	}
-
-	// An instrumented injector tallies the fired sever.
-	reg := telemetry.New()
-	crash := New(3).Instrument(reg).StoreCrash(1)
-	crash(5)
-	snap := reg.Snapshot()
-	var fired int64
-	for _, c := range snap.Counters {
-		if strings.Contains(c.Name, "store-crash") {
-			fired = c.Value
-		}
-	}
-	if fired != 1 {
-		t.Fatalf("store-crash counter = %d, want 1", fired)
-	}
 }
 
 // TestWorkerDeathSeededThreshold mirrors the StoreCrash contract for
@@ -249,22 +232,6 @@ func TestWorkerDeathSeededThreshold(t *testing.T) {
 	kill := New(3).WorkerDeath(-5)
 	if !kill(1) {
 		t.Fatal("negative span did not clamp to die-on-first-unit")
-	}
-
-	// The fired verdict lands in the instrumented counter series.
-	reg := telemetry.New()
-	in := New(7).Instrument(reg)
-	k := in.WorkerDeath(1)
-	k(0)
-	k(1)
-	var fired int64
-	for _, c := range reg.Snapshot().Counters {
-		if strings.Contains(c.Name, "worker-death") {
-			fired = c.Value
-		}
-	}
-	if fired != 1 {
-		t.Fatalf("worker-death counter = %d, want 1", fired)
 	}
 }
 

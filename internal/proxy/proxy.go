@@ -222,9 +222,19 @@ type Session struct {
 	cur   int
 	used  int
 
-	stack vnet.Stack // the current exit's stack, located when the session lands on it
-	path  transit    // the country's transit draw
+	stack vnet.Stack  // the current exit's stack, located when the session lands on it
+	path  transit     // the country's transit draw
+	fired FaultCounts // the injected faults the session acted on
 }
+
+// FaultCounts tallies the fault hook's verdicts a session acted on, by
+// kind. A brownout refuses a session before it opens; its opener counts it.
+type FaultCounts struct {
+	Dark, Churn, ExitDown, Stall, Truncate int64
+}
+
+// Faults returns the injected faults the session has acted on so far.
+func (s *Session) Faults() FaultCounts { return s.fired }
 
 // land locates the stack of the exit the session now stands on.
 func (s *Session) land() { s.stack = vnet.At(s.net.World, s.Exit().IP) }
@@ -304,6 +314,7 @@ func (s *Session) Used() int { return s.used }
 func (s *Session) Verify(seed uint64) (geo.IP, geo.CountryCode, error) {
 	e := s.Exit()
 	if s.net.faults != nil && s.net.faults.ExitDark(s.cc, e.IP) {
+		s.fired.Dark++
 		return 0, "", errExitDark
 	}
 	rng := stats.NewRNG(stats.Mix64(seed) ^ uint64(e.IP) ^ 0xc0ffee)
@@ -428,20 +439,29 @@ func (s *Session) send(e *Exit, d *vnet.Dest, seed uint64) (truncate bool, err e
 	if f == nil {
 		return false, nil
 	}
-	if f.ExitDark(s.cc, e.IP) || f.Churned(s.cc, e.IP, served) {
-		return false, d.Fail("proxy", d.Name, "superproxy: exit connection failed", false)
+	switch {
+	case f.ExitDark(s.cc, e.IP):
+		s.fired.Dark++
+	case f.Churned(s.cc, e.IP, served):
+		s.fired.Churn++
+	default:
+		switch f.Request(s.cc, e.IP, d.Name, seed) {
+		case FaultExitDown:
+			s.fired.ExitDown++
+		case FaultStall:
+			s.fired.Stall++
+			return false, d.Fail("read", d.Name, "i/o timeout", true)
+		case FaultReset:
+			return false, d.Fail("read", d.Name, "connection reset by peer", false)
+		case FaultTruncate:
+			s.fired.Truncate++
+			return true, nil
+		default:
+			return false, nil
+		}
 	}
-	switch f.Request(s.cc, e.IP, d.Name, seed) {
-	case FaultExitDown:
-		return false, d.Fail("proxy", d.Name, "superproxy: exit connection failed", false)
-	case FaultStall:
-		return false, d.Fail("read", d.Name, "i/o timeout", true)
-	case FaultReset:
-		return false, d.Fail("read", d.Name, "connection reset by peer", false)
-	case FaultTruncate:
-		return true, nil
-	}
-	return false, nil
+	// A dark exit, a churned one, or one whose connection failed.
+	return false, d.Fail("proxy", d.Name, "superproxy: exit connection failed", false)
 }
 
 // transit is a country's share of unreachable destinations and the

@@ -282,17 +282,19 @@ func TestExitsAreProxyFlagged(t *testing.T) {
 }
 
 // hookStub is a fault hook that answers every request with one verdict,
-// churns the exit from a given served count on, and records the served
-// counts Churned sees and the Request calls it gets.
+// churns the exit from a given served count on, darkens every exit when
+// dark is set, and records the served counts Churned sees and the
+// Request calls it gets.
 type hookStub struct {
 	churnAt  int // churned once served reaches it; negative never
 	verdict  FaultVerdict
+	dark     bool
 	churned  []int
 	requests int
 }
 
 func (h *hookStub) Brownout(geo.CountryCode, uint64, int) bool { return false }
-func (h *hookStub) ExitDark(geo.CountryCode, geo.IP) bool      { return false }
+func (h *hookStub) ExitDark(geo.CountryCode, geo.IP) bool      { return h.dark }
 func (h *hookStub) Churned(_ geo.CountryCode, _ geo.IP, served int) bool {
 	h.churned = append(h.churned, served)
 	return h.churnAt >= 0 && served >= h.churnAt
@@ -304,10 +306,12 @@ func (h *hookStub) Request(geo.CountryCode, geo.IP, string, uint64) FaultVerdict
 
 // TestProbeChargesEveryHop pins what a probe that walks a same-site
 // redirect chain costs the session: one request of the exit's budget
-// per hop, and per hop, in order, the fault hook's churn check at that
-// hop's served count and its request draw. A churned exit fails the
-// hop it dies at, a truncating verdict cuts the last hop's transfer,
-// and a probe whose budget ends mid-chain answers with the redirect.
+// per hop, and per hop, in order, the fault hook's dark and churn
+// checks at that hop's served count and its request draw. A dark or
+// churned exit fails the hop it dies at, a truncating verdict cuts the
+// last hop's transfer, and a probe whose budget ends mid-chain answers
+// with the redirect. The session counts each verdict it acts on, one
+// per hop at most, and a dark exit once more at the pre-check.
 func TestProbeChargesEveryHop(t *testing.T) {
 	net := NewNetwork(testWorld)
 	var d *worldgen.Domain
@@ -350,14 +354,16 @@ func TestProbeChargesEveryHop(t *testing.T) {
 		churned  []int  // served counts Churned saw
 		requests int
 		status   int
+		fired    FaultCounts
 	}{
-		{"no fault", hookStub{churnAt: -1}, 10, "", 3, []int{0, 1, 2}, 3, 200},
-		{"budget ends mid-chain", hookStub{churnAt: -1}, 2, "", 2, []int{0, 1}, 2, 301},
-		{"churned at the second hop", hookStub{churnAt: 1}, 10, "exit connection failed", 2, []int{0, 1}, 1, 0},
-		{"truncated", hookStub{churnAt: -1, verdict: FaultTruncate}, 10, "", 3, []int{0, 1, 2}, 3, 200},
-		{"stalled", hookStub{churnAt: -1, verdict: FaultStall}, 10, "i/o timeout", 1, []int{0}, 1, 0},
-		{"reset", hookStub{churnAt: -1, verdict: FaultReset}, 10, "connection reset by peer", 1, []int{0}, 1, 0},
-		{"exit down", hookStub{churnAt: -1, verdict: FaultExitDown}, 10, "exit connection failed", 1, []int{0}, 1, 0},
+		{"no fault", hookStub{churnAt: -1}, 10, "", 3, []int{0, 1, 2}, 3, 200, FaultCounts{}},
+		{"budget ends mid-chain", hookStub{churnAt: -1}, 2, "", 2, []int{0, 1}, 2, 301, FaultCounts{}},
+		{"churned at the second hop", hookStub{churnAt: 1}, 10, "exit connection failed", 2, []int{0, 1}, 1, 0, FaultCounts{Churn: 1}},
+		{"truncated", hookStub{churnAt: -1, verdict: FaultTruncate}, 10, "", 3, []int{0, 1, 2}, 3, 200, FaultCounts{Truncate: 3}},
+		{"stalled", hookStub{churnAt: -1, verdict: FaultStall}, 10, "i/o timeout", 1, []int{0}, 1, 0, FaultCounts{Stall: 1}},
+		{"reset", hookStub{churnAt: -1, verdict: FaultReset}, 10, "connection reset by peer", 1, []int{0}, 1, 0, FaultCounts{}},
+		{"exit down", hookStub{churnAt: -1, verdict: FaultExitDown}, 10, "exit connection failed", 1, []int{0}, 1, 0, FaultCounts{ExitDown: 1}},
+		{"dark", hookStub{churnAt: -1, dark: true}, 10, "exit connection failed", 1, nil, 0, 0, FaultCounts{Dark: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hook := tc.hook
@@ -379,6 +385,15 @@ func TestProbeChargesEveryHop(t *testing.T) {
 			if s.Used() != tc.used || !reflect.DeepEqual(hook.churned, tc.churned) || hook.requests != tc.requests {
 				t.Errorf("charged %d, churn checks at %v, %d request draws; want %d, %v, %d",
 					s.Used(), hook.churned, hook.requests, tc.used, tc.churned, tc.requests)
+			}
+			if _, _, err := s.Verify(1); hook.dark {
+				if err == nil {
+					t.Error("a dark exit passed the pre-check")
+				}
+				tc.fired.Dark++
+			}
+			if s.Faults() != tc.fired {
+				t.Errorf("the session counted faults %+v, want %+v", s.Faults(), tc.fired)
 			}
 			if tc.err != "" {
 				return

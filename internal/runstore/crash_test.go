@@ -122,12 +122,15 @@ func assertSameScan(t *testing.T, label string, got, want *scanner.Collect, gotS
 // mid-record at a seeded point, reopen, resume — and the resumed run's
 // samples, outages, coverage, and deterministic telemetry snapshot are
 // byte-identical to an uninterrupted run, at Concurrency 1, 4, and 32
-// across crash seeds. The crash may also land after the whole scan
-// completed (large spans), in which case the severed attempt itself
-// already succeeded — resume must then be a pure replay. The matrix
-// runs on a clean mesh, where every country is attained, and on one
-// where SY is dark, whose outage and coverage the journal does not
-// hold: resume must recompute them from the checkpoints' loss reasons.
+// across crash seeds. The scan journals 307 records, one 61-record
+// shard per country; spans of 25 and 200 sever before SY's checkpoint
+// (the 245th), and the span of 500 severs after it (seed 1) or past
+// the journal's end (seeds 2 and 3), where the severed attempt itself
+// already succeeded and resume must be a pure replay. The matrix runs
+// on a clean mesh, where every country is attained, and on one where
+// SY is dark, whose outage and coverage the journal does not hold:
+// resume must recompute them from the checkpoints' loss reasons, and
+// replay the dark exits SY's unit met from its checkpoint.
 func TestKillMidWriteMatrix(t *testing.T) {
 	dark, _ := faults.Named("dark")
 	for _, cell := range []struct {
@@ -151,7 +154,7 @@ func TestKillMidWriteMatrix(t *testing.T) {
 			assertSameScan(t, cell.name+" bare", bareCol, refCol, bareSnap, refSnap)
 
 			for _, seed := range []uint64{1, 2, 3} {
-				for _, span := range []int64{25, 200} {
+				for _, span := range []int64{25, 200, 500} {
 					dir := t.TempDir()
 					crash := faults.New(seed).StoreCrash(span)
 

@@ -34,11 +34,13 @@ const (
 )
 
 // journalMagic opens the journal file and names its record format.
-// GBRUNST3 is one file of the four record types above; GBRUNST2 was
-// split into segments and also journaled outage and coverage records,
-// and GBRUNST1 carried checkpoint metrics as JSON. Open refuses both
-// rather than read them as a torn tail.
-const journalMagic = "GBRUNST3"
+// GBRUNST4 is one file of the four record types above, whose
+// checkpoints carry the unit's injected-fault counts; GBRUNST3
+// checkpoints did not, GBRUNST2 was split into segments and also
+// journaled outage and coverage records, and GBRUNST1 carried
+// checkpoint metrics as JSON. Open refuses them all rather than read
+// them as a torn tail.
+const journalMagic = "GBRUNST4"
 
 // frameHeader is the byte length of the length+CRC prefix.
 const frameHeader = 8
@@ -276,7 +278,7 @@ func appendMetrics(b []byte, m *scanner.UnitMetrics) []byte {
 // metricFields lists m's counters in wire order, the one order both
 // appendMetrics and dec.metrics follow.
 func metricFields(m *scanner.UnitMetrics) []*int64 {
-	f := make([]*int64, 0, 8+len(m.Results)+2*(len(m.Bytes.Counts)+2))
+	f := make([]*int64, 0, 8+len(m.Results)+2*(len(m.Bytes.Counts)+2)+5)
 	f = append(f, &m.Attempts, &m.OpenAttempts, &m.Brownouts, &m.Retries, &m.Rotations, &m.Probes, &m.FailedSweeps, &m.BreakerTrips)
 	for i := range m.Results {
 		f = append(f, &m.Results[i])
@@ -287,7 +289,7 @@ func metricFields(m *scanner.UnitMetrics) []*int64 {
 		}
 		f = append(f, &h.OutOfRange, &h.Sum)
 	}
-	return f
+	return append(f, &m.Faults.Dark, &m.Faults.Churn, &m.Faults.ExitDown, &m.Faults.Stall, &m.Faults.Truncate)
 }
 
 var errTruncated = errors.New("runstore: truncated record payload")

@@ -161,13 +161,15 @@ func badMetrics() [][]byte {
 // TestOpenRefusesOldFormat: a journal in an earlier build's format
 // fails Open, and Open changes no file. The segmented layout — a
 // MANIFEST listing seg-*.log files, or the segments alone — is refused
-// by name; a journal file opening with another magic (here GBRUNST2,
-// whose outage and coverage records this build no longer decodes) is
-// refused naming both magics. Read as the current format, such a
-// journal would lose its records to recovery as a torn tail.
+// by name; a journal file opening with another magic (GBRUNST2, whose
+// outage and coverage records this build no longer decodes, or
+// GBRUNST3, whose checkpoints carry no fault counts) is refused naming
+// both magics. Read as the current format, such a journal would lose
+// its records to recovery as a torn tail.
 func TestOpenRefusesOldFormat(t *testing.T) {
-	seg := []byte("GBRUNST2")
-	seg = append(seg, frame(encodeRecord(Record{Type: recPhaseBegin, Key: "top10k-initial", Name: "top10k-initial", Fingerprint: 1}))...)
+	begin := frame(encodeRecord(Record{Type: recPhaseBegin, Key: "top10k-initial", Name: "top10k-initial", Fingerprint: 1}))
+	prev := append([]byte("GBRUNST3"), begin...)
+	seg := append([]byte("GBRUNST2"), begin...)
 	seg = append(seg, frame(encodeRecord(Record{Type: recCheckpoint, Checkpoint: Checkpoint{Country: "SY", Tasks: 80, Lost: scanner.OutageDark}}))...)
 	for _, old := range retiredRecords() {
 		seg = append(seg, frame(old)...)
@@ -182,6 +184,7 @@ func TestOpenRefusesOldFormat(t *testing.T) {
 		{"segmented", map[string][]byte{"MANIFEST": manifest, "seg-00000000.log": seg}, []string{"segmented journal", "MANIFEST", journalMagic}},
 		{"segments without a manifest", map[string][]byte{"seg-00000000.log": seg}, []string{"segmented journal"}},
 		{"another magic", map[string][]byte{journalName: seg}, []string{`"GBRUNST2"`, journalMagic}},
+		{"the previous magic", map[string][]byte{journalName: prev}, []string{`"GBRUNST3"`, journalMagic}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

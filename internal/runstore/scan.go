@@ -147,7 +147,7 @@ func (s *Store) replayPhase(ph *phaseState, sink scanner.Sink, reg *telemetry.Re
 		reg.Counter(scanner.MetSinkSamples).Add(int64(replayed))
 		reg.Counter(scanner.MetSinkBytes).Add(bodyBytes)
 		for _, cp := range checkpoints {
-			cp.Metrics.AddTo(reg)
+			cp.Metrics.AddTo(reg, cp.Country)
 		}
 	}
 	s.opts.Metrics.RuntimeCounter(MetRecordsReplayed).Add(int64(replayed))

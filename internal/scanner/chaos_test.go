@@ -229,7 +229,7 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 			for _, conc := range []int{1, 4, 32} {
 				reg := telemetry.New()
 				tr := trace.New(trace.Root(42))
-				inj := faults.New(42).Default(profile).Instrument(reg)
+				inj := faults.New(42).Default(profile)
 				cfg := testConfig()
 				cfg.Concurrency = conc
 				cfg.Metrics = reg
@@ -379,7 +379,7 @@ func TestBrownoutBackoff(t *testing.T) {
 	if _, err := openSession(net, cc, slot, Config{}, m); err != nil {
 		t.Fatalf("transient brownout did not clear: %v", err)
 	}
-	m.AddTo(reg)
+	m.AddTo(reg, string(cc))
 	if waits(reg) == 0 {
 		t.Fatal("no backoff waits recorded")
 	}
@@ -389,7 +389,7 @@ func TestBrownoutBackoff(t *testing.T) {
 	net2 := chaosNet(faults.New(5).Default(permanent))
 	m = new(UnitMetrics)
 	_, err := openSession(net2, cc, slot, Config{}, m)
-	m.AddTo(reg)
+	m.AddTo(reg, string(cc))
 	if err == nil {
 		t.Fatal("blackout session open succeeded")
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -12,7 +12,6 @@ import (
 	"geoblock/internal/faults"
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
-	"geoblock/internal/telemetry"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
 )
@@ -126,12 +125,12 @@ func refDomains(t *testing.T, w *worldgen.World, n int) []string {
 // churn and mixed chaos profiles. A third twin sends its hops through
 // Config.WrapTransport, the per-hop HTTP adapter path, and a fourth
 // sends the attempt as the one-off Fetch; both must agree too. Each
-// twin has a network of its own, whose injector (the same seed for
-// all) counts the faults it fires: the direct path walks a same-site
-// chain in one probe, and its per-hop fault draws must fire exactly
-// what the reference's hop-by-hop requests fire. Nothing else pins the
-// redirect bound: the benchmark worlds hold no redirect-loop or
-// proxy-refused domains.
+// twin has a network of its own, under an injector of the same seed,
+// and its session counts the faults it acts on: the direct path walks
+// a same-site chain in one probe, and its per-hop fault draws must
+// fire exactly what the reference's hop-by-hop requests fire. Nothing
+// else pins the redirect bound: the benchmark worlds hold no
+// redirect-loop or proxy-refused domains.
 func TestFetchMatchesNetHTTP(t *testing.T) {
 	domains := refDomains(t, refWorld, 3)
 	// Names that are not plain host names take the net/url path: one
@@ -144,14 +143,14 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 		t.Run("profile="+profile, func(t *testing.T) {
 			const twins = 4 // net/http, direct, wrapped, Fetch
 			var nets [twins]*proxy.Network
-			var regs [twins]*telemetry.Registry
 			for i := range nets {
-				nets[i], regs[i] = proxy.NewNetwork(refWorld), telemetry.New()
+				nets[i] = proxy.NewNetwork(refWorld)
 				if profile != "" {
 					p, _ := faults.Named(profile)
-					nets[i].SetFaults(faults.New(7).Default(p).Instrument(regs[i]))
+					nets[i].SetFaults(faults.New(7).Default(p))
 				}
 			}
+			fired := false
 			cfg := testConfig()
 			cfg.Bodies = BodyAll // exercise the body path on every hop kind
 			cfg = cfg.withDefaults()
@@ -207,18 +206,16 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 						}
 					}
 				}
-			}
-			if profile == "" {
-				return
-			}
-			want := injectedCounts(regs[0])
-			if len(want) == 0 {
-				t.Fatalf("the %s profile fired no faults", profile)
-			}
-			for i, name := range []string{"direct", "wrapped", "Fetch"} {
-				if got := injectedCounts(regs[i+1]); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s fired faults %v, net/http %v", name, got, want)
+				want := ref.Faults()
+				for i, name := range []string{"direct", "wrapped", "Fetch"} {
+					if got := sessions[i+1].Faults(); got != want {
+						t.Errorf("%s: %s fired faults %+v, net/http %+v", cc, name, got, want)
+					}
 				}
+				fired = fired || want != proxy.FaultCounts{}
+			}
+			if fired != (profile != "") {
+				t.Fatalf("the %q profile fired faults: %v", profile, fired)
 			}
 		})
 	}
@@ -231,17 +228,6 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 	if statuses[403] == 0 {
 		t.Errorf("no attempt saw a block page; statuses %v", statuses)
 	}
-}
-
-// injectedCounts reads the faults.injected{…} counters out of reg.
-func injectedCounts(reg *telemetry.Registry) map[string]int64 {
-	out := map[string]int64{}
-	for _, m := range reg.Snapshot().Counters {
-		if strings.HasPrefix(m.Name, faults.MetInjected+"{") {
-			out[m.Name] = m.Value
-		}
-	}
-	return out
 }
 
 // fetchedSample fills s with what a BodyAll scan attempt records for
@@ -272,46 +258,64 @@ func brief(s Sample) Sample {
 	return s
 }
 
-// TestFetchAllocs pins the fetcher's steady-state cost: the direct
-// probe path stays under ten allocations per sample, and counting the
-// attempt into a unit's metrics allocates nothing — UnitMetrics.fetched
-// reads 0 allocations, and an attempt allocates exactly the same with
-// metrics as without them. Twin sessions (same country and slot) take
-// the same exits, so both fetchers do identical work apart from the
-// counting. No page on the path goes through a sync.Pool (fmt's
-// printers did), so the twin counts hold under -race too.
+// TestFetchAllocs pins the fetcher's steady-state cost: a pass of
+// direct-probe samples that keeps every body allocates exactly once
+// per body it keeps — the page, rendered into one exact-size
+// allocation by the edge (block and junk pages) or when the sample
+// reads it (origin pages) — and nothing else; TestHopAllocs pins that
+// a sample keeping nothing allocates nothing. Counting the attempts
+// into a unit's metrics allocates nothing: UnitMetrics.fetched reads 0
+// allocations, and a pass allocates exactly the same with metrics as
+// without them. Twin sessions (same country and slot) take the same
+// exits, so both fetchers do identical work apart from the counting.
+// No page on the path goes through a sync.Pool (fmt's printers did),
+// so the counts hold under -race too.
 func TestFetchAllocs(t *testing.T) {
 	domains, _ := smallInputs(64)
-	cfg := testConfig().withDefaults()
-	perSample := func(m *UnitMetrics) float64 {
+	cfg := testConfig()
+	cfg.Bodies = BodyAll
+	cfg = cfg.withDefaults()
+	// pass measures one pass of samples, four over each domain, and
+	// returns its allocations and the bodies it kept.
+	pass := func(m *UnitMetrics) (allocs float64, kept int) {
 		s, err := testNet.NewSession("DE", 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), m)
 		fetchAll := func() {
-			for i, domain := range domains {
-				if s.Used() >= RequestsPerExit {
-					s.Rotate()
+			kept = 0
+			for round := 0; round < 4; round++ {
+				for i, domain := range domains {
+					if s.Used() >= RequestsPerExit {
+						s.Rotate()
+					}
+					if f.fetch(domain, uint64(i), Task{Domain: int32(i)}, 0, s.Exit().IP).Body != "" {
+						kept++
+					}
 				}
-				f.fetch(domain, uint64(i), Task{Domain: int32(i)}, 0, s.Exit().IP)
 			}
 		}
 		fetchAll() // warm the world's lazy caches
-		return testing.AllocsPerRun(20, fetchAll) / float64(len(domains))
+		// A collection the pass's pages set off may allocate on its own.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(1, fetchAll), kept
 	}
-	bare := perSample(nil)
+	bare, kept := pass(nil)
 	m := new(UnitMetrics)
-	counted := perSample(m)
-	t.Logf("%.2f allocs/sample, %.2f with metrics", bare, counted)
-	if bare >= 10 {
-		t.Fatalf("fetcher allocates %.2f times per sample; the direct probe path must stay under 10", bare)
+	counted, countedKept := pass(m)
+	t.Logf("%.0f allocations for %d kept bodies in %d samples; %.0f for %d with metrics", bare, kept, 4*len(domains), counted, countedKept)
+	if kept == 0 {
+		t.Fatal("the pass kept no body")
+	}
+	if bare != float64(kept) {
+		t.Fatalf("a pass that kept %d bodies allocated %.0f times", kept, bare)
 	}
 	if m.Attempts == 0 {
 		t.Fatal("the metrics counted no attempts")
 	}
-	if counted != bare {
-		t.Fatalf("a fetch attempt allocates %.3f times with metrics and %.3f without", counted, bare)
+	if counted != bare || countedKept != kept {
+		t.Fatalf("a pass allocates %.0f times for %d bodies with metrics and %.0f for %d without", counted, countedKept, bare, kept)
 	}
 	s := Sample{BodyLen: 512}
 	record := func() { m.fetched(&s) }

@@ -10,8 +10,10 @@ package scanner
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"geoblock/internal/proxy"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 )
@@ -48,6 +50,9 @@ const (
 	MetCovRequested = "scanner.coverage.requested"
 	MetCovAttained  = "scanner.coverage.attained"
 	MetCovTasksLost = "scanner.coverage.tasks_lost"
+
+	// Fault injection: the fault hook's verdicts the scan's units met.
+	MetInjected = "faults.injected" // + {kind=<kind>,country=<the unit's>}
 )
 
 // The fetch result counters, one per ErrCode: each is
@@ -72,11 +77,11 @@ const (
 	unitBins     = 16
 )
 
-// UnitMetrics is the one form a unit's session and fetch metrics take:
-// the executing unit counts into it, its UnitResult and ShardDone point
-// at it, journal checkpoints and fabric completions carry it, and AddTo
-// adds it to a registry at the unit's emission or replay. Every field
-// is deterministic and never negative.
+// UnitMetrics is the one form a unit's session, fetch and fault
+// metrics take: the executing unit counts into it, its UnitResult and
+// ShardDone point at it, journal checkpoints and fabric completions
+// carry it, and AddTo adds it to a registry at the unit's emission or
+// replay. Every field is deterministic and never negative.
 type UnitMetrics struct {
 	// Fetcher is set once the unit built a fetcher, whose series
 	// register even when they stayed zero.
@@ -89,6 +94,10 @@ type UnitMetrics struct {
 	// Bytes holds the body sizes of ErrNone attempts; Backoff the
 	// computed brownout waits, in milliseconds.
 	Bytes, Backoff UnitHistogram
+
+	// Faults is the injected faults the unit's session acted on, copied
+	// from it when the unit ends. The injected brownouts are Brownouts.
+	Faults proxy.FaultCounts
 }
 
 // UnitHistogram is a unit's share of a deterministic registry
@@ -119,10 +128,11 @@ func (h *UnitHistogram) addTo(th *telemetry.Histogram) {
 	th.AddBatch(counts[:], int(h.OutOfRange), h.Sum)
 }
 
-// AddTo adds m to reg. It registers exactly what recording each event
-// live registers: a fetcher's series even at zero, and a session series
-// only once it moved. A nil m or reg adds nothing.
-func (m *UnitMetrics) AddTo(reg *telemetry.Registry) {
+// AddTo adds m, the metrics of a unit in country, to reg. It registers
+// exactly what recording each event live registers: a fetcher's series
+// even at zero, and a session or fault series only once it moved. A nil
+// m or reg adds nothing.
+func (m *UnitMetrics) AddTo(reg *telemetry.Registry, country string) {
 	if m == nil || reg == nil {
 		return
 	}
@@ -150,15 +160,24 @@ func (m *UnitMetrics) AddTo(reg *telemetry.Registry) {
 		// is deterministic-class even though it records durations.
 		m.Backoff.addTo(reg.Histogram(MetBackoff, 0, backoffMaxMs, unitBins))
 	}
+	fired := [...]int64{m.Brownouts, m.Faults.Dark, m.Faults.Churn, m.Faults.ExitDown, m.Faults.Stall, m.Faults.Truncate}
+	for i, kind := range [...]string{"brownout", "dark", "churn", "exitdown", "stall", "truncate"} {
+		if fired[i] > 0 {
+			reg.Counter(telemetry.Label(MetInjected, "kind", kind, "country", country)).Add(fired[i])
+		}
+	}
 }
 
 // check reports a UnitMetrics no execution of a unit allowed at most
 // maxAttempts fetch attempts produces: one whose results do not sum to
 // its attempts, whose body-size histogram does not hold exactly its
-// ErrNone results, with more attempts than allowed, or with attempts
-// but no fetcher. The sums are bounded term by term, so no decoded
-// value can overflow them into agreement.
+// ErrNone results, with more attempts than allowed, with attempts but
+// no fetcher, or with more injected faults than one per hop its
+// attempts may send and one dark exit per pre-check probe. The sums are
+// bounded term by term, so no decoded value can overflow them into
+// agreement.
 func (m *UnitMetrics) check(maxAttempts int64) error {
+	hops := m.Attempts * MaxRedirects
 	switch {
 	case m.Attempts < 0 || m.Attempts > maxAttempts:
 		return fmt.Errorf("%d attempts, at most %d allowed", m.Attempts, maxAttempts)
@@ -168,6 +187,8 @@ func (m *UnitMetrics) check(maxAttempts int64) error {
 		return fmt.Errorf("results do not sum to its %d attempts", m.Attempts)
 	case sumTo(m.Results[ErrNone], m.Bytes.OutOfRange, sumTo(m.Results[ErrNone], m.Bytes.Counts[:]...)) != m.Results[ErrNone]:
 		return fmt.Errorf("body-size histogram does not hold its %d ok results", m.Results[ErrNone])
+	case sumTo(hops+min(m.Probes, math.MaxInt64-hops), m.Faults.Dark, m.Faults.Churn, m.Faults.ExitDown, m.Faults.Stall, m.Faults.Truncate) < 0:
+		return fmt.Errorf("injected faults %+v pass one per hop of %d attempts and one per %d pre-check probes", m.Faults, m.Attempts, m.Probes)
 	}
 	return nil
 }

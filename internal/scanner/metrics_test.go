@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"geoblock/internal/faults"
+	"geoblock/internal/proxy"
 	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 )
@@ -65,7 +66,7 @@ func TestScanSnapshotGolden(t *testing.T) {
 				var b strings.Builder
 				for _, d := range sc.Dones {
 					shard := telemetry.New()
-					d.Metrics.AddTo(shard)
+					d.Metrics.AddTo(shard, d.Country)
 					fmt.Fprintf(&b, "## shard %d %s\n%s\n", d.Seq, d.Country, shard.Snapshot().Deterministic().Text())
 				}
 				checkGolden(t, "shards.golden", b.String())
@@ -124,7 +125,7 @@ func TestResultCounterNames(t *testing.T) {
 		m.Results[e] = int64(e) + 1
 	}
 	reg := telemetry.New()
-	m.AddTo(reg)
+	m.AddTo(reg, "US")
 	snap := reg.Snapshot()
 	for c := ErrCode(0); c < ErrCode(errCodeCount); c++ {
 		name := telemetry.Label(MetFetchResults, "code", c.String())
@@ -140,6 +141,22 @@ func TestResultCounterNames(t *testing.T) {
 	}
 	if series != errCodeCount {
 		t.Errorf("AddTo registered %d result series, want %d", series, errCodeCount)
+	}
+}
+
+// TestFaultCountBound pins the injected faults UnitMetrics.check lets
+// a unit count: one per hop its attempts may send, plus one dark exit
+// per pre-check probe, and not one more.
+func TestFaultCountBound(t *testing.T) {
+	m := UnitMetrics{Fetcher: true, Attempts: 3, Probes: 4}
+	m.Results[ErrProxy] = 3
+	m.Faults = proxy.FaultCounts{Dark: 4 + 2, Churn: 3*MaxRedirects - 2}
+	if err := m.check(3); err != nil {
+		t.Fatalf("faults at the bound refused: %v", err)
+	}
+	m.Faults.Truncate++
+	if err := m.check(3); err == nil {
+		t.Fatal("a fault past the bound accepted")
 	}
 }
 

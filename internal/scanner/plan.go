@@ -409,7 +409,7 @@ func (a *Assembly) emit() {
 			}
 			reg.Counter(MetSinkSamples).Add(int64(len(res.Samples)))
 			reg.Counter(MetSinkBytes).Add(bytes)
-			res.Metrics.AddTo(reg)
+			res.Metrics.AddTo(reg, sh.country)
 		}
 		if a.shardSink != nil {
 			a.shardSink.EmitShardDone(ShardDone{

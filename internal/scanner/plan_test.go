@@ -174,9 +174,10 @@ func TestAssemblyRejections(t *testing.T) {
 	}
 	// Results that are not unit 0's output — a short payload, a sample
 	// of a foreign domain, an unknown loss reason, and metrics no
-	// execution of the unit counts — are rejected, and checked before
-	// the duplicate test, so no bad payload ever passes for a
-	// duplicate.
+	// execution of the unit counts, among them more injected faults
+	// than its hops and pre-check probes could meet — are rejected, and
+	// checked before the duplicate test, so no bad payload ever passes
+	// for a duplicate.
 	short, foreign, unknown, unmetered := res, res, res, res
 	short.Samples = res.Samples[:1]
 	foreign.Samples = append([]Sample(nil), res.Samples...)
@@ -200,6 +201,9 @@ func TestAssemblyRejections(t *testing.T) {
 			m.Bytes = UnitHistogram{OutOfRange: m.Results[ErrNone] + 2}
 			m.Bytes.Counts[0], m.Bytes.Counts[1] = math.MaxInt64, math.MaxInt64
 		}),
+		metrics(func(m *UnitMetrics) { m.Faults.Stall = m.Attempts*MaxRedirects + m.Probes + 1 }),
+		// Faults and probes that would wrap past 2^63 into the bound.
+		metrics(func(m *UnitMetrics) { m.Probes, m.Faults.Dark, m.Faults.Churn = math.MaxInt64, math.MaxInt64, 1 }),
 	}
 	for i, r := range bad {
 		if err := asm.Complete(0, r); !errors.Is(err, ErrBadCompletion) {

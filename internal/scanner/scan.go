@@ -90,6 +90,9 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *sh
 		return out, lost
 	}
 
+	// The session counts the injected faults it acts on; the unit's
+	// metrics take them when the unit ends.
+	defer func() { m.Faults = se.transport().Faults() }()
 	f := newFetcher(ctx, se.transport(), cfg, hs, m)
 	salt := seedSalt(sh.country, cfg.Phase)
 	done := ctx.Done()

@@ -3,22 +3,40 @@ package geoblock
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"geoblock/internal/faults"
 	"geoblock/internal/papertables"
 	"geoblock/internal/runstore"
+	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
 )
 
-// resumeRun executes the Top-10K study once, optionally journaled, and
-// returns the result, the rendered paper tables, and the deterministic
-// telemetry snapshot.
-func resumeRun(t *testing.T, store *RunStore, reg *telemetry.Registry) (*Top10KResult, string, string) {
+// resumeRun executes the Top-10K study once, optionally journaled and
+// under the chaos profile chaos names (nil for none), and returns the
+// result, the rendered paper tables, and the deterministic telemetry
+// snapshot.
+func resumeRun(t *testing.T, store *RunStore, reg *telemetry.Registry, chaos *FabricFaultSpec) (*Top10KResult, string, string) {
 	t.Helper()
-	s := New(Options{Scale: 0.02, Seed: 11, Metrics: reg, Store: store})
+	s := chaosSystem(t, Options{Scale: 0.02, Seed: 11, Metrics: reg, Store: store}, chaos)
 	r := s.RunTop10K(Top10KConfig{})
 	return r, paperTables(s, r), reg.Snapshot().Deterministic().Text()
+}
+
+// chaosSystem is New with the injector chaos names (nil for none)
+// installed in its mesh, as geoscan -faults installs it.
+func chaosSystem(t *testing.T, opts Options, chaos *FabricFaultSpec) *System {
+	t.Helper()
+	s := New(opts)
+	if chaos != nil {
+		inj, err := chaos.Injector()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Net().SetFaults(inj)
+	}
+	return s
 }
 
 // paperTables renders a Top-10K run's tables exactly as geoscan prints
@@ -33,9 +51,23 @@ func paperTables(s *System, r *Top10KResult) string {
 // journal partway through a Top-10K study, reopen the directory with a
 // fresh System, and the resumed study's findings, paper tables, and
 // deterministic telemetry are byte-identical to a run that never
-// crashed.
+// crashed — on a clean mesh, and under the mixed chaos profile, whose
+// fault counts the resumed run replays from the journal's checkpoints.
 func TestStudyResumeAfterCrash(t *testing.T) {
-	refResult, refTables, refSnap := resumeRun(t, nil, telemetry.New())
+	for _, chaos := range []*FabricFaultSpec{nil, {Seed: 7, Profile: "mixed"}} {
+		name := "clean"
+		if chaos != nil {
+			name = chaos.Profile
+		}
+		t.Run(name, func(t *testing.T) { studyResumeAfterCrash(t, chaos) })
+	}
+}
+
+func studyResumeAfterCrash(t *testing.T, chaos *FabricFaultSpec) {
+	refResult, refTables, refSnap := resumeRun(t, nil, telemetry.New(), chaos)
+	if injected := strings.Contains(refSnap, scanner.MetInjected); injected != (chaos != nil) {
+		t.Fatalf("reference snapshot holds fault counts: %v; chaos profile: %v", injected, chaos != nil)
+	}
 
 	// A journaled run with no crash must change nothing.
 	dir := t.TempDir()
@@ -43,7 +75,7 @@ func TestStudyResumeAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tables, snap := resumeRun(t, st, telemetry.New())
+	_, tables, snap := resumeRun(t, st, telemetry.New(), chaos)
 	st.Close()
 	if tables != refTables {
 		t.Fatalf("journaling changed the paper tables:\n--- journaled ---\n%s\n--- reference ---\n%s", tables, refTables)
@@ -60,7 +92,7 @@ func TestStudyResumeAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashSys := New(Options{Scale: 0.02, Seed: 11, Metrics: telemetry.New(), Store: crashed})
+	crashSys := chaosSystem(t, Options{Scale: 0.02, Seed: 11, Metrics: telemetry.New(), Store: crashed}, chaos)
 	_ = crashSys.RunTop10K(Top10KConfig{})
 	if err := crashSys.study.Err(); !errors.Is(err, runstore.ErrSevered) {
 		t.Fatalf("crashed study error = %v, want ErrSevered", err)
@@ -77,7 +109,7 @@ func TestStudyResumeAfterCrash(t *testing.T) {
 	if phases := resumed.Phases(); len(phases) == 0 {
 		t.Fatal("crashed journal holds no phases; the crash landed before any scan")
 	}
-	result, tables, snap := resumeRun(t, resumed, telemetry.New())
+	result, tables, snap := resumeRun(t, resumed, telemetry.New(), chaos)
 	if len(result.Findings) != len(refResult.Findings) {
 		t.Fatalf("resumed study found %d instances, reference %d", len(result.Findings), len(refResult.Findings))
 	}

@@ -3,8 +3,10 @@
 # checked across real OS processes, not goroutines. One `geoscan
 # -study lumscan` coordinator and three scanworker processes — one of
 # which is killed by chaos injection mid-shard so its lease expires and
-# the shard is re-executed — must write a journal byte-identical to
-# that of a single-process run of the same scan.
+# the shard is re-executed — must write a journal, stdout and
+# deterministic metrics (the -metrics-out lines not marked "(runtime)",
+# injected-fault counts included) byte-identical to those of a
+# single-process run of the same scan.
 #
 # Run via `make fabric-test`. Needs only the go toolchain and a POSIX
 # shell; everything happens under a temp directory that is cleaned up
@@ -34,7 +36,8 @@ go build -o "$work/scanworker" ./cmd/scanworker
 scan_flags="-domains all -countries US,DE,IR,SY,BR -samples 2 -seed 11 -scale 0.02 -faults flaky50 -faultseed 3"
 
 echo "fabric-integration: single-process reference run"
-"$work/geoscan" -study lumscan $scan_flags -store "$work/ref" >"$work/ref.out" 2>"$work/ref.err" \
+"$work/geoscan" -study lumscan $scan_flags -store "$work/ref" -metrics-out "$work/ref.metrics" \
+    >"$work/ref.out" 2>"$work/ref.err" \
     || { echo "single-process run failed:"; cat "$work/ref.err"; exit 1; }
 
 echo "fabric-integration: coordinator + 3 workers (one chaos-killed)"
@@ -43,7 +46,7 @@ echo "fabric-integration: coordinator + 3 workers (one chaos-killed)"
 # shard completions and merged in canonical order. The file survives
 # the temp-dir cleanup as the run's artifact (CI uploads it).
 trace_artifact="${FABRIC_TRACE_ARTIFACT:-$here/fabric-trace.json}"
-"$work/geoscan" -study lumscan $scan_flags -store "$work/fab" -trace "$trace_artifact" \
+"$work/geoscan" -study lumscan $scan_flags -store "$work/fab" -metrics-out "$work/fab.metrics" -trace "$trace_artifact" \
     -fabric 127.0.0.1:0 -fabric-ready-file "$work/ready" \
     >"$work/fab.out" 2>"$work/fab.err" &
 coord=$!
@@ -106,6 +109,20 @@ if ! cmp -s "$work/ref.out" "$work/fab.out"; then
     exit 1
 fi
 
+# So must the deterministic metrics: every -metrics-out line but the
+# runtime-class ones, which describe one schedule.
+grep -v "(runtime)" "$work/ref.metrics" >"$work/ref.det"
+grep -v "(runtime)" "$work/fab.metrics" >"$work/fab.det"
+if ! grep -q "^faults.injected" "$work/ref.det"; then
+    echo "FAIL: the single-process run counted no injected faults"
+    exit 1
+fi
+if ! cmp -s "$work/ref.det" "$work/fab.det"; then
+    echo "FAIL: deterministic metrics differ between single-process and fabric runs"
+    diff "$work/ref.det" "$work/fab.det" | head -20 || true
+    exit 1
+fi
+
 # The merged trace must exist and be Chrome trace-event JSON with
 # worker-executed unit events in it (the "session.open" spans run on
 # workers, so their presence proves events crossed the wire).
@@ -124,4 +141,4 @@ if ! grep -q '"session.open"' "$trace_artifact"; then
 fi
 echo "fabric-integration: merged trace artifact at $trace_artifact"
 
-echo "fabric-integration: PASS — fabric journal and output byte-identical to single-process"
+echo "fabric-integration: PASS — fabric journal, output and deterministic metrics byte-identical to single-process"

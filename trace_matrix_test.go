@@ -118,7 +118,7 @@ func TestTraceMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fabricRun(t, store, telemetry.New(), tr, tc.workers, tc.kill)
+		fabricRun(t, store, telemetry.New(), tr, tc.workers, tc.kill, nil)
 		store.Close()
 		got, err := tr.Snapshot().Deterministic().JSON()
 		if err != nil {
