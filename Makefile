@@ -24,7 +24,12 @@
 #                scheduler suites exercise the concurrent scan path),
 #                plus an explicit run of the verdict edge's trimmed soak
 #                shape — the heaviest reader/swap interleaving the suite
-#                has — so it never hides behind test caching
+#                has — so it never hides behind test caching, and ten
+#                runs of the scan pool's determinism and per-unit
+#                allocation tests: each pool worker's unit state and the
+#                assembly's free list of sample buffers are reached from
+#                several goroutines, a buffer passing from the worker
+#                that filled it to whichever one completes next
 #   make cover   coverage with ratcheted floors for the scan engine, the
 #                fault-injection layer, the telemetry layer, the journal
 #                (runstore), the verdict edge, the lint suite, the hop
@@ -94,6 +99,7 @@ lint-json:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race ./cmd/worldd -run TestVerdictSoak -count=1
+	$(GO) test -race ./internal/scanner -run 'TestDeterminismAcrossConcurrency|TestUnitAllocs' -count=10
 
 # Ratcheted coverage floors: set just below the level each package
 # actually achieves, so coverage can only move up. Raise the floor when

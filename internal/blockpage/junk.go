@@ -35,9 +35,42 @@ func JunkKinds() []JunkKind {
 // body is almost entirely template; only a tiny per-site token varies,
 // so instances cluster.
 func RenderJunk(k JunkKind, domain string, nonce string) string {
+	page, args, n := junkPage(k, domain, nonce)
+	if n == 0 {
+		return page
+	}
+	return fill(page, args[:n]...)
+}
+
+// JunkLen is len(RenderJunk(k, domain, nonce)), worked out from the
+// template without rendering the page.
+func JunkLen(k JunkKind, domain string, nonce string) int {
+	page, args, n := junkPage(k, domain, nonce)
+	return fillLen(page, args[:n]...)
+}
+
+// junkPage returns junk page k's template and the first n of args, the
+// values of its %s verbs in order.
+func junkPage(k JunkKind, domain, nonce string) (page string, args [2]string, n int) {
 	switch k {
 	case JunkNginxDefault:
-		return `<!DOCTYPE html>
+		return nginxDefaultPage, args, 0
+	case JunkApacheDefault:
+		return apacheDefaultPage, args, 0
+	case JunkMaintenance:
+		return maintenancePage, [2]string{nonce}, 1
+	case JunkEmptyApp:
+		return emptyAppPage, [2]string{nonce}, 1
+	case JunkParked:
+		return parkedPage, [2]string{domain, domain}, 2
+	}
+	panic(fmt.Sprintf("blockpage: junk page of kind %d", int(k)))
+}
+
+// The junk pages. The first two hold no verb and no %%; fill
+// substitutes the %s verbs of the others.
+
+const nginxDefaultPage = `<!DOCTYPE html>
 <html>
 <head>
 <title>Welcome to nginx!</title>
@@ -57,8 +90,8 @@ Commercial support is available at
 </body>
 </html>
 `
-	case JunkApacheDefault:
-		return `<!DOCTYPE html PUBLIC "-//W3C//DTD XHTML 1.0 Transitional//EN" "http://www.w3.org/TR/xhtml1/DTD/xhtml1-transitional.dtd">
+
+const apacheDefaultPage = `<!DOCTYPE html PUBLIC "-//W3C//DTD XHTML 1.0 Transitional//EN" "http://www.w3.org/TR/xhtml1/DTD/xhtml1-transitional.dtd">
 <html xmlns="http://www.w3.org/1999/xhtml">
   <head>
     <title>Apache2 Ubuntu Default Page: It works</title>
@@ -77,17 +110,6 @@ Commercial support is available at
   </body>
 </html>
 `
-	case JunkMaintenance:
-		return fill(maintenancePage, nonce)
-	case JunkEmptyApp:
-		return fill(emptyAppPage, nonce)
-	case JunkParked:
-		return fill(parkedPage, domain, domain)
-	}
-	panic(fmt.Sprintf("blockpage: RenderJunk of %d", int(k)))
-}
-
-// The formatted junk pages; fill substitutes their %s verbs.
 
 const maintenancePage = `<!DOCTYPE html>
 <html lang="en">

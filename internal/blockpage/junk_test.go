@@ -10,6 +10,9 @@ import (
 func TestJunkKindsRender(t *testing.T) {
 	for _, k := range JunkKinds() {
 		body := RenderJunk(k, "site.example.com", "abc123")
+		if n := JunkLen(k, "site.example.com", "abc123"); n != len(body) {
+			t.Errorf("junk kind %d: JunkLen %d, rendered %d bytes", k, n, len(body))
+		}
 		if len(body) < 200 {
 			t.Errorf("junk kind %d too short (%d bytes)", k, len(body))
 		}

@@ -91,12 +91,12 @@ type hop struct {
 // followed (Hops of them). Page records the ground truth of what was
 // served (never exposed on the wire).
 //
-// Rendering is lazy. The origin page is built only when Body is
-// called, the redirect's Location only when Location is, and the
-// response headers (provider signatures, Content-Type, Content-Length,
-// Location) only when Header is, so status- and length-only consumers
-// pay for none of them. Block pages are rendered eagerly, because
-// their length is the body's length.
+// Rendering is lazy. The origin and junk pages are built only when
+// Body is called, the redirect's Location only when Location is, and
+// the response headers (provider signatures, Content-Type,
+// Content-Length, Location) only when Header is, so status- and
+// length-only consumers pay for none of them. Block pages are rendered
+// eagerly, because their length is the body's length.
 type Response struct {
 	Status  int
 	BodyLen int
@@ -105,13 +105,17 @@ type Response struct {
 	// same-site redirect the edge followed within Request.MaxHops.
 	Hops int
 
-	body    string                // the rendered body, unless origin is set
+	body    string                // the rendered body, unless origin or junk is set
 	origin  *blockpage.OriginSite // the origin page, rendered on demand
 	variant blockpage.PageVariant
 	seed    uint64
 	host    string // the request's host
 	www     bool   // the last hop's host is host with "www." in front
 	next    hop    // the last hop's redirect target
+
+	// junk marks a junk page of kind junkKind, rendered on demand.
+	junk     bool
+	junkKind blockpage.JunkKind
 
 	// The inputs of the provider headers.
 	domain    *worldgen.Domain
@@ -137,8 +141,12 @@ func (r Response) Location() string {
 
 // Body renders the response body.
 func (r Response) Body() string {
-	if r.origin != nil {
+	switch {
+	case r.origin != nil:
 		return r.origin.RenderVariant(r.seed, r.variant)
+	case r.junk:
+		var b [nonceLen]byte
+		return blockpage.RenderJunk(r.junkKind, r.domain.Name, string(junkToken(b[:0], r.nonce)))
 	}
 	return r.body
 }
@@ -213,6 +221,12 @@ func appendRayNonce(dst []byte, ray uint64, nonce uint32) []byte {
 	return blockpage.AppendHex(blockpage.AppendHex(dst, ray, rayLen), uint64(nonce), nonceLen)
 }
 
+// junkToken appends a junk page's per-site token to dst: the nonce's
+// first six hex digits.
+func junkToken(dst []byte, nonce uint32) []byte {
+	return blockpage.AppendHex(dst, uint64(nonce), nonceLen)[:len(dst)+6]
+}
+
 const movedBody = "<html><head><title>301 Moved Permanently</title></head><body>moved</body></html>\n"
 
 // Serve answers req according to the domain's serving chain.
@@ -278,10 +292,9 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 	// short-page noise for the outlier pipeline.
 	if d.JunkRate > 0 && rng.Bool(d.JunkRate) {
 		kinds := blockpage.JunkKinds()
-		k := kinds[x.name%uint64(len(kinds))]
+		resp.junk, resp.junkKind = true, kinds[x.name%uint64(len(kinds))]
 		var b [nonceLen]byte
-		token := blockpage.AppendHex(b[:0], uint64(x.nonce), nonceLen)[:6]
-		resp.setBody(blockpage.RenderJunk(k, d.Name, string(token)))
+		resp.BodyLen = blockpage.JunkLen(resp.junkKind, d.Name, string(junkToken(b[:0], x.nonce)))
 		return
 	}
 
@@ -309,7 +322,7 @@ func (r *Response) setBody(body string) { r.body, r.BodyLen = body, len(body) }
 // database has wrong.
 func Locate(w *worldgen.World, ip geo.IP) geo.Location {
 	loc, _ := w.Geo.Locate(ip)
-	return maybeMisgeolocate(w, loc, ip)
+	return Misgeolocate(w, loc, ip)
 }
 
 // accessControl walks the serving chain and returns the block page of
@@ -620,10 +633,11 @@ func containsFold(s, sub string) bool {
 	return false
 }
 
-// maybeMisgeolocate perturbs the edge's view of the client location for
-// the sticky fraction of addresses the GeoIP database has wrong, moving
-// them to an adjacent country in the table.
-func maybeMisgeolocate(w *worldgen.World, loc geo.Location, ip geo.IP) geo.Location {
+// Misgeolocate is Locate for a client whose database location, loc,
+// the caller already holds: it moves loc to an adjacent country in the
+// table for the sticky fraction of addresses the edge's GeoIP database
+// has wrong.
+func Misgeolocate(w *worldgen.World, loc geo.Location, ip geo.IP) geo.Location {
 	if loc.Country == "" {
 		return loc
 	}

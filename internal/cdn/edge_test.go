@@ -3,6 +3,7 @@ package cdn
 import (
 	"net/url"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"geoblock/internal/blockpage"
@@ -222,19 +223,33 @@ func TestAppLayerVariantServed(t *testing.T) {
 	}
 }
 
+// TestJunkPageServed serves a junk page of every kind: each advertises
+// the length of the page it renders when read, and serving it renders
+// nothing, so it allocates nothing.
 func TestJunkPageServed(t *testing.T) {
-	d := synthetic("junky.example", []worldgen.Provider{worldgen.OriginNginx}, func(d *worldgen.Domain) {
-		d.JunkRate = 1.0
-	})
-	r := serveSyn(t, d, "CH", nil)
-	if r.Status != 200 {
-		t.Fatalf("junk page status %d", r.Status)
+	seen := map[blockpage.JunkKind]bool{}
+	for i := 0; len(seen) < len(blockpage.JunkKinds()) && i < 1000; i++ {
+		d := synthetic("junk"+strconv.Itoa(i)+".example", []worldgen.Provider{worldgen.OriginNginx}, func(d *worldgen.Domain) {
+			d.JunkRate = 1.0
+		})
+		r := serveSyn(t, d, "CH", nil)
+		if r.Status != 200 || !r.junk {
+			t.Fatalf("%s: status %d, junk %v", d.Name, r.Status, r.junk)
+		}
+		if seen[r.junkKind] {
+			continue
+		}
+		seen[r.junkKind] = true
+		if body := r.Body(); r.BodyLen != len(body) || r.BodyLen > 4000 {
+			t.Errorf("junk kind %d: BodyLen %d, body of %d bytes", r.junkKind, r.BodyLen, len(body))
+		}
+		req := synRequest(t, d, "CH")
+		if n := testing.AllocsPerRun(20, func() { ServeTo(testWorld, &req, &r) }); n != 0 {
+			t.Errorf("junk kind %d: serving the page allocates %v times", r.junkKind, n)
+		}
 	}
-	if r.BodyLen > 4000 {
-		t.Fatalf("junk page suspiciously long: %d", r.BodyLen)
-	}
-	if len(r.Body()) != r.BodyLen {
-		t.Fatal("junk Content-Length mismatch")
+	if len(seen) < len(blockpage.JunkKinds()) {
+		t.Fatalf("served junk kinds %v, want all %d", seen, len(blockpage.JunkKinds()))
 	}
 }
 

@@ -53,8 +53,6 @@ const (
 	FaultStall
 	// FaultTruncate: the response body is cut mid-transfer.
 	FaultTruncate
-	// FaultReset: the connection is reset before any response.
-	FaultReset
 )
 
 // FaultHook is the mesh's fault-injection seam (internal/faults holds
@@ -73,7 +71,8 @@ type FaultHook interface {
 	// Churned reports whether exit has died mid-session after serving
 	// `served` requests on the current sticky stretch.
 	Churned(cc geo.CountryCode, exit geo.IP, served int) bool
-	// Request draws the per-request fault verdict. seed is the
+	// Request draws the per-request fault verdict: FaultNone,
+	// FaultExitDown, FaultStall or FaultTruncate. seed is the
 	// deterministic per-sample seed.
 	Request(cc geo.CountryCode, exit geo.IP, host string, seed uint64) FaultVerdict
 }
@@ -243,27 +242,33 @@ func (s *Session) land() { s.stack = vnet.At(s.net.World, s.Exit().IP) }
 // deterministic position derived from slot (workers pass distinct
 // slots to spread over the inventory).
 func (n *Network) NewSession(cc geo.CountryCode, slot uint64) (*Session, error) {
-	return n.NewSessionAttempt(cc, slot, 0)
+	s := new(Session)
+	if err := n.OpenSession(s, cc, slot, 0); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// NewSessionAttempt is NewSession with an explicit 0-based open-attempt
-// index, which the fault hook consults for superproxy brownouts: a
-// browned-out open fails with *ErrBrownout, and retrying with a higher
-// attempt may succeed once the brownout clears.
-func (n *Network) NewSessionAttempt(cc geo.CountryCode, slot uint64, attempt int) (*Session, error) {
+// OpenSession is NewSession opening into s, which it overwrites whole,
+// so that one Session can serve one open after another. attempt is the
+// 0-based open attempt, which the fault hook consults for superproxy
+// brownouts: a browned-out open fails with *ErrBrownout, and retrying
+// with a higher attempt may succeed once the brownout clears.
+func (n *Network) OpenSession(s *Session, cc geo.CountryCode, slot uint64, attempt int) error {
 	exits := n.exits[cc]
 	if len(exits) == 0 {
-		return nil, &ErrNoExits{Country: cc}
+		return &ErrNoExits{Country: cc}
 	}
 	if n.faults != nil && n.faults.Brownout(cc, slot, attempt) {
-		return nil, &ErrBrownout{Country: cc, Attempt: attempt}
+		return &ErrBrownout{Country: cc, Attempt: attempt}
 	}
-	return n.open(cc, exits, slot), nil
+	n.open(s, cc, exits, slot)
+	return nil
 }
 
-// open opens a session over exits, starting at the position slot picks.
-func (n *Network) open(cc geo.CountryCode, exits []*Exit, slot uint64) *Session {
-	s := &Session{
+// open opens s over exits, starting at the position slot picks.
+func (n *Network) open(s *Session, cc geo.CountryCode, exits []*Exit, slot uint64) {
+	*s = Session{
 		net:   n,
 		cc:    cc,
 		exits: exits,
@@ -271,7 +276,6 @@ func (n *Network) open(cc geo.CountryCode, exits []*Exit, slot uint64) *Session 
 		path:  transitOf(cc, n.World.Geo),
 	}
 	s.land()
-	return s
 }
 
 // NewRegionSession opens a session restricted to cc's exits inside (or
@@ -287,7 +291,9 @@ func (n *Network) NewRegionSession(cc geo.CountryCode, crimea bool, slot uint64)
 	if len(filtered) == 0 {
 		return nil, &ErrNoExits{Country: cc}
 	}
-	return n.open(cc, filtered, slot), nil
+	s := new(Session)
+	n.open(s, cc, filtered, slot)
+	return s, nil
 }
 
 // Exit returns the session's current exit.
@@ -451,8 +457,6 @@ func (s *Session) send(e *Exit, d *vnet.Dest, seed uint64) (truncate bool, err e
 		case FaultStall:
 			s.fired.Stall++
 			return false, d.Fail("read", d.Name, "i/o timeout", true)
-		case FaultReset:
-			return false, d.Fail("read", d.Name, "connection reset by peer", false)
 		case FaultTruncate:
 			s.fired.Truncate++
 			return true, nil

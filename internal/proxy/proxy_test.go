@@ -361,7 +361,6 @@ func TestProbeChargesEveryHop(t *testing.T) {
 		{"churned at the second hop", hookStub{churnAt: 1}, 10, "exit connection failed", 2, []int{0, 1}, 1, 0, FaultCounts{Churn: 1}},
 		{"truncated", hookStub{churnAt: -1, verdict: FaultTruncate}, 10, "", 3, []int{0, 1, 2}, 3, 200, FaultCounts{Truncate: 3}},
 		{"stalled", hookStub{churnAt: -1, verdict: FaultStall}, 10, "i/o timeout", 1, []int{0}, 1, 0, FaultCounts{Stall: 1}},
-		{"reset", hookStub{churnAt: -1, verdict: FaultReset}, 10, "connection reset by peer", 1, []int{0}, 1, 0, FaultCounts{}},
 		{"exit down", hookStub{churnAt: -1, verdict: FaultExitDown}, 10, "exit connection failed", 1, []int{0}, 1, 0, FaultCounts{ExitDown: 1}},
 		{"dark", hookStub{churnAt: -1, dark: true}, 10, "exit connection failed", 1, nil, 0, 0, FaultCounts{Dark: 1}},
 	} {

@@ -376,7 +376,8 @@ func TestBrownoutBackoff(t *testing.T) {
 	reg := telemetry.New()
 	net := chaosNet(inj)
 	m := new(UnitMetrics)
-	if _, err := openSession(net, cc, slot, Config{}, m); err != nil {
+	var se session
+	if err := se.open(net, cc, slot, 0, m); err != nil {
 		t.Fatalf("transient brownout did not clear: %v", err)
 	}
 	m.AddTo(reg, string(cc))
@@ -388,7 +389,7 @@ func TestBrownoutBackoff(t *testing.T) {
 	reg = telemetry.New()
 	net2 := chaosNet(faults.New(5).Default(permanent))
 	m = new(UnitMetrics)
-	_, err := openSession(net2, cc, slot, Config{}, m)
+	err := se.open(net2, cc, slot, 0, m)
 	m.AddTo(reg, string(cc))
 	if err == nil {
 		t.Fatal("blackout session open succeeded")

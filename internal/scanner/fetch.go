@@ -58,6 +58,7 @@ func newHeaderSet(m map[string]string) headerSet {
 
 // fetcher performs single attempts through one prober. It carries the
 // shard's context so wrapped transports see a cancellable request.
+// A pool worker keeps one and resets it for each unit.
 type fetcher struct {
 	ctx     context.Context
 	probe   Prober
@@ -73,11 +74,12 @@ type fetcher struct {
 	resolved bool
 }
 
-// newFetcher builds a fetcher over p with the plan's header set and
-// the config's redirect bound and body-retention policy. It counts its
-// attempts into m, when m is not nil.
-func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, m *UnitMetrics) *fetcher {
-	f := &fetcher{
+// reset makes f a fetcher over p with the plan's header set and the
+// config's redirect bound and body-retention policy, keeping nothing
+// of what it fetched before: no reply, no resolved destination. It
+// counts its attempts into m, when m is not nil.
+func (f *fetcher) reset(ctx context.Context, p Prober, cfg Config, hs headerSet, m *UnitMetrics) {
+	*f = fetcher{
 		ctx:     ctx,
 		probe:   p,
 		headers: hs,
@@ -90,7 +92,6 @@ func newFetcher(ctx context.Context, p Prober, cfg Config, hs headerSet, m *Unit
 	if cfg.WrapTransport != nil {
 		f.rt = cfg.WrapTransport(p)
 	}
-	return f
 }
 
 // fetch performs one attempt and classifies the outcome. exit is the

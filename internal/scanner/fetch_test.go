@@ -166,8 +166,9 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 					sessions[i] = s
 				}
 				ref, direct, viaHTTP, viaFetch := sessions[0], sessions[1], sessions[2], sessions[3]
-				fd := newFetcher(context.Background(), direct, cfg, newHeaderSet(cfg.Headers), nil)
-				fw := newFetcher(context.Background(), viaHTTP, wrapped, newHeaderSet(wrapped.Headers), nil)
+				var fd, fw fetcher
+				fd.reset(context.Background(), direct, cfg, newHeaderSet(cfg.Headers), nil)
+				fw.reset(context.Background(), viaHTTP, wrapped, newHeaderSet(wrapped.Headers), nil)
 				for di, domain := range domains {
 					task := Task{Domain: int32(di), Country: int16(ci)}
 					for a := uint8(0); a < 3; a++ {
@@ -261,8 +262,8 @@ func brief(s Sample) Sample {
 // TestFetchAllocs pins the fetcher's steady-state cost: a pass of
 // direct-probe samples that keeps every body allocates exactly once
 // per body it keeps — the page, rendered into one exact-size
-// allocation by the edge (block and junk pages) or when the sample
-// reads it (origin pages) — and nothing else; TestHopAllocs pins that
+// allocation by the edge (block pages) or when the sample reads it
+// (junk and origin pages) — and nothing else; TestHopAllocs pins that
 // a sample keeping nothing allocates nothing. Counting the attempts
 // into a unit's metrics allocates nothing: UnitMetrics.fetched reads 0
 // allocations, and a pass allocates exactly the same with metrics as
@@ -282,7 +283,8 @@ func TestFetchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), m)
+		f := new(fetcher)
+		f.reset(context.Background(), s, cfg, newHeaderSet(cfg.Headers), m)
 		fetchAll := func() {
 			kept = 0
 			for round := 0; round < 4; round++ {
@@ -359,7 +361,8 @@ func TestHopAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := newFetcher(context.Background(), s, cfg, newHeaderSet(cfg.Headers), nil)
+			f := new(fetcher)
+			f.reset(context.Background(), s, cfg, newHeaderSet(cfg.Headers), nil)
 			var domain string
 			for _, d := range tc.net.World.Top10K() {
 				var dest vnet.Dest

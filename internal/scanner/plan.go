@@ -61,6 +61,11 @@ type UnitResult struct {
 	// shipped back in fabric completions and appended at the assembly's
 	// canonical emission point, same as an in-process shard's.
 	Trace []trace.Event
+
+	// recycle marks a sample buffer the in-process executor owns: once
+	// the unit is emitted, Assembly.emit clears it and hands it to a
+	// later unit. A result any other caller completes is never reused.
+	recycle bool
 }
 
 // ErrBadCompletion marks a unit completion that is not its unit's
@@ -85,7 +90,10 @@ type Plan struct {
 	cfg     Config
 	headers headerSet // cfg.Headers, built once for every unit
 	scanCtx trace.SpanCtx
-	shards  []*shard
+	shards  []shard
+	// unitCap is the largest unit's sample count: the capacity of every
+	// unit's sample buffer, so that a recycled one fits any unit.
+	unitCap int
 }
 
 // NewPlan decomposes one residential scan into its canonical work
@@ -99,23 +107,46 @@ func NewPlan(domains []string, countries []geo.CountryCode, tasks []Task, cfg Co
 // fleet, whose vantage points have no session to pin). Boundaries
 // depend only on the task lists and ShardSize — never on Concurrency —
 // so the shard set, the determinism anchor, is stable across any
-// worker count.
+// worker count. The grouped tasks share one backing array, put in
+// place by a stable counting sort, and the shards another.
 func newPlan(domains []string, countries []geo.CountryCode, fleet []*proxy.VPS, tasks []Task, cfg Config) *Plan {
 	cfg = cfg.withDefaults()
 	p := &Plan{domains: domains, countries: countries, fleet: fleet, cfg: cfg, headers: newHeaderSet(cfg.Headers), scanCtx: ScanTraceCtx(cfg)}
-	byGroup := make([][]Task, len(countries))
+	// end[g] counts group g's tasks, then marks where the group ends in
+	// grouped and, once the tasks are placed, where it starts.
+	end := make([]int, len(countries))
 	for _, t := range tasks {
-		byGroup[t.Country] = append(byGroup[t.Country], t)
+		end[t.Country]++
 	}
-	for g, tasks := range byGroup {
+	units := 0
+	for g := range end {
+		units += (end[g] + cfg.ShardSize - 1) / cfg.ShardSize
+		if g > 0 {
+			end[g] += end[g-1]
+		}
+	}
+	grouped := make([]Task, len(tasks))
+	for i := len(tasks) - 1; i >= 0; i-- {
+		t := tasks[i]
+		end[t.Country]--
+		grouped[end[t.Country]] = t
+	}
+	p.shards = make([]shard, 0, units)
+	for g := range countries {
 		cc := string(countries[g])
+		hi := len(grouped)
+		if g+1 < len(end) {
+			hi = end[g+1]
+		}
+		tasks := grouped[end[g]:hi]
 		for i := 0; len(tasks) > 0; i++ {
 			n := min(cfg.ShardSize, len(tasks))
-			sh := &shard{seq: len(p.shards), group: int16(g), index: i, country: cc, tasks: tasks[:n]}
+			sh := shard{seq: len(p.shards), group: int16(g), index: i, country: cc, tasks: tasks[:n]}
 			if fleet == nil {
 				sh.slot = shardSlot(cc, cfg.Phase, i)
 			}
 			p.shards = append(p.shards, sh)
+			p.unitCap = max(p.unitCap, n*cfg.Samples)
 			tasks = tasks[n:]
 		}
 	}
@@ -127,7 +158,7 @@ func (p *Plan) NumUnits() int { return len(p.shards) }
 
 // Unit returns the seq-th work unit.
 func (p *Plan) Unit(seq int) WorkUnit {
-	sh := p.shards[seq]
+	sh := &p.shards[seq]
 	return WorkUnit{
 		Seq:         sh.seq,
 		Country:     sh.country,
@@ -173,8 +204,8 @@ func (p *Plan) Fingerprint() uint64 {
 	h = stats.Mix64(h ^ uint64(p.cfg.ShardSize))
 	h = stats.Mix64(h ^ uint64(p.cfg.Bodies)<<4)
 	h = MixHeaders(h, p.cfg.Headers)
-	for _, sh := range p.shards {
-		h = stats.Mix64(h ^ p.unitFingerprint(sh))
+	for i := range p.shards {
+		h = stats.Mix64(h ^ p.unitFingerprint(&p.shards[i]))
 	}
 	return h
 }
@@ -198,35 +229,55 @@ func MixHeaders(h uint64, headers map[string]string) uint64 {
 // mutates the plan, so a unit can run any number of
 // times (a re-issued lease after a worker death, say) with identical
 // results. A cancelled context returns ctx.Err() and no result — a
-// partial shard must never be reported as complete.
+// partial shard must never be reported as complete. Each call runs on
+// fresh unit state, and the result's samples are the caller's.
 func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (UnitResult, error) {
 	if seq < 0 || seq >= len(p.shards) {
 		return UnitResult{}, fmt.Errorf("scanner: unit %d outside plan of %d units", seq, len(p.shards))
 	}
-	res := p.execute(ctx, net, p.shards[seq])
+	res := p.execute(ctx, net, &p.shards[seq], new(unitState))
 	if err := ctx.Err(); err != nil {
 		return UnitResult{}, err
 	}
 	return res, nil
 }
 
-// execute runs one unit. Its session and fetch metrics accumulate in
-// the result's Metrics.
-func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard) UnitResult {
+// unitState is what a unit executes in: the fetcher, with the reply
+// and destination its probes write into, the session, with the proxy
+// session it opens in place, and an emptied sample buffer of capacity
+// Plan.unitCap, nil until one is handed back. Each pool worker owns one
+// and resets it for every unit it runs, so a unit allocates only its
+// UnitMetrics, which outlives it in the journal's checkpoints.
+type unitState struct {
+	f   fetcher
+	se  session
+	buf []Sample
+}
+
+// execute runs one unit in u. Its session and fetch metrics accumulate
+// in the result's Metrics, and its samples in u's buffer, which the
+// result then owns.
+func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard, u *unitState) UnitResult {
 	tb := unitBuffer(p.scanCtx, sh.seq, p.cfg)
 	res := UnitResult{Metrics: new(UnitMetrics)}
+	out := u.buf
+	u.buf = nil
+	if out == nil {
+		out = make([]Sample, 0, p.unitCap)
+	}
 	if p.fleet != nil {
-		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p.domains, sh, p.cfg, p.headers, tb, res.Metrics)
+		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p, sh, &u.f, tb, res.Metrics, out)
 	} else {
-		res.Samples, res.Lost = scanShard(ctx, net, p.domains, sh, p.cfg, p.headers, tb, res.Metrics)
+		res.Samples, res.Lost = scanShard(ctx, net, p, sh, u, tb, res.Metrics, out)
 	}
 	res.Trace = tb.Events()
 	return res
 }
 
 // run is the in-process executor: the work-stealing pool executes
-// every pending unit and completes it through an Assembly into sink.
-// A cancelled scan returns ctx.Err() with a prefix of the stream
+// every pending unit and completes it through an Assembly into sink,
+// and each worker takes back an emitted unit's buffer for its next
+// unit. A cancelled scan returns ctx.Err() with a prefix of the stream
 // delivered, ending at the first unit boundary after the cancel.
 func (p *Plan) run(ctx context.Context, net *proxy.Network, sink Sink) error {
 	a, err := NewAssembly(p, sink)
@@ -234,12 +285,15 @@ func (p *Plan) run(ctx context.Context, net *proxy.Network, sink Sink) error {
 		return err
 	}
 	a.ctx = ctx
-	err = p.schedule(ctx, p.shards[a.skip:], func(ctx context.Context, sh *shard) error {
-		res := p.execute(ctx, net, sh)
+	err = p.schedule(ctx, p.shards[a.skip:], func(ctx context.Context, u *unitState, sh *shard) error {
+		res := p.execute(ctx, net, sh, u)
 		if ctx.Err() != nil {
 			return nil // a cancelled unit is never completed
 		}
-		return a.Complete(sh.seq, res)
+		res.recycle = true
+		buf, err := a.complete(sh.seq, res)
+		u.buf = buf
+		return err
 	})
 	if err != nil {
 		a.Abort()
@@ -295,6 +349,9 @@ type Assembly struct {
 	next      int // the reorder frontier: units before it are emitted
 	skip      int
 	finished  bool
+	// free holds the cleared sample buffers of emitted units that the
+	// in-process executor produced, for its workers' next units.
+	free [][]Sample
 	// ctx, when set, stops delivery at the first unit boundary after it
 	// is cancelled. The in-process executor sets it; the fabric cancels
 	// through Abort.
@@ -329,7 +386,7 @@ func NewAssembly(p *Plan, sink Sink) (*Assembly, error) {
 // set and stamps the restored loss records onto the skipped prefix, so
 // the end-of-run outage and coverage accounting — which walks all
 // shards — reproduces the uninterrupted run's records exactly.
-func resumePrefix(cfg Config, shards []*shard) (int, error) {
+func resumePrefix(cfg Config, shards []shard) (int, error) {
 	r := cfg.Resume
 	if r == nil {
 		return 0, nil
@@ -361,27 +418,40 @@ func (a *Assembly) Pending() []int {
 // ErrBadCompletion; duplicate and out-of-range completions error too,
 // and none of them disturb the stream.
 func (a *Assembly) Complete(seq int, res UnitResult) error {
+	_, err := a.complete(seq, res)
+	return err
+}
+
+// complete is Complete. For a result the in-process executor marked
+// for recycling, it also returns a cleared buffer from the free list,
+// nil when the list is empty, for the worker's next unit.
+func (a *Assembly) complete(seq int, res UnitResult) ([]Sample, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	p := a.plan
 	if a.finished {
-		return fmt.Errorf("scanner: completion of unit %d after assembly finished", seq)
+		return nil, fmt.Errorf("scanner: completion of unit %d after assembly finished", seq)
 	}
 	if seq < a.skip || seq >= len(p.shards) {
-		return fmt.Errorf("scanner: completion of unit %d outside pending range %d..%d", seq, a.skip, len(p.shards)-1)
+		return nil, fmt.Errorf("scanner: completion of unit %d outside pending range %d..%d", seq, a.skip, len(p.shards)-1)
 	}
-	sh := p.shards[seq]
+	sh := &p.shards[seq]
 	if err := p.check(sh, res); err != nil {
-		return err
+		return nil, err
 	}
 	if a.done[seq] {
-		return fmt.Errorf("scanner: duplicate completion of unit %d", seq)
+		return nil, fmt.Errorf("scanner: duplicate completion of unit %d", seq)
 	}
 	sh.res = res
 	a.done[seq] = true
 	p.cfg.Metrics.Counter(MetShardsDone).Add(1)
 	a.emit()
-	return nil
+	if n := len(a.free); res.recycle && n > 0 {
+		buf := a.free[n-1]
+		a.free = a.free[:n-1]
+		return buf, nil
+	}
+	return nil, nil
 }
 
 // emit delivers every completed unit at the reorder frontier: samples
@@ -397,7 +467,7 @@ func (a *Assembly) emit() {
 		if a.ctx != nil && a.ctx.Err() != nil {
 			return
 		}
-		sh := p.shards[a.next]
+		sh := &p.shards[a.next]
 		res := sh.res
 		for i := range res.Samples {
 			a.sink.Emit(res.Samples[i])
@@ -437,6 +507,10 @@ func (a *Assembly) emit() {
 		}
 		// Release bodies as soon as the sink has seen them.
 		sh.res = UnitResult{Lost: res.Lost}
+		if res.recycle {
+			clear(res.Samples)
+			a.free = append(a.free, res.Samples[:0])
+		}
 		a.next++
 	}
 }

@@ -271,7 +271,7 @@ func TestScheduleReturnsUnitErrors(t *testing.T) {
 	_, countries := smallInputs(24)
 	p := NewPlan(domains, countries, tasks, cfg)
 	boom := errors.New("boom")
-	err := p.schedule(context.Background(), p.shards, func(_ context.Context, sh *shard) error {
+	err := p.schedule(context.Background(), p.shards, func(_ context.Context, _ *unitState, sh *shard) error {
 		if sh.seq == 1 {
 			return boom
 		}

@@ -52,15 +52,17 @@ func Scan(ctx context.Context, net *proxy.Network, domains []string, countries [
 	return &Result{Domains: domains, Countries: countries, Samples: c.Samples, Outages: c.Outages, Coverage: c.Coverage}, err
 }
 
-// scanShard runs one shard's tasks through its own sticky session and
-// reports why (if at all) its tasks were lost. Its session and fetch
-// metrics go into m. tb, when non-nil, stages the shard's trace events
-// — session open and the closing unit event.
-func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *shard, cfg Config, hs headerSet, tb *trace.Buffer, m *UnitMetrics) ([]Sample, OutageReason) {
-	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
+// scanShard runs one shard of p's tasks through its own sticky
+// session, opened in u, appends their samples to out and reports why
+// (if at all) its tasks were lost. Its session and fetch metrics go
+// into m. tb, when non-nil, stages the shard's trace events — session
+// open and the closing unit event.
+func scanShard(ctx context.Context, net *proxy.Network, p *Plan, sh *shard, u *unitState, tb *trace.Buffer, m *UnitMetrics, out []Sample) ([]Sample, OutageReason) {
+	cfg := p.cfg
 	unitStart := tb.Wall()
 
-	se, err := openSession(net, geo.CountryCode(sh.country), sh.slot, cfg, m)
+	se := &u.se
+	err := se.open(net, geo.CountryCode(sh.country), sh.slot, cfg.Retries, m)
 	if tb != nil {
 		ev := trace.NewEvent(tb.Ctx().Child("session.open", 0), "session.open")
 		ev.Unit = sh.seq
@@ -92,15 +94,16 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *sh
 
 	// The session counts the injected faults it acts on; the unit's
 	// metrics take them when the unit ends.
-	defer func() { m.Faults = se.transport().Faults() }()
-	f := newFetcher(ctx, se.transport(), cfg, hs, m)
+	defer func() { m.Faults = se.s.Faults() }()
+	f := &u.f
+	f.reset(ctx, &se.s, cfg, p.headers, m)
 	salt := seedSalt(sh.country, cfg.Phase)
 	done := ctx.Done()
 	for _, t := range sh.tasks {
 		if stopped(done) {
 			return out, OutageNone
 		}
-		domain := domains[t.Domain]
+		domain := p.domains[t.Domain]
 		name := stats.Hash(domain)
 		for a := 0; a < cfg.Samples; a++ {
 			out = append(out, fetchReliable(f, se, domain, saltedSeed(name, salt, a), t, uint8(a)))
@@ -118,14 +121,15 @@ func scanShard(ctx context.Context, net *proxy.Network, domains []string, sh *sh
 // entries (scan order) and the run's Coverage summary. It runs in
 // Assembly.Finish, after the last unit is emitted, so the sink's
 // no-locking contract is untouched.
-func accountOutages(shards []*shard, countries []geo.CountryCode) ([]Outage, Coverage) {
+func accountOutages(shards []shard, countries []geo.CountryCode) ([]Outage, Coverage) {
 	type tally struct {
 		total, lost, tasks int
 		byReason           [OutageDark + 1]int
 	}
 	tallies := make([]tally, len(countries))
 	requested := make([]bool, len(countries))
-	for _, sh := range shards {
+	for i := range shards {
+		sh := &shards[i]
 		t := &tallies[sh.group]
 		t.total++
 		requested[sh.group] = true

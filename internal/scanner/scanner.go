@@ -22,9 +22,10 @@
 //     work-stealing pool executes them — so one large country no
 //     longer serializes a run and parallelism scales with cores rather
 //     than country count — and an Assembly emits completed units in
-//     canonical order and runs the end-of-scan accounting. Run, RunVPS
-//     and the distributed fabric (internal/fabric) all compose these
-//     same pieces.
+//     canonical order and runs the end-of-scan accounting. Each pool
+//     worker resets one unit state (fetcher, session, sample buffer)
+//     for every unit it runs. Run, RunVPS and the distributed fabric
+//     (internal/fabric) all compose these same pieces.
 //   - Session (session.go): sticky proxy-session acquisition, the
 //     connectivity pre-check loop, per-exit budget rotation, and the
 //     circuit breaker, driven by Config's retry knobs.

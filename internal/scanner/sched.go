@@ -79,11 +79,12 @@ func stopped(done <-chan struct{}) bool {
 }
 
 // schedule fans units out over a work-stealing pool of up to
-// Config.Concurrency workers and calls run on each. On context
-// cancellation workers stop picking up units and schedule returns
-// ctx.Err(); the first error run returns stops the pool the same way
-// and is returned instead.
-func (p *Plan) schedule(ctx context.Context, units []*shard, run func(context.Context, *shard) error) error {
+// Config.Concurrency workers and calls run on each, with the unit
+// state the worker running it owns. On context cancellation workers
+// stop picking up units and schedule returns ctx.Err(); the first
+// error run returns stops the pool the same way and is returned
+// instead.
+func (p *Plan) schedule(ctx context.Context, units []shard, run func(context.Context, *unitState, *shard) error) error {
 	if len(units) == 0 {
 		return ctx.Err()
 	}
@@ -99,11 +100,11 @@ func (p *Plan) schedule(ctx context.Context, units []*shard, run func(context.Co
 	// start and stealing only handles residual imbalance.
 	deques := make([]*deque, workers)
 	for w := range deques {
-		deques[w] = &deque{}
+		deques[w] = &deque{shards: make([]*shard, 0, (len(units)+workers-1)/workers)}
 	}
-	for i, sh := range units {
+	for i := range units {
 		d := deques[i%workers]
-		d.shards = append(d.shards, sh)
+		d.shards = append(d.shards, &units[i])
 	}
 
 	ctx, stop := context.WithCancelCause(ctx)
@@ -114,6 +115,7 @@ func (p *Plan) schedule(ctx context.Context, units []*shard, run func(context.Co
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			u := new(unitState)
 			for !stopped(done) {
 				sh := deques[w].popFront()
 				if sh == nil {
@@ -128,7 +130,7 @@ func (p *Plan) schedule(ctx context.Context, units []*shard, run func(context.Co
 				if sh == nil {
 					return // pool drained: the unit set is static
 				}
-				if err := run(ctx, sh); err != nil {
+				if err := run(ctx, u, sh); err != nil {
 					stop(err)
 					return
 				}

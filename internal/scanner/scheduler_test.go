@@ -3,11 +3,13 @@ package scanner
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"testing"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
 	"geoblock/internal/stats"
+	"geoblock/internal/telemetry"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
 )
@@ -50,33 +52,126 @@ func skewedTasks(nDomains, nCountries int) []Task {
 	return tasks
 }
 
-// TestDeterminismAcrossConcurrency is the engine's core contract: the
-// Result (sample order, seeds, exits — every byte) is identical for
-// any worker count.
-func TestDeterminismAcrossConcurrency(t *testing.T) {
-	domains, countries := smallInputs(64)
-	tasks := skewedTasks(len(domains), len(countries))
-
-	var base *Result
-	for _, conc := range []int{1, 4, 32} {
-		cfg := testConfig()
-		cfg.Concurrency = conc
-		res, err := Scan(context.Background(), testNet, domains, countries, tasks, cfg)
-		if err != nil {
-			t.Fatalf("concurrency %d: %v", conc, err)
+// handoverTasks scans every domain from the first two countries, the
+// first country's last task and the second's first on one host whose
+// transit verdict the two countries' sessions resolve differently, so
+// a worker that runs the two units in turn must not carry the first's
+// resolved destination into the second.
+func handoverTasks(t *testing.T, domains []string, countries []geo.CountryCode) []Task {
+	t.Helper()
+	var dests [2]vnet.Dest
+	for x, name := range domains {
+		for c := range dests {
+			s, err := testNet.NewSession(countries[c], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Resolve(name, &dests[c])
 		}
-		if base == nil {
-			base = res
+		if dests[0].PathDown == dests[1].PathDown {
 			continue
 		}
-		if len(res.Samples) != len(base.Samples) {
-			t.Fatalf("concurrency %d: %d samples, want %d", conc, len(res.Samples), len(base.Samples))
-		}
-		for i := range res.Samples {
-			if res.Samples[i] != base.Samples[i] {
-				t.Fatalf("concurrency %d: sample %d differs:\n%+v\n%+v",
-					conc, i, res.Samples[i], base.Samples[i])
+		var tasks []Task
+		for d := range domains {
+			if d != x {
+				tasks = append(tasks, Task{Domain: int32(d), Country: 0})
 			}
+		}
+		tasks = append(tasks, Task{Domain: int32(x), Country: 0}, Task{Domain: int32(x), Country: 1})
+		for d := range domains {
+			if d != x {
+				tasks = append(tasks, Task{Domain: int32(d), Country: 1})
+			}
+		}
+		return tasks
+	}
+	t.Fatal("no domain's transit verdict differs between the first two countries")
+	return nil
+}
+
+// TestDeterminismAcrossConcurrency is the engine's core contract: the
+// Result (sample order, seeds, exits, bodies — every byte) is
+// identical for any worker count, and to the units executed one by one
+// on fresh state. Every body is kept, so a pool worker's reused
+// fetcher, session or sample buffer that carried anything of an
+// earlier unit into a later one would show here; the handover tasks
+// make one worker run two countries' units on one host in turn.
+func TestDeterminismAcrossConcurrency(t *testing.T) {
+	domains, countries := smallInputs(64)
+	cfg := testConfig()
+	cfg.Bodies = BodyAll
+	for _, tasks := range [][]Task{skewedTasks(len(domains), len(countries)), handoverTasks(t, domains, countries)} {
+		p := NewPlan(domains, countries, tasks, cfg)
+		var base []Sample
+		for seq := 0; seq < p.NumUnits(); seq++ {
+			res, err := p.ExecuteUnit(context.Background(), testNet, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base = append(base, res.Samples...)
+		}
+		for _, conc := range []int{1, 4, 32} {
+			cfg.Concurrency = conc
+			res, err := Scan(context.Background(), testNet, domains, countries, tasks, cfg)
+			if err != nil {
+				t.Fatalf("concurrency %d: %v", conc, err)
+			}
+			if len(res.Samples) != len(base) {
+				t.Fatalf("concurrency %d: %d samples, want %d", conc, len(res.Samples), len(base))
+			}
+			for i := range res.Samples {
+				if res.Samples[i] != base[i] {
+					t.Fatalf("concurrency %d: sample %d differs:\n%+v\n%+v",
+						conc, i, res.Samples[i], base[i])
+				}
+			}
+		}
+	}
+}
+
+// TestUnitAllocs pins what a unit costs the in-process pool: its one
+// UnitMetrics, which outlives it in journal checkpoints. Each worker
+// resets its fetcher, sessions and sample buffer for every unit, and
+// an emitted unit's buffer goes to the next, so the rest of a scan's
+// allocations are per scan (the plan, the assembly, the pool) or per
+// page: with bodies dropped, only block and censorship pages render,
+// one allocation each, because their length is the page's. Samples
+// answered with any status but 200 and 301 carry such a page. One
+// worker completes units in order, so one buffer serves the scan. Two
+// scan sizes under one per-scan bound (24 read) hold each unit to one.
+func TestUnitAllocs(t *testing.T) {
+	const perScan = 32
+	reg := telemetry.New()
+	for _, n := range []int{64, 128} {
+		domains, countries := smallInputs(n)
+		tasks := CrossProduct(len(domains), len(countries))
+		cfg := testConfig()
+		cfg.Bodies, cfg.ShardSize, cfg.Concurrency, cfg.Metrics = BodyNone, 8, 1, reg
+		units := NewPlan(domains, countries, tasks, cfg).NumUnits()
+		pages := 0
+		sink := SinkFunc(func(s Sample) {
+			if s.Err == ErrNone && s.Status != 200 && s.Status != 301 {
+				pages++
+			}
+		})
+		scan := func() {
+			pages = 0
+			if err := Run(context.Background(), testNet, domains, countries, tasks, cfg, sink); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan() // warm the world's lazy caches and the registry's series
+		// A collection the scan sets off may allocate on its own.
+		gc := debug.SetGCPercent(-1)
+		allocs := testing.AllocsPerRun(3, scan)
+		debug.SetGCPercent(gc)
+		t.Logf("%d units, %d pages: %.0f allocations", units, pages, allocs)
+		if units < 32 {
+			t.Fatalf("the scan has %d units, want at least 32", units)
+		}
+		if limit := units + pages + perScan; allocs > float64(limit) {
+			t.Errorf("a scan of %d units and %d pages allocated %.0f times, want at most %d: one per unit and page, %d per scan",
+				units, pages, allocs, limit, perScan)
 		}
 	}
 }

@@ -17,35 +17,37 @@ import (
 // rather than spinning.
 const DefaultVerifyProbes = 5
 
-// session wraps a sticky proxy.Session with the housekeeping every
-// attempt needs, under Config's retry knobs. Like proxy.Session it is
-// owned by a single shard and is not safe for concurrent use.
+// session wraps a sticky proxy.Session, which it holds and opens in
+// place, with the housekeeping every attempt needs, under Config's
+// retry knobs. Like proxy.Session it is owned by a single shard at a
+// time and is not safe for concurrent use.
 type session struct {
-	s       *proxy.Session
+	s       proxy.Session
 	retries int // Config.Retries: attempts per sample = 1 + retries
 	h       health
 	m       *UnitMetrics
 }
 
-// openSession acquires a sticky session for cc starting at the
-// deterministic slot. Superproxy brownouts are retried up to
-// DefaultOpenRetries times under decorrelated-jitter backoff (they
-// clear); every other failure — ErrNoExits above all — is final. m
-// counts attempts, brownouts, and the computed backoff waits, and the
-// session keeps counting into it.
-func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config, m *UnitMetrics) (*session, error) {
+// open acquires se's sticky session for cc starting at the
+// deterministic slot, resetting all of se. Superproxy brownouts are
+// retried up to DefaultOpenRetries times under decorrelated-jitter
+// backoff (they clear); every other failure — ErrNoExits above all —
+// is final. m counts attempts, brownouts, and the computed backoff
+// waits, and the session keeps counting into it.
+func (se *session) open(net *proxy.Network, cc geo.CountryCode, slot uint64, retries int, m *UnitMetrics) error {
+	*se = session{retries: retries, m: m}
 	var bo *backoff // built at the first brownout: most units never wait
 	var lastErr error
 	for attempt := 0; attempt <= DefaultOpenRetries; attempt++ {
 		m.OpenAttempts++
-		s, err := net.NewSessionAttempt(cc, slot, attempt)
+		err := net.OpenSession(&se.s, cc, slot, attempt)
 		if err == nil {
-			return &session{s: s, retries: cfg.Retries, m: m}, nil
+			return nil
 		}
 		lastErr = err
 		var brown *proxy.ErrBrownout
 		if !errors.As(err, &brown) {
-			return nil, err
+			return err
 		}
 		m.Brownouts++
 		if attempt < DefaultOpenRetries {
@@ -55,7 +57,7 @@ func openSession(net *proxy.Network, cc geo.CountryCode, slot uint64, cfg Config
 			m.Backoff.observe(float64(bo.wait())/float64(time.Millisecond), backoffMaxMs)
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // ready prepares the current exit for one attempt: rotates when the
@@ -112,9 +114,6 @@ func (se *session) dark() bool { return se.h.dead }
 
 // exitIP is the address of the exit the next attempt will use.
 func (se *session) exitIP() geo.IP { return se.s.Exit().IP }
-
-// transport exposes the raw session for the fetcher to probe through.
-func (se *session) transport() *proxy.Session { return se.s }
 
 // fetchReliable performs one logical sample: up to 1+Retries attempts,
 // rotating the exit between attempts and whenever the per-exit budget

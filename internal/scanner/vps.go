@@ -45,9 +45,11 @@ func fleetCountries(fleet []*proxy.VPS) []geo.CountryCode {
 	return countries
 }
 
-func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard, cfg Config, hs headerSet, tb *trace.Buffer, m *UnitMetrics) []Sample {
-	f := newFetcher(ctx, v.Stack(), cfg, hs, m)
-	out := make([]Sample, 0, len(sh.tasks)*cfg.Samples)
+// scanVPSShard fetches one shard of p's tasks from v through f,
+// appending their samples to out.
+func scanVPSShard(ctx context.Context, v *proxy.VPS, p *Plan, sh *shard, f *fetcher, tb *trace.Buffer, m *UnitMetrics, out []Sample) []Sample {
+	cfg := p.cfg
+	f.reset(ctx, v.Stack(), cfg, p.headers, m)
 	unitStart := tb.Wall()
 	salt := seedSalt(sh.country, cfg.Phase+"/vps")
 	done := ctx.Done()
@@ -55,7 +57,7 @@ func scanVPSShard(ctx context.Context, v *proxy.VPS, domains []string, sh *shard
 		if stopped(done) {
 			return out
 		}
-		domain := domains[t.Domain]
+		domain := p.domains[t.Domain]
 		name := stats.Hash(domain)
 		for a := 0; a < cfg.Samples; a++ {
 			out = append(out, f.fetch(domain, saltedSeed(name, salt, a), t, uint8(a), v.IP))

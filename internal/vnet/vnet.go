@@ -75,7 +75,7 @@ type Stack struct {
 	// A located stack's IP must not change.
 	located bool
 	loc     geo.Location // the database's location of IP
-	edge    geo.Location // the edge's view of IP (cdn.Locate)
+	edge    geo.Location // the edge's view of IP (cdn.Locate, from loc)
 }
 
 // NewStack returns a stack sourcing traffic from ip.
@@ -84,11 +84,12 @@ func NewStack(w *worldgen.World, ip geo.IP) *Stack {
 	return &s
 }
 
-// At returns the stack sourcing traffic from ip, located once: the
-// GeoIP lookups every probe needs are made here, not per probe.
+// At returns the stack sourcing traffic from ip, located once: one
+// GeoIP lookup, made here and not per probe, gives the database's
+// location and, from it, the edge's view.
 func At(w *worldgen.World, ip geo.IP) Stack {
 	loc, _ := w.Geo.Locate(ip)
-	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Locate(w, ip)}
+	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Misgeolocate(w, loc, ip)}
 }
 
 // Probe is one GET, with the same-site redirects it may follow. It is
