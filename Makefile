@@ -65,7 +65,8 @@
 #                it imports the scan engine's public seams, and a change
 #                to them must not leave the benchmark unbuildable
 #   make experiments  rerun the paper-scale reproduction (mktables
-#                -scale 1.0, about a minute and 2 GB) into a temporary
+#                -scale 1.0, about 25 s and a 1.0 GB peak RSS on 2
+#                vCPUs) into a temporary
 #                directory and diff it against the committed record in
 #                out/, which EXPERIMENTS.md quotes: a change that moves
 #                any paper-scale number fails until both are regenerated

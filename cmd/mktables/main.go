@@ -6,7 +6,8 @@
 //	mktables -scale 1.0 -out out/
 //
 // At -scale 1.0 the run performs the full paper-scale studies (several
-// million simulated HTTP requests) and takes about a minute.
+// million simulated HTTP requests): about 25 seconds of wall time and a
+// 1.0 GB peak RSS on a 2-vCPU Xeon.
 package main
 
 import (

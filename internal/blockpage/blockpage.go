@@ -12,8 +12,8 @@
 // reference numbers, client IPs) varying per response exactly where the
 // real pages vary.
 //
-// A scan renders every block page it is served, since a page's length
-// is its body's length, so each page is built into one exactly sized
+// A page renders only when its body is read (Len and JunkLen give its
+// length from the template), and then into one exactly sized
 // allocation: the templates' only verbs are %s and %%, which fill
 // substitutes without fmt, and an origin page writes its head, filler,
 // foot and dynamic slots into one builder sized by VariantLength.
@@ -163,39 +163,56 @@ func (v Vars) path() string {
 // Render produces the HTML body for kind with vars substituted, in one
 // allocation (none for the nginx page, which has no fields).
 func Render(k Kind, v Vars) string {
+	page, args, n := blockPage(k, v)
+	if n == 0 {
+		return page
+	}
+	return fill(page, args[:n]...)
+}
+
+// Len is len(Render(k, v)), worked out from the template without
+// rendering the page.
+func Len(k Kind, v Vars) int {
+	page, args, n := blockPage(k, v)
+	return fillLen(page, args[:n]...)
+}
+
+// blockPage returns block page k's template and the first n of args,
+// the values of its %s verbs in order.
+func blockPage(k Kind, v Vars) (page string, args [5]string, n int) {
 	switch k {
 	case Akamai:
-		return fill(akamaiPage, v.Domain, v.path(), v.RayID)
+		return akamaiPage, [5]string{v.Domain, v.path(), v.RayID}, 3
 	case Cloudflare:
-		return fill(cloudflarePage, v.Domain, v.Domain, v.CountryName, v.RayID, v.ClientIP)
+		return cloudflarePage, [5]string{v.Domain, v.Domain, v.CountryName, v.RayID, v.ClientIP}, 5
 	case AppEngine:
-		return fill(appEnginePage, v.CountryName, v.Domain, v.path())
+		return appEnginePage, [5]string{v.CountryName, v.Domain, v.path()}, 3
 	case CloudflareCaptcha:
-		return fill(cloudflareCaptchaPage, v.Domain, v.RayID, v.Nonce, v.RayID, v.ClientIP)
+		return cloudflareCaptchaPage, [5]string{v.Domain, v.RayID, v.Nonce, v.RayID, v.ClientIP}, 5
 	case CloudflareJS:
-		return fill(cloudflareJSPage, v.Domain, v.Nonce, v.Nonce, v.Nonce, v.RayID)
+		return cloudflareJSPage, [5]string{v.Domain, v.Nonce, v.Nonce, v.Nonce, v.RayID}, 5
 	case CloudFront:
-		return fill(cloudFrontPage, v.RayID)
+		return cloudFrontPage, [5]string{v.RayID}, 1
 	case BaiduCaptcha:
-		return fill(baiduCaptchaPage, v.Domain, v.Nonce, v.RayID, v.RayID, v.ClientIP)
+		return baiduCaptchaPage, [5]string{v.Domain, v.Nonce, v.RayID, v.RayID, v.ClientIP}, 5
 	case Baidu:
-		return fill(baiduPage, v.Domain, v.Domain, v.CountryName, v.RayID, v.ClientIP)
+		return baiduPage, [5]string{v.Domain, v.Domain, v.CountryName, v.RayID, v.ClientIP}, 5
 	case Incapsula:
-		return fill(incapsulaPage, v.Nonce, v.RayID, v.RayID)
+		return incapsulaPage, [5]string{v.Nonce, v.RayID, v.RayID}, 3
 	case Soasta:
-		return fill(soastaPage, v.Domain, v.path(), v.RayID)
+		return soastaPage, [5]string{v.Domain, v.path(), v.RayID}, 3
 	case Airbnb:
-		return fill(airbnbPage, v.RayID, v.ClientIP)
+		return airbnbPage, [5]string{v.RayID, v.ClientIP}, 2
 	case DistilCaptcha:
-		return fill(distilPage, v.Domain, v.Domain, v.Nonce, v.Nonce, v.RayID)
+		return distilPage, [5]string{v.Domain, v.Domain, v.Nonce, v.Nonce, v.RayID}, 5
 	case Nginx:
-		return nginxPage
+		return nginxPage, args, 0
 	case Varnish:
-		return fill(varnishPage, v.RayID)
+		return varnishPage, [5]string{v.RayID}, 1
 	case Censorship:
-		return fill(censorshipPage, v.Nonce)
+		return censorshipPage, [5]string{v.Nonce}, 1
 	case Legal451:
-		return fill(legal451Page, v.Domain, v.CountryName, v.RayID)
+		return legal451Page, [5]string{v.Domain, v.CountryName, v.RayID}, 3
 	}
 	panic(fmt.Sprintf("blockpage: Render of %v", k))
 }

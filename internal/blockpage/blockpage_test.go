@@ -27,6 +27,20 @@ func TestEveryKindRenders(t *testing.T) {
 	}
 }
 
+// TestBlockLenMatchesRender holds Len, the length a served block page
+// advertises before anything reads it, to the page Render builds, for
+// every kind, with fields of several lengths and an empty path.
+func TestBlockLenMatchesRender(t *testing.T) {
+	short := Vars{Domain: "a.io", ClientIP: "8.0.0.1", CountryName: "Chad", RayID: "0", Nonce: "1"}
+	for _, k := range append(Kinds(), Censorship) {
+		for _, v := range []Vars{sampleVars(), short} {
+			if n, body := Len(k, v), Render(k, v); n != len(body) {
+				t.Errorf("%v: Len %d, rendered %d bytes", k, n, len(body))
+			}
+		}
+	}
+}
+
 func TestSignaturesPresentInOwnTemplate(t *testing.T) {
 	for _, k := range append(Kinds(), Censorship) {
 		body := Render(k, sampleVars())

@@ -49,6 +49,10 @@ type Request struct {
 	// when Located is set.
 	Loc     geo.Location
 	Located bool
+	// Class is what the anti-abuse address lists say of ClientIP, as
+	// geo.DB.Classify computes it, when Classified is set.
+	Class      geo.Class
+	Classified bool
 	// Fingerprint is the edge's bot verdict on Header, as Classify
 	// computes it.
 	Fingerprint Fingerprint
@@ -91,12 +95,12 @@ type hop struct {
 // followed (Hops of them). Page records the ground truth of what was
 // served (never exposed on the wire).
 //
-// Rendering is lazy. The origin and junk pages are built only when
-// Body is called, the redirect's Location only when Location is, and
-// the response headers (provider signatures, Content-Type,
-// Content-Length, Location) only when Header is, so status- and
-// length-only consumers pay for none of them. Block pages are rendered
-// eagerly, because their length is the body's length.
+// Rendering is lazy. The block, origin and junk pages are built only
+// when Body is called (their lengths come from the templates), the
+// redirect's Location only when Location is, and the response headers
+// (provider signatures, Content-Type, Content-Length, Location) only
+// when Header is, so status- and length-only consumers pay for none of
+// them.
 type Response struct {
 	Status  int
 	BodyLen int
@@ -105,7 +109,6 @@ type Response struct {
 	// same-site redirect the edge followed within Request.MaxHops.
 	Hops int
 
-	body    string                // the rendered body, unless origin or junk is set
 	origin  *blockpage.OriginSite // the origin page, rendered on demand
 	variant blockpage.PageVariant
 	seed    uint64
@@ -117,11 +120,15 @@ type Response struct {
 	junk     bool
 	junkKind blockpage.JunkKind
 
-	// The inputs of the provider headers.
+	// The inputs of the provider headers and, with the block page's
+	// own (Page), of the block page.
 	domain    *worldgen.Domain
 	reqHeader http.Header
 	ray       uint64
 	nonce     uint32
+	path      string // the request's path
+	client    geo.IP
+	country   string // the name of the client's country, as the edge locates it
 }
 
 // Redirect reports whether the response is a redirect.
@@ -142,13 +149,18 @@ func (r Response) Location() string {
 // Body renders the response body.
 func (r Response) Body() string {
 	switch {
+	case r.Page != blockpage.KindNone:
+		page, _ := r.blockPage(true)
+		return page
 	case r.origin != nil:
 		return r.origin.RenderVariant(r.seed, r.variant)
 	case r.junk:
 		var b [nonceLen]byte
 		return blockpage.RenderJunk(r.junkKind, r.domain.Name, string(junkToken(b[:0], r.nonce)))
+	case r.Redirect():
+		return movedBody
 	}
-	return r.body
+	return ""
 }
 
 // Header builds the response headers: the fronting providers'
@@ -188,26 +200,33 @@ const edgeGeoIPErrorPermille = 10
 type exchange struct {
 	w     *worldgen.World
 	loc   geo.Location
+	class geo.Class
 	name  uint64 // stats.Hash of the domain's name
 	ray   uint64
 	nonce uint32
 }
 
-// page renders block page k for req. The page is its one allocation:
-// Render keeps none of its Vars, so the formatted ray ID, nonce and
-// client address, each string under 32 bytes, stay on the stack.
-func (x *exchange) page(k blockpage.Kind, req *Request) string {
+// blockPage returns block page r.Page, rendered only when render is
+// set, and its length. The page is its one allocation: Render and Len
+// keep none of their Vars, so the formatted ray ID, nonce and client
+// address, each string under 32 bytes, stay on the stack.
+func (r Response) blockPage(render bool) (string, int) {
 	var ids [rayLen + nonceLen]byte
 	var ip [len("255.255.255.255")]byte
-	hex := string(appendRayNonce(ids[:0], x.ray, x.nonce))
-	return blockpage.Render(k, blockpage.Vars{
-		Domain:      req.Domain.Name,
-		Path:        req.Path,
-		ClientIP:    string(req.ClientIP.Addr().AppendTo(ip[:0])),
-		CountryName: x.w.Geo.Name(x.loc.Country),
+	hex := string(appendRayNonce(ids[:0], r.ray, r.nonce))
+	v := blockpage.Vars{
+		Domain:      r.domain.Name,
+		Path:        r.path,
+		ClientIP:    string(r.client.Addr().AppendTo(ip[:0])),
+		CountryName: r.country,
 		RayID:       hex[:rayLen],
 		Nonce:       hex[rayLen:],
-	})
+	}
+	if !render {
+		return "", blockpage.Len(r.Page, v)
+	}
+	page := blockpage.Render(r.Page, v)
+	return page, len(page)
 }
 
 // The ray ID is 16 hex digits and the nonce 8: all the bits of each.
@@ -240,9 +259,12 @@ func Serve(w *worldgen.World, req Request) Response {
 // one Response for many requests. It neither retains nor modifies req.
 func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 	d := req.Domain
-	x := exchange{w: w, loc: req.Loc, name: req.NameHash}
+	x := exchange{w: w, loc: req.Loc, class: req.Class, name: req.NameHash}
 	if !req.Located {
 		x.loc = Locate(w, req.ClientIP)
+	}
+	if !req.Classified {
+		x.class = w.Geo.Classify(req.ClientIP)
 	}
 	if x.name == 0 {
 		x.name = stats.Hash(d.Name)
@@ -258,7 +280,8 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 	// blocked client never sees the redirect chain.
 	if kind := accessControl(&x, req, rng); kind != blockpage.KindNone {
 		resp.Status, resp.Page = kind.Status(), kind
-		resp.setBody(x.page(kind, req))
+		resp.path, resp.client, resp.country = req.Path, req.ClientIP, w.Geo.Name(x.loc.Country)
+		_, resp.BodyLen = resp.blockPage(false)
 		return
 	}
 
@@ -276,8 +299,7 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 			break
 		}
 		if resp.Hops >= req.MaxHops {
-			resp.Status, resp.next = 301, next
-			resp.setBody(movedBody)
+			resp.Status, resp.next, resp.BodyLen = 301, next, len(movedBody)
 			return
 		}
 		resp.Hops++
@@ -314,9 +336,6 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 	resp.origin, resp.variant, resp.seed = d.Origin, variant, req.SampleSeed
 }
 
-// setBody sets an already rendered body.
-func (r *Response) setBody(body string) { r.body, r.BodyLen = body, len(body) }
-
 // Locate is the edge's GeoIP view of a client at ip: the database's
 // location, moved for the sticky fraction of addresses the edge's
 // database has wrong.
@@ -340,7 +359,7 @@ func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
 	// in every country — the blocked-everywhere behaviour that defeats
 	// the representative-length heuristic (Table 2) and that the
 	// consistency analysis must exclude (§5.2.2).
-	if d.BlocksProxies && w.Geo.IsProxyExit(req.ClientIP) {
+	if d.BlocksProxies && x.class&geo.ProxyFlagged != 0 {
 		if d.DistilProtected {
 			return blockpage.DistilCaptcha
 		}
@@ -397,7 +416,7 @@ func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
 		// Khattak et al., §8); the verdict is sticky per (domain,
 		// address). The challenge page carries a 403, which is why OONI
 		// controls made over Tor so often look "blocked" (§7.1).
-		if p == worldgen.Cloudflare && w.Geo.IsAnonymizer(req.ClientIP) {
+		if p == worldgen.Cloudflare && x.class&geo.Anonymizer != 0 {
 			draw := float64(stats.Mix64(x.name^uint64(req.ClientIP)^0x7042)>>11) / (1 << 53)
 			if draw < 0.80 {
 				return blockpage.CloudflareCaptcha
@@ -415,8 +434,8 @@ func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
 		// provider uses for geo rules, which is why the paper needs the
 		// consistency analysis of §5.2.2 to separate the two.
 		if d.ReputationSensitivity > 0 && (p == worldgen.Akamai || p == worldgen.Incapsula) {
-			risk := countryRiskFactor(w, loc, w.Geo.IsDatacenter(req.ClientIP))
-			if w.Geo.IsAnonymizer(req.ClientIP) {
+			risk := countryRiskFactor(w, loc, x.class&geo.Datacenter != 0)
+			if x.class&geo.Anonymizer != 0 {
 				risk = 0.88
 			}
 			draw := float64(stats.Mix64(x.name^uint64(req.ClientIP)^0x5ca1ab1e)>>11) / (1 << 53)

@@ -85,11 +85,19 @@ func TestBlockKindPerProvider(t *testing.T) {
 		if r.Status != tc.want.Status() {
 			t.Errorf("%s status = %d", tc.prov, r.Status)
 		}
-		// A blocked request allocates its page and nothing else: the
-		// ray ID, nonce and client address it shows stay on the stack.
+		// Serving a blocked request renders nothing, so it allocates
+		// nothing. Reading the body renders the page BodyLen advertised,
+		// in one allocation: the ray ID, nonce and client address it
+		// shows stay on the stack.
 		req := synRequest(t, d, "CH")
-		if n := testing.AllocsPerRun(20, func() { ServeTo(testWorld, &req, &r) }); n > 1 {
-			t.Errorf("%s: a blocked request allocates %v times, want at most 1", tc.prov, n)
+		if n := testing.AllocsPerRun(20, func() { ServeTo(testWorld, &req, &r) }); n != 0 {
+			t.Errorf("%s: serving a blocked request allocates %v times", tc.prov, n)
+		}
+		if body := r.Body(); len(body) != r.BodyLen || !blockpage.Matches(tc.want, body) {
+			t.Errorf("%s: BodyLen %d, body of %d bytes that is not a %v page", tc.prov, r.BodyLen, len(body), tc.want)
+		}
+		if n := testing.AllocsPerRun(20, func() { r.Body() }); n > 1 {
+			t.Errorf("%s: reading a block page allocates %v times, want at most 1", tc.prov, n)
 		}
 	}
 }

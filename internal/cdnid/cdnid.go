@@ -51,8 +51,10 @@ func (p *Populations) Total() int {
 
 // Identifier performs discovery scans from a single stable vantage.
 type Identifier struct {
-	World       *worldgen.World
-	Vantage     geo.IP
+	World   *worldgen.World
+	Vantage geo.IP
+	// Concurrency bounds ScanRankList's workers; zero takes
+	// scanner.DefaultConcurrency().
 	Concurrency int
 }
 
@@ -70,7 +72,7 @@ func NewIdentifier(w *worldgen.World) *Identifier {
 	if err != nil {
 		panic(err)
 	}
-	return &Identifier{World: w, Vantage: ip, Concurrency: 8}
+	return &Identifier{World: w, Vantage: ip}
 }
 
 // GAERanges performs the recursive netblock walk and returns the
@@ -119,7 +121,7 @@ func (id *Identifier) ScanRankList(ranks []int) *Populations {
 	}
 	conc := id.Concurrency
 	if conc <= 0 {
-		conc = 8
+		conc = scanner.DefaultConcurrency()
 	}
 	stripe := make([][]found, conc)
 	var wg sync.WaitGroup
@@ -178,7 +180,7 @@ func (id *Identifier) classifyDomain(stack *vnet.Stack, res *vnet.Resolver, d *w
 		Seed: stats.Mix64(stats.Hash(d.Name) ^ 0x1d3), Header: pragmaProbe, Dest: &dest}
 	var r vnet.Reply
 	for hop := 0; hop < scanner.MaxRedirects; hop++ {
-		stack.Resolve(p.Host, &dest)
+		dest = vnet.Resolve(id.World, p.Host)
 		if stack.Probe(p, &r) != nil {
 			break
 		}

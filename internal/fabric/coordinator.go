@@ -70,6 +70,25 @@ const DefaultLeaseTTL = 30 * time.Second
 // re-polling when no work is available.
 const DefaultRetryMillis = 200
 
+// The request bodies the coordinator reads, bounded so that no request
+// makes it buffer more than a unit's work can carry.
+const (
+	// maxRequestBytes bounds a lease or extend request: a worker's name
+	// and at most three integers, under a kilobyte of JSON for any name
+	// a worker is started with.
+	maxRequestBytes = 64 << 10
+	// maxCompletionBytes bounds a completion: one unit's sample records
+	// and its checkpoint. A sample record is under 64 bytes of fixed
+	// fields plus the body its policy keeps. The studies keep block and
+	// censorship pages at most (BodyDefault), each under 3 KiB, so their
+	// largest unit, 32 tasks of 20 resamples, carries under 2 MiB. Even
+	// a unit of that size keeping every body (BodyAll), origin pages of
+	// up to 256 KiB included (a site's base length is capped at 240,000
+	// bytes), stays under 161 MiB. The checkpoint adds the unit's
+	// metrics and its few trace events, a few KiB.
+	maxCompletionBytes = 256 << 20
+)
+
 // Options configures a Coordinator.
 type Options struct {
 	// Study carries the world calibration (and optional fault profile)
@@ -331,7 +350,7 @@ func (c *Coordinator) handlePhase(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		http.Error(w, "fabric: bad lease request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -423,7 +442,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleExtend(w http.ResponseWriter, r *http.Request) {
 	var req ExtendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		http.Error(w, "fabric: bad extend request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -465,7 +484,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		reject("fabric: bad complete parameters")
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	if r.ContentLength > maxCompletionBytes {
+		reject(fmt.Sprintf("fabric: completion of %d bytes exceeds %d", r.ContentLength, maxCompletionBytes))
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCompletionBytes))
 	if err != nil {
 		reject("fabric: reading completion: " + err.Error())
 		return

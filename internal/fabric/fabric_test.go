@@ -479,8 +479,30 @@ func TestCompleteRejectsForeignPayloads(t *testing.T) {
 			t.Fatalf("bad completion %d answered %d/%q, want 400", i, code, status)
 		}
 	}
-	if n := reg.RuntimeCounter(MetRejected).Value(); n != int64(len(bad)) {
-		t.Fatalf("%s = %d after %d rejections", MetRejected, n, len(bad))
+	// A completion longer than any unit's is refused before its body
+	// is read, and counted with the rest; so are lease and extend
+	// requests longer than their bound.
+	oversized := httptest.NewRequest(http.MethodPost, fmt.Sprintf("%s?phase=%d&seq=%d&lease=0&fp=%d&worker=probe",
+		PathComplete, g.Phase, seq, unit.Fingerprint), strings.NewReader(string(bad[0])))
+	oversized.ContentLength = maxCompletionBytes + 1
+	rec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(rec, oversized)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds") {
+		t.Fatalf("an oversized completion answered %d: %s", rec.Code, rec.Body)
+	}
+	if n := reg.RuntimeCounter(MetRejected).Value(); n != int64(len(bad))+1 {
+		t.Fatalf("%s = %d after %d rejections", MetRejected, n, len(bad)+1)
+	}
+	long := `{"worker":"` + strings.Repeat("w", maxRequestBytes) + `"}`
+	for _, path := range []string{PathLease, PathExtend} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(long))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("a %d-byte request to %s answered %d, want 400", len(long), path, resp.StatusCode)
+		}
 	}
 	for s := 0; s < w.plan.NumUnits(); s++ {
 		unit, res := execute(s)

@@ -178,12 +178,21 @@ func (db *DB) Sanctioned() []CountryCode {
 // Locate performs the GeoIP lookup CDN edges use. The second return is
 // false for addresses outside any allocated range.
 func (db *DB) Locate(ip IP) (Location, bool) {
-	i := sort.Search(len(db.ranges), func(i int) bool { return db.ranges[i].Hi > ip })
-	if i == len(db.ranges) || ip < db.ranges[i].Lo {
+	r, ok := db.rangeAt(ip)
+	if !ok {
 		return Location{}, false
 	}
-	r := db.ranges[i]
 	return Location{Country: r.Country, Region: r.Region}, true
+}
+
+// rangeAt returns the allocated range holding ip, false for addresses
+// outside every range.
+func (db *DB) rangeAt(ip IP) (Range, bool) {
+	i := sort.Search(len(db.ranges), func(i int) bool { return db.ranges[i].Hi > ip })
+	if i == len(db.ranges) || ip < db.ranges[i].Lo {
+		return Range{}, false
+	}
+	return db.ranges[i], true
 }
 
 // RangeOf returns the primary (non-Crimea) allocated range for code.
@@ -249,20 +258,6 @@ func (db *DB) ProxyExitIP(code CountryCode, n uint64) (IP, error) {
 	return lo + IP(n%span), nil
 }
 
-// IsProxyExit reports whether ip sits in a proxy-flagged residential
-// slice — the signal commercial blacklists give anti-abuse systems.
-func (db *DB) IsProxyExit(ip IP) bool {
-	i := sort.Search(len(db.ranges), func(i int) bool { return db.ranges[i].Hi > ip })
-	if i == len(db.ranges) || ip < db.ranges[i].Lo {
-		return false
-	}
-	r := db.ranges[i]
-	if r.Region != "" {
-		return false
-	}
-	return ip >= proxyBoundary(r) && ip < datacenterBoundary(r)
-}
-
 // DatacenterIP mints the n-th datacenter address inside code's range.
 func (db *DB) DatacenterIP(code CountryCode, n uint64) (IP, error) {
 	r, ok := db.RangeOf(code)
@@ -274,27 +269,50 @@ func (db *DB) DatacenterIP(code CountryCode, n uint64) (IP, error) {
 	return lo + IP(n%span), nil
 }
 
-// IsAnonymizer reports whether ip appears on the (simulated) public
-// anonymizer/Tor-exit lists that anti-abuse systems subscribe to: a
-// deterministic pseudo-membership over datacenter address space.
-func (db *DB) IsAnonymizer(ip IP) bool {
-	if !db.IsDatacenter(ip) {
-		return false
+// Class is where an address stands on the address lists anti-abuse
+// systems subscribe to: a set of the flags below, none for an ordinary
+// residential address or one outside every country's primary range.
+type Class uint8
+
+const (
+	// ProxyFlagged marks a residential address in a proxy-flagged slice,
+	// the signal commercial blacklists give anti-abuse systems.
+	ProxyFlagged Class = 1 << iota
+	// Datacenter marks an address in a datacenter slice.
+	Datacenter
+	// Anonymizer marks a datacenter address on the (simulated) public
+	// anonymizer/Tor-exit lists: a deterministic pseudo-membership over
+	// datacenter address space.
+	Anonymizer
+)
+
+// Classify returns ip's class, from the one range search that holds it.
+func (db *DB) Classify(ip IP) Class {
+	r, ok := db.rangeAt(ip)
+	if !ok || r.Region != "" {
+		return 0
 	}
-	h := uint64(ip) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return h%8 == 0
+	switch {
+	case ip >= datacenterBoundary(r):
+		h := uint64(ip) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+		if h%8 == 0 {
+			return Datacenter | Anonymizer
+		}
+		return Datacenter
+	case ip >= proxyBoundary(r):
+		return ProxyFlagged
+	}
+	return 0
 }
 
+// IsProxyExit reports whether ip sits in a proxy-flagged residential
+// slice.
+func (db *DB) IsProxyExit(ip IP) bool { return db.Classify(ip)&ProxyFlagged != 0 }
+
 // IsDatacenter reports whether ip falls in a datacenter slice.
-func (db *DB) IsDatacenter(ip IP) bool {
-	i := sort.Search(len(db.ranges), func(i int) bool { return db.ranges[i].Hi > ip })
-	if i == len(db.ranges) || ip < db.ranges[i].Lo {
-		return false
-	}
-	r := db.ranges[i]
-	if r.Region != "" {
-		return false
-	}
-	return ip >= datacenterBoundary(r)
-}
+func (db *DB) IsDatacenter(ip IP) bool { return db.Classify(ip)&Datacenter != 0 }
+
+// IsAnonymizer reports whether ip appears on the public anonymizer
+// lists.
+func (db *DB) IsAnonymizer(ip IP) bool { return db.Classify(ip)&Anonymizer != 0 }

@@ -57,7 +57,8 @@ type Config struct {
 	MeasurementsPerPair int
 	// Countries to draw volunteers from; nil = every measurable country.
 	Countries []geo.CountryCode
-	// Concurrency bounds parallel volunteer simulation.
+	// Concurrency bounds parallel volunteer simulation; zero takes
+	// scanner.DefaultConcurrency().
 	Concurrency int
 }
 
@@ -73,7 +74,7 @@ func Synthesize(w *worldgen.World, cfg Config) *Corpus {
 		countries = w.Geo.Measurable()
 	}
 	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 8
+		cfg.Concurrency = scanner.DefaultConcurrency()
 	}
 
 	// Probe only list entries that resolve in the simulated world.
@@ -161,7 +162,7 @@ func fetch(stack *vnet.Stack, cls *fingerprint.Classifier, domain string, seed u
 		headers["Accept-Language"] = "en-US,en;q=0.5"
 	}
 	var r vnet.Reply
-	if scanner.Fetch(stack, domain, seed, headers, &r) != scanner.ErrNone {
+	if scanner.Fetch(stack.World, stack, domain, seed, headers, &r) != scanner.ErrNone {
 		return 0, blockpage.KindNone, true
 	}
 	kind := blockpage.KindNone

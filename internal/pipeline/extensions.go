@@ -171,7 +171,7 @@ func (s *Study) timesOutFromDatacenter(domain string, cc geo.CountryCode) bool {
 	stack := vnet.At(s.World, ip)
 	seed := stats.Mix64(stats.Hash(domain) ^ stats.Hash(string(cc)) ^ 0x7a11)
 	var r vnet.Reply
-	return scanner.Fetch(&stack, domain, seed, scanner.BrowserHeaders(), &r) == scanner.ErrTimeout
+	return scanner.Fetch(s.World, &stack, domain, seed, scanner.BrowserHeaders(), &r) == scanner.ErrTimeout
 }
 
 // ---------------------------------------------------------------------
@@ -215,7 +215,7 @@ func (s *Study) RunAppLayerStudy(domains []string, ref geo.CountryCode, targets 
 		stack := vnet.At(s.World, ip)
 		seed := stats.Mix64(stats.Hash(domain) ^ stats.Hash(string(cc)) ^ uint64(attempt+1)*0x9e37)
 		var r vnet.Reply
-		if scanner.Fetch(&stack, domain, seed, scanner.BrowserHeaders(), &r) != scanner.ErrNone || r.Status != 200 {
+		if scanner.Fetch(s.World, &stack, domain, seed, scanner.BrowserHeaders(), &r) != scanner.ErrNone || r.Status != 200 {
 			return applayer.Observation{}, false
 		}
 		body, err := r.Body()
@@ -325,7 +325,7 @@ func (s *Study) regionBlockRate(domain string, crimea bool, samples int) (float6
 	var r vnet.Reply
 	for i := 0; i < samples; i++ {
 		seed := stats.Mix64(stats.Hash(domain) ^ uint64(i+1)*0x517cc1b7 ^ uint64(boolToInt(crimea)))
-		if scanner.Fetch(sess, domain, seed, headers, &r) != scanner.ErrNone {
+		if scanner.Fetch(s.World, sess, domain, seed, headers, &r) != scanner.ErrNone {
 			sess.Rotate()
 			continue
 		}

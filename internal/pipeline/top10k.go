@@ -22,7 +22,7 @@ type Top10KConfig struct {
 	Threshold       float64 // 0.80
 	RepCountryCount int     // 20
 	LengthCutoff    float64 // 0.30
-	Concurrency     int
+	Concurrency     int     // scanner.DefaultConcurrency()
 }
 
 func (c *Top10KConfig) fill() {
@@ -42,7 +42,7 @@ func (c *Top10KConfig) fill() {
 		c.LengthCutoff = outlier.DefaultCutoff
 	}
 	if c.Concurrency == 0 {
-		c.Concurrency = 8
+		c.Concurrency = scanner.DefaultConcurrency()
 	}
 }
 

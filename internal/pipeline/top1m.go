@@ -20,7 +20,7 @@ type Top1MConfig struct {
 	InitialSamples int     // 3
 	ResampleCount  int     // 20
 	Threshold      float64 // 0.80
-	Concurrency    int
+	Concurrency    int     // scanner.DefaultConcurrency()
 }
 
 func (c *Top1MConfig) fill() {
@@ -37,7 +37,7 @@ func (c *Top1MConfig) fill() {
 		c.Threshold = consistency.DefaultThreshold
 	}
 	if c.Concurrency == 0 {
-		c.Concurrency = 8
+		c.Concurrency = scanner.DefaultConcurrency()
 	}
 }
 

@@ -25,6 +25,12 @@ import (
 type Exit struct {
 	// IP is the address the exit's traffic sources from.
 	IP geo.IP
+	// The database's location of IP and its class, recorded when the
+	// address was minted: the index of the country IP locates to in the
+	// world's country table (the region is Crimea's for an InCrimea
+	// exit), and the flags of the slice it was minted in.
+	at    uint16
+	class geo.Class
 	// Claimed is the country the proxy platform advertises for the
 	// exit. For mislocated exits the IP geolocates elsewhere.
 	Claimed geo.CountryCode
@@ -80,7 +86,7 @@ type FaultHook interface {
 // Network is the proxy mesh.
 type Network struct {
 	World  *worldgen.World
-	exits  map[geo.CountryCode][]*Exit
+	exits  map[geo.CountryCode][]Exit
 	faults FaultHook
 }
 
@@ -94,12 +100,15 @@ func (n *Network) SetFaults(h FaultHook) { n.faults = h }
 const maxExitsPerCountry = 240
 
 // NewNetwork builds the mesh from the world's per-country exit
-// inventories.
+// inventories, one slice per country. Each exit's address is located
+// where it is minted (its country's proxy-flagged slice, a neighbour's
+// for a mislocated exit, or the Crimea range), so no session searches
+// the GeoIP table.
 func NewNetwork(w *worldgen.World) *Network {
 	rng := stats.NewRNG(w.Cfg.Seed).Fork("proxy")
-	n := &Network{World: w, exits: make(map[geo.CountryCode][]*Exit)}
+	n := &Network{World: w, exits: make(map[geo.CountryCode][]Exit)}
 	countries := w.Geo.Countries()
-	for _, c := range countries {
+	for ci, c := range countries {
 		if c.LuminatiExits == 0 {
 			continue
 		}
@@ -121,40 +130,42 @@ func NewNetwork(w *worldgen.World) *Network {
 		case c.GDPTier == 5:
 			base = 0.95
 		}
-		exits := make([]*Exit, count)
+		exits := make([]Exit, count)
 		for i := range exits {
-			e := &Exit{
-				Claimed:     c.Code,
-				Reliability: clampProb(base - 0.15*crng.Float64()),
-			}
+			e := &exits[i]
+			e.Claimed, e.at, e.class = c.Code, uint16(ci), geo.ProxyFlagged
+			e.Reliability = clampProb(base - 0.15*crng.Float64())
 			e.CorporateFirewall = crng.Bool(0.08)
 			switch {
 			case crng.Bool(0.015):
 				// Mislocated: the machine's address geolocates to a
 				// nearby (table-adjacent) country.
 				e.Mislocated = true
-				other := countries[(indexOf(countries, c.Code)+1+crng.Intn(4))%len(countries)]
-				e.IP = mustExitIP(w, other.Code, crng.Uint64())
+				other := (ci + 1 + crng.Intn(4)) % len(countries)
+				e.IP = mustExitIP(w, countries[other].Code, crng.Uint64())
+				e.at = uint16(other)
 			case c.Code == "UA" && crng.Bool(0.06):
+				// The Crimea range is Ukraine's, and on no address list.
 				e.InCrimea = true
 				e.IP = w.Geo.CrimeaHostIP(crng.Uint64())
+				e.class = 0
 			default:
 				e.IP = mustExitIP(w, c.Code, crng.Uint64())
 			}
-			exits[i] = e
 		}
 		n.exits[c.Code] = exits
 	}
 	return n
 }
 
-func indexOf(cs []geo.Country, code geo.CountryCode) int {
-	for i, c := range cs {
-		if c.Code == code {
-			return i
-		}
+// location is the database's location of e's address, as recorded when
+// it was minted.
+func (e *Exit) location(db *geo.DB) geo.Location {
+	loc := geo.Location{Country: db.Countries()[e.at].Code}
+	if e.InCrimea {
+		loc.Region = geo.RegionCrimea
 	}
-	return 0
+	return loc
 }
 
 // mustExitIP mints a proxy-exit address: exit machines run the Hola
@@ -189,8 +200,9 @@ func (n *Network) Countries() []geo.CountryCode {
 	return out
 }
 
-// Exits exposes a country's inventory (for diagnostics and tests).
-func (n *Network) Exits(cc geo.CountryCode) []*Exit { return n.exits[cc] }
+// Exits exposes a country's inventory (for diagnostics and tests). The
+// exits are the network's own and must not be modified.
+func (n *Network) Exits(cc geo.CountryCode) []Exit { return n.exits[cc] }
 
 // ErrNoExits is returned when a country has no residential exits.
 type ErrNoExits struct{ Country geo.CountryCode }
@@ -217,7 +229,7 @@ func (e *ErrBrownout) Error() string {
 type Session struct {
 	net   *Network
 	cc    geo.CountryCode
-	exits []*Exit
+	exits []Exit
 	cur   int
 	used  int
 
@@ -235,8 +247,12 @@ type FaultCounts struct {
 // Faults returns the injected faults the session has acted on so far.
 func (s *Session) Faults() FaultCounts { return s.fired }
 
-// land locates the stack of the exit the session now stands on.
-func (s *Session) land() { s.stack = vnet.At(s.net.World, s.Exit().IP) }
+// land locates the stack of the exit the session now stands on, from
+// the location and class recorded when its address was minted.
+func (s *Session) land() {
+	e, w := s.Exit(), s.net.World
+	s.stack = vnet.Located(w, e.IP, e.location(w.Geo), e.class)
+}
 
 // NewSession opens a session exiting in cc, starting at a
 // deterministic position derived from slot (workers pass distinct
@@ -267,7 +283,7 @@ func (n *Network) OpenSession(s *Session, cc geo.CountryCode, slot uint64, attem
 }
 
 // open opens s over exits, starting at the position slot picks.
-func (n *Network) open(s *Session, cc geo.CountryCode, exits []*Exit, slot uint64) {
+func (n *Network) open(s *Session, cc geo.CountryCode, exits []Exit, slot uint64) {
 	*s = Session{
 		net:   n,
 		cc:    cc,
@@ -282,7 +298,7 @@ func (n *Network) open(s *Session, cc geo.CountryCode, exits []*Exit, slot uint6
 // outside) the Crimea region — the sub-national vantage selection the
 // paper's §4.2.2 observation calls for.
 func (n *Network) NewRegionSession(cc geo.CountryCode, crimea bool, slot uint64) (*Session, error) {
-	var filtered []*Exit
+	var filtered []Exit
 	for _, e := range n.exits[cc] {
 		if e.InCrimea == crimea && !e.Mislocated {
 			filtered = append(filtered, e)
@@ -297,7 +313,7 @@ func (n *Network) NewRegionSession(cc geo.CountryCode, crimea bool, slot uint64)
 }
 
 // Exit returns the session's current exit.
-func (s *Session) Exit() *Exit { return s.exits[s.cur] }
+func (s *Session) Exit() *Exit { return &s.exits[s.cur] }
 
 // InventorySize is the number of exits the session rotates over — the
 // upper bound on how many distinct machines a probe sweep can reach.
@@ -348,12 +364,10 @@ func (s *Session) RoundTrip(req *http.Request) (*http.Response, error) {
 	return r.Response(req), nil
 }
 
-// Resolve resolves host into d for the probes the session sends,
-// together with the transit verdict from the session's country.
-func (s *Session) Resolve(host string, d *vnet.Dest) {
-	s.stack.Resolve(host, d)
-	d.PathDown = s.path.down(d.Hash)
-}
+// PathDown reports the mesh's stable transit verdict from the
+// session's country to d: whether every connection to it fails,
+// whichever exit sends it.
+func (s *Session) PathDown(d *vnet.Dest) bool { return s.path.down(d.Hash) }
 
 // Probe sends p through the session's current exit, charging the exit
 // one request of its budget for every hop the probe takes. It applies,
@@ -369,7 +383,7 @@ func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	d := p.Dest
 	if d == nil {
 		d = new(vnet.Dest)
-		s.Resolve(p.Host, d)
+		*d = vnet.Resolve(s.net.World, p.Host)
 		p.Dest = d
 	}
 	host := d.Name
@@ -394,7 +408,7 @@ func (s *Session) Probe(p vnet.Probe, r *vnet.Reply) error {
 	// rotation cannot fix it: this is what keeps even well-connected
 	// countries at the paper's 89–94% per-domain response rates, and
 	// what buries Comoros at ~76% (§4.1.1).
-	if d.PathDown {
+	if s.PathDown(d) {
 		return d.Fail("dial", host, "i/o timeout", true)
 	}
 

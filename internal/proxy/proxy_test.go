@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/vnet"
@@ -266,6 +267,61 @@ func TestRegionSession(t *testing.T) {
 	}
 }
 
+// TestExitsLocatedWhenMinted holds every exit's recorded location and
+// class, mislocated and Crimean exits included, to what the GeoIP table
+// answers for its address, over the exits of four worlds; and the stack
+// a session lands on, at every exit of the test network, to the one
+// vnet.At builds by searching the table. The record rides in an exit's
+// padding: an exit takes no more of its country's slice than the 48-byte
+// object and 8-byte pointer an exit took before it was recorded.
+func TestExitsLocatedWhenMinted(t *testing.T) {
+	if n := unsafe.Sizeof(Exit{}); n > 56 {
+		t.Fatalf("an exit takes %d bytes", n)
+	}
+	exits, mislocated, crimea := 0, 0, 0
+	for seed := uint64(44); seed < 48; seed++ {
+		cfg := worldgen.TestConfig()
+		cfg.Seed, cfg.Scale = seed, 0.03
+		w := worldgen.Generate(cfg)
+		n := NewNetwork(w)
+		for _, cc := range n.Countries() {
+			for _, e := range n.Exits(cc) {
+				loc, ok := w.Geo.Locate(e.IP)
+				if got := e.location(w.Geo); !ok || got != loc {
+					t.Fatalf("world %d: exit %v of %s recorded at %v, the table locates it at %v", seed, e.IP, cc, got, loc)
+				}
+				if got, want := e.class, w.Geo.Classify(e.IP); got != want {
+					t.Fatalf("world %d: exit %v of %s recorded as class %d, the table says %d", seed, e.IP, cc, got, want)
+				}
+				exits++
+				if e.Mislocated {
+					mislocated++
+				}
+				if e.InCrimea {
+					crimea++
+				}
+			}
+		}
+	}
+	t.Logf("%d exits, %d mislocated, %d in Crimea", exits, mislocated, crimea)
+	if mislocated == 0 || crimea == 0 {
+		t.Fatalf("%d mislocated and %d Crimean exits: the comparison missed a kind", mislocated, crimea)
+	}
+
+	for _, cc := range testNet.Countries() {
+		s, err := testNet.NewSession(cc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range s.InventorySize() {
+			if want := vnet.At(testWorld, s.Exit().IP); s.stack != want {
+				t.Fatalf("%s: the session landed on exit %v with stack %+v, vnet.At builds %+v", cc, s.Exit().IP, s.stack, want)
+			}
+			s.Rotate()
+		}
+	}
+}
+
 func TestExitsAreProxyFlagged(t *testing.T) {
 	// Every exit address must sit in the proxy-flagged slice (or the
 	// Crimea range): the blacklist fate-sharing of §3.2 depends on it.
@@ -329,9 +385,8 @@ func TestProbeChargesEveryHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dest vnet.Dest
-	s.Resolve(d.Name, &dest)
-	if dest.PathDown {
+	dest := vnet.Resolve(testWorld, d.Name)
+	if s.PathDown(&dest) {
 		t.Fatalf("%s is unreachable from DE", d.Name)
 	}
 	probe := vnet.Probe{Scheme: "http", Host: d.Name, Path: "/", Dest: &dest, MaxHops: 10}

@@ -3,9 +3,11 @@
 // shard's session or stack: no *http.Request, no header copies, no
 // body rendered unless the sample keeps it, and one vnet.Reply, owned
 // by the fetcher, that every probe and attempt writes into. What stays
-// fixed for a task is resolved once, into a vnet.Dest the fetcher owns
-// and every probe carries: the site name, its domain record and hash,
-// and the mesh's transit verdict. Redirects are bounded here as
+// fixed for a domain is resolved once per plan, into a target: the
+// first probe's host and path, the site name, its domain record and
+// hash, and the domain's share of its sample seeds. The fetcher copies
+// a task's destination into a vnet.Dest of its own, which every probe
+// of the task carries. Redirects are bounded here as
 // http.Client bounds them: an attempt sends at most MaxRedirects
 // requests, each spending a unit of the exit's budget. A probe carries
 // what is left of that bound and walks the site's same-site redirects
@@ -24,6 +26,7 @@ import (
 
 	"geoblock/internal/cdn"
 	"geoblock/internal/geo"
+	"geoblock/internal/stats"
 	"geoblock/internal/vnet"
 	"geoblock/internal/worldgen"
 )
@@ -31,11 +34,9 @@ import (
 var errRedirectLimit = errors.New("scanner: redirect limit reached")
 
 // Prober is what a fetcher sends hops through: *proxy.Session and
-// *vnet.Stack. Resolve resolves a task's destination once, Probe is the
-// direct path, and the RoundTrip adapter is what Config.WrapTransport
-// wraps.
+// *vnet.Stack. Probe is the direct path, and the RoundTrip adapter is
+// what Config.WrapTransport wraps.
 type Prober interface {
-	Resolve(host string, d *vnet.Dest)
 	Probe(vnet.Probe, *vnet.Reply) error
 	http.RoundTripper
 }
@@ -69,15 +70,14 @@ type fetcher struct {
 	reply   vnet.Reply   // every hop's answer, reused from hop to hop
 	metrics *UnitMetrics // nil when nothing counts the attempts
 
-	dest     vnet.Dest // the current task's destination
-	host     string    // the host dest was resolved from
-	resolved bool
+	target *target   // the current task's domain
+	dest   vnet.Dest // target's destination, the fetcher's own copy
 }
 
 // reset makes f a fetcher over p with the plan's header set and the
 // config's redirect bound and body-retention policy, keeping nothing
-// of what it fetched before: no reply, no resolved destination. It
-// counts its attempts into m, when m is not nil.
+// of what it fetched before: no reply, no task. It counts its attempts
+// into m, when m is not nil.
 func (f *fetcher) reset(ctx context.Context, p Prober, cfg Config, hs headerSet, m *UnitMetrics) {
 	*f = fetcher{
 		ctx:     ctx,
@@ -94,18 +94,56 @@ func (f *fetcher) reset(ctx context.Context, p Prober, cfg Config, hs headerSet,
 	}
 }
 
-// fetch performs one attempt and classifies the outcome. exit is the
-// address serving the attempt (recorded even on failure, for the load
-// accounting and for replay). The return value is named so the
-// metrics' defer counts the final sample whichever path produced it.
-func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit geo.IP) (s Sample) {
+// target is one of a plan's domains resolved against the world that
+// executes the plan, once for every task and attempt that names it.
+type target struct {
+	// host and path are the first probe's: the domain and "/" for a
+	// plain name, otherwise what net/url makes of http://domain/.
+	host, path string
+	// err is why the name is no URL, failing every attempt at it; nil
+	// when it parses.
+	err  error
+	dest vnet.Dest // host resolved against the world
+	// seed is stats.Hash of the domain name, its share of every sample
+	// seed (saltedSeed).
+	seed uint64
+}
+
+// newTarget resolves domain against w.
+func newTarget(w *worldgen.World, domain string) target {
+	t := target{host: domain, path: "/", seed: stats.Hash(domain)}
+	if !plain(domain, false) {
+		p, err := resolve(vnet.Probe{Scheme: "http", Host: domain, Path: "/"}, "http://"+domain+"/")
+		if err != nil {
+			t.err = &vnet.OpError{Op: "dns", Host: domain, Msg: err.Error()}
+			return t
+		}
+		t.host, t.path = p.Host, p.Path
+	}
+	t.dest = vnet.Resolve(w, t.host)
+	return t
+}
+
+// aim points f at t, the domain of the task whose attempts follow,
+// copying its destination into f's own, whose failure value the
+// task's failed hops reuse.
+func (f *fetcher) aim(t *target) {
+	f.target, f.dest = t, t.dest
+}
+
+// fetch performs one attempt at the task f is aimed at and classifies
+// the outcome. exit is the address serving the attempt (recorded even
+// on failure, for the load accounting and for replay). The return
+// value is named so the metrics' defer counts the final sample
+// whichever path produced it.
+func (f *fetcher) fetch(seed uint64, t Task, attempt uint8, exit geo.IP) (s Sample) {
 	if m := f.metrics; m != nil {
 		defer m.fetched(&s)
 	}
 	s = Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Seed: seed, ExitIP: exit}
 
 	r := &f.reply
-	err := f.follow(domain, seed)
+	err := f.follow(seed)
 	if err != nil {
 		s.Err = classifyError(err)
 		return s
@@ -144,16 +182,6 @@ func (f *fetcher) fetch(domain string, seed uint64, t Task, attempt uint8, exit 
 	return s
 }
 
-// resolve returns host's destination, resolved once per task: the
-// attempts and same-site hops of a task all reuse it.
-func (f *fetcher) resolve(host string) *vnet.Dest {
-	if !f.resolved || host != f.host {
-		f.probe.Resolve(host, &f.dest)
-		f.host, f.resolved = host, true
-	}
-	return &f.dest
-}
-
 // hop sends p into r: straight to the prober, or, when the config
 // wraps the transport, as a one-hop HTTP request through the wrapped
 // RoundTrip adapter, whose bodies stay unrendered until read.
@@ -175,23 +203,21 @@ func (f *fetcher) hop(p vnet.Probe, r *vnet.Reply) error {
 	return nil
 }
 
-// follow fetches http://domain/ into f.reply and follows its redirect
-// chain the way http.Client does: every hop carries the same headers
-// and seed, and the attempt fails with errRedirectLimit when the
-// maxHops-th request still answers with a redirect. Each probe may
-// spend what is left of maxHops, and the requests it took count
-// against it. A same-site Location keeps the task's destination; one
-// that leaves the site is resolved again by whatever probes it.
-func (f *fetcher) follow(domain string, seed uint64) error {
-	p := vnet.Probe{Scheme: "http", Host: domain, Path: "/", Seed: seed,
-		Header: f.headers.header, Fingerprint: f.headers.fingerprint}
-	if !plain(domain, false) {
-		var err error
-		if p, err = resolve(p, "http://"+domain+"/"); err != nil {
-			return &vnet.OpError{Op: "dns", Host: domain, Msg: err.Error()}
-		}
+// follow fetches http://domain/ of the task f is aimed at into f.reply
+// and follows its redirect chain the way http.Client does: every hop
+// carries the same headers and seed, and the attempt fails with
+// errRedirectLimit when the maxHops-th request still answers with a
+// redirect. Each probe may spend what is left of maxHops, and the
+// requests it took count against it. A same-site Location keeps the
+// task's destination; one that leaves the site is resolved again by
+// whatever probes it.
+func (f *fetcher) follow(seed uint64) error {
+	t := f.target
+	if t.err != nil {
+		return t.err
 	}
-	p.Dest = f.resolve(p.Host)
+	p := vnet.Probe{Scheme: "http", Host: t.host, Path: t.path, Seed: seed,
+		Header: f.headers.header, Fingerprint: f.headers.fingerprint, Dest: &f.dest}
 	r := &f.reply
 	for sent := 0; ; {
 		p.MaxHops = f.maxHops - sent
@@ -257,16 +283,19 @@ func plain(s string, slash bool) bool {
 	return true
 }
 
-// Fetch sends one attempt at http://domain/ through p, as a scan's
-// fetcher sends it: the headers and seed ride on every hop, and the
-// redirect chain is followed to at most MaxRedirects requests. The
-// last hop's answer is left in r, its body unrendered until read. The
+// Fetch sends one attempt at http://domain/ through p, a prober into
+// w, as a scan's fetcher sends it: the headers and seed ride on every
+// hop, and the redirect chain is followed to at most MaxRedirects
+// requests. domain is resolved against w once for the call. The last
+// hop's answer is left in r, its body unrendered until read. The
 // result classifies a failed attempt as a sample's would be; it is
 // ErrNone when r holds an answer, a proxy's refusal (r.Refused)
 // included.
-func Fetch(p Prober, domain string, seed uint64, headers map[string]string, r *vnet.Reply) ErrCode {
+func Fetch(w *worldgen.World, p Prober, domain string, seed uint64, headers map[string]string, r *vnet.Reply) ErrCode {
+	t := newTarget(w, domain)
 	f := fetcher{probe: p, headers: newHeaderSet(headers), maxHops: MaxRedirects}
-	if err := f.follow(domain, seed); err != nil {
+	f.aim(&t)
+	if err := f.follow(seed); err != nil {
 		return classifyError(err)
 	}
 	*r = f.reply
@@ -280,8 +309,10 @@ func Fetch(p Prober, domain string, seed uint64, headers map[string]string, r *v
 // address, and returns the final body and status.
 func Replay(w *worldgen.World, domain string, exit geo.IP, seed uint64, headers map[string]string, maxRedirects int) (string, int, error) {
 	st := vnet.At(w, exit)
+	t := newTarget(w, domain)
 	f := fetcher{probe: &st, headers: newHeaderSet(headers), maxHops: maxRedirects}
-	if err := f.follow(domain, seed); err != nil {
+	f.aim(&t)
+	if err := f.follow(seed); err != nil {
 		return "", 0, fmt.Errorf("scanner: replay %s: %w", domain, err)
 	}
 	body, err := f.reply.Body()

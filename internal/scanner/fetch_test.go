@@ -171,16 +171,19 @@ func TestFetchMatchesNetHTTP(t *testing.T) {
 				fw.reset(context.Background(), viaHTTP, wrapped, newHeaderSet(wrapped.Headers), nil)
 				for di, domain := range domains {
 					task := Task{Domain: int32(di), Country: int16(ci)}
+					tg := newTarget(refWorld, domain)
+					fd.aim(&tg)
+					fw.aim(&tg)
 					for a := uint8(0); a < 3; a++ {
 						seed := sampleSeed(domain, string(cc), "net/http-ref", int(a))
 						exit := ref.Exit().IP
 						before := ref.Used()
 						want := refFetch(ref, cfg, domain, seed, task, a, exit)
-						got := fd.fetch(domain, seed, task, a, direct.Exit().IP)
-						viaGot := fw.fetch(domain, seed, task, a, viaHTTP.Exit().IP)
+						got := fd.fetch(seed, task, a, direct.Exit().IP)
+						viaGot := fw.fetch(seed, task, a, viaHTTP.Exit().IP)
 						var r vnet.Reply
 						fetched := Sample{Domain: task.Domain, Country: task.Country, Attempt: a, Seed: seed, ExitIP: viaFetch.Exit().IP}
-						code := Fetch(viaFetch, domain, seed, cfg.Headers, &r)
+						code := Fetch(refWorld, viaFetch, domain, seed, cfg.Headers, &r)
 						if want.Err == ErrLuminati && (code != ErrNone || !r.Refused) {
 							t.Fatalf("%s from %s attempt %d: Fetch returned %v for a refusal, not an answer", domain, cc, a, code)
 						}
@@ -276,6 +279,10 @@ func TestFetchAllocs(t *testing.T) {
 	cfg := testConfig()
 	cfg.Bodies = BodyAll
 	cfg = cfg.withDefaults()
+	targets := make([]target, len(domains))
+	for i, domain := range domains {
+		targets[i] = newTarget(testNet.World, domain)
+	}
 	// pass measures one pass of samples, four over each domain, and
 	// returns its allocations and the bodies it kept.
 	pass := func(m *UnitMetrics) (allocs float64, kept int) {
@@ -288,11 +295,12 @@ func TestFetchAllocs(t *testing.T) {
 		fetchAll := func() {
 			kept = 0
 			for round := 0; round < 4; round++ {
-				for i, domain := range domains {
+				for i := range domains {
 					if s.Used() >= RequestsPerExit {
 						s.Rotate()
 					}
-					if f.fetch(domain, uint64(i), Task{Domain: int32(i)}, 0, s.Exit().IP).Body != "" {
+					f.aim(&targets[i])
+					if f.fetch(uint64(i), Task{Domain: int32(i)}, 0, s.Exit().IP).Body != "" {
 						kept++
 					}
 				}
@@ -365,9 +373,8 @@ func TestHopAllocs(t *testing.T) {
 			f.reset(context.Background(), s, cfg, newHeaderSet(cfg.Headers), nil)
 			var domain string
 			for _, d := range tc.net.World.Top10K() {
-				var dest vnet.Dest
-				s.Resolve(d.Name, &dest)
-				if tc.domain(d, dest.PathDown) {
+				dest := vnet.Resolve(tc.net.World, d.Name)
+				if tc.domain(d, s.PathDown(&dest)) {
 					domain = d.Name
 					break
 				}
@@ -375,10 +382,12 @@ func TestHopAllocs(t *testing.T) {
 			if domain == "" {
 				t.Fatal("the test world holds no such domain")
 			}
+			tg := newTarget(tc.net.World, domain)
+			f.aim(&tg)
 			task, exit := Task{}, s.Exit().IP
 			seed := uint64(0)
 			for ; seed < 1000; seed++ {
-				if got := f.fetch(domain, seed, task, 0, exit); got.Err == tc.want.Err && got.Status == tc.want.Status {
+				if got := f.fetch(seed, task, 0, exit); got.Err == tc.want.Err && got.Status == tc.want.Status {
 					break
 				}
 			}
@@ -386,14 +395,14 @@ func TestHopAllocs(t *testing.T) {
 				t.Fatalf("no seed ends %s with %v, status %d", domain, tc.want.Err, tc.want.Status)
 			}
 			before := s.Used()
-			f.fetch(domain, seed, task, 0, exit)
+			f.fetch(seed, task, 0, exit)
 			if spent := s.Used() - before; spent != tc.hops {
 				t.Errorf("%s, seed %d: the attempt charged the exit %d requests, want %d", domain, seed, spent, tc.hops)
 			}
 			if answered := tc.want.Err == ErrNone || tc.want.Err == ErrRedirects; answered && f.reply.Hops != tc.hops {
 				t.Errorf("%s, seed %d: the probe took %d hops, want %d", domain, seed, f.reply.Hops, tc.hops)
 			}
-			if allocs := testing.AllocsPerRun(100, func() { f.fetch(domain, seed, task, 0, exit) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(100, func() { f.fetch(seed, task, 0, exit) }); allocs != 0 {
 				t.Errorf("%s, seed %d: %.2f allocations per attempt", domain, seed, allocs)
 			}
 		})

@@ -25,6 +25,7 @@ import (
 	"geoblock/internal/proxy"
 	"geoblock/internal/stats"
 	"geoblock/internal/trace"
+	"geoblock/internal/worldgen"
 )
 
 // WorkUnit is the leasable coordinate of one scheduler shard: which
@@ -94,6 +95,13 @@ type Plan struct {
 	// unitCap is the largest unit's sample count: the capacity of every
 	// unit's sample buffer, so that a recycled one fits any unit.
 	unitCap int
+
+	// mu guards the plan's domains resolved against world, the world
+	// that executes the plan (resolve). It is not part of what a plan
+	// is: two plans of one scan agree whatever they have resolved.
+	mu      sync.Mutex
+	world   *worldgen.World
+	targets []target
 }
 
 // NewPlan decomposes one residential scan into its canonical work
@@ -242,6 +250,23 @@ func (p *Plan) ExecuteUnit(ctx context.Context, net *proxy.Network, seq int) (Un
 	return res, nil
 }
 
+// resolve returns the plan's domains resolved against w, indexed by
+// Task.Domain. The table is built once, at the first unit w executes,
+// and read by every unit after it; a call with another world builds
+// that world's.
+func (p *Plan) resolve(w *worldgen.World) []target {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.world != w {
+		ts := make([]target, len(p.domains))
+		for i, domain := range p.domains {
+			ts[i] = newTarget(w, domain)
+		}
+		p.world, p.targets = w, ts
+	}
+	return p.targets
+}
+
 // unitState is what a unit executes in: the fetcher, with the reply
 // and destination its probes write into, the session, with the proxy
 // session it opens in place, and an emptied sample buffer of capacity
@@ -266,9 +291,10 @@ func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard, u *un
 		out = make([]Sample, 0, p.unitCap)
 	}
 	if p.fleet != nil {
-		res.Samples = scanVPSShard(ctx, p.fleet[sh.group], p, sh, &u.f, tb, res.Metrics, out)
+		v := p.fleet[sh.group]
+		res.Samples = scanVPSShard(ctx, v, p, p.resolve(v.Stack().World), sh, &u.f, tb, res.Metrics, out)
 	} else {
-		res.Samples, res.Lost = scanShard(ctx, net, p, sh, u, tb, res.Metrics, out)
+		res.Samples, res.Lost = scanShard(ctx, net, p, p.resolve(net.World), sh, u, tb, res.Metrics, out)
 	}
 	res.Trace = tb.Events()
 	return res

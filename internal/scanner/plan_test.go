@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"geoblock/internal/stats"
+	"geoblock/internal/vnet"
 )
 
 // planInputs is a multi-shard, multi-country workload small enough to
@@ -16,6 +19,48 @@ func planInputs() ([]string, []Task, Config) {
 	cfg := testConfig()
 	cfg.ShardSize = 8
 	return domains, CrossProduct(len(domains), len(countries)), cfg
+}
+
+// TestPlanTargets pins the table a plan resolves its domains into: each
+// entry holds the first probe's host and path, the destination
+// vnet.Resolve gives for that host, and the domain's seed hash,
+// for a plain name, an upper-case one, a www. one, one with a port, one
+// the world does not hold, and one that is no URL at all, whose entry
+// holds the error every attempt at it fails with. A plan builds the
+// table once for the world that executes it.
+func TestPlanTargets(t *testing.T) {
+	top := testWorld.Top10K()
+	domains := []string{top[0].Name, strings.ToUpper(top[1].Name), "www." + top[2].Name,
+		top[3].Name + ":80", "nope.example", "bad host.example"}
+	hosts := []string{top[0].Name, strings.ToUpper(top[1].Name), "www." + top[2].Name, top[3].Name, "nope.example", ""}
+	_, countries := smallInputs(1)
+	p := NewPlan(domains, countries, CrossProduct(len(domains), len(countries)), testConfig())
+	targets := p.resolve(testWorld)
+	for i, domain := range domains {
+		tg := targets[i]
+		if tg.seed != stats.Hash(domain) {
+			t.Errorf("%s: seed hash %x, want %x", domain, tg.seed, stats.Hash(domain))
+		}
+		if hosts[i] == "" {
+			if tg.err == nil || classifyError(tg.err) != ErrDNS {
+				t.Errorf("%s: error %v, want a DNS failure", domain, tg.err)
+			}
+			continue
+		}
+		want := vnet.Resolve(testWorld, hosts[i])
+		if tg.err != nil || tg.host != hosts[i] || tg.path != "/" || tg.dest != want {
+			t.Errorf("%s: host %q, path %q, %+v, error %v; want host %q, path \"/\", %+v", domain, tg.host, tg.path, tg.dest, tg.err, hosts[i], want)
+		}
+		if (want.Domain == nil) != (domain == "nope.example") {
+			t.Errorf("%s resolves to %v", domain, want.Domain)
+		}
+	}
+	if again := p.resolve(testWorld); &again[0] != &targets[0] {
+		t.Error("the plan resolved its domains twice for one world")
+	}
+	if other := p.resolve(refWorld); &other[0] == &targets[0] || other[0].dest.Domain == targets[0].dest.Domain {
+		t.Error("the plan kept one world's table for another")
+	}
 }
 
 // TestPlanMatchesRun is the plan layer's identity contract: executing

@@ -9,7 +9,6 @@ import (
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
-	"geoblock/internal/stats"
 	"geoblock/internal/telemetry"
 	"geoblock/internal/trace"
 )
@@ -52,12 +51,13 @@ func Scan(ctx context.Context, net *proxy.Network, domains []string, countries [
 	return &Result{Domains: domains, Countries: countries, Samples: c.Samples, Outages: c.Outages, Coverage: c.Coverage}, err
 }
 
-// scanShard runs one shard of p's tasks through its own sticky
-// session, opened in u, appends their samples to out and reports why
-// (if at all) its tasks were lost. Its session and fetch metrics go
-// into m. tb, when non-nil, stages the shard's trace events — session
-// open and the closing unit event.
-func scanShard(ctx context.Context, net *proxy.Network, p *Plan, sh *shard, u *unitState, tb *trace.Buffer, m *UnitMetrics, out []Sample) ([]Sample, OutageReason) {
+// scanShard runs one shard of p's tasks, whose domains targets holds
+// resolved against net's world, through its own sticky session, opened
+// in u, appends their samples to out and reports why (if at all) its
+// tasks were lost. Its session and fetch metrics go into m. tb, when
+// non-nil, stages the shard's trace events — session open and the
+// closing unit event.
+func scanShard(ctx context.Context, net *proxy.Network, p *Plan, targets []target, sh *shard, u *unitState, tb *trace.Buffer, m *UnitMetrics, out []Sample) ([]Sample, OutageReason) {
 	cfg := p.cfg
 	unitStart := tb.Wall()
 
@@ -103,10 +103,10 @@ func scanShard(ctx context.Context, net *proxy.Network, p *Plan, sh *shard, u *u
 		if stopped(done) {
 			return out, OutageNone
 		}
-		domain := p.domains[t.Domain]
-		name := stats.Hash(domain)
+		tg := &targets[t.Domain]
+		f.aim(tg)
 		for a := 0; a < cfg.Samples; a++ {
-			out = append(out, fetchReliable(f, se, domain, saltedSeed(name, salt, a), t, uint8(a)))
+			out = append(out, fetchReliable(f, se, saltedSeed(tg.seed, salt, a), t, uint8(a)))
 		}
 	}
 	lost := OutageNone

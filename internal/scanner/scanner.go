@@ -46,6 +46,7 @@ package scanner
 
 import (
 	"net/http"
+	"runtime"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/stats"
@@ -254,8 +255,9 @@ type Config struct {
 	Samples int
 	// Retries per failed sample (the Lumscan reliability feature).
 	Retries int
-	// Concurrency bounds the number of scheduler workers. Output is
-	// bit-identical at any value (see the package determinism contract).
+	// Concurrency bounds the number of scheduler workers; zero takes
+	// DefaultConcurrency. Output is bit-identical at any value (see the
+	// package determinism contract).
 	Concurrency int
 	// ShardSize is the task count per scheduler shard. Zero takes
 	// DefaultShardSize. Shard boundaries feed the per-shard session
@@ -326,7 +328,7 @@ func (c Config) withDefaults() Config {
 		c.Samples = 1
 	}
 	if c.Concurrency <= 0 {
-		c.Concurrency = 8
+		c.Concurrency = DefaultConcurrency()
 	}
 	if c.ShardSize <= 0 {
 		c.ShardSize = DefaultShardSize
@@ -337,13 +339,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// DefaultConcurrency is the worker count of a scan, and of every
+// study's worker pool, whose caller sets none: one worker per CPU the
+// Go scheduler runs goroutines on. Output is identical at any count,
+// and a worker beyond the CPUs only runs ahead of the reorder frontier,
+// where few of its units' sample buffers come back to it.
+func DefaultConcurrency() int { return runtime.GOMAXPROCS(0) }
+
 // DefaultConfig is the initial-snapshot configuration of §4.1.1: three
 // samples per pair, two retries, browser headers.
 func DefaultConfig() Config {
 	return Config{
 		Samples:     3,
 		Retries:     2,
-		Concurrency: 8,
+		Concurrency: DefaultConcurrency(),
 		Headers:     BrowserHeaders(),
 		Phase:       "initial",
 	}

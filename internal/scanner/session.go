@@ -120,7 +120,7 @@ func (se *session) exitIP() geo.IP { return se.s.Exit().IP }
 // is spent. Luminati refusals are terminal — the platform's answer
 // will not change with another exit. A tripped circuit breaker
 // short-circuits the whole sample to ErrNoExits.
-func fetchReliable(f *fetcher, se *session, domain string, seed uint64, t Task, attempt uint8) Sample {
+func fetchReliable(f *fetcher, se *session, seed uint64, t Task, attempt uint8) Sample {
 	var last Sample
 	for try := 0; try <= se.retries; try++ {
 		if try > 0 {
@@ -130,7 +130,7 @@ func fetchReliable(f *fetcher, se *session, domain string, seed uint64, t Task, 
 			return Sample{Domain: t.Domain, Country: t.Country, Attempt: attempt, Err: ErrNoExits}
 		}
 		trySeed := seed + uint64(try)*0x9e3779b97f4a7c15
-		last = f.fetch(domain, trySeed, t, attempt, se.exitIP())
+		last = f.fetch(trySeed, t, attempt, se.exitIP())
 		if last.Err == ErrNone || last.Err == ErrLuminati {
 			se.h.success()
 			return last

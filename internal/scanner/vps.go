@@ -9,7 +9,6 @@ import (
 
 	"geoblock/internal/geo"
 	"geoblock/internal/proxy"
-	"geoblock/internal/stats"
 	"geoblock/internal/trace"
 )
 
@@ -45,9 +44,10 @@ func fleetCountries(fleet []*proxy.VPS) []geo.CountryCode {
 	return countries
 }
 
-// scanVPSShard fetches one shard of p's tasks from v through f,
-// appending their samples to out.
-func scanVPSShard(ctx context.Context, v *proxy.VPS, p *Plan, sh *shard, f *fetcher, tb *trace.Buffer, m *UnitMetrics, out []Sample) []Sample {
+// scanVPSShard fetches one shard of p's tasks, whose domains targets
+// holds resolved against v's world, from v through f, appending their
+// samples to out.
+func scanVPSShard(ctx context.Context, v *proxy.VPS, p *Plan, targets []target, sh *shard, f *fetcher, tb *trace.Buffer, m *UnitMetrics, out []Sample) []Sample {
 	cfg := p.cfg
 	f.reset(ctx, v.Stack(), cfg, p.headers, m)
 	unitStart := tb.Wall()
@@ -57,10 +57,10 @@ func scanVPSShard(ctx context.Context, v *proxy.VPS, p *Plan, sh *shard, f *fetc
 		if stopped(done) {
 			return out
 		}
-		domain := p.domains[t.Domain]
-		name := stats.Hash(domain)
+		tg := &targets[t.Domain]
+		f.aim(tg)
 		for a := 0; a < cfg.Samples; a++ {
-			out = append(out, f.fetch(domain, saltedSeed(name, salt, a), t, uint8(a), v.IP))
+			out = append(out, f.fetch(saltedSeed(tg.seed, salt, a), t, uint8(a), v.IP))
 		}
 	}
 	closeUnit(tb, sh, cfg, len(out), unitStart, OutageNone)

@@ -54,7 +54,7 @@ func TestServedGolden(t *testing.T) {
 				}
 				class := r.edge.Page.String()
 				switch {
-				case r.censored != "":
+				case r.censored:
 					class = "censored"
 				case r.Redirect:
 					class = "redirect"

@@ -10,16 +10,20 @@
 // and copies no reply.
 //
 // What stays fixed across hops is worked out once, by the scope that
-// owns it. A Dest resolves a task's destination (site name, domain
-// record, name hash, the proxy mesh's transit verdict) and holds the
-// error value its failed hops reuse. At locates a client address once
-// for every probe its Stack sends, and the header set's bot verdict
-// rides in the Probe. A probe with a hop budget (MaxHops) sends a whole
-// same-site redirect chain: the stack's checks run once, since no
-// same-site hop changes what they key on, and the edge walks the chain
-// to the page or to the budget's last request, rendering the last
-// hop's Location only when read, so a probe that only reports a length
-// allocates nothing.
+// owns it. A Dest is a destination resolved against the world (site
+// name, domain record, name hash), a function of the world and the host
+// alone: a scan resolves each of its domains once, and copies the Dest
+// into the one each task's probes carry, which holds the error value
+// their failed hops reuse. A located Stack holds its client address's
+// GeoIP location, the edge's view of it and its class on the
+// anti-abuse lists, for every probe it sends: At looks them up, and
+// Located takes what a caller recorded when it minted the address. The
+// header set's bot verdict rides in the Probe. A probe with a hop
+// budget (MaxHops) sends a whole same-site redirect chain: the stack's
+// checks run once, since no same-site hop changes what they key on,
+// and the edge walks the chain to the page or to the budget's last
+// request, rendering the last hop's Location, like every page, only
+// when read, so a probe that only reports a length allocates nothing.
 //
 // Program code reaches the simulated web only through Probe: scans and
 // one-off fetches through internal/scanner, which bounds each attempt's
@@ -70,12 +74,13 @@ type Stack struct {
 	World *worldgen.World
 	IP    geo.IP
 
-	// The GeoIP answers for IP, which At looks up once for every probe
-	// the stack sends; a Stack built without At looks them up per probe.
-	// A located stack's IP must not change.
+	// The GeoIP answers for IP, worked out once for every probe the
+	// stack sends (At, Located); a Stack built without them looks them
+	// up per probe. A located stack's IP must not change.
 	located bool
 	loc     geo.Location // the database's location of IP
 	edge    geo.Location // the edge's view of IP (cdn.Locate, from loc)
+	class   geo.Class    // IP's class on the anti-abuse lists
 }
 
 // NewStack returns a stack sourcing traffic from ip.
@@ -84,12 +89,21 @@ func NewStack(w *worldgen.World, ip geo.IP) *Stack {
 	return &s
 }
 
-// At returns the stack sourcing traffic from ip, located once: one
-// GeoIP lookup, made here and not per probe, gives the database's
-// location and, from it, the edge's view.
+// At returns the stack sourcing traffic from ip, located once: two
+// GeoIP searches, made here and not per probe, give the database's
+// location and the address's class, and, from the location, the edge's
+// view.
 func At(w *worldgen.World, ip geo.IP) Stack {
 	loc, _ := w.Geo.Locate(ip)
-	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Misgeolocate(w, loc, ip)}
+	return Located(w, ip, loc, w.Geo.Classify(ip))
+}
+
+// Located returns the stack sourcing traffic from ip, whose database
+// location and class the caller recorded when it minted the address: a
+// stack located with no GeoIP search. Only the edge's view is worked
+// out here.
+func Located(w *worldgen.World, ip geo.IP, loc geo.Location, class geo.Class) Stack {
+	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Misgeolocate(w, loc, ip), class: class}
 }
 
 // Probe is one GET, with the same-site redirects it may follow. It is
@@ -120,10 +134,10 @@ type Probe struct {
 }
 
 // Dest is a destination resolved once for every hop and attempt of a
-// task: the site every layer keys on and what it resolves to. The
-// scanner owns one per task and points each probe's Dest at it; a
-// same-site redirect keeps it, and a redirect that leaves the site
-// needs another.
+// task: the site every layer keys on and what it resolves to, a
+// function of the world and the host alone. The scanner owns one per
+// task and points each probe's Dest at it; a same-site redirect keeps
+// it, and a redirect that leaves the site needs another.
 type Dest struct {
 	// Name is the host as every layer keys on it (SiteName).
 	Name string
@@ -131,10 +145,6 @@ type Dest struct {
 	Domain *worldgen.Domain
 	// Hash is stats.Hash(Name).
 	Hash uint64
-	// PathDown is the proxy mesh's stable transit verdict for the
-	// resolving session's country and Name (proxy.Session.Resolve sets
-	// it). A Stack resolves no transit verdict.
-	PathDown bool
 
 	err OpError // the failure of the last failed hop, reused by the next
 }
@@ -145,11 +155,11 @@ func SiteName(host string) string {
 	return strings.TrimPrefix(strings.ToLower(host), "www.")
 }
 
-// Resolve resolves host against the stack's world into d.
-func (s *Stack) Resolve(host string, d *Dest) {
+// Resolve resolves host against w.
+func Resolve(w *worldgen.World, host string) Dest {
 	name := SiteName(host)
-	dom, _ := s.World.Lookup(name)
-	*d = Dest{Name: name, Domain: dom, Hash: stats.Hash(name)}
+	dom, _ := w.Lookup(name)
+	return Dest{Name: name, Domain: dom, Hash: stats.Hash(name)}
 }
 
 // Fail returns the failure of a hop to host. The error is d's own and
@@ -186,7 +196,8 @@ type Reply struct {
 
 	keep     int            // bytes a truncated transfer delivers
 	edge     cdn.Response   // the edge's answer
-	censored string         // the national filter's block page, when it answered
+	censored bool           // the national filter answered, with its block page
+	nonce    uint32         // the filter's page's nonce
 	resp     *http.Response // the response a wrapped transport returned
 }
 
@@ -217,8 +228,8 @@ func (r *Reply) Body() (string, error) {
 		b, err := io.ReadAll(r.resp.Body)
 		r.resp.Body.Close()
 		return string(b), err
-	case r.censored != "":
-		body = r.censored
+	case r.censored:
+		body, _ = r.censorPage(true)
 	case !r.Refused:
 		body = r.edge.Body()
 	}
@@ -240,10 +251,11 @@ func (r *Reply) Header() http.Header {
 	case r.Refused:
 		h = make(http.Header)
 		h.Set("X-Luminati-Error", refusal)
-	case r.censored != "":
+	case r.censored:
 		h = make(http.Header)
 		h.Set("Content-Type", "text/html; charset=windows-1256")
-		h.Set("Content-Length", strconv.Itoa(len(r.censored)))
+		_, n := r.censorPage(false)
+		h.Set("Content-Length", strconv.Itoa(n))
 	default:
 		h = r.edge.Header()
 	}
@@ -360,9 +372,13 @@ func (s *Stack) Probe(p Probe, r *Reply) error {
 	d := p.Dest
 	if d == nil {
 		d = new(Dest)
-		s.Resolve(p.Host, d)
+		*d = Resolve(s.World, p.Host)
 	}
-	host := strings.ToLower(p.Host)
+	// A host that is its own site name is lower-case already.
+	host := p.Host
+	if host != d.Name {
+		host = strings.ToLower(host)
+	}
 
 	// National censorship sits between the client and everything else;
 	// DNS poisoning fires even for domains that would not resolve.
@@ -376,7 +392,7 @@ func (s *Stack) Probe(p Probe, r *Reply) error {
 		case censor.Timeout:
 			return d.Fail("dial", host, "i/o timeout", true)
 		case censor.BlockPage:
-			s.censorPage(dom, p.Seed, r)
+			s.censorPage(p.Seed, r)
 			return nil
 		}
 	}
@@ -409,6 +425,8 @@ func (s *Stack) Probe(p Probe, r *Reply) error {
 		SampleSeed:  p.Seed,
 		Loc:         s.edge,
 		Located:     true,
+		Class:       s.class,
+		Classified:  true,
 		Fingerprint: p.Fingerprint,
 		NameHash:    d.Hash,
 		MaxHops:     p.MaxHops,
@@ -417,21 +435,27 @@ func (s *Stack) Probe(p Probe, r *Reply) error {
 	return nil
 }
 
-// censorPage injects the national filter's block page into r.
-func (s *Stack) censorPage(d *worldgen.Domain, seed uint64, r *Reply) {
+// censorPage injects the national filter's block page into r, to be
+// rendered when read.
+func (s *Stack) censorPage(seed uint64, r *Reply) {
 	rng := stats.NewRNG(seed)
-	// The nonce is 32 random bits in hex, at least 6 digits (%06x).
-	// With the client's address it is one string under 32 bytes, which
-	// stays on the stack: Render keeps none of its Vars.
-	var b [8 + len("255.255.255.255")]byte
-	nonce := blockpage.AppendHex(b[:0], uint64(uint32(rng.Uint64())), 6)
-	f := string(s.IP.Addr().AppendTo(nonce))
-	body := blockpage.Render(blockpage.Censorship, blockpage.Vars{
-		Domain:   d.Name,
-		ClientIP: f[len(nonce):],
-		Nonce:    f[:len(nonce)],
-	})
-	*r = Reply{Status: http.StatusForbidden, BodyLen: len(body), Hops: 1, censored: body}
+	*r = Reply{Status: http.StatusForbidden, Hops: 1, censored: true, nonce: uint32(rng.Uint64())}
+	_, r.BodyLen = r.censorPage(false)
+}
+
+// censorPage returns the national filter's block page, rendered only
+// when render is set, and its length. The page shows its nonce, 32
+// random bits in hex, at least 6 digits (%06x): a string under 32
+// bytes, which stays on the stack, since Render and Len keep none of
+// their Vars.
+func (r *Reply) censorPage(render bool) (string, int) {
+	var b [8]byte
+	v := blockpage.Vars{Nonce: string(blockpage.AppendHex(b[:0], uint64(r.nonce), 6))}
+	if !render {
+		return "", blockpage.Len(blockpage.Censorship, v)
+	}
+	page := blockpage.Render(blockpage.Censorship, v)
+	return page, len(page)
 }
 
 // lazyBody renders the page on first Read; responses whose bodies are

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"geoblock/internal/blockpage"
+	"geoblock/internal/cdn"
 	"geoblock/internal/geo"
 	"geoblock/internal/worldgen"
 )
@@ -183,14 +184,20 @@ func TestCensorshipBlockPage(t *testing.T) {
 	if !blockpage.Matches(blockpage.Censorship, string(body)) {
 		t.Fatal("expected the censorship page")
 	}
-	// The injected page is a resolved probe's one allocation: the nonce
-	// and client address it shows stay on the stack.
+	// A resolved probe the filter answers allocates nothing: the page
+	// renders when read, as long as BodyLen advertised, in one
+	// allocation, and the nonce it shows stays on the stack.
 	var r Reply
-	var dest Dest
-	s.Resolve(d.Name, &dest)
+	dest := Resolve(testWorld, d.Name)
 	probe := Probe{Scheme: "http", Host: d.Name, Path: "/", Seed: 1, Dest: &dest}
-	if n := testing.AllocsPerRun(20, func() { s.Probe(probe, &r) }); n > 1 || r.censored == "" {
-		t.Fatalf("a censored probe allocates %v times (censored page %t), want at most 1", n, r.censored != "")
+	if n := testing.AllocsPerRun(20, func() { s.Probe(probe, &r) }); n != 0 || !r.censored {
+		t.Fatalf("a censored probe allocates %v times (censored page %t), want none", n, r.censored)
+	}
+	if page, err := r.Body(); err != nil || len(page) != r.BodyLen || page != string(body) {
+		t.Fatalf("the censored probe's page (%d bytes, BodyLen %d, %v) is not the one served over HTTP", len(page), r.BodyLen, err)
+	}
+	if n := testing.AllocsPerRun(20, func() { r.Body() }); n > 1 {
+		t.Fatalf("reading a censored page allocates %v times, want at most 1", n)
 	}
 }
 
@@ -361,4 +368,84 @@ func TestOpError(t *testing.T) {
 	if !strings.Contains(e.Error(), "x.com") {
 		t.Fatal("error text missing host")
 	}
+}
+
+// TestAtLocatesAndClassifies holds the GeoIP answers a located stack
+// carries to the table's: At's database location, edge view and class
+// are what geo.DB.Locate, cdn.Locate and the geo predicates answer, for
+// residential, proxy-flagged, datacenter (anonymizer included),
+// Crimean and unallocated addresses, and Located, given At's location
+// and class, builds the same stack.
+func TestAtLocatesAndClassifies(t *testing.T) {
+	db := testWorld.Geo
+	ips := []geo.IP{0, db.CrimeaHostIP(3)}
+	anonymizers := 0
+	for _, c := range db.Countries() {
+		for n := uint64(0); n < 16; n++ {
+			for _, mint := range []func(geo.CountryCode, uint64) (geo.IP, error){db.HostIP, db.ProxyExitIP, db.DatacenterIP} {
+				if ip, err := mint(c.Code, n*7919); err == nil {
+					ips = append(ips, ip)
+					if db.IsAnonymizer(ip) {
+						anonymizers++
+					}
+				}
+			}
+		}
+	}
+	if anonymizers == 0 {
+		t.Fatal("no anonymizer address among the minted ones")
+	}
+	for _, ip := range ips {
+		s := At(testWorld, ip)
+		loc, _ := db.Locate(ip)
+		if s.loc != loc || s.edge != cdn.Locate(testWorld, ip) {
+			t.Fatalf("%v: At located %v (edge %v), the table %v (edge %v)", ip, s.loc, s.edge, loc, cdn.Locate(testWorld, ip))
+		}
+		for _, c := range []struct {
+			flag geo.Class
+			want bool
+		}{{geo.ProxyFlagged, db.IsProxyExit(ip)}, {geo.Datacenter, db.IsDatacenter(ip)}, {geo.Anonymizer, db.IsAnonymizer(ip)}} {
+			if got := s.class&c.flag != 0; got != c.want {
+				t.Fatalf("%v: At's class %d has flag %d %v, the predicate says %v", ip, s.class, c.flag, got, c.want)
+			}
+		}
+		if l := Located(testWorld, ip, loc, s.class); l != s {
+			t.Fatalf("%v: Located built %+v, At %+v", ip, l, s)
+		}
+	}
+}
+
+// TestProbeHostSpelling sends probes whose host is not the site name
+// they resolve to, an upper-case www. spelling among them, and requires
+// the answer the lower-case spelling gets: the stack keys the edge's
+// redirect chain on the lower-cased host, so an upper-case www. host
+// skips the apex-to-www hop as its lower-case twin does.
+func TestProbeHostSpelling(t *testing.T) {
+	s := stackIn(t, "US")
+	tested := 0
+	for _, d := range testWorld.Top10K() {
+		if d.RedirectHops != 2 || d.RedirectLoop || d.LuminatiRestricted || d.Unreachable || len(d.CensoredIn) > 0 {
+			continue
+		}
+		for _, host := range []string{d.Name, "www." + d.Name} {
+			for _, hops := range []int{1, 10} {
+				var want, got Reply
+				p := Probe{Scheme: "https", Host: host, Path: "/", Seed: 3, MaxHops: hops}
+				dest := Resolve(testWorld, host)
+				p.Dest = &dest
+				wantErr := s.Probe(p, &want)
+				p.Host = strings.ToUpper(host)
+				gotErr := s.Probe(p, &got)
+				if (wantErr == nil) != (gotErr == nil) || got.Status != want.Status || got.BodyLen != want.BodyLen ||
+					got.Hops != want.Hops || got.Location() != want.Location() {
+					t.Fatalf("%s, %d hops: %d/%d bytes/%d hops/%q (%v), lower-case %d/%d bytes/%d hops/%q (%v)", p.Host, hops,
+						got.Status, got.BodyLen, got.Hops, got.Location(), gotErr, want.Status, want.BodyLen, want.Hops, want.Location(), wantErr)
+				}
+			}
+		}
+		if tested++; tested == 8 {
+			return
+		}
+	}
+	t.Fatalf("the test world holds %d two-redirect domains", tested)
 }

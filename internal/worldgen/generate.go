@@ -525,6 +525,18 @@ func (g *generator) assignTop1MCustomers(rng *stats.RNG) {
 			w.customers[rank] = seed
 		}
 	}
+
+	// The cameo: the lowest-ranked Incapsula+Akamai customer is the
+	// paper's zales.com, named here so that which customer it is does
+	// not depend on the order customers are materialized in.
+	for _, rank := range ranks {
+		seed := w.customers[rank]
+		if len(seed.providers) == 2 && seed.providers[0] == Incapsula && seed.providers[1] == Akamai {
+			seed.cameo = true
+			w.customers[rank] = seed
+			break
+		}
+	}
 }
 
 // buildCustomer materializes a Top-1M customer domain. Called lazily
@@ -563,13 +575,11 @@ func (w *World) buildCustomer(rank int, seed customerSeed) *Domain {
 	g.assignPoliciesLocked(d, rng)
 	g.assignCensorshipForDomain(d, rng)
 
-	// The cameo dual-provider customer.
-	if len(seed.providers) == 2 && seed.providers[0] == Incapsula && seed.providers[1] == Akamai && w.lazyZales == false {
+	if seed.cameo {
 		d.Name = "zales.com"
 		d.TLD = "com"
 		d.Category = category.Shopping
 		d.Origin = newOrigin(d.Name, rng)
-		w.lazyZales = true
 	}
 	return d
 }

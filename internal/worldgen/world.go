@@ -30,7 +30,6 @@ type World struct {
 	mu        sync.Mutex
 	lazy      map[int]*Domain
 	lazyNames map[string]*Domain
-	lazyZales bool // the dual-provider cameo has been named
 
 	clExtras []*Domain // test-list domains outside the rank space
 
@@ -49,6 +48,7 @@ type customerSeed struct {
 	providers    []Provider
 	nsDetectable bool
 	gaeHosted    bool
+	cameo        bool // the dual-provider customer named zales.com
 }
 
 // infrastructure address space: providers live above the per-country

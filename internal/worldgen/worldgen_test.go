@@ -227,6 +227,48 @@ func TestDualProviderCustomersExist(t *testing.T) {
 	}
 }
 
+// TestCameoIndependentOfOrder materializes every Top-1M customer of one
+// world in ascending rank order and of its twin in descending order:
+// each rank must get the same name in both, and the zales.com cameo
+// must land on the lowest-ranked Incapsula+Akamai customer. The world
+// holds several such customers, so a cameo named by materialization
+// order would move.
+func TestCameoIndependentOfOrder(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Scale, cfg.Seed = 0.05, 7
+	up, down := Generate(cfg), Generate(cfg)
+	ranks := up.CustomerRanks()
+	cameo, candidates := 0, 0
+	for _, r := range ranks {
+		if p := up.customers[r].providers; len(p) == 2 && p[0] == Incapsula && p[1] == Akamai {
+			if cameo == 0 {
+				cameo = r
+			}
+			candidates++
+		}
+	}
+	if candidates < 2 {
+		t.Fatalf("the world holds %d Incapsula+Akamai customers, want several", candidates)
+	}
+	names := make(map[int]string, len(ranks))
+	for _, r := range ranks {
+		names[r] = up.DomainAt(r).Name
+	}
+	for i := len(ranks) - 1; i >= 0; i-- {
+		if r := ranks[i]; down.DomainAt(r).Name != names[r] {
+			t.Fatalf("rank %d is %s materialized ascending, %s descending", r, names[r], down.DomainAt(r).Name)
+		}
+	}
+	if names[cameo] != "zales.com" {
+		t.Fatalf("the lowest Incapsula+Akamai customer, rank %d, is %s", cameo, names[cameo])
+	}
+	for r, name := range names {
+		if name == "zales.com" && r != cameo {
+			t.Fatalf("rank %d is zales.com too", r)
+		}
+	}
+}
+
 func TestDomainAtLazyConsistent(t *testing.T) {
 	w := testWorld(t)
 	rank := w.CustomerRanks()[3]
