@@ -37,7 +37,9 @@
 #                page templates (blockpage)
 #   make fuzz    short-budget fuzz pass over the hostile-input decoders:
 #                the journal's record decoder, the fabric's shard-frame
-#                decoder and completion handler, the blockpage signature
+#                decoder and its completion, lease and extend handlers
+#                (a refused request is answered 4xx and changes no
+#                lease), the blockpage signature
 #                matcher, the page formatters (against fmt), the
 #                fingerprint classifier (against a strings.Fields
 #                oracle), and the verdict snapshot codec
@@ -140,6 +142,8 @@ fuzz:
 	$(FUZZ) ./internal/runstore FuzzDecodeRecord $(FUZZFLAGS)
 	$(FUZZ) ./internal/runstore FuzzDecodeShardFrames $(FUZZFLAGS)
 	$(FUZZ) ./internal/fabric FuzzCompleteHandler $(FUZZFLAGS)
+	$(FUZZ) ./internal/fabric FuzzLeaseHandler $(FUZZFLAGS)
+	$(FUZZ) ./internal/fabric FuzzExtendHandler $(FUZZFLAGS)
 	$(FUZZ) ./internal/blockpage FuzzMatchSignature $(FUZZFLAGS)
 	$(FUZZ) ./internal/blockpage FuzzFormatters $(FUZZFLAGS)
 	$(FUZZ) ./internal/fingerprint FuzzClassify $(FUZZFLAGS)

@@ -16,6 +16,7 @@ package cdn
 
 import (
 	"net/http"
+	"slices"
 	"strconv"
 
 	"geoblock/internal/blockpage"
@@ -198,12 +199,24 @@ const edgeGeoIPErrorPermille = 10
 // header shows them. It holds no pointer to the request or the
 // response, so neither has to live on the heap.
 type exchange struct {
-	w     *worldgen.World
-	loc   geo.Location
-	class geo.Class
-	name  uint64 // stats.Hash of the domain's name
-	ray   uint64
-	nonce uint32
+	w          *worldgen.World
+	loc        geo.Location
+	client     geo.IP
+	class      geo.Class // set once classified
+	classified bool
+	name       uint64 // stats.Hash of the domain's name
+	ray        uint64
+	nonce      uint32
+}
+
+// clientClass is what the anti-abuse address lists say of the client.
+// A request that does not carry the class has it looked up here, once,
+// at the first check that reads it: most chains run none.
+func (x *exchange) clientClass() geo.Class {
+	if !x.classified {
+		x.class, x.classified = x.w.Geo.Classify(x.client), true
+	}
+	return x.class
 }
 
 // blockPage returns block page r.Page, rendered only when render is
@@ -259,12 +272,9 @@ func Serve(w *worldgen.World, req Request) Response {
 // one Response for many requests. It neither retains nor modifies req.
 func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 	d := req.Domain
-	x := exchange{w: w, loc: req.Loc, class: req.Class, name: req.NameHash}
+	x := exchange{w: w, loc: req.Loc, client: req.ClientIP, class: req.Class, classified: req.Classified, name: req.NameHash}
 	if !req.Located {
 		x.loc = Locate(w, req.ClientIP)
-	}
-	if !req.Classified {
-		x.class = w.Geo.Classify(req.ClientIP)
 	}
 	if x.name == 0 {
 		x.name = stats.Hash(d.Name)
@@ -341,7 +351,7 @@ func ServeTo(w *worldgen.World, req *Request, resp *Response) {
 // database has wrong.
 func Locate(w *worldgen.World, ip geo.IP) geo.Location {
 	loc, _ := w.Geo.Locate(ip)
-	return Misgeolocate(w, loc, ip)
+	return Misgeolocate(w, loc, -1, ip)
 }
 
 // accessControl walks the serving chain and returns the block page of
@@ -359,7 +369,7 @@ func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
 	// in every country — the blocked-everywhere behaviour that defeats
 	// the representative-length heuristic (Table 2) and that the
 	// consistency analysis must exclude (§5.2.2).
-	if d.BlocksProxies && x.class&geo.ProxyFlagged != 0 {
+	if d.BlocksProxies && x.clientClass()&geo.ProxyFlagged != 0 {
 		if d.DistilProtected {
 			return blockpage.DistilCaptcha
 		}
@@ -416,7 +426,7 @@ func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
 		// Khattak et al., §8); the verdict is sticky per (domain,
 		// address). The challenge page carries a 403, which is why OONI
 		// controls made over Tor so often look "blocked" (§7.1).
-		if p == worldgen.Cloudflare && x.class&geo.Anonymizer != 0 {
+		if p == worldgen.Cloudflare && x.clientClass()&geo.Anonymizer != 0 {
 			draw := float64(stats.Mix64(x.name^uint64(req.ClientIP)^0x7042)>>11) / (1 << 53)
 			if draw < 0.80 {
 				return blockpage.CloudflareCaptcha
@@ -434,8 +444,9 @@ func accessControl(x *exchange, req *Request, rng *stats.RNG) blockpage.Kind {
 		// provider uses for geo rules, which is why the paper needs the
 		// consistency analysis of §5.2.2 to separate the two.
 		if d.ReputationSensitivity > 0 && (p == worldgen.Akamai || p == worldgen.Incapsula) {
-			risk := countryRiskFactor(w, loc, x.class&geo.Datacenter != 0)
-			if x.class&geo.Anonymizer != 0 {
+			class := x.clientClass()
+			risk := countryRiskFactor(w, loc, class&geo.Datacenter != 0)
+			if class&geo.Anonymizer != 0 {
 				risk = 0.88
 			}
 			draw := float64(stats.Mix64(x.name^uint64(req.ClientIP)^0x5ca1ab1e)>>11) / (1 << 53)
@@ -655,8 +666,10 @@ func containsFold(s, sub string) bool {
 // Misgeolocate is Locate for a client whose database location, loc,
 // the caller already holds: it moves loc to an adjacent country in the
 // table for the sticky fraction of addresses the edge's GeoIP database
-// has wrong.
-func Misgeolocate(w *worldgen.World, loc geo.Location, ip geo.IP) geo.Location {
+// has wrong. at is the index of loc's country in the world's country
+// table, for a caller that recorded it with loc; -1 has it looked up,
+// which only a misplaced address needs.
+func Misgeolocate(w *worldgen.World, loc geo.Location, at int, ip geo.IP) geo.Location {
 	if loc.Country == "" {
 		return loc
 	}
@@ -665,11 +678,10 @@ func Misgeolocate(w *worldgen.World, loc geo.Location, ip geo.IP) geo.Location {
 		return loc
 	}
 	cs := w.Geo.Countries()
-	for i, c := range cs {
-		if c.Code == loc.Country {
-			j := (i + 1 + int(h>>32)%5) % len(cs)
-			return geo.Location{Country: cs[j].Code}
+	if at < 0 {
+		if at = slices.IndexFunc(cs, func(c geo.Country) bool { return c.Code == loc.Country }); at < 0 {
+			return loc
 		}
 	}
-	return loc
+	return geo.Location{Country: cs[(at+1+int(h>>32)%5)%len(cs)].Code}
 }

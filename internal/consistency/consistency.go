@@ -79,14 +79,15 @@ func BlockedEverywhere(perCountry map[string]Rate, threshold float64) bool {
 // SubsampleBlockRates draws `draws` random combinations of size k from
 // a pair's observation vector and returns each combination's block
 // fraction — the machinery of Figure 1 (consistency for various sample
-// rates).
+// rates). Every draw reuses the first one's memory.
 func SubsampleBlockRates(blocks []bool, k, draws int, rng *stats.RNG) []float64 {
 	if k > len(blocks) {
 		k = len(blocks)
 	}
 	out := make([]float64, 0, draws)
+	var buf stats.SampleBuf
 	for i := 0; i < draws; i++ {
-		idx := rng.SampleInts(len(blocks), k)
+		idx := rng.SampleIntsInto(&buf, len(blocks), k)
 		hit := 0
 		for _, j := range idx {
 			if blocks[j] {
@@ -100,14 +101,16 @@ func SubsampleBlockRates(blocks []bool, k, draws int, rng *stats.RNG) []float64 
 
 // FalseNegativeRate draws `draws` combinations of size k and returns
 // the fraction containing no block observation at all — Figure 3 (the
-// risk of missing a geoblocker entirely at small sample sizes).
+// risk of missing a geoblocker entirely at small sample sizes). Every
+// draw reuses the first one's memory.
 func FalseNegativeRate(blocks []bool, k, draws int, rng *stats.RNG) float64 {
 	if k > len(blocks) {
 		k = len(blocks)
 	}
 	misses := 0
+	var buf stats.SampleBuf
 	for i := 0; i < draws; i++ {
-		idx := rng.SampleInts(len(blocks), k)
+		idx := rng.SampleIntsInto(&buf, len(blocks), k)
 		hit := false
 		for _, j := range idx {
 			if blocks[j] {

@@ -251,7 +251,7 @@ func (s *Session) Faults() FaultCounts { return s.fired }
 // the location and class recorded when its address was minted.
 func (s *Session) land() {
 	e, w := s.Exit(), s.net.World
-	s.stack = vnet.Located(w, e.IP, e.location(w.Geo), e.class)
+	s.stack = vnet.Located(w, e.IP, e.location(w.Geo), int(e.at), e.class)
 }
 
 // NewSession opens a session exiting in cc, starting at a

@@ -108,14 +108,15 @@ func (r *RNG) ExpFloat64() float64 {
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+	return r.permute(make([]int, n))
+}
+
+// permute fills p with a pseudo-random permutation of [0, len(p)).
+func (r *RNG) permute(p []int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
+	Shuffle(r, p)
 	return p
 }
 
@@ -130,28 +131,57 @@ func Shuffle[T any](r *RNG, s []T) {
 // SampleInts returns k distinct integers drawn uniformly from [0, n)
 // in random order. It panics if k > n or k < 0.
 func (r *RNG) SampleInts(n, k int) []int {
+	var b SampleBuf
+	return r.SampleIntsInto(&b, n, k)
+}
+
+// SampleBuf is the memory of SampleIntsInto draws. A caller making
+// draw after draw keeps one, so that only the first draws allocate.
+// The zero value is ready to use.
+type SampleBuf struct {
+	ints []int
+	seen []uint64 // Floyd's membership set over [0, n), clear between draws
+}
+
+// SampleIntsInto is SampleInts drawing into b: it makes exactly
+// SampleInts' RNG calls, in the same order, and returns the same
+// integers, in b's memory, valid until b's next draw.
+func (r *RNG) SampleIntsInto(b *SampleBuf, n, k int) []int {
 	if k < 0 || k > n {
 		panic("stats: SampleInts with k out of range")
 	}
-	// Floyd's algorithm: O(k) expected work, no O(n) allocation for
-	// small k; fall back to a partial shuffle when k is a large
-	// fraction of n.
+	// Floyd's algorithm: O(k) expected work, no O(n) work for small k;
+	// fall back to a partial shuffle when k is a large fraction of n.
 	if k > n/2 {
-		p := r.Perm(n)
-		return p[:k]
+		return r.permute(b.grow(n))[:k]
 	}
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
+	out := b.grow(k)[:0]
+	if words := (n + 63) / 64; len(b.seen) < words {
+		b.seen = make([]uint64, words)
+	}
+	seen := b.seen
 	for j := n - k; j < n; j++ {
 		t := r.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
+		if seen[t>>6]&(1<<(t&63)) != 0 {
 			t = j
 		}
-		chosen[t] = struct{}{}
+		seen[t>>6] |= 1 << (t & 63)
 		out = append(out, t)
+	}
+	for _, t := range out {
+		seen[t>>6] &^= 1 << (t & 63)
 	}
 	Shuffle(r, out)
 	return out
+}
+
+// grow returns b's integer buffer at length n, reallocated only when
+// it has room for fewer.
+func (b *SampleBuf) grow(n int) []int {
+	if cap(b.ints) < n {
+		b.ints = make([]int, n)
+	}
+	return b.ints[:n]
 }
 
 // Sample returns k distinct elements of s drawn uniformly without

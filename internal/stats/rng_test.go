@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -269,5 +270,81 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 	if sum != 21 || len(s) != 6 {
 		t.Fatalf("shuffle lost elements: %v", s)
+	}
+}
+
+// sampleIntsOracle is SampleInts as it was written before draws went
+// into caller-owned buffers: Floyd's algorithm over a map for small k,
+// a whole permutation for large k.
+func sampleIntsOracle(r *RNG, n, k int) []int {
+	if k > n/2 {
+		p := r.Perm(n)
+		return p[:k]
+	}
+	chosen := make(map[int]struct{}, k)
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		if _, dup := chosen[t]; dup {
+			t = j
+		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
+	}
+	Shuffle(r, out)
+	return out
+}
+
+// TestSampleIntsIntoMatchesOracle draws from two generators in step,
+// one through the oracle and one through SampleIntsInto with a single
+// buffer reused across every draw (and through SampleInts), over many
+// (seed, n, k) — k = 0, n/2, n/2+1 and n among them: each draw must
+// return the oracle's integers and leave the generator in the oracle's
+// state.
+func TestSampleIntsIntoMatchesOracle(t *testing.T) {
+	var buf SampleBuf
+	draws := 0
+	for seed := uint64(0); seed < 20; seed++ {
+		want, got := NewRNG(seed), NewRNG(seed)
+		for _, n := range []int{0, 1, 2, 3, 7, 64, 65, 100, 129, 1000} {
+			ks := []int{0, n / 2, n/2 + 1, n, int(want.state % uint64(n+1)), n / 5}
+			for _, k := range ks {
+				if k > n {
+					continue
+				}
+				w := sampleIntsOracle(want, n, k)
+				var g []int
+				if draws%3 == 2 {
+					g = got.SampleInts(n, k)
+				} else {
+					g = got.SampleIntsInto(&buf, n, k)
+				}
+				draws++
+				if !slices.Equal(g, w) {
+					t.Fatalf("seed %d, n %d, k %d: drew %v, the oracle %v", seed, n, k, g, w)
+				}
+				if got.state != want.state {
+					t.Fatalf("seed %d, n %d, k %d: generator state %#x after the draw, the oracle's %#x", seed, n, k, got.state, want.state)
+				}
+			}
+		}
+	}
+	for _, w := range buf.seen {
+		if w != 0 {
+			t.Fatalf("the membership set holds %#x after %d draws, want it clear", w, draws)
+		}
+	}
+}
+
+// TestSampleIntsIntoReusesMemory pins the point of SampleIntsInto: after
+// the first draw, a draw of the same size allocates nothing.
+func TestSampleIntsIntoReusesMemory(t *testing.T) {
+	r := NewRNG(3)
+	for _, k := range []int{20, 80} {
+		var buf SampleBuf
+		r.SampleIntsInto(&buf, 100, k)
+		if allocs := testing.AllocsPerRun(100, func() { r.SampleIntsInto(&buf, 100, k) }); allocs != 0 {
+			t.Errorf("k %d of 100: %.1f allocations per reused draw, want 0", k, allocs)
+		}
 	}
 }

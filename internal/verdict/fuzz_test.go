@@ -9,8 +9,10 @@ import (
 
 // FuzzDecodeSnapshot hammers the snapshot decoder with arbitrary
 // bytes: it must never panic, and any input it accepts must re-encode
-// canonically — decoding the re-encoding yields identical bytes and an
-// identical verdict matrix (the codec is closed under roundtripping).
+// canonically — decoding the re-encoding yields identical bytes, an
+// identical ETag and an identical verdict matrix (the codec is closed
+// under roundtripping), whether or not the input's varints were
+// minimal.
 func FuzzDecodeSnapshot(f *testing.F) {
 	seeds := []Source{
 		testSource(),
@@ -33,6 +35,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte(wireMagic))
 	f.Add([]byte{})
+	f.Add(overlong(f, enc, 0, 1))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s, err := Decode(payload)

@@ -3,9 +3,10 @@
 // block-verdict matrix — the paper's end product (§4, Table 4) — laid
 // out for memory-speed reads. A completed study compiles its confirmed
 // findings into per-country bitsets over an interned domain table;
-// lookups are a map index, a bit test, and (for blocked pairs) a
-// binary search for the page kind — no allocation, no locking, no
-// pointer chasing beyond the row.
+// lookups are a map index for the domain, a table index for the
+// country, a bit test, and (for blocked pairs) a binary search for the
+// page kind — no allocation, no locking, no pointer chasing beyond the
+// row.
 //
 // Snapshots are immutable after Compile or Decode. Serving layers swap
 // whole snapshots atomically (atomic.Pointer[Snapshot]) when a new
@@ -88,9 +89,11 @@ type Source struct {
 
 // countryRow is one country's slice of the matrix: a bitset over the
 // interned domain table for the hot "blocked?" test, plus the sorted
-// set-bit indices and their page kinds for the full verdict.
+// set-bit indices and their page kinds for the full verdict. A
+// snapshot's rows are sub-slices of one bitset array and one array
+// each of indices and kinds (rowWriter), each capped at its own length.
 type countryRow struct {
-	bits  []uint64 //geolint:allow wirecheck rebuilt from doms by index(), never on the wire
+	bits  []uint64 //geolint:allow wirecheck rebuilt from doms at compile and decode, never on the wire
 	doms  []int32
 	kinds []byte
 }
@@ -120,19 +123,23 @@ func (row *countryRow) kind(di int32) blockpage.Kind {
 
 // Snapshot is an immutable compiled verdict matrix. All methods are
 // safe for unlimited concurrent readers; nothing mutates after Compile
-// or Decode returns.
+// or Decode returns. A lookup finds the domain in a map and the
+// country in letters, a table indexed by a code's two upper-case
+// ASCII letters; any other code is found by binary search over the
+// sorted country table, so every string answers as its place in the
+// universe says.
 type Snapshot struct {
 	version uint64
 	seed    uint64
 
-	domains    []string
-	countries  []geo.CountryCode
-	domainIdx  map[string]int32          //geolint:allow wirecheck derived at decode by index(), never on the wire
-	countryIdx map[geo.CountryCode]int32 //geolint:allow wirecheck derived at decode by index(), never on the wire
-	rows       []countryRow
+	domains   []string
+	countries []geo.CountryCode
+	domainIdx map[string]int32 //geolint:allow wirecheck derived at decode by index(), never on the wire
+	letters   [26 * 26]int32   //geolint:allow wirecheck derived at decode by index(), never on the wire
+	rows      []countryRow
 
 	blocked int
-	etag    string //geolint:allow wirecheck recomputed from the encoded bytes at decode, never on the wire
+	etag    string //geolint:allow wirecheck taken from the input's CRC or recomputed from the encoding at decode, never on the wire
 }
 
 // Compile builds a snapshot from a completed study's outputs. Domains
@@ -155,7 +162,6 @@ func Compile(src Source) (*Snapshot, error) {
 	}
 	s.index()
 
-	words := (len(s.domains) + 63) / 64
 	type pair struct {
 		dom  int32
 		kind byte
@@ -166,8 +172,8 @@ func Compile(src Source) (*Snapshot, error) {
 		if !ok {
 			return nil, fmt.Errorf("verdict: entry domain %q is not in the snapshot's domain universe", e.Domain)
 		}
-		ci, ok := s.countryIdx[e.Country]
-		if !ok {
+		ci := s.country(e.Country)
+		if ci < 0 {
 			return nil, fmt.Errorf("verdict: entry country %q is not in the snapshot's country universe", e.Country)
 		}
 		if int(e.Kind) < 0 || int(e.Kind) > 255 {
@@ -175,12 +181,9 @@ func Compile(src Source) (*Snapshot, error) {
 		}
 		perCountry[ci] = append(perCountry[ci], pair{di, byte(e.Kind)})
 	}
-	s.rows = make([]countryRow, len(s.countries))
-	for ci := range s.rows {
-		ps := perCountry[ci]
+	rw := newRowWriter(s, len(src.Entries))
+	for ci, ps := range perCountry {
 		sort.Slice(ps, func(i, j int) bool { return ps[i].dom < ps[j].dom })
-		row := &s.rows[ci]
-		row.bits = make([]uint64, words)
 		for i, p := range ps {
 			if i > 0 && ps[i-1].dom == p.dom {
 				if ps[i-1].kind == p.kind {
@@ -188,26 +191,111 @@ func Compile(src Source) (*Snapshot, error) {
 				}
 				return nil, fmt.Errorf("verdict: conflicting kinds for (%s, %s)", s.domains[p.dom], s.countries[ci])
 			}
-			row.bits[uint32(p.dom)>>6] |= 1 << (uint32(p.dom) & 63)
-			row.doms = append(row.doms, p.dom)
-			row.kinds = append(row.kinds, p.kind)
-			s.blocked++
+			rw.add(p.dom, p.kind)
 		}
+		rw.end()
 	}
+	s.blocked = len(rw.doms)
 	s.etag = computeETag(s)
 	return s, nil
 }
 
-// index builds the lookup maps from the interned tables.
+// index builds the lookup structures from the interned tables: the
+// domain map, and the letter table, which holds each two-letter code's
+// index in the country table plus one (0: no such code).
 func (s *Snapshot) index() {
 	s.domainIdx = make(map[string]int32, len(s.domains))
 	for i, d := range s.domains {
 		s.domainIdx[d] = int32(i)
 	}
-	s.countryIdx = make(map[geo.CountryCode]int32, len(s.countries))
 	for i, cc := range s.countries {
-		s.countryIdx[cc] = int32(i)
+		if slot, ok := letterSlot(cc); ok {
+			s.letters[slot] = int32(i) + 1
+		}
 	}
+}
+
+// letterSlot is cc's slot in the letter table, when cc is two
+// upper-case ASCII letters.
+func letterSlot(cc geo.CountryCode) (int, bool) {
+	if len(cc) != 2 {
+		return 0, false
+	}
+	a, b := cc[0]-'A', cc[1]-'A' // a byte below 'A' wraps past 25
+	if a >= 26 || b >= 26 {
+		return 0, false
+	}
+	return int(a)*26 + int(b), true
+}
+
+// country returns cc's index in the country table, -1 when the
+// universe lacks it: one letter-table index for a code of two
+// upper-case letters, a binary search over the strictly sorted table
+// for any other string.
+func (s *Snapshot) country(cc geo.CountryCode) int32 {
+	if slot, ok := letterSlot(cc); ok {
+		return s.letters[slot] - 1
+	}
+	return s.searchCountry(cc)
+}
+
+// searchCountry is country's binary search, hand-rolled like
+// countryRow.kind.
+func (s *Snapshot) searchCountry(cc geo.CountryCode) int32 {
+	lo, hi := 0, len(s.countries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.countries[mid] < cc {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(s.countries) && s.countries[lo] == cc {
+		return int32(lo)
+	}
+	return -1
+}
+
+// rowWriter lays out a snapshot's rows, filled in table order: every
+// row's bitset is a sub-slice of one array, and its indices and kinds
+// sub-slices of one array each, capped at the row's own length so that
+// no row can grow into the next.
+type rowWriter struct {
+	s     *Snapshot
+	row   int // the row being filled; the rows before it are closed
+	start int // where that row starts in doms and kinds
+	doms  []int32
+	kinds []byte
+}
+
+// newRowWriter allocates s's rows, their bitsets, and room for pairs
+// blocked pairs; more pairs only cost the arrays a reallocation.
+func newRowWriter(s *Snapshot, pairs int) rowWriter {
+	words := (len(s.domains) + 63) / 64
+	bits := make([]uint64, words*len(s.countries))
+	s.rows = make([]countryRow, len(s.countries))
+	for ci := range s.rows {
+		s.rows[ci].bits = bits[ci*words : (ci+1)*words : (ci+1)*words]
+	}
+	return rowWriter{s: s, doms: make([]int32, 0, pairs), kinds: make([]byte, 0, pairs)}
+}
+
+// add blocks domain di in the row being filled. Indices must ascend
+// within a row.
+func (w *rowWriter) add(di int32, kind byte) {
+	w.s.rows[w.row].bits[uint32(di)>>6] |= 1 << (uint32(di) & 63)
+	w.doms = append(w.doms, di)
+	w.kinds = append(w.kinds, kind)
+}
+
+// end closes the row being filled over the pairs added since the last
+// end, and moves on to the next.
+func (w *rowWriter) end() {
+	n := len(w.doms)
+	row := &w.s.rows[w.row]
+	row.doms, row.kinds = w.doms[w.start:n:n], w.kinds[w.start:n:n]
+	w.row, w.start = w.row+1, n
 }
 
 func dedupSorted(in []string) []string {
@@ -231,8 +319,8 @@ func (s *Snapshot) Lookup(domain string, cc geo.CountryCode) (v Verdict, ok bool
 	if !ok {
 		return Verdict{}, false
 	}
-	ci, ok := s.countryIdx[cc]
-	if !ok {
+	ci := s.country(cc)
+	if ci < 0 {
 		return Verdict{}, false
 	}
 	row := &s.rows[ci]

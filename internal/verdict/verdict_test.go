@@ -2,6 +2,7 @@ package verdict
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"geoblock/internal/blockpage"
@@ -169,6 +170,71 @@ func TestCompileLargeMatrix(t *testing.T) {
 			k, blocked := want[d+"/"+string(cc)]
 			if v.Blocked != blocked || v.Kind != k {
 				t.Fatalf("Lookup(%q, %q) = %+v, want blocked=%v kind=%v", d, cc, v, blocked, k)
+			}
+		}
+	}
+}
+
+// TestCountryCodes holds the letter table and the binary search behind
+// it to a map: every (domain, code) pair answers as a
+// map[geo.CountryCode]int32 over the universe says, for codes of two
+// upper-case letters and for every other string, in the universe or
+// not, after Compile and after Decode.
+func TestCountryCodes(t *testing.T) {
+	odd := []geo.CountryCode{"", "U", "USA", "us", "A1", "É", "ÅL", "@A", "Z["}
+	universes := map[string][]geo.CountryCode{
+		"two-letter": {"AA", "CN", "DE", "IR", "US", "ZZ"},
+		"mixed":      append([]geo.CountryCode{"AA", "CN", "IR", "US", "UT", "ZZ"}, odd...),
+	}
+	// Probes: every code of two upper-case letters, the neighbours of
+	// the letter range, and each code's lower-case, three-letter and
+	// one-letter twins.
+	var probes []geo.CountryCode
+	for a := 'A'; a <= 'Z'; a++ {
+		for b := 'A'; b <= 'Z'; b++ {
+			probes = append(probes, geo.CountryCode([]rune{a, b}))
+		}
+	}
+	probes = append(probes, odd...)
+	probes = append(probes, "AB", "A@", "[A", "`A", "Aa", "aA", "zz", "ZZZ", "AAA", "USA ", "US\x00", "\x00\x00", "CNN")
+	for _, cc := range universes["mixed"] {
+		probes = append(probes, geo.CountryCode(strings.ToLower(string(cc))), cc+"X", cc[:len(cc)/2])
+	}
+
+	for name, countries := range universes {
+		src := Source{
+			Version:   3,
+			Domains:   []string{"a.example", "b.example"},
+			Countries: countries,
+		}
+		for i, cc := range countries {
+			src.Entries = append(src.Entries, Entry{Domain: src.Domains[i%2], Country: cc, Kind: blockpage.Kinds()[i%len(blockpage.Kinds())]})
+		}
+		compiled, err := Compile(src)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", name, err)
+		}
+		decoded, err := Decode(compiled.Encode())
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", name, err)
+		}
+		ref := make(map[geo.CountryCode]int32, len(countries))
+		for i, cc := range countries {
+			ref[cc] = int32(i)
+		}
+		for _, s := range []*Snapshot{compiled, decoded} {
+			for _, cc := range probes {
+				ci, in := ref[cc]
+				for _, d := range src.Domains {
+					v, ok := s.Lookup(d, cc)
+					want := Verdict{}
+					if in && src.Domains[ci%2] == d {
+						want = Verdict{Blocked: true, Kind: blockpage.Kinds()[int(ci)%len(blockpage.Kinds())]}
+					}
+					if ok != in || v != want {
+						t.Errorf("%s: Lookup(%q, %q) = %+v, %v; want %+v, %v", name, d, cc, v, ok, want, in)
+					}
+				}
 			}
 		}
 	}

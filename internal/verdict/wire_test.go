@@ -289,3 +289,144 @@ func hex8(v uint32) string {
 	}
 	return string(b[:])
 }
+
+// goldenETag is testdata/golden.snapshot's entity tag: the CRC-32C of
+// the file itself, which is canonical.
+const goldenETag = `"gbv1-7-80f03b47"`
+
+// TestDecodeCanonicalETag pins the ETag a canonical input decodes to:
+// the golden file's committed tag, and its own CRC-32C.
+func TestDecodeCanonicalETag(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Decode(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ETag() != goldenETag {
+		t.Fatalf("golden snapshot decodes to ETag %s, want %s", s.ETag(), goldenETag)
+	}
+	if want := `"gbv1-7-` + hex8(crc32.Checksum(golden, crc32.MakeTable(crc32.Castagnoli))) + `"`; s.ETag() != want {
+		t.Fatalf("ETag %s is not the input's own CRC %s", s.ETag(), want)
+	}
+}
+
+// overlong returns a copy of the encoded snapshot enc whose frame i
+// carries the one-byte varint at payload offset off in two bytes, the
+// frame's length and CRC fixed up: the same snapshot, not in
+// canonical form.
+func overlong(t testing.TB, enc []byte, i, off int) []byte {
+	t.Helper()
+	out := []byte(wireMagic)
+	pos := len(wireMagic)
+	for f := 0; pos < len(enc); f++ {
+		n := int(binary.LittleEndian.Uint32(enc[pos:]))
+		p := append([]byte(nil), enc[pos+frameHeader:pos+frameHeader+n]...)
+		if f == i {
+			if p[off] >= 0x80 {
+				t.Fatalf("frame %d offset %d holds no one-byte varint", i, off)
+			}
+			p = append(p[:off+1], append([]byte{0}, p[off+1:]...)...)
+			p[off] |= 0x80
+		}
+		out = append(out, frame(p)...)
+		pos += frameHeader + n
+	}
+	return out
+}
+
+// TestDecodeNonCanonicalETag decodes inputs with an overlong varint in
+// the header, a row and the trailer: each decodes to the golden
+// snapshot, takes its ETag from the re-encoding rather than from its
+// own bytes, and re-encodes to the canonical bytes.
+func TestDecodeNonCanonicalETag(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := len(testSource().Countries)
+	for _, c := range []struct {
+		name     string
+		frame, o int
+	}{
+		{"header version", 0, 1},
+		{"header domain length", 0, 4},
+		{"row index", 1, 1},
+		{"last row count", rows, 2},
+		{"trailer total", rows + 1, 1},
+	} {
+		in := overlong(t, golden, c.frame, c.o)
+		if bytes.Equal(in, golden) {
+			t.Fatalf("%s: the overlong copy equals the golden file", c.name)
+		}
+		s, err := Decode(in)
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", c.name, err)
+		}
+		if !bytes.Equal(s.Encode(), golden) {
+			t.Errorf("%s: re-encoding is not the canonical golden bytes", c.name)
+		}
+		re, err := Decode(s.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.ETag() != re.ETag() || s.ETag() != goldenETag {
+			t.Errorf("%s: ETag %s, its re-encoding's %s, want %s", c.name, s.ETag(), re.ETag(), goldenETag)
+		}
+	}
+}
+
+// TestDecodeLayout holds Decode to a few dozen allocations whatever
+// the snapshot's size, each row a capped sub-slice of the shared
+// arrays, and nothing of the caller's buffer kept.
+func TestDecodeLayout(t *testing.T) {
+	const maxAllocs = 32
+	for _, size := range [][2]int{{240, 177}, {2000, 50}} {
+		src := bigSource(size[0], size[1], 7)
+		c, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := c.Encode()
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Decode(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Decode of %d × %d: %.0f allocations", size[0], size[1], allocs)
+		if allocs > maxAllocs {
+			t.Errorf("Decode of %d × %d makes %.0f allocations, want at most %d", size[0], size[1], allocs, maxAllocs)
+		}
+
+		buf := append([]byte(nil), enc...)
+		s, err := Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 'x'
+		}
+		for _, snap := range []*Snapshot{c, s} {
+			for ci, row := range snap.rows {
+				if cap(row.bits) != len(row.bits) || cap(row.doms) != len(row.doms) || cap(row.kinds) != len(row.kinds) {
+					t.Fatalf("row %d's slices have room past their ends: bits %d/%d, doms %d/%d, kinds %d/%d",
+						ci, len(row.bits), cap(row.bits), len(row.doms), cap(row.doms), len(row.kinds), cap(row.kinds))
+				}
+			}
+		}
+		if s.ETag() != c.ETag() {
+			t.Fatalf("decoded ETag %s, compiled %s", s.ETag(), c.ETag())
+		}
+		for _, d := range c.Domains() {
+			for _, cc := range c.Countries() {
+				a, aok := c.Lookup(d, cc)
+				b, bok := s.Lookup(d, cc)
+				if a != b || aok != bok {
+					t.Fatalf("Lookup(%q, %q) = %+v, %v after the input was overwritten; want %+v, %v", d, cc, b, bok, a, aok)
+				}
+			}
+		}
+	}
+}

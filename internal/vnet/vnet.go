@@ -95,15 +95,16 @@ func NewStack(w *worldgen.World, ip geo.IP) *Stack {
 // view.
 func At(w *worldgen.World, ip geo.IP) Stack {
 	loc, _ := w.Geo.Locate(ip)
-	return Located(w, ip, loc, w.Geo.Classify(ip))
+	return Located(w, ip, loc, -1, w.Geo.Classify(ip))
 }
 
 // Located returns the stack sourcing traffic from ip, whose database
 // location and class the caller recorded when it minted the address: a
-// stack located with no GeoIP search. Only the edge's view is worked
-// out here.
-func Located(w *worldgen.World, ip geo.IP, loc geo.Location, class geo.Class) Stack {
-	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Misgeolocate(w, loc, ip), class: class}
+// stack located with no GeoIP search. at is the index of loc's country
+// in the world's country table, -1 when the caller did not record it.
+// Only the edge's view is worked out here (cdn.Misgeolocate).
+func Located(w *worldgen.World, ip geo.IP, loc geo.Location, at int, class geo.Class) Stack {
+	return Stack{World: w, IP: ip, located: true, loc: loc, edge: cdn.Misgeolocate(w, loc, at, ip), class: class}
 }
 
 // Probe is one GET, with the same-site redirects it may follow. It is

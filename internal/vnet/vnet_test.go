@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -375,7 +376,8 @@ func TestOpError(t *testing.T) {
 // are what geo.DB.Locate, cdn.Locate and the geo predicates answer, for
 // residential, proxy-flagged, datacenter (anonymizer included),
 // Crimean and unallocated addresses, and Located, given At's location
-// and class, builds the same stack.
+// and class, with or without the location's country index, builds the
+// same stack, for the addresses the edge misplaces too.
 func TestAtLocatesAndClassifies(t *testing.T) {
 	db := testWorld.Geo
 	ips := []geo.IP{0, db.CrimeaHostIP(3)}
@@ -395,8 +397,12 @@ func TestAtLocatesAndClassifies(t *testing.T) {
 	if anonymizers == 0 {
 		t.Fatal("no anonymizer address among the minted ones")
 	}
+	misplaced := 0
 	for _, ip := range ips {
 		s := At(testWorld, ip)
+		if s.edge != s.loc {
+			misplaced++
+		}
 		loc, _ := db.Locate(ip)
 		if s.loc != loc || s.edge != cdn.Locate(testWorld, ip) {
 			t.Fatalf("%v: At located %v (edge %v), the table %v (edge %v)", ip, s.loc, s.edge, loc, cdn.Locate(testWorld, ip))
@@ -409,9 +415,15 @@ func TestAtLocatesAndClassifies(t *testing.T) {
 				t.Fatalf("%v: At's class %d has flag %d %v, the predicate says %v", ip, s.class, c.flag, got, c.want)
 			}
 		}
-		if l := Located(testWorld, ip, loc, s.class); l != s {
-			t.Fatalf("%v: Located built %+v, At %+v", ip, l, s)
+		at := slices.IndexFunc(db.Countries(), func(c geo.Country) bool { return c.Code == loc.Country })
+		for _, at := range []int{-1, at} {
+			if l := Located(testWorld, ip, loc, at, s.class); l != s {
+				t.Fatalf("%v: Located at country index %d built %+v, At %+v", ip, at, l, s)
+			}
 		}
+	}
+	if misplaced == 0 {
+		t.Fatal("the edge misplaces none of the minted addresses")
 	}
 }
 
