@@ -876,13 +876,13 @@ func (t simRTT) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.rt.RoundTrip(req)
 }
 
-// BenchmarkScanSkewedSharded pits the work-stealing scheduler against
-// the old one-worker-per-country shape (recovered by making each
-// country a single shard) on the skewed workload, under a simulated
-// 200µs round-trip. With one shard per country the skewed country's
-// request chain serializes behind that latency; sharding overlaps it.
-// The speedup metric is the acceptance check for the scheduler
-// refactor.
+// BenchmarkScanSkewedSharded pits the sharded pool against the old
+// one-worker-per-country shape (recovered by making each country a
+// single shard) on the skewed workload, under a simulated 200µs
+// round-trip. With one shard per country the skewed country's request
+// chain serializes behind that latency; sharding overlaps it, its
+// units taken by the pool's workers in canonical order. The speedup
+// metric is the acceptance check for sharding.
 func BenchmarkScanSkewedSharded(b *testing.B) {
 	net, domains, countries, tasks := scanBenchWorld(b)
 	run := func(shardSize int) time.Duration {

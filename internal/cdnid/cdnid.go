@@ -21,7 +21,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/scanner"
@@ -110,49 +109,30 @@ func (id *Identifier) ScanRanks(lo, hi int) *Populations {
 	return id.ScanRankList(ranks)
 }
 
-// ScanRankList identifies providers for an explicit rank list.
+// ScanRankList identifies providers for an explicit rank list, its
+// domains probed on scanner.Each from one stack.
 func (id *Identifier) ScanRankList(ranks []int) *Populations {
 	gae := id.GAERanges()
 	res := &vnet.Resolver{World: id.World}
-
-	type found struct {
-		rank  int
-		provs []worldgen.Provider
-	}
+	stack := vnet.NewStack(id.World, id.Vantage)
 	conc := id.Concurrency
 	if conc <= 0 {
 		conc = scanner.DefaultConcurrency()
 	}
-	stripe := make([][]found, conc)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < conc; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			stack := vnet.NewStack(id.World, id.Vantage)
-			for i := wkr; i < len(ranks); i += conc {
-				d := id.World.DomainAt(ranks[i])
-				if d == nil {
-					continue
-				}
-				provs := id.classifyDomain(stack, res, d, gae)
-				if len(provs) > 0 {
-					stripe[wkr] = append(stripe[wkr], found{rank: ranks[i], provs: provs})
-				}
-			}
-		}(wkr)
-	}
-	wg.Wait()
+	found := make([][]worldgen.Provider, len(ranks))
+	scanner.Each(len(ranks), conc, func(_, i int) {
+		if d := id.World.DomainAt(ranks[i]); d != nil {
+			found[i] = id.classifyDomain(stack, res, d, gae)
+		}
+	})
 
 	pops := &Populations{ByProvider: make(map[worldgen.Provider][]int)}
-	for _, fs := range stripe {
-		for _, f := range fs {
-			for _, p := range f.provs {
-				pops.ByProvider[p] = append(pops.ByProvider[p], f.rank)
-			}
-			if len(f.provs) > 1 {
-				pops.Dual = append(pops.Dual, f.rank)
-			}
+	for i, provs := range found {
+		for _, p := range provs {
+			pops.ByProvider[p] = append(pops.ByProvider[p], ranks[i])
+		}
+		if len(provs) > 1 {
+			pops.Dual = append(pops.Dual, ranks[i])
 		}
 	}
 	for p := range pops.ByProvider {

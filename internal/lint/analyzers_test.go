@@ -51,7 +51,8 @@ func TestNakedgo(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.Nakedgo,
 		"geoblock/internal/scanner/ngfix",
 		"geoblock/internal/fabric/ngfix",
-		"geoblock/internal/verdict/ngfix")
+		"geoblock/internal/verdict/ngfix",
+		"geoblock/internal/ooni/ngfix")
 }
 
 func TestClockflow(t *testing.T) {

@@ -1,11 +1,12 @@
 // The nakedgo analyzer: no stray goroutines in the scan path. The
-// engine's concurrency is confined to the scheduler's work-stealing
-// pool, where every worker is tied to a WaitGroup so a scan drains
+// program's parallel loops run on scanner.Each, the one worker pool,
+// whose every worker is tied to a WaitGroup so a loop drains
 // completely before its result is read — the no-deadlock and
 // byte-identical chaos assertions both assume it. A `go func` launched
 // anywhere in the scan path without such a tie can outlive the scan,
 // race the sink's single-goroutine delivery contract, or leak under
-// fault injection.
+// fault injection. OONI's volunteer fleet and provider discovery probe
+// the simulated web as scans do, so they are in scope too.
 package lint
 
 import (
@@ -17,7 +18,7 @@ import (
 // to a WaitGroup (or errgroup-style Done/Wait discipline).
 var Nakedgo = &Analyzer{
 	Name: "nakedgo",
-	Doc:  "scan-path goroutines must be tied to a WaitGroup/errgroup or the scheduler's worker pool",
+	Doc:  "scan-path goroutines must be tied to a WaitGroup/errgroup, or the loop must run on scanner.Each",
 	Match: scope(
 		"geoblock/internal/scanner/...",
 		"geoblock/internal/pipeline/...",
@@ -26,6 +27,8 @@ var Nakedgo = &Analyzer{
 		"geoblock/internal/faults/...",
 		"geoblock/internal/fabric/...",
 		"geoblock/internal/verdict/...",
+		"geoblock/internal/ooni/...",
+		"geoblock/internal/cdnid/...",
 	),
 	Run: runNakedgo,
 }
@@ -39,11 +42,11 @@ func runNakedgo(p *Pass) {
 			}
 			lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 			if !ok {
-				p.Reportf(g.Pos(), "goroutine launch in the scan path: wrap it in a WaitGroup-tied literal (wg.Add before, defer wg.Done inside) or route the work through the scheduler")
+				p.Reportf(g.Pos(), "goroutine launch in the scan path: wrap it in a WaitGroup-tied literal (wg.Add before, defer wg.Done inside) or run the loop on scanner.Each")
 				return true
 			}
 			if !touchesWaitGroup(p.Info, lit.Body) {
-				p.Reportf(g.Pos(), "naked goroutine in the scan path: tie it to a sync.WaitGroup (defer wg.Done()) or the scheduler's worker pool so scans drain deterministically")
+				p.Reportf(g.Pos(), "naked goroutine in the scan path: tie it to a sync.WaitGroup (defer wg.Done()) or run the loop on scanner.Each so scans drain deterministically")
 			}
 			return true
 		})
@@ -51,8 +54,8 @@ func runNakedgo(p *Pass) {
 }
 
 // touchesWaitGroup reports whether body references a sync.WaitGroup
-// (typically `defer wg.Done()`), which is the drain tie the scheduler
-// contract requires.
+// (typically `defer wg.Done()`), which is the drain tie scanner.Each's
+// workers have too.
 func touchesWaitGroup(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

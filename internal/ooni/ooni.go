@@ -57,9 +57,6 @@ type Config struct {
 	MeasurementsPerPair int
 	// Countries to draw volunteers from; nil = every measurable country.
 	Countries []geo.CountryCode
-	// Concurrency bounds parallel volunteer simulation; zero takes
-	// scanner.DefaultConcurrency().
-	Concurrency int
 }
 
 // Synthesize runs the volunteer fleet: for every test-list domain that
@@ -72,9 +69,6 @@ func Synthesize(w *worldgen.World, cfg Config) *Corpus {
 	countries := cfg.Countries
 	if countries == nil {
 		countries = w.Geo.Measurable()
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = scanner.DefaultConcurrency()
 	}
 
 	// Probe only list entries that resolve in the simulated world.
@@ -105,20 +99,12 @@ func Synthesize(w *worldgen.World, cfg Config) *Corpus {
 	}
 	torStack := vnet.NewStack(w, torIP)
 
+	// Each country's measurements go into its own slot, so the corpus
+	// keeps country order at any worker count.
 	perCountry := make([][]Measurement, len(countries))
-	sem := make(chan struct{}, cfg.Concurrency)
-	done := make(chan int)
-	for ci := range countries {
-		go func(ci int) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			perCountry[ci] = measureCountry(w, cls, torStack, countries[ci], domains, cfg.MeasurementsPerPair)
-			done <- ci
-		}(ci)
-	}
-	for range countries {
-		<-done
-	}
+	scanner.Each(len(countries), scanner.DefaultConcurrency(), func(_, ci int) {
+		perCountry[ci] = measureCountry(w, cls, torStack, countries[ci], domains, cfg.MeasurementsPerPair)
+	})
 	for _, ms := range perCountry {
 		corpus.Measurements = append(corpus.Measurements, ms...)
 	}

@@ -93,25 +93,34 @@ func (s *Study) AnalyzeTimeouts(r *Top10KResult, resamples int) *TimeoutResult {
 	}
 	out.CandidateDomains = len(candCountries)
 
-	// Pass 2: independent-vantage cross-check, one probe per pair. A
-	// consistent residential timeout is usually a transit black hole on
-	// the proxy path, not the server's policy; only drops that
-	// reproduce from a datacenter address in the same country proceed.
-	// This is the §7.3 differentiation problem in miniature — without a
-	// second vantage type these candidates are unattributable.
+	// Pass 2: independent-vantage cross-check, one probe per pair, the
+	// probes run on scanner.Each. A consistent residential timeout is
+	// usually a transit black hole on the proxy path, not the server's
+	// policy; only drops that reproduce from a datacenter address in
+	// the same country proceed. This is the §7.3 differentiation
+	// problem in miniature — without a second vantage type these
+	// candidates are unattributable.
 	domains := make([]int32, 0, len(candCountries))
 	for d := range candCountries {
 		domains = append(domains, d)
 	}
 	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
-	var tasks []scanner.Task
+	var pairs []pairKey
 	for _, d := range domains {
 		cs := candCountries[d]
 		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 		for _, c := range cs {
-			if s.timesOutFromDatacenter(r.SafeDomains[d], r.Countries[c]) {
-				tasks = append(tasks, scanner.Task{Domain: d, Country: c})
-			}
+			pairs = append(pairs, pairKey{d, c})
+		}
+	}
+	drops := make([]bool, len(pairs))
+	scanner.Each(len(pairs), scanner.DefaultConcurrency(), func(_, i int) {
+		drops[i] = s.timesOutFromDatacenter(r.SafeDomains[pairs[i].domain], r.Countries[pairs[i].country])
+	})
+	var tasks []scanner.Task
+	for i, k := range pairs {
+		if drops[i] {
+			tasks = append(tasks, scanner.Task{Domain: k.domain, Country: k.country})
 		}
 	}
 	out.CrossCheckedPairs = len(tasks)
@@ -204,6 +213,8 @@ type AppLayerResult struct {
 // from every target country, extracts structural features, and reports
 // discriminating differences. Each comparison is confirmed with a
 // second sample so a junk-page load never counts as a removed feature.
+// Domains are compared on scanner.Each, and findings come out in
+// domain order.
 func (s *Study) RunAppLayerStudy(domains []string, ref geo.CountryCode, targets []geo.CountryCode) *AppLayerResult {
 	out := &AppLayerResult{DomainsTested: len(domains)}
 
@@ -225,10 +236,12 @@ func (s *Study) RunAppLayerStudy(domains []string, ref geo.CountryCode, targets 
 		return applayer.Extract(body), true
 	}
 
-	for _, domain := range domains {
+	perDomain := make([][]AppLayerFinding, len(domains))
+	scanner.Each(len(domains), scanner.DefaultConcurrency(), func(_, i int) {
+		domain := domains[i]
 		refObs, ok := fetch(domain, ref, 0)
 		if !ok {
-			continue
+			return
 		}
 		for _, cc := range targets {
 			if cc == ref {
@@ -252,7 +265,7 @@ func (s *Study) RunAppLayerStudy(domains []string, ref geo.CountryCode, targets 
 			if !d2.Discriminates() {
 				continue
 			}
-			out.Findings = append(out.Findings, AppLayerFinding{
+			perDomain[i] = append(perDomain[i], AppLayerFinding{
 				DomainName:   domain,
 				Country:      cc,
 				MissingLinks: d2.MissingLinks,
@@ -260,6 +273,9 @@ func (s *Study) RunAppLayerStudy(domains []string, ref geo.CountryCode, targets 
 				PriceRatio:   d2.PriceRatio,
 			})
 		}
+	})
+	for _, fs := range perDomain {
+		out.Findings = append(out.Findings, fs...)
 	}
 	return out
 }

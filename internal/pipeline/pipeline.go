@@ -23,7 +23,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync"
 
 	"geoblock/internal/blockpage"
 	"geoblock/internal/consistency"
@@ -333,7 +332,7 @@ type bodyKinds []uint8
 func (b bodyKinds) at(i int) blockpage.Kind { return blockpage.Kind(b[i]) }
 
 // classifyBodies runs the classification pass over res, its bodies
-// split evenly across up to workers goroutines.
+// classified on scanner.Each by up to workers workers.
 func (s *Study) classifyBodies(res *scanner.Result, workers int) bodyKinds {
 	classes := make(bodyKinds, len(res.Samples))
 	var bodies []int32
@@ -342,19 +341,10 @@ func (s *Study) classifyBodies(res *scanner.Result, workers int) bodyKinds {
 			bodies = append(bodies, int32(i))
 		}
 	}
-	workers = max(1, min(workers, len(bodies)))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		part := bodies[w*len(bodies)/workers : (w+1)*len(bodies)/workers]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, i := range part {
-				classes[i] = uint8(s.Classifier.Classify(res.Samples[i].Body))
-			}
-		}()
-	}
-	wg.Wait()
+	scanner.Each(len(bodies), workers, func(_, j int) {
+		i := bodies[j]
+		classes[i] = uint8(s.Classifier.Classify(res.Samples[i].Body))
+	})
 	return classes
 }
 

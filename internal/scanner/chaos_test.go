@@ -214,9 +214,8 @@ func TestChaosDeterminism(t *testing.T) {
 // deterministic view of the scan's metrics snapshot — counters, error
 // tallies, fault counters — and of its trace — every unit's country
 // and fate, every outage — must be byte-identical at Concurrency 1, 4,
-// and 32. Only the explicitly runtime-class series and events (steals,
-// worker gauge, latency histogram) may vary with the schedule, and
-// Deterministic() strips exactly those.
+// and 32. Only the explicitly runtime-class series (the worker gauge)
+// may vary with the schedule, and Deterministic() strips exactly those.
 func TestChaosTelemetryDeterminism(t *testing.T) {
 	domains, countries := smallInputs(48)
 	tasks := skewedTasks(len(domains), len(countries))

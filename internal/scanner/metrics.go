@@ -22,8 +22,11 @@ const (
 	// Scheduler layer.
 	MetShardsScheduled = "scanner.sched.shards_scheduled"
 	MetShardsDone      = "scanner.sched.shards_done"
-	MetSteals          = "scanner.sched.steals"  // runtime: depends on worker timing
 	MetWorkers         = "scanner.sched.workers" // runtime gauge
+	// MetSteals names a series nothing counts: the pool takes units
+	// from one shared cursor and steals none. It stays declared only
+	// because perfbench reads it.
+	MetSteals = "scanner.sched.steals"
 
 	// Sink layer (counted at canonical-order delivery).
 	MetSinkSamples = "scanner.sink.samples"

@@ -300,11 +300,11 @@ func (p *Plan) execute(ctx context.Context, net *proxy.Network, sh *shard, u *un
 	return res
 }
 
-// run is the in-process executor: the work-stealing pool executes
-// every pending unit and completes it through an Assembly into sink,
-// and each worker takes back an emitted unit's buffer for its next
-// unit. A cancelled scan returns ctx.Err() with a prefix of the stream
-// delivered, ending at the first unit boundary after the cancel.
+// run is the in-process executor: the pool executes every pending
+// unit and completes it through an Assembly into sink, and each worker
+// takes back an emitted unit's buffer for its next unit. A cancelled
+// scan returns ctx.Err() with a prefix of the stream delivered, ending
+// at the first unit boundary after the cancel.
 func (p *Plan) run(ctx context.Context, net *proxy.Network, sink Sink) error {
 	a, err := NewAssembly(p, sink)
 	if err != nil {

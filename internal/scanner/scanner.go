@@ -18,14 +18,17 @@
 // into four composable layers:
 //
 //   - Plan and scheduler (plan.go, sched.go): a Plan shards each
-//     country's task list into deterministic work units, an in-process
-//     work-stealing pool executes them — so one large country no
-//     longer serializes a run and parallelism scales with cores rather
-//     than country count — and an Assembly emits completed units in
-//     canonical order and runs the end-of-scan accounting. Each pool
-//     worker resets one unit state (fetcher, session, sample buffer)
-//     for every unit it runs. Run, RunVPS and the distributed fabric
-//     (internal/fabric) all compose these same pieces.
+//     country's task list into deterministic work units, and Each, the
+//     program's one worker pool, executes them: every worker takes the
+//     next unit in canonical order from one shared cursor, so one large
+//     country no longer serializes a run and parallelism scales with
+//     cores rather than country count. An Assembly emits completed
+//     units in canonical order and runs the end-of-scan accounting.
+//     Each pool worker resets one unit state (fetcher, session, sample
+//     buffer) for every unit it runs. Run, RunVPS and the distributed
+//     fabric (internal/fabric) all compose these same pieces, and the
+//     studies' own parallel loops (OONI, provider discovery, body
+//     classification, the §7.3 studies) run on Each too.
 //   - Session (session.go): sticky proxy-session acquisition, the
 //     connectivity pre-check loop, per-exit budget rotation, and the
 //     circuit breaker, driven by Config's retry knobs.
@@ -340,10 +343,8 @@ func (c Config) withDefaults() Config {
 }
 
 // DefaultConcurrency is the worker count of a scan, and of every
-// study's worker pool, whose caller sets none: one worker per CPU the
-// Go scheduler runs goroutines on. Output is identical at any count,
-// and a worker beyond the CPUs only runs ahead of the reorder frontier,
-// where few of its units' sample buffers come back to it.
+// study loop on Each, whose caller sets none: one worker per CPU the
+// Go scheduler runs goroutines on. Output is identical at any count.
 func DefaultConcurrency() int { return runtime.GOMAXPROCS(0) }
 
 // DefaultConfig is the initial-snapshot configuration of §4.1.1: three

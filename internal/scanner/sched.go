@@ -1,14 +1,14 @@
 // The scheduler layer: shards and their sticky-session slots, and the
-// in-process work-stealing pool that executes a Plan's units.
+// one worker pool every parallel loop in the program runs on.
 package scanner
 
 import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"geoblock/internal/stats"
-	"geoblock/internal/trace"
 )
 
 // shard is one schedulable unit: a contiguous chunk of one group's
@@ -36,34 +36,36 @@ func shardSlot(country, phase string, index int) uint64 {
 	return stats.Hash(country + "/" + phase + "/" + strconv.Itoa(index))
 }
 
-// deque is one worker's shard queue. The owner pops from the front
-// (low canonical sequence first); thieves steal from the back, so a
-// skewed country's tail chunks migrate to idle workers.
-type deque struct {
-	mu     sync.Mutex
-	shards []*shard
-}
-
-func (d *deque) popFront() *shard {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.shards) == 0 {
-		return nil
+// Each calls fn(w, i) once for every i in [0, n) on up to workers
+// goroutines, at least one when n > 0, and returns when every call has.
+// Each worker takes the lowest index no worker has taken yet from one
+// shared cursor, so indices start in ascending order at any worker
+// count: a large item near the front starts first, and a scan's units
+// finish near the reorder frontier. w, the worker's number, is below
+// min(workers, n) and indexes the caller's per-worker state; the
+// calling goroutine is worker 0. Callers that need output in index
+// order write it into per-index slots.
+func Each(n, workers int, fn func(w, i int)) {
+	if n <= 0 {
+		return
 	}
-	sh := d.shards[0]
-	d.shards = d.shards[1:]
-	return sh
-}
-
-func (d *deque) stealBack() *shard {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.shards) == 0 {
-		return nil
+	workers = max(1, min(workers, n))
+	var next atomic.Int64
+	work := func(w int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(w, i)
+		}
 	}
-	sh := d.shards[len(d.shards)-1]
-	d.shards = d.shards[:len(d.shards)-1]
-	return sh
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
 }
 
 // stopped reports, without blocking, whether done, a context's Done
@@ -78,85 +80,33 @@ func stopped(done <-chan struct{}) bool {
 	}
 }
 
-// schedule fans units out over a work-stealing pool of up to
-// Config.Concurrency workers and calls run on each, with the unit
-// state the worker running it owns. On context cancellation workers
-// stop picking up units and schedule returns ctx.Err(); the first
-// error run returns stops the pool the same way and is returned
-// instead.
+// schedule runs units on Each with up to Config.Concurrency workers,
+// calling run on each with the unit state the worker running it owns.
+// On context cancellation workers stop starting units and schedule
+// returns ctx.Err(); the first error run returns stops the pool the
+// same way and is returned instead.
 func (p *Plan) schedule(ctx context.Context, units []shard, run func(context.Context, *unitState, *shard) error) error {
 	if len(units) == 0 {
 		return ctx.Err()
 	}
 	workers := min(p.cfg.Concurrency, len(units))
-	// Steal counts and the worker gauge depend on scheduling, so they
-	// are runtime-class; everything else here is deterministic.
-	reg := p.cfg.Metrics
-	reg.RuntimeGauge(MetWorkers).Set(int64(workers))
-	steals := reg.RuntimeCounter(MetSteals)
-
-	// Round-robin distribution: unit i starts on worker i%workers, so
-	// a giant country's chunks are spread across the pool from the
-	// start and stealing only handles residual imbalance.
-	deques := make([]*deque, workers)
-	for w := range deques {
-		deques[w] = &deque{shards: make([]*shard, 0, (len(units)+workers-1)/workers)}
-	}
-	for i := range units {
-		d := deques[i%workers]
-		d.shards = append(d.shards, &units[i])
-	}
+	// The worker gauge depends on the machine, so it is runtime-class.
+	p.cfg.Metrics.RuntimeGauge(MetWorkers).Set(int64(workers))
 
 	ctx, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
 	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			u := new(unitState)
-			for !stopped(done) {
-				sh := deques[w].popFront()
-				if sh == nil {
-					for off := 1; off < workers && sh == nil; off++ {
-						sh = deques[(w+off)%workers].stealBack()
-					}
-					if sh != nil {
-						steals.Add(1)
-						p.recordSteal(sh.seq, w)
-					}
-				}
-				if sh == nil {
-					return // pool drained: the unit set is static
-				}
-				if err := run(ctx, u, sh); err != nil {
-					stop(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	states := make([]unitState, workers)
+	Each(len(units), workers, func(w, i int) {
+		if stopped(done) {
+			return
+		}
+		if err := run(ctx, &states[w], &units[i]); err != nil {
+			stop(err)
+		}
+	})
 	if ctx.Err() != nil {
 		return context.Cause(ctx)
 	}
 	return nil
-}
-
-// recordSteal records a "steal" event: which unit migrates to which
-// worker depends entirely on scheduling — runtime-class by definition.
-func (p *Plan) recordSteal(seq, worker int) {
-	tr := p.cfg.Trace
-	if tr == nil {
-		return
-	}
-	ev := trace.NewEvent(p.scanCtx.Child("steal", seq), "steal")
-	ev.Parent = p.scanCtx.Span
-	ev.Unit = seq
-	ev.Phase = p.cfg.Phase
-	ev.Runtime = true
-	ev.WallNS = tr.Now()
-	ev.Attrs = []trace.Attr{{K: "worker", V: strconv.Itoa(worker)}}
-	tr.Record(ev)
 }

@@ -3,7 +3,9 @@ package scanner
 import (
 	"context"
 	"errors"
+	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"geoblock/internal/geo"
@@ -134,48 +136,85 @@ func TestDeterminismAcrossConcurrency(t *testing.T) {
 // UnitMetrics, which outlives it in journal checkpoints. Each worker
 // resets its fetcher, sessions and sample buffer for every unit, and
 // an emitted unit's buffer goes to the next, so the rest of a scan's
-// allocations are per scan: the plan with its table of resolved
-// domains, the assembly, the pool. No page renders with bodies
-// dropped, block and censorship pages included: their lengths come
-// from the templates. One worker completes units in order, so one
-// buffer serves the scan. Two scan sizes under one per-scan bound (28
-// read) hold each unit to one, whatever pages their samples were
-// served.
+// allocations are per scan (the plan with its table of resolved
+// domains, the assembly; 25 read) and per worker (its goroutine and
+// the unit state it fills once). Workers take units in canonical
+// order, so under AllocsPerRun's single CPU, with no preemption
+// mid-scan, every unit completes at the reorder frontier and its
+// buffer comes straight back, at any worker count. Two scan sizes
+// under one bound hold each unit to one, whatever pages their samples
+// were served.
 func TestUnitAllocs(t *testing.T) {
-	const perScan = 32
+	const perScan, perWorker = 32, 2
 	reg := telemetry.New()
-	for _, n := range []int{64, 128} {
-		domains, countries := smallInputs(n)
-		tasks := CrossProduct(len(domains), len(countries))
-		cfg := testConfig()
-		cfg.Bodies, cfg.ShardSize, cfg.Concurrency, cfg.Metrics = BodyNone, 8, 1, reg
-		units := NewPlan(domains, countries, tasks, cfg).NumUnits()
-		pages := 0
-		sink := SinkFunc(func(s Sample) {
-			if s.Err == ErrNone && s.Status != 200 && s.Status != 301 {
-				pages++
+	for _, conc := range []int{1, 2, 8, 32} {
+		for _, n := range []int{64, 128} {
+			domains, countries := smallInputs(n)
+			tasks := CrossProduct(len(domains), len(countries))
+			cfg := testConfig()
+			cfg.Bodies, cfg.ShardSize, cfg.Concurrency, cfg.Metrics = BodyNone, 8, conc, reg
+			units := NewPlan(domains, countries, tasks, cfg).NumUnits()
+			pages := 0
+			sink := SinkFunc(func(s Sample) {
+				if s.Err == ErrNone && s.Status != 200 && s.Status != 301 {
+					pages++
+				}
+			})
+			scan := func() {
+				pages = 0
+				// Start the scan on a fresh time slice. A lone second
+				// worker runs from the run queue's next slot and
+				// inherits its waker's slice, so without the yield
+				// scans at Concurrency 2 share one 10 ms slice, and its
+				// preemption, landing mid-scan, lets the other worker
+				// run units ahead of the frontier, each on a new buffer.
+				runtime.Gosched()
+				if err := Run(context.Background(), testNet, domains, countries, tasks, cfg, sink); err != nil {
+					t.Fatal(err)
+				}
 			}
-		})
-		scan := func() {
-			pages = 0
-			if err := Run(context.Background(), testNet, domains, countries, tasks, cfg, sink); err != nil {
-				t.Fatal(err)
+			scan() // warm the world's lazy caches and the registry's series
+			// A collection the scan sets off may allocate on its own.
+			gc := debug.SetGCPercent(-1)
+			allocs := testing.AllocsPerRun(3, scan)
+			debug.SetGCPercent(gc)
+			t.Logf("concurrency %d, %d units, %d pages: %.0f allocations", conc, units, pages, allocs)
+			if units < 32 || pages == 0 {
+				t.Fatalf("the scan has %d units and %d pages, want at least 32 and one", units, pages)
 			}
-		}
-		scan() // warm the world's lazy caches and the registry's series
-		// A collection the scan sets off may allocate on its own.
-		gc := debug.SetGCPercent(-1)
-		allocs := testing.AllocsPerRun(3, scan)
-		debug.SetGCPercent(gc)
-		t.Logf("%d units, %d pages: %.0f allocations", units, pages, allocs)
-		if units < 32 || pages == 0 {
-			t.Fatalf("the scan has %d units and %d pages, want at least 32 and one", units, pages)
-		}
-		if limit := units + perScan; allocs > float64(limit) {
-			t.Errorf("a scan of %d units and %d pages allocated %.0f times, want at most %d: one per unit, %d per scan",
-				units, pages, allocs, limit, perScan)
+			if limit := units + perScan + perWorker*conc; allocs > float64(limit) {
+				t.Errorf("concurrency %d: a scan of %d units and %d pages allocated %.0f times, want at most %d: one per unit, %d per scan, %d per worker",
+					conc, units, pages, allocs, limit, perScan, perWorker)
+			}
 		}
 	}
+}
+
+// TestEach pins the pool's contract: every index runs exactly once,
+// on a worker numbered below min(workers, n), whatever the worker
+// count, a non-positive one included; n = 0 calls nothing.
+func TestEach(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		for _, workers := range []int{-3, 0, 1, 2, 4, 32, 200} {
+			calls := make([]atomic.Int32, n)
+			var bad atomic.Int32
+			Each(n, workers, func(w, i int) {
+				if w < 0 || w >= max(1, min(workers, n)) {
+					bad.Store(int32(w) + 1)
+				}
+				calls[i].Add(1)
+			})
+			if w := bad.Load(); w != 0 {
+				t.Errorf("Each(%d, %d): worker number %d out of range", n, workers, w-1)
+			}
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Errorf("Each(%d, %d): index %d ran %d times, want once", n, workers, i, c)
+				}
+			}
+		}
+	}
+	Each(0, 4, func(w, i int) { t.Errorf("Each(0, 4) called fn(%d, %d)", w, i) })
 }
 
 // TestCanonicalOrder pins the output ordering contract: country-major,
@@ -205,10 +244,11 @@ func TestCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestLoadBoundUnderStealing asserts the §3.2 per-exit budget survives
-// the work-stealing scheduler: within every country, no exit serves a
-// longer consecutive stretch than RequestsPerExit samples.
-func TestLoadBoundUnderStealing(t *testing.T) {
+// TestLoadBoundAcrossWorkers asserts the §3.2 per-exit budget survives
+// a 32-worker pool, whose workers run one country's units at once:
+// within every country, no exit serves a longer consecutive stretch
+// than RequestsPerExit samples.
+func TestLoadBoundAcrossWorkers(t *testing.T) {
 	domains, countries := smallInputs(64)
 	tasks := skewedTasks(len(domains), len(countries))
 	cfg := testConfig()

@@ -12,9 +12,8 @@ import (
 )
 
 // tracedScan runs one collected scan with a fresh tracer attached and
-// returns the deterministic trace view's byte form and the number of
-// runtime events (steals) the raw stream interleaved with it.
-func tracedScan(t *testing.T, conc int, profile string, faultSeed uint64) ([]byte, int) {
+// returns the deterministic trace view's byte form.
+func tracedScan(t *testing.T, conc int, profile string, faultSeed uint64) []byte {
 	t.Helper()
 	tr := trace.New(trace.Root(7))
 	cfg := testConfig()
@@ -33,20 +32,18 @@ func tracedScan(t *testing.T, conc int, profile string, faultSeed uint64) ([]byt
 	if _, err := Scan(context.Background(), net, domains, countries, tasks, cfg); err != nil {
 		t.Fatalf("concurrency %d: %v", conc, err)
 	}
-	snap := tr.Snapshot()
-	det := snap.Deterministic()
-	b, err := det.JSON()
+	b, err := tr.Snapshot().Deterministic().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, len(snap.Events) - len(det.Events)
+	return b
 }
 
 // TestTraceDeterminismAcrossConcurrency is the tracing acceptance gate
 // at the engine layer: the deterministic trace view — every event, ID,
 // attribute, and the stream order itself — is byte-identical at
-// Concurrency 1, 4, and 32, where runtime steal events interleave with
-// the stream, clean and under the everything-at-once chaos profile.
+// Concurrency 1, 4, and 32, clean and under the everything-at-once
+// chaos profile.
 func TestTraceDeterminismAcrossConcurrency(t *testing.T) {
 	for _, profile := range []string{"", "mixed"} {
 		name := profile
@@ -54,15 +51,14 @@ func TestTraceDeterminismAcrossConcurrency(t *testing.T) {
 			name = "clean"
 		}
 		t.Run(name, func(t *testing.T) {
-			base, _ := tracedScan(t, 1, profile, 42)
+			base := tracedScan(t, 1, profile, 42)
 			for _, want := range []string{`"name": "session.open"`, `"name": "unit"`, `"name": "sink.emit"`, `"name": "scan"`} {
 				if !bytes.Contains(base, []byte(want)) {
 					t.Fatalf("trace carries no %s event", want)
 				}
 			}
 			for _, conc := range []int{4, 32} {
-				got, steals := tracedScan(t, conc, profile, 42)
-				t.Logf("concurrency %d: %d runtime events interleaved", conc, steals)
+				got := tracedScan(t, conc, profile, 42)
 				if !bytes.Equal(got, base) {
 					t.Fatalf("concurrency %d: deterministic trace diverges from concurrency 1 (%d vs %d bytes)",
 						conc, len(got), len(base))
@@ -72,9 +68,12 @@ func TestTraceDeterminismAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestTraceRuntimeEventsStripped: the raw stream contains runtime-class
-// steal events at high concurrency, and the deterministic view does
-// not — the same split the telemetry layer enforces.
+// TestTraceRuntimeEventsStripped: an in-process scan records no
+// runtime-class event at high concurrency — the pool's workers take
+// units from one cursor and leave no trace of which worker ran what —
+// and the deterministic view keeps no wall stamps. internal/trace's
+// own tests cover stripping runtime events from a stream that has
+// them.
 func TestTraceRuntimeEventsStripped(t *testing.T) {
 	tr := trace.New(trace.Root(7))
 	cfg := testConfig()
@@ -85,11 +84,13 @@ func TestTraceRuntimeEventsStripped(t *testing.T) {
 	if _, err := Scan(context.Background(), testNet, domains, countries, tasks, cfg); err != nil {
 		t.Fatal(err)
 	}
-	det := tr.Snapshot().Deterministic()
-	for _, ev := range det.Events {
+	snap := tr.Snapshot()
+	for _, ev := range snap.Events {
 		if ev.Runtime {
-			t.Fatalf("runtime event %q survived Deterministic()", ev.Name)
+			t.Fatalf("the scan recorded runtime event %q", ev.Name)
 		}
+	}
+	for _, ev := range snap.Deterministic().Events {
 		if ev.WallNS != 0 || ev.WallDurNS != 0 {
 			t.Fatalf("event %q kept wall stamps in the deterministic view", ev.Name)
 		}

@@ -107,9 +107,9 @@ type Event struct {
 	// label, or an error class.
 	Outcome string `json:"outcome,omitempty"`
 	// Runtime marks events whose content or ordering depends on
-	// scheduling (lease traffic, slow-lookup exemplars, steals); they
-	// are stripped from the deterministic view exactly like
-	// runtime-class metrics.
+	// scheduling (lease traffic, slow-lookup exemplars); they are
+	// stripped from the deterministic view exactly like runtime-class
+	// metrics.
 	Runtime   bool   `json:"runtime,omitempty"`
 	WallNS    int64  `json:"wall_ns,omitempty"`
 	WallDurNS int64  `json:"wall_dur_ns,omitempty"`

@@ -2,6 +2,7 @@ package verdict
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"geoblock/internal/geo"
@@ -33,6 +34,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), enc...)
 	flipped[len(flipped)/3] ^= 0x80
 	f.Add(flipped)
+	// A header whose rows never follow: it must fail before sizing them.
+	f.Add(enc[:len(wireMagic)+frameHeader+int(binary.LittleEndian.Uint32(enc[len(wireMagic):]))])
 	f.Add([]byte(wireMagic))
 	f.Add([]byte{})
 	f.Add(overlong(f, enc, 0, 1))

@@ -13,7 +13,9 @@
 // Decoding is strict: a bad magic, torn frame, CRC mismatch, record
 // out of order, index out of range, non-ascending domain index,
 // count mismatch, or trailing bytes all error — corrupt or truncated
-// input must never round into a plausible matrix.
+// input must never round into a plausible matrix — and so does a
+// header naming more countries than row records follow it, or a
+// matrix whose bitset would pass maxPayload bytes.
 package verdict
 
 import (
@@ -104,8 +106,10 @@ func formatETag(version uint64, sum uint32) string {
 // indexed and ready to serve; its ETag equals the one the encoding
 // side computed.
 //
-// Decode keeps nothing of b, and its allocations do not grow with the
-// matrix: the names are substrings of one copy of the header payload,
+// Decode keeps nothing of b, and allocates nothing for a header until
+// checkShape has held its tables to the row records that follow it and
+// its bitset to maxPayload bytes. Its allocations do not grow with the
+// matrix: the names are substrings of one copy of the header's tables,
 // and the rows share one bitset array and one array each of domain
 // indices and kinds, sized by the row records' pair counts before any
 // row is read. Only the domain map's tables grow with the domain
@@ -155,10 +159,11 @@ func Decode(b []byte) (*Snapshot, error) {
 				return nil, fmt.Errorf("verdict: duplicate snapshot header")
 			}
 			sawHeader = true
-			if err := s.decodeHeader(&d); err != nil {
+			rows, pairs := rowRecords(b)
+			if err := s.decodeHeader(&d, rows); err != nil {
 				return nil, err
 			}
-			rw = newRowWriter(s, pairCount(b))
+			rw = newRowWriter(s, pairs)
 		case recRow:
 			if !sawHeader {
 				return nil, fmt.Errorf("verdict: row record before header")
@@ -204,12 +209,12 @@ func Decode(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// pairCount sums the pair counts the row records in b claim, each
-// bounded by its record's length (a pair takes at least two bytes), so
-// that a corrupt count cannot become a giant allocation. It checks
-// nothing else: Decode checks every record as it reads it.
-func pairCount(b []byte) int {
-	total := 0
+// rowRecords counts the row records in b and sums the pair counts they
+// claim, each bounded by its record's length (a pair takes at least
+// two bytes), so that a corrupt count cannot become a giant
+// allocation. It checks nothing else: Decode checks every record as it
+// reads it.
+func rowRecords(b []byte) (rows, pairs int) {
 	for len(b) >= frameHeader {
 		n := binary.LittleEndian.Uint32(b[0:4])
 		if int64(n) > int64(len(b)-frameHeader) {
@@ -220,20 +225,50 @@ func pairCount(b []byte) int {
 		if t, err := d.u8(); err != nil || t != recRow {
 			continue
 		}
+		rows++
 		if _, err := d.uvarint(); err != nil {
 			continue
 		}
-		if pairs, err := d.uvarint(); err == nil {
-			total += int(min(pairs, uint64(len(d.b)/2)))
+		if n, err := d.uvarint(); err == nil {
+			pairs += int(min(n, uint64(len(d.b)/2)))
 		}
 	}
-	return total
+	return rows, pairs
 }
 
-// decodeHeader reads the header record into s: the names are
-// substrings of one copy of the record, never of the caller's buffer.
-func (s *Snapshot) decodeHeader(d *dec) error {
-	d.text = string(d.b)
+// checkShape walks the nd names of a header's domain table without
+// keeping anything, reads the country count after them, and refuses a
+// matrix with more countries than the rows row records that follow the
+// header, or one whose bitset would take more than maxPayload bytes.
+// decodeHeader calls it before it allocates, so a header alone cannot
+// size a giant allocation.
+func checkShape(d dec, nd, rows int) error {
+	for range nd {
+		n, err := d.tableLen()
+		if err != nil {
+			return err
+		}
+		if err := d.skip(n); err != nil {
+			return err
+		}
+	}
+	nc, err := d.tableLen()
+	if err != nil {
+		return err
+	}
+	if nc > rows {
+		return fmt.Errorf("verdict: header names %d countries, but %d row records follow it", nc, rows)
+	}
+	if size := (nd + 63) / 64 * 8 * nc; size > maxPayload {
+		return fmt.Errorf("verdict: a %d × %d matrix needs a %d-byte bitset, over the %d-byte bound", nd, nc, size, maxPayload)
+	}
+	return nil
+}
+
+// decodeHeader reads the header record into s, rows being the count
+// of row records that follow it. The names are substrings of one copy
+// of the record's tables, never of the caller's buffer.
+func (s *Snapshot) decodeHeader(d *dec, rows int) error {
 	var err error
 	if s.version, err = d.uvarint(); err != nil {
 		return err
@@ -245,6 +280,10 @@ func (s *Snapshot) decodeHeader(d *dec) error {
 	if err != nil {
 		return err
 	}
+	if err := checkShape(*d, nd, rows); err != nil {
+		return err
+	}
+	d.text = string(d.b)
 	s.domains = make([]string, 0, min(nd, len(d.b)))
 	prev := ""
 	for i := 0; i < nd; i++ {
@@ -386,15 +425,23 @@ func (d *dec) tableLen() (int, error) {
 	return int(v), nil
 }
 
+// skip moves past the next n bytes.
+func (d *dec) skip(n int) error {
+	if n > len(d.b) {
+		return fmt.Errorf("verdict: truncated record payload")
+	}
+	d.b = d.b[n:]
+	return nil
+}
+
 func (d *dec) str() (string, error) {
 	n, err := d.tableLen()
 	if err != nil {
 		return "", err
 	}
-	if n > len(d.b) {
-		return "", fmt.Errorf("verdict: truncated record payload")
-	}
 	off := len(d.text) - len(d.b)
-	d.b = d.b[n:]
+	if err := d.skip(n); err != nil {
+		return "", err
+	}
 	return d.text[off : off+n], nil
 }

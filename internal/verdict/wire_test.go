@@ -3,9 +3,12 @@ package verdict
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"geoblock/internal/geo"
@@ -164,10 +167,28 @@ func TestDecodeRejectsBadTables(t *testing.T) {
 		b = appendString(b, "CN")
 		return b
 	})
+	// Two empty rows follow, so only the duplicate is wrong.
+	dupCountry = append(dupCountry, frame([]byte{recRow, 0, 0})...)
+	dupCountry = append(dupCountry, frame([]byte{recRow, 1, 0})...)
+	truncatedDomains := mk(func() []byte {
+		b := []byte{recHeader}
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, 2) // 2 domains, 1 present
+		return appendString(b, "a.example")
+	})
+	noCountryCount := mk(func() []byte {
+		b := []byte{recHeader}
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, 1)
+		return binary.AppendUvarint(b, 0) // no domains, then nothing
+	})
 	for name, in := range map[string][]byte{
 		"unsorted domain table":   unsortedDomains,
 		"table length over limit": hugeTable,
 		"duplicate country":       dupCountry,
+		"domain table truncated":  truncatedDomains,
+		"country count missing":   noCountryCount,
 	} {
 		if _, err := Decode(in); err == nil {
 			t.Errorf("%s: Decode accepted invalid header", name)
@@ -219,6 +240,53 @@ func TestDecodeRejectsBadTables(t *testing.T) {
 	} {
 		if _, err := Decode(in); err == nil {
 			t.Errorf("%s: Decode accepted invalid row", name)
+		}
+	}
+}
+
+// TestDecodeBoundsHeader: a header asking for a matrix its input
+// cannot be fails before Decode allocates for it. Headers alone naming
+// 20,000 × 20,000 and 60,000 × 60,000 names, 320 and 960 KB, would
+// otherwise size a 50 MB and a 450 MB bitset; a 6,000 × 100,000
+// header with all its (empty) rows would size 75 MB, over maxPayload.
+func TestDecodeBoundsHeader(t *testing.T) {
+	header := func(nd, nc int) []byte {
+		b := []byte{recHeader}
+		b = binary.AppendUvarint(b, 1) // version
+		b = binary.AppendUvarint(b, 1) // seed
+		b = binary.AppendUvarint(b, uint64(nd))
+		for i := 0; i < nd; i++ {
+			b = appendString(b, fmt.Sprintf("d%06d", i))
+		}
+		b = binary.AppendUvarint(b, uint64(nc))
+		for i := 0; i < nc; i++ {
+			b = appendString(b, fmt.Sprintf("c%06d", i))
+		}
+		return append([]byte(wireMagic), frame(b)...)
+	}
+	wide := header(6000, 100000)
+	for ci := 0; ci < 100000; ci++ {
+		row := binary.AppendUvarint([]byte{recRow}, uint64(ci))
+		wide = append(wide, frame(append(row, 0))...)
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"20,000 × 20,000 header alone", header(20000, 20000), "row records"},
+		{"60,000 × 60,000 header alone", header(60000, 60000), "row records"},
+		{"6,000 × 100,000 bitset", wide, "bitset"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(c.in)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s (%d bytes): Decode returned %v, want an error about %s", c.name, len(c.in), err, c.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: Decode allocated %d bytes before failing, want under 1 MB", c.name, got)
 		}
 	}
 }
