@@ -36,14 +36,14 @@
 #                (runstore), the verdict edge, the lint suite, the hop
 #                chain (the cdn edge, vnet and the proxy mesh), and the
 #                page templates (blockpage)
-#   make fuzz    short-budget fuzz pass over the hostile-input decoders:
-#                the journal's record decoder, the fabric's shard-frame
-#                decoder and its completion, lease and extend handlers
-#                (a refused request is answered 4xx and changes no
-#                lease), the blockpage signature
-#                matcher, the page formatters (against fmt), the
-#                fingerprint classifier (against a strings.Fields
-#                oracle), and the verdict snapshot codec
+#   make fuzz    short-budget fuzz pass over the hostile-input decoders,
+#                eight targets: the journal's record decoder, the
+#                fabric's shard-frame decoder and its completion and
+#                lease handlers (a refused request is answered 4xx and
+#                changes no lease; a grant follows the lease rule), the
+#                blockpage signature matcher, the page formatters
+#                (against fmt), the fingerprint classifier (against a
+#                strings.Fields oracle), and the verdict snapshot codec
 #                (one `go test -fuzz` invocation per target through
 #                scripts/fuzz.sh, which fails a target whose exec count
 #                stands still; the corpus seeds still run under plain
@@ -58,11 +58,15 @@
 #                profilers; inspect with `go tool pprof geoblock.test cpu.prof`
 #   make fabric-test  the multi-process fabric integration: a `geoscan
 #                -study lumscan` coordinator plus three scanworker
-#                processes (one chaos-killed mid-shard) must journal,
-#                print and count (deterministic metrics) byte-identically
-#                to a single-process run of the same scan; then the fabric's wall-clock scaling check (2
-#                in-process workers must beat 1, best of 3), which needs
-#                the CPUs to itself and so stays out of `go test ./...`
+#                processes (one chaos-killed mid-shard, its units
+#                re-leased by a survivor at once, with no lease timeout
+#                to wait out) must journal, print and count
+#                (deterministic metrics) byte-identically to a
+#                single-process run of the same scan, and count at least
+#                one re-lease; then the fabric's wall-clock scaling check
+#                (2 in-process workers must beat 1, best of 3), which
+#                needs the CPUs to itself and so stays out of
+#                `go test ./...`
 #   make perfbench-test  vet and test the benchmark module (perfbench/,
 #                a nested module, so `go test ./...` never compiles it):
 #                it imports the scan engine's public seams, and a change
@@ -144,7 +148,6 @@ fuzz:
 	$(FUZZ) ./internal/runstore FuzzDecodeShardFrames $(FUZZFLAGS)
 	$(FUZZ) ./internal/fabric FuzzCompleteHandler $(FUZZFLAGS)
 	$(FUZZ) ./internal/fabric FuzzLeaseHandler $(FUZZFLAGS)
-	$(FUZZ) ./internal/fabric FuzzExtendHandler $(FUZZFLAGS)
 	$(FUZZ) ./internal/blockpage FuzzMatchSignature $(FUZZFLAGS)
 	$(FUZZ) ./internal/blockpage FuzzFormatters $(FUZZFLAGS)
 	$(FUZZ) ./internal/fingerprint FuzzClassify $(FUZZFLAGS)

@@ -133,7 +133,7 @@ func main() {
 	var coord *geoblock.FabricCoordinator
 	if *fabricAddr != "" {
 		spec := geoblock.FabricStudySpec{World: wcfg, Faults: faultSpec}
-		coord = geoblock.NewFabric(geoblock.FabricOptions{Study: spec, Clock: telemetry.Wall{}, Metrics: reg, Trace: tracer})
+		coord = geoblock.NewFabric(geoblock.FabricOptions{Study: spec, Metrics: reg, Trace: tracer})
 		ln, lerr := stdnet.Listen("tcp", *fabricAddr)
 		if lerr != nil {
 			fmt.Fprintf(os.Stderr, "geoscan: fabric listener: %v\n", lerr)

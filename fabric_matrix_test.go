@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"geoblock/internal/fabric"
 	"geoblock/internal/faults"
 	"geoblock/internal/scanner"
 	"geoblock/internal/telemetry"
@@ -37,17 +38,16 @@ func fabricYield(time.Duration) { runtime.Gosched() }
 // fabricRun executes the Top-10K study with every residential scan
 // phase distributed across nWorkers worker loops (plus, when kill is
 // set, one victim worker that dies mid-shard before reporting its
-// first unit — exercising lease expiry and re-issue inside a real
-// study), under the chaos profile chaos names (nil for none). Returns
+// first unit — exercising the re-lease of its outstanding units inside
+// a real study), under the chaos profile chaos names (nil for none). Returns
 // the same (result, tables, snapshot) triple as resumeRun for byte
 // comparison.
 func fabricRun(t *testing.T, store *RunStore, reg *telemetry.Registry, tr *Tracer, nWorkers int, kill bool, chaos *FabricFaultSpec) (*Top10KResult, string, string) {
 	t.Helper()
 	wcfg := matrixWorld()
 	coord := NewFabric(FabricOptions{
-		Study:    FabricStudySpec{World: wcfg, Faults: chaos},
-		LeaseTTL: -1, // instantly re-issuable: worker death needs no wall-clock wait
-		Metrics:  reg,
+		Study:   FabricStudySpec{World: wcfg, Faults: chaos},
+		Metrics: reg,
 	})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
@@ -80,7 +80,7 @@ func fabricRun(t *testing.T, store *RunStore, reg *telemetry.Registry, tr *Trace
 		go func(i int) {
 			defer wg.Done()
 			// Survivors hold back until the victim has died holding its
-			// lease, so the re-issue path is exercised deterministically.
+			// units, so the re-lease path is exercised deterministically.
 			<-victimDone
 			w, err := NewFabricWorker(ctx, FabricWorkerOptions{
 				Coordinator: srv.URL, Name: "w" + string(rune('a'+i)), Sleep: fabricYield,
@@ -139,12 +139,15 @@ func journalFiles(t *testing.T, dir string) map[string][]byte {
 
 // TestFabricMatrix is the fabric's acceptance gate: a study distributed
 // over a coordinator and {1, 2, 4} workers — including runs where a
-// worker is killed mid-shard and its lease re-issued — produces the
+// worker is killed mid-shard and its units re-leased — produces the
 // identical journal bytes, paper tables, findings, and deterministic
 // telemetry snapshot as the single-process engine, which itself is
 // invariant across scan concurrency 1/4/32. The chaos cell runs the
 // mixed profile on every worker: the killed victim's unit runs twice,
-// and its injected faults must still count once, as in process.
+// and its injected faults must still count once, as in process. Every
+// cell's runtime lease counters account for the re-leases: each unit
+// completes once, no unit completes twice unless it was re-leased, and
+// a killed victim's units are.
 func TestFabricMatrix(t *testing.T) {
 	clean := matrixReference(t, nil)
 
@@ -181,8 +184,15 @@ func TestFabricMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		result, tables, snap := fabricRun(t, store, telemetry.New(), nil, tc.workers, tc.kill, tc.chaos)
+		reg := telemetry.New()
+		result, tables, snap := fabricRun(t, store, reg, nil, tc.workers, tc.kill, tc.chaos)
 		store.Close()
+		completed := reg.RuntimeCounter(fabric.MetCompletes).Value()
+		reissues := reg.RuntimeCounter(fabric.MetReissues).Value()
+		duplicates := reg.RuntimeCounter(fabric.MetDuplicates).Value()
+		if done := reg.Counter(scanner.MetShardsDone).Value(); completed != done || duplicates > reissues || tc.kill && reissues < 1 {
+			t.Fatalf("%s: %d units completed for %d shards done, %d duplicate completions for %d re-leases", cell, completed, done, duplicates, reissues)
+		}
 		if len(result.Findings) != len(want.result.Findings) {
 			t.Fatalf("%s: %d findings, reference %d", cell, len(result.Findings), len(want.result.Findings))
 		}

@@ -349,24 +349,26 @@ type ErrorStats struct {
 
 // BuildErrorStats computes the reliability summary from a scan.
 func BuildErrorStats(res *scanner.Result) ErrorStats {
+	const seen, answered = 1, 2
+	nc := len(res.Countries)
 	domainErr := make([]int, len(res.Domains))
 	domainAll := make([]int, len(res.Domains))
-	type pairIdx struct {
-		d int32
-		c int16
-	}
-	pairOK := map[pairIdx]bool{}
-	pairSeen := map[pairIdx]bool{}
+	pairs := make([]uint8, len(res.Domains)*nc) // seen/answered bits per (domain, country)
+	countrySeen := make([]int, nc)
+	countryOK := make([]int, nc)
 	for i := range res.Samples {
 		s := &res.Samples[i]
 		domainAll[s.Domain]++
+		p := &pairs[int(s.Domain)*nc+int(s.Country)]
+		if *p&seen == 0 {
+			*p |= seen
+			countrySeen[s.Country]++
+		}
 		if !s.OK() {
 			domainErr[s.Domain]++
-		}
-		key := pairIdx{s.Domain, s.Country}
-		pairSeen[key] = true
-		if s.OK() {
-			pairOK[key] = true
+		} else if *p&answered == 0 {
+			*p |= answered
+			countryOK[s.Country]++
 		}
 	}
 
@@ -382,20 +384,10 @@ func BuildErrorStats(res *scanner.Result) ErrorStats {
 		c := stats.NewCDF(rates...)
 		out.P90DomainErrorRate = c.Quantile(0.9)
 	}
-
-	perCountrySeen := map[int16]int{}
-	perCountryOK := map[int16]int{}
-	for key := range pairSeen {
-		perCountrySeen[key.c]++
-		if pairOK[key] {
-			perCountryOK[key.c]++
+	for ci, n := range countrySeen {
+		if n > 0 {
+			out.CountryResponseRates[res.Countries[ci]] = float64(countryOK[ci]) / float64(n)
 		}
-	}
-	for ci, seen := range perCountrySeen {
-		if seen == 0 {
-			continue
-		}
-		out.CountryResponseRates[res.Countries[ci]] = float64(perCountryOK[ci]) / float64(seen)
 	}
 	return out
 }

@@ -8,23 +8,28 @@
 // Shard boundaries, session slots, and per-sample seeds are pure
 // functions of the scan inputs, so a unit executes identically on any
 // worker, any number of times. That turns every hard distributed-
-// systems problem here into bookkeeping: a lost worker is a lease that
-// expires and a unit that runs again; a duplicate completion is a
-// no-op; and the reorder frontier (scanner.Assembly) guarantees the
-// sink — and through the journaling sink, the runstore journal file —
-// sees the exact byte stream an in-process run produces.
+// systems problem here into bookkeeping: a lost worker leaves units
+// outstanding that the next idle worker re-leases and runs again; a
+// duplicate completion is a no-op; and the reorder frontier
+// (scanner.Assembly) guarantees the sink — and through the journaling
+// sink, the runstore journal file — sees the exact byte stream an
+// in-process run produces.
 //
 // Lease state machine, per unit:
 //
 //	pending ──lease──▶ leased ──complete──▶ done
-//	   ▲                  │
-//	   └──── TTL expiry ──┘  (re-issue; late completes still accepted)
+//	                    │  ▲
+//	                    └──┘  re-lease once no unit of the phase is
+//	                          pending (late completes still accepted)
 //
-// Completions are validated (CRC-framed records, unit fingerprint,
-// checkpoint shape, and through scanner.Assembly the payload against
-// its unit's canonical task order) and accepted from expired leases
-// too — the work is deterministic, so whoever finishes first wins and
-// everyone else is a duplicate.
+// No clock is read: a grant holds pending (never-leased) units while
+// the phase has any, and only then outstanding (leased, not completed)
+// ones, so a dead, stalled or slow worker's units pass to whichever
+// worker asks next. Completions are validated (CRC-framed records,
+// unit fingerprint, checkpoint shape, and through scanner.Assembly the
+// payload against its unit's canonical task order) and accepted under
+// any lease — the work is deterministic, so whoever finishes first wins
+// and everyone else is a duplicate.
 package fabric
 
 import (
@@ -36,7 +41,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"geoblock/internal/geo"
 	"geoblock/internal/runstore"
@@ -62,10 +66,6 @@ const (
 	MetRejected = "fabric.rejected_completes"
 )
 
-// DefaultLeaseTTL bounds how long a worker may sit on a unit before
-// the coordinator re-issues it.
-const DefaultLeaseTTL = 30 * time.Second
-
 // DefaultRetryMillis is how long a worker is told to wait before
 // re-polling when no work is available.
 const DefaultRetryMillis = 200
@@ -73,9 +73,9 @@ const DefaultRetryMillis = 200
 // The request bodies the coordinator reads, bounded so that no request
 // makes it buffer more than a unit's work can carry.
 const (
-	// maxRequestBytes bounds a lease or extend request: a worker's name
-	// and at most three integers, under a kilobyte of JSON for any name
-	// a worker is started with.
+	// maxRequestBytes bounds a lease request: a worker's name and two
+	// integers, under a kilobyte of JSON for any name a worker is
+	// started with.
 	maxRequestBytes = 64 << 10
 	// maxCompletionBytes bounds a completion: one unit's sample records
 	// and its checkpoint. A sample record is under 64 bytes of fixed
@@ -94,14 +94,6 @@ type Options struct {
 	// Study carries the world calibration (and optional fault profile)
 	// workers regenerate the coordinator's world from.
 	Study StudySpec
-	// LeaseTTL is the lease duration. Zero takes DefaultLeaseTTL;
-	// negative makes every lease instantly expirable — with a virtual
-	// clock, the deterministic way to exercise re-issue without waiting.
-	LeaseTTL time.Duration
-	// Clock drives lease deadlines. Nil means a virtual clock, on which
-	// a lease expires only under a negative LeaseTTL; geoscan passes
-	// telemetry.Wall{}.
-	Clock telemetry.Clock
 	// Metrics, when non-nil, receives the fabric's runtime-class lease
 	// counters.
 	Metrics *telemetry.Registry
@@ -118,7 +110,6 @@ type unitState struct {
 	leased    bool
 	lease     uint64
 	worker    string
-	deadline  time.Time
 	completed bool
 }
 
@@ -128,7 +119,7 @@ type phaseRun struct {
 	plan      *scanner.Plan
 	asm       *scanner.Assembly
 	specJSON  []byte
-	order     []int // pending unit seqs, canonical order
+	order     []int // unit seqs to run (no resumed prefix), canonical order
 	units     map[int]*unitState
 	remaining int
 	done      chan struct{}
@@ -159,15 +150,13 @@ func (ph *phaseRun) leaseEvent(name string, seq int, worker, outcome string, wal
 	ph.tr.Record(ev)
 }
 
-// Coordinator owns a study's distribution: it serves the study and
-// phase specs, leases units, and folds completions through a
+// Coordinator owns a study's distribution: it serves the study spec,
+// leases units with their phase's spec, and folds completions through a
 // scanner.Assembly into the caller's sink. One Coordinator serves one
 // study; phases run strictly one at a time (RunPhase blocks until its
 // phase drains, exactly like the in-process engine call it replaces).
 type Coordinator struct {
 	opts  Options
-	clock telemetry.Clock
-	ttl   time.Duration
 	world *worldgen.World
 
 	mu        sync.Mutex
@@ -179,15 +168,7 @@ type Coordinator struct {
 
 // New builds a coordinator for one study.
 func New(opts Options) *Coordinator {
-	clock := opts.Clock
-	if clock == nil {
-		clock = telemetry.NewVirtual()
-	}
-	ttl := opts.LeaseTTL
-	if ttl == 0 {
-		ttl = DefaultLeaseTTL
-	}
-	return &Coordinator{opts: opts, clock: clock, ttl: ttl}
+	return &Coordinator{opts: opts}
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -315,9 +296,7 @@ func (c *Coordinator) FinishStudy() {
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathStudy, c.handleStudy)
-	mux.HandleFunc(PathPhase, c.handlePhase)
 	mux.HandleFunc(PathLease, c.handleLease)
-	mux.HandleFunc(PathExtend, c.handleExtend)
 	mux.HandleFunc(PathComplete, c.handleComplete)
 	return mux
 }
@@ -331,41 +310,27 @@ func (c *Coordinator) handleStudy(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.opts.Study)
 }
 
-func (c *Coordinator) handlePhase(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.URL.Path[len(PathPhase):])
-	if err != nil {
-		http.Error(w, "fabric: bad phase id", http.StatusBadRequest)
-		return
-	}
-	c.mu.Lock()
-	ph := c.phase
-	c.mu.Unlock()
-	if ph == nil || ph.id != id {
-		http.Error(w, fmt.Sprintf("fabric: phase %d is not active", id), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(ph.specJSON)
-}
-
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		http.Error(w, "fabric: bad lease request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	now := c.clock.Now()
+	writeJSON(w, c.lease(req))
+}
+
+// lease answers one lease request. The answer is encoded after the lock
+// is released: a grant's spec may be large, and its bytes never change.
+func (c *Coordinator) lease(req LeaseRequest) LeaseGrant {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ph := c.phase
 	if ph == nil || ph.remaining == 0 {
 		if c.studyDone {
-			writeJSON(w, LeaseGrant{Status: StatusStudyDone})
-			return
+			return LeaseGrant{Status: StatusStudyDone}
 		}
 		c.count(MetWaits)
-		writeJSON(w, LeaseGrant{Status: StatusWait, RetryMillis: DefaultRetryMillis})
-		return
+		return LeaseGrant{Status: StatusWait, RetryMillis: DefaultRetryMillis}
 	}
 	max := req.Max
 	if max <= 0 {
@@ -374,55 +339,32 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if max > MaxLeaseBatch {
 		max = MaxLeaseBatch
 	}
-	// Pick candidates BEFORE touching any lease state: units never
-	// leased first, then expired leases — both in canonical
-	// (lowest-seq-first) order, which keeps the reorder frontier short so
-	// completed samples stream out instead of piling up in the buffer.
-	// The two passes must finish before any grant mutates state: with an
-	// instantly-expirable TTL (LeaseTTL < 0, the deterministic re-issue
-	// test mode) a grant made by this very request would otherwise look
-	// expired to the second pass and hand the same unit out twice.
-	picks := make([]int, 0, max)
-	for _, seq := range ph.order {
-		u := ph.units[seq]
-		if !u.completed && !u.leased {
-			picks = append(picks, seq)
-			if len(picks) == max {
-				break
-			}
-		}
-	}
-	expiredFrom := len(picks)
-	if len(picks) < max {
-		for _, seq := range ph.order {
-			u := ph.units[seq]
-			if u.completed || !u.leased || now.Before(u.deadline) {
-				continue
-			}
-			picks = append(picks, seq)
-			if len(picks) == max {
-				break
-			}
-		}
-	}
-	if len(picks) == 0 {
-		c.count(MetWaits)
-		writeJSON(w, LeaseGrant{Status: StatusWait, RetryMillis: DefaultRetryMillis})
-		return
+	// Pick candidates before touching any lease state. Units never
+	// leased come first, in canonical (lowest-seq-first) order, which
+	// keeps the reorder frontier short so completed samples stream out
+	// instead of piling up in the buffer. Only when the phase has none
+	// left does the second pass pick outstanding units (leased, not yet
+	// completed), in the same order and never beside a fresh one: a
+	// dead, stalled or slow worker's units pass to whichever worker asks
+	// next, with no clock to wait out. A phase with units remaining
+	// always has one or the other, so every request here gets a grant.
+	picks := ph.candidates(false, max)
+	reissue := len(picks) == 0
+	outcome := "granted"
+	if reissue {
+		picks = ph.candidates(true, max)
+		outcome = "reissued"
 	}
 	units := make([]UnitLease, 0, len(picks))
 	wallNS := ph.tr.Now()
-	for i, seq := range picks {
+	for _, seq := range picks {
 		u := ph.units[seq]
-		outcome := "granted"
-		if i >= expiredFrom {
+		if reissue {
 			c.count(MetReissues)
-			c.logf("fabric: phase %d unit %d lease expired (worker %s); re-issuing", ph.id, seq, u.worker)
-			outcome = "reissued"
+			c.logf("fabric: phase %d unit %d still outstanding (worker %s); re-leasing to %s", ph.id, seq, u.worker, req.Worker)
 		}
 		c.nextLease++
 		u.leased, u.lease, u.worker = true, c.nextLease, req.Worker
-		u.deadline = now.Add(c.ttl)
 		c.count(MetLeases)
 		ph.leaseEvent("lease", seq, req.Worker, outcome, wallNS)
 		units = append(units, UnitLease{
@@ -432,35 +374,28 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			Span:        scanner.UnitTraceCtx(ph.traceCtx, seq).Span,
 		})
 	}
-	writeJSON(w, LeaseGrant{
-		Status:    StatusUnit,
-		Phase:     ph.id,
-		Units:     units,
-		TTLMillis: c.ttl.Milliseconds(),
-	})
+	grant := LeaseGrant{Status: StatusUnit, Phase: ph.id, Units: units}
+	if req.Phase != ph.id {
+		// The worker holds another phase's plan, or none yet: the grant
+		// carries this phase's spec to build it from.
+		grant.Spec = ph.specJSON
+	}
+	return grant
 }
 
-func (c *Coordinator) handleExtend(w http.ResponseWriter, r *http.Request) {
-	var req ExtendRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		http.Error(w, "fabric: bad extend request: "+err.Error(), http.StatusBadRequest)
-		return
+// candidates lists, in canonical order, up to max units of the phase
+// not yet completed whose leased flag is leased.
+func (ph *phaseRun) candidates(leased bool, max int) []int {
+	picks := make([]int, 0, max)
+	for _, seq := range ph.order {
+		if u := ph.units[seq]; !u.completed && u.leased == leased {
+			picks = append(picks, seq)
+			if len(picks) == max {
+				break
+			}
+		}
 	}
-	now := c.clock.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ph := c.phase
-	if ph == nil || ph.id != req.Phase {
-		writeJSON(w, Ack{OK: false, Status: "stale-phase"})
-		return
-	}
-	u := ph.units[req.Seq]
-	if u == nil || !u.leased || u.lease != req.Lease || u.completed {
-		writeJSON(w, Ack{OK: false, Status: "stale-lease"})
-		return
-	}
-	u.deadline = now.Add(c.ttl)
-	writeJSON(w, Ack{OK: true})
+	return picks
 }
 
 // handleComplete accepts one executed unit: CRC-framed sample and
@@ -534,7 +469,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	wallNS := ph.tr.Now()
 	worker := q.Get("worker")
 	if u.completed {
-		// Deterministic work: a re-issued unit's second completion is
+		// Deterministic work: a re-leased unit's second completion is
 		// byte-identical to the first, so dropping it loses nothing.
 		c.count(MetDuplicates)
 		ph.leaseEvent("unit.complete", seq, worker, "duplicate", wallNS)
@@ -547,8 +482,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	outcome := "ok"
 	if !u.leased || u.lease != lease {
-		// The lease expired and was re-issued, but this worker finished
-		// anyway. The result is just as valid — first completion wins.
+		// The unit was re-leased to another worker, but this one finished
+		// first. The result is just as valid — first completion wins.
 		c.count(MetStale)
 		outcome = "stale-lease"
 	}

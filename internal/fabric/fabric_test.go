@@ -69,16 +69,15 @@ func runReference(t *testing.T, concurrency int) (*scanner.Collect, string) {
 // runFabric runs the same phase through a coordinator and nWorkers
 // workers. When kill is set, one extra worker executes a unit, dies via
 // the WorkerDeath chaos hook before reporting it, and the survivors
-// pick up its expired lease.
+// re-lease its outstanding units.
 func runFabric(t *testing.T, nWorkers int, kill bool) (*scanner.Collect, string) {
 	t.Helper()
 	domains, countries, tasks, cfg := fabricInputs()
 	reg := telemetry.New()
 	cfg.Metrics = reg
 	coord := New(Options{
-		Study:    StudySpec{World: worldgen.TestConfig()},
-		LeaseTTL: -1, // every lease instantly re-issuable: no waiting on wall clocks
-		Metrics:  reg,
+		Study:   StudySpec{World: worldgen.TestConfig()},
+		Metrics: reg,
 	})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
@@ -172,58 +171,47 @@ func TestFabricByteIdentity(t *testing.T) {
 	}
 }
 
-// TestLeaseLifecycle drives the lease state machine by hand: grants
-// hand out distinct units in canonical order, extends refresh
-// deadlines, expiry re-issues, and stale leases are refused.
+// TestLeaseLifecycle drives the lease rule by hand: a cancelled phase
+// returns the context's error; grants hand out never-leased units in
+// canonical order, the first one of a phase with the phase's spec; once
+// every unit is leased, the next grant re-leases unit 0 onward under
+// new lease numbers with no clock advanced; and a phase whose units are
+// all complete answers wait.
 func TestLeaseLifecycle(t *testing.T) {
-	domains, countries, tasks, cfg := fabricInputs()
-	clock := telemetry.NewVirtual()
-	coord := New(Options{
-		Study:    StudySpec{World: worldgen.TestConfig()},
-		LeaseTTL: 10 * time.Second,
-		Clock:    clock,
-	})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+	_, _, _, cfg := fabricInputs()
+	coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}})
+	if err := openPhase(coord, cfg)(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled RunPhase returned %v", err)
+	}
+	stop := openPhase(coord, cfg)
+	defer stop()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	phaseErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		phaseErr <- coord.RunPhase(ctx, domains, countries, tasks, cfg, &scanner.Collect{})
-	}()
-
-	// A bare client for protocol-level poking. Max 1 keeps the
-	// state-machine walk single-step; the batch shape gets its own
+	// Max 1 keeps the walk single-step; the batch shape gets its own
 	// assertions below.
-	w := &Worker{opts: WorkerOptions{Coordinator: srv.URL, Name: "probe"}, client: http.DefaultClient}
+	w := &Worker{world: testWorld, net: testNet}
 	lease := func(max int) LeaseGrant {
 		t.Helper()
+		rec := post(coord, PathLease, "", fmt.Appendf(nil, `{"worker":"probe","max":%d,"phase":%d}`, max, w.phaseID))
 		var g LeaseGrant
-		// The phase installs asynchronously; wait for the first grant.
-		for {
-			if err := w.postJSON(ctx, PathLease, LeaseRequest{Worker: "probe", Max: max}, &g); err != nil {
-				t.Fatalf("lease: %v", err)
-			}
-			if g.Status != StatusWait {
-				return g
-			}
-			runtime.Gosched()
+		if err := json.Unmarshal(rec.Body.Bytes(), &g); err != nil {
+			t.Fatalf("lease answered %d: %s", rec.Code, rec.Body)
 		}
+		return g
 	}
 
 	g0 := lease(1)
-	if g0.Status != StatusUnit || len(g0.Units) != 1 || g0.Units[0].Seq != 0 {
-		t.Fatalf("first grant = %+v, want exactly unit 0", g0)
+	if g0.Status != StatusUnit || g0.Phase != 2 || len(g0.Units) != 1 || g0.Units[0].Seq != 0 || g0.Spec == nil {
+		t.Fatalf("first grant = %+v, want exactly unit 0 of phase 2 with the phase's spec", g0)
+	}
+	if err := w.ensurePhase(g0); err != nil {
+		t.Fatal(err)
 	}
 	u0 := g0.Units[0]
 	// A batched request takes the next units in canonical order, each
-	// under its own fresh lease ID.
+	// under its own fresh lease ID, and no spec: it names the phase.
 	gb := lease(3)
-	if len(gb.Units) != 3 {
-		t.Fatalf("batch grant = %+v, want 3 units", gb)
+	if len(gb.Units) != 3 || gb.Spec != nil {
+		t.Fatalf("batch grant = %+v, want 3 units without a spec", gb)
 	}
 	for i, u := range gb.Units {
 		if u.Seq != i+1 {
@@ -233,41 +221,52 @@ func TestLeaseLifecycle(t *testing.T) {
 			t.Fatalf("batch grant reused a lease ID: %+v", gb.Units)
 		}
 	}
-	// Exhaust the never-leased pool; with every unit leased and live,
-	// the coordinator must answer wait, not double-lease — even for an
-	// oversized batch request.
-	numUnits := scanner.NewPlan(domains, countries, tasks, cfg).NumUnits()
-	for i := 4; i < numUnits; i++ {
+	numUnits := w.plan.NumUnits()
+	for i := 4; i < numUnits-2; i++ {
 		if g := lease(1); len(g.Units) != 1 || g.Units[0].Seq != i {
 			t.Fatalf("grant %d = %+v, want unit %d", i, g, i)
 		}
 	}
-	var gw LeaseGrant
-	if err := w.postJSON(ctx, PathLease, LeaseRequest{Worker: "probe", Max: DefaultLeaseBatch}, &gw); err != nil || gw.Status != StatusWait {
-		t.Fatalf("fully-leased phase answered %+v, want wait", gw)
+	// The last two never-leased units come alone, though the request asks
+	// for more: a grant never mixes re-leased units into fresh ones.
+	if g := lease(DefaultLeaseBatch); len(g.Units) != 2 || g.Units[0].Seq != numUnits-2 || g.Units[1].Seq != numUnits-1 {
+		t.Fatalf("last fresh grant = %+v, want units %d and %d alone", g, numUnits-2, numUnits-1)
+	}
+	// Every unit is leased and none is complete: the next grant re-leases
+	// outstanding units from unit 0, though no clock has moved.
+	gr := lease(DefaultLeaseBatch)
+	if len(gr.Units) != DefaultLeaseBatch {
+		t.Fatalf("re-lease grant = %+v, want %d units", gr, DefaultLeaseBatch)
+	}
+	for i, u := range gr.Units {
+		if u.Seq != i || u.Lease != uint64(numUnits+1+i) {
+			t.Fatalf("re-lease grant unit %d = %+v, want unit %d under lease %d", i, u, i, numUnits+1+i)
+		}
 	}
 
-	var ack Ack
-	if err := w.postJSON(ctx, PathExtend, ExtendRequest{Worker: "probe", Phase: g0.Phase, Seq: u0.Seq, Lease: u0.Lease}, &ack); err != nil || !ack.OK {
-		t.Fatalf("extend live lease: err=%v ack=%+v", err, ack)
+	// Complete every unit, each under its first lease: for the units
+	// re-leased above, a superseded one, and still the completion lands.
+	for seq := 0; seq < numUnits; seq++ {
+		unit := w.plan.Unit(seq)
+		res, err := w.plan.ExecuteUnit(context.Background(), testNet, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := completionBody(unit, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := fmt.Sprintf("phase=%d&seq=%d&lease=%d&fp=%d&worker=probe", g0.Phase, seq, seq+1, unit.Fingerprint)
+		if rec := post(coord, PathComplete, q, body); rec.Code != http.StatusOK {
+			t.Fatalf("completion of unit %d answered %d: %s", seq, rec.Code, rec.Body)
+		}
 	}
-
-	// Expire every lease; the next grant must re-issue unit 0 under a
-	// new lease ID, and the old lease must no longer extend.
-	clock.Advance(time.Minute)
-	g0b := lease(1)
-	if len(g0b.Units) != 1 || g0b.Units[0].Seq != 0 || g0b.Units[0].Lease == u0.Lease {
-		t.Fatalf("post-expiry grant = %+v, want unit 0 re-issued", g0b)
+	if g := lease(DefaultLeaseBatch); g.Status != StatusWait || len(g.Units) != 0 {
+		t.Fatalf("a phase with every unit complete answered %+v, want wait", g)
 	}
-	if err := w.postJSON(ctx, PathExtend, ExtendRequest{Worker: "probe", Phase: g0.Phase, Seq: u0.Seq, Lease: u0.Lease}, &ack); err != nil || ack.OK {
-		t.Fatalf("extend of superseded lease: err=%v ack=%+v, want refused", err, ack)
+	if err := stop(); err != nil {
+		t.Fatalf("drained RunPhase returned %v", err)
 	}
-
-	cancel()
-	if err := <-phaseErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled RunPhase returned %v", err)
-	}
-	wg.Wait()
 }
 
 // TestCompleteIdempotency executes units by hand and checks the
@@ -276,7 +275,7 @@ func TestLeaseLifecycle(t *testing.T) {
 // still accepted (first result wins; the work is deterministic).
 func TestCompleteIdempotency(t *testing.T) {
 	domains, countries, tasks, cfg := fabricInputs()
-	coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}, LeaseTTL: -1})
+	coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
@@ -301,7 +300,7 @@ func TestCompleteIdempotency(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if _, err := w.ensurePhase(ctx, g.Phase); err != nil {
+	if err := w.ensurePhase(g); err != nil {
 		t.Fatalf("ensurePhase: %v", err)
 	}
 	u := g.Units[0]
@@ -420,7 +419,7 @@ func TestCompleteRejectsForeignPayloads(t *testing.T) {
 	domains, countries, tasks, cfg := fabricInputs()
 	reg := telemetry.New()
 	cfg.Metrics = reg
-	coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}, LeaseTTL: -1, Metrics: reg})
+	coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}, Metrics: reg})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
@@ -442,7 +441,7 @@ func TestCompleteRejectsForeignPayloads(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if _, err := w.ensurePhase(ctx, g.Phase); err != nil {
+	if err := w.ensurePhase(g); err != nil {
 		t.Fatalf("ensurePhase: %v", err)
 	}
 	post := func(seq int, body []byte) (int, string) {
@@ -480,8 +479,8 @@ func TestCompleteRejectsForeignPayloads(t *testing.T) {
 		}
 	}
 	// A completion longer than any unit's is refused before its body
-	// is read, and counted with the rest; so are lease and extend
-	// requests longer than their bound.
+	// is read, and counted with the rest; so is a lease request longer
+	// than its bound.
 	oversized := httptest.NewRequest(http.MethodPost, fmt.Sprintf("%s?phase=%d&seq=%d&lease=0&fp=%d&worker=probe",
 		PathComplete, g.Phase, seq, unit.Fingerprint), strings.NewReader(string(bad[0])))
 	oversized.ContentLength = maxCompletionBytes + 1
@@ -494,15 +493,13 @@ func TestCompleteRejectsForeignPayloads(t *testing.T) {
 		t.Fatalf("%s = %d after %d rejections", MetRejected, n, len(bad)+1)
 	}
 	long := `{"worker":"` + strings.Repeat("w", maxRequestBytes) + `"}`
-	for _, path := range []string{PathLease, PathExtend} {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(long))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("a %d-byte request to %s answered %d, want 400", len(long), path, resp.StatusCode)
-		}
+	resp, err := http.Post(srv.URL+PathLease, "application/json", strings.NewReader(long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a %d-byte lease request answered %d, want 400", len(long), resp.StatusCode)
 	}
 	for s := 0; s < w.plan.NumUnits(); s++ {
 		unit, res := execute(s)

@@ -55,7 +55,7 @@ func FuzzCompleteHandler(f *testing.F) {
 	f.Add("phase=1&seq=%zz", []byte("garbage"))
 
 	f.Fuzz(func(t *testing.T, rawQuery string, body []byte) {
-		coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}, LeaseTTL: -1})
+		coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}})
 		cfg := cfg
 		cfg.Metrics = telemetry.New()
 		stop := openPhase(coord, cfg)
@@ -104,16 +104,17 @@ func FuzzCompleteHandler(f *testing.F) {
 }
 
 // openPhase starts coord running fabricInputs' phase under cfg and
-// returns once the phase is open; stop cancels the phase and waits for
-// it to end.
-func openPhase(coord *Coordinator, cfg scanner.Config) (stop func()) {
+// returns once the phase is open; stop cancels the phase, waits for it
+// to end and returns what RunPhase returned.
+func openPhase(coord *Coordinator, cfg scanner.Config) (stop func() error) {
 	domains, countries, tasks, _ := fabricInputs()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
+	var err error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = coord.RunPhase(ctx, domains, countries, tasks, cfg, &scanner.Collect{})
+		err = coord.RunPhase(ctx, domains, countries, tasks, cfg, &scanner.Collect{})
 	}()
 	for {
 		coord.mu.Lock()
@@ -124,9 +125,10 @@ func openPhase(coord *Coordinator, cfg scanner.Config) (stop func()) {
 		}
 		runtime.Gosched()
 	}
-	return func() {
+	return func() error {
 		cancel()
 		wg.Wait()
+		return err
 	}
 }
 
@@ -143,76 +145,74 @@ func post(coord *Coordinator, path, rawQuery string, body []byte) *httptest.Resp
 	return rec
 }
 
-// leaseState copies the open phase's lease state: each unit's, and the
-// last lease number issued.
-func leaseState(coord *Coordinator) (map[int]unitState, uint64) {
+// leaseState copies the open phase's lease state: each unit's, the
+// last lease number issued, and the phase's spec.
+func leaseState(coord *Coordinator) (map[int]unitState, uint64, []byte) {
 	coord.mu.Lock()
 	defer coord.mu.Unlock()
 	units := make(map[int]unitState, len(coord.phase.units))
 	for seq, u := range coord.phase.units {
 		units[seq] = *u
 	}
-	return units, coord.nextLease
-}
-
-// leasedCoordinator opens fabricInputs' phase on a coordinator whose
-// leases run on a virtual clock, so none expires, and leases units 0
-// and 1 to worker w1 as leases 1 and 2.
-func leasedCoordinator(t *testing.T) (*Coordinator, func()) {
-	_, _, _, cfg := fabricInputs()
-	coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}})
-	stop := openPhase(coord, cfg)
-	if rec := post(coord, PathLease, "", []byte(`{"worker":"w1","max":2}`)); rec.Code != http.StatusOK {
-		stop()
-		t.Fatalf("the set-up lease was answered %d: %s", rec.Code, rec.Body)
-	}
-	return coord, stop
-}
-
-// requestSeeds are the seeds of FuzzLeaseHandler and FuzzExtendHandler
-// beyond each one's genuine request: that request truncated, a body
-// over maxRequestBytes, and garbage.
-func requestSeeds(f *testing.F, genuine string) {
-	f.Add("", []byte(genuine))
-	f.Add("", []byte(genuine[:len(genuine)/2]))
-	f.Add("", []byte(`{"worker":"`+strings.Repeat("w", maxRequestBytes)+`"}`))
-	f.Add("phase=1&seq=%zz", []byte("garbage"))
-	f.Add("worker=w1", []byte{})
-}
-
-// refused checks an answer the coordinator gave a request it refused:
-// a 4xx status, or a 200 that grants nothing, and no change to any
-// lease.
-func refused(t *testing.T, rec *httptest.ResponseRecorder, before, after map[int]unitState, next, nextAfter uint64) {
-	t.Helper()
-	if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code > 499) {
-		t.Fatalf("refused with status %d, want 4xx: %s", rec.Code, rec.Body)
-	}
-	if !maps.Equal(before, after) || next != nextAfter {
-		t.Fatalf("a refused request (status %d: %s) changed the lease state", rec.Code, rec.Body)
-	}
+	return units, coord.nextLease, coord.phase.specJSON
 }
 
 // FuzzLeaseHandler drives the lease handler with an arbitrary query
-// and body against a coordinator with an open phase whose first two
-// units are leased. The handler must never panic. A request it refuses
-// is answered 4xx, or 200 with a wait, and changes no lease; a grant
-// leases at most the batch the request asked for, each granted unit to
-// the requesting worker under the next lease numbers, and changes no
-// other unit.
+// and body against a coordinator with an open phase (phase 1) whose
+// first n units, n drawn from leased, are leased to worker w1 and, when
+// n > 0, unit 0 completed. The handler must never panic. A request it
+// refuses is answered 4xx, or 200 with a wait, and changes no lease. A
+// grant holds the phase's never-leased units or, when it has none, its
+// outstanding (leased, not completed) ones: the first of them in
+// canonical order, as many as the request asked for up to
+// MaxLeaseBatch, each to the requesting worker under the next lease
+// numbers. It changes no other unit, and carries the phase's spec
+// exactly when the request named another phase.
 func FuzzLeaseHandler(f *testing.F) {
-	requestSeeds(f, `{"worker":"w2","max":4}`)
-	f.Add("", []byte(`{"worker":"w2","max":-3}`))
-	f.Add("", []byte(`{"worker":"w2","max":1000000}`))
-	f.Add("", []byte(`{"worker":"w2","max":1.5}`))
-	f.Add("", []byte(`{"worker":"w2"} trailing`))
+	domains, countries, tasks, cfg := fabricInputs()
+	plan := scanner.NewPlan(domains, countries, tasks, cfg)
+	res, err := plan.ExecuteUnit(context.Background(), testNet, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	done0, err := completionBody(plan.Unit(0), res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	complete0 := fmt.Sprintf("phase=1&seq=0&lease=1&fp=%d&worker=w1", plan.Unit(0).Fingerprint)
+	all := uint8(plan.NumUnits())
 
-	f.Fuzz(func(t *testing.T, rawQuery string, body []byte) {
-		coord, stop := leasedCoordinator(t)
+	genuine := `{"worker":"w2","max":4}`
+	f.Add(uint8(2), "", []byte(genuine))
+	f.Add(uint8(2), "", []byte(genuine[:len(genuine)/2]))
+	f.Add(uint8(2), "", []byte(`{"worker":"`+strings.Repeat("w", maxRequestBytes)+`"}`))
+	f.Add(uint8(2), "phase=1&seq=%zz", []byte("garbage"))
+	f.Add(uint8(2), "worker=w1", []byte{})
+	f.Add(uint8(2), "", []byte(`{"worker":"w2","max":-3}`))
+	f.Add(all, "", []byte(`{"worker":"w2","max":1000000}`))
+	f.Add(uint8(2), "", []byte(`{"worker":"w2","max":1.5}`))
+	f.Add(uint8(2), "", []byte(`{"worker":"w2"} trailing`))
+	f.Add(all, "", []byte(`{"worker":"w2","max":4,"phase":1}`))
+	f.Add(all-2, "", []byte(`{"worker":"w2","max":4,"phase":1}`))
+	f.Add(all, "", []byte(`{"worker":"w1","max":16,"phase":7}`))
+	f.Add(uint8(0), "", []byte(`{"worker":"w2","max":64,"phase":1}`))
+
+	f.Fuzz(func(t *testing.T, leased uint8, rawQuery string, body []byte) {
+		coord := New(Options{Study: StudySpec{World: worldgen.TestConfig()}})
+		stop := openPhase(coord, cfg)
 		defer stop()
-		before, next := leaseState(coord)
+		if n := int(leased) % (int(all) + 1); n > 0 {
+			rec := post(coord, PathLease, "", fmt.Appendf(nil, `{"worker":"w1","max":%d}`, n))
+			if rec.Code == http.StatusOK {
+				rec = post(coord, PathComplete, complete0, done0)
+			}
+			if rec.Code != http.StatusOK {
+				t.Fatalf("the set-up was answered %d: %s", rec.Code, rec.Body)
+			}
+		}
+		before, next, spec := leaseState(coord)
 		rec := post(coord, PathLease, rawQuery, body)
-		after, nextAfter := leaseState(coord)
+		after, nextAfter, _ := leaseState(coord)
 		var grant LeaseGrant
 		if rec.Code == http.StatusOK {
 			if err := json.Unmarshal(rec.Body.Bytes(), &grant); err != nil {
@@ -220,21 +220,38 @@ func FuzzLeaseHandler(f *testing.F) {
 			}
 		}
 		if grant.Status != StatusUnit {
-			refused(t, rec, before, after, next, nextAfter)
+			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code > 499) {
+				t.Fatalf("refused with status %d, want 4xx: %s", rec.Code, rec.Body)
+			}
+			if !maps.Equal(before, after) || next != nextAfter {
+				t.Fatalf("a refused request (status %d: %s) changed the lease state", rec.Code, rec.Body)
+			}
 			return
 		}
 		var req LeaseRequest
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			t.Fatalf("granted %+v to an undecodable request: %v", grant, err)
 		}
-		if n := len(grant.Units); n == 0 || n > min(max(req.Max, 1), MaxLeaseBatch) || nextAfter != next+uint64(n) {
-			t.Fatalf("granted %d units (leases %d to %d) to a request for %d", n, next, nextAfter, req.Max)
+		var fresh, outstanding []int
+		for seq := 0; seq < int(all); seq++ {
+			if u := before[seq]; !u.completed && u.leased {
+				outstanding = append(outstanding, seq)
+			} else if !u.completed {
+				fresh = append(fresh, seq)
+			}
 		}
-		deadline := coord.clock.Now().Add(coord.ttl)
+		want := fresh
+		if len(want) == 0 {
+			want = outstanding
+		}
+		want = want[:min(len(want), max(req.Max, 1), MaxLeaseBatch)]
+		if len(grant.Units) != len(want) || nextAfter != next+uint64(len(want)) {
+			t.Fatalf("granted %d units (leases %d to %d) to a request for %d, want units %v", len(grant.Units), next, nextAfter, req.Max, want)
+		}
 		for i, u := range grant.Units {
-			want := unitState{leased: true, lease: next + uint64(i) + 1, worker: req.Worker, deadline: deadline}
-			if b := before[u.Seq]; b.leased || b.completed || after[u.Seq] != want || u.Lease != want.lease {
-				t.Fatalf("granted unit %d as lease %d: before %+v, after %+v", u.Seq, u.Lease, b, after[u.Seq])
+			lease := unitState{leased: true, lease: next + uint64(i) + 1, worker: req.Worker}
+			if u.Seq != want[i] || u.Lease != lease.lease || after[u.Seq] != lease {
+				t.Fatalf("granted unit %d as lease %d (want units %v): before %+v, after %+v", u.Seq, u.Lease, want, before[u.Seq], after[u.Seq])
 			}
 			delete(before, u.Seq)
 			delete(after, u.Seq)
@@ -242,54 +259,8 @@ func FuzzLeaseHandler(f *testing.F) {
 		if !maps.Equal(before, after) {
 			t.Fatal("a grant changed units it did not grant")
 		}
-	})
-}
-
-// FuzzExtendHandler drives the extend handler with an arbitrary query
-// and body against a coordinator with an open phase whose first two
-// units are leased. The handler must never panic. A request it refuses
-// is answered 4xx, or 200 with a stale ack, and changes no lease; an
-// extension names a unit leased under that lease number, and changes
-// that unit's deadline alone.
-func FuzzExtendHandler(f *testing.F) {
-	requestSeeds(f, `{"worker":"w1","phase":1,"seq":0,"lease":1}`)
-	f.Add("", []byte(`{"worker":"w1","phase":1,"seq":1,"lease":1}`))
-	f.Add("", []byte(`{"worker":"w1","phase":2,"seq":0,"lease":1}`))
-	f.Add("", []byte(`{"worker":"w1","phase":1,"seq":-1,"lease":0}`))
-	f.Add("", []byte(`{"worker":"w1","phase":1,"seq":5,"lease":0}`))
-
-	f.Fuzz(func(t *testing.T, rawQuery string, body []byte) {
-		coord, stop := leasedCoordinator(t)
-		defer stop()
-		before, next := leaseState(coord)
-		rec := post(coord, PathExtend, rawQuery, body)
-		after, nextAfter := leaseState(coord)
-		var ack Ack
-		if rec.Code == http.StatusOK {
-			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
-				t.Fatalf("200 answer is not an ack: %v", err)
-			}
-		}
-		if !ack.OK {
-			refused(t, rec, before, after, next, nextAfter)
-			return
-		}
-		var req ExtendRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			t.Fatalf("extended a lease for an undecodable request: %v", err)
-		}
-		b, a := before[req.Seq], after[req.Seq]
-		if !b.leased || b.completed || b.lease != req.Lease || req.Phase != 1 || next != nextAfter {
-			t.Fatalf("extended %+v, which holds no such lease: %+v", req, b)
-		}
-		b.deadline = a.deadline
-		if a != b || !a.deadline.Equal(coord.clock.Now().Add(coord.ttl)) {
-			t.Fatalf("extending %+v left the unit %+v, was %+v", req, a, before[req.Seq])
-		}
-		delete(before, req.Seq)
-		delete(after, req.Seq)
-		if !maps.Equal(before, after) {
-			t.Fatal("an extension changed units it did not name")
+		if named := req.Phase == 1; named == (grant.Spec != nil) || !named && !bytes.Equal(grant.Spec, spec) {
+			t.Fatalf("a request naming phase %d got a grant with spec %.40q", req.Phase, grant.Spec)
 		}
 	})
 }

@@ -2,17 +2,18 @@
 //
 // The protocol ships coordinates, not payloads. A worker regenerates
 // the coordinator's deterministic world from the StudySpec's seed and
-// calibration, rebuilds each phase's Plan from the PhaseSpec's inputs,
-// and proves agreement through the plan and unit fingerprints before
-// any lease runs. Only results cross the wire in bulk — and those
-// travel as runstore-framed records, the unit's scanner.UnitMetrics
-// typed in its checkpoint, so the coordinator journals exactly the
-// bytes a single-process run would have journaled. A unit's trace
-// events are a completion's only JSON, in the checkpoint's
-// transport-only Trace field.
+// calibration, rebuilds each phase's Plan from the PhaseSpec its first
+// grant of the phase carries, and proves agreement through the plan
+// and unit fingerprints before any lease runs. Only results cross the
+// wire in bulk — and those travel as runstore-framed records, the
+// unit's scanner.UnitMetrics typed in its checkpoint, so the
+// coordinator journals exactly the bytes a single-process run would
+// have journaled. A unit's trace events are a completion's only JSON,
+// in the checkpoint's transport-only Trace field.
 package fabric
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -26,9 +27,7 @@ import (
 // Endpoint paths served by Coordinator.Handler.
 const (
 	PathStudy    = "/fabric/study"
-	PathPhase    = "/fabric/phase/" // + phase ID
 	PathLease    = "/fabric/lease"
-	PathExtend   = "/fabric/extend"
 	PathComplete = "/fabric/complete"
 )
 
@@ -139,8 +138,8 @@ type PhaseSpec struct {
 const (
 	// StatusUnit: a unit was leased; execute it.
 	StatusUnit = "unit"
-	// StatusWait: no work right now (between phases, or every pending
-	// unit is leased); poll again after RetryMillis.
+	// StatusWait: no work right now (between phases); poll again after
+	// RetryMillis.
 	StatusWait = "wait"
 	// StatusStudyDone: the study is over; the worker may exit.
 	StatusStudyDone = "study-done"
@@ -159,10 +158,13 @@ const DefaultLeaseBatch = 16
 const MaxLeaseBatch = 64
 
 // LeaseRequest asks the coordinator for work. Max is the largest batch
-// the worker wants in this round trip; 0 means 1.
+// the worker wants in this round trip; 0 means 1. Phase is the phase
+// whose plan the worker holds, 0 for none: a grant for any other phase
+// carries its spec.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max,omitempty"`
+	Phase  int    `json:"phase,omitempty"`
 }
 
 // UnitLease is one leased unit inside a grant.
@@ -185,25 +187,18 @@ type LeaseGrant struct {
 	Status string `json:"status"`
 	// Set when Status is StatusUnit: the phase the units belong to and
 	// the batch itself, in canonical (ascending seq) order.
-	Phase     int         `json:"phase,omitempty"`
-	Units     []UnitLease `json:"units,omitempty"`
-	TTLMillis int64       `json:"ttl_millis,omitempty"`
+	Phase int         `json:"phase,omitempty"`
+	Units []UnitLease `json:"units,omitempty"`
+	// Spec is the phase's PhaseSpec as JSON, set when the request named
+	// another phase.
+	Spec json.RawMessage `json:"spec,omitempty"`
 	// Set when Status is StatusWait.
 	RetryMillis int64 `json:"retry_millis,omitempty"`
 }
 
-// ExtendRequest refreshes a held lease (a worker about to start long
-// work calls it so a slow plan rebuild does not cost it the lease).
-type ExtendRequest struct {
-	Worker string `json:"worker"`
-	Phase  int    `json:"phase"`
-	Seq    int    `json:"seq"`
-	Lease  uint64 `json:"lease"`
-}
-
-// Ack is the coordinator's answer to extend and complete calls. OK
-// false with a Status explains why the call did not land — a stale
-// phase or an expired lease is a normal fabric event, not an error.
+// Ack is the coordinator's answer to a completion. OK false with a
+// Status explains why the call did not land — a completion for a phase
+// that has ended is a normal fabric event, not an error.
 type Ack struct {
 	OK     bool   `json:"ok"`
 	Status string `json:"status,omitempty"`

@@ -28,10 +28,9 @@ func TestFabricTracePropagation(t *testing.T) {
 	cfg.Metrics = reg
 	coordTr := trace.New(trace.Root(11))
 	coord := New(Options{
-		Study:    StudySpec{World: worldgen.TestConfig()},
-		LeaseTTL: -1,
-		Metrics:  reg,
-		Trace:    coordTr,
+		Study:   StudySpec{World: worldgen.TestConfig()},
+		Metrics: reg,
+		Trace:   coordTr,
 	})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
@@ -115,14 +114,14 @@ func TestFabricTracePropagation(t *testing.T) {
 
 	// The coordinator's stream merged the workers' deterministic unit
 	// events (sessions only ever open on workers here) and recorded its
-	// own runtime lease protocol, including the re-issue of the victim's
-	// forfeited lease and at least one completed unit.
+	// own runtime lease protocol, including the re-lease of the victim's
+	// outstanding units and at least one completed unit.
 	snap := coordTr.Snapshot()
 	if !snapHas(snap, "session.open", "", false) {
 		t.Error("coordinator trace has no worker-executed session.open events")
 	}
-	if !snapHas(snap, "lease", "", true) {
-		t.Error("coordinator trace has no lease events")
+	if !snapHas(snap, "lease", "reissued", true) {
+		t.Error("coordinator trace has no re-lease event")
 	}
 	if !snapHas(snap, "unit.complete", "ok", true) {
 		t.Error("coordinator trace has no completed unit event")

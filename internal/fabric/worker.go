@@ -30,12 +30,8 @@ const (
 
 // ErrKilled is returned by Worker.Run when the chaos kill hook fires:
 // the worker dies mid-shard without reporting its completed unit, so
-// the lease expires and the coordinator re-issues the work.
+// its units stay outstanding until an idle worker re-leases them.
 var ErrKilled = errors.New("fabric: worker killed by chaos hook")
-
-// errStalePhase marks a benign race: the phase the worker was chasing
-// ended between the lease grant and the spec fetch. The loop re-leases.
-var errStalePhase = errors.New("fabric: phase no longer active")
 
 // WorkerOptions configures a Worker.
 type WorkerOptions struct {
@@ -52,7 +48,7 @@ type WorkerOptions struct {
 	// Kill, when non-nil, is consulted after every executed unit with
 	// the running count; returning true kills the worker with ErrKilled
 	// BEFORE the unit's completion is reported — the chaos path that
-	// forces a lease expiry and re-issue.
+	// forces a re-lease.
 	Kill func(executed int64) bool
 	// Metrics, when non-nil, receives worker-side runtime counters.
 	Metrics *telemetry.Registry
@@ -75,7 +71,7 @@ type Worker struct {
 	net    *proxy.Network
 
 	// Cached phase state: the fabric runs one phase at a time, so one
-	// slot suffices.
+	// slot suffices. Lease requests name phaseID, 0 before the first.
 	phaseID  int
 	plan     *scanner.Plan
 	traceCtx trace.SpanCtx // the phase's coordinator-issued scan context
@@ -150,7 +146,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		var grant LeaseGrant
-		if err := w.postJSON(ctx, PathLease, LeaseRequest{Worker: w.opts.Name, Max: DefaultLeaseBatch}, &grant); err != nil {
+		if err := w.postJSON(ctx, PathLease, LeaseRequest{Worker: w.opts.Name, Max: DefaultLeaseBatch, Phase: w.phaseID}, &grant); err != nil {
 			return fmt.Errorf("fabric: leasing: %w", err)
 		}
 		switch grant.Status {
@@ -163,9 +159,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		case StatusUnit:
 			if err := w.runBatch(ctx, grant); err != nil {
-				if errors.Is(err, errStalePhase) {
-					continue
-				}
 				return err
 			}
 		default:
@@ -174,23 +167,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runBatch executes every unit in a grant, in grant order. A stale
-// phase mid-batch abandons the rest of the batch (their leases expire
-// and the units re-issue — but in practice the phase is gone anyway).
+// runBatch executes every unit in a grant, in grant order.
 func (w *Worker) runBatch(ctx context.Context, grant LeaseGrant) error {
-	rebuilt, err := w.ensurePhase(ctx, grant.Phase)
-	if err != nil {
+	if err := w.ensurePhase(grant); err != nil {
 		return err
-	}
-	if rebuilt && len(grant.Units) > 0 {
-		// The plan rebuild may have eaten into the batch's TTLs; refresh
-		// the LAST unit's lease — it waits the longest — so the tail of the
-		// batch is not re-issued while we are still working the head. A
-		// stale answer is fine: completions from expired leases are still
-		// accepted, re-runs are deterministic no-ops.
-		last := grant.Units[len(grant.Units)-1]
-		var ack Ack
-		_ = w.postJSON(ctx, PathExtend, ExtendRequest{Worker: w.opts.Name, Phase: grant.Phase, Seq: last.Seq, Lease: last.Lease}, &ack)
 	}
 	for _, u := range grant.Units {
 		if err := ctx.Err(); err != nil {
@@ -228,8 +208,8 @@ func (w *Worker) runUnit(ctx context.Context, phase int, lease UnitLease) error 
 	w.opts.Trace.Append(res.Trace)
 	w.unitEvent("worker.exec", lease.Seq, "ok")
 	if w.opts.Kill != nil && w.opts.Kill(w.executed) {
-		// Die before reporting: the unit's lease expires and the
-		// coordinator re-issues it to a surviving worker. The flight
+		// Die before reporting: the batch's units stay outstanding, and
+		// the coordinator re-leases them to a surviving worker. The flight
 		// recorder fires on the way down — the worker-death dump the
 		// tentpole promises.
 		w.logf("fabric worker %s: chaos kill after unit %d", w.opts.Name, lease.Seq)
@@ -288,32 +268,21 @@ func completionBody(unit scanner.WorkUnit, res scanner.UnitResult) ([]byte, erro
 	return runstore.EncodeShardFrames(res.Samples, cp), nil
 }
 
-// ensurePhase rebuilds and caches the plan for phase id, verifying the
-// plan fingerprint and unit count against the coordinator's spec. The
-// returned bool reports whether a rebuild actually happened (a rebuild
-// is the one slow step worth spending a lease extension on).
-func (w *Worker) ensurePhase(ctx context.Context, id int) (bool, error) {
-	if w.plan != nil && w.phaseID == id {
-		return false, nil
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.opts.Coordinator+PathPhase+strconv.Itoa(id), nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return false, fmt.Errorf("fabric: fetching phase %d spec: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return false, errStalePhase
-	}
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("fabric: fetching phase %d spec: %s", id, resp.Status)
+// ensurePhase makes the grant's phase the one the worker holds. A grant
+// for a phase other than the one the worker named carries that phase's
+// spec: the worker rebuilds the plan from it and verifies the plan
+// fingerprint and unit count against the coordinator's.
+func (w *Worker) ensurePhase(grant LeaseGrant) error {
+	id := grant.Phase
+	if grant.Spec == nil {
+		if id != w.phaseID {
+			return fmt.Errorf("fabric: grant for phase %d carries no spec, and this worker holds phase %d", id, w.phaseID)
+		}
+		return nil
 	}
 	var spec PhaseSpec
-	if err := json.NewDecoder(resp.Body).Decode(&spec); err != nil {
-		return false, fmt.Errorf("fabric: decoding phase %d spec: %w", id, err)
+	if err := json.Unmarshal(grant.Spec, &spec); err != nil {
+		return fmt.Errorf("fabric: decoding phase %d spec: %w", id, err)
 	}
 	cfg := spec.Config.Config()
 	if spec.Trace.Valid() {
@@ -326,10 +295,10 @@ func (w *Worker) ensurePhase(ctx context.Context, id int) (bool, error) {
 	}
 	plan := scanner.NewPlan(spec.Domains, spec.Countries, spec.Tasks, cfg)
 	if got := plan.Fingerprint(); got != spec.Fingerprint {
-		return false, fmt.Errorf("fabric: phase %d plan fingerprint mismatch (coordinator %x, worker %x) — the two processes built different plans", id, spec.Fingerprint, got)
+		return fmt.Errorf("fabric: phase %d plan fingerprint mismatch (coordinator %x, worker %x) — the two processes built different plans", id, spec.Fingerprint, got)
 	}
 	if plan.NumUnits() != spec.Units {
-		return false, fmt.Errorf("fabric: phase %d unit count mismatch (coordinator %d, worker %d)", id, spec.Units, plan.NumUnits())
+		return fmt.Errorf("fabric: phase %d unit count mismatch (coordinator %d, worker %d)", id, spec.Units, plan.NumUnits())
 	}
 	// Catch the worker's world up to the coordinator's policy clock —
 	// the pipeline advances it between phases, and national policies
@@ -337,7 +306,7 @@ func (w *Worker) ensurePhase(ctx context.Context, id int) (bool, error) {
 	w.world.AdvanceClock(spec.WorldClock - w.world.Clock())
 	w.phaseID, w.plan, w.traceCtx = id, plan, spec.Trace
 	w.logf("fabric worker %s: phase %d (%s): plan agreed, %d units", w.opts.Name, id, spec.Phase, spec.Units)
-	return true, nil
+	return nil
 }
 
 // getJSON GETs path off the coordinator and decodes the JSON answer.

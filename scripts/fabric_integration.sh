@@ -2,11 +2,12 @@
 # Multi-process fabric integration: the distributed-identity contract
 # checked across real OS processes, not goroutines. One `geoscan
 # -study lumscan` coordinator and three scanworker processes — one of
-# which is killed by chaos injection mid-shard so its lease expires and
-# the shard is re-executed — must write a journal, stdout and
-# deterministic metrics (the -metrics-out lines not marked "(runtime)",
-# injected-fault counts included) byte-identical to those of a
-# single-process run of the same scan.
+# which is killed by chaos injection mid-shard, so a survivor re-leases
+# its outstanding units and re-executes them — must write a journal,
+# stdout and deterministic metrics (the -metrics-out lines not marked
+# "(runtime)", injected-fault counts included) byte-identical to those
+# of a single-process run of the same scan, and the coordinator's
+# runtime metrics must show the re-lease.
 #
 # Run via `make fabric-test`. Needs only the go toolchain and a POSIX
 # shell; everything happens under a temp directory that is cleaned up
@@ -64,7 +65,9 @@ done
 addr=$(cat "$work/ready")
 
 # Worker 1 is the victim: chaos kills it before it reports its first
-# executed unit, forfeiting the lease. Workers 2 and 3 finish the study.
+# executed unit, leaving its leased units outstanding. Workers 2 and 3
+# finish the study, re-leasing those units once no never-leased unit is
+# left.
 "$work/scanworker" -coordinator "http://$addr" -name victim -kill-after 1 -kill-seed 7 \
     >"$work/w1.out" 2>&1 &
 victim=$!
@@ -120,6 +123,14 @@ fi
 if ! cmp -s "$work/ref.det" "$work/fab.det"; then
     echo "FAIL: deterministic metrics differ between single-process and fabric runs"
     diff "$work/ref.det" "$work/fab.det" | head -20 || true
+    exit 1
+fi
+
+# The victim's units were re-leased: a run that re-issued nothing
+# proves nothing about worker death.
+if ! awk '$1 == "fabric.lease_reissues" && $2 >= 1 { ok = 1 } END { exit !ok }' "$work/fab.metrics"; then
+    echo "FAIL: the fabric run re-leased no unit (no fabric.lease_reissues line of at least 1)"
+    grep "^fabric\." "$work/fab.metrics" || true
     exit 1
 fi
 

@@ -83,7 +83,7 @@ func checkUnitEvents(t *testing.T, det *trace.Trace) {
 // order — is byte-identical at scan concurrency 1, 4, and 32, and
 // identical again when the study's residential phases are distributed
 // over {1, 2, 4} fabric workers, including runs where a worker is
-// chaos-killed mid-shard and its lease re-issued. One timeline, no
+// chaos-killed mid-shard and its units re-leased. One timeline, no
 // matter how many goroutines or processes produced it.
 func TestTraceMatrix(t *testing.T) {
 	det, ref := tracedStudy(t, 1)
